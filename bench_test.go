@@ -416,6 +416,38 @@ func BenchmarkAblationConv(b *testing.B) {
 	}
 }
 
+// BenchmarkConvBackward measures kernels.Conv2DBackward on LeNet's two
+// convolutions at the training batch size. conv1 reads the data feed, so the
+// executor's requires-grad mask leaves its dX out; both forms are reported.
+func BenchmarkConvBackward(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		s    kernels.ConvShape
+	}{
+		{"conv1", kernels.ConvShape{N: 32, C: 1, H: 28, W: 28, M: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}},
+		{"conv2", kernels.ConvShape{N: 32, C: 6, H: 14, W: 14, M: 16, KH: 5, KW: 5, StrideH: 1, StrideW: 1}},
+	} {
+		s := bc.s
+		rng := tensor.NewRNG(9)
+		x := tensor.RandNormal(rng, 0, 1, s.InputSize()).Data()
+		w := tensor.RandNormal(rng, 0, 0.2, s.WeightSize()).Data()
+		g := tensor.RandNormal(rng, 0, 1, s.OutputSize()).Data()
+		dX, dW, dB := make([]float32, s.InputSize()), make([]float32, s.WeightSize()), make([]float32, s.M)
+		for _, withDX := range []bool{true, false} {
+			name, gx := bc.name+"/dX", dX
+			if !withDX {
+				name, gx = bc.name+"/no-dX", nil
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					kernels.Conv2DBackward(s, x, w, g, gx, dW, dB)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkAblationAllreduce(b *testing.B) {
 	for _, algo := range []struct {
 		name string

@@ -48,6 +48,9 @@ type Executor struct {
 	net     *Network
 	order   []*graph.Node
 	nodeOps map[*graph.Node]ops.Operator
+	// gradMask holds, per node, which inputs require a gradient (see
+	// requiresGrad); it is installed on every GradMaskAware operator.
+	gradMask map[*graph.Node][]bool
 
 	// Events receives hook callbacks; nil disables instrumentation.
 	Events *Events
@@ -188,6 +191,7 @@ func New(m *graph.Model, opts ...Option) (*Executor, error) {
 	}
 	e.net = NewNetwork(m)
 	e.order = order
+	e.gradMask = requiresGrad(m, order)
 	for _, n := range order {
 		op, err := ops.FromNode(n)
 		if err != nil {
@@ -203,7 +207,7 @@ func New(m *graph.Model, opts ...Option) (*Executor, error) {
 				ga.SetGemmAlgo(*e.gemmAlgo)
 			}
 		}
-		e.nodeOps[n] = op
+		e.SetOp(n, op)
 	}
 	e.nodeInBuf = make(map[*graph.Node][]*tensor.Tensor, len(e.order))
 	return e, nil
@@ -248,8 +252,44 @@ func (e *Executor) Op(n *graph.Node) ops.Operator { return e.nodeOps[n] }
 // SetOp replaces the operator bound to a node. The framework emulation
 // layer uses this (via the graph visitor) to install backend-specific
 // operator implementations, mirroring the paper's visitor-based network
-// construction (Fig. 4).
-func (e *Executor) SetOp(n *graph.Node, op ops.Operator) { e.nodeOps[n] = op }
+// construction (Fig. 4). The node's requires-grad mask is installed on the
+// new operator when it can use one.
+func (e *Executor) SetOp(n *graph.Node, op ops.Operator) {
+	if ga, ok := op.(ops.GradMaskAware); ok {
+		ga.SetGradMask(e.gradMask[n])
+	}
+	e.nodeOps[n] = op
+}
+
+// requiresGrad is the build-time analysis that lets backpropagation skip
+// gradients nobody reads. A value requires a gradient iff it is a trainable
+// parameter (an initializer of the model) or the output of a node with such
+// an input; everything else — the data feed, labels, and whatever is
+// computed from them alone — cannot reach a parameter gradient, which is all
+// InferenceAndBackprop publishes. The result maps each node to a per-input
+// mask in the order of n.Inputs.
+func requiresGrad(m *graph.Model, order []*graph.Node) map[*graph.Node][]bool {
+	needs := make(map[string]bool, len(m.Initializers))
+	for name := range m.Initializers {
+		needs[name] = true
+	}
+	masks := make(map[*graph.Node][]bool, len(order))
+	for _, n := range order {
+		mask := make([]bool, len(n.Inputs))
+		reachesParam := false
+		for i, name := range n.Inputs {
+			mask[i] = needs[name]
+			reachesParam = reachesParam || mask[i]
+		}
+		if reachesParam {
+			for _, name := range n.Outputs {
+				needs[name] = true
+			}
+		}
+		masks[n] = mask
+	}
+	return masks
+}
 
 // LastValue returns an activation tensor from the most recent pass.
 func (e *Executor) LastValue(name string) (*tensor.Tensor, bool) {

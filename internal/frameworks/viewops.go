@@ -1,6 +1,7 @@
 package frameworks
 
 import (
+	"deep500/internal/ops"
 	"deep500/internal/tensor"
 )
 
@@ -61,6 +62,14 @@ type CopyAmplified struct {
 
 // Name returns the wrapped operator's name.
 func (o *CopyAmplified) Name() string { return o.Inner.Name() }
+
+// SetGradMask forwards the executor's requires-grad mask to the wrapped
+// operator when it can use one.
+func (o *CopyAmplified) SetGradMask(need []bool) {
+	if ga, ok := o.Inner.(ops.GradMaskAware); ok {
+		ga.SetGradMask(need)
+	}
+}
 
 // Forward runs the inner op and deep-copies every output.
 func (o *CopyAmplified) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {

@@ -293,11 +293,17 @@ func TestCrashWithoutCheckpointRestartsFromZero(t *testing.T) {
 // TestDSGDWorkerDeathFailsJob pins the scheme matrix: the allreduce ring
 // cannot tolerate member loss, so a killed dsgd worker fails the job
 // instead of restarting.
+//
+// The job is far longer than the test (16 steps × 2²⁰ epochs, every step a
+// loopback all-reduce), so however fast a step is, training cannot finish
+// between the heartbeat that publishes the first step and the kill: the
+// "running with progress" state the kill needs stays observable until the
+// kill ends it, and the only way out of the job is the failure under test.
 func TestDSGDWorkerDeathFailsJob(t *testing.T) {
 	m, _ := startControlPlane(t)
 	job, err := m.Submit(Spec{
 		Scheme: SchemeDSGD, Workers: 2,
-		Samples: 256, Batch: 8, Epochs: 4, Hidden: 8, Seed: 5,
+		Samples: 256, Batch: 8, Epochs: 1 << 20, Hidden: 8, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,6 +395,37 @@ func TestHeartbeatTimeoutKillsSilentRanks(t *testing.T) {
 		if w.Phase == WorkerRunning {
 			t.Errorf("rank %d still marked running after failure", w.Rank)
 		}
+	}
+}
+
+// TestLateHeartbeatKeepsFinalStep pins the ordering rule between the two
+// progress reports: a heartbeat posted just before a rank finished may reach
+// the manager after its done report and must not roll the final step back.
+func TestLateHeartbeatKeepsFinalStep(t *testing.T) {
+	m, err := NewManager(Config{Runner: blockingRunner{}, HeartbeatTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Shutdown)
+	job, err := m.Submit(Spec{Scheme: SchemeDSGD, Workers: 2, Samples: 16, Batch: 8, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Heartbeat(job.ID, 1, 3, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Done(job.ID, 1, 4, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Heartbeat(job.ID, 1, 3, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := j.Workers[1]; w.Step != 4 || w.Loss != 0.25 {
+		t.Fatalf("after done(4) and a late heartbeat(3): step %d loss %g", w.Step, w.Loss)
 	}
 }
 

@@ -437,8 +437,12 @@ func (m *Manager) Heartbeat(id string, rank, step int, loss float64) error {
 	}
 	w := j.Workers[rank]
 	w.LastHeartbeat = time.Now()
-	w.Step = step
-	w.Loss = loss
+	// A heartbeat posted just before the rank finished can arrive after its
+	// done report; it must not roll the final step back.
+	if !w.done {
+		w.Step = step
+		w.Loss = loss
+	}
 	m.cfg.Metrics.Heartbeats.Inc()
 	return nil
 }

@@ -179,24 +179,50 @@ func conv2DDirect(s ConvShape, in, w, out []float32) {
 	}
 }
 
-// Im2Col lowers one image (C×H×W) into a (C·KH·KW)×(OH·OW) matrix.
+// oxSpan returns the half-open range [lo, hi) of output columns whose input
+// column ix = ox·stride − pad + kx lies inside [0, w). It depends on kx alone,
+// so Im2Col and Col2Im compute it once per kernel column and move whole row
+// segments instead of bounds-testing every element.
+func oxSpan(ow, w, stride, pad, kx int) (lo, hi int) {
+	if d := pad - kx; d > 0 {
+		lo = (d + stride - 1) / stride
+	}
+	if last := w - 1 + pad - kx; last >= 0 {
+		hi = min(last/stride+1, ow)
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+// Im2Col lowers one image (C×H×W) into a (C·KH·KW)×(OH·OW) matrix. Every
+// element of col is written, so its prior contents do not matter.
 func Im2Col(s ConvShape, img, col []float32) {
 	oh, ow := s.OutDims()
 	idx := 0
 	for c := 0; c < s.C; c++ {
-		inC := img[c*s.H*s.W:]
+		inC := img[c*s.H*s.W : (c+1)*s.H*s.W]
 		for ky := 0; ky < s.KH; ky++ {
 			for kx := 0; kx < s.KW; kx++ {
+				lo, hi := oxSpan(ow, s.W, s.StrideW, s.PadW, kx)
 				for oy := 0; oy < oh; oy++ {
+					row := col[idx : idx+ow]
+					idx += ow
 					iy := oy*s.StrideH - s.PadH + ky
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.StrideW - s.PadW + kx
-						if iy < 0 || iy >= s.H || ix < 0 || ix >= s.W {
-							col[idx] = 0
-						} else {
-							col[idx] = inC[iy*s.W+ix]
-						}
-						idx++
+					if iy < 0 || iy >= s.H || lo == hi {
+						clear(row)
+						continue
+					}
+					clear(row[:lo])
+					clear(row[hi:])
+					src := inC[iy*s.W+lo*s.StrideW-s.PadW+kx:]
+					if s.StrideW == 1 {
+						copy(row[lo:hi], src)
+						continue
+					}
+					for i := range row[lo:hi] {
+						row[lo+i] = src[i*s.StrideW]
 					}
 				}
 			}
@@ -205,25 +231,36 @@ func Im2Col(s ConvShape, img, col []float32) {
 }
 
 // Col2Im scatters a (C·KH·KW)×(OH·OW) matrix back into a C×H×W image,
-// accumulating overlaps; used by convolution backward-data.
+// accumulating overlaps; used by convolution backward-data. Contributions
+// land in the same (c, ky, kx, oy, ox) order as the per-element form, so the
+// sums round identically.
 func Col2Im(s ConvShape, col, img []float32) {
 	oh, ow := s.OutDims()
-	for i := range img[:s.C*s.H*s.W] {
-		img[i] = 0
-	}
+	clear(img[:s.C*s.H*s.W])
 	idx := 0
 	for c := 0; c < s.C; c++ {
-		imC := img[c*s.H*s.W:]
+		imC := img[c*s.H*s.W : (c+1)*s.H*s.W]
 		for ky := 0; ky < s.KH; ky++ {
 			for kx := 0; kx < s.KW; kx++ {
+				lo, hi := oxSpan(ow, s.W, s.StrideW, s.PadW, kx)
 				for oy := 0; oy < oh; oy++ {
+					row := col[idx : idx+ow]
+					idx += ow
 					iy := oy*s.StrideH - s.PadH + ky
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.StrideW - s.PadW + kx
-						if iy >= 0 && iy < s.H && ix >= 0 && ix < s.W {
-							imC[iy*s.W+ix] += col[idx]
+					if iy < 0 || iy >= s.H || lo == hi {
+						continue
+					}
+					src := row[lo:hi]
+					dst := imC[iy*s.W+lo*s.StrideW-s.PadW+kx:]
+					if s.StrideW == 1 {
+						dst = dst[:len(src)]
+						for i, v := range src {
+							dst[i] += v
 						}
-						idx++
+						continue
+					}
+					for i, v := range src {
+						dst[i*s.StrideW] += v
 					}
 				}
 			}
@@ -235,8 +272,7 @@ func conv2DIm2Col(s ConvShape, in, w, out []float32) {
 	oh, ow := s.OutDims()
 	k := s.C * s.KH * s.KW
 	spatial := oh * ow
-	span := Default.Span(s.N)
-	if span <= 1 {
+	if Default.Span(s.N) <= 1 {
 		// Im2Col writes every column element, so the unspecified contents
 		// of an arena scratch buffer are fine.
 		col := scratch.GetBuf(k * spatial)
@@ -247,19 +283,19 @@ func conv2DIm2Col(s ConvShape, in, w, out []float32) {
 		scratch.PutBuf(col)
 		return
 	}
-	// One task per image; each worker slot lowers through a private column
-	// buffer drawn lazily from the scratch arena on first use.
-	cols := make([][]float32, span)
-	Default.ParallelWorker(s.N, func(wk, n int) {
-		if cols[wk] == nil {
-			cols[wk] = scratch.GetBuf(k * spatial)
-		}
-		Im2Col(s, in[n*s.C*s.H*s.W:], cols[wk])
-		Gemm(GemmPacked, w, cols[wk], out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
+	conv2DIm2ColParallel(s, in, w, out, k, spatial)
+}
+
+// conv2DIm2ColParallel runs one task per image over the worker pool; each
+// task borrows its column buffer from the scratch arena for its duration,
+// so at most Span(N) buffers are live and none is allocated once the arena
+// is warm. It lives apart from conv2DIm2Col so the dispatch closure cannot
+// force the serial path's variables onto the heap.
+func conv2DIm2ColParallel(s ConvShape, in, w, out []float32, k, spatial int) {
+	Default.ParallelWorker(s.N, func(_, n int) {
+		col := scratch.GetBuf(k * spatial)
+		Im2Col(s, in[n*s.C*s.H*s.W:], col)
+		Gemm(GemmPacked, w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
+		scratch.PutBuf(col)
 	})
-	for _, col := range cols {
-		if col != nil {
-			scratch.PutBuf(col)
-		}
-	}
 }

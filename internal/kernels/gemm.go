@@ -9,7 +9,9 @@
 //
 // Public entry points: Gemm (with GemmAlgo selection) and the transposed
 // variants, Conv2D (ConvAlgo: direct, im2col, Winograd) with ConvShape
-// geometry, the pooling and activation kernels, the fused optimizer
+// geometry and its gradient kernel Conv2DBackward (conv_backward.go:
+// pool-parallel over fixed image chunks, bitwise repeatable), the pooling
+// and activation kernels, the fused optimizer
 // kernels (AdamFused, MomentumFused, …, §III-A Use Case 1) and the fused
 // graph-operator epilogues (BiasAct, BiasReLUFused, ActGradFromOutput)
 // used by the compile pipeline's fusion pass. Pool is the single shared
@@ -40,8 +42,10 @@ const (
 	// GemmParallel is GemmBlocked parallelized over row panels.
 	GemmParallel
 	// GemmPacked is the BLIS-style kernel (gemm_packed.go): operands are
-	// repacked into cache-resident panels and driven through a 4×8
-	// register-tiled micro-kernel, parallelized over macro row blocks.
+	// repacked into cache-resident panels and driven through a 2×4
+	// register-tiled micro-kernel (the largest tile gc keeps spill-free;
+	// gemm_packed.go and docs/kernels.md record why 4×8 was rejected),
+	// parallelized over macro row blocks.
 	GemmPacked
 )
 

@@ -87,9 +87,9 @@ func (p *Pool) Parallel(n int, fn func(i int)) {
 
 // ParallelWorker is Parallel with a worker-slot identifier: fn(w, i) is
 // invoked with w in [0, Span(n)), and no two concurrent calls share a w —
-// callers can therefore hand each slot private scratch space (the im2col
-// column buffer, for example) allocated once per slot instead of once per
-// task.
+// callers can therefore hand each slot private scratch space (the packed
+// GEMM's A-panel buffer, for example) allocated once per slot instead of
+// once per task.
 func (p *Pool) ParallelWorker(n int, fn func(w, i int)) {
 	if n <= 0 {
 		return

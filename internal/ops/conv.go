@@ -53,49 +53,25 @@ func (o *Conv2DOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *Conv2DOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
+	return o.backward(gradOutputs[0].Data(), fwdInputs)
+}
+
+// backward lowers to kernels.Conv2DBackward, computing only the gradients
+// the installed mask asks for. FusedConvReluOp calls it with the
+// pre-activation gradient.
+func (o *Conv2DOp) backward(g []float32, fwdInputs []*tensor.Tensor) []*tensor.Tensor {
 	x, w := fwdInputs[0], fwdInputs[1]
-	g := gradOutputs[0]
-	s := o.shape(x, w)
-	oh, ow := s.OutDims()
-	spatial := oh * ow
-	ckk := s.C * s.KH * s.KW
-
-	gradX := tensor.New(x.Shape()...)
-	gradW := tensor.New(w.Shape()...)
-	col := make([]float32, ckk*spatial)
-	gradColBuf := make([]float32, ckk*spatial)
-	gradWAcc := make([]float32, s.M*ckk)
-	perImageGW := make([]float32, s.M*ckk)
-
-	for n := 0; n < s.N; n++ {
-		img := x.Data()[n*s.C*s.H*s.W:]
-		gOut := g.Data()[n*s.M*spatial : (n+1)*s.M*spatial]
-		kernels.Im2Col(s, img, col)
-		// dW += gOut (M×OHW) · colᵀ (OHW×CKK)
-		kernels.GemmTransB(gOut, col, perImageGW, s.M, spatial, ckk)
-		for i, v := range perImageGW {
-			gradWAcc[i] += v
-		}
-		// dcol = Wᵀ (CKK×M) · gOut (M×OHW)
-		kernels.GemmTransA(w.Data(), gOut, gradColBuf, ckk, s.M, spatial)
-		kernels.Col2Im(s, gradColBuf, gradX.Data()[n*s.C*s.H*s.W:])
-	}
-	copy(gradW.Data(), gradWAcc)
-
-	grads := []*tensor.Tensor{gradX, gradW}
+	grads := []*tensor.Tensor{o.newGrad(0, x.Shape()...), o.newGrad(1, w.Shape()...)}
 	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
-		gb := tensor.New(s.M)
-		for n := 0; n < s.N; n++ {
-			for m := 0; m < s.M; m++ {
-				var sum float32
-				for _, v := range g.Data()[(n*s.M+m)*spatial : (n*s.M+m+1)*spatial] {
-					sum += v
-				}
-				gb.Data()[m] += sum
-			}
-		}
-		grads = append(grads, gb)
+		grads = append(grads, o.newGrad(2, w.Dim(0)))
 	}
+	var d [3][]float32
+	for i, t := range grads {
+		if t != nil {
+			d[i] = t.Data()
+		}
+	}
+	kernels.Conv2DBackward(o.shape(x, w), x.Data(), w.Data(), g, d[0], d[1], d[2])
 	return grads
 }
 

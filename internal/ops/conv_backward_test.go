@@ -1,0 +1,292 @@
+package ops
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"deep500/internal/kernels"
+	"deep500/internal/tensor"
+)
+
+// oldConvBackward is Conv2DOp.Backward as it was before the operator lowered
+// to kernels.Conv2DBackward: one serial loop over the batch, fresh
+// workspaces, and every gradient computed. It stays here as the reference
+// the kernel-backed operator is compared against.
+func oldConvBackward(o *Conv2DOp, gradOutputs, fwdInputs []*tensor.Tensor) []*tensor.Tensor {
+	x, w := fwdInputs[0], fwdInputs[1]
+	g := gradOutputs[0]
+	s := o.shape(x, w)
+	oh, ow := s.OutDims()
+	spatial := oh * ow
+	ckk := s.C * s.KH * s.KW
+
+	gradX := tensor.New(x.Shape()...)
+	gradW := tensor.New(w.Shape()...)
+	col := make([]float32, ckk*spatial)
+	gradColBuf := make([]float32, ckk*spatial)
+	gradWAcc := make([]float32, s.M*ckk)
+	perImageGW := make([]float32, s.M*ckk)
+
+	for n := 0; n < s.N; n++ {
+		img := x.Data()[n*s.C*s.H*s.W:]
+		gOut := g.Data()[n*s.M*spatial : (n+1)*s.M*spatial]
+		kernels.Im2Col(s, img, col)
+		kernels.GemmTransB(gOut, col, perImageGW, s.M, spatial, ckk)
+		for i, v := range perImageGW {
+			gradWAcc[i] += v
+		}
+		kernels.GemmTransA(w.Data(), gOut, gradColBuf, ckk, s.M, spatial)
+		kernels.Col2Im(s, gradColBuf, gradX.Data()[n*s.C*s.H*s.W:])
+	}
+	copy(gradW.Data(), gradWAcc)
+
+	grads := []*tensor.Tensor{gradX, gradW}
+	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
+		gb := tensor.New(s.M)
+		for n := 0; n < s.N; n++ {
+			for m := 0; m < s.M; m++ {
+				var sum float32
+				for _, v := range g.Data()[(n*s.M+m)*spatial : (n*s.M+m+1)*spatial] {
+					sum += v
+				}
+				gb.Data()[m] += sum
+			}
+		}
+		grads = append(grads, gb)
+	}
+	return grads
+}
+
+// convChunk mirrors the kernel's fixed backward chunk (kernels.convBwdChunk):
+// the grid below straddles it.
+const convChunk = 4
+
+type convCase struct {
+	n, c, stride, pad int
+	bias              bool
+}
+
+func (c convCase) String() string {
+	return fmt.Sprintf("N%d C%d s%d p%d bias=%v", c.n, c.c, c.stride, c.pad, c.bias)
+}
+
+func convCases() []convCase {
+	var cases []convCase
+	for _, n := range []int{1, 3, convChunk, convChunk + 1, 32} {
+		for _, c := range []int{1, 6} {
+			for _, stride := range []int{1, 2} {
+				for pad := 0; pad <= 2; pad++ {
+					for _, bias := range []bool{false, true} {
+						cases = append(cases, convCase{n, c, stride, pad, bias})
+					}
+				}
+			}
+		}
+	}
+	return cases
+}
+
+func (c convCase) build(seed uint64) (*Conv2DOp, []*tensor.Tensor) {
+	rng := tensor.NewRNG(seed)
+	inputs := []*tensor.Tensor{
+		tensor.RandNormal(rng, 0, 1, c.n, c.c, 8, 7),
+		tensor.RandNormal(rng, 0, 0.5, 4, c.c, 3, 3),
+	}
+	if c.bias {
+		inputs = append(inputs, tensor.RandNormal(rng, 0, 0.5, 4))
+	}
+	return NewConv2D(kernels.ConvIm2Col, c.stride, c.stride, c.pad, c.pad), inputs
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if a == nil || b == nil || a.Size() != b.Size() {
+		return a == b
+	}
+	for i, v := range a.Data() {
+		if math.Float32bits(v) != math.Float32bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// withPool runs f with kernels.Default replaced by a pool of the given size.
+func withPool(workers int, f func()) {
+	saved := kernels.Default
+	kernels.Default = kernels.NewPool(workers)
+	defer func() { kernels.Default = saved }()
+	f()
+}
+
+// TestConvBackwardMatchesOldLoop compares the kernel-backed Backward with
+// the old serial loop on every case, with no mask (every gradient, as
+// validation's test_gradient sees the operator) and with the data-feed mask
+// (dX skipped, dW and dBias unchanged to the bit).
+func TestConvBackwardMatchesOldLoop(t *testing.T) {
+	for _, c := range convCases() {
+		op, inputs := c.build(7)
+		outs := op.Forward(inputs)
+		g := []*tensor.Tensor{tensor.RandNormal(tensor.NewRNG(8), 0, 1, outs[0].Shape()...)}
+		want := oldConvBackward(op, g, inputs)
+		got := op.Backward(g, inputs, outs)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d gradients, old loop returned %d", c, len(got), len(want))
+		}
+		for i := range want {
+			// The batch sum of dW/dBias is regrouped by chunk: rounding-level
+			// agreement past one chunk, exact agreement within one.
+			tol := 1e-4
+			if c.n <= convChunk || i == 0 {
+				tol = 0
+			}
+			if !tensor.AllClose(got[i], want[i], tol, tol) {
+				t.Errorf("%v: gradient %d differs from the old loop", c, i)
+			}
+		}
+
+		op.SetGradMask([]bool{false, true, true})
+		masked := op.Backward(g, inputs, outs)
+		if masked[0] != nil {
+			t.Errorf("%v: dX computed although the mask does not ask for it", c)
+		}
+		for i := 1; i < len(got); i++ {
+			if !sameBits(masked[i], got[i]) {
+				t.Errorf("%v: skipping dX changed gradient %d", c, i)
+			}
+		}
+	}
+}
+
+func TestConvBackwardFiniteDifferences(t *testing.T) {
+	for _, c := range convCases() {
+		if c.n > convChunk+1 {
+			continue
+		}
+		op, inputs := c.build(9)
+		check := []bool{true, true, true}[:len(inputs)]
+		checkGrad(t, op, inputs, check)
+	}
+}
+
+// TestConvBackwardBitwiseAcrossPools runs the operator's Backward under 1-,
+// 2- and 8-worker pools and 20 times over: every gradient must come out
+// bit-identical (exact-resume checkpoints and the DSGD rank-equality check
+// depend on it).
+func TestConvBackwardBitwiseAcrossPools(t *testing.T) {
+	for _, c := range convCases() {
+		op, inputs := c.build(11)
+		outs := op.Forward(inputs)
+		g := []*tensor.Tensor{tensor.RandNormal(tensor.NewRNG(12), 0, 1, outs[0].Shape()...)}
+		var want []*tensor.Tensor
+		withPool(1, func() { want = op.Backward(g, inputs, outs) })
+		check := func(label string) {
+			for i, got := range op.Backward(g, inputs, outs) {
+				if !sameBits(got, want[i]) {
+					t.Errorf("%v: gradient %d under %s differs from the 1-worker result", c, i, label)
+				}
+			}
+		}
+		withPool(2, func() { check("a pool of 2") })
+		withPool(8, func() {
+			for r := 0; r < 20; r++ {
+				check("a pool of 8")
+			}
+		})
+	}
+}
+
+// TestFusedConvReluBackwardMatchesChain checks the fused operator against
+// Conv→Relu across two batch sizes on one operator instance (the reused
+// pre-activation buffer must follow the shape) and that it forwards the
+// mask to its convolution.
+func TestFusedConvReluBackwardMatchesChain(t *testing.T) {
+	fused := NewFusedConvRelu(kernels.ConvIm2Col, 1, 1, 1, 1)
+	conv := NewConv2D(kernels.ConvIm2Col, 1, 1, 1, 1)
+	relu := NewReLU()
+	for _, n := range []int{6, 2, 9} {
+		rng := tensor.NewRNG(uint64(20 + n))
+		inputs := []*tensor.Tensor{
+			tensor.RandNormal(rng, 0, 1, n, 2, 6, 6),
+			tensor.RandNormal(rng, 0, 0.5, 3, 2, 3, 3),
+			tensor.RandNormal(rng, 0, 0.5, 3),
+		}
+		fOut := fused.Forward(inputs)
+		g := []*tensor.Tensor{tensor.RandNormal(rng, 0, 1, fOut[0].Shape()...)}
+		cOut := conv.Forward(inputs)
+		cOut = []*tensor.Tensor{cOut[0].Clone()}
+		rOut := relu.Forward(cOut)
+		want := conv.Backward(relu.Backward(g, cOut, rOut), inputs, cOut)
+
+		fused.SetGradMask(nil)
+		got := fused.Backward(g, inputs, fOut)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Errorf("N=%d: fused gradient %d differs from the Conv→Relu chain", n, i)
+			}
+		}
+		fused.SetGradMask([]bool{false, true, true})
+		masked := fused.Backward(g, inputs, fOut)
+		if masked[0] != nil || !sameBits(masked[1], want[1]) || !sameBits(masked[2], want[2]) {
+			t.Errorf("N=%d: masked fused backward: dX=%v, or dW/dBias changed", n, masked[0] != nil)
+		}
+	}
+}
+
+// TestGemmBackwardHonoursMask checks that Gemm, MatMul and FusedGemmAct
+// return nil for exactly the masked inputs and leave the other gradients
+// bit-identical, under every transpose combination.
+func TestGemmBackwardHonoursMask(t *testing.T) {
+	type maskable interface {
+		Operator
+		GradMaskAware
+	}
+	const m, k, n = 5, 7, 3
+	for _, transA := range []bool{false, true} {
+		for _, transB := range []bool{false, true} {
+			rng := tensor.NewRNG(31)
+			aShape, bShape := []int{m, k}, []int{k, n}
+			if transA {
+				aShape = []int{k, m}
+			}
+			if transB {
+				bShape = []int{n, k}
+			}
+			inputs := []*tensor.Tensor{
+				tensor.RandNormal(rng, 0, 1, aShape...),
+				tensor.RandNormal(rng, 0, 1, bShape...),
+				tensor.RandNormal(rng, 0, 1, n),
+			}
+			opsUnderTest := []maskable{
+				NewGemm(kernels.GemmPacked, transA, transB),
+				NewFusedGemmAct(kernels.GemmPacked, transA, transB, kernels.ActTanh),
+			}
+			if !transA && !transB {
+				opsUnderTest = append(opsUnderTest, NewMatMul(kernels.GemmPacked))
+			}
+			for _, op := range opsUnderTest {
+				ins := inputs
+				if op.Name() == "MatMul" {
+					ins = inputs[:2]
+				}
+				outs := op.Forward(ins)
+				g := []*tensor.Tensor{tensor.RandNormal(rng, 0, 1, outs[0].Shape()...)}
+				full := op.Backward(g, ins, outs)
+				for _, mask := range [][]bool{{false, true, true}, {true, false, true}, {false, false, true}} {
+					op.SetGradMask(mask)
+					got := op.Backward(g, ins, outs)
+					for i := range full {
+						if !mask[i] && i < 2 {
+							if got[i] != nil {
+								t.Errorf("%s tA=%v tB=%v mask %v: gradient %d computed", op.Name(), transA, transB, mask, i)
+							}
+						} else if !sameBits(got[i], full[i]) {
+							t.Errorf("%s tA=%v tB=%v mask %v: gradient %d changed", op.Name(), transA, transB, mask, i)
+						}
+					}
+				}
+				op.SetGradMask(nil)
+			}
+		}
+	}
+}

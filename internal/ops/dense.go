@@ -68,17 +68,23 @@ func (o *GemmOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) [
 	// dA = g·op(B)ᵀ, stored transposed when TransA. Each case maps the
 	// stored operand layouts straight onto GemmT's trans flags, so the
 	// backward products fold their transposes exactly like Forward does.
-	gradA := tensor.New(a.Shape()...)
-	if !o.TransA {
+	// A gradient the installed mask does not ask for is left nil and its
+	// product is skipped.
+	gradA := o.newGrad(0, a.Shape()...)
+	switch {
+	case gradA == nil:
+	case !o.TransA:
 		kernels.GemmT(o.Algo, g.Data(), b.Data(), gradA.Data(), m, n, k, false, !o.TransB)
-	} else {
+	default:
 		kernels.GemmT(o.Algo, b.Data(), g.Data(), gradA.Data(), k, n, m, o.TransB, true)
 	}
 	// dB = op(A)ᵀ·g, stored transposed when TransB.
-	gradB := tensor.New(b.Shape()...)
-	if !o.TransB {
+	gradB := o.newGrad(1, b.Shape()...)
+	switch {
+	case gradB == nil:
+	case !o.TransB:
 		kernels.GemmT(o.Algo, a.Data(), g.Data(), gradB.Data(), k, m, n, !o.TransA, false)
-	} else {
+	default:
 		kernels.GemmT(o.Algo, g.Data(), a.Data(), gradB.Data(), n, m, k, true, o.TransA)
 	}
 	grads := []*tensor.Tensor{gradA, gradB}

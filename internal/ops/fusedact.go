@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
@@ -68,6 +69,9 @@ func (o *FusedGemmActOp) SetGemmAlgo(a kernels.GemmAlgo) {
 	o.gemm.Algo = a
 }
 
+// SetGradMask forwards the mask to the backward delegate.
+func (o *FusedGemmActOp) SetGradMask(need []bool) { o.gemm.SetGradMask(need) }
+
 func (o *FusedGemmActOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	y, g := fwdOutputs[0], gradOutputs[0]
 	gPre := tensor.New(y.Shape()...)
@@ -96,6 +100,9 @@ func (o *FusedGemmActOp) FLOPs(inputs []*tensor.Tensor) int64 {
 type FusedConvReluOp struct {
 	base
 	conv *Conv2DOp
+	// gPre is the reused pre-activation gradient buffer of Backward; the
+	// convolution backward kernel only reads it.
+	gPre []float32
 }
 
 // NewFusedConvRelu returns a fused convolution+bias+ReLU operator with the
@@ -134,11 +141,14 @@ func (o *FusedConvReluOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	return o.out1(out)
 }
 
+// SetGradMask forwards the mask to the embedded convolution.
+func (o *FusedConvReluOp) SetGradMask(need []bool) { o.conv.SetGradMask(need) }
+
 func (o *FusedConvReluOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	y, g := fwdOutputs[0], gradOutputs[0]
-	gPre := tensor.New(y.Shape()...)
-	kernels.ActGradFromOutput(kernels.ActReLU, y.Data(), g.Data(), gPre.Data())
-	return o.conv.Backward([]*tensor.Tensor{gPre}, fwdInputs, fwdOutputs)
+	o.gPre = slices.Grow(o.gPre[:0], y.Size())[:y.Size()]
+	kernels.ActGradFromOutput(kernels.ActReLU, y.Data(), g.Data(), o.gPre)
+	return o.conv.backward(o.gPre, fwdInputs)
 }
 
 // FLOPs matches the unfused chain exactly: the convolution plus the

@@ -14,9 +14,9 @@
 // Public entry points: the Operator interface, Register / Registered /
 // RegisteredOps (the D500_REGISTER_OP analogue), FromNode (the node →
 // operator factory executors use), and the optional capability interfaces
-// TrainingAware and AllocatorAware. The fused operators FusedGemmAct and
-// FusedConvRelu (fusedact.go) are produced by the compile pipeline's
-// fusion pass (internal/compile), never by hand-built models.
+// TrainingAware, AllocatorAware and GradMaskAware. The fused operators
+// FusedGemmAct and FusedConvRelu (fusedact.go) are produced by the compile
+// pipeline's fusion pass (internal/compile), never by hand-built models.
 package ops
 
 import (
@@ -110,6 +110,19 @@ type AllocatorAware interface {
 	SetAllocator(a tensor.Allocator)
 }
 
+// GradMaskAware is implemented by operators that can skip the gradients of
+// inputs nobody reads. need[i] tells whether the gradient of input i is
+// consumed; Backward may return nil for an input whose entry is false (the
+// Operator.Backward contract already allows nil entries). The executor
+// derives the mask from the graph — an input requires a gradient iff it is
+// a trainable parameter or depends on one — so a model's data feed never
+// costs a backward-data pass. A nil mask, the state of every operator used
+// outside an executor, means every gradient is computed. Conv, Gemm, MatMul
+// and their fused forms honour the mask; other operators ignore it.
+type GradMaskAware interface {
+	SetGradMask(need []bool)
+}
+
 // GemmAlgoAware is implemented by operators backed by the GEMM kernels
 // (Gemm, MatMul, FusedGemmAct). Executors use it to apply a session-wide
 // algorithm override (WithGemm / the -gemm flag) after construction.
@@ -126,12 +139,26 @@ type base struct {
 	// is the reused output-shape slice (see shape).
 	outBuf   []*tensor.Tensor
 	shapeBuf []int
+	// needGrad is the installed GradMaskAware mask (nil: all gradients).
+	needGrad []bool
 }
 
 func (b base) Name() string { return b.name }
 
 // SetAllocator points the operator's output allocation at a.
 func (b *base) SetAllocator(a tensor.Allocator) { b.arena = a }
+
+// SetGradMask installs the per-input requires-grad mask.
+func (b *base) SetGradMask(need []bool) { b.needGrad = need }
+
+// newGrad allocates the zeroed gradient tensor of input i, or returns nil
+// when the installed mask says that gradient is not read.
+func (b *base) newGrad(i int, shape ...int) *tensor.Tensor {
+	if i < len(b.needGrad) && !b.needGrad[i] {
+		return nil
+	}
+	return tensor.New(shape...)
+}
 
 // newOut allocates a forward-output tensor: from the installed allocator
 // when one is set, from the GC otherwise.
