@@ -25,6 +25,7 @@ import (
 	"deep500/internal/tensor"
 	"deep500/internal/training"
 	"deep500/internal/transform"
+	"deep500/internal/transport"
 )
 
 var benchOpts = core.Options{Quick: true, Seed: 99}
@@ -147,7 +148,7 @@ func BenchmarkBackendTrainingStep(b *testing.B) {
 				WithHead: true, Seed: 20})
 			e := executor.MustNew(m, v.Opts()...)
 			e.SetTraining(true)
-			d := training.NewDriver(e, training.NewMomentum(0.05, 0.9))
+			d := training.NewDriver(e, training.NewFusedMomentum(0.05, 0.9))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -208,7 +209,7 @@ func BenchmarkOverheadTrainingStep(b *testing.B) {
 				fo := metrics.NewFrameworkOverhead()
 				e.Events = fo.Events()
 			}
-			d := training.NewDriver(e, training.NewMomentum(0.05, 0.9))
+			d := training.NewDriver(e, training.NewFusedMomentum(0.05, 0.9))
 			ds := training.SyntheticClassification(256, 10, []int{1, 16, 16}, 0.3, 4)
 			s := training.NewShuffleSampler(ds, 64, 1)
 			batch := s.Next()
@@ -305,7 +306,7 @@ func BenchmarkFig9OptimizerStep(b *testing.B) {
 		mk   func() training.ThreeStep
 	}{
 		{"sgd-ref", func() training.ThreeStep { return training.NewGradientDescent(0.05) }},
-		{"sgd-fused", func() training.ThreeStep { return training.FromUpdateRule(training.NewFusedSGD(0.05)) }},
+		{"sgd-fused", func() training.ThreeStep { return training.NewFusedSGD(0.05) }},
 		{"adam-ref", func() training.ThreeStep { return training.NewAdam(0.001) }},
 		{"adam-fused", func() training.ThreeStep { return training.NewFusedAdam(0.001) }},
 		{"accelegrad", func() training.ThreeStep { return training.NewAcceleGrad(0.02, 1, 1) }},
@@ -327,6 +328,105 @@ func BenchmarkFig9OptimizerStep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOptimizerUpdate is the update alone — the Fig. 9 contrast without
+// the forward and backward passes around it: each product (fused, in-place)
+// rule against the composing reference form, on one 512×512 parameter. Run
+// with -benchmem: the fused side allocates nothing.
+func BenchmarkOptimizerUpdate(b *testing.B) {
+	cases := []struct {
+		name       string
+		fused, ref training.ThreeStep
+	}{
+		{"sgd", training.NewFusedSGD(0.05), training.NewGradientDescent(0.05)},
+		{"momentum", training.NewFusedMomentum(0.02, 0.9), training.NewMomentum(0.02, 0.9)},
+		{"nesterov", training.NewFusedNesterov(0.02, 0.9), training.NewNesterov(0.02, 0.9)},
+		{"adagrad", training.NewFusedAdaGrad(0.02), training.NewAdaGrad(0.02)},
+		{"rmsprop", training.NewFusedRMSProp(0.002, 0.9), training.NewRMSProp(0.002, 0.9)},
+		{"adam", training.NewFusedAdam(0.001), training.NewAdam(0.001)},
+	}
+	rng := tensor.NewRNG(9)
+	grad := tensor.RandNormal(rng, 0, 1, 512, 512)
+	for _, c := range cases {
+		for _, side := range []struct {
+			name string
+			rule training.ThreeStep
+		}{{"fused", c.fused}, {"ref", c.ref}} {
+			b.Run(c.name+"/"+side.name, func(b *testing.B) {
+				param := tensor.RandNormal(rng, 0, 1, 512, 512)
+				b.SetBytes(param.Bytes())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					side.rule.NewInput()
+					param = side.rule.UpdateRule(grad, param, "w")
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkTrainStepDSGD is one whole Level-3 step in the shape of the
+// train_tcp_mlp workload: two ranks over loopback TCP, MLP 784-512-512-10,
+// batch 32 per rank, product SGD under ring-allreduce DSGD. One iteration
+// is one step of both ranks. Run with -benchmem.
+func BenchmarkTrainStepDSGD(b *testing.B) {
+	const workers, batch = 2, 32
+	ranks, err := transport.NewLocalWorld(workers, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		for _, r := range ranks {
+			r.Close()
+		}
+	}()
+	ds := training.SyntheticClassification(workers*batch, 10, []int{1, 28, 28}, 0.3, 5)
+	opts := make([]training.Optimizer, workers)
+	feeds := make([]map[string]*tensor.Tensor, workers)
+	for i, r := range ranks {
+		m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28,
+			WithHead: true, Seed: 5}, 512, 512)
+		e := executor.MustNew(m)
+		e.SetTraining(true)
+		opts[i] = dist.NewConsistentDecentralized(
+			training.NewDriver(e, training.NewFusedSGD(0.05)), r, mpi.AllreduceRing)
+		feeds[i] = dist.NewDistributedSampler(ds, batch, i, workers, 1).Next().Feeds()
+	}
+	// Rank 1 follows rank 0 step for step; a nil error per step keeps them
+	// in lockstep and surfaces a fabric failure.
+	start, done := make(chan struct{}), make(chan error)
+	go func() {
+		for range start {
+			done <- transport.Protect(func() error {
+				_, err := opts[1].Train(context.Background(), feeds[1])
+				return err
+			})
+		}
+	}()
+	defer close(start)
+	step := func() {
+		start <- struct{}{}
+		err := transport.Protect(func() error {
+			_, err := opts[0].Train(context.Background(), feeds[0])
+			return err
+		})
+		if ferr := <-done; err == nil {
+			err = ferr
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

@@ -94,7 +94,7 @@ type ckptResult struct {
 // newCheckpointer validates that the run is checkpointable and starts the
 // writer goroutine. cancel aborts the run when a write fails.
 func newCheckpointer(s *Session, cfg TrainConfig, r *training.Runner, cancel func()) (*checkpointer, error) {
-	co, ok := training.Checkpointable(cfg.Optimizer)
+	co, ok := cfg.Optimizer.(training.CheckpointableOptimizer)
 	if !ok {
 		return nil, fmt.Errorf("d500: optimizer %T does not support checkpointing (implement training.CheckpointableOptimizer)", cfg.Optimizer)
 	}
@@ -127,7 +127,7 @@ func restoreCheckpoint(s *Session, cfg TrainConfig, r *training.Runner, ck *Chec
 	if s.model != ck.model {
 		return errors.New("d500: TrainConfig.Resume checkpoint's model is not the session's open model (Open(checkpoint.Model()) first)")
 	}
-	co, ok := training.Checkpointable(cfg.Optimizer)
+	co, ok := cfg.Optimizer.(training.CheckpointableOptimizer)
 	if !ok {
 		return fmt.Errorf("d500: optimizer %T does not support resume", cfg.Optimizer)
 	}

@@ -36,32 +36,39 @@ type (
 )
 
 // Optimizer constructors: typed wrappers over the Level 2 optimizer zoo.
-// Learning rates are float64 at the API surface and converted once.
+// Learning rates are float64 at the API surface and converted once. All of
+// them except AcceleGrad are the fused in-place rules of
+// internal/training/fused.go: one kernel pass over the live parameter
+// tensor, no per-step allocation. The composing reference forms they are
+// validated against are not reachable from the facade.
 
 // SGD is plain gradient descent.
-func SGD(lr float64) ThreeStep { return training.NewGradientDescent(float32(lr)) }
+func SGD(lr float64) ThreeStep { return training.NewFusedSGD(float32(lr)) }
 
 // Momentum is SGD with classical momentum.
 func Momentum(lr, momentum float64) ThreeStep {
-	return training.NewMomentum(float32(lr), float32(momentum))
+	return training.NewFusedMomentum(float32(lr), float32(momentum))
 }
 
 // Nesterov is SGD with Nesterov momentum.
 func Nesterov(lr, momentum float64) ThreeStep {
-	return training.NewNesterov(float32(lr), float32(momentum))
+	return training.NewFusedNesterov(float32(lr), float32(momentum))
 }
 
 // AdaGrad adapts per-parameter rates by accumulated squared gradients.
-func AdaGrad(lr float64) ThreeStep { return training.NewAdaGrad(float32(lr)) }
+func AdaGrad(lr float64) ThreeStep { return training.NewFusedAdaGrad(float32(lr)) }
 
 // RMSProp keeps an exponential moving average of squared gradients.
-func RMSProp(lr, decay float64) ThreeStep { return training.NewRMSProp(float32(lr), float32(decay)) }
+func RMSProp(lr, decay float64) ThreeStep {
+	return training.NewFusedRMSProp(float32(lr), float32(decay))
+}
 
-// Adam is the reference Adam formulation.
-func Adam(lr float64) ThreeStep { return training.NewAdam(float32(lr)) }
+// Adam is Adam in the Kingma & Ba formulation.
+func Adam(lr float64) ThreeStep { return training.NewFusedAdam(float32(lr)) }
 
-// FusedAdam is the single-kernel native Adam (Caffe2-style fused update).
-func FusedAdam(lr float64) ThreeStep { return training.NewFusedAdam(float32(lr)) }
+// FusedAdam is an alias of Adam, kept for callers written when Adam was the
+// composing reference form and the fused rule had its own name.
+func FusedAdam(lr float64) ThreeStep { return Adam(lr) }
 
 // AcceleGrad is the paper's custom-optimizer walkthrough (Listing 7).
 func AcceleGrad(lr, d, g float64) ThreeStep {
@@ -82,10 +89,8 @@ func OptimizerByName(name string, lr float64) (ThreeStep, error) {
 		return AdaGrad(lr), nil
 	case "rmsprop":
 		return RMSProp(lr, 0.9), nil
-	case "adam":
+	case "adam", "adam-fused": // "adam-fused" is an alias from before the fused rules were the default
 		return Adam(lr), nil
-	case "adam-fused":
-		return FusedAdam(lr), nil
 	case "accelegrad":
 		return AcceleGrad(lr, 1, 1), nil
 	}

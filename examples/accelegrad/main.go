@@ -132,8 +132,7 @@ func main() {
 		ts   d500.ThreeStep
 	}{
 		{"AcceleGrad (custom)", newMyAcceleGrad(0.02)},
-		{"Adam (reference)", d500.Adam(0.002)},
-		{"Adam (native fused)", d500.FusedAdam(0.002)},
+		{"Adam", d500.Adam(0.002)},
 		{"AdaGrad", d500.AdaGrad(0.02)},
 	} {
 		sess := mkSession()

@@ -131,7 +131,7 @@ func RunBackendMicrobench(ctx context.Context, o Options) ([]BackendBenchRow, er
 			return nil, err
 		}
 		te.SetTraining(true)
-		d := training.NewDriver(te, training.NewMomentum(0.05, 0.9))
+		d := training.NewDriver(te, training.NewFusedMomentum(0.05, 0.9))
 		step := func() error {
 			_, err := d.Train(ctx, batch.Feeds())
 			return err

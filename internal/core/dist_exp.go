@@ -98,7 +98,7 @@ func runDistWorld(ctx context.Context, o Options, workers, steps, batch, hidden 
 					return err
 				}
 				e.SetTraining(true)
-				d := training.NewDriver(e, training.NewGradientDescent(0.05))
+				d := training.NewDriver(e, training.NewFusedSGD(0.05))
 				opt := dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
 				sampler := dist.NewDistributedSampler(ds, batch, i, workers, o.seed())
 				for s := 0; s < steps; s++ {

@@ -170,7 +170,7 @@ func RunOverhead(ctx context.Context, o Options) (OverheadResult, error) {
 			fo := metrics.NewFrameworkOverhead()
 			e.Events = fo.Events()
 		}
-		d := training.NewDriver(e, training.NewMomentum(0.05, 0.9))
+		d := training.NewDriver(e, training.NewFusedMomentum(0.05, 0.9))
 		sampler := training.NewShuffleSampler(ds, 64, o.seed())
 		r := training.NewRunner(d, sampler, nil)
 		if !instrument {

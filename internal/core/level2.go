@@ -311,10 +311,10 @@ func RunFig9(ctx context.Context, o Options) ([]ConvergenceCurve, error) {
 		name string
 		mk   func() training.ThreeStep
 	}{
-		{"GradDescent native", func() training.ThreeStep { return training.FromUpdateRule(training.NewFusedSGD(0.05)) }},
-		{"Momentum native", func() training.ThreeStep { return training.FromUpdateRule(training.NewFusedMomentum(0.02, 0.9)) }},
-		{"RmsProp native", func() training.ThreeStep { return training.FromUpdateRule(training.NewFusedRMSProp(0.002, 0.9)) }},
-		{"AdaGrad native", func() training.ThreeStep { return training.FromUpdateRule(training.NewFusedAdaGrad(0.02)) }},
+		{"GradDescent native", func() training.ThreeStep { return training.NewFusedSGD(0.05) }},
+		{"Momentum native", func() training.ThreeStep { return training.NewFusedMomentum(0.02, 0.9) }},
+		{"RmsProp native", func() training.ThreeStep { return training.NewFusedRMSProp(0.002, 0.9) }},
+		{"AdaGrad native", func() training.ThreeStep { return training.NewFusedAdaGrad(0.02) }},
 		{"Adam native", func() training.ThreeStep { return training.NewFusedAdam(0.002) }},
 		{"Adam-Ref Deep500", func() training.ThreeStep { return training.NewAdam(0.002) }},
 		{"GradDescent Deep500", func() training.ThreeStep { return training.NewGradientDescent(0.05) }},

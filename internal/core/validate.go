@@ -80,7 +80,7 @@ func RunValidationSuite(o Options) ([]validation.Result, error) {
 	sampRes, _ := validation.TestSampler(training.NewSequentialSampler(ds, 32), 0.05)
 	results = append(results, sampRes)
 
-	report, err := validation.TestTraining(mk(training.NewMomentum(0.05, 0.9)),
+	report, err := validation.TestTraining(mk(training.NewFusedMomentum(0.05, 0.9)),
 		training.NewShuffleSampler(ds, 32, o.seed()),
 		training.NewSequentialSampler(testDS, 32), 4, 0.85)
 	if err != nil {

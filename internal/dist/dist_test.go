@@ -115,7 +115,7 @@ func TestDSGDMatchesSerial(t *testing.T) {
 
 	// Serial reference: full batches.
 	serial := testModel(21)
-	sd := training.NewDriver(serial, training.NewGradientDescent(lr))
+	sd := training.NewDriver(serial, training.NewFusedSGD(lr))
 	serialSampler := training.NewSequentialSampler(ds, batch)
 	for i := 0; i < steps; i++ {
 		b := serialSampler.Next()
@@ -128,7 +128,7 @@ func TestDSGDMatchesSerial(t *testing.T) {
 	finalCh := make(chan []float32, p)
 	_, _, err := mpi.Run(p, mpi.Aries(), func(r *mpi.Rank) error {
 		e := testModel(21)
-		d := training.NewDriver(e, training.NewGradientDescent(lr))
+		d := training.NewDriver(e, training.NewFusedSGD(lr))
 		opt := NewConsistentDecentralized(d, r, mpi.AllreduceRing)
 		stride := tensor.Volume(ds.SampleShape())
 		for i := 0; i < steps; i++ {
@@ -180,7 +180,7 @@ func TestPSServerModes(t *testing.T) {
 			_, _, err := mpi.Run(nodes, mpi.Aries(), func(r *mpi.Rank) error {
 				e := testModel(9)
 				if r.ID() == 0 {
-					return RunPSServer(context.Background(), r, training.NewGradientDescent(0.05),
+					return RunPSServer(context.Background(), r, training.NewFusedSGD(0.05),
 						PackParams(e.Network()),
 						ServerConfig{Mode: mode, Staleness: 1, StepsPerWorker: steps})
 				}
@@ -223,7 +223,7 @@ func TestDecentralizedSchemesRun(t *testing.T) {
 			const nodes = 4
 			_, world, err := mpi.Run(nodes, mpi.Aries(), func(r *mpi.Rank) error {
 				e := testModel(5)
-				d := training.NewDriver(e, training.NewGradientDescent(0.05))
+				d := training.NewDriver(e, training.NewFusedSGD(0.05))
 				opt := build(d, r)
 				s := NewDistributedSampler(ds, 8, r.ID(), nodes, 19)
 				for i := 0; i < 4; i++ {

@@ -86,8 +86,10 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 		rule.NewInput()
 		g := tensor.From(grad, len(grad))
 		w := tensor.From(params.Vec, len(params.Vec))
-		updated := rule.UpdateRule(g, w, "ps/params")
-		copy(params.Vec, updated.Data())
+		// The product rules update w — a view of params.Vec — in place.
+		if updated := rule.UpdateRule(g, w, "ps/params"); updated != w {
+			copy(params.Vec, updated.Data())
+		}
 	}
 
 	switch cfg.Mode {

@@ -24,7 +24,7 @@ func TestPSServerCancelMidRound(t *testing.T) {
 		switch r.ID() {
 		case 0:
 			e := testModel(7)
-			err := RunPSServer(ctx, r, training.NewGradientDescent(0.05),
+			err := RunPSServer(ctx, r, training.NewFusedSGD(0.05),
 				PackParams(e.Network()),
 				ServerConfig{Mode: PSSync, StepsPerWorker: 8})
 			serverErr <- err
@@ -61,7 +61,7 @@ func TestPSServerCancelUntilDone(t *testing.T) {
 	_, _, err := mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
 		if r.ID() == 0 {
 			e := testModel(11)
-			serverErr <- RunPSServer(ctx, r, training.NewGradientDescent(0.05),
+			serverErr <- RunPSServer(ctx, r, training.NewFusedSGD(0.05),
 				PackParams(e.Network()),
 				ServerConfig{Mode: PSAsync, UntilDone: true})
 			return nil
@@ -86,7 +86,7 @@ func TestPSServerUntilDoneServes(t *testing.T) {
 	_, _, err := mpi.Run(workers+1, mpi.Aries(), func(r *mpi.Rank) error {
 		e := testModel(13)
 		if r.ID() == 0 {
-			return RunPSServer(context.Background(), r, training.NewGradientDescent(0.05),
+			return RunPSServer(context.Background(), r, training.NewFusedSGD(0.05),
 				PackParams(e.Network()),
 				ServerConfig{Mode: PSAsync, UntilDone: true})
 		}
@@ -118,7 +118,7 @@ func TestPSServerUntilDoneRequiresAsync(t *testing.T) {
 			return nil
 		}
 		e := testModel(3)
-		return RunPSServer(context.Background(), r, training.NewGradientDescent(0.1),
+		return RunPSServer(context.Background(), r, training.NewFusedSGD(0.1),
 			PackParams(e.Network()), ServerConfig{Mode: PSSync, UntilDone: true})
 	})
 	if err == nil {

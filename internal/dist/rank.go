@@ -28,6 +28,9 @@ type Rank interface {
 	// SendTagged transmits data to dst with a message tag.
 	SendTagged(dst int, data []float32, tag int, simBytes int64)
 	// Recv blocks for the next message from src and returns its payload.
+	// The payload (here and from every other receive method) belongs to the
+	// caller, which may keep or overwrite it; on a fabric that is a Releaser
+	// the caller may instead give it back with Release once done with it.
 	Recv(src int) []float32
 	// RecvTagged blocks for the next message from src, returning payload
 	// and tag.
@@ -86,43 +89,57 @@ func recvAnyCtx(ctx context.Context, r Rank) ([]float32, int, int, error) {
 	return data, src, tag, nil
 }
 
+// Releaser is the optional buffer-return surface of a Rank. A fabric that
+// implements it owns a pool of receive buffers: handing a payload obtained
+// from one of its receive methods to Release lets a later receive reuse the
+// storage, and the caller must not touch the slice afterwards. Releasing is
+// never required — an unreleased payload is an ordinary slice the receiver
+// keeps for as long as it likes — and fabrics without pooled buffers (the
+// simulator) simply do not implement it. transport.TCPRank does, and
+// RingAllreduce releases every chunk it has consumed.
+type Releaser interface {
+	Release(data []float32)
+}
+
 // RingAllreduce sums data elementwise across all ranks in place using the
 // bandwidth-optimal ring algorithm (reduce-scatter then allgather on n/p
 // chunks) over the fabric's point-to-point sends. The chunking and
 // reduction order match the simulator's built-in ring, so results agree
 // with mpi.Rank.AllreduceSum(mpi.AllreduceRing, ...) operation for
-// operation. The TCP fabric routes its AllreduceSum here.
+// operation. The TCP fabric routes its AllreduceSum here. Each received
+// chunk is handed back to a fabric that is a Releaser as soon as it has been
+// reduced or copied, so a warm all-reduce allocates nothing.
 func RingAllreduce(r Rank, data []float32) {
 	p := r.Size()
 	if p == 1 {
 		return
 	}
 	n := len(data)
-	bounds := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
+	chunk := func(c int) []float32 { return data[c*n/p : (c+1)*n/p] }
+	rel, _ := r.(Releaser)
 	next := (r.ID() + 1) % p
 	prev := (r.ID() - 1 + p) % p
 
 	// Reduce-scatter: after p-1 steps, rank i holds the full sum of chunk
 	// (i+1) mod p.
 	for step := 0; step < p-1; step++ {
-		sendChunk := (r.ID() - step + p) % p
-		recvChunk := (r.ID() - step - 1 + p) % p
-		r.Send(next, data[bounds[sendChunk]:bounds[sendChunk+1]], mpi.SimActual)
+		r.Send(next, chunk((r.ID()-step+p)%p), mpi.SimActual)
 		in := r.Recv(prev)
-		dst := data[bounds[recvChunk]:bounds[recvChunk+1]]
+		dst := chunk((r.ID() - step - 1 + p) % p)
 		for i := range dst {
 			dst[i] += in[i]
+		}
+		if rel != nil {
+			rel.Release(in)
 		}
 	}
 	// Allgather: circulate the reduced chunks.
 	for step := 0; step < p-1; step++ {
-		sendChunk := (r.ID() - step + 1 + p) % p
-		recvChunk := (r.ID() - step + p) % p
-		r.Send(next, data[bounds[sendChunk]:bounds[sendChunk+1]], mpi.SimActual)
+		r.Send(next, chunk((r.ID()-step+1+p)%p), mpi.SimActual)
 		in := r.Recv(prev)
-		copy(data[bounds[recvChunk]:bounds[recvChunk+1]], in)
+		copy(chunk((r.ID()-step+p)%p), in)
+		if rel != nil {
+			rel.Release(in)
+		}
 	}
 }

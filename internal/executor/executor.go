@@ -91,6 +91,15 @@ type Executor struct {
 	nodeIns   map[*graph.Node][]*tensor.Tensor
 	nodeOuts  map[*graph.Node][]*tensor.Tensor
 	nodeInBuf map[*graph.Node][]*tensor.Tensor
+	// Backward-pass storage, allocated once and reused every step (the
+	// operators keep their gradient tensors the same way, ops.base.gradBuf),
+	// so a warm training step allocates nothing that scales with the model:
+	// gradOf maps a value to its gradient during a pass, lossSeed is the
+	// all-ones gradient of the loss, and nodeBwd holds each node's gradOuts
+	// slice and the zero tensors standing in for outputs without a gradient.
+	gradOf   map[string]*tensor.Tensor
+	lossSeed *tensor.Tensor
+	nodeBwd  map[*graph.Node]*bwdScratch
 	// planOut is the reused outputs map handed back by plan-mode passes;
 	// outScratch is freeActivations' reused protected-outputs buffer.
 	planOut    map[string]*tensor.Tensor
@@ -598,10 +607,17 @@ func (e *Executor) collectOutputs() map[string]*tensor.Tensor {
 	return out
 }
 
+// bwdScratch is one node's reused backward-pass storage.
+type bwdScratch struct {
+	gradOuts []*tensor.Tensor
+	zeros    []*tensor.Tensor // zeros[j] stands in when output j got no gradient
+}
+
 // InferenceAndBackprop runs forward then backpropagates from the named loss
-// tensor. Parameter gradients become available via Network().Gradients().
-// Cancelling ctx aborts either pass between node executions and returns the
-// context's error.
+// tensor. Parameter gradients become available via Network().Gradients();
+// they are this executor's buffers and are recycled by its next
+// InferenceAndBackprop (see Network.Gradients). Cancelling ctx aborts either
+// pass between node executions and returns the context's error.
 func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*tensor.Tensor, loss string) (map[string]*tensor.Tensor, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -628,8 +644,22 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 	start := time.Now()
 	bwdSpan := trace.FromContext(ctx).StartChild("exec.backward", trace.Int("nodes", len(e.order)))
 
-	gradOf := make(map[string]*tensor.Tensor)
-	gradOf[loss] = tensor.Full(1, lossT.Shape()...)
+	if e.gradOf == nil {
+		e.gradOf = make(map[string]*tensor.Tensor, len(e.order)*2)
+		e.nodeBwd = make(map[*graph.Node]*bwdScratch, len(e.order))
+	}
+	// The map and the per-node slices are emptied when the pass ends, not
+	// when the next one starts: they reference every gradient of the pass,
+	// and the per-pass ones among them (the activation gradients of
+	// parameter-free operators) must be garbage once it is over, not stay
+	// live through the next forward pass.
+	gradOf := e.gradOf
+	defer clear(gradOf)
+	if e.lossSeed == nil || !tensor.SameShape(e.lossSeed, lossT) {
+		e.lossSeed = tensor.New(lossT.Shape()...)
+	}
+	e.lossSeed.Fill(1)
+	gradOf[loss] = e.lossSeed
 
 	e.net.ClearGradients()
 	for i := len(e.order) - 1; i >= 0; i-- {
@@ -644,24 +674,34 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 		if outs == nil {
 			continue // node skipped in forward (early exit)
 		}
-		gradOuts := make([]*tensor.Tensor, len(outs))
+		sc := e.nodeBwd[n]
+		if sc == nil || len(sc.gradOuts) != len(outs) {
+			sc = &bwdScratch{gradOuts: make([]*tensor.Tensor, len(outs)), zeros: make([]*tensor.Tensor, len(outs))}
+			e.nodeBwd[n] = sc
+		}
+		gradOuts := sc.gradOuts
 		any := false
-		for j, name := range n.Outputs {
-			if j >= len(outs) {
-				break
-			}
-			if g, ok := gradOf[name]; ok {
-				gradOuts[j] = g
-				any = true
+		for j := range gradOuts { // all nil here: cleared after every use
+			if j < len(n.Outputs) {
+				if g, ok := gradOf[n.Outputs[j]]; ok {
+					gradOuts[j] = g
+					any = true
+				}
 			}
 		}
 		if !any {
 			continue // node not on the loss path
 		}
 		for j := range gradOuts {
-			if gradOuts[j] == nil {
-				gradOuts[j] = tensor.New(outs[j].Shape()...)
+			if gradOuts[j] != nil {
+				continue
 			}
+			if z := sc.zeros[j]; z != nil && tensor.SameShape(z, outs[j]) {
+				z.Zero()
+			} else {
+				sc.zeros[j] = tensor.New(outs[j].Shape()...)
+			}
+			gradOuts[j] = sc.zeros[j]
 		}
 		op := e.nodeOps[n]
 		if ev != nil && ev.BeforeBackwardOp != nil {
@@ -686,6 +726,7 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 				gradOf[name] = gradIns[j]
 			}
 		}
+		clear(gradOuts)
 	}
 	for _, name := range e.net.Params() {
 		if g, ok := gradOf[name]; ok {

@@ -15,6 +15,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"deep500/internal/graph"
@@ -28,6 +29,10 @@ type Network struct {
 	Model  *graph.Model
 	values map[string]*tensor.Tensor // parameters (initializers), mutable
 	grads  map[string]*tensor.Tensor // parameter gradients from last backprop
+	// names is the sorted key set of values, kept up to date by FeedTensor;
+	// pairs is Gradients' reused result slice.
+	names []string
+	pairs []ParamGrad
 }
 
 // NewNetwork wraps a model. Parameter tensors are referenced, not copied,
@@ -40,7 +45,9 @@ func NewNetwork(m *graph.Model) *Network {
 	}
 	for name, t := range m.Initializers {
 		n.values[name] = t
+		n.names = append(n.names, name)
 	}
+	sort.Strings(n.names)
 	return n
 }
 
@@ -55,35 +62,40 @@ func (n *Network) FetchTensor(name string) (*tensor.Tensor, error) {
 
 // FeedTensor replaces the named parameter tensor.
 func (n *Network) FeedTensor(name string, t *tensor.Tensor) {
+	if _, known := n.values[name]; !known {
+		// A fresh slice: holders of an earlier Params result keep theirs.
+		n.names = append(slices.Clone(n.names), name)
+		sort.Strings(n.names)
+	}
 	n.values[name] = t
 	n.Model.Initializers[name] = t
 }
 
-// Params returns parameter names in deterministic order.
-func (n *Network) Params() []string {
-	names := make([]string, 0, len(n.values))
-	for name := range n.values {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Params returns parameter names in deterministic (sorted) order. The slice
+// is shared between calls and must not be modified.
+func (n *Network) Params() []string { return n.names }
 
 // Gradient returns the gradient of the named parameter from the last
-// backward pass (nil if none).
+// backward pass (nil if none). Ownership is as for Gradients.
 func (n *Network) Gradient(name string) *tensor.Tensor { return n.grads[name] }
 
 // Gradients returns (param, grad) pairs for every parameter that received a
 // gradient, in deterministic order — the analogue of network.gradient() in
 // the paper's Listing 9.
+//
+// The gradient tensors belong to the executor, which recycles them: they
+// (and the returned slice) are valid until the next InferenceAndBackprop on
+// the executor that owns this network, and may be overwritten in place until
+// then, as the distributed gradient hooks do. Copy whatever must outlive the
+// step.
 func (n *Network) Gradients() []ParamGrad {
-	var out []ParamGrad
+	n.pairs = n.pairs[:0]
 	for _, name := range n.Params() {
-		if g, ok := n.grads[name]; ok && g != nil {
-			out = append(out, ParamGrad{Name: name, Param: n.values[name], Grad: g})
+		if g := n.grads[name]; g != nil {
+			n.pairs = append(n.pairs, ParamGrad{Name: name, Param: n.values[name], Grad: g})
 		}
 	}
-	return out
+	return n.pairs
 }
 
 // ParamGrad pairs a parameter tensor with its gradient.
@@ -97,7 +109,7 @@ type ParamGrad struct {
 func (n *Network) setGrad(name string, g *tensor.Tensor) { n.grads[name] = g }
 
 // ClearGradients drops all stored gradients.
-func (n *Network) ClearGradients() { n.grads = make(map[string]*tensor.Tensor) }
+func (n *Network) ClearGradients() { clear(n.grads) }
 
 // ParamBytes returns the total parameter footprint in bytes.
 func (n *Network) ParamBytes() int64 {

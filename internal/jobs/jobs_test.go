@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +22,53 @@ import (
 // checkpointing) as goroutines, so the whole lifecycle runs under -race.
 func startControlPlane(t *testing.T) (*Manager, *httptest.Server) {
 	t.Helper()
-	runner := &LocalRunner{Heartbeat: 20}
+	return startGatedControlPlane(t, nil)
+}
+
+// holdRankAt is a step gate that parks rank once it has completed step,
+// until release is closed or the rank is killed. A parked rank keeps
+// heartbeating that step, so a test can wait for the manager to have seen
+// it, kill the rank, and only then close release: the job cannot finish, or
+// the rank run past the step, before the kill. Replacement incarnations find
+// release closed and pass straight through.
+func holdRankAt(rank, step int, release <-chan struct{}) func(context.Context, int, int) {
+	return func(ctx context.Context, r, s int) {
+		if r == rank && s == step {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+	}
+}
+
+// awaitRankStep polls until the manager has seen rank at step or beyond.
+func awaitRankStep(t *testing.T, m *Manager, id string, rank, step int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State.Terminal() {
+			t.Fatalf("job finished (%s) with rank %d held: error %q", j.State, rank, j.Error)
+		}
+		if j.Workers[rank].Step >= step {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d never reported step %d (at %d)", rank, step, j.Workers[rank].Step)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// startGatedControlPlane is startControlPlane with a step gate installed on
+// every rank the runner starts.
+func startGatedControlPlane(t *testing.T, gate func(ctx context.Context, rank, step int)) (*Manager, *httptest.Server) {
+	t.Helper()
+	runner := &LocalRunner{Heartbeat: 20, stepGate: gate}
 	m, err := NewManager(Config{
 		Runner:           runner,
 		HeartbeatTimeout: 10 * time.Second,
@@ -197,7 +244,10 @@ func TestJobDSGDSucceeds(t *testing.T) {
 // test: kill a worker mid-run; the manager restarts it, the replacement
 // resumes from its exact-resume checkpoint, and the job still succeeds.
 func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
-	m, _ := startControlPlane(t)
+	// Rank 1 is parked after step 4 — two checkpoints in, far from done —
+	// until the kill has landed.
+	killed := make(chan struct{})
+	m, _ := startGatedControlPlane(t, holdRankAt(1, 4, killed))
 	dir := t.TempDir()
 	job, err := m.Submit(Spec{
 		Scheme: SchemeASGD, Workers: 2,
@@ -210,28 +260,11 @@ func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
 	spec := job.Spec
 	total := spec.TotalSteps() // 512/2/8 × 4 = 128
 
-	// Wait until rank 1 has made real progress (≥ one checkpoint past
-	// restore-ambiguity) but is far from done, then kill it.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, err := m.Get(job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.State.Terminal() {
-			t.Fatalf("job finished (%s) before the kill: error %q", j.State, j.Error)
-		}
-		if s := j.Workers[1].Step; s >= 4 && s <= total-8 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rank 1 never reached the kill window (step %d)", j.Workers[1].Step)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitRankStep(t, m, job.ID, 1, 4)
 	if err := m.KillRank(job.ID, 1); err != nil {
 		t.Fatal(err)
 	}
+	close(killed)
 
 	final := awaitState(t, m, job.ID, StateSucceeded, 60*time.Second)
 	w := final.Workers[1]
@@ -256,7 +289,8 @@ func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
 // no CheckpointDir means the replacement rejoins from step 0 — the async
 // server absorbs the replayed gradients and the job still succeeds.
 func TestCrashWithoutCheckpointRestartsFromZero(t *testing.T) {
-	m, _ := startControlPlane(t)
+	killed := make(chan struct{})
+	m, _ := startGatedControlPlane(t, holdRankAt(2, 2, killed)) // rank 2 waits after step 2 for the kill
 	job, err := m.Submit(Spec{
 		Scheme: SchemeASGD, Workers: 2,
 		Samples: 1024, Batch: 8, Epochs: 4, Hidden: 8, Seed: 3,
@@ -264,26 +298,11 @@ func TestCrashWithoutCheckpointRestartsFromZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, err := m.Get(job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.State.Terminal() {
-			t.Fatalf("job finished (%s) before the kill: error %q", j.State, j.Error)
-		}
-		if j.Workers[2].Step >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rank 2 never progressed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitRankStep(t, m, job.ID, 2, 2)
 	if err := m.KillRank(job.ID, 2); err != nil {
 		t.Fatal(err)
 	}
+	close(killed)
 	final := awaitState(t, m, job.ID, StateSucceeded, 60*time.Second)
 	if final.Workers[2].Restarts < 1 {
 		t.Fatalf("rank 2 restarts = %d, want ≥ 1", final.Workers[2].Restarts)

@@ -87,6 +87,9 @@ type LocalRunner struct {
 	// record-then-upload path.
 	NewTracer func(rank int) *trace.Tracer
 
+	// stepGate is forwarded to every rank's RankConfig (tests only).
+	stepGate func(ctx context.Context, rank, step int)
+
 	pids atomic.Int64
 }
 
@@ -98,7 +101,7 @@ func (l *LocalRunner) Start(job *Job, rank int) (Proc, error) {
 		done:   make(chan error, 1),
 		pid:    int(-(l.pids.Add(1))), // negative: not a real OS pid
 	}
-	rc := RankConfig{JobID: job.ID, Rank: rank, ControlURL: l.ControlURL}
+	rc := RankConfig{JobID: job.ID, Rank: rank, ControlURL: l.ControlURL, stepGate: l.stepGate}
 	if l.Heartbeat > 0 {
 		rc.HeartbeatMillis = l.Heartbeat
 	}

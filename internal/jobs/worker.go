@@ -40,6 +40,12 @@ type RankConfig struct {
 	// records a "dist.rank" span tree for this rank and uploads it to the
 	// control plane on completion.
 	Tracer *trace.Tracer
+
+	// stepGate, when non-nil, is called by a worker at the end of every
+	// training step (after the step's checkpoint). Only this package's
+	// tests set it, through LocalRunner, to park a rank at a chosen step
+	// until a kill has landed instead of racing the job against the clock.
+	stepGate func(ctx context.Context, rank, step int)
 }
 
 // RunRank is the body of one rank process (d500dist -role ps|worker): it
@@ -172,7 +178,7 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 		if spec.Scheme.Centralized() && rc.Rank == 0 {
 			return runPS(runCtx, rank, spec)
 		}
-		return runTrainLoop(runCtx, rank, spec, rc.Rank, &progress)
+		return runTrainLoop(runCtx, rank, spec, rc.Rank, &progress, rc.stepGate)
 	})
 	if err != nil {
 		return err
@@ -220,13 +226,13 @@ func buildRule(spec Spec) (training.ThreeStep, error) {
 	lr := float32(spec.LR)
 	switch spec.Optimizer {
 	case "sgd":
-		return training.NewGradientDescent(lr), nil
+		return training.NewFusedSGD(lr), nil
 	case "momentum":
-		return training.NewMomentum(lr, 0.9), nil
+		return training.NewFusedMomentum(lr, 0.9), nil
 	case "adam":
-		return training.NewAdam(lr), nil
+		return training.NewFusedAdam(lr), nil
 	case "rmsprop":
-		return training.NewRMSProp(lr, 0.9), nil
+		return training.NewFusedRMSProp(lr, 0.9), nil
 	}
 	return nil, fmt.Errorf("jobs: unknown optimizer %q (sgd, momentum, adam, rmsprop)", spec.Optimizer)
 }
@@ -251,7 +257,7 @@ func runPS(ctx context.Context, rank *transport.TCPRank, spec Spec) error {
 // runTrainLoop is a worker rank: shard the data, train for the spec's step
 // budget through the scheme's optimizer, checkpoint on cadence, resume
 // from the checkpoint when one exists.
-func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankID int, progress *rankProgress) error {
+func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankID int, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) error {
 	workerIdx := spec.WorkerIndex(rankID)
 	model := buildModel(spec)
 	ckptPath := ""
@@ -348,6 +354,9 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 			if err := saveWorkerCheckpoint(ckptPath, model, sampler, step, perEpoch); err != nil {
 				return fmt.Errorf("jobs: rank %d checkpointing: %w", rankID, err)
 			}
+		}
+		if stepGate != nil {
+			stepGate(ctx, rankID, step)
 		}
 	}
 	if cw != nil && spec.Scheme == SchemeASGD {

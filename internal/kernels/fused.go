@@ -36,6 +36,16 @@ func MomentumFused(param, grad, vel []float32, lr, mu float32) {
 	}
 }
 
+// NesterovFused applies one Nesterov-momentum step in a single pass:
+// vel ← μ·vel - lr·g; p ← p + μ·vel - lr·g (the lookahead form, summed in
+// the order the composed reference sums it).
+func NesterovFused(param, grad, vel []float32, lr, mu float32) {
+	for i, g := range grad {
+		vel[i] = mu*vel[i] - lr*g
+		param[i] = (param[i] + mu*vel[i]) - lr*g
+	}
+}
+
 // SGDFused applies p ← p - lr·g in one pass.
 func SGDFused(param, grad []float32, lr float32) {
 	for i, g := range grad {

@@ -99,9 +99,16 @@ func (c convCase) build(seed uint64) (*Conv2DOp, []*tensor.Tensor) {
 	return NewConv2D(kernels.ConvIm2Col, c.stride, c.stride, c.pad, c.pad), inputs
 }
 
+// sameBits reports whether a and b hold the same bits. Comparing a tensor
+// with itself says nothing, and Backward hands out the same tensors on every
+// call (base.gradBuf), so that counts as a failure: keep a result with keep
+// before calling Backward on the operator again.
 func sameBits(a, b *tensor.Tensor) bool {
 	if a == nil || b == nil || a.Size() != b.Size() {
 		return a == b
+	}
+	if a == b {
+		return false
 	}
 	for i, v := range a.Data() {
 		if math.Float32bits(v) != math.Float32bits(b.Data()[i]) {
@@ -109,6 +116,40 @@ func sameBits(a, b *tensor.Tensor) bool {
 		}
 	}
 	return true
+}
+
+// keep copies the gradients a Backward returned, so they outlive the
+// operator's next Backward (which reuses the tensors).
+func keep(grads []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(grads))
+	for i, g := range grads {
+		if g != nil {
+			out[i] = g.Clone()
+		}
+	}
+	return out
+}
+
+// TestBackwardReusesItsTensors pins what keep is for: the same operator's
+// next Backward returns the same tensors, so sameBits rejects the pair.
+func TestBackwardReusesItsTensors(t *testing.T) {
+	op, inputs := convCase{n: 3, c: 1, stride: 1, bias: true}.build(5)
+	outs := op.Forward(inputs)
+	g := []*tensor.Tensor{tensor.RandNormal(tensor.NewRNG(6), 0, 1, outs[0].Shape()...)}
+	first := op.Backward(g, inputs, outs)
+	kept := keep(first)
+	second := op.Backward(g, inputs, outs)
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("gradient %d: a fresh tensor on the second Backward", i)
+		}
+		if sameBits(first[i], second[i]) {
+			t.Errorf("gradient %d: sameBits accepted a tensor compared with itself", i)
+		}
+		if !sameBits(kept[i], second[i]) {
+			t.Errorf("gradient %d: differs between two identical calls", i)
+		}
+	}
 }
 
 // withPool runs f with kernels.Default replaced by a pool of the given size.
@@ -129,7 +170,7 @@ func TestConvBackwardMatchesOldLoop(t *testing.T) {
 		outs := op.Forward(inputs)
 		g := []*tensor.Tensor{tensor.RandNormal(tensor.NewRNG(8), 0, 1, outs[0].Shape()...)}
 		want := oldConvBackward(op, g, inputs)
-		got := op.Backward(g, inputs, outs)
+		got := keep(op.Backward(g, inputs, outs))
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d gradients, old loop returned %d", c, len(got), len(want))
 		}
@@ -179,7 +220,7 @@ func TestConvBackwardBitwiseAcrossPools(t *testing.T) {
 		outs := op.Forward(inputs)
 		g := []*tensor.Tensor{tensor.RandNormal(tensor.NewRNG(12), 0, 1, outs[0].Shape()...)}
 		var want []*tensor.Tensor
-		withPool(1, func() { want = op.Backward(g, inputs, outs) })
+		withPool(1, func() { want = keep(op.Backward(g, inputs, outs)) })
 		check := func(label string) {
 			for i, got := range op.Backward(g, inputs, outs) {
 				if !sameBits(got, want[i]) {
@@ -271,7 +312,7 @@ func TestGemmBackwardHonoursMask(t *testing.T) {
 				}
 				outs := op.Forward(ins)
 				g := []*tensor.Tensor{tensor.RandNormal(rng, 0, 1, outs[0].Shape()...)}
-				full := op.Backward(g, ins, outs)
+				full := keep(op.Backward(g, ins, outs))
 				for _, mask := range [][]bool{{false, true, true}, {true, false, true}, {false, false, true}} {
 					op.SetGradMask(mask)
 					got := op.Backward(g, ins, outs)

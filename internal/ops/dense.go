@@ -89,8 +89,9 @@ func (o *GemmOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) [
 	}
 	grads := []*tensor.Tensor{gradA, gradB}
 	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
-		gb := tensor.SumAxis0(g)
-		grads = append(grads, gb.Reshape(fwdInputs[2].Shape()...))
+		gb := o.gradBuf(2, fwdInputs[2].Shape()...)
+		tensor.SumAxis0Into(gb, g)
+		grads = append(grads, gb)
 	}
 	return grads
 }

@@ -74,7 +74,7 @@ func (o *FusedGemmActOp) SetGradMask(need []bool) { o.gemm.SetGradMask(need) }
 
 func (o *FusedGemmActOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	y, g := fwdOutputs[0], gradOutputs[0]
-	gPre := tensor.New(y.Shape()...)
+	gPre := o.gradBuf(0, y.Shape()...)
 	kernels.ActGradFromOutput(o.Act, y.Data(), g.Data(), gPre.Data())
 	return o.gemm.Backward([]*tensor.Tensor{gPre}, fwdInputs, nil)
 }

@@ -69,9 +69,9 @@ func (o *BatchNormOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 func (o *BatchNormOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	x, gamma := fwdInputs[0], fwdInputs[1]
 	n, c, hw := dimsNCHW(x)
-	gradX := tensor.New(x.Shape()...)
-	gradGamma := tensor.New(gamma.Shape()...)
-	gradBeta := tensor.New(gamma.Shape()...)
+	gradX := o.gradBuf(0, x.Shape()...)
+	gradGamma := o.gradBuf(1, gamma.Shape()...)
+	gradBeta := o.gradBuf(2, gamma.Shape()...)
 	mean, variance := o.mean, o.variance
 	if mean == nil {
 		// Backward without a training Forward (e.g. gradient checking in

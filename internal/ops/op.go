@@ -38,6 +38,9 @@ type Operator interface {
 	// Backward receives gradients w.r.t. each output plus the forward
 	// inputs and outputs, and returns gradients w.r.t. each input. A nil
 	// entry means "no gradient" (e.g. for integer label inputs).
+	// An operator may return tensors it keeps and reuses — the built-in
+	// ones with parameter inputs do (base's gradBuf) — so a result is only
+	// valid until the same operator's next Backward.
 	Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor
 	// FLOPs estimates the forward floating-point work for the given inputs.
 	FLOPs(inputs []*tensor.Tensor) int64
@@ -141,6 +144,9 @@ type base struct {
 	shapeBuf []int
 	// needGrad is the installed GradMaskAware mask (nil: all gradients).
 	needGrad []bool
+	// gradBufs are the tensors Backward hands out, one per slot, kept and
+	// reused from call to call (see gradBuf).
+	gradBufs []*tensor.Tensor
 }
 
 func (b base) Name() string { return b.name }
@@ -151,13 +157,37 @@ func (b *base) SetAllocator(a tensor.Allocator) { b.arena = a }
 // SetGradMask installs the per-input requires-grad mask.
 func (b *base) SetGradMask(need []bool) { b.needGrad = need }
 
-// newGrad allocates the zeroed gradient tensor of input i, or returns nil
-// when the installed mask says that gradient is not read.
+// newGrad returns the zeroed gradient tensor of input i (see gradBuf), or
+// nil when the installed mask says that gradient is not read.
 func (b *base) newGrad(i int, shape ...int) *tensor.Tensor {
 	if i < len(b.needGrad) && !b.needGrad[i] {
 		return nil
 	}
-	return tensor.New(shape...)
+	return b.gradBuf(i, shape...)
+}
+
+// gradBuf returns the operator's own zeroed tensor for backward slot i
+// (conventionally the gradient of input i): allocated on first use or when
+// the shape changes, cleared and handed out again otherwise. The operators
+// that produce parameter gradients (Conv, Gemm, MatMul and their fused
+// forms, BatchNormalization, the RNN cell) draw everything their Backward
+// creates from it, which is what keeps a training step from allocating
+// anything that scales with the model, and it sets the lifetime of what
+// they return: valid until the same operator's next Backward. Operators are
+// bound one per node, so within a pass every node's gradients are distinct
+// tensors.
+func (b *base) gradBuf(i int, shape ...int) *tensor.Tensor {
+	for len(b.gradBufs) <= i {
+		b.gradBufs = append(b.gradBufs, nil)
+	}
+	t := b.gradBufs[i]
+	if t == nil || !tensor.ShapeEq(t.Shape(), shape) {
+		t = tensor.New(shape...)
+		b.gradBufs[i] = t
+		return t
+	}
+	t.Zero()
+	return t
 }
 
 // newOut allocates a forward-output tensor: from the installed allocator

@@ -48,20 +48,21 @@ func (o *RNNTanhCell) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tens
 	idim := x.Dim(1)
 
 	// dPre = (1 - y²)·gradOut
-	dPre := tensor.New(n, hdim)
+	dPre := o.gradBuf(5, n, hdim)
 	kernels.TanhBackward(y.Data(), gradOutputs[0].Data(), dPre.Data())
 
 	// dX = dPre · Wxᵀ ; dH = dPre · Whᵀ
-	gradX := tensor.New(n, idim)
+	gradX := o.gradBuf(0, n, idim)
 	kernels.GemmTransB(dPre.Data(), wx.Data(), gradX.Data(), n, hdim, idim)
-	gradH := tensor.New(n, h.Dim(1))
+	gradH := o.gradBuf(1, n, h.Dim(1))
 	kernels.GemmTransB(dPre.Data(), wh.Data(), gradH.Data(), n, hdim, h.Dim(1))
 	// dWx = Xᵀ · dPre ; dWh = Hᵀ · dPre
-	gradWx := tensor.New(idim, hdim)
+	gradWx := o.gradBuf(2, idim, hdim)
 	kernels.GemmTransA(x.Data(), dPre.Data(), gradWx.Data(), idim, n, hdim)
-	gradWh := tensor.New(h.Dim(1), hdim)
+	gradWh := o.gradBuf(3, h.Dim(1), hdim)
 	kernels.GemmTransA(h.Data(), dPre.Data(), gradWh.Data(), h.Dim(1), n, hdim)
-	gradB := tensor.SumAxis0(dPre)
+	gradB := o.gradBuf(4, hdim)
+	tensor.SumAxis0Into(gradB, dPre)
 	return []*tensor.Tensor{gradX, gradH, gradWx, gradWh, gradB}
 }
 

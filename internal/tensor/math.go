@@ -219,15 +219,25 @@ func SumAxis0(t *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic("tensor: SumAxis0 requires rank 2")
 	}
+	out := New(t.shape[1])
+	SumAxis0Into(out, t)
+	return out
+}
+
+// SumAxis0Into is SumAxis0 writing into dst, which must hold m elements (in
+// any shape) and is overwritten.
+func SumAxis0Into(dst, t *Tensor) {
+	if t.Rank() != 2 || dst.Size() != t.shape[1] {
+		panic(fmt.Sprintf("tensor: SumAxis0Into of %v into %v", t.shape, dst.shape))
+	}
 	n, m := t.shape[0], t.shape[1]
-	out := New(m)
+	dst.Zero()
 	for i := 0; i < n; i++ {
 		row := t.data[i*m : (i+1)*m]
 		for j, v := range row {
-			out.data[j] += v
+			dst.data[j] += v
 		}
 	}
-	return out
 }
 
 // BroadcastAddRow adds a row vector [m] to every row of a rank-2 tensor

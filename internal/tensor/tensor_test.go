@@ -366,3 +366,37 @@ func TestPropReshapePreservesData(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestArenaFreeBytesCounter checks the idle-bytes counter against a walk of
+// the free lists through takes, puts, tensor releases and dropped buffers.
+func TestArenaFreeBytesCounter(t *testing.T) {
+	a := NewArena()
+	walk := func() int64 {
+		var b int64
+		for class, list := range a.free {
+			b += int64(class) * int64(len(list)) * 4
+		}
+		return b
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := a.FreeBytes(), walk(); got != want {
+			t.Fatalf("%s: FreeBytes %d, free lists hold %d", when, got, want)
+		}
+	}
+	b1, b2 := a.GetBuf(100), a.GetBuf(5000)
+	x := a.Get(3, 70)
+	check("all checked out")
+	a.PutBuf(b1)
+	a.PutBuf(b2)
+	x.Release()
+	check("all returned")
+	if a.FreeBytes() != 4*(128+8192+256) {
+		t.Fatalf("FreeBytes %d after returning classes 128, 8192 and 256", a.FreeBytes())
+	}
+	a.PutBuf(make([]float32, 100)) // not a size class: dropped
+	check("foreign buffer dropped")
+	a.GetBuf(120)
+	a.Get(2, 100).Release()
+	check("reused")
+}

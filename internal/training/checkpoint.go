@@ -163,21 +163,30 @@ func (o *AcceleGrad) RestoreState(s OptimizerState) error {
 	return nil
 }
 
-// CaptureState is empty: fused SGD is stateless.
-func (o *FusedSGD) CaptureState() OptimizerState { return newOptimizerState() }
+// CaptureState snapshots the schedule step.
+func (o *FusedSGD) CaptureState() OptimizerState {
+	s := newOptimizerState()
+	s.Ints["step"] = int64(o.step)
+	return s
+}
 
-// RestoreState is a no-op for the stateless fused SGD.
-func (o *FusedSGD) RestoreState(OptimizerState) error { return nil }
+// RestoreState rewinds the schedule step.
+func (o *FusedSGD) RestoreState(s OptimizerState) error {
+	o.step = int(s.Ints["step"])
+	return nil
+}
 
-// CaptureState snapshots the velocity slots.
+// CaptureState snapshots the schedule step and velocity slots.
 func (o *FusedMomentum) CaptureState() OptimizerState {
 	s := newOptimizerState()
+	s.Ints["step"] = int64(o.step)
 	captureTensors(s.Tensors, "vel", o.vel)
 	return s
 }
 
-// RestoreState rewinds the velocity slots.
+// RestoreState rewinds the schedule step and velocity slots.
 func (o *FusedMomentum) RestoreState(s OptimizerState) error {
+	o.step = int(s.Ints["step"])
 	o.vel = restoreTensors(s.Tensors, "vel")
 	return nil
 }
@@ -223,37 +232,6 @@ func (o *FusedAdaGrad) CaptureState() OptimizerState {
 func (o *FusedAdaGrad) RestoreState(s OptimizerState) error {
 	o.squares = restoreTensors(s.Tensors, "sq")
 	return nil
-}
-
-// CaptureState forwards to the wrapped rule when it is checkpointable.
-func (a ruleAdapter) CaptureState() OptimizerState {
-	if c, ok := a.r.(CheckpointableOptimizer); ok {
-		return c.CaptureState()
-	}
-	return newOptimizerState()
-}
-
-// RestoreState forwards to the wrapped rule when it is checkpointable.
-func (a ruleAdapter) RestoreState(s OptimizerState) error {
-	if c, ok := a.r.(CheckpointableOptimizer); ok {
-		return c.RestoreState(s)
-	}
-	return nil
-}
-
-// Checkpointable reports whether a ThreeStep optimizer supports exact
-// resume, unwrapping rule adapters (a stateless UpdateRule that does not
-// implement CheckpointableOptimizer is trivially resumable only if it holds
-// no state, which we cannot verify — so it must opt in).
-func Checkpointable(ts ThreeStep) (CheckpointableOptimizer, bool) {
-	if a, ok := ts.(ruleAdapter); ok {
-		if _, ok := a.r.(CheckpointableOptimizer); ok {
-			return a, true
-		}
-		return nil, false
-	}
-	c, ok := ts.(CheckpointableOptimizer)
-	return c, ok
 }
 
 // SamplerState is the serializable epoch cursor of a sampler: the sample

@@ -29,33 +29,20 @@ type ThreeStep interface {
 	// PrepareParam may return an adjusted parameter tensor to use for the
 	// upcoming inference, or nil to leave the parameter unchanged.
 	PrepareParam(name string, param *tensor.Tensor) *tensor.Tensor
-	// UpdateRule returns the new parameter given its gradient and old value.
+	// UpdateRule returns the new parameter given its gradient and old
+	// value. It may update oldParam in place and return oldParam itself —
+	// the built-in fused rules do — or return a fresh tensor, which the
+	// driver then installs in the network. grad is only valid during the
+	// call (see GradHook); a rule that keeps it must copy it.
 	UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor
 }
 
-// UpdateRule is the simpler abstraction: a pure update rule U(g, w, t), the
-// form most SGD-family optimizers take (Algorithm 1).
-type UpdateRule interface {
-	Update(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor
-}
-
-// ruleAdapter lifts an UpdateRule into a ThreeStep.
-type ruleAdapter struct{ r UpdateRule }
-
-func (a ruleAdapter) NewInput() {}
-func (a ruleAdapter) PrepareParam(string, *tensor.Tensor) *tensor.Tensor {
-	return nil
-}
-func (a ruleAdapter) UpdateRule(g, w *tensor.Tensor, name string) *tensor.Tensor {
-	return a.r.Update(g, w, name)
-}
-
-// FromUpdateRule wraps an UpdateRule as a ThreeStep optimizer.
-func FromUpdateRule(r UpdateRule) ThreeStep { return ruleAdapter{r} }
-
 // GradHook transforms a parameter gradient before the update rule runs —
 // the interposition point Level 3 uses for allreduce, sparsification and
-// compression.
+// compression. grad is the executor's own buffer (Network.Gradients): the
+// hook may overwrite it and return it, as the allreduce hooks do, but it is
+// recycled by the executor's next InferenceAndBackprop, so a hook that
+// keeps gradients across steps must copy them.
 type GradHook func(name string, grad *tensor.Tensor) *tensor.Tensor
 
 // Driver executes the canonical three-step training iteration against a
@@ -86,6 +73,9 @@ func (d *Driver) ThreeStep() ThreeStep { return d.ts }
 
 // Train runs one iteration: prepare parameters, inference+backprop, apply
 // update rule (optionally transformed by GradHook) — Listing 9's sequence.
+// A rule that returns the parameter tensor it was handed has updated it in
+// place and nothing is re-installed; this is judged on the returned pointer
+// alone, so it holds through any wrapper around the rule.
 func (d *Driver) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	net := d.exec.Network()
 	d.ts.NewInput()
@@ -107,7 +97,9 @@ func (d *Driver) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (ma
 		if d.GradHook != nil {
 			grad = d.GradHook(pg.Name, grad)
 		}
-		net.FeedTensor(pg.Name, d.ts.UpdateRule(grad, pg.Param, pg.Name))
+		if p := d.ts.UpdateRule(grad, pg.Param, pg.Name); p != pg.Param {
+			net.FeedTensor(pg.Name, p)
+		}
 	}
 	d.Step++
 	return out, nil

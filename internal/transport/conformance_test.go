@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ type dsgdTrace struct {
 // TCP, which is the point of the conformance test.
 func dsgdWorker(r dist.Rank, ds training.Dataset, steps, batch int) (dsgdTrace, error) {
 	e := testModel(21)
-	d := training.NewDriver(e, training.NewGradientDescent(0.1))
+	d := training.NewDriver(e, training.NewFusedSGD(0.1))
 	opt := dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
 	stride := tensor.Volume(ds.SampleShape())
 	share := batch / r.Size()
@@ -172,7 +173,7 @@ func TestTCPParameterServer(t *testing.T) {
 				e := testModel(9)
 				if r.ID() == 0 {
 					return dist.RunPSServer(context.Background(), r,
-						training.NewGradientDescent(0.05), dist.PackParams(e.Network()),
+						training.NewFusedSGD(0.05), dist.PackParams(e.Network()),
 						dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true})
 				}
 				opt := dist.NewCentralizedWorker(e, r)
@@ -200,6 +201,62 @@ func TestTCPParameterServer(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
+}
+
+// TestDSGDStepAllocatesNothingParameterSized is the Level-3 allocation
+// ceiling: two ranks over loopback, product SGD under ring-allreduce DSGD.
+// Once warm, one step of the whole world — two forward/backward passes, two
+// all-reduces per parameter with their frames, two updates — allocates less
+// than a single copy of the largest parameter, and the ranks end bitwise
+// equal.
+func TestDSGDStepAllocatesNothingParameterSized(t *testing.T) {
+	const workers, batch = 2, 8
+	ranks := world(t, workers, nil)
+	ds := training.SyntheticClassification(workers*batch, 4, []int{1, 16, 16}, 0.3, 5)
+	execs := make([]*executor.Executor, workers)
+	opts := make([]training.Optimizer, workers)
+	feeds := make([]map[string]*tensor.Tensor, workers)
+	var largest int64
+	for i, r := range ranks {
+		m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 16, Width: 16, WithHead: true, Seed: 3}, 256)
+		execs[i] = executor.MustNew(m)
+		execs[i].SetTraining(true)
+		opts[i] = dist.NewConsistentDecentralized(
+			training.NewDriver(execs[i], training.NewFusedSGD(0.05)), r, mpi.AllreduceRing)
+		feeds[i] = dist.NewDistributedSampler(ds, batch, i, workers, 1).Next().Feeds()
+		for _, name := range execs[i].Network().Params() {
+			p, _ := execs[i].Network().FetchTensor(name)
+			largest = max(largest, p.Bytes())
+		}
+	}
+	steps := func(n int) {
+		run(t, ranks, func(r *TCPRank) error {
+			for i := 0; i < n; i++ {
+				if _, err := opts[r.ID()].Train(context.Background(), feeds[r.ID()]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	steps(3)
+	const measured = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	steps(measured)
+	runtime.ReadMemStats(&after)
+	perStep := int64(after.TotalAlloc-before.TotalAlloc) / measured
+	if perStep >= largest/2 {
+		t.Fatalf("a warm 2-rank step allocates %d B; the largest parameter is %d B", perStep, largest)
+	}
+	t.Logf("warm 2-rank step: %d B allocated, largest parameter %d B", perStep, largest)
+
+	p0, p1 := dist.PackParams(execs[0].Network()).Vec, dist.PackParams(execs[1].Network()).Vec
+	for i := range p0 {
+		if math.Float32bits(p0[i]) != math.Float32bits(p1[i]) {
+			t.Fatalf("parameter %d: rank 0 holds %g, rank 1 %g", i, p0[i], p1[i])
 		}
 	}
 }

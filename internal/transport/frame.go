@@ -15,10 +15,13 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"deep500/internal/dist"
 )
@@ -97,8 +100,8 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends f's wire encoding to dst and returns the result.
-func AppendFrame(dst []byte, f *Frame) []byte {
+// appendHeader appends the wire header of f, declaring plen payload bytes.
+func appendHeader(dst []byte, f *Frame, plen int) []byte {
 	var h [headerLen]byte
 	copy(h[0:4], magic[:])
 	h[4] = frameVersion
@@ -107,35 +110,120 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	binary.LittleEndian.PutUint32(h[8:12], uint32(f.Src))
 	binary.LittleEndian.PutUint32(h[12:16], uint32(f.Tag))
 	binary.LittleEndian.PutUint32(h[16:20], f.Count)
-	binary.LittleEndian.PutUint32(h[20:24], uint32(len(f.Payload)))
+	binary.LittleEndian.PutUint32(h[20:24], uint32(plen))
 	binary.LittleEndian.PutUint64(h[24:32], f.Trace)
 	binary.LittleEndian.PutUint64(h[32:40], f.Span)
-	dst = append(dst, h[:]...)
-	return append(dst, f.Payload...)
+	return append(dst, h[:]...)
 }
 
-// validate checks a decoded header+payload for structural consistency.
-func (f *Frame) validate() error {
+// AppendFrame appends f's wire encoding to dst and returns the result.
+func AppendFrame(dst []byte, f *Frame) []byte {
+	return append(appendHeader(dst, f, len(f.Payload)), f.Payload...)
+}
+
+// hostLittleEndian tells whether a []float32's memory already is the wire
+// layout, which makes encoding and decoding a payload one bulk copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32Bytes views data's storage as bytes (host byte order).
+func f32Bytes(data []float32) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*len(data))
+}
+
+// toWireOrder converts b, a run of float32s, between host and wire byte
+// order in place: nothing to do on a little-endian host, a 4-byte swap per
+// element otherwise.
+func toWireOrder(b []byte) {
+	if hostLittleEndian {
+		return
+	}
+	for ; len(b) >= 4; b = b[4:] {
+		b[0], b[1], b[2], b[3] = b[3], b[2], b[1], b[0]
+	}
+}
+
+// appendF32 appends data as little-endian float32s in one bulk copy.
+func appendF32(dst []byte, data []float32) []byte {
+	start := len(dst)
+	dst = append(dst, f32Bytes(data)...)
+	toWireOrder(dst[start:])
+	return dst
+}
+
+// readVector reads the plen payload bytes of the vector frame f (FrameF32 or
+// FrameQuant, header already validated against plen) from r and decodes them
+// into dst, which holds f.Count elements. It is the one decoder of the vector
+// wire format: the connection readers call it with a recycled dst, DecodeVector
+// with a fresh one. A float payload is read straight into dst's own storage; a
+// quantized one goes through scratch, which is grown as needed and returned
+// for the caller to pass in again.
+func readVector(r io.Reader, f *Frame, plen int, dst []float32, scratch []byte) ([]byte, error) {
+	switch f.Type {
+	case FrameF32:
+		b := f32Bytes(dst)
+		if _, err := io.ReadFull(r, b); err != nil {
+			return scratch, err
+		}
+		toWireOrder(b)
+		return scratch, nil
+	case FrameQuant:
+		scratch = slices.Grow(scratch[:0], plen)[:plen]
+		if _, err := io.ReadFull(r, scratch); err != nil {
+			return scratch, err
+		}
+		scale := math.Float32frombits(binary.LittleEndian.Uint32(scratch))
+		dist.Dequantize(scratch[4:], scale, uint(f.Bits), dst)
+		return scratch, nil
+	}
+	return scratch, fmt.Errorf("transport: frame type %d carries no vector", f.Type)
+}
+
+// appendVectorFrame appends the complete frame — header and payload — for a
+// float32 vector from src with tag: full precision when bits is 0,
+// dist.Quantize compression otherwise. trace and span are the frame's trace
+// context. The bytes are exactly AppendFrame(dst, EncodeVector(src, tag,
+// data, bits)) with those trace fields set, without the intermediate
+// payload: this is the send path's encoder, writing into a buffer the
+// caller reuses.
+func appendVectorFrame(dst []byte, src, tag int, data []float32, bits uint, trace, span uint64) []byte {
+	f := Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag), Count: uint32(len(data)), Trace: trace, Span: span}
+	if bits > 0 && len(data) > 0 {
+		codes, scale := dist.Quantize(data, bits)
+		f.Type, f.Bits = FrameQuant, uint8(bits)
+		dst = appendHeader(dst, &f, 4+len(codes))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(scale))
+		return append(dst, codes...)
+	}
+	return appendF32(appendHeader(dst, &f, 4*len(data)), data)
+}
+
+// validate checks decoded header fields against the declared payload length
+// plen for structural consistency; it needs no payload bytes, so receivers
+// run it before reading (or allocating) any.
+func (f *Frame) validate(plen int) error {
 	switch f.Type {
 	case FrameF32:
 		if f.Bits != 0 {
 			return fmt.Errorf("transport: float frame with bits=%d", f.Bits)
 		}
-		if len(f.Payload) != int(f.Count)*4 {
+		if plen != int(f.Count)*4 {
 			return fmt.Errorf("transport: float frame count %d needs %d payload bytes, got %d",
-				f.Count, f.Count*4, len(f.Payload))
+				f.Count, f.Count*4, plen)
 		}
 	case FrameQuant:
 		if f.Bits == 0 || f.Bits > 8 {
 			return fmt.Errorf("transport: quantized frame with bits=%d", f.Bits)
 		}
 		want := 4 + dist.QuantizedLen(int(f.Count), uint(f.Bits))
-		if len(f.Payload) != want {
+		if plen != want {
 			return fmt.Errorf("transport: quantized frame count %d bits %d needs %d payload bytes, got %d",
-				f.Count, f.Bits, want, len(f.Payload))
+				f.Count, f.Bits, want, plen)
 		}
 	case FrameHello:
-		if len(f.Payload) != 0 || f.Count != 0 {
+		if plen != 0 || f.Count != 0 {
 			return fmt.Errorf("transport: hello frame with payload")
 		}
 		if f.Src < 0 {
@@ -189,10 +277,10 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < headerLen+plen {
 		return Frame{}, 0, fmt.Errorf("transport: truncated payload (%d of %d bytes)", len(b)-headerLen, plen)
 	}
-	f.Payload = b[headerLen : headerLen+plen]
-	if err := f.validate(); err != nil {
+	if err := f.validate(plen); err != nil {
 		return Frame{}, 0, err
 	}
+	f.Payload = b[headerLen : headerLen+plen]
 	return f, headerLen + plen, nil
 }
 
@@ -203,22 +291,32 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
+// readHeader reads one frame header from r through the caller's buffer h
+// (headerLen bytes, reusable across calls) and validates it, returning the
+// frame without its payload and the payload length still to be read.
+func readHeader(r io.Reader, h []byte) (Frame, int, error) {
+	if _, err := io.ReadFull(r, h); err != nil {
+		return Frame{}, 0, err
+	}
+	f, plen, err := decodeHeader(h)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	if err := f.validate(plen); err != nil {
+		return Frame{}, 0, err
+	}
+	return f, plen, nil
+}
+
 // ReadFrame reads exactly one frame from r.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var h [headerLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return Frame{}, err
-	}
-	f, plen, err := decodeHeader(h[:])
+	f, plen, err := readHeader(r, make([]byte, headerLen))
 	if err != nil {
 		return Frame{}, err
 	}
 	f.Payload = make([]byte, plen)
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
 		return Frame{}, fmt.Errorf("transport: reading %d payload bytes: %w", plen, err)
-	}
-	if err := f.validate(); err != nil {
-		return Frame{}, err
 	}
 	return f, nil
 }
@@ -234,29 +332,21 @@ func EncodeVector(src, tag int, data []float32, bits uint) Frame {
 		return Frame{Type: FrameQuant, Bits: uint8(bits), Src: int32(src), Tag: int32(tag),
 			Count: uint32(len(data)), Payload: payload}
 	}
-	payload := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(payload[i*4:], math.Float32bits(v))
-	}
+	payload := appendF32(make([]byte, 0, 4*len(data)), data)
 	return Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag),
 		Count: uint32(len(data)), Payload: payload}
 }
 
 // DecodeVector reconstructs the float32 vector of a FrameF32 or FrameQuant
-// frame (quantized payloads are dequantized through dist.Dequantize).
+// frame (quantized payloads are dequantized through dist.Dequantize). A frame
+// whose fields and payload disagree returns an error.
 func DecodeVector(f *Frame) ([]float32, error) {
-	switch f.Type {
-	case FrameF32:
-		data := make([]float32, f.Count)
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(f.Payload[i*4:]))
-		}
-		return data, nil
-	case FrameQuant:
-		scale := math.Float32frombits(binary.LittleEndian.Uint32(f.Payload[0:4]))
-		data := make([]float32, f.Count)
-		dist.Dequantize(f.Payload[4:], scale, uint(f.Bits), data)
-		return data, nil
+	if err := f.validate(len(f.Payload)); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("transport: frame type %d carries no vector", f.Type)
+	data := make([]float32, f.Count)
+	if _, err := readVector(bytes.NewReader(f.Payload), f, len(f.Payload), data, nil); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

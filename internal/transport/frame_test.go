@@ -15,11 +15,20 @@ import (
 // full-precision and every quantized width.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(41)
+	var scratch []byte
 	for _, n := range []int{0, 1, 7, 100} {
 		data := tensor.RandNormal(rng, 0, 1, n+1).Data()[:n]
 		for bits := uint(0); bits <= 8; bits++ {
 			f := EncodeVector(3, 2, data, bits)
 			wire := AppendFrame(nil, &f)
+
+			// The send path's one-pass encoder emits the same bytes, behind
+			// whatever its buffer already holds.
+			traced := f
+			traced.Trace, traced.Span = 0xfeed, 0xbeef
+			if one := appendVectorFrame([]byte("kept"), 3, 2, data, bits, 0xfeed, 0xbeef); !bytes.Equal(one, AppendFrame([]byte("kept"), &traced)) {
+				t.Fatalf("n=%d bits=%d: appendVectorFrame differs from AppendFrame(EncodeVector)", n, bits)
+			}
 
 			got, used, err := DecodeFrame(wire)
 			if err != nil {
@@ -49,6 +58,31 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 			if len(vec) != n {
 				t.Fatalf("n=%d bits=%d: decoded %d values", n, bits, len(vec))
+			}
+
+			// The connection readers' path: header, then readVector straight
+			// off the stream into a recycled (dirty) slab, with the scratch
+			// carried over from the previous frame. Same floats, whole frame
+			// consumed.
+			stream := bytes.NewReader(wire)
+			hf, plen, err := readHeader(stream, make([]byte, headerLen))
+			if err != nil {
+				t.Fatalf("n=%d bits=%d: readHeader: %v", n, bits, err)
+			}
+			slab := make([]float32, n)
+			for i := range slab {
+				slab[i] = float32(math.NaN())
+			}
+			if scratch, err = readVector(stream, &hf, plen, slab, scratch); err != nil {
+				t.Fatalf("n=%d bits=%d: readVector: %v", n, bits, err)
+			}
+			if stream.Len() != 0 {
+				t.Fatalf("n=%d bits=%d: readVector left %d bytes of the frame unread", n, bits, stream.Len())
+			}
+			for i := range vec {
+				if math.Float32bits(slab[i]) != math.Float32bits(vec[i]) {
+					t.Fatalf("n=%d bits=%d: streamed value %d is %g, DecodeVector gave %g", n, bits, i, slab[i], vec[i])
+				}
 			}
 			if bits == 0 || n == 0 {
 				for i := range vec {
@@ -131,6 +165,25 @@ func TestFrameDecodeRejects(t *testing.T) {
 		}
 		if _, err := ReadFrame(bytes.NewReader(wire)); err == nil {
 			t.Errorf("%s: stream decode succeeded on corrupt input", name)
+		}
+	}
+}
+
+// TestDecodeVectorRejects: a hand-built frame whose payload does not match
+// its fields, or that carries no vector, is an error and never a panic.
+func TestDecodeVectorRejects(t *testing.T) {
+	short := EncodeVector(1, 0, []float32{1, 2, 3}, 0)
+	short.Payload = short.Payload[:8]
+	quant := EncodeVector(1, 0, []float32{1, 2, 3}, 4)
+	quant.Payload = quant.Payload[:3]
+	for name, f := range map[string]Frame{
+		"short float payload": short,
+		"short quant payload": quant,
+		"hello":               {Type: FrameHello, Src: 1},
+		"unknown type":        {Type: 77},
+	} {
+		if v, err := DecodeVector(&f); err == nil {
+			t.Errorf("%s: decoded %v", name, v)
 		}
 	}
 }

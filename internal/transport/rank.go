@@ -11,6 +11,7 @@ import (
 
 	"deep500/internal/dist"
 	"deep500/internal/mpi"
+	"deep500/internal/tensor"
 )
 
 // NetError is the failure a TCPRank operation surfaces: the fabric methods
@@ -124,12 +125,37 @@ type message struct {
 	tag  int
 }
 
+// mailbox is the FIFO of delivered messages from one source. head indexes
+// the next message to pop; the backing array is rewound whenever the queue
+// drains, so steady-state traffic reuses it.
+type mailbox struct {
+	q    []message
+	head int
+}
+
+func (b *mailbox) pop() (message, bool) {
+	if b.head == len(b.q) {
+		return message{}, false
+	}
+	m := b.q[b.head]
+	b.q[b.head] = message{} // the queue must not pin a payload the consumer owns now
+	if b.head++; b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
+	return m, true
+}
+
 // peer is the connection slot for one remote rank.
 type peer struct {
-	wmu  sync.Mutex // serializes frame writes on conn
+	wmu  sync.Mutex // serializes frame writes on conn; guards wbuf
+	wbuf []byte     // the frame being written, reused from send to send
 	conn net.Conn
 	gen  int // bumped on every (re)install, guards stale teardown
 }
+
+// maxIdleSlabBytes bounds the receive slabs a rank keeps for reuse. Slabs
+// released beyond it go to the garbage collector.
+const maxIdleSlabBytes = 64 << 20
 
 // TCPRank is the networked fabric: it implements dist.Rank (and
 // dist.CancelableRank) over persistent TCP connections, one duplex
@@ -149,10 +175,19 @@ type TCPRank struct {
 
 	inbox struct {
 		sync.Mutex
-		queues [][]message
+		queues []mailbox
 		rr     int // round-robin cursor for RecvAny fairness
 	}
 	notify chan struct{} // cap 1, signaled on every delivery
+	// slabs recycles receive payloads: readers decode into a slab taken from
+	// it, Release puts one back (see Release for the ownership rules).
+	slabs *tensor.Arena
+	// recvTimer is the receive-timeout timer, parked here between blocking
+	// receives (nil while one is using it). A timer made and stopped per wait
+	// would do for the timer heap; it is kept across waits only because a
+	// time.NewTimer per blocking receive is an allocation, and the warm
+	// send→recv→release round trip is held to zero bytes.
+	recvTimer atomic.Pointer[time.Timer]
 
 	closed   atomic.Bool
 	closedCh chan struct{}
@@ -174,6 +209,7 @@ type TCPRank struct {
 var (
 	_ dist.Rank           = (*TCPRank)(nil)
 	_ dist.CancelableRank = (*TCPRank)(nil)
+	_ dist.Releaser       = (*TCPRank)(nil)
 )
 
 // New builds the rank, starts its accept loop, and eagerly dials every
@@ -200,11 +236,12 @@ func New(opt Options) (*TCPRank, error) {
 		peers:    make([]*peer, opt.Size),
 		notify:   make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
+		slabs:    tensor.NewArena(),
 	}
 	for i := range t.peers {
 		t.peers[i] = &peer{}
 	}
-	t.inbox.queues = make([][]message, opt.Size)
+	t.inbox.queues = make([]mailbox, opt.Size)
 	if opt.Listener != nil {
 		t.wg.Add(1)
 		go t.acceptLoop()
@@ -359,12 +396,16 @@ func (t *TCPRank) dropConn(src, gen int) {
 }
 
 // reader drains frames from one connection into the mailbox of src until
-// the connection dies.
+// the connection dies. Each payload is decoded (readVector) into a recycled
+// slab; the quantized format's packed bytes go through the reader's own
+// reusable scratch.
 func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(c, 64<<10)
+	header := make([]byte, headerLen)
+	var packed []byte
 	for {
-		f, err := ReadFrame(br)
+		f, plen, err := readHeader(br, header)
 		if err != nil {
 			t.dropConn(src, gen)
 			return
@@ -372,12 +413,15 @@ func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 		if f.Type == FrameHello {
 			continue
 		}
-		data, err := DecodeVector(&f)
-		if err != nil {
+		data := []float32{} // an empty message is delivered empty, not nil
+		if f.Count > 0 {
+			data = t.slabs.GetBuf(int(f.Count))
+		}
+		if packed, err = readVector(br, &f, plen, data, packed); err != nil {
 			t.dropConn(src, gen)
 			return
 		}
-		t.recvBytes.Add(int64(headerLen + len(f.Payload)))
+		t.recvBytes.Add(int64(headerLen + plen))
 		t.recvFrames.Add(1)
 		if f.Trace != 0 {
 			t.peerTrace.Store(&[2]uint64{f.Trace, f.Span})
@@ -386,10 +430,24 @@ func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 	}
 }
 
+// Release hands a payload returned by one of this rank's receive methods
+// back for reuse by a later receive. It is optional: a payload that is never
+// released is an ordinary slice the caller may keep for as long as it likes.
+// After Release the caller must not touch the slice again, and must release
+// the slice as it was received (not a sub-slice) and at most once. The idle
+// slabs kept are bounded (maxIdleSlabBytes, read off the arena's idle-bytes
+// counter); beyond that Release drops them.
+func (t *TCPRank) Release(data []float32) {
+	if t.slabs.FreeBytes() < maxIdleSlabBytes {
+		t.slabs.PutBuf(data)
+	}
+}
+
 // push appends a message to src's mailbox and signals the owner.
 func (t *TCPRank) push(src int, m message) {
 	t.inbox.Lock()
-	t.inbox.queues[src] = append(t.inbox.queues[src], m)
+	b := &t.inbox.queues[src]
+	b.q = append(b.q, m)
 	t.inbox.Unlock()
 	select {
 	case t.notify <- struct{}{}:
@@ -473,10 +531,19 @@ func (t *TCPRank) acquire(dst int, deadline time.Time) (net.Conn, int, error) {
 	}
 }
 
-// sendFrame writes one encoded frame to dst, re-acquiring the connection
-// once on write failure. Under BestEffortSend an unreachable peer drops
-// the frame; otherwise the failure panics as *NetError.
-func (t *TCPRank) sendFrame(dst int, buf []byte) {
+// Send transmits data to dst (tag 0).
+func (t *TCPRank) Send(dst int, data []float32, simBytes int64) {
+	t.SendTagged(dst, data, 0, simBytes)
+}
+
+// SendTagged transmits data to dst with a message tag, re-acquiring the
+// connection once on write failure. The frame is encoded straight into the
+// peer's reusable write buffer (under the write lock, so concurrent senders
+// to one peer stay whole-frame atomic); data is not retained. Under
+// BestEffortSend an unreachable peer drops the frame; otherwise the failure
+// panics as *NetError. simBytes is a simulator concept and ignored: the wire
+// bytes here are real.
+func (t *TCPRank) SendTagged(dst int, data []float32, tag int, _ int64) {
 	if dst == t.opt.ID || dst < 0 || dst >= t.opt.Size {
 		panic(&NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: fmt.Errorf("invalid destination")})
 	}
@@ -488,6 +555,10 @@ func (t *TCPRank) sendFrame(dst int, buf []byte) {
 		wait = time.Second
 	}
 	deadline := time.Now().Add(wait)
+	var trace, span uint64
+	if tc := t.traceCtx.Load(); tc != nil {
+		trace, span = tc[0], tc[1]
+	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		c, gen, err := t.acquire(dst, deadline)
@@ -497,11 +568,13 @@ func (t *TCPRank) sendFrame(dst int, buf []byte) {
 		}
 		p := t.peers[dst]
 		p.wmu.Lock()
+		p.wbuf = appendVectorFrame(p.wbuf[:0], t.opt.ID, tag, data, t.opt.QuantizeBits, trace, span)
+		n := len(p.wbuf)
 		c.SetWriteDeadline(time.Now().Add(t.opt.IOTimeout))
-		_, werr := c.Write(buf)
+		_, werr := c.Write(p.wbuf)
 		p.wmu.Unlock()
 		if werr == nil {
-			t.sentBytes.Add(int64(len(buf)))
+			t.sentBytes.Add(int64(n))
 			t.sentFrames.Add(1)
 			return
 		}
@@ -515,43 +588,18 @@ func (t *TCPRank) sendFrame(dst int, buf []byte) {
 	panic(&NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: lastErr})
 }
 
-// Send transmits data to dst (tag 0).
-func (t *TCPRank) Send(dst int, data []float32, simBytes int64) {
-	t.SendTagged(dst, data, 0, simBytes)
-}
-
-// SendTagged transmits data to dst with a message tag. simBytes is a
-// simulator concept and ignored: the wire bytes here are real.
-func (t *TCPRank) SendTagged(dst int, data []float32, tag int, _ int64) {
-	f := EncodeVector(t.opt.ID, tag, data, t.opt.QuantizeBits)
-	if tc := t.traceCtx.Load(); tc != nil {
-		f.Trace, f.Span = tc[0], tc[1]
-	}
-	t.sendFrame(dst, AppendFrame(make([]byte, 0, headerLen+len(f.Payload)), &f))
-}
-
-// popFrom dequeues the next message from src, if any.
-func (t *TCPRank) popFrom(src int) (message, bool) {
+// pop dequeues the next message from src, or — when src is -1 — from any
+// source, round-robin fair.
+func (t *TCPRank) pop(src int) (message, int, bool) {
 	t.inbox.Lock()
 	defer t.inbox.Unlock()
-	q := t.inbox.queues[src]
-	if len(q) == 0 {
-		return message{}, false
+	if src >= 0 {
+		m, ok := t.inbox.queues[src].pop()
+		return m, src, ok
 	}
-	m := q[0]
-	t.inbox.queues[src] = q[1:]
-	return m, true
-}
-
-// popAny dequeues the next message from any source, round-robin fair.
-func (t *TCPRank) popAny() (message, int, bool) {
-	t.inbox.Lock()
-	defer t.inbox.Unlock()
 	for off := 0; off < t.opt.Size; off++ {
 		s := (t.inbox.rr + off) % t.opt.Size
-		if q := t.inbox.queues[s]; len(q) > 0 {
-			m := q[0]
-			t.inbox.queues[s] = q[1:]
+		if m, ok := t.inbox.queues[s].pop(); ok {
 			t.inbox.rr = (s + 1) % t.opt.Size
 			return m, s, true
 		}
@@ -560,33 +608,54 @@ func (t *TCPRank) popAny() (message, int, bool) {
 }
 
 // waitMsg blocks for the next message from src (or any source when src is
-// -1), honoring ctx and the rank's RecvTimeout.
+// -1), honoring ctx and the rank's RecvTimeout. One timer serves the whole
+// wait and is stopped when it ends, so a blocking receive leaves nothing on
+// the timer heap. It is the rank's parked timer (see recvTimer) whenever
+// that is free — always, for the single receiving goroutine a rank is meant
+// to have; a second concurrent waiter just makes its own.
 func (t *TCPRank) waitMsg(ctx context.Context, src int) (message, int, error) {
+	if m, s, ok := t.pop(src); ok {
+		return m, s, nil
+	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	timeout := time.After(t.opt.RecvTimeout)
+	timeout := t.recvTimer.Swap(nil)
+	if timeout == nil {
+		timeout = time.NewTimer(t.opt.RecvTimeout)
+	} else {
+		timeout.Reset(t.opt.RecvTimeout)
+	}
+	defer t.parkTimer(timeout)
 	for {
-		if src >= 0 {
-			if m, ok := t.popFrom(src); ok {
-				return m, src, nil
-			}
-		} else if m, s, ok := t.popAny(); ok {
-			return m, s, nil
-		}
 		select {
 		case <-t.notify:
 		case <-done:
 			return message{}, -1, ctx.Err()
-		case <-timeout:
+		case <-timeout.C:
 			return message{}, -1, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
 				Err: fmt.Errorf("no message within %v", t.opt.RecvTimeout)}
 		case <-t.closedCh:
 			return message{}, -1, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
 				Err: fmt.Errorf("rank closed")}
 		}
+		if m, s, ok := t.pop(src); ok {
+			return m, s, nil
+		}
 	}
+}
+
+// parkTimer stops the receive timer, drains a tick it may already have
+// delivered (Reset needs both), and parks it for the next blocking receive.
+func (t *TCPRank) parkTimer(tm *time.Timer) {
+	if !tm.Stop() {
+		select {
+		case <-tm.C:
+		default:
+		}
+	}
+	t.recvTimer.Store(tm)
 }
 
 // mustMsg is waitMsg for the error-free blocking interface methods.

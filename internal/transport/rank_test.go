@@ -76,6 +76,35 @@ func TestTCPRankP2P(t *testing.T) {
 	})
 }
 
+// TestTCPRankEmptyMessage pins what a zero-length message is on the receive
+// side: an empty, non-nil slice with its tag, full precision or quantized,
+// and releasing it is harmless.
+func TestTCPRankEmptyMessage(t *testing.T) {
+	for _, bits := range []uint{0, 4} {
+		ranks := world(t, 2, func(o *Options) { o.QuantizeBits = bits })
+		run(t, ranks, func(r *TCPRank) error {
+			if r.ID() == 1 {
+				r.SendTagged(0, nil, 7, mpi.SimActual)
+				r.SendTagged(0, []float32{}, 8, mpi.SimActual)
+				r.SendTagged(0, []float32{3}, 9, mpi.SimActual)
+				return nil
+			}
+			for _, wantTag := range []int{7, 8} {
+				data, tag := r.RecvTagged(1)
+				if data == nil || len(data) != 0 || tag != wantTag {
+					t.Errorf("bits=%d: empty message arrived as %#v tag %d, want an empty non-nil slice tag %d",
+						bits, data, tag, wantTag)
+				}
+				r.Release(data)
+			}
+			if data, tag := r.RecvTagged(1); len(data) != 1 || tag != 9 {
+				t.Errorf("bits=%d: message after the empty ones arrived as %v tag %d", bits, data, tag)
+			}
+			return nil
+		})
+	}
+}
+
 // TestTCPRankFIFO pins per-pair ordering: messages from one source arrive
 // in send order.
 func TestTCPRankFIFO(t *testing.T) {
