@@ -220,13 +220,7 @@ func BiasAct(rows, cols int, inout, bias []float32, act Act) {
 func ActGradFromOutput(act Act, y, gradOut, gradPre []float32) {
 	switch act {
 	case ActReLU:
-		for i, v := range y {
-			if v > 0 {
-				gradPre[i] = gradOut[i]
-			} else {
-				gradPre[i] = 0
-			}
-		}
+		ReLUBackward(y, gradOut, gradPre)
 	case ActSigmoid:
 		for i, v := range y {
 			gradPre[i] = gradOut[i] * v * (1 - v)

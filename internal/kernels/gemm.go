@@ -17,14 +17,20 @@
 // used by the compile pipeline's fusion pass. Pool is the single shared
 // worker budget every parallel code path in the repository draws from.
 //
-// The default GEMM algorithm is GemmPacked, the BLIS-style packed
+// The default GEMM algorithm is GemmPacked, the product kernel, which is
+// two kernels behind one shape rule (gemmInPlace, gemm_small.go). From 9 rows
+// of A up, and whenever A is transposed, it is the BLIS-style packed
 // register-tiled kernel (gemm_packed.go): operands are repacked into
 // cache-resident panels and multiplied by a spill-free 2×4 register
-// micro-kernel, with transposes folded into the packing. docs/kernels.md
-// documents the packing layout, the micro-tile sizing measurements and how
-// to re-tune the blocking constants. All scratch flows through the
-// package-level size-class buffer pool (scratch.go), so steady-state
-// kernels allocate nothing.
+// micro-kernel, with transposes folded into the packing. Up to 8 rows — one
+// served request, a coalesced batch, every per-image convolution GEMM of a
+// narrow layer — B is read in place, because a pack that few rows reuse
+// costs as much as the multiply. The two agree bit for bit on finite
+// operands. docs/kernels.md documents the rule and the measurement behind
+// its constant, the packing layout, the micro-tile sizing and how to re-tune
+// the blocking constants. All scratch flows through the package-level
+// size-class buffer pool (scratch.go), so steady-state kernels allocate
+// nothing.
 package kernels
 
 // gemmBlock is the cache-blocking tile edge used by the blocked kernels.
@@ -41,11 +47,13 @@ const (
 	GemmBlocked
 	// GemmParallel is GemmBlocked parallelized over row panels.
 	GemmParallel
-	// GemmPacked is the BLIS-style kernel (gemm_packed.go): operands are
-	// repacked into cache-resident panels and driven through a 2×4
-	// register-tiled micro-kernel (the largest tile gc keeps spill-free;
-	// gemm_packed.go and docs/kernels.md record why 4×8 was rejected),
-	// parallelized over macro row blocks.
+	// GemmPacked is the product kernel. Where packing amortises it is the
+	// BLIS-style kernel (gemm_packed.go): operands are repacked into
+	// cache-resident panels and driven through a 2×4 register-tiled
+	// micro-kernel (the largest tile gc keeps spill-free; gemm_packed.go
+	// and docs/kernels.md record why 4×8 was rejected), parallelized over
+	// macro row blocks. For a few rows of A it reads B in place instead
+	// (gemmInPlace), with bitwise the same result.
 	GemmPacked
 )
 
@@ -80,7 +88,10 @@ func ParseGemmAlgo(name string) (GemmAlgo, bool) {
 }
 
 // Gemm computes C = A·B for row-major matrices: A is M×K, B is K×N and C is
-// M×N. C is overwritten. The algo parameter selects the implementation.
+// M×N. C is overwritten. The algo parameter selects the implementation;
+// GemmPacked, the default everywhere, is the shape-routed product kernel
+// (gemmInPlace): it packs when packing amortises and reads B in place when
+// A has only a few rows.
 func Gemm(algo GemmAlgo, a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("kernels: Gemm buffer too small")
@@ -93,7 +104,7 @@ func Gemm(algo GemmAlgo, a, b, c []float32, m, k, n int) {
 	case GemmParallel:
 		gemmParallel(a, b, c, m, k, n)
 	case GemmPacked:
-		gemmPacked(a, b, c, m, k, n, false, false)
+		gemmDefault(a, b, c, m, k, n, false, false)
 	default:
 		panic("kernels: unknown GEMM algorithm")
 	}
@@ -101,10 +112,11 @@ func Gemm(algo GemmAlgo, a, b, c []float32, m, k, n int) {
 
 // GemmT computes C = op(A)·op(B) where op transposes its operand when the
 // corresponding flag is set: A is m×k logical (stored k×m when transA), B
-// is k×n logical (stored n×k when transB), C is m×n and overwritten. With
-// GemmPacked the transposes are folded into panel packing and cost nothing;
-// other algorithms receive the plain layout directly and fall back to the
-// strided loops when an operand is transposed.
+// is k×n logical (stored n×k when transB), C is m×n and overwritten. Only
+// the product kernel reads transposed operands (folded into its packing, or
+// read in place by the small-M kernel), so algo selects the implementation
+// for the plain layout alone; a transposed product always takes the default
+// route.
 func GemmT(algo GemmAlgo, a, b, c []float32, m, k, n int, transA, transB bool) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("kernels: GemmT buffer too small")
@@ -113,28 +125,7 @@ func GemmT(algo GemmAlgo, a, b, c []float32, m, k, n int, transA, transB bool) {
 		Gemm(algo, a, b, c, m, k, n)
 		return
 	}
-	if algo == GemmPacked && int64(m)*int64(k)*int64(n) >= packedMinVol {
-		gemmPacked(a, b, c, m, k, n, transA, transB)
-		return
-	}
-	switch {
-	case transA && !transB:
-		gemmTransALoop(a, b, c, m, k, n)
-	case !transA && transB:
-		gemmTransBLoop(a, b, c, m, k, n)
-	default: // both: C[i,j] = Σ_p A[p,i]·B[j,p]
-		for i := 0; i < m; i++ {
-			ci := c[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b[j*k : (j+1)*k]
-				var s float32
-				for p := 0; p < k; p++ {
-					s += a[p*m+i] * bj[p]
-				}
-				ci[j] = s
-			}
-		}
-	}
+	gemmDefault(a, b, c, m, k, n, transA, transB)
 }
 
 // GemmFLOPs returns the floating-point operation count of an M×K×N GEMM.
@@ -219,60 +210,15 @@ func gemmParallel(a, b, c []float32, m, k, n int) {
 }
 
 // GemmTransB computes C = A·Bᵀ where A is M×K and B is N×K (both row-major),
-// producing M×N. Used by backward passes of dense layers. Large problems
-// route through the packed kernel, which folds the transpose into packing.
+// producing M×N. Used by backward passes of dense layers.
 func GemmTransB(a, b, c []float32, m, k, n int) {
-	if int64(m)*int64(k)*int64(n) >= packedMinVol {
-		gemmPacked(a, b, c, m, k, n, false, true)
-		return
-	}
-	gemmTransBLoop(a, b, c, m, k, n)
-}
-
-func gemmTransBLoop(a, b, c []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var s float32
-			for p := range ai {
-				s += ai[p] * bj[p]
-			}
-			ci[j] = s
-		}
-	}
+	gemmDefault(a, b, c, m, k, n, false, true)
 }
 
 // GemmTransA computes C = Aᵀ·B where A is K×M and B is K×N (both row-major),
-// producing M×N. Used by weight-gradient computation of dense layers. Large
-// problems route through the packed kernel, which folds the transpose into
-// packing.
+// producing M×N. Used by weight-gradient computation of dense layers.
 func GemmTransA(a, b, c []float32, m, k, n int) {
-	if int64(m)*int64(k)*int64(n) >= packedMinVol {
-		gemmPacked(a, b, c, m, k, n, true, false)
-		return
-	}
-	gemmTransALoop(a, b, c, m, k, n)
-}
-
-func gemmTransALoop(a, b, c []float32, m, k, n int) {
-	for i := 0; i < m*n; i++ {
-		c[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		ap := a[p*m : (p+1)*m]
-		bp := b[p*n : (p+1)*n]
-		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			ci := c[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
+	gemmDefault(a, b, c, m, k, n, true, false)
 }
 
 func min(a, b int) int {

@@ -31,27 +31,32 @@ const (
 	packNC = 2048
 )
 
-// packedMinVol is the m·k·n volume below which packing overhead outweighs
-// the micro-kernel win and callers fall back to the simple loops.
-const packedMinVol = 32 * 32 * 32
-
 // kcAligned rounds a depth up to the micro-kernel's unroll factor.
 func kcAligned(kc int) int { return (kc + packKU - 1) / packKU * packKU }
 
 // packAPanels packs the mc×kc block of A starting at logical (i0, p0) into
 // MR-row panels of padded depth kcAligned(kc). A is m×k row-major, or its
 // k×m transpose when trans is set; lda is the stored row stride. Rows past
-// mc and depth past kc are zero-filled.
+// mc and depth past kc are zero-filled. A full panel of a transposed A moves
+// one whole MR-vector per depth step (no inner loop, no bounds test per
+// float). An untransposed A keeps the row-at-a-time loop: interleaving two
+// rows per step measured no faster.
 func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32) {
 	ka := kcAligned(kc)
 	panels := (mc + packMR - 1) / packMR
 	for ip := 0; ip < panels; ip++ {
 		rows := min(packMR, mc-ip*packMR)
 		panel := dst[ip*packMR*ka : (ip+1)*packMR*ka]
-		if trans {
-			// A stored k×m: element (i, p) lives at a[p*lda+i]; reading r
-			// (the row of the logical block) is contiguous and matches the
-			// panel layout, so both sides stream.
+		switch {
+		case rows == packMR && trans:
+			// A stored k×m: the MR logical rows of one depth step are
+			// adjacent in memory and already in panel order.
+			off := p0*lda + i0 + ip*packMR
+			for d := panel[:packMR*kc]; len(d) >= packMR; d = d[packMR:] {
+				*(*[packMR]float32)(d) = *(*[packMR]float32)(a[off:])
+				off += lda
+			}
+		case trans:
 			for p := 0; p < kc; p++ {
 				src := a[(p0+p)*lda+i0+ip*packMR:]
 				d := panel[p*packMR : p*packMR+packMR]
@@ -62,7 +67,7 @@ func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32
 					d[r] = 0
 				}
 			}
-		} else {
+		default:
 			for r := 0; r < rows; r++ {
 				src := a[(i0+ip*packMR+r)*lda+p0:]
 				for p := 0; p < kc; p++ {
@@ -84,23 +89,45 @@ func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32
 // packBPanels packs the kc×nc block of B starting at logical (p0, j0) into
 // NR-column panels of padded depth kcAligned(kc). B is k×n row-major, or
 // its n×k transpose when trans is set; ldb is the stored row stride.
-// Columns past nc and depth past kc are zero-filled.
+// Columns past nc and depth past kc are zero-filled. A full panel moves one
+// whole NR-vector per depth step in either layout (about a third of the
+// element-at-a-time cost); the ragged last panel keeps the general loop.
 func packBPanels(b []float32, ldb, p0, j0, kc, nc int, trans bool, dst []float32) {
 	ka := kcAligned(kc)
 	panels := (nc + packNR - 1) / packNR
 	for jp := 0; jp < panels; jp++ {
 		cols := min(packNR, nc-jp*packNR)
 		panel := dst[jp*packNR*ka : (jp+1)*packNR*ka]
-		if trans {
-			// B stored n×k: element (p, j) lives at b[j*ldb+p]; read each
-			// logical column (contiguous in p) and scatter with stride NR.
+		switch {
+		case cols == packNR && trans:
+			// B stored n×k: four logical columns are four contiguous
+			// rows; read them side by side, write one vector per step.
+			j := j0 + jp*packNR
+			s0 := b[j*ldb+p0:][:kc]
+			s1 := b[(j+1)*ldb+p0:][:kc]
+			s2 := b[(j+2)*ldb+p0:][:kc]
+			s3 := b[(j+3)*ldb+p0:][:kc]
+			d := panel[:packNR*kc]
+			for p, v := range s0 {
+				q := d[4*p : 4*p+4 : 4*p+4]
+				q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
+			}
+		case cols == packNR:
+			off := p0*ldb + j0 + jp*packNR
+			for d := panel[:packNR*kc]; len(d) >= packNR; d = d[packNR:] {
+				*(*[packNR]float32)(d) = *(*[packNR]float32)(b[off:])
+				off += ldb
+			}
+		case trans:
+			// Read each logical column (contiguous in p) and scatter
+			// with stride NR.
 			for j := 0; j < cols; j++ {
 				src := b[(j0+jp*packNR+j)*ldb+p0:]
 				for p := 0; p < kc; p++ {
 					panel[p*packNR+j] = src[p]
 				}
 			}
-		} else {
+		default:
 			for p := 0; p < kc; p++ {
 				src := b[(p0+p)*ldb+j0+jp*packNR:]
 				d := panel[p*packNR : p*packNR+packNR]

@@ -44,15 +44,16 @@ func TestGemmPackedRagged(t *testing.T) {
 }
 
 // TestGemmTRagged checks every transpose combination of GemmT against the
-// reference, on ragged shapes, for both the packed path and the strided
-// fallback loops (selected via algo).
+// reference, on ragged shapes that land on both sides of the shape rule,
+// under the default algorithm and under one that only serves the plain
+// layout (its transposed products take the default route).
 func TestGemmTRagged(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	for _, algo := range []GemmAlgo{GemmPacked, GemmBlocked} {
 		for _, m := range raggedDims {
 			for _, k := range raggedDims {
 				for _, n := range raggedDims {
-					// Keep the full sweep for packed; thin out the fallback
+					// Keep the full sweep for packed; thin out the second
 					// sweep to keep the test fast.
 					if algo == GemmBlocked && (m > 65 || k > 65) {
 						continue
@@ -85,7 +86,7 @@ func TestGemmTRagged(t *testing.T) {
 }
 
 // TestGemmTransVariantsRagged exercises the exported GemmTransA/GemmTransB
-// entry points across their packed/loop routing threshold.
+// entry points on both sides of the shape rule.
 func TestGemmTransVariantsRagged(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	for _, m := range raggedDims {

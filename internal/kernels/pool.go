@@ -29,6 +29,16 @@ func (s PoolShape) OutputSize() int {
 // backward pass uses to scatter gradients.
 func MaxPool2D(s PoolShape, in, out []float32, argmax []int32) {
 	oh, ow := s.OutDims()
+	if s.PadH == 0 && s.PadW == 0 {
+		maxPool2DUnpadded(s, in, out, argmax, oh, ow)
+		return
+	}
+	maxPool2DGeneral(s, in, out, argmax, oh, ow)
+}
+
+// maxPool2DGeneral is MaxPool2D for any shape: window elements that fall in
+// the padding are skipped by a bounds test each.
+func maxPool2DGeneral(s PoolShape, in, out []float32, argmax []int32, oh, ow int) {
 	for n := 0; n < s.N; n++ {
 		for c := 0; c < s.C; c++ {
 			inP := (n*s.C + c) * s.H * s.W
@@ -59,6 +69,39 @@ func MaxPool2D(s PoolShape, in, out []float32, argmax []int32) {
 						argmax[outP+oy*ow+ox] = bestIdx
 					}
 				}
+			}
+		}
+	}
+}
+
+// maxPool2DUnpadded is MaxPool2D for a shape without padding, where every
+// window lies wholly inside the input (every pool in the model zoo): no
+// per-element bounds tests, one slice per window row. Elements are visited
+// in the same (ky, kx) order under the same strict comparison, so out and
+// argmax — including which of several equal maxima wins — are the general
+// loop's.
+func maxPool2DUnpadded(s PoolShape, in, out []float32, argmax []int32, oh, ow int) {
+	for plane := 0; plane < s.N*s.C; plane++ {
+		inP := plane * s.H * s.W
+		o := plane * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(math.Inf(-1))
+				bestIdx := int32(-1)
+				at := inP + oy*s.StrideH*s.W + ox*s.StrideW
+				for ky := 0; ky < s.KH; ky++ {
+					for kx, v := range in[at : at+s.KW] {
+						m := positiveMask(math.Float32bits(v - best))
+						best = math.Float32frombits(math.Float32bits(v)&m | math.Float32bits(best)&^m)
+						bestIdx = int32(at+kx)&int32(m) | bestIdx&^int32(m)
+					}
+					at += s.W
+				}
+				out[o] = best
+				if argmax != nil {
+					argmax[o] = bestIdx
+				}
+				o++
 			}
 		}
 	}

@@ -49,9 +49,9 @@ func (o *GemmOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	if kb := o.innerDim(b); kb != k {
 		panic(fmt.Sprintf("ops: Gemm inner dimension mismatch %d vs %d", k, kb))
 	}
-	// GemmT folds both transposes into the kernel's packing (or strided
-	// loops below the packing threshold) — no transposed copies of A or B
-	// are ever materialized.
+	// GemmT folds both transposes into the kernel's packing (or reads a
+	// transposed B in place when A has only a few rows) — no transposed
+	// copies of A or B are ever materialized.
 	out := o.newOut(o.outShape(m, n)...)
 	kernels.GemmT(o.Algo, a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
 	if len(inputs) > 2 && inputs[2] != nil {

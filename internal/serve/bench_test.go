@@ -1,0 +1,48 @@
+package serve
+
+import (
+	"encoding/json"
+	"testing"
+
+	"deep500/internal/tensor"
+)
+
+// BenchmarkDecodeFeeds measures the /v1/infer request decoder on one LeNet
+// row (784 floats, the body the repository benchmark's client sends)
+// against the strict encoding/json decode it replaced, validation included
+// on both sides. CI runs it once as a smoke test.
+func BenchmarkDecodeFeeds(b *testing.B) {
+	data := make([]float32, 784)
+	rng := tensor.NewRNG(1)
+	for i := range data {
+		data[i] = float32(rng.Norm())
+	}
+	body, err := json.Marshal(InferRequest{Feeds: map[string]TensorJSON{
+		"x": {Shape: []int{1, 1, 28, 28}, Data: data},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("scanner", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := parseFeeds(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var req InferRequest
+			if err := strictDecode(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			for _, tj := range req.Feeds {
+				_ = tensor.From(tj.Data, tj.Shape...)
+			}
+		}
+	})
+}

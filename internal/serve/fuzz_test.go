@@ -17,6 +17,11 @@ import (
 // internal/transport: arbitrary bodies must never panic the handler, a
 // body the strict decoder rejects must always answer 400 with a JSON
 // error envelope, and no input may surface an internal error status.
+//
+// For /v1/infer the strict encoding/json decode is no longer what the
+// handler runs but what it is held to: the language parseFeeds accepts is a
+// subset of encoding/json's, and on that subset the decoded feeds are the
+// same, bit for bit (compareWithStrictJSON).
 
 // fuzzRegistry builds a registry serving one tiny model, shared across
 // all iterations of one fuzz worker.
@@ -97,10 +102,23 @@ func FuzzInferJSON(f *testing.F) {
 	f.Add([]byte(`{"unknown":1,"feeds":{}}`))
 	f.Add(valid[:len(valid)/2])
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// The scanner's own corners: key order, whitespace, number forms, and
+	// the forms encoding/json takes that the scanner's grammar leaves out.
+	f.Add([]byte(`{"feeds":{"x":{"data":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15],"shape":[1,1,4,4]}}}`))
+	f.Add([]byte(" {\n\"feeds\" : { \"x\" : { \"shape\" : [ 2 ] , \"data\" : [ -0 , 1.5e-3 ] } } }\r\n"))
+	f.Add([]byte(`{"feeds":{"x":{"shape":[3],"data":[1e39,-1E+2,0.1000000000000000055511151231257827]}}}`))
+	f.Add([]byte(`{"feeds":{"x":{"shape":[1],"data":[01]}}}`))
+	f.Add([]byte(`{"Feeds":{"x":{"Shape":[1],"DATA":[1]}}}`))
+	f.Add([]byte(`{"feeds":{"x":{"shape":null,"data":[1]}},"feeds":null}`))
+	f.Add([]byte(`{"feeds":{"x\u0031":{"shape":[1],"data":[1]},"x1":{"shape":[1],"data":[2]}}}`))
+	f.Add([]byte(`{"feeds":{}} {"feeds":{}}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var probe InferRequest
 		decodeErr := strictDecode(body, &probe)
+		if feeds, err := parseFeeds(body); err == nil { // must never panic
+			compareWithStrictJSON(t, body, feeds)
+		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req) // must never panic

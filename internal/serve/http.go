@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"deep500/internal/obs/trace"
 	"deep500/internal/tensor"
@@ -20,10 +22,41 @@ import (
 // Request body:  {"feeds":  {"x": {"shape": [1,1,28,28], "data": [...]}}}
 // Response body: {"outputs": {"fc_9_y": {"shape": [1,10], "data": [...]}}}
 //
+// The request body is decoded by a scanner for exactly this schema
+// (decode.go), not by encoding/json. The language it accepts, ws being any
+// run of space, tab, LF and CR, allowed around every token:
+//
+//	request = "{" [ `"feeds"` ":" feeds ] "}"          nothing but ws may follow
+//	feeds   = "{" [ feed { "," feed } ] "}"            feed names distinct
+//	feed    = name ":" "{" [ field { "," field } ] "}" each field at most once, either order
+//	field   = `"shape"` ":" "[" [ int { "," int } ] "]"
+//	        | `"data"`  ":" "[" [ num { "," num } ] "]"
+//	name    = `"` { UTF-8 character except `"`, `\` and U+0000–U+001F } `"`
+//	int     = [ "-" ] ( "0" | digit1-9 { digit } )     must fit an int
+//	num     = int [ "." digit { digit } ] [ ( "e" | "E" ) [ "+" | "-" ] digit { digit } ]
+//
+// A num is converted by strconv.ParseFloat(num, 32), as encoding/json
+// converts it, and must be in float32 range (1e39 is a 400, 1e-60 is 0). An
+// absent shape is the scalar shape [], an absent data is no values; the
+// values must fill the shape and no dimension may be negative. This is a
+// subset of what the strict encoding/json decoder (DisallowUnknownFields)
+// used to accept, and on it the decoded tensors are the same bit for bit
+// (FuzzInferJSON holds both). What that decoder took and this one answers
+// 400 to:
+//
+//   - keys matched without regard to case ("Feeds", "SHAPE", "ſhape");
+//   - null in place of the feeds object, a feed, a shape or a data array;
+//   - a repeated key at any level, a repeated feed name included (the last
+//     one used to win);
+//   - escape sequences (\", \u0031, …) and invalid UTF-8 in a key or feed name;
+//   - anything but whitespace after the request object (a second JSON value
+//     used to be left unread).
+//
 // Backpressure maps onto status codes: 429 when the admission queue is
 // full, 503 after shutdown began, 400 for malformed feeds, 504 when the
 // request's deadline expired while queued, 500 when the replica serving
-// the request crashed mid-batch (ErrReplicaCrash).
+// the request crashed mid-batch (ErrReplicaCrash) or an output holds a
+// value JSON cannot render (NaN, ±Inf).
 
 // TensorJSON is the wire form of a tensor: an explicit shape plus the
 // row-major float32 data.
@@ -105,34 +138,44 @@ func echoTrace(w http.ResponseWriter, capture *trace.Capture) {
 	}
 }
 
-// decodeFeeds parses and validates an InferRequest body, writing the 400
-// response itself on failure (second result false). Shared by the
-// single-model handler and the registry front end.
+// decodeFeeds reads and decodes an InferRequest body (parseFeeds, decode.go),
+// writing the 400 response itself on failure (second result false). It is
+// the only request decoder of /v1/infer, shared by the single-model handler
+// and the registry front end. The body is read once into a pooled buffer;
+// the decoded tensors own their data, so the buffer goes straight back.
 func decodeFeeds(w http.ResponseWriter, r *http.Request) (map[string]*tensor.Tensor, bool) {
-	var req InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	// Size the buffer from Content-Length, but only as far as a pooled
+	// buffer goes: a header is a claim, not bytes received. ReadFrom wants
+	// MinRead spare bytes to see EOF without growing.
+	buf.Grow(int(min(max(r.ContentLength, 0), maxPooledBuffer)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return nil, false
 	}
-	feeds := make(map[string]*tensor.Tensor, len(req.Feeds))
-	for name, tj := range req.Feeds {
-		if len(tj.Data) != tensor.Volume(tj.Shape) {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("feed %q: %d data values do not fill shape %v", name, len(tj.Data), tj.Shape))
-			return nil, false
-		}
-		for _, d := range tj.Shape {
-			if d < 0 {
-				writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("feed %q: negative dimension in shape %v", name, tj.Shape))
-				return nil, false
-			}
-		}
-		feeds[name] = tensor.From(tj.Data, tj.Shape...)
+	feeds, err := parseFeeds(buf.Bytes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		return nil, false
 	}
 	return feeds, true
+}
+
+// buffers recycles the request-body and response-encoding buffers of the
+// JSON handlers. A buffer that grew past maxPooledBuffer is dropped rather
+// than pooled, so one large request does not stay resident.
+var buffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuffer = 1 << 20
+
+func getBuffer() *bytes.Buffer { return buffers.Get().(*bytes.Buffer) }
+
+func putBuffer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuffer {
+		b.Reset()
+		buffers.Put(b)
+	}
 }
 
 func writeOutputs(w http.ResponseWriter, outs map[string]*tensor.Tensor) {
@@ -176,11 +219,23 @@ func statusFor(err error) int {
 // request): the caller went away while the request was queued.
 const statusClientClosedRequest = 499
 
+// writeJSON encodes v before it commits to a status: encoding/json refuses
+// NaN and ±Inf, and a model can produce them, so an encoding failure must
+// still be able to answer 500 with the error envelope instead of a 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		// An errorResponse is a string: this cannot fail.
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	// A failed write means the client is gone; there is nobody to tell.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
