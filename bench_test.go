@@ -90,74 +90,9 @@ func BenchmarkFig6GemmSpotlight(b *testing.B) {
 	c := make([]float32, m*n)
 	b.Run("deepbench", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.Gemm(kernels.GemmParallel, a.Data(), bb.Data(), c, m, k, n)
+			kernels.Gemm(a.Data(), bb.Data(), c, m, k, n)
 		}
 	})
-	b.Run("blocked-kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kernels.Gemm(kernels.GemmBlocked, a.Data(), bb.Data(), c, m, k, n)
-		}
-	})
-}
-
-// --- Execution backends: sequential vs parallel dataflow vs arena --------
-
-// The branchy acceptance model lives in core.BranchyModel so the suite's
-// "backend" experiment (cmd/d500bench -experiment backend) and these
-// micro-benchmarks measure the identical workload.
-
-// BenchmarkBackendForward compares forward-pass latency of the execution
-// backends on the branchy multi-operator model (the acceptance workload for
-// the dataflow scheduler: expect ≥1.5× for parallel over sequential at
-// GOMAXPROCS ≥ 4).
-func BenchmarkBackendForward(b *testing.B) {
-	m := core.BranchyModel(8)
-	rng := tensor.NewRNG(18)
-	feeds := map[string]*tensor.Tensor{"x": tensor.RandNormal(rng, 0, 1, 2, 8, 24, 24)}
-	for _, v := range core.BackendVariants() {
-		b.Run(v.Name, func(b *testing.B) {
-			e, err := executor.New(m, v.Opts()...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Inference(context.Background(), feeds); err != nil { // warmup
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Inference(context.Background(), feeds); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBackendTrainingStep compares a full training step (forward +
-// backward + update) across backends on a LeNet-scale CNN.
-func BenchmarkBackendTrainingStep(b *testing.B) {
-	ds := training.SyntheticClassification(128, 10, []int{1, 28, 28}, 0.3, 19)
-	batch := training.NewSequentialSampler(ds, 32).Next()
-	for _, v := range core.BackendVariants() {
-		if v.Name == "sequential+arena" {
-			continue // training comparison covers the three headline variants
-		}
-		b.Run(v.Name, func(b *testing.B) {
-			m := models.LeNet(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28,
-				WithHead: true, Seed: 20})
-			e := executor.MustNew(m, v.Opts()...)
-			e.SetTraining(true)
-			d := training.NewDriver(e, training.NewFusedMomentum(0.05, 0.9))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Train(context.Background(), batch.Feeds()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Fig. 7: micro-batch transformation ---------------------------------
@@ -489,11 +424,13 @@ func BenchmarkAblationGemm(b *testing.B) {
 	a := tensor.RandNormal(rng, 0, 1, m, k)
 	bb := tensor.RandNormal(rng, 0, 1, k, n)
 	c := make([]float32, m*n)
-	for _, algo := range []kernels.GemmAlgo{kernels.GemmNaive, kernels.GemmBlocked, kernels.GemmParallel} {
-		b.Run(algo.String(), func(b *testing.B) {
+	for name, gemm := range map[string]func(a, b, c []float32, m, k, n int){
+		"naive": kernels.GemmNaive, "product": kernels.Gemm,
+	} {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(kernels.GemmFLOPs(m, k, n)))
 			for i := 0; i < b.N; i++ {
-				kernels.Gemm(algo, a.Data(), bb.Data(), c, m, k, n)
+				gemm(a.Data(), bb.Data(), c, m, k, n)
 			}
 		})
 	}

@@ -38,10 +38,8 @@ func run() int {
 	experiment := flag.String("experiment", "all", "comma-separated experiment ids (or 'all')")
 	quick := flag.Bool("quick", false, "scaled-down problem sizes and re-runs")
 	seed := flag.Uint64("seed", 500, "global RNG seed")
-	exec := flag.String("exec", "sequential", "graph execution backend: sequential, parallel")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
 	opt := flag.Bool("opt", false, "run the compile pipeline (fusion/folding/DCE) over every experiment model")
-	gemm := flag.String("gemm", "", "GEMM kernel algorithm: naive, blocked, parallel, packed (default packed)")
 	plan := flag.Bool("plan", false, "statically plan forward activation memory (zero-alloc steady-state inference)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no deadline)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -66,20 +64,12 @@ func run() int {
 		return compareReports(*compare, flag.Arg(0), *threshold, *format)
 	}
 
-	// Session construction validates the -exec flag: unknown backends are
-	// a usage error before any experiment runs.
-	sessOpts := []d500.Option{
-		d500.WithBackendName(*exec),
-		d500.WithSeed(*seed),
-	}
+	sessOpts := []d500.Option{d500.WithSeed(*seed)}
 	if *arena {
 		sessOpts = append(sessOpts, d500.WithArena())
 	}
 	if *opt {
 		sessOpts = append(sessOpts, d500.WithOptimize())
-	}
-	if *gemm != "" {
-		sessOpts = append(sessOpts, d500.WithGemm(*gemm))
 	}
 	if *plan {
 		sessOpts = append(sessOpts, d500.WithMemPlan())

@@ -7,7 +7,7 @@
 //	              Level 3).
 //	-role launch  the networked control plane: starts the trainer-service
 //	              HTTP API (/v1/jobs), submits one job built from the
-//	              flags, re-execs itself as one OS process per rank
+//	              flags, launches its own binary once per rank
 //	              (parameter server + workers over loopback TCP), monitors
 //	              heartbeats, restarts dead workers from checkpoints, and
 //	              waits for the job to finish.

@@ -10,7 +10,7 @@
 //	d500serve -model trained.d5nx -addr :8500       # serve a checkpoint
 //	d500serve -models hi=mlp:2,lo=lenet:1           # two tenants, priorities
 //	d500serve -zoo lenet -replicas 1 -max-replicas 4    # queue-driven autoscaling
-//	d500serve -zoo lenet -replicas 4 -batch 16 -linger 2ms -exec parallel -arena -opt
+//	d500serve -zoo lenet -replicas 4 -batch 16 -linger 2ms -arena -opt
 //	d500serve -zoo mlp -log                         # JSON request log on stdout
 //
 // Routes: POST /v1/infer (sole model, or ?model=name), POST
@@ -122,7 +122,6 @@ func run() int {
 	scaleUp := flag.Float64("scale-up", 0, "queue-occupancy fraction that triggers a scale-up (0 = default 0.5)")
 	scaleIdle := flag.Duration("scale-idle", 0, "idle time before a scaled-up replica retires (0 = default 500ms)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = replicas*batch*4)")
-	execName := flag.String("exec", "sequential", "graph execution backend: sequential, parallel")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a shared tensor arena")
 	optimize := flag.Bool("opt", false, "compile the graph before serving (fusion/folding/DCE)")
 	respawn := flag.Bool("respawn", true, "rebuild crashed replicas from the shared weights")
@@ -138,10 +137,7 @@ func run() int {
 	}
 
 	metrics := d500.NewMetrics()
-	sessOpts := []d500.Option{
-		d500.WithBackendName(*execName),
-		d500.WithHook(metrics.Hook()),
-	}
+	sessOpts := []d500.Option{d500.WithHook(metrics.Hook())}
 	// One tracer shared by every tenant's replicas: all request traces land
 	// in one flight recorder, served at /debug/traces. The d500_trace_*
 	// series are always registered so dashboards keep a stable shape.
@@ -246,8 +242,8 @@ func run() int {
 			registry.Close(context.Background())
 			return 2
 		}
-		fmt.Printf("d500serve: model %q %s (%d nodes, %d params) — batch %d, linger %v, %d replica(s), exec %s",
-			b.name, b.version, len(b.model.Nodes), b.model.ParamCount(), *batch, *linger, *replicas, *execName)
+		fmt.Printf("d500serve: model %q %s (%d nodes, %d params) — batch %d, linger %v, %d replica(s)",
+			b.name, b.version, len(b.model.Nodes), b.model.ParamCount(), *batch, *linger, *replicas)
 		if *maxReplicas > *replicas {
 			fmt.Printf(", autoscale to %d", *maxReplicas)
 		}

@@ -46,10 +46,8 @@ func main() {
 	model := flag.String("model", "lenet", "model: mlp, lenet, resnet8, resnet18, wrn16")
 	opt := flag.String("optimizer", "momentum", "optimizer: sgd, momentum, nesterov, adagrad, rmsprop, adam, adam-fused, accelegrad")
 	backend := flag.String("backend", "reference", "framework backend: reference, tfgo, torchgo, cf2go")
-	execName := flag.String("exec", "sequential", "graph execution backend: sequential, parallel")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
 	optimize := flag.Bool("opt", false, "compile the graph before execution (fusion/folding/DCE)")
-	gemm := flag.String("gemm", "", "GEMM kernel algorithm: naive, blocked, parallel, packed (default packed)")
 	plan := flag.Bool("plan", false, "statically plan forward activation memory (speeds up the evaluation passes)")
 	epochs := flag.Int("epochs", 5, "training epochs")
 	batch := flag.Int("batch", 64, "minibatch size")
@@ -97,7 +95,6 @@ func main() {
 	}
 
 	opts := []d500.Option{
-		d500.WithBackendName(*execName),
 		d500.WithFramework(*backend),
 		d500.WithSeed(*seed),
 		d500.WithHook(d500.ConsoleHook(os.Stdout)),
@@ -107,9 +104,6 @@ func main() {
 	}
 	if *optimize {
 		opts = append(opts, d500.WithOptimize())
-	}
-	if *gemm != "" {
-		opts = append(opts, d500.WithGemm(*gemm))
 	}
 	if *plan {
 		opts = append(opts, d500.WithMemPlan())
@@ -135,8 +129,8 @@ func main() {
 	shape := []int{cfg.Channels, cfg.Height, cfg.Width}
 	train, test := d500.SyntheticSplit(*samples, *samples/4, cfg.Classes, shape, 0.3, *seed)
 
-	fmt.Printf("training %s (%d params) with %s on %s backend (%s exec), B=%d, lr=%g\n",
-		m.Name, m.ParamCount(), *opt, sess.Framework(), sess.Backend(), *batch, *lr)
+	fmt.Printf("training %s (%d params) with %s on %s backend, B=%d, lr=%g\n",
+		m.Name, m.ParamCount(), *opt, sess.Framework(), *batch, *lr)
 	res, err := sess.Train(ctx, d500.TrainConfig{
 		Optimizer:      ts,
 		Train:          d500.ShuffleSampler(train, *batch, *seed),

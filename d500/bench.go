@@ -25,10 +25,8 @@ func (s *Session) coreOptions() core.Options {
 	return core.Options{
 		Quick:    s.cfg.quick,
 		Seed:     s.cfg.seed,
-		Exec:     s.cfg.backend.String(),
 		Arena:    s.cfg.arena,
 		Optimize: s.cfg.optimize,
-		Gemm:     s.cfg.gemm,
 		MemPlan:  s.cfg.memPlan,
 	}
 }
@@ -55,18 +53,16 @@ func (s *Session) HasExperiment(id string) bool { return s.suite().Has(id) }
 // Bench runs the named paper experiments (all of them when ids is empty)
 // and returns the machine-readable report. Every record an experiment
 // emits is also surfaced through the session hook as a BenchSample event.
-// The context is observed between experiments and inside the
-// graph-executing ones, so deadlines and cancellation stop long suites.
+// The context is observed between experiments and inside the ones that
+// run graphs, so deadlines and cancellation stop long suites.
 func (s *Session) Bench(ctx context.Context, ids []string, cfg BenchConfig) (*BenchReport, error) {
 	suite := s.suite()
 	if len(ids) == 0 {
 		ids = suite.IDs()
 	}
 	env := bench.CaptureEnv()
-	env.ExecBackend = s.cfg.backend.String()
 	env.Arena = s.cfg.arena
 	env.Optimize = s.cfg.optimize
-	env.Gemm = s.cfg.gemm
 	env.MemPlan = s.cfg.memPlan
 	env.Quick = s.cfg.quick
 	env.Seed = s.cfg.seed

@@ -5,37 +5,29 @@ import (
 	"sync"
 	"testing"
 
-	"deep500/internal/kernels"
 	"deep500/internal/tensor"
 )
 
 // TestConcurrentSessionsSharedPool is the documented concurrency
-// contract's proof (run under -race in CI): two Sessions sharing one
-// kernels.Pool — and one model's weight tensors — can Infer concurrently,
-// with arenas enabled, and produce the same outputs they produce alone.
+// contract's proof (run under -race in CI): two Sessions on the
+// process-wide kernel pool — and one model's weight tensors — can Infer
+// concurrently, with arenas enabled, and produce the same outputs they
+// produce alone.
 func TestConcurrentSessionsSharedPool(t *testing.T) {
 	m := serveModel()
-	pool := kernels.NewPool(4)
-
-	newSharedSession := func() *Session {
+	newSession := func() *Session {
 		t.Helper()
-		s, err := New(WithBackend(Parallel), WithArena())
+		s, err := New(WithArena())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// In-package shortcut: WithPool sizes a private pool, and this test
-		// specifically needs both sessions on one pool instance.
-		s.pool = pool
 		if err := s.Open(m); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	s1 := newSharedSession()
-	s2 := newSharedSession()
-	if s1.pool != s2.pool {
-		t.Fatal("sessions do not share the pool")
-	}
+	s1 := newSession()
+	s2 := newSession()
 
 	// Reference outputs, computed serially.
 	in1, in2 := serveInput(2, 1), serveInput(2, 2)

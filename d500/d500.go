@@ -6,7 +6,6 @@
 // configuration at construction, returning errors instead of panicking:
 //
 //	sess, err := d500.New(
-//		d500.WithBackend(d500.Parallel),
 //		d500.WithArena(),
 //		d500.WithSeed(42),
 //	)

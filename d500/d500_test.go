@@ -3,7 +3,6 @@ package d500
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,30 +12,14 @@ import (
 
 func TestNewRejectsInvalidOptions(t *testing.T) {
 	cases := map[string]Option{
-		"unknown framework": WithFramework("mxnetgo"),
-		"bad backend name":  WithBackendName("turbo"),
-		"bad backend value": WithBackend(Backend(99)),
-		"zero pool":         WithPool(0),
-		"negative pool":     WithPool(-4),
+		"unknown framework":   WithFramework("mxnetgo"),
+		"zero ckpt cadence":   WithCheckpointEvery(0),
+		"negative trace-slow": WithTraceSlow(-time.Second),
 	}
 	for name, opt := range cases {
 		if _, err := New(opt); err == nil {
 			t.Errorf("%s: New must fail", name)
 		}
-	}
-}
-
-func TestParseBackend(t *testing.T) {
-	for name, want := range map[string]Backend{
-		"": Sequential, "sequential": Sequential, "parallel": Parallel, "Parallel": Parallel,
-	} {
-		got, err := ParseBackend(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseBackend("gpu"); err == nil || !strings.Contains(err.Error(), "gpu") {
-		t.Fatalf("unknown backend error: %v", err)
 	}
 }
 
@@ -77,7 +60,7 @@ func openSession(t *testing.T, opts ...Option) *Session {
 
 func TestSessionInferAndEvaluate(t *testing.T) {
 	var events []Event
-	sess := openSession(t, WithBackend(Parallel), WithArena(), WithHook(func(e Event) {
+	sess := openSession(t, WithArena(), WithHook(func(e Event) {
 		events = append(events, e)
 	}))
 	train, test := SyntheticSplit(128, 32, 4, []int{1, 8, 8}, 0.3, 7)
@@ -135,14 +118,14 @@ func TestSessionTrainEmitsEventStream(t *testing.T) {
 	}
 }
 
-// TestTrainCancelStopsParallelRunBetweenSteps is the API acceptance test:
-// cancelling the context stops a parallel-backend training run between
-// optimization steps and surfaces context.Canceled through Session.Train.
-func TestTrainCancelStopsParallelRunBetweenSteps(t *testing.T) {
+// TestTrainCancelStopsRunBetweenSteps is the API acceptance test:
+// cancelling the context stops a training run between optimization steps
+// and surfaces context.Canceled through Session.Train.
+func TestTrainCancelStopsRunBetweenSteps(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var lastStep int
-	sess := openSession(t, WithBackend(Parallel), WithHook(func(e Event) {
+	sess := openSession(t, WithHook(func(e Event) {
 		if s, ok := e.(StepEnd); ok {
 			lastStep = s.Step
 			if s.Step == 3 {
@@ -201,8 +184,8 @@ func TestBenchEmitsBenchSamples(t *testing.T) {
 	}
 }
 
-func TestSessionWithPoolAndFramework(t *testing.T) {
-	sess, err := New(WithBackend(Parallel), WithPool(2), WithFramework("cf2go"), WithSeed(5))
+func TestSessionWithFramework(t *testing.T) {
+	sess, err := New(WithFramework("cf2go"), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,49 +6,7 @@ import (
 	"time"
 
 	"deep500/internal/frameworks"
-	"deep500/internal/kernels"
 )
-
-// Backend selects the graph-execution strategy of a Session's executors.
-type Backend int
-
-const (
-	// Sequential is the paper's reference execution model: nodes run one
-	// after another in topological order on the calling goroutine.
-	Sequential Backend = iota
-	// Parallel is the dependency-counting dataflow scheduler: independent
-	// branches of the graph execute concurrently over the shared worker
-	// pool.
-	Parallel
-)
-
-// String returns the canonical backend name ("sequential", "parallel").
-func (b Backend) String() string {
-	switch b {
-	case Sequential:
-		return "sequential"
-	case Parallel:
-		return "parallel"
-	}
-	return fmt.Sprintf("Backend(%d)", int(b))
-}
-
-// valid reports whether b is a declared Backend constant.
-func (b Backend) valid() bool { return b == Sequential || b == Parallel }
-
-// ParseBackend resolves a backend selector from a CLI flag or config
-// string. Valid names: "sequential" (or ""), "parallel". Unknown names
-// return an error instead of panicking, so flag validation can surface
-// them before any experiment runs.
-func ParseBackend(name string) (Backend, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "sequential":
-		return Sequential, nil
-	case "parallel":
-		return Parallel, nil
-	}
-	return Sequential, fmt.Errorf("d500: unknown execution backend %q (valid: sequential, parallel)", name)
-}
 
 // Frameworks returns the names New accepts for WithFramework, reference
 // first.
@@ -60,59 +18,25 @@ func Frameworks() []string {
 	return names
 }
 
-// GemmAlgorithms returns the names WithGemm accepts, slowest first. The
-// last entry ("packed") is the default every session uses when WithGemm is
-// not given.
-func GemmAlgorithms() []string {
-	return []string{"naive", "blocked", "parallel", "packed"}
-}
-
 // config is the resolved Session configuration; options validate eagerly
 // so New fails fast with a descriptive error.
 type config struct {
-	backend     Backend
-	framework   string
-	arena       bool
-	optimize    bool
-	gemm        string // canonical algorithm name, "" = registry default (packed)
-	memPlan     bool
-	seed        uint64 // always non-zero after New (defaultSeed fallback)
-	poolWorkers int
-	quick       bool
-	hook        Hook
-	ckptEvery   int // checkpoint cadence in steps (0 = every epoch)
-	traceOwn    bool
-	traceSlow   time.Duration
-	tracer      *Tracer
+	framework string
+	arena     bool
+	optimize  bool
+	memPlan   bool
+	seed      uint64 // always non-zero after New (defaultSeed fallback)
+	quick     bool
+	hook      Hook
+	ckptEvery int // checkpoint cadence in steps (0 = every epoch)
+	traceOwn  bool
+	traceSlow time.Duration
+	tracer    *Tracer
 }
 
 // Option configures a Session at construction. Options are applied in
 // order; the first error aborts New.
 type Option func(*config) error
-
-// WithBackend selects the graph-execution backend (Sequential by default).
-func WithBackend(b Backend) Option {
-	return func(c *config) error {
-		if !b.valid() {
-			return fmt.Errorf("d500: invalid backend %d (use d500.Sequential or d500.Parallel)", int(b))
-		}
-		c.backend = b
-		return nil
-	}
-}
-
-// WithBackendName is WithBackend over a string selector — the flag-friendly
-// form binaries use.
-func WithBackendName(name string) Option {
-	return func(c *config) error {
-		b, err := ParseBackend(name)
-		if err != nil {
-			return err
-		}
-		c.backend = b
-		return nil
-	}
-}
 
 // WithFramework selects an emulated framework profile ("tfgo", "torchgo",
 // "cf2go") instead of the uninstrumented reference executor. The name is
@@ -146,35 +70,13 @@ func WithArena() Option {
 // WithOptimize enables the graph-compilation pipeline: every model the
 // session opens is rewritten — constant folding, dead-node elimination, and
 // fusion of Dense→Bias→Activation and Conv→Bias→ReLU chains into one-pass
-// fused kernels — before either execution backend runs it. Optimized
+// fused kernels — before the executor runs it. Optimized
 // executors produce tolerance-equal outputs and gradients; the rewrite
 // statistics of the open model are available via Session.OptimizeStats.
 // (This is the -opt flag of d500bench and d500train.)
 func WithOptimize() Option {
 	return func(c *config) error {
 		c.optimize = true
-		return nil
-	}
-}
-
-// WithGemm selects the GEMM kernel algorithm every GEMM-backed operator of
-// the session's models uses: "naive", "blocked", "parallel" or "packed"
-// (see GemmAlgorithms). The empty string keeps the default, the BLIS-style
-// packed register-tiled kernel. Unknown names error at New, so flag
-// validation surfaces them before any model opens. (This is the -gemm flag
-// of d500bench and d500train.)
-func WithGemm(name string) Option {
-	return func(c *config) error {
-		name = strings.ToLower(strings.TrimSpace(name))
-		if name == "" {
-			c.gemm = ""
-			return nil
-		}
-		if _, ok := kernels.ParseGemmAlgo(name); !ok {
-			return fmt.Errorf("d500: unknown GEMM algorithm %q (valid: %s)",
-				name, strings.Join(GemmAlgorithms(), ", "))
-		}
-		c.gemm = name
 		return nil
 	}
 }
@@ -209,19 +111,6 @@ func WithSeed(seed uint64) Option {
 
 // defaultSeed mirrors core.Options' zero-seed convention.
 const defaultSeed = 500
-
-// WithPool gives the session a dedicated worker pool of the given size for
-// the parallel scheduler and kernel fan-outs, instead of the process-wide
-// shared pool. Sizes below 1 are rejected.
-func WithPool(workers int) Option {
-	return func(c *config) error {
-		if workers < 1 {
-			return fmt.Errorf("d500: WithPool requires at least 1 worker, got %d", workers)
-		}
-		c.poolWorkers = workers
-		return nil
-	}
-}
 
 // WithQuick scales benchmark problem sizes and rerun counts down so the
 // full suite completes in seconds (the -quick flag of d500bench).

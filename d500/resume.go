@@ -14,9 +14,8 @@ import (
 // model plus everything else the trajectory depends on — optimizer slots,
 // step/epoch counters, and the sampler's order/RNG cursor — captured at a
 // step boundary and written atomically. Resuming from it reproduces the
-// uninterrupted run's loss trajectory bitwise (on the deterministic
-// sequential backend; parallel-backend reductions and stochastic operators
-// with executor-local RNGs, i.e. dropout, are reproducible only per-build).
+// uninterrupted run's loss trajectory bitwise (stochastic operators with
+// executor-local RNGs, i.e. dropout, are reproducible only per-build).
 
 // Checkpoint is a loaded training checkpoint: the model snapshot plus the
 // run state needed to continue it exactly. Load one with Resume, Open its

@@ -12,8 +12,7 @@ import (
 
 // Exact-resume acceptance tests: a training run killed mid-epoch and
 // resumed from its checkpoint must reproduce the uninterrupted run's
-// per-step loss trajectory bitwise (sequential backend — the repo's
-// deterministic reference).
+// per-step loss trajectory bitwise.
 
 const (
 	resumeSeed    = 21

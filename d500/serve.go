@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
@@ -172,11 +171,12 @@ func WithRespawn() ServerOption {
 	}
 }
 
-// WithSession forwards Session options to the server's replicas: backend
-// selection, arena recycling, the compile pipeline, a dedicated worker
-// pool and the event hook all mean the same thing they mean for a
-// Session. Shared resources are resolved once — the replicas share one
-// worker pool, one arena and one compiled model.
+// WithSession forwards Session options to the server's replicas: arena
+// recycling, the compile pipeline, the memory plan, the framework profile
+// and the event hook all mean the same thing they mean for a Session —
+// replicas are built by the same function Session.Open uses. Shared
+// resources are resolved once: the replicas share one arena and one
+// compiled model.
 func WithSession(opts ...Option) ServerOption {
 	return func(c *serverConfig) error {
 		c.sess = append(c.sess, opts...)
@@ -192,16 +192,15 @@ func WithSession(opts ...Option) ServerOption {
 // (see the Session concurrency contract).
 type Server struct {
 	inner  *serve.Server
-	name   string // model name, the per-tenant metrics label
-	stats  OptimizeStats
-	opt    bool
-	arena  *tensor.Arena // replica-shared arena, nil without WithArena
-	tracer *Tracer       // replica-shared tracer, nil when tracing is off
+	name   string         // model name, the per-tenant metrics label
+	stats  *OptimizeStats // nil without WithOptimize
+	arena  *tensor.Arena  // replica-shared arena, nil without WithArena
+	tracer *Tracer        // replica-shared tracer, nil when tracing is off
 }
 
 // NewServer builds a serving pool over the model. The replicas are
 // configured through WithSession (same vocabulary as New) and share the
-// model's parameter tensors, one kernel worker pool and one tensor arena;
+// model's parameter tensors, the kernel worker pool and one tensor arena;
 // the compile pipeline, when enabled, runs once and every replica serves
 // the compiled graph.
 //
@@ -230,44 +229,13 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 		return nil, err
 	}
 
-	s := &Server{}
-	served := m
-	if base.cfg.optimize {
-		om, rep, err := compile.Optimize(m, compile.Defaults())
-		if err != nil {
-			return nil, fmt.Errorf("d500: compiling model %q for serving: %w", m.Name, err)
-		}
-		served = om
-		s.opt = true
-		s.stats = OptimizeStats{
-			NodesBefore:        rep.NodesBefore,
-			NodesAfter:         rep.NodesAfter,
-			Folded:             rep.Folded,
-			Eliminated:         rep.Eliminated,
-			Fused:              rep.Fused,
-			PrunedInitializers: rep.PrunedInitializers,
-		}
+	served, stats, err := base.compile(m)
+	if err != nil {
+		return nil, fmt.Errorf("d500: compiling model %q for serving: %w", m.Name, err)
 	}
-
-	// Shared replica resources: one pool, one arena.
-	pool := base.pool
-	var arena *tensor.Arena
-	if base.cfg.arena {
-		arena = tensor.NewArena()
-	}
-	s.arena = arena
+	s := &Server{stats: stats, arena: base.newArena()}
 	factory := func() (executor.GraphExecutor, error) {
-		var execOpts []executor.Option
-		if base.cfg.backend == Parallel {
-			execOpts = append(execOpts, executor.WithBackend(executor.NewParallelBackend(pool)))
-		}
-		if arena != nil {
-			execOpts = append(execOpts, executor.WithArena(arena))
-		}
-		if base.prof != nil {
-			return base.prof.NewExecutor(served, execOpts...)
-		}
-		return executor.New(served, execOpts...)
+		return base.newExecutor(served, s.arena)
 	}
 
 	var observe func(serve.Sample)
@@ -343,21 +311,17 @@ func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 
 // OptimizeStats reports what the compile pipeline did to the served
 // model; ok is false when the server was built without WithOptimize.
-func (s *Server) OptimizeStats() (stats OptimizeStats, ok bool) { return s.stats, s.opt }
+func (s *Server) OptimizeStats() (stats OptimizeStats, ok bool) {
+	if s.stats == nil {
+		return OptimizeStats{}, false
+	}
+	return *s.stats, true
+}
 
 // Close stops admission (Infer then returns ErrServerClosed), drains the
 // queued requests and waits for the replicas to finish. If ctx expires
 // first, in-flight passes are cancelled and Close returns ctx.Err().
 func (s *Server) Close(ctx context.Context) error { return s.inner.Close(ctx) }
-
-// poolWorkers reports the server-shared worker budget — used by d500info
-// to render serving defaults.
-func poolWorkers(p *kernels.Pool) int {
-	if p == nil {
-		p = kernels.Default
-	}
-	return p.Workers()
-}
 
 // ServerDefaults describes the serving configuration NewServer resolves
 // when no options are given — the discoverability surface d500info
@@ -400,7 +364,7 @@ func DefaultServerConfig() ServerDefaults {
 		ScaleDownIdle:    serve.DefaultScaleDownIdle,
 		DrainGrace:       serve.DefaultDrainGrace,
 		ShedOccupancy:    serve.DefaultShedOccupancy,
-		PoolWorkers:      poolWorkers(nil),
+		PoolWorkers:      kernels.Default.Workers(),
 		Frameworks:       Frameworks(),
 	}
 }

@@ -31,7 +31,7 @@ func TestServerOptionValidation(t *testing.T) {
 		"linger":   {WithMaxLinger(-time.Second)},
 		"replicas": {WithReplicas(0)},
 		"queue":    {WithQueueDepth(0)},
-		"session":  {WithSession(WithBackendName("bogus"))},
+		"session":  {WithSession(WithFramework("bogus"))},
 	} {
 		if _, err := NewServer(m, opts...); err == nil {
 			t.Errorf("%s: invalid option accepted", name)
@@ -43,7 +43,7 @@ func TestServerOptionValidation(t *testing.T) {
 }
 
 // TestServerServesAndObserves drives concurrent requests through a fully
-// configured server (parallel backend, arena, compile pipeline, replicas)
+// configured server (arena, compile pipeline, replicas)
 // and checks results against a plain Session plus the ServeSample stream.
 func TestServerServesAndObserves(t *testing.T) {
 	m := serveModel()
@@ -65,7 +65,6 @@ func TestServerServesAndObserves(t *testing.T) {
 		WithReplicas(2),
 		WithQueueDepth(64),
 		WithSession(
-			WithBackend(Parallel),
 			WithArena(),
 			WithOptimize(),
 			WithHook(func(e Event) {
@@ -150,5 +149,47 @@ func TestServerServesAndObserves(t *testing.T) {
 	}
 	if d := DefaultServerConfig(); d.MaxBatch != 8 || d.Replicas != 1 || d.PoolWorkers < 1 {
 		t.Fatalf("DefaultServerConfig = %+v", d)
+	}
+}
+
+// TestServerReplicasHonourMemPlan: WithSession(WithMemPlan()) reaches the
+// replicas, which are built by the same function as Session.Open. With one
+// replica and single-row batches, every pass after the first (profiling)
+// one runs out of the plan, as its exec.forward span records.
+func TestServerReplicasHonourMemPlan(t *testing.T) {
+	tr, err := NewTracer(TraceConfig{SampleEvery: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(serveModel(), WithReplicas(1), WithMaxBatch(1),
+		WithSession(WithMemPlan(), WithTracer(tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 3
+	for i := 0; i < requests; i++ {
+		if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{"x": serveInput(1, uint64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	passes, planned := 0, 0
+	for _, td := range tr.t.Recorder().Traces() {
+		for _, s := range td.Spans {
+			if s.Name != "exec.forward" {
+				continue
+			}
+			passes++
+			for _, a := range s.Attrs {
+				if a.Key == "plan" && a.Value == true {
+					planned++
+				}
+			}
+		}
+	}
+	if passes != requests || planned != requests-1 {
+		t.Fatalf("%d of %d forward passes ran out of the memory plan, want %d", planned, passes, requests-1)
 	}
 }

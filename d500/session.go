@@ -10,14 +10,13 @@ import (
 	"deep500/internal/executor"
 	"deep500/internal/frameworks"
 	"deep500/internal/graph"
-	"deep500/internal/kernels"
 	"deep500/internal/obs/trace"
 	"deep500/internal/tensor"
 	"deep500/internal/training"
 )
 
-// Session is a fully resolved Deep500-Go configuration: execution backend,
-// framework profile, allocation strategy, seed and event hook. Open binds
+// Session is a fully resolved Deep500-Go configuration: framework profile,
+// allocation strategy, compile pipeline, seed and event hook. Open binds
 // it to a model; Infer, Train, Evaluate and Bench then drive the stack
 // with context-aware execution throughout.
 //
@@ -29,12 +28,10 @@ import (
 // IS safe — and what the serving layer is built on — is running many
 // Sessions concurrently from different goroutines:
 //
-//   - Sessions may share one kernel worker pool. The pool is a counting
-//     semaphore of worker tokens; a session that finds the pool drained
-//     simply runs its kernels inline, so concurrent sessions degrade to
-//     sequential execution instead of oversubscribing the machine.
-//     Parallel-backend sessions built without WithPool all share the
-//     process-wide default pool.
+//   - Sessions share the process-wide kernel worker pool. The pool is a
+//     counting semaphore of worker tokens; a session that finds the pool
+//     drained simply runs its kernels inline, so concurrent sessions degrade
+//     to sequential execution instead of oversubscribing the machine.
 //   - Sessions may share one model (Open the same *graph.Model in each):
 //     parameter tensors are referenced, not copied, so all of them serve
 //     the same weights. Concurrent *readers* (Infer) are safe; mutating
@@ -50,21 +47,23 @@ import (
 type Session struct {
 	cfg    config
 	prof   *frameworks.Profile
-	pool   *kernels.Pool
 	tracer *Tracer
 
 	model *graph.Model
 	exec  *executor.Executor
+	// optStats is what the compile pipeline did to model; nil without
+	// WithOptimize.
+	optStats *OptimizeStats
 
 	// benchSuite caches the registered experiment registry (see suite()).
 	benchSuite *bench.Suite
 }
 
 // New resolves the options into a Session, validating everything eagerly:
-// unknown backends, unknown framework names and invalid pool sizes return
-// errors here, never panics later.
+// unknown framework names and invalid option values return errors here,
+// never panics later.
 func New(opts ...Option) (*Session, error) {
-	c := config{backend: Sequential, seed: defaultSeed}
+	c := config{seed: defaultSeed}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -80,9 +79,6 @@ func New(opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("d500: unknown framework backend %q", c.framework)
 		}
 		s.prof = &p
-	}
-	if c.poolWorkers > 0 {
-		s.pool = kernels.NewPool(c.poolWorkers)
 	}
 	switch {
 	case c.tracer != nil:
@@ -121,9 +117,6 @@ func New(opts ...Option) (*Session, error) {
 // off). Mount Tracer().Handler() to expose the flight recorder.
 func (s *Session) Tracer() *Tracer { return s.tracer }
 
-// Backend returns the session's execution backend.
-func (s *Session) Backend() Backend { return s.cfg.backend }
-
 // Framework returns the emulated framework profile name ("reference" when
 // the session uses the uninstrumented reference executor).
 func (s *Session) Framework() string {
@@ -142,51 +135,70 @@ func (s *Session) Model() *graph.Model { return s.model }
 // errNotOpen is returned by execution methods before Open succeeds.
 var errNotOpen = errors.New("d500: session has no open model (call Open first)")
 
-// execOptions builds fresh executor construction options; arenas are per
-// executor so Open-ing a new model never shares buffers with the old one.
-func (s *Session) execOptions() []executor.Option {
-	var b executor.ExecBackend = executor.SequentialBackend{}
-	if s.cfg.backend == Parallel {
-		b = executor.NewParallelBackend(s.pool)
+// compile returns the graph the session's executors run: m itself, or m
+// through the compile pipeline when WithOptimize is set, together with what
+// the pipeline did (nil without WithOptimize).
+func (s *Session) compile(m *graph.Model) (*graph.Model, *OptimizeStats, error) {
+	if !s.cfg.optimize {
+		return m, nil, nil
 	}
-	opts := []executor.Option{executor.WithBackend(b)}
-	if s.cfg.arena {
-		opts = append(opts, executor.WithArena(tensor.NewArena()))
+	om, rep, err := compile.Optimize(m, compile.Defaults())
+	if err != nil {
+		return nil, nil, err
 	}
-	if s.cfg.optimize {
-		opts = append(opts, executor.WithOptimize(compile.Defaults()))
-	}
-	if s.cfg.gemm != "" {
-		// The name was validated at New; ParseGemmAlgo cannot fail here.
-		algo, _ := kernels.ParseGemmAlgo(s.cfg.gemm)
-		opts = append(opts, executor.WithGemm(algo))
+	return om, &OptimizeStats{
+		NodesBefore:        rep.NodesBefore,
+		NodesAfter:         rep.NodesAfter,
+		Folded:             rep.Folded,
+		Eliminated:         rep.Eliminated,
+		Fused:              rep.Fused,
+		PrunedInitializers: rep.PrunedInitializers,
+	}, nil
+}
+
+// newExecutor is the one mapping from the session configuration to an
+// executor, used by Open and by every Server replica. served is the graph
+// compile returned; arena is the executor's activation arena (nil without
+// WithArena) — Open passes a fresh one, a Server's replicas share one.
+func (s *Session) newExecutor(served *graph.Model, arena *tensor.Arena) (*executor.Executor, error) {
+	var opts []executor.Option
+	if arena != nil {
+		opts = append(opts, executor.WithArena(arena))
 	}
 	if s.cfg.memPlan {
 		opts = append(opts, executor.WithMemPlan(true))
 	}
-	return opts
+	if s.prof != nil {
+		return s.prof.NewExecutor(served, opts...)
+	}
+	return executor.New(served, opts...)
+}
+
+// newArena returns a fresh activation arena, or nil without WithArena.
+func (s *Session) newArena() *tensor.Arena {
+	if !s.cfg.arena {
+		return nil
+	}
+	return tensor.NewArena()
 }
 
 // Open validates the model, builds its executor under the session's
 // configuration and makes it the session's active model. Re-opening with a
-// different model replaces the previous executor.
+// different model replaces the previous executor; arenas are per executor,
+// so the new model never shares buffers with the old one.
 func (s *Session) Open(m *graph.Model) error {
 	if m == nil {
 		return errors.New("d500: Open requires a non-nil model")
 	}
-	var (
-		e   *executor.Executor
-		err error
-	)
-	if s.prof != nil {
-		e, err = s.prof.NewExecutor(m, s.execOptions()...)
-	} else {
-		e, err = executor.New(m, s.execOptions()...)
-	}
+	served, stats, err := s.compile(m)
 	if err != nil {
 		return fmt.Errorf("d500: opening model %q: %w", m.Name, err)
 	}
-	s.model, s.exec = m, e
+	e, err := s.newExecutor(served, s.newArena())
+	if err != nil {
+		return fmt.Errorf("d500: opening model %q: %w", m.Name, err)
+	}
+	s.model, s.exec, s.optStats = m, e, stats
 	return nil
 }
 
@@ -216,21 +228,10 @@ func (s OptimizeStats) String() string {
 // model. ok is false when no model is open or the session was built without
 // WithOptimize.
 func (s *Session) OptimizeStats() (stats OptimizeStats, ok bool) {
-	if s.exec == nil {
+	if s.optStats == nil {
 		return OptimizeStats{}, false
 	}
-	rep := s.exec.CompileReport()
-	if rep == nil {
-		return OptimizeStats{}, false
-	}
-	return OptimizeStats{
-		NodesBefore:        rep.NodesBefore,
-		NodesAfter:         rep.NodesAfter,
-		Folded:             rep.Folded,
-		Eliminated:         rep.Eliminated,
-		Fused:              rep.Fused,
-		PrunedInitializers: rep.PrunedInitializers,
-	}, true
+	return *s.optStats, true
 }
 
 // Network exposes the live network of the open model — parameters,

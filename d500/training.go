@@ -208,7 +208,7 @@ type TrainConfig struct {
 	// Test must be constructed with the original run's configuration —
 	// optimizer slots, sampler cursor and step/epoch counters are restored
 	// on top, after which the loss trajectory continues bitwise-identically
-	// to the uninterrupted run (on the deterministic sequential backend).
+	// to the uninterrupted run.
 	// Epochs still names the run's total epoch count: a run checkpointed
 	// after epoch 2 of 5 resumes with Epochs: 5 and trains the remaining 3.
 	Resume *Checkpoint

@@ -3,8 +3,8 @@
 // Reproducible Deep Learning" (Ben-Nun et al., IPDPS 2019).
 //
 // The supported entry point is the d500 package: a d500.Session assembled
-// from typed functional options (WithBackend, WithFramework, WithArena,
-// WithOptimize, WithSeed, WithPool, WithHook) with
+// from typed functional options (WithFramework, WithArena, WithOptimize,
+// WithMemPlan, WithSeed, WithHook) with
 // Open/Infer/Train/Evaluate/Bench methods, context-aware execution
 // through the whole chain, and a structured event stream
 // (StepEnd/EpochEnd/EvalEnd/BenchSample/ServeSample) as the single

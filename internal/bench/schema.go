@@ -54,20 +54,18 @@ type Report struct {
 // comparable (paper challenge: reproducibility requires recording the
 // conditions of the measurement, not just its outcome).
 type Environment struct {
-	GitRev      string `json:"git_rev,omitempty"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	CPUModel    string `json:"cpu_model,omitempty"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	ExecBackend string `json:"exec_backend,omitempty"`
-	Arena       bool   `json:"arena"`
-	Optimize    bool   `json:"optimize"`
-	Gemm        string `json:"gemm,omitempty"`
-	MemPlan     bool   `json:"mem_plan,omitempty"`
-	Quick       bool   `json:"quick"`
-	Seed        uint64 `json:"seed"`
+	GitRev     string `json:"git_rev,omitempty"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Arena      bool   `json:"arena"`
+	Optimize   bool   `json:"optimize"`
+	MemPlan    bool   `json:"mem_plan,omitempty"`
+	Quick      bool   `json:"quick"`
+	Seed       uint64 `json:"seed"`
 }
 
 // Experiment is the result of one registered experiment id.

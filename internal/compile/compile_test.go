@@ -307,8 +307,7 @@ func xorFeeds() map[string]*tensor.Tensor {
 }
 
 // TestFusedGradientEqualityXOR asserts outputs and every parameter gradient
-// of the fused XOR MLP match the unfused reference on both execution
-// backends.
+// of the fused XOR MLP match the unfused reference.
 func TestFusedGradientEqualityXOR(t *testing.T) {
 	const tol = 1e-6
 	m := xorModel()
@@ -323,46 +322,41 @@ func TestFusedGradientEqualityXOR(t *testing.T) {
 		t.Fatalf("reference produced %d gradients, want 4", len(refGrads))
 	}
 
-	for _, backend := range []string{"sequential", "parallel"} {
-		t.Run(backend, func(t *testing.T) {
-			b, err := executor.BackendByName(backend)
-			if err != nil {
-				t.Fatal(err)
+	// The subtest is named after the executor's (sequential) schedule.
+	t.Run("sequential", func(t *testing.T) {
+		e, err := executor.New(m, executor.WithOptimize(compile.Defaults()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := e.CompileReport(); rep.Fused != 1 {
+			t.Fatalf("xor fused %d chains, want 1 (fc1+Tanh)", rep.Fused)
+		}
+		out, err := e.InferenceAndBackprop(context.Background(), feeds, "l")
+		if err != nil {
+			t.Fatal(err)
+		}
+		refOut, err := ref.Inference(context.Background(), feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range refOut {
+			if d := maxAbsDiff(t, r, out[name]); d > tol {
+				t.Fatalf("output %q diverges: %g", name, d)
 			}
-			e, err := executor.New(m, executor.WithBackend(b), executor.WithOptimize(compile.Defaults()))
-			if err != nil {
-				t.Fatal(err)
+		}
+		gotGrads := e.Network().Gradients()
+		if len(gotGrads) != len(refGrads) {
+			t.Fatalf("gradient count %d vs %d", len(gotGrads), len(refGrads))
+		}
+		for i, pg := range refGrads {
+			if gotGrads[i].Name != pg.Name {
+				t.Fatalf("gradient order: %q vs %q", gotGrads[i].Name, pg.Name)
 			}
-			if rep := e.CompileReport(); rep.Fused != 1 {
-				t.Fatalf("xor fused %d chains, want 1 (fc1+Tanh)", rep.Fused)
+			if d := maxAbsDiff(t, pg.Grad, gotGrads[i].Grad); d > tol {
+				t.Fatalf("gradient %q diverges: %g", pg.Name, d)
 			}
-			out, err := e.InferenceAndBackprop(context.Background(), feeds, "l")
-			if err != nil {
-				t.Fatal(err)
-			}
-			refOut, err := ref.Inference(context.Background(), feeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, r := range refOut {
-				if d := maxAbsDiff(t, r, out[name]); d > tol {
-					t.Fatalf("output %q diverges: %g", name, d)
-				}
-			}
-			gotGrads := e.Network().Gradients()
-			if len(gotGrads) != len(refGrads) {
-				t.Fatalf("gradient count %d vs %d", len(gotGrads), len(refGrads))
-			}
-			for i, pg := range refGrads {
-				if gotGrads[i].Name != pg.Name {
-					t.Fatalf("gradient order: %q vs %q", gotGrads[i].Name, pg.Name)
-				}
-				if d := maxAbsDiff(t, pg.Grad, gotGrads[i].Grad); d > tol {
-					t.Fatalf("gradient %q diverges: %g", pg.Name, d)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestFusedTrainingMatchesUnfused trains the XOR MLP for 60 SGD steps with

@@ -31,20 +31,10 @@ type PlanSlot struct {
 	Death int
 }
 
-// AntiDep is an ordering constraint introduced by memory reuse: node Before
-// (a last reader or the writer of a slab region's previous tenant) must
-// complete before node After (the producer of the region's next tenant)
-// runs. A sequential topological interpreter satisfies every AntiDep by
-// construction; a dataflow scheduler must add these edges to its dependency
-// graph or concurrent branches may overwrite live activations.
-type AntiDep struct {
-	Before string // node name that must run first
-	After  string // node name that reuses the region
-}
-
 // MemPlan is the output of the memory-planning pass: one slab size and a
-// fixed offset for every planned value, plus the anti-dependency edges that
-// make the reuse safe under out-of-order execution.
+// fixed offset for every planned value. Reuse is safe for an executor that
+// runs nodes in the planner's topological order: a region's previous tenant
+// is dead before its next producer runs.
 type MemPlan struct {
 	// Slots maps value names to their slab placement.
 	Slots map[string]PlanSlot
@@ -54,8 +44,6 @@ type MemPlan struct {
 	// a reuse-free allocator would need. SlabElems/NoReuseElems is the
 	// pass's compression ratio.
 	NoReuseElems int
-	// Reuse lists the anti-dependency edges introduced by interval reuse.
-	Reuse []AntiDep
 }
 
 // SlabBytes returns the planned slab footprint in bytes.
@@ -71,8 +59,8 @@ func (p *MemPlan) String() string {
 	if p.SlabElems > 0 {
 		ratio = float64(p.NoReuseElems) / float64(p.SlabElems)
 	}
-	return fmt.Sprintf("memplan: %d values, slab %d KiB (no-reuse %d KiB, %.2fx reuse, %d anti-deps)",
-		len(p.Slots), p.SlabBytes()/1024, p.NoReuseBytes()/1024, ratio, len(p.Reuse))
+	return fmt.Sprintf("memplan: %d values, slab %d KiB (no-reuse %d KiB, %.2fx reuse)",
+		len(p.Slots), p.SlabBytes()/1024, p.NoReuseBytes()/1024, ratio)
 }
 
 // planValue is the liveness record of one intermediate during planning.
@@ -81,20 +69,14 @@ type planValue struct {
 	elems int
 	birth int
 	death int
-	// users are the nodes that touched the value (producer plus every
-	// consumer); they become the Before side of anti-dependency edges when
-	// the value's region is recycled.
-	users []string
 	// placed slab range, filled during the allocation sweep
 	off int
 }
 
-// freeBlock is a recyclable slab range together with the nodes that last
-// touched it.
+// freeBlock is a recyclable slab range.
 type freeBlock struct {
 	off   int
 	elems int
-	users []string
 }
 
 // PlanMemory computes a static memory plan for the model's intermediate
@@ -107,9 +89,7 @@ type freeBlock struct {
 // order the reference executor runs — computing [birth, death] intervals
 // (model outputs stay live to the end of the pass), then assigns offsets
 // with a greedy best-fit free list: freed intervals are coalesced with
-// their slab neighbours and the smallest block that fits is split. Every
-// reuse of a region is recorded as AntiDep edges from the region's previous
-// users to the new producer.
+// their slab neighbours and the smallest block that fits is split.
 func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 	order, err := m.TopoSort()
 	if err != nil {
@@ -135,7 +115,6 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 		for _, in := range n.Inputs {
 			if v, ok := vals[in]; ok {
 				v.death = i
-				v.users = append(v.users, n.Name)
 			}
 		}
 		for _, out := range n.Outputs {
@@ -146,7 +125,7 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 			if !ok || elems <= 0 {
 				continue
 			}
-			v := &planValue{name: out, elems: elems, birth: i, death: i, users: []string{n.Name}}
+			v := &planValue{name: out, elems: elems, birth: i, death: i}
 			if isModelOut[out] {
 				v.death = len(order) // live until the end of the pass
 			}
@@ -163,27 +142,23 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 	plan := &MemPlan{Slots: make(map[string]PlanSlot, len(planned))}
 	var free []freeBlock // sorted by offset
 	var live []*planValue
-	edgeSeen := make(map[string]bool)
 
 	release := func(v *planValue) {
-		blk := freeBlock{off: v.off, elems: v.elems, users: v.users}
+		blk := freeBlock{off: v.off, elems: v.elems}
 		// Insert sorted by offset, coalescing with adjacent free blocks so
 		// consecutive small activations can serve one large successor.
 		pos := sort.Search(len(free), func(i int) bool { return free[i].off >= blk.off })
 		if pos > 0 && free[pos-1].off+free[pos-1].elems == blk.off {
 			prev := &free[pos-1]
 			prev.elems += blk.elems
-			prev.users = append(prev.users, blk.users...)
 			if pos < len(free) && prev.off+prev.elems == free[pos].off {
 				prev.elems += free[pos].elems
-				prev.users = append(prev.users, free[pos].users...)
 				free = append(free[:pos], free[pos+1:]...)
 			}
 			return
 		}
 		if pos < len(free) && blk.off+blk.elems == free[pos].off {
-			free[pos] = freeBlock{off: blk.off, elems: blk.elems + free[pos].elems,
-				users: append(blk.users, free[pos].users...)}
+			free[pos] = freeBlock{off: blk.off, elems: blk.elems + free[pos].elems}
 			return
 		}
 		free = append(free, freeBlock{})
@@ -191,19 +166,7 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 		free[pos] = blk
 	}
 
-	addEdge := func(before, after string) {
-		if before == after {
-			return
-		}
-		key := before + "\x00" + after
-		if edgeSeen[key] {
-			return
-		}
-		edgeSeen[key] = true
-		plan.Reuse = append(plan.Reuse, AntiDep{Before: before, After: after})
-	}
-
-	alloc := func(v *planValue, producer string) {
+	alloc := func(v *planValue) {
 		// Best fit: the smallest free block that holds the value.
 		best := -1
 		for i, blk := range free {
@@ -221,11 +184,8 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 		}
 		blk := free[best]
 		v.off = blk.off
-		for _, u := range blk.users {
-			addEdge(u, producer)
-		}
 		if blk.elems > v.elems {
-			free[best] = freeBlock{off: blk.off + v.elems, elems: blk.elems - v.elems, users: blk.users}
+			free[best] = freeBlock{off: blk.off + v.elems, elems: blk.elems - v.elems}
 		} else {
 			free = append(free[:best], free[best+1:]...)
 		}
@@ -249,7 +209,7 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 			if !ok || v.birth != i {
 				continue
 			}
-			alloc(v, n.Name)
+			alloc(v)
 			live = append(live, v)
 			plan.NoReuseElems += v.elems
 			plan.Slots[v.name] = PlanSlot{Offset: v.off, Elems: v.elems, Birth: v.birth, Death: v.death}

@@ -98,10 +98,7 @@ func RunCompileBench(ctx context.Context, o Options) ([]CompileBenchRow, error) 
 			if err := ctx.Err(); err != nil {
 				return rows, err
 			}
-			opts, err := oBase.execOpts()
-			if err != nil {
-				return rows, err
-			}
+			opts := oBase.execOpts()
 			fusedChains := 0
 			if variant != "baseline" {
 				opts = append(opts, executor.WithOptimize(compile.Defaults()))

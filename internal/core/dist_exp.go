@@ -56,9 +56,9 @@ func RunDistBench(ctx context.Context, o Options) ([]DistBenchRow, error) {
 		}
 		rows = append(rows, row)
 	}
-	base := medianOf(rows[0].StepTimes)
+	base := percentileOf(rows[0].StepTimes, 0.5)
 	for i := range rows {
-		if t := medianOf(rows[i].StepTimes); t > 0 {
+		if t := percentileOf(rows[i].StepTimes, 0.5); t > 0 {
 			rows[i].Efficiency = base / t
 		}
 	}
@@ -77,10 +77,7 @@ func runDistWorld(ctx context.Context, o Options, workers, steps, batch, hidden 
 		}
 	}()
 
-	execOpts, err := o.execOpts()
-	if err != nil {
-		return DistBenchRow{}, err
-	}
+	execOpts := o.execOpts()
 
 	losses := make([]float64, workers)
 	times := make([][]float64, workers)
@@ -140,13 +137,6 @@ func runDistWorld(ctx context.Context, o Options, workers, steps, batch, hidden 
 	}, nil
 }
 
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return quantile(xs, 0.5)
-}
-
 // RenderDistBench renders the scaling rows.
 func RenderDistBench(rows []DistBenchRow) *Table {
 	t := &Table{Title: "Distributed: DSGD over TCP loopback, ring allreduce (weak scaling, fixed per-worker batch)",
@@ -155,7 +145,7 @@ func RenderDistBench(rows []DistBenchRow) *Table {
 		t.AddRow(itoa(int64(r.Workers)), itoa(int64(r.Steps)),
 			fmt.Sprintf("%.4f", r.FinalLoss),
 			fmtBytes(r.BytesPerStep),
-			fsec(medianOf(r.StepTimes)),
+			fsec(percentileOf(r.StepTimes, 0.5)),
 			fmt.Sprintf("%.2f", r.Efficiency))
 	}
 	t.AddNote("real sockets and framing; the TCP ring reproduces the simulator ring's chunk schedule bitwise")

@@ -62,14 +62,10 @@ func RegisterExperiments(s *bench.Suite, o Options) {
 		}})
 	s.Register(bench.Definition{ID: "validate", Title: "Validation suite (paper §III-E / §IV)",
 		Run: func(c *bench.Context) error { return runValidateExp(c, o) }})
-	s.Register(bench.Definition{ID: "backend", Title: "Execution-backend micro-benchmarks",
-		Run: func(c *bench.Context) error { return runBackendExp(c, o) }})
 	s.Register(bench.Definition{ID: "compile", Title: "Graph compilation: fused vs unfused (§III-A Use Case 1)",
 		Run: func(c *bench.Context) error { return runCompileExp(c, o) }})
 	s.Register(bench.Definition{ID: "serve", Title: "Serving: micro-batched vs single-request inference",
 		Run: func(c *bench.Context) error { return runServeExp(c, o) }})
-	s.Register(bench.Definition{ID: "gemm", Title: "GEMM kernels: packed register-tiled sweep",
-		Run: func(c *bench.Context) error { return runGemmExp(c, o) }})
 	s.Register(bench.Definition{ID: "dist", Title: "Distributed: DSGD scaling over TCP loopback",
 		Run: func(c *bench.Context) error { return runDistExp(c, o) }})
 	s.Register(bench.Definition{ID: "load", Title: "Open-loop load: SLO-checked traffic vs autoscaling pool",
@@ -334,25 +330,6 @@ func runValidateExp(c *bench.Context, o Options) error {
 	c.RecordValue("checks-total", "checks", bench.HigherIsBetter, float64(len(results)))
 	if failed > 0 {
 		return fmt.Errorf("%d validation checks failed", failed)
-	}
-	return nil
-}
-
-func runBackendExp(c *bench.Context, o Options) error {
-	rows, err := RunBackendMicrobench(c.Ctx, o)
-	if err != nil {
-		return err
-	}
-	RenderBackendBench(rows).Render(c.Out)
-	for _, r := range rows {
-		rec := c.RecordSamples(r.Variant+"/"+r.Kind, "s", bench.LowerIsBetter, r.Seconds)
-		rec.Warmup = r.Warmup
-		rec.Stats.BytesPerOp = r.BytesPerOp
-		rec.Stats.AllocsPerOp = r.AllocsPerOp
-		// Allocator counters wobble with GC timing under the parallel
-		// scheduler; tracked, not gated.
-		c.RecordValue(r.Variant+"/"+r.Kind+"/bytes-per-op", "B", bench.ReportOnly, float64(r.BytesPerOp))
-		c.RecordValue(r.Variant+"/"+r.Kind+"/allocs-per-op", "allocs", bench.ReportOnly, float64(r.AllocsPerOp))
 	}
 	return nil
 }

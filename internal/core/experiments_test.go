@@ -19,7 +19,7 @@ func TestRegistryCoversEveryExperiment(t *testing.T) {
 	ids := quickSuite().IDs()
 	want := []string{"tables", "fig2", "fig6conv", "fig6gemm", "fig6acc", "fig7",
 		"overhead", "fig8", "table3", "fig9", "fig10", "fig11", "fig12strong",
-		"fig12weak", "validate", "backend", "compile", "serve", "gemm", "dist", "load"}
+		"fig12weak", "validate", "compile", "serve", "dist", "load"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}
@@ -73,16 +73,17 @@ func TestSelfCompareNeutralAndInjectedSlowdownRegresses(t *testing.T) {
 		t.Fatalf("self-compare not neutral: %+v", self.Deltas)
 	}
 
-	// Rebuild the report with a 2× slowdown injected into the wall-clock
-	// record, as a CI regression would appear.
-	slow, err := quickSuite().Run(context.Background(), []string{"tables"}, bench.RunConfig{Env: env})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Copy the report with a 2× slowdown injected into the wall-clock
+	// record, as a CI regression would appear. Doubling the same samples
+	// (rather than re-running) keeps the verdict independent of host load.
+	slow := *rep
+	slow.Experiments = []bench.Experiment{rep.Experiments[0]}
+	slow.Experiments[0].Records = append([]bench.Record(nil), rep.Experiments[0].Records...)
 	injected := false
 	for i := range slow.Experiments[0].Records {
 		rec := &slow.Experiments[0].Records[i]
 		if rec.Name == "render/tables" {
+			rec.Samples = append([]float64(nil), rec.Samples...)
 			for j := range rec.Samples {
 				rec.Samples[j] *= 2
 			}
@@ -93,7 +94,7 @@ func TestSelfCompareNeutralAndInjectedSlowdownRegresses(t *testing.T) {
 	if !injected {
 		t.Fatal("render/tables record missing")
 	}
-	cmp := bench.Compare(rep, slow, bench.CompareConfig{})
+	cmp := bench.Compare(rep, &slow, bench.CompareConfig{})
 	found := false
 	for _, d := range cmp.Deltas {
 		if d.Metric == "render/tables" {
@@ -111,39 +112,9 @@ func TestSelfCompareNeutralAndInjectedSlowdownRegresses(t *testing.T) {
 	// CI de-flake contract for quick-mode bench jobs.
 	oneCPU := env
 	oneCPU.NumCPU = 1
-	repOne, slowOne := *rep, *slow
+	repOne, slowOne := *rep, slow
 	repOne.Env, slowOne.Env = oneCPU, oneCPU
 	if c := bench.Compare(&repOne, &slowOne, bench.CompareConfig{}); c.Regressed != 0 {
 		t.Fatalf("single-CPU env must not gate wall clock: %+v", c.Deltas)
-	}
-}
-
-func TestBackendExperimentRecordsAllocs(t *testing.T) {
-	var human bytes.Buffer
-	rep, err := quickSuite().Run(context.Background(), []string{"backend"},
-		bench.RunConfig{Out: &human, Env: bench.Environment{NumCPU: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := map[string]bench.Record{}
-	for _, r := range rep.Experiments[0].Records {
-		recs[r.Name] = r
-	}
-	for _, name := range []string{"sequential/forward", "parallel/forward",
-		"parallel+arena/forward", "sequential+arena/forward",
-		"sequential/train-step", "parallel/train-step", "parallel+arena/train-step"} {
-		r, ok := recs[name]
-		if !ok {
-			t.Fatalf("missing record %q (have %v)", name, human.String())
-		}
-		if r.Stats.N == 0 || r.Stats.Median <= 0 {
-			t.Fatalf("%s: empty timing %+v", name, r.Stats)
-		}
-		if r.Stats.BytesPerOp <= 0 {
-			t.Fatalf("%s: no allocator counters: %+v", name, r.Stats)
-		}
-	}
-	if !strings.Contains(human.String(), "micro-benchmarks") {
-		t.Fatal("backend table not rendered")
 	}
 }

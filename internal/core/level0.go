@@ -22,66 +22,32 @@ type Options struct {
 	Quick bool
 	// Seed drives all generators.
 	Seed uint64
-	// Exec selects the graph-execution backend for every executor an
-	// experiment constructs: "sequential" (default) or "parallel".
-	Exec string
 	// Arena installs a fresh tensor buffer pool into every executor an
 	// experiment constructs (mirrors d500train's -arena flag).
 	Arena bool
 	// Optimize runs the compile pipeline (fusion/folding/DCE) over every
 	// model an experiment constructs (mirrors the -opt flag).
 	Optimize bool
-	// Gemm overrides the GEMM kernel algorithm on every GEMM-backed operator
-	// an experiment constructs (mirrors the -gemm flag): "naive", "blocked",
-	// "parallel" or "packed". Empty keeps the registry default (packed).
-	Gemm string
 	// MemPlan enables liveness-based static memory planning of forward
 	// activations in every executor an experiment constructs (mirrors the
 	// -plan flag).
 	MemPlan bool
 }
 
-// execOpts resolves Exec into executor construction options. An invalid
-// name returns an error: experiment results must never be silently
-// attributed to a backend that did not run, and the caller (d500.New or
-// cmd flag validation) surfaces the error instead of panicking.
-func (o Options) execOpts() ([]executor.Option, error) {
-	b, err := executor.BackendByName(o.Exec)
-	if err != nil {
-		return nil, err
-	}
-	opts := []executor.Option{executor.WithBackend(b)}
+// execOpts maps the options onto executor construction options; each call
+// gets its own arena.
+func (o Options) execOpts() []executor.Option {
+	var opts []executor.Option
 	if o.Arena {
 		opts = append(opts, executor.WithArena(tensor.NewArena()))
 	}
 	if o.Optimize {
 		opts = append(opts, executor.WithOptimize(compile.Defaults()))
 	}
-	if o.Gemm != "" {
-		algo, ok := kernels.ParseGemmAlgo(o.Gemm)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown GEMM algorithm %q (naive, blocked, parallel, packed)", o.Gemm)
-		}
-		opts = append(opts, executor.WithGemm(algo))
-	}
 	if o.MemPlan {
 		opts = append(opts, executor.WithMemPlan(true))
 	}
-	return opts, nil
-}
-
-// Validate checks that the options name a known execution backend and, when
-// set, a known GEMM algorithm.
-func (o Options) Validate() error {
-	if _, err := executor.BackendByName(o.Exec); err != nil {
-		return err
-	}
-	if o.Gemm != "" {
-		if _, ok := kernels.ParseGemmAlgo(o.Gemm); !ok {
-			return fmt.Errorf("core: unknown GEMM algorithm %q (naive, blocked, parallel, packed)", o.Gemm)
-		}
-	}
-	return nil
+	return opts
 }
 
 // measureIters is how many back-to-back invocations one timing sample
@@ -234,11 +200,7 @@ func convRunner(ctx context.Context, p ConvProblem, prof frameworks.Profile, ins
 		}, nil
 	}
 	prof.MemoryCapacity = 0 // benchmarking, not OOM testing
-	execOpts, err := o.execOpts()
-	if err != nil {
-		return nil, err
-	}
-	e, err := prof.NewExecutor(convModel(p, o.seed()), execOpts...)
+	e, err := prof.NewExecutor(convModel(p, o.seed()), o.execOpts()...)
 	if err != nil {
 		return nil, err
 	}
@@ -271,17 +233,13 @@ func gemmRunner(ctx context.Context, p GemmProblem, prof frameworks.Profile, ins
 			}
 			start := time.Now()
 			for i := 0; i < measureIters; i++ {
-				kernels.Gemm(kernels.GemmParallel, a.Data(), b.Data(), c, p.M, p.K, p.N)
+				kernels.Gemm(a.Data(), b.Data(), c, p.M, p.K, p.N)
 			}
 			return time.Since(start).Seconds() / measureIters, nil
 		}, nil
 	}
 	prof.MemoryCapacity = 0
-	execOpts, err := o.execOpts()
-	if err != nil {
-		return nil, err
-	}
-	e, err := prof.NewExecutor(gemmModel(p, o.seed()), execOpts...)
+	e, err := prof.NewExecutor(gemmModel(p, o.seed()), o.execOpts()...)
 	if err != nil {
 		return nil, err
 	}

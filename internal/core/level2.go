@@ -324,11 +324,7 @@ func RunFig9(ctx context.Context, o Options) ([]ConvergenceCurve, error) {
 	var out []ConvergenceCurve
 	for _, opt := range optimizers {
 		m := models.ResNet(8, cfg)
-		execOpts, err := o.execOpts()
-		if err != nil {
-			return nil, err
-		}
-		e, err := frameworks.CF2Go.NewExecutor(m, execOpts...)
+		e, err := frameworks.CF2Go.NewExecutor(m, o.execOpts()...)
 		if err != nil {
 			return nil, err
 		}
@@ -380,11 +376,7 @@ func RunFig10(ctx context.Context, o Options) ([]ConvergenceCurve, error) {
 		m := models.ResNet(8, cfg)
 		prof := c.prof
 		prof.OpOverhead /= 8
-		execOpts, err := o.execOpts()
-		if err != nil {
-			return nil, err
-		}
-		e, err := prof.NewExecutor(m, execOpts...)
+		e, err := prof.NewExecutor(m, o.execOpts()...)
 		if err != nil {
 			return nil, err
 		}
@@ -446,10 +438,7 @@ func RunFig11(ctx context.Context, o Options) ([]Fig11Point, error) {
 	}
 	cfg := models.Config{Classes: 10, Channels: 1, Height: 16, Width: 16,
 		WithHead: true, Seed: o.seed()}
-	execOpts, err := o.execOpts()
-	if err != nil {
-		return nil, err
-	}
+	execOpts := o.execOpts()
 	mk := func(v training.AdamVariant) (*executor.Executor, *training.Driver) {
 		m := models.MLP(cfg, 128, 64)
 		e := executor.MustNew(m, execOpts...)

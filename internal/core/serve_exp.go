@@ -4,12 +4,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"deep500/internal/bench"
 	"deep500/internal/executor"
+	"deep500/internal/metrics"
 	"deep500/internal/models"
 	"deep500/internal/serve"
 	"deep500/internal/tensor"
@@ -80,12 +81,9 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 	// whose per-request overhead rivals their compute.
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: o.seed()}, 8, 8, 8, 8)
 
-	// execOpts carries the session's backend, arena and compile-pipeline
-	// selection, so -exec/-arena/-opt apply to serving like everywhere else.
-	execOpts, err := o.execOpts()
-	if err != nil {
-		return nil, err
-	}
+	// execOpts carries the session's arena, compile-pipeline and memory-plan
+	// selection, so -arena/-opt/-plan apply to serving like everywhere else.
+	execOpts := o.execOpts()
 	factory := func() (executor.GraphExecutor, error) { return executor.New(m, execOpts...) }
 
 	// Per-client request tensors (reused across rounds; the server copies
@@ -250,15 +248,11 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 	return results, nil
 }
 
-// quantile returns the q-quantile of xs (nearest-rank on a sorted copy).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	return s[i]
+// percentileOf is metrics.Percentile over an unsorted sample.
+func percentileOf(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return metrics.Percentile(s, q)
 }
 
 // RenderServeBench renders the serving rows.
@@ -268,7 +262,7 @@ func RenderServeBench(rows []ServeBenchRow) *Table {
 	for _, r := range rows {
 		t.AddRow(r.Variant, itoa(int64(r.MaxBatch)), itoa(int64(r.Requests)),
 			fmt.Sprintf("%.0f req/s", r.Throughput),
-			fsec(quantile(r.Latencies, 0.50)), fsec(quantile(r.Latencies, 0.95)),
+			fsec(percentileOf(r.Latencies, 0.50)), fsec(percentileOf(r.Latencies, 0.95)),
 			fmt.Sprintf("%.2f", r.Occupancy))
 	}
 	t.AddNote("closed-loop clients (one request in flight each); batching amortizes per-pass dispatch and weight traffic")
@@ -288,8 +282,8 @@ func runServeExp(c *bench.Context, o Options) error {
 		c.RecordValue(key+"/requests", "req", bench.HigherIsBetter, float64(r.Requests))
 		rec := c.RecordSamples(key+"/latency", "s", bench.LowerIsBetter, r.Latencies)
 		rec.Warmup = 1 // one untimed round per client
-		c.RecordValue(key+"/p50-latency", "s", bench.ReportOnly, quantile(r.Latencies, 0.50))
-		c.RecordValue(key+"/p95-latency", "s", bench.ReportOnly, quantile(r.Latencies, 0.95))
+		c.RecordValue(key+"/p50-latency", "s", bench.ReportOnly, percentileOf(r.Latencies, 0.50))
+		c.RecordValue(key+"/p95-latency", "s", bench.ReportOnly, percentileOf(r.Latencies, 0.95))
 		c.RecordValue(key+"/throughput", "req/s", bench.ReportOnly, r.Throughput)
 		c.RecordValue(key+"/batch-occupancy", "rows", bench.ReportOnly, r.Occupancy)
 		tput[key] = r.Throughput

@@ -35,7 +35,7 @@ func RunValidationSuite(o Options) ([]validation.Result, error) {
 	}{
 		{"conv", ops.NewConv2D(kernels.ConvIm2Col, 1, 1, 1, 1),
 			[]*tensor.Tensor{x.Clone(), w.Clone()}, []bool{true, true}},
-		{"gemm", ops.NewGemm(kernels.GemmBlocked, false, false),
+		{"gemm", ops.NewGemm(false, false),
 			[]*tensor.Tensor{tensor.RandNormal(rng, 0, 1, 4, 5), tensor.RandNormal(rng, 0, 1, 5, 3)},
 			[]bool{true, true}},
 		{"rnn", ops.NewRNNTanhCell(), []*tensor.Tensor{

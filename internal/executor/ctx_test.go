@@ -3,7 +3,6 @@ package executor
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,8 +10,7 @@ import (
 	"deep500/internal/tensor"
 )
 
-// wideModel builds a graph with many independent Relu towers so the
-// parallel scheduler has real concurrency to cancel into.
+// wideModel builds a graph of independent Relu towers merged by one Sum.
 func wideModel(towers, depth int) *graph.Model {
 	m := graph.NewModel("wide")
 	m.AddInput("x", -1, 8)
@@ -37,10 +35,10 @@ func nodeName(p string, b, d int) string {
 
 // cancelAfterOps returns Events whose BeforeOp hook cancels the context
 // after n operator dispatches — a deterministic mid-graph cancellation.
-func cancelAfterOps(cancel context.CancelFunc, n int64) *Events {
-	var seen int64
+func cancelAfterOps(cancel context.CancelFunc, n int) *Events {
+	var seen int
 	return &Events{BeforeOp: func(*graph.Node) {
-		if atomic.AddInt64(&seen, 1) == n {
+		if seen++; seen == n {
 			cancel()
 		}
 	}}
@@ -63,32 +61,12 @@ func TestSequentialCancelMidGraph(t *testing.T) {
 	}
 }
 
-func TestParallelCancelMidGraph(t *testing.T) {
-	e := MustNew(wideModel(6, 8), WithBackend(NewParallelBackend(nil)))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	e.Events = cancelAfterOps(cancel, 5)
-	feeds := map[string]*tensor.Tensor{"x": tensor.Full(1, 2, 8)}
-	_, err := e.Inference(ctx, feeds)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	e.Events = nil
-	if _, err := e.Inference(context.Background(), feeds); err != nil {
-		t.Fatalf("pass after cancellation failed: %v", err)
-	}
-}
-
 func TestExpiredDeadlineRejectsPass(t *testing.T) {
-	for name, e := range map[string]*Executor{
-		"sequential": MustNew(wideModel(2, 2)),
-		"parallel":   MustNew(wideModel(2, 2), WithBackend(NewParallelBackend(nil))),
-	} {
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		defer cancel()
-		if _, err := e.Inference(ctx, map[string]*tensor.Tensor{"x": tensor.Full(1, 2, 8)}); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: want DeadlineExceeded, got %v", name, err)
-		}
+	e := MustNew(wideModel(2, 2))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := e.Inference(ctx, map[string]*tensor.Tensor{"x": tensor.Full(1, 2, 8)}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package executor
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"deep500/internal/compile"
@@ -37,13 +36,14 @@ type GraphExecutor interface {
 	Training() bool
 }
 
-// Executor is the Deep500 reference graph executor: an interpreter over
-// Level 0 operators whose forward-pass scheduling is delegated to a
-// pluggable ExecBackend — the sequential topological interpreter by default
-// (the paper positions reference code as "verified yet slow"), or the
-// parallel dataflow scheduler. It supports the full event, memory-model and
-// instrumentation surface, and can recycle activation storage through a
-// tensor arena.
+// Executor is the Deep500 reference graph executor: an interpreter that runs
+// Level 0 operators one after another in topological order on the calling
+// goroutine (the paper positions reference code as "verified yet slow";
+// operators parallelize inside their kernels). It supports the full event,
+// memory-model and instrumentation surface, and can recycle activation
+// storage through a tensor arena or a static memory plan. An Executor is
+// single-goroutine: concurrent passes need one executor each, as the serve
+// replicas have.
 type Executor struct {
 	net     *Network
 	order   []*graph.Node
@@ -60,28 +60,17 @@ type Executor struct {
 	// framework emulation layer uses it to model runtime dispatch costs.
 	OpOverhead time.Duration
 
-	backend ExecBackend
-	arena   *tensor.Arena
+	arena *tensor.Arena
 	// memPlan enables the static memory plan (WithMemPlan); planRT holds
 	// the installed plan and planActive tells whether the current pass runs
 	// out of it (training passes never do).
 	memPlan    bool
 	planRT     *planRuntime
 	planActive bool
-	// gemmAlgo, when non-nil, overrides the GEMM kernel algorithm on every
-	// GEMM-backed operator at construction (WithGemm).
-	gemmAlgo *kernels.GemmAlgo
 	// optimize, when non-nil, runs the compile pipeline over the model at
 	// construction; compileReport records what it rewrote.
 	optimize      *compile.Options
 	compileReport *compile.Report
-	depOnce       sync.Once
-	deps          *depInfo
-	// stateMu guards the per-pass maps, the memory model and the FLOP
-	// counter against concurrent node completions under ParallelBackend.
-	stateMu sync.Mutex
-	// eventMu serializes user event hooks, which need not be thread-safe.
-	eventMu sync.Mutex
 
 	training bool
 	// last forward pass state. The maps are allocated once and cleared per
@@ -105,9 +94,7 @@ type Executor struct {
 	planOut    map[string]*tensor.Tensor
 	outScratch []*tensor.Tensor
 	// passSpan is the current forward pass's trace span (nil when the pass
-	// is untraced — the common case, costing execNode one nil check). It is
-	// written by forward before the backend runs and read concurrently by
-	// ParallelBackend workers; Span methods are concurrency-safe.
+	// is untraced — the common case, costing execNode one nil check).
 	passSpan *trace.Span
 	// LastForwardFLOPs is the operator-reported FLOP total of the most
 	// recent forward pass.
@@ -119,16 +106,6 @@ type Executor struct {
 
 // Option configures an Executor at construction.
 type Option func(*Executor)
-
-// WithBackend selects the forward-pass execution backend (sequential by
-// default).
-func WithBackend(b ExecBackend) Option {
-	return func(e *Executor) {
-		if b != nil {
-			e.backend = b
-		}
-	}
-}
 
 // WithArena routes operator output allocation through a recycling tensor
 // arena and releases intermediate activations back to it at the end of each
@@ -155,18 +132,9 @@ func WithMemPlan(enable bool) Option {
 	return func(e *Executor) { e.memPlan = enable }
 }
 
-// WithGemm overrides the GEMM kernel algorithm on every GEMM-backed
-// operator (Gemm, MatMul, FusedGemmAct) at construction, replacing the
-// registry default. Use kernels.ParseGemmAlgo to resolve CLI flag values.
-func WithGemm(algo kernels.GemmAlgo) Option {
-	return func(e *Executor) { e.gemmAlgo = &algo }
-}
-
 // WithOptimize runs the compile pipeline (constant folding, dead-node
 // elimination, operator fusion — see internal/compile) over the model
-// before the executor is built, so *both* execution backends consume the
-// optimized graph: the sequential interpreter dispatches fewer nodes, and
-// the parallel scheduler's dependency DAG shrinks with them. The input
+// before the executor is built, so it dispatches fewer nodes. The input
 // model is not mutated; parameter tensors are shared between the original
 // and the compiled graph, so training an optimized executor updates the
 // caller's model too.
@@ -178,10 +146,7 @@ func WithOptimize(o compile.Options) Option {
 // applies the compile pipeline when WithOptimize is set, instantiates one
 // operator per node and fails on unknown op types.
 func New(m *graph.Model, opts ...Option) (*Executor, error) {
-	e := &Executor{
-		nodeOps: make(map[*graph.Node]ops.Operator),
-		backend: SequentialBackend{},
-	}
+	e := &Executor{nodeOps: make(map[*graph.Node]ops.Operator)}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -211,11 +176,6 @@ func New(m *graph.Model, opts ...Option) (*Executor, error) {
 				aa.SetAllocator(e.arena)
 			}
 		}
-		if e.gemmAlgo != nil {
-			if ga, ok := op.(ops.GemmAlgoAware); ok {
-				ga.SetGemmAlgo(*e.gemmAlgo)
-			}
-		}
 		e.SetOp(n, op)
 	}
 	e.nodeInBuf = make(map[*graph.Node][]*tensor.Tensor, len(e.order))
@@ -230,9 +190,6 @@ func MustNew(m *graph.Model, opts ...Option) *Executor {
 	}
 	return e
 }
-
-// Backend returns the active execution backend.
-func (e *Executor) Backend() ExecBackend { return e.backend }
 
 // CompileReport returns the compile pipeline's rewrite report, or nil when
 // the executor was built without WithOptimize.
@@ -315,20 +272,10 @@ func (e *Executor) spinOverhead() {
 	}
 }
 
-// stopRequested polls the Stop event hook.
-func (e *Executor) stopRequested() bool {
-	ev := e.Events
-	if ev == nil || ev.Stop == nil {
-		return false
-	}
-	e.eventMu.Lock()
-	defer e.eventMu.Unlock()
-	return ev.Stop()
-}
-
-// forward runs the forward pass through the configured backend, populating
-// e.values/nodeIns/nodeOuts. A nil ctx is treated as context.Background()
-// so pre-context call sites that pass nil stay safe.
+// forward runs the forward pass — every node in topological order, the
+// context checked before each — populating e.values/nodeIns/nodeOuts. A nil
+// ctx is treated as context.Background() so pre-context call sites that pass
+// nil stay safe.
 func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -344,7 +291,6 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 
 	if parent := trace.FromContext(ctx); parent != nil {
 		e.passSpan = parent.StartChild("exec.forward",
-			trace.String("backend", backendName(e.backend)),
 			trace.Bool("plan", e.planActive),
 			trace.Bool("arena", e.arena != nil),
 			trace.Int("nodes", len(e.order)))
@@ -374,7 +320,18 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 		e.values[name] = t
 	}
 
-	err := e.backend.RunForward(ctx, e)
+	var err error
+	for _, n := range e.order {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		if ev != nil && ev.Stop != nil && ev.Stop() {
+			break
+		}
+		if err = e.execNode(n); err != nil {
+			break
+		}
+	}
 
 	if ps := e.passSpan; ps != nil {
 		ps.AddAttrs(trace.Int("flops", int(e.LastForwardFLOPs)))
@@ -391,14 +348,11 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 }
 
 // execNode runs one node: gather inputs, invoke the operator, publish
-// outputs. It is the unit of work both backends schedule; all shared-state
-// mutation happens under stateMu so ParallelBackend can call it from many
-// goroutines, while the operator's Forward itself runs unlocked.
+// outputs.
 func (e *Executor) execNode(n *graph.Node) error {
 	ev := e.Events
 	op := e.nodeOps[n]
 
-	e.stateMu.Lock()
 	ins := e.nodeInBuf[n]
 	if ins == nil {
 		ins = make([]*tensor.Tensor, len(n.Inputs))
@@ -411,7 +365,6 @@ func (e *Executor) execNode(n *graph.Node) error {
 		}
 		t, ok := e.values[name]
 		if !ok {
-			e.stateMu.Unlock()
 			return fmt.Errorf("executor: node %q input %q not available (missing feed?)", n.Name, name)
 		}
 		ins[i] = t
@@ -433,16 +386,12 @@ func (e *Executor) execNode(n *graph.Node) error {
 			StrideH: conv.StrideH, StrideW: conv.StrideW, PadH: conv.PadH, PadW: conv.PadW}
 		workspace = cs.WorkspaceBytes(conv.Algo)
 		if err := e.Memory.Alloc(workspace); err != nil {
-			e.stateMu.Unlock()
 			return err
 		}
 	}
-	e.stateMu.Unlock()
 
 	if ev != nil && ev.BeforeOp != nil {
-		e.eventMu.Lock()
 		ev.BeforeOp(n)
-		e.eventMu.Unlock()
 	}
 	var opSpan *trace.Span
 	if ps := e.passSpan; ps != nil {
@@ -453,17 +402,13 @@ func (e *Executor) execNode(n *graph.Node) error {
 	outs := op.Forward(ins)
 	opDur := time.Since(opStart)
 	if opSpan != nil {
-		opSpan.AddAttrs(e.opSpanAttrs(op, conv, outs)...)
+		opSpan.AddAttrs(opSpanAttrs(conv, outs)...)
 		opSpan.End()
 	}
 	if ev != nil && ev.AfterOp != nil {
-		e.eventMu.Lock()
 		ev.AfterOp(n, opDur)
-		e.eventMu.Unlock()
 	}
 
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
 	if workspace > 0 {
 		e.Memory.Free(workspace)
 	}
@@ -486,35 +431,19 @@ func (e *Executor) execNode(n *graph.Node) error {
 }
 
 // opSpanAttrs builds a traced op span's attributes: output shape, arena
-// placement and the kernel algorithm in effect. Only called on traced
-// passes, so the allocations here never touch the untraced fast path.
-func (e *Executor) opSpanAttrs(op ops.Operator, conv *ops.Conv2DOp, outs []*tensor.Tensor) []trace.Attr {
+// placement and, for convolutions, the kernel algorithm. Only called on
+// traced passes, so the allocations here never touch the untraced fast path.
+func opSpanAttrs(conv *ops.Conv2DOp, outs []*tensor.Tensor) []trace.Attr {
 	attrs := make([]trace.Attr, 0, 3)
 	if len(outs) > 0 && outs[0] != nil {
 		attrs = append(attrs,
 			trace.String("shape", fmt.Sprint(outs[0].Shape())),
 			trace.Bool("arena_hit", outs[0].ArenaBacked()))
 	}
-	switch {
-	case conv != nil:
+	if conv != nil {
 		attrs = append(attrs, trace.String("algo", conv.Algo.String()))
-	case e.gemmAlgo != nil:
-		if _, ok := op.(ops.GemmAlgoAware); ok {
-			attrs = append(attrs, trace.String("algo", e.gemmAlgo.String()))
-		}
 	}
 	return attrs
-}
-
-// backendName names the execution backend for the pass span.
-func backendName(b ExecBackend) string {
-	switch b.(type) {
-	case SequentialBackend:
-		return "sequential"
-	case *ParallelBackend:
-		return "parallel"
-	}
-	return fmt.Sprintf("%T", b)
 }
 
 // freeActivations ends the activation lifetime of the last pass: it returns
@@ -572,7 +501,7 @@ func (e *Executor) Inference(ctx context.Context, feeds map[string]*tensor.Tenso
 	}
 	out := e.collectOutputs()
 	if e.memPlan {
-		if e.planActive && e.planRT.miss.Load() {
+		if e.planActive && e.planRT.miss {
 			e.dropPlan() // a shape drifted mid-pass: plan is stale
 		} else if !e.planActive {
 			e.buildPlan(feeds) // profiling pass done: install the plan

@@ -1,8 +1,6 @@
 package executor
 
 import (
-	"sync/atomic"
-
 	"deep500/internal/compile"
 	"deep500/internal/graph"
 	"deep500/internal/ops"
@@ -20,9 +18,9 @@ import (
 // The plan is forward-only. Training passes (InferenceAndBackprop) bypass
 // it, because backpropagation reads forward activations after the nodes
 // that the plan considers their last consumers — slab reuse would hand the
-// backward pass clobbered data. The parallel backend stays safe under the
-// plan through the anti-dependency edges PlanMemory emits, merged into the
-// scheduler's dependency graph by planDeps.
+// backward pass clobbered data. Running nodes strictly in the planner's
+// topological order is what makes slab reuse safe: a recycled region's
+// previous tenant is dead before its next producer runs.
 
 // planRuntime is the executor-side state of one installed memory plan,
 // specialized to a fixed set of feed shapes.
@@ -36,12 +34,9 @@ type planRuntime struct {
 	// allocs maps each node to the allocator that hands out its planned
 	// output tensors in declaration order.
 	allocs map[*graph.Node]*planAlloc
-	// deps is the plan-augmented dependency graph for the parallel backend
-	// (base dataflow edges plus the plan's anti-dependency edges).
-	deps *depInfo
 	// miss is set when a planned pass had to fall back (a shape deviated
 	// from the profile); the executor drops and rebuilds the plan.
-	miss atomic.Bool
+	miss bool
 }
 
 // matches reports whether feeds have exactly the shapes the plan was built
@@ -81,7 +76,7 @@ type planAlloc struct {
 	outs     []*tensor.Tensor // one per node output; nil = unplanned
 	next     int
 	fallback tensor.Allocator
-	miss     *atomic.Bool
+	miss     *bool
 }
 
 // Get returns the next planned output tensor, zero-filled to match the
@@ -95,10 +90,10 @@ func (p *planAlloc) Get(shape ...int) *tensor.Tensor {
 				clear(t.Data())
 				return t
 			}
-			p.miss.Store(true) // shape drifted from the profile: plan stale
+			*p.miss = true // shape drifted from the profile: plan stale
 		}
 	} else {
-		p.miss.Store(true)
+		*p.miss = true
 	}
 	if p.fallback != nil {
 		return p.fallback.Get(shape...)
@@ -186,64 +181,7 @@ func (e *Executor) buildPlan(feeds map[string]*tensor.Tensor) {
 		}
 		rt.allocs[n] = pa
 	}
-	rt.deps = e.planDeps(plan)
 	e.planRT = rt
-}
-
-// planDeps returns the dependency graph the parallel backend must use while
-// the plan is active: the base dataflow edges plus one edge per
-// anti-dependency, so a node that writes into a recycled slab region cannot
-// start before the region's previous users have finished.
-func (e *Executor) planDeps(plan *compile.MemPlan) *depInfo {
-	base := e.depGraph()
-	if len(plan.Reuse) == 0 {
-		return base
-	}
-	d := &depInfo{
-		waits:     make(map[*graph.Node]int, len(base.waits)),
-		consumers: make(map[*graph.Node][]*graph.Node, len(base.consumers)),
-	}
-	for n, w := range base.waits {
-		d.waits[n] = w
-	}
-	for n, cs := range base.consumers {
-		d.consumers[n] = append([]*graph.Node(nil), cs...)
-	}
-	byName := make(map[string]*graph.Node, len(e.order))
-	for _, n := range e.order {
-		byName[n.Name] = n
-	}
-	type edge struct{ from, to *graph.Node }
-	seen := make(map[edge]bool, len(plan.Reuse))
-	for n, cs := range d.consumers {
-		for _, c := range cs {
-			seen[edge{n, c}] = true
-		}
-	}
-	for _, ad := range plan.Reuse {
-		from, to := byName[ad.Before], byName[ad.After]
-		if from == nil || to == nil || from == to || seen[edge{from, to}] {
-			continue
-		}
-		seen[edge{from, to}] = true
-		d.consumers[from] = append(d.consumers[from], to)
-		d.waits[to]++
-	}
-	for _, n := range e.order {
-		if d.waits[n] == 0 {
-			d.roots = append(d.roots, n)
-		}
-	}
-	return d
-}
-
-// passDeps selects the dependency graph for the current pass: the
-// plan-augmented graph while the plan is active, the base graph otherwise.
-func (e *Executor) passDeps() *depInfo {
-	if e.planActive && e.planRT != nil && e.planRT.deps != nil {
-		return e.planRT.deps
-	}
-	return e.depGraph()
 }
 
 // MemPlan returns the installed memory plan, or nil when none is active

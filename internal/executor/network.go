@@ -3,14 +3,13 @@
 // event ("hook") mechanism for fine-grained measurement and early exits, and
 // a device memory model used to study out-of-memory behaviour (paper §IV-D).
 //
-// Public entry points: New (construction options WithBackend, WithArena,
+// Public entry points: New (construction options WithArena, WithMemPlan,
 // WithOptimize), the Executor's Inference / InferenceAndBackprop methods
 // behind the GraphExecutor interface, Network (parameters and gradients),
-// Events, MemoryModel, and ExecBackend — the pluggable forward-pass
-// scheduling strategy (SequentialBackend, the paper's "verified yet slow"
-// reference; ParallelBackend, the dependency-counting dataflow scheduler).
-// WithOptimize routes the model through internal/compile before the
-// executor is built, so both backends consume the optimized graph.
+// Events and MemoryModel. The executor runs nodes in topological order on
+// the calling goroutine — the paper's "verified yet slow" reference
+// interpreter. WithOptimize routes the model through internal/compile
+// before the executor is built.
 package executor
 
 import (

@@ -10,8 +10,8 @@ import (
 
 // TestOptimizedConformance is the acceptance gate of the compile pipeline:
 // every zoo model must produce tolerance-equal outputs and parameter
-// gradients with the passes on vs off, on both execution backends (and with
-// the arena), validated under -race in CI. It also asserts the pipeline
+// gradients with the passes on vs off, with and without the arena and the
+// memory plan, validated under -race in CI. It also asserts the pipeline
 // actually shrinks the dispatch schedule on every architecture with fusible
 // chains.
 func TestOptimizedConformance(t *testing.T) {
@@ -24,21 +24,14 @@ func TestOptimizedConformance(t *testing.T) {
 			ref := MustNew(m)
 
 			variants := map[string]*Executor{
-				"opt-sequential": MustNew(m, WithOptimize(compile.Defaults())),
-				"opt-parallel": MustNew(m, WithOptimize(compile.Defaults()),
-					WithBackend(NewParallelBackend(nil))),
-				"opt-parallel+arena": MustNew(m, WithOptimize(compile.Defaults()),
-					WithBackend(NewParallelBackend(nil)), WithArena(tensor.NewArena())),
+				"opt":       MustNew(m, WithOptimize(compile.Defaults())),
+				"opt+arena": MustNew(m, WithOptimize(compile.Defaults()), WithArena(tensor.NewArena())),
 				// Plan variants: pass 0 profiles, passes 1-2 run out of the
 				// static slab — the repeat loop below exercises both modes, and
 				// the backprop check exercises the plan-bypass path.
-				"opt-plan-sequential": MustNew(m, WithOptimize(compile.Defaults()),
-					WithMemPlan(true)),
-				"opt-plan-parallel": MustNew(m, WithOptimize(compile.Defaults()),
-					WithBackend(NewParallelBackend(nil)), WithMemPlan(true)),
-				"opt-plan-parallel+arena": MustNew(m, WithOptimize(compile.Defaults()),
-					WithBackend(NewParallelBackend(nil)), WithArena(tensor.NewArena()),
-					WithMemPlan(true)),
+				"opt+plan": MustNew(m, WithOptimize(compile.Defaults()), WithMemPlan(true)),
+				"opt+plan+arena": MustNew(m, WithOptimize(compile.Defaults()),
+					WithArena(tensor.NewArena()), WithMemPlan(true)),
 			}
 			for vname, e := range variants {
 				rep := e.CompileReport()

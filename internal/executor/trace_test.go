@@ -19,53 +19,41 @@ func traceCtx(t *testing.T) (*trace.Tracer, *trace.Span, context.Context) {
 }
 
 // TestTracedForwardOpSpans: a traced inference yields one pass span plus
-// one op span per executed node, parented correctly, in both backends.
+// one op span per executed node, parented correctly.
 func TestTracedForwardOpSpans(t *testing.T) {
 	x, labels := xorData()
-	feeds := map[string]*tensor.Tensor{"x": x, "labels": labels}
-	for name, opts := range map[string][]Option{
-		"sequential": nil,
-		"parallel":   {WithBackend(NewParallelBackend(nil))},
-	} {
-		t.Run(name, func(t *testing.T) {
-			e := MustNew(xorModel(), opts...)
-			tr, root, ctx := traceCtx(t)
-			if _, err := e.Inference(ctx, feeds); err != nil {
-				t.Fatal(err)
+	// The subtest is named after the executor's (sequential) schedule.
+	t.Run("sequential", func(t *testing.T) {
+		e := MustNew(xorModel())
+		tr, root, ctx := traceCtx(t)
+		if _, err := e.Inference(ctx, map[string]*tensor.Tensor{"x": x, "labels": labels}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		td, ok := tr.Recorder().Trace(root.TraceID())
+		if !ok {
+			t.Fatal("trace not retained")
+		}
+		if err := trace.VerifyTree(td); err != nil {
+			t.Fatal(err)
+		}
+		var fwd trace.SpanData
+		ops := 0
+		for _, s := range td.Spans {
+			switch {
+			case s.Name == "exec.forward":
+				fwd = s
+			case len(s.Name) > 3 && s.Name[:3] == "op:":
+				ops++
 			}
-			root.End()
-			td, ok := tr.Recorder().Trace(root.TraceID())
-			if !ok {
-				t.Fatal("trace not retained")
-			}
-			if err := trace.VerifyTree(td); err != nil {
-				t.Fatal(err)
-			}
-			var fwd trace.SpanData
-			ops := 0
-			for _, s := range td.Spans {
-				switch {
-				case s.Name == "exec.forward":
-					fwd = s
-				case len(s.Name) > 3 && s.Name[:3] == "op:":
-					ops++
-				}
-			}
-			if fwd.ID == 0 || fwd.Parent != root.SpanID() {
-				t.Fatalf("pass span %+v not parented on root", fwd)
-			}
-			if want := len(e.order); ops != want {
-				t.Fatalf("%d op spans, want %d", ops, want)
-			}
-			attrs := map[string]any{}
-			for _, a := range fwd.Attrs {
-				attrs[a.Key] = a.Value
-			}
-			if attrs["backend"] != name {
-				t.Fatalf("pass span backend attr %v, want %q", attrs["backend"], name)
-			}
-		})
-	}
+		}
+		if fwd.ID == 0 || fwd.Parent != root.SpanID() {
+			t.Fatalf("pass span %+v not parented on root", fwd)
+		}
+		if want := len(e.order); ops != want {
+			t.Fatalf("%d op spans, want %d", ops, want)
+		}
+	})
 }
 
 // TestTracedBackwardSpans: a traced training pass adds the backward loop

@@ -164,34 +164,24 @@ func (r *reader) trainState() *TrainState {
 		OptFloats:  make(map[string]float64),
 		OptTensors: make(map[string]*tensor.Tensor),
 	}
-	nInts := int(r.uvarint())
+	nInts := r.count("optimizer int count", maxCount)
 	for i := 0; i < nInts && r.err == nil; i++ {
 		k := r.str()
 		s.OptInts[k] = r.varint()
 	}
-	nFloats := int(r.uvarint())
+	nFloats := r.count("optimizer float count", maxCount)
 	for i := 0; i < nFloats && r.err == nil; i++ {
 		k := r.str()
 		s.OptFloats[k] = r.f64()
 	}
-	nTensors := int(r.uvarint())
+	nTensors := r.count("optimizer tensor count", maxCount)
 	for i := 0; i < nTensors && r.err == nil; i++ {
 		k := r.str()
-		t := r.tensor()
-		if r.err == nil {
+		if t := r.tensor(); r.err == nil {
 			s.OptTensors[k] = t
 		}
 	}
-	nOrder := int(r.uvarint())
-	if r.err == nil && nOrder > 1<<30 {
-		r.err = fmt.Errorf("graph: unreasonable sampler order length %d", nOrder)
-	}
-	if r.err == nil {
-		s.SamplerOrder = make([]int, nOrder)
-		for i := range s.SamplerOrder {
-			s.SamplerOrder[i] = int(r.varint())
-		}
-	}
+	s.SamplerOrder = list(r, "sampler order length", func() int { return int(r.varint()) })
 	s.SamplerPos = int(r.uvarint())
 	s.HasSamplerRNG = r.bool()
 	s.SamplerRNG.State = r.uvarint()

@@ -1,0 +1,84 @@
+package graph_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"deep500/internal/graph"
+	"deep500/internal/models"
+	"deep500/internal/tensor"
+)
+
+// FuzzDecodeD5NX feeds arbitrary bytes to Decode and DecodeCheckpoint. No
+// input may panic or allocate ahead of its own bytes, and every accepted
+// input must re-encode to a stream that decodes to an equal model: the
+// encoding is deterministic, so equal models re-encode to equal bytes.
+// Seeds are encoded zoo models, a version-2 checkpoint and the 18-byte
+// stream whose rank-2^62 input once panicked the decoder.
+func FuzzDecodeD5NX(f *testing.F) {
+	cfg := models.Config{Classes: 3, Channels: 1, Height: 4, Width: 4, Seed: 1, WidthScale: 0.25}
+	for _, m := range []*graph.Model{models.MLP(cfg, 4), models.LeNet(cfg), models.ResNet(8, cfg)} {
+		var buf bytes.Buffer
+		if err := graph.Encode(m, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	var ckpt bytes.Buffer
+	if err := graph.EncodeCheckpoint(&graph.Checkpoint{Model: models.MLP(cfg, 2), Train: &graph.TrainState{
+		Step: 7, EpochsDone: 1, MidEpoch: true,
+		OptInts:       map[string]int64{"t": 7},
+		OptFloats:     map[string]float64{"lr": 0.5},
+		OptTensors:    map[string]*tensor.Tensor{"m/w": tensor.From([]float32{1, -2}, 2)},
+		SamplerOrder:  []int{2, 0, 1},
+		SamplerPos:    1,
+		HasSamplerRNG: true,
+		SamplerRNG:    tensor.RNGState{State: 9, HasSpare: true, Spare: 0.25},
+	}}, &ckpt); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt.Bytes())
+	f.Add(binary.AppendUvarint([]byte("D5NX\x01\x00\x00\x01\x00"), 1<<62))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, err := graph.Decode(bytes.NewReader(data)); err == nil {
+			once := reencode(t, m, nil)
+			m2, err := graph.Decode(bytes.NewReader(once))
+			if err != nil {
+				t.Fatalf("re-encoded model does not decode: %v", err)
+			}
+			if twice := reencode(t, m2, nil); !bytes.Equal(once, twice) {
+				t.Fatal("decode → encode → decode changed the model")
+			}
+		}
+		c, err := graph.DecodeCheckpoint(bytes.NewReader(data))
+		if err != nil || c.Train == nil {
+			return
+		}
+		once := reencode(t, c.Model, c.Train)
+		c2, err := graph.DecodeCheckpoint(bytes.NewReader(once))
+		if err != nil || c2.Train == nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		if twice := reencode(t, c2.Model, c2.Train); !bytes.Equal(once, twice) {
+			t.Fatal("decode → encode → decode changed the checkpoint")
+		}
+	})
+}
+
+// reencode writes m as a plain model, or as a checkpoint when ts is set.
+func reencode(t *testing.T, m *graph.Model, ts *graph.TrainState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var err error
+	if ts == nil {
+		err = graph.Encode(m, &buf)
+	} else {
+		err = graph.EncodeCheckpoint(&graph.Checkpoint{Model: m, Train: ts}, &buf)
+	}
+	if err != nil {
+		t.Fatalf("re-encoding an accepted stream: %v", err)
+	}
+	return buf.Bytes()
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"deep500/internal/tensor"
@@ -181,6 +183,20 @@ func (w *writer) model(m *Model) {
 	}
 }
 
+// Decoding limits. A D5NX stream is untrusted input — a model upload, a
+// checkpoint read back from disk — so every count and rank it declares is
+// bounded, a tensor's element count is checked for overflow, and lists and
+// byte buffers are filled chunk by chunk: a header that lies about a length
+// costs at most one chunk of memory beyond the bytes the stream holds.
+const (
+	maxRank   = 16
+	maxCount  = 1 << 30 // elements of one list: inputs, nodes, a sampler order, ...
+	maxStrLen = 1 << 24
+	maxElems  = 1 << 31 // float32 elements of one tensor
+	readChunk = 1 << 16 // bytes
+	listChunk = 1 << 10 // elements
+)
+
 type reader struct {
 	r   *bufio.Reader
 	err error
@@ -204,41 +220,71 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) str() string {
+// count reads a length, rank or dimension and rejects one above limit.
+func (r *reader) count(what string, limit int) int {
 	n := r.uvarint()
+	if r.err == nil && n > uint64(limit) {
+		r.err = fmt.Errorf("graph: unreasonable %s %d", what, n)
+	}
 	if r.err != nil {
-		return ""
+		return 0
 	}
-	if n > 1<<24 {
-		r.err = fmt.Errorf("graph: unreasonable string length %d", n)
-		return ""
+	return int(n)
+}
+
+// read returns the next n bytes, read in chunks of readChunk and joined
+// once all of them have arrived.
+func (r *reader) read(n int) []byte {
+	var chunks [][]byte
+	for got := 0; got < n && r.err == nil; {
+		c := make([]byte, min(n-got, readChunk))
+		_, r.err = io.ReadFull(r.r, c)
+		chunks = append(chunks, c)
+		got += len(c)
 	}
-	buf := make([]byte, n)
-	_, r.err = io.ReadFull(r.r, buf)
-	return string(buf)
+	if r.err != nil {
+		return nil
+	}
+	return bytes.Join(chunks, nil)
+}
+
+// list reads a count and then that many elements with elem, collected in
+// chunks of listChunk and joined once all of them have been read.
+func list[T any](r *reader, what string, elem func() T) []T {
+	n := r.count(what, maxCount)
+	var chunks [][]T
+	for left := n; left > 0 && r.err == nil; left -= len(chunks[len(chunks)-1]) {
+		c := make([]T, 0, min(left, listChunk))
+		for len(c) < cap(c) && r.err == nil {
+			c = append(c, elem())
+		}
+		chunks = append(chunks, c)
+	}
+	if r.err != nil {
+		return nil
+	}
+	return slices.Concat(chunks...)
+}
+
+func (r *reader) str() string {
+	return string(r.read(r.count("string length", maxStrLen)))
 }
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.uvarint()) }
 
 func (r *reader) tensor() *tensor.Tensor {
-	rank := int(r.uvarint())
-	if r.err != nil || rank > 16 {
-		if rank > 16 {
-			r.err = fmt.Errorf("graph: unreasonable tensor rank %d", rank)
-		}
-		return nil
-	}
-	shape := make([]int, rank)
+	shape := make([]int, r.count("tensor rank", maxRank))
 	n := 1
 	for i := range shape {
-		shape[i] = int(r.uvarint())
-		n *= shape[i]
+		d := r.count("tensor dimension", maxElems)
+		if d > 0 && n > maxElems/d {
+			r.err = fmt.Errorf("graph: tensor shape %v… exceeds %d elements", shape[:i+1], maxElems)
+		}
+		shape[i] = d
+		n *= d
 	}
+	raw := r.read(4 * n)
 	if r.err != nil {
-		return nil
-	}
-	raw := make([]byte, 4*n)
-	if _, r.err = io.ReadFull(r.r, raw); r.err != nil {
 		return nil
 	}
 	data := make([]float32, n)
@@ -258,17 +304,9 @@ func (r *reader) attr() Attribute {
 	case AttrString:
 		a.S = r.str()
 	case AttrInts:
-		n := int(r.uvarint())
-		a.Ints = make([]int64, n)
-		for i := range a.Ints {
-			a.Ints[i] = r.varint()
-		}
+		a.Ints = list(r, "attribute length", r.varint)
 	case AttrFloats:
-		n := int(r.uvarint())
-		a.Floats = make([]float64, n)
-		for i := range a.Floats {
-			a.Floats[i] = r.f64()
-		}
+		a.Floats = list(r, "attribute length", r.f64)
 	case AttrTensor:
 		a.T = r.tensor()
 	default:
@@ -313,51 +351,28 @@ func (r *reader) header() (uint64, error) {
 func (r *reader) model() (*Model, error) {
 	m := NewModel(r.str())
 	m.DocString = r.str()
-	nIn := int(r.uvarint())
-	for i := 0; i < nIn && r.err == nil; i++ {
-		name := r.str()
-		rank := int(r.uvarint())
-		shape := make([]int, rank)
-		for j := range shape {
-			shape[j] = int(r.varint())
+	m.Inputs = list(r, "input count", func() TensorInfo {
+		in := TensorInfo{Name: r.str(), Shape: make([]int, r.count("input rank", maxRank))}
+		for j := range in.Shape {
+			in.Shape[j] = int(r.varint())
 		}
-		m.Inputs = append(m.Inputs, TensorInfo{Name: name, Shape: shape})
-	}
-	nOut := int(r.uvarint())
-	for i := 0; i < nOut && r.err == nil; i++ {
-		m.Outputs = append(m.Outputs, r.str())
-	}
-	nInit := int(r.uvarint())
+		return in
+	})
+	m.Outputs = list(r, "output count", r.str)
+	nInit := r.count("initializer count", maxCount)
 	for i := 0; i < nInit && r.err == nil; i++ {
 		name := r.str()
-		t := r.tensor()
-		if r.err == nil {
+		if t := r.tensor(); r.err == nil {
 			m.Initializers[name] = t
 		}
 	}
-	nNodes := int(r.uvarint())
-	for i := 0; i < nNodes && r.err == nil; i++ {
-		name := r.str()
-		opType := r.str()
-		nI := int(r.uvarint())
-		inputs := make([]string, nI)
-		for j := range inputs {
-			inputs[j] = r.str()
-		}
-		nO := int(r.uvarint())
-		outputs := make([]string, nO)
-		for j := range outputs {
-			outputs[j] = r.str()
-		}
-		nA := int(r.uvarint())
-		attrs := make([]Attribute, nA)
-		for j := range attrs {
-			attrs[j] = r.attr()
-		}
-		if r.err == nil {
-			m.AddNode(NewNode(opType, name, inputs, outputs, attrs...))
-		}
-	}
+	m.Nodes = list(r, "node count", func() *Node {
+		name, opType := r.str(), r.str()
+		inputs := list(r, "node input count", r.str)
+		outputs := list(r, "node output count", r.str)
+		attrs := list(r, "attribute count", r.attr)
+		return NewNode(opType, name, inputs, outputs, attrs...)
+	})
 	if r.err != nil {
 		return nil, r.err
 	}

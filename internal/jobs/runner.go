@@ -28,7 +28,7 @@ type Runner interface {
 }
 
 // ExecRunner launches each rank as `<binary> -role <ps|worker> -job <id>
-// -rank <r> -control <url>` — the d500dist single-binary re-exec pattern.
+// -rank <r> -control <url>` — d500dist launching its own binary once per rank.
 type ExecRunner struct {
 	// Binary is the executable to launch (usually os.Executable()).
 	Binary string

@@ -278,7 +278,7 @@ func conv2DIm2Col(s ConvShape, in, w, out []float32) {
 		col := scratch.GetBuf(k * spatial)
 		for n := 0; n < s.N; n++ {
 			Im2Col(s, in[n*s.C*s.H*s.W:], col)
-			Gemm(GemmPacked, w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
+			Gemm(w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
 		}
 		scratch.PutBuf(col)
 		return
@@ -295,7 +295,7 @@ func conv2DIm2ColParallel(s ConvShape, in, w, out []float32, k, spatial int) {
 	Default.ParallelWorker(s.N, func(_, n int) {
 		col := scratch.GetBuf(k * spatial)
 		Im2Col(s, in[n*s.C*s.H*s.W:], col)
-		Gemm(GemmPacked, w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
+		Gemm(w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
 		scratch.PutBuf(col)
 	})
 }

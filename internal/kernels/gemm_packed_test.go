@@ -34,7 +34,7 @@ func TestGemmPackedRagged(t *testing.T) {
 				b := randSlice(rng, k*n)
 				want := gemmRef(a, b, m, k, n)
 				c := make([]float32, m*n)
-				Gemm(GemmPacked, a, b, c, m, k, n)
+				Gemm(a, b, c, m, k, n)
 				if d := maxAbsDiff(c, want); d > 1e-3*float64(k) {
 					t.Fatalf("packed %dx%dx%d: max diff %g", m, k, n, d)
 				}
@@ -44,40 +44,31 @@ func TestGemmPackedRagged(t *testing.T) {
 }
 
 // TestGemmTRagged checks every transpose combination of GemmT against the
-// reference, on ragged shapes that land on both sides of the shape rule,
-// under the default algorithm and under one that only serves the plain
-// layout (its transposed products take the default route).
+// reference, on ragged shapes that land on both sides of the shape rule.
 func TestGemmTRagged(t *testing.T) {
 	rng := tensor.NewRNG(12)
-	for _, algo := range []GemmAlgo{GemmPacked, GemmBlocked} {
-		for _, m := range raggedDims {
-			for _, k := range raggedDims {
-				for _, n := range raggedDims {
-					// Keep the full sweep for packed; thin out the second
-					// sweep to keep the test fast.
-					if algo == GemmBlocked && (m > 65 || k > 65) {
-						continue
-					}
-					a := randSlice(rng, m*k)
-					b := randSlice(rng, k*n)
-					want := gemmRef(a, b, m, k, n)
-					at := transpose(a, m, k) // stored k×m
-					bt := transpose(b, k, n) // stored n×k
-					for _, tc := range []struct {
-						transA, transB bool
-						a, b           []float32
-					}{
-						{false, false, a, b},
-						{true, false, at, b},
-						{false, true, a, bt},
-						{true, true, at, bt},
-					} {
-						c := make([]float32, m*n)
-						GemmT(algo, tc.a, tc.b, c, m, k, n, tc.transA, tc.transB)
-						if d := maxAbsDiff(c, want); d > 1e-3*float64(k) {
-							t.Fatalf("%v GemmT(%v,%v) %dx%dx%d: max diff %g",
-								algo, tc.transA, tc.transB, m, k, n, d)
-						}
+	for _, m := range raggedDims {
+		for _, k := range raggedDims {
+			for _, n := range raggedDims {
+				a := randSlice(rng, m*k)
+				b := randSlice(rng, k*n)
+				want := gemmRef(a, b, m, k, n)
+				at := transpose(a, m, k) // stored k×m
+				bt := transpose(b, k, n) // stored n×k
+				for _, tc := range []struct {
+					transA, transB bool
+					a, b           []float32
+				}{
+					{false, false, a, b},
+					{true, false, at, b},
+					{false, true, a, bt},
+					{true, true, at, bt},
+				} {
+					c := make([]float32, m*n)
+					GemmT(tc.a, tc.b, c, m, k, n, tc.transA, tc.transB)
+					if d := maxAbsDiff(c, want); d > 1e-3*float64(k) {
+						t.Fatalf("GemmT(%v,%v) %dx%dx%d: max diff %g",
+							tc.transA, tc.transB, m, k, n, d)
 					}
 				}
 			}
@@ -139,7 +130,7 @@ func TestGemmPackedConcurrent(t *testing.T) {
 		go func() {
 			for iter := 0; iter < 8; iter++ {
 				c := make([]float32, m*n)
-				Gemm(GemmPacked, a, b, c, m, k, n)
+				Gemm(a, b, c, m, k, n)
 				if d := maxAbsDiff(c, want); d > 1e-3*float64(k) {
 					errc <- fmt.Errorf("concurrent packed: max diff %g", d)
 					return
@@ -164,10 +155,10 @@ func TestGemmPackedScratchReuse(t *testing.T) {
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
 	c := make([]float32, m*n)
-	Gemm(GemmPacked, a, b, c, m, k, n) // warm the arena
+	Gemm(a, b, c, m, k, n) // warm the arena
 	before := scratch.Stats()
 	for i := 0; i < 4; i++ {
-		Gemm(GemmPacked, a, b, c, m, k, n)
+		Gemm(a, b, c, m, k, n)
 	}
 	after := scratch.Stats()
 	gets := after.Gets - before.Gets
@@ -177,17 +168,5 @@ func TestGemmPackedScratchReuse(t *testing.T) {
 	}
 	if hits != gets {
 		t.Fatalf("scratch misses after warm-up: %d gets, %d hits", gets, hits)
-	}
-}
-
-func TestParseGemmAlgo(t *testing.T) {
-	for _, algo := range []GemmAlgo{GemmNaive, GemmBlocked, GemmParallel, GemmPacked} {
-		got, ok := ParseGemmAlgo(algo.String())
-		if !ok || got != algo {
-			t.Fatalf("ParseGemmAlgo(%q) = %v, %v", algo.String(), got, ok)
-		}
-	}
-	if _, ok := ParseGemmAlgo("nope"); ok {
-		t.Fatal("ParseGemmAlgo accepted an unknown name")
 	}
 }

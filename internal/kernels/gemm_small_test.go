@@ -98,12 +98,12 @@ func TestGemmRowIndependentOfBatch(t *testing.T) {
 	bt := transpose(b, k, n)
 	for _, m := range []int{1, 8, 16} {
 		c := make([]float32, m*n)
-		Gemm(GemmPacked, a, b, c, m, k, n)
+		Gemm(a, b, c, m, k, n)
 		ct := make([]float32, m*n)
 		GemmTransB(a, bt, ct, m, k, n)
 		requireSameBits(t, "layouts agree", ct, c)
 		alone := make([]float32, n)
-		Gemm(GemmPacked, a[(m-1)*k:], b, alone, 1, k, n)
+		Gemm(a[(m-1)*k:], b, alone, 1, k, n)
 		requireSameBits(t, "last row alone vs in batch", c[(m-1)*n:], alone)
 	}
 }

@@ -6,23 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the shared worker budget for all intra-operator and
-// inter-operator parallelism in the repository. It replaces the ad-hoc
-// goroutine fan-outs that gemmParallel, im2col convolution and the dataset
-// decoders used to spawn independently: every parallel region now borrows
-// workers from one fixed budget, so nested parallelism (a parallel graph
-// scheduler dispatching operators whose kernels are themselves parallel)
-// cannot oversubscribe the machine.
+// Pool is the shared worker budget for all intra-operator parallelism in
+// the repository: the packed GEMM, im2col convolution, convolution backward
+// and the dataset decoders borrow workers from one fixed budget instead of
+// spawning goroutines independently, so concurrent parallel regions (two
+// serve replicas, say) cannot oversubscribe the machine.
 //
 // The pool is a counting semaphore of worker tokens, not a task queue. A
 // parallel region always executes on the calling goroutine and additionally
 // borrows however many tokens are free at that moment. Because callers never
 // wait for a token, progress is guaranteed even when every token is held —
-// a kernel invoked from a saturated scheduler simply runs inline. This is
-// what makes the budget composable: when the dataflow scheduler keeps all
-// workers busy with operators, kernels degrade to sequential; when the graph
-// is a chain and only one operator runs, that operator's kernels get the
-// whole budget.
+// a kernel invoked while the budget is drained simply runs inline.
 type Pool struct {
 	workers int
 	tokens  chan struct{}
@@ -61,10 +55,9 @@ func (p *Pool) Span(n int) int {
 	return s
 }
 
-// TryAcquire borrows one worker token without blocking. Callers that
-// acquire a token must pair it with Release. Used by schedulers that manage
-// their own goroutines against the shared budget.
-func (p *Pool) TryAcquire() bool {
+// tryAcquire borrows one worker token without blocking; a true result
+// must be paired with release.
+func (p *Pool) tryAcquire() bool {
 	select {
 	case <-p.tokens:
 		return true
@@ -73,8 +66,7 @@ func (p *Pool) TryAcquire() bool {
 	}
 }
 
-// Release returns a token borrowed with TryAcquire.
-func (p *Pool) Release() { p.tokens <- struct{}{} }
+func (p *Pool) release() { p.tokens <- struct{}{} }
 
 // Parallel runs fn(i) for every i in [0, n), using the calling goroutine
 // plus as many free pool workers as are available (at most Span(n) total).
@@ -96,7 +88,7 @@ func (p *Pool) ParallelWorker(n int, fn func(w, i int)) {
 	}
 	want := min(p.workers, n) - 1
 	borrowed := 0
-	for borrowed < want && p.TryAcquire() {
+	for borrowed < want && p.tryAcquire() {
 		borrowed++
 	}
 	if borrowed == 0 {
@@ -120,7 +112,7 @@ func (p *Pool) ParallelWorker(n int, fn func(w, i int)) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer p.Release()
+			defer p.release()
 			run(w)
 		}(h)
 	}

@@ -17,11 +17,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"deep500/internal/metrics"
 	"deep500/internal/serve"
 )
 
@@ -193,18 +194,8 @@ func (r *Result) WindowPercentile(from, to time.Duration, q float64) time.Durati
 			lats = append(lats, pt.Latency)
 		}
 	}
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(q*float64(len(lats))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
+	slices.Sort(lats)
+	return metrics.Percentile(lats, q)
 }
 
 // Goodput is the served-request rate over the run (answers/second).

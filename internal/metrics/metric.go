@@ -8,6 +8,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -27,7 +28,9 @@ type TestMetric interface {
 	Summarize() Summary
 }
 
-// Summary holds order statistics of a sample set.
+// Summary holds order statistics of a sample set. Median is the middle
+// sample (the mean of the two middle samples for an even count); the
+// quantiles P25, P75, P95 and the MAD are Percentile's nearest-rank ones.
 type Summary struct {
 	Name              string
 	Unit              string
@@ -113,7 +116,10 @@ func Summarize(samples []float64) Summary {
 		sq += (v - mean) * (v - mean)
 	}
 	lo, hi := medianCIIndices(n)
-	median := Percentile(sorted, 50)
+	median := sorted[n/2]
+	if n%2 == 0 {
+		median = (sorted[n/2-1] + median) / 2
+	}
 	return Summary{
 		N:        n,
 		Mean:     mean,
@@ -121,9 +127,9 @@ func Summarize(samples []float64) Summary {
 		Median:   median,
 		Min:      sorted[0],
 		Max:      sorted[n-1],
-		P25:      Percentile(sorted, 25),
-		P75:      Percentile(sorted, 75),
-		P95:      Percentile(sorted, 95),
+		P25:      Percentile(sorted, 0.25),
+		P75:      Percentile(sorted, 0.75),
+		P95:      Percentile(sorted, 0.95),
 		MAD:      MAD(sorted, median),
 		CI95Low:  sorted[lo],
 		CI95High: sorted[hi],
@@ -142,7 +148,7 @@ func MAD(samples []float64, center float64) float64 {
 		dev[i] = math.Abs(v - center)
 	}
 	sort.Float64s(dev)
-	return Percentile(dev, 50)
+	return Percentile(dev, 0.5)
 }
 
 // Distribution is a Summary that retains the raw (post-warmup) samples it
@@ -186,22 +192,16 @@ func medianCIIndices(n int) (lo, hi int) {
 	return
 }
 
-// Percentile returns the p-th percentile (0–100) of sorted data using
-// linear interpolation.
-func Percentile(sorted []float64, p float64) float64 {
+// Percentile is the repository's one order-statistic convention, the one
+// the benchmark documents: the nearest-rank q-quantile sorted[ceil(q·n)−1]
+// of ascending data, q in [0, 1]. Every reported value is a sample; q ≤ 0
+// reads the minimum, q ≥ 1 the maximum, and an empty slice the zero value.
+func Percentile[T cmp.Ordered](sorted []T, q float64) T {
 	n := len(sorted)
 	if n == 0 {
-		return math.NaN()
+		var zero T
+		return zero
 	}
-	if n == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	rank := int(math.Ceil(q * float64(n)))
+	return sorted[min(max(rank, 1), n)-1]
 }

@@ -71,16 +71,38 @@ func TestSamplerDistribution(t *testing.T) {
 	}
 }
 
+// TestPercentile pins the nearest-rank convention sorted[ceil(q·n)−1]:
+// every answer is a sample, never an interpolation between two.
 func TestPercentile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
-	if Percentile(sorted, 50) != 3 {
-		t.Fatal("p50")
+	five := []float64{1, 2, 3, 4, 5}
+	four := []float64{10, 20, 30, 40}
+	twenty := make([]float64, 20)
+	for i := range twenty {
+		twenty[i] = float64(i + 1)
 	}
-	if Percentile(sorted, 0) != 1 || Percentile(sorted, 100) != 5 {
-		t.Fatal("extremes")
-	}
-	if p := Percentile(sorted, 25); p != 2 {
-		t.Fatalf("p25 = %v", p)
+	for _, tc := range []struct {
+		name   string
+		sorted []float64
+		q      float64
+		want   float64
+	}{
+		{"n=1 any q", []float64{7}, 0.5, 7},
+		{"n=1 q=0.95", []float64{7}, 0.95, 7},
+		{"odd n median", five, 0.5, 3},
+		{"even n median is the lower middle", four, 0.5, 20},
+		{"q=0.25", five, 0.25, 2},
+		{"q=0.95 of 5", five, 0.95, 5},
+		{"q=0.95 of 20", twenty, 0.95, 19},
+		{"q=0.95 of 4", four, 0.95, 40},
+		{"q→0 reads the minimum", five, 1e-9, 1},
+		{"q=0 reads the minimum", five, 0, 1},
+		{"q→1 reads the maximum", five, 1 - 1e-9, 5},
+		{"q=1 reads the maximum", five, 1, 5},
+		{"empty reads zero", nil, 0.5, 0},
+	} {
+		if got := Percentile(tc.sorted, tc.q); got != tc.want {
+			t.Errorf("%s: Percentile(%v, %g) = %v, want %v", tc.name, tc.sorted, tc.q, got, tc.want)
+		}
 	}
 }
 

@@ -30,20 +30,14 @@ func NewFrameworkOverhead() *FrameworkOverhead {
 // executor.Merge when other hooks are present. This is the paper's pattern
 // of one class extending both TestMetric and Event.
 //
-// The per-pass overhead fraction is defined for the sequential backend:
-// under the parallel dataflow backend concurrent operator durations can sum
-// past the pass wall-clock, in which case the overhead clamps to zero.
-// Wall-clock comparisons (e.g. the §V-D epoch-time experiment) remain valid
-// on any backend.
+// Operators run one after another inside the pass, so the overhead — pass
+// time not spent inside an operator — is never negative.
 func (f *FrameworkOverhead) Events() *executor.Events {
 	return &executor.Events{
 		BeforeInference: func() { f.opTime = 0 },
 		AfterOp:         func(n *graph.Node, d time.Duration) { f.opTime += d },
 		AfterInference: func(total time.Duration) {
 			over := total - f.opTime
-			if over < 0 {
-				over = 0
-			}
 			f.AbsoluteSampler.Record(over.Seconds())
 			if total > 0 {
 				f.Record(float64(over) / float64(total))

@@ -119,8 +119,8 @@ func (r *Recorder) servePerfetto(w http.ResponseWriter, req *http.Request) {
 // perfettoSpans renders one trace's spans as X events, assigning lanes
 // (tids) so rendered slices on a lane always nest: a span joins a lane
 // only if it fits inside that lane's innermost open slice. Sibling spans
-// that overlap in time (parallel-backend ops) land on separate lanes
-// instead of producing invalid nesting.
+// that overlap in time (concurrent serve batches, ranks) land on separate
+// lanes instead of producing invalid nesting.
 func perfettoSpans(td TraceData, pid func(string) int, nextTid *int) []perfettoEvent {
 	type iv struct {
 		span       SpanData

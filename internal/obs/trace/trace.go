@@ -236,8 +236,8 @@ type traceState struct {
 }
 
 // Span is one live interval of a trace. Methods are safe on nil receivers
-// and safe for concurrent use, so parallel-backend op spans can share a
-// parent.
+// and safe for concurrent use, so spans started on different goroutines
+// can share a parent.
 type Span struct {
 	state *traceState
 	root  bool

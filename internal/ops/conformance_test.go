@@ -253,21 +253,42 @@ func TestConformanceAcrossConvAlgorithms(t *testing.T) {
 	}
 }
 
-// TestGemmAlgoConsistencyThroughOps verifies the operator layer produces
-// identical results regardless of the GEMM kernel variant.
-func TestGemmAlgoConsistencyThroughOps(t *testing.T) {
+// TestGemmOpsMatchNaiveReference checks the operators built on the product
+// GEMM — MatMul, Gemm with a transposed B, and the RNN cell — against the
+// same arithmetic spelled out with the naive triple loop, on shapes either
+// side of the kernel's small-M rule.
+func TestGemmOpsMatchNaiveReference(t *testing.T) {
 	rng := tensor.NewRNG(44)
-	a := tensor.RandNormal(rng, 0, 1, 5, 7)
-	b := tensor.RandNormal(rng, 0, 1, 7, 3)
-	var ref *tensor.Tensor
-	for _, algo := range []kernels.GemmAlgo{kernels.GemmNaive, kernels.GemmBlocked, kernels.GemmParallel} {
-		out := NewMatMul(algo).Forward([]*tensor.Tensor{a, b})[0]
-		if ref == nil {
-			ref = out
-			continue
+	naive := func(a, b *tensor.Tensor) *tensor.Tensor {
+		c := tensor.New(a.Dim(0), b.Dim(1))
+		kernels.GemmNaive(a.Data(), b.Data(), c.Data(), a.Dim(0), a.Dim(1), b.Dim(1))
+		return c
+	}
+	for _, rows := range []int{5, 19} {
+		a := tensor.RandNormal(rng, 0, 1, rows, 7)
+		b := tensor.RandNormal(rng, 0, 1, 7, 3)
+		if got := NewMatMul().Forward([]*tensor.Tensor{a, b})[0]; !tensor.AllClose(got, naive(a, b), 1e-5, 1e-5) {
+			t.Fatalf("MatMul rows=%d differs from the naive reference", rows)
 		}
-		if !tensor.AllClose(out, ref, 1e-5, 1e-5) {
-			t.Fatalf("algo %v differs", algo)
+		bt := tensor.New(3, 7) // b stored transposed
+		for i := 0; i < 7; i++ {
+			for j := 0; j < 3; j++ {
+				bt.Data()[j*7+i] = b.Data()[i*3+j]
+			}
+		}
+		if got := NewGemm(false, true).Forward([]*tensor.Tensor{a, bt})[0]; !tensor.AllClose(got, naive(a, b), 1e-5, 1e-5) {
+			t.Fatalf("Gemm transB rows=%d differs from the naive reference", rows)
+		}
+
+		in := rnnInputs(uint64(rows), rows, 6, 4)
+		want := naive(in[0], in[2])
+		want.AddInPlace(naive(in[1], in[3]))
+		want.BroadcastAddRow(in[4])
+		for i, v := range want.Data() {
+			want.Data()[i] = float32(math.Tanh(float64(v)))
+		}
+		if got := NewRNNTanhCell().Forward(in)[0]; !tensor.AllClose(got, want, 1e-5, 1e-5) {
+			t.Fatalf("RNNTanhCell rows=%d differs from the naive reference", rows)
 		}
 	}
 }

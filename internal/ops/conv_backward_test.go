@@ -299,11 +299,11 @@ func TestGemmBackwardHonoursMask(t *testing.T) {
 				tensor.RandNormal(rng, 0, 1, n),
 			}
 			opsUnderTest := []maskable{
-				NewGemm(kernels.GemmPacked, transA, transB),
-				NewFusedGemmAct(kernels.GemmPacked, transA, transB, kernels.ActTanh),
+				NewGemm(transA, transB),
+				NewFusedGemmAct(transA, transB, kernels.ActTanh),
 			}
 			if !transA && !transB {
-				opsUnderTest = append(opsUnderTest, NewMatMul(kernels.GemmPacked))
+				opsUnderTest = append(opsUnderTest, NewMatMul())
 			}
 			for _, op := range opsUnderTest {
 				ins := inputs

@@ -13,12 +13,11 @@ import (
 type GemmOp struct {
 	base
 	TransA, TransB bool
-	Algo           kernels.GemmAlgo
 }
 
-// NewGemm returns a GEMM operator using the given kernel algorithm.
-func NewGemm(algo kernels.GemmAlgo, transA, transB bool) *GemmOp {
-	return &GemmOp{base: base{name: "Gemm"}, Algo: algo, TransA: transA, TransB: transB}
+// NewGemm returns a GEMM operator over the product kernel.
+func NewGemm(transA, transB bool) *GemmOp {
+	return &GemmOp{base: base{name: "Gemm"}, TransA: transA, TransB: transB}
 }
 
 func (o *GemmOp) dims(a, b *tensor.Tensor) (m, k, n int) {
@@ -53,7 +52,7 @@ func (o *GemmOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	// transposed B in place when A has only a few rows) — no transposed
 	// copies of A or B are ever materialized.
 	out := o.newOut(o.outShape(m, n)...)
-	kernels.GemmT(o.Algo, a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
+	kernels.GemmT(a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
 	if len(inputs) > 2 && inputs[2] != nil {
 		kernels.BiasAct(m, n, out.Data(), inputs[2].Data(), kernels.ActNone)
 	}
@@ -74,18 +73,18 @@ func (o *GemmOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) [
 	switch {
 	case gradA == nil:
 	case !o.TransA:
-		kernels.GemmT(o.Algo, g.Data(), b.Data(), gradA.Data(), m, n, k, false, !o.TransB)
+		kernels.GemmT(g.Data(), b.Data(), gradA.Data(), m, n, k, false, !o.TransB)
 	default:
-		kernels.GemmT(o.Algo, b.Data(), g.Data(), gradA.Data(), k, n, m, o.TransB, true)
+		kernels.GemmT(b.Data(), g.Data(), gradA.Data(), k, n, m, o.TransB, true)
 	}
 	// dB = op(A)ᵀ·g, stored transposed when TransB.
 	gradB := o.newGrad(1, b.Shape()...)
 	switch {
 	case gradB == nil:
 	case !o.TransB:
-		kernels.GemmT(o.Algo, a.Data(), g.Data(), gradB.Data(), k, m, n, !o.TransA, false)
+		kernels.GemmT(a.Data(), g.Data(), gradB.Data(), k, m, n, !o.TransA, false)
 	default:
-		kernels.GemmT(o.Algo, g.Data(), a.Data(), gradB.Data(), n, m, k, true, o.TransA)
+		kernels.GemmT(g.Data(), a.Data(), gradB.Data(), n, m, k, true, o.TransA)
 	}
 	grads := []*tensor.Tensor{gradA, gradB}
 	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
@@ -96,9 +95,6 @@ func (o *GemmOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) [
 	return grads
 }
 
-// SetGemmAlgo switches the kernel algorithm used by Forward and Backward.
-func (o *GemmOp) SetGemmAlgo(a kernels.GemmAlgo) { o.Algo = a }
-
 func (o *GemmOp) FLOPs(inputs []*tensor.Tensor) int64 {
 	m, k, n := o.dims(inputs[0], inputs[1])
 	return kernels.GemmFLOPs(m, k, n)
@@ -108,17 +104,17 @@ func (o *GemmOp) FLOPs(inputs []*tensor.Tensor) int64 {
 type MatMulOp struct{ *GemmOp }
 
 // NewMatMul returns a plain matrix-multiplication operator.
-func NewMatMul(algo kernels.GemmAlgo) *MatMulOp {
-	g := NewGemm(algo, false, false)
+func NewMatMul() *MatMulOp {
+	g := NewGemm(false, false)
 	g.base = base{name: "MatMul"}
 	return &MatMulOp{g}
 }
 
 func init() {
 	Register("Gemm", func(n *graph.Node) (Operator, error) {
-		return NewGemm(kernels.GemmPacked, n.AttrInt("transA", 0) == 1, n.AttrInt("transB", 0) == 1), nil
+		return NewGemm(n.AttrInt("transA", 0) == 1, n.AttrInt("transB", 0) == 1), nil
 	})
 	Register("MatMul", func(n *graph.Node) (Operator, error) {
-		return NewMatMul(kernels.GemmPacked), nil
+		return NewMatMul(), nil
 	})
 }

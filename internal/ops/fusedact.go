@@ -29,7 +29,6 @@ import (
 type FusedGemmActOp struct {
 	base
 	TransA, TransB bool
-	Algo           kernels.GemmAlgo
 	Act            kernels.Act
 
 	// gemm delegates the backward matrix products (identical math to the
@@ -38,11 +37,11 @@ type FusedGemmActOp struct {
 }
 
 // NewFusedGemmAct returns a fused GEMM+bias+activation operator.
-func NewFusedGemmAct(algo kernels.GemmAlgo, transA, transB bool, act kernels.Act) *FusedGemmActOp {
+func NewFusedGemmAct(transA, transB bool, act kernels.Act) *FusedGemmActOp {
 	return &FusedGemmActOp{
-		base: base{name: "FusedGemmAct"}, Algo: algo,
+		base:   base{name: "FusedGemmAct"},
 		TransA: transA, TransB: transB, Act: act,
-		gemm: NewGemm(algo, transA, transB),
+		gemm: NewGemm(transA, transB),
 	}
 }
 
@@ -53,20 +52,13 @@ func (o *FusedGemmActOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 		panic(fmt.Sprintf("ops: FusedGemmAct inner dimension mismatch %d vs %d", k, kb))
 	}
 	out := o.newOut(o.outShape(m, n)...)
-	kernels.GemmT(o.Algo, a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
+	kernels.GemmT(a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
 	var bias []float32
 	if len(inputs) > 2 && inputs[2] != nil {
 		bias = inputs[2].Data()
 	}
 	kernels.BiasAct(m, n, out.Data(), bias, o.Act)
 	return o.out1(out)
-}
-
-// SetGemmAlgo switches the kernel algorithm of the fused forward GEMM and
-// its backward delegate.
-func (o *FusedGemmActOp) SetGemmAlgo(a kernels.GemmAlgo) {
-	o.Algo = a
-	o.gemm.Algo = a
 }
 
 // SetGradMask forwards the mask to the backward delegate.
@@ -164,7 +156,7 @@ func init() {
 		if !ok || act == kernels.ActNone {
 			return nil, fmt.Errorf("ops: FusedGemmAct node %q has unsupported act %q", n.Name, n.AttrString("act", ""))
 		}
-		return NewFusedGemmAct(kernels.GemmPacked,
+		return NewFusedGemmAct(
 			n.AttrInt("transA", 0) == 1, n.AttrInt("transB", 0) == 1, act), nil
 	})
 	Register("FusedConvRelu", func(n *graph.Node) (Operator, error) {

@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"deep500/internal/graph"
-	"deep500/internal/kernels"
 	"deep500/internal/tensor"
 )
 
@@ -124,13 +123,6 @@ type AllocatorAware interface {
 // and their fused forms honour the mask; other operators ignore it.
 type GradMaskAware interface {
 	SetGradMask(need []bool)
-}
-
-// GemmAlgoAware is implemented by operators backed by the GEMM kernels
-// (Gemm, MatMul, FusedGemmAct). Executors use it to apply a session-wide
-// algorithm override (WithGemm / the -gemm flag) after construction.
-type GemmAlgoAware interface {
-	SetGemmAlgo(a kernels.GemmAlgo)
 }
 
 // base provides Name, default FLOPs and the output-allocation hook for

@@ -74,7 +74,7 @@ func TestGemmGradient(t *testing.T) {
 	a := tensor.RandNormal(rng, 0, 1, 4, 3)
 	b := tensor.RandNormal(rng, 0, 1, 3, 5)
 	bias := tensor.RandNormal(rng, 0, 1, 5)
-	checkGrad(t, NewGemm(kernels.GemmBlocked, false, false),
+	checkGrad(t, NewGemm(false, false),
 		[]*tensor.Tensor{a, b, bias}, []bool{true, true, true})
 }
 
@@ -82,14 +82,14 @@ func TestGemmTransBGradient(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	a := tensor.RandNormal(rng, 0, 1, 4, 3)
 	b := tensor.RandNormal(rng, 0, 1, 5, 3) // stored transposed
-	checkGrad(t, NewGemm(kernels.GemmBlocked, false, true),
+	checkGrad(t, NewGemm(false, true),
 		[]*tensor.Tensor{a, b}, []bool{true, true})
 }
 
 func TestGemmForwardValue(t *testing.T) {
 	a := tensor.From([]float32{1, 2, 3, 4}, 2, 2)
 	b := tensor.From([]float32{5, 6, 7, 8}, 2, 2)
-	out := NewMatMul(kernels.GemmBlocked).Forward([]*tensor.Tensor{a, b})[0]
+	out := NewMatMul().Forward([]*tensor.Tensor{a, b})[0]
 	want := []float32{19, 22, 43, 50}
 	for i, v := range want {
 		if out.Data()[i] != v {

@@ -16,30 +16,26 @@ import (
 // unroll the cell across time steps in the graph.
 type RNNTanhCell struct {
 	base
-	algo kernels.GemmAlgo
 }
 
 // NewRNNTanhCell returns a tanh RNN cell.
 func NewRNNTanhCell() *RNNTanhCell {
-	return &RNNTanhCell{base: base{name: "RNNTanhCell"}, algo: kernels.GemmBlocked}
+	return &RNNTanhCell{base: base{name: "RNNTanhCell"}}
 }
 
 func (o *RNNTanhCell) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	x, h, wx, wh, b := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
 	n, hdim := x.Dim(0), wx.Dim(1)
 	pre := tensor.New(n, hdim)
-	kernels.Gemm(o.algo, x.Data(), wx.Data(), pre.Data(), n, x.Dim(1), hdim)
+	kernels.Gemm(x.Data(), wx.Data(), pre.Data(), n, x.Dim(1), hdim)
 	hw := tensor.New(n, hdim)
-	kernels.Gemm(o.algo, h.Data(), wh.Data(), hw.Data(), n, h.Dim(1), hdim)
+	kernels.Gemm(h.Data(), wh.Data(), hw.Data(), n, h.Dim(1), hdim)
 	pre.AddInPlace(hw)
 	pre.BroadcastAddRow(b)
 	out := o.newOut(o.outShape(n, hdim)...)
 	kernels.Tanh(pre.Data(), out.Data())
 	return o.out1(out)
 }
-
-// SetGemmAlgo switches the kernel algorithm of the cell's two GEMMs.
-func (o *RNNTanhCell) SetGemmAlgo(a kernels.GemmAlgo) { o.algo = a }
 
 func (o *RNNTanhCell) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	x, h, wx, wh := fwdInputs[0], fwdInputs[1], fwdInputs[2], fwdInputs[3]

@@ -84,9 +84,6 @@ func serveCoalesced(t *testing.T, m *graph.Model, items []*tensor.Tensor, batch 
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	// A worker counts its pass after it has replied, so wait for it: Close
-	// returns once the workers have exited.
-	srv.Close(context.Background())
 	if st := srv.Stats(); st.Batches != uint64(len(items)/batch) {
 		t.Fatalf("%d requests at MaxBatch %d ran as %d passes, want %d", len(items), batch, st.Batches, len(items)/batch)
 	}

@@ -464,3 +464,73 @@ func TestChaosSwapNeverRoutesToDeadPool(t *testing.T) {
 		t.Fatalf("post-swap Models() = %+v, want single v2", got)
 	}
 }
+
+// expiredCtx reports an expired deadline through Err but never fires Done,
+// so Infer can only return through the server's answer on the expired path.
+type expiredCtx struct{ context.Context }
+
+func (expiredCtx) Err() error { return context.DeadlineExceeded }
+
+// failingExec is a replica whose every pass returns an error.
+type failingExec struct{ *executor.Executor }
+
+var errInjectedPass = errors.New("injected pass failure")
+
+func (failingExec) Inference(context.Context, map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	return nil, errInjectedPass
+}
+
+// TestStatsCountedBeforeReply reads Stats the instant each answer arrives,
+// on every path that answers a request: a client always finds itself
+// counted, so served + failed + expired equals the answers given so far.
+func TestStatsCountedBeforeReply(t *testing.T) {
+	m := chaosModel()
+	crashy := func(armed int32) func() (executor.GraphExecutor, error) {
+		var a atomic.Int32
+		a.Store(armed)
+		return crashyFactory(m, &a)
+	}
+	for _, tc := range []struct {
+		name    string
+		newExec func() (executor.GraphExecutor, error)
+		respawn bool
+		ctx     context.Context
+		wantErr error
+		counter func(Stats) uint64
+	}{
+		{"served", execFactory(m), false, context.Background(), nil,
+			func(st Stats) uint64 { return st.Requests }},
+		{"failed", func() (executor.GraphExecutor, error) {
+			e, err := executor.New(m)
+			return failingExec{e}, err
+		}, false, context.Background(), errInjectedPass,
+			func(st Stats) uint64 { return st.Failed }},
+		{"expired", execFactory(m), false, expiredCtx{context.Background()}, context.DeadlineExceeded,
+			func(st Stats) uint64 { return st.Expired }},
+		{"crashed", crashy(1 << 20), true, context.Background(), ErrReplicaCrash,
+			func(st Stats) uint64 { return st.Crashes }},
+		{"dead pool", crashy(1), false, context.Background(), ErrReplicaCrash,
+			func(st Stats) uint64 { return st.Failed }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Options{MaxBatch: 1, Replicas: 1, Respawn: tc.respawn, NewExecutor: tc.newExec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close(context.Background())
+			for i := uint64(1); i <= 3; i++ {
+				_, err := srv.Infer(tc.ctx, map[string]*tensor.Tensor{"x": inputFor(m, 1, i)})
+				st := srv.Stats()
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("request %d: err %v, want %v", i, err, tc.wantErr)
+				}
+				if got := tc.counter(st); got != i {
+					t.Fatalf("after answer %d the path's counter reads %d: %+v", i, got, st)
+				}
+				if answered := st.Requests + st.Failed + st.Expired; answered != i {
+					t.Fatalf("after answer %d served+failed+expired = %d", i, answered)
+				}
+			}
+		})
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
-	"deep500/internal/kernels"
 	"deep500/internal/tensor"
 )
 
@@ -213,21 +212,15 @@ func TestRegistryPrioritySheds(t *testing.T) {
 
 // TestMultiModelConformance is the multi-tenant acceptance gate: two
 // models served concurrently from one registry must produce outputs
-// tolerance-equal to two standalone single-model servers, across both
-// execution backends with the compile pipeline on and off.
+// tolerance-equal to two standalone single-model servers, with the compile
+// pipeline on and off.
 func TestMultiModelConformance(t *testing.T) {
 	const tol = 1e-5
 	zoo := zooModels()
 	pair := map[string]*graph.Model{"mlp": zoo["mlp"], "lenet": zoo["lenet"]}
-	sharedPool := kernels.NewPool(4)
 	variants := map[string][]executor.Option{
 		"sequential":     nil,
 		"sequential+opt": {executor.WithOptimize(compile.Defaults())},
-		"parallel": {
-			executor.WithBackend(executor.NewParallelBackend(sharedPool))},
-		"parallel+opt": {
-			executor.WithBackend(executor.NewParallelBackend(sharedPool)),
-			executor.WithOptimize(compile.Defaults())},
 	}
 	for vname, opts := range variants {
 		t.Run(vname, func(t *testing.T) {

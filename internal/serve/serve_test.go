@@ -11,7 +11,6 @@ import (
 	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
-	"deep500/internal/kernels"
 	"deep500/internal/models"
 	"deep500/internal/tensor"
 )
@@ -57,7 +56,7 @@ func maxAbsDiff(t *testing.T, a, b *tensor.Tensor) float64 {
 }
 
 // execFactory builds a replica factory over one shared model with the
-// given executor options; the pool and arena are shared across replicas
+// given executor options; an arena among them is shared across replicas
 // the way the d500 serving layer wires them.
 func execFactory(m *graph.Model, opts ...executor.Option) func() (executor.GraphExecutor, error) {
 	return func() (executor.GraphExecutor, error) { return executor.New(m, opts...) }
@@ -65,11 +64,11 @@ func execFactory(m *graph.Model, opts ...executor.Option) func() (executor.Graph
 
 // TestBatchedConformance is the serving acceptance gate: outputs of
 // micro-batched execution must be tolerance-equal to per-item Infer on
-// every zoo model, on both execution backends, with the compile pipeline
-// on and off (and the arena on the heaviest variant), under -race.
+// every zoo model, with the compile pipeline, the memory plan and the arena
+// on and off, under -race. The replicas' Stats are read right after the
+// replies: a request is counted before it is answered.
 func TestBatchedConformance(t *testing.T) {
 	const tol = 1e-5
-	sharedPool := kernels.NewPool(4)
 	for name, m := range zooModels() {
 		t.Run(name, func(t *testing.T) {
 			const requests = 6
@@ -87,12 +86,10 @@ func TestBatchedConformance(t *testing.T) {
 			}
 
 			variants := map[string][]executor.Option{
-				"sequential":     nil,
-				"sequential+opt": {executor.WithOptimize(compile.Defaults())},
-				"parallel": {
-					executor.WithBackend(executor.NewParallelBackend(sharedPool))},
-				"parallel+opt+arena": {
-					executor.WithBackend(executor.NewParallelBackend(sharedPool)),
+				"sequential":      nil,
+				"sequential+opt":  {executor.WithOptimize(compile.Defaults())},
+				"sequential+plan": {executor.WithMemPlan(true)},
+				"sequential+opt+arena": {
 					executor.WithOptimize(compile.Defaults()),
 					executor.WithArena(tensor.NewArena())},
 			}

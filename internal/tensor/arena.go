@@ -28,8 +28,8 @@ type Allocator interface {
 // mixed populations — e.g. an executor's activation set, which also
 // contains feeds, parameters and view tensors — unconditionally.
 //
-// The arena is safe for concurrent use; the parallel dataflow backend
-// acquires output buffers from many operator goroutines at once.
+// The arena is safe for concurrent use: the replicas of a server share one
+// and acquire output buffers from their own goroutines at once.
 type Arena struct {
 	mu   sync.Mutex
 	free map[int][][]float32 // power-of-two capacity class → buffers

@@ -10,12 +10,11 @@ import (
 	"deep500/internal/tensor"
 )
 
-// TestRunnerBackendParity drives the full Level 2 training loop (Runner →
-// Driver → executor) over the sequential reference and the parallel
-// dataflow backend (with and without the tensor arena) and asserts the
+// TestRunnerArenaParity drives the full Level 2 training loop (Runner →
+// Driver → executor) with and without the tensor arena and asserts the
 // training trajectories coincide: same per-step losses, same final
 // evaluation accuracy.
-func TestRunnerBackendParity(t *testing.T) {
+func TestRunnerArenaParity(t *testing.T) {
 	mkRunner := func(opts ...executor.Option) (*Runner, *executor.Executor) {
 		m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8,
 			WithHead: true, Seed: 11}, 32)
@@ -50,26 +49,16 @@ func TestRunnerBackendParity(t *testing.T) {
 	}
 
 	ref := run()
-	variants := map[string][]executor.Option{
-		"parallel": {executor.WithBackend(executor.NewParallelBackend(nil))},
-		"parallel+arena": {
-			executor.WithBackend(executor.NewParallelBackend(nil)),
-			executor.WithArena(tensor.NewArena()),
-		},
+	got := run(executor.WithArena(tensor.NewArena()))
+	if len(got.losses) != len(ref.losses) {
+		t.Fatalf("%d steps vs %d", len(got.losses), len(ref.losses))
 	}
-	for name, opts := range variants {
-		got := run(opts...)
-		if len(got.losses) != len(ref.losses) {
-			t.Fatalf("%s: %d steps vs %d", name, len(got.losses), len(ref.losses))
+	for i := range ref.losses {
+		if d := math.Abs(ref.losses[i] - got.losses[i]); d > 1e-4 {
+			t.Fatalf("loss at step %d diverges by %g (%g vs %g)", i, d, ref.losses[i], got.losses[i])
 		}
-		for i := range ref.losses {
-			if d := math.Abs(ref.losses[i] - got.losses[i]); d > 1e-4 {
-				t.Fatalf("%s: loss at step %d diverges by %g (%g vs %g)",
-					name, i, d, ref.losses[i], got.losses[i])
-			}
-		}
-		if d := math.Abs(ref.acc - got.acc); d > 1e-9 {
-			t.Fatalf("%s: final accuracy %g vs %g", name, got.acc, ref.acc)
-		}
+	}
+	if d := math.Abs(ref.acc - got.acc); d > 1e-9 {
+		t.Fatalf("final accuracy %g vs %g", got.acc, ref.acc)
 	}
 }

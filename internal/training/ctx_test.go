@@ -9,14 +9,10 @@ import (
 	"deep500/internal/models"
 )
 
-func cancelRunner(t *testing.T, opts ...executor.Option) *Runner {
+func cancelRunner(t *testing.T) *Runner {
 	t.Helper()
 	cfg := models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8, WithHead: true, Seed: 3}
-	m := models.MLP(cfg, 32)
-	e, err := executor.New(m, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := executor.MustNew(models.MLP(cfg, 32))
 	e.SetTraining(true)
 	ds, _ := SyntheticSplit(256, 64, 4, []int{1, 8, 8}, 0.3, 3)
 	return NewRunner(NewDriver(e, NewGradientDescent(0.05)), NewShuffleSampler(ds, 32, 3), nil)
@@ -39,23 +35,6 @@ func TestRunEpochsCancelMidEpoch(t *testing.T) {
 	}
 	if steps != 2 {
 		t.Fatalf("training ran %d steps after cancellation (want stop right after step 2)", steps)
-	}
-}
-
-func TestRunEpochsCancelParallelBackend(t *testing.T) {
-	r := cancelRunner(t, executor.WithBackend(executor.NewParallelBackend(nil)))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r.AfterStep = func(step int, _, _ float64) {
-		if step == 2 {
-			cancel()
-		}
-	}
-	if err := r.RunEpochs(ctx, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if got := r.Steps(); got != 2 {
-		t.Fatalf("parallel-backend run took %d steps after cancellation (want 2)", got)
 	}
 }
 

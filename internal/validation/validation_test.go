@@ -34,7 +34,7 @@ func TestGradientCheckPassesAndFails(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	a := tensor.RandNormal(rng, 0, 1, 3, 4)
 	b := tensor.RandNormal(rng, 0, 1, 4, 2)
-	res := TestGradient(ops.NewMatMul(kernels.GemmBlocked),
+	res := TestGradient(ops.NewMatMul(),
 		[]*tensor.Tensor{a, b}, []bool{true, true}, GradientCheckConfig{})
 	if !res.Passed {
 		t.Fatalf("%v", res)
