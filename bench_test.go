@@ -335,19 +335,14 @@ func BenchmarkTrainStepDSGD(b *testing.B) {
 	start, done := make(chan struct{}), make(chan error)
 	go func() {
 		for range start {
-			done <- transport.Protect(func() error {
-				_, err := opts[1].Train(context.Background(), feeds[1])
-				return err
-			})
+			_, err := opts[1].Train(context.Background(), feeds[1])
+			done <- err
 		}
 	}()
 	defer close(start)
 	step := func() {
 		start <- struct{}{}
-		err := transport.Protect(func() error {
-			_, err := opts[0].Train(context.Background(), feeds[0])
-			return err
-		})
+		_, err := opts[0].Train(context.Background(), feeds[0])
 		if ferr := <-done; err == nil {
 			err = ferr
 		}
@@ -495,8 +490,7 @@ func BenchmarkAblationAllreduce(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					_, _, err := mpi.Run(8, mpi.Aries(), func(r *mpi.Rank) error {
 						data := make([]float32, size)
-						r.AllreduceSum(algo.a, data, mpi.SimActual)
-						return nil
+						return dist.AllreduceSum(context.Background(), r, algo.a, data, mpi.SimActual)
 					})
 					if err != nil {
 						b.Fatal(err)

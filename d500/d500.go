@@ -25,14 +25,16 @@
 //
 // For online inference, NewServer wraps a model in the serving
 // subsystem — a dynamic micro-batching queue over a pool of session
-// replicas with bounded admission and an HTTP JSON front end:
+// replicas with bounded admission — for in-process callers. Over HTTP a
+// model is served from a Registry, whose JSON front end routes
+// POST /v1/infer to the sole loaded model:
 //
-//	srv, err := d500.NewServer(model,
-//		d500.WithMaxBatch(8), d500.WithReplicas(4),
-//		d500.WithSession(d500.WithArena(), d500.WithOptimize()),
-//	)
+//	reg, err := d500.NewRegistry()
 //	if err != nil { ... }
-//	http.ListenAndServe(":8500", srv.Handler())
+//	err = reg.Load("lenet", d500.ModelSpec{Version: "v1", Model: model,
+//		Options: []d500.ServerOption{d500.WithMaxBatch(8), d500.WithReplicas(4)}})
+//	if err != nil { ... }
+//	http.ListenAndServe(":8500", reg.Handler(nil))
 //
 // Session.Save and Load round-trip trained weights through the D5NX
 // checkpoint format, so a train → Save → Load → serve pipeline

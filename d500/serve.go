@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"deep500/internal/executor"
@@ -298,11 +297,6 @@ func (s *Server) Tracer() *Tracer { return s.tracer }
 func (s *Server) Infer(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	return s.inner.Infer(ctx, feeds)
 }
-
-// Handler returns the server's HTTP JSON front end: POST /v1/infer,
-// GET /stats, GET /healthz. Backpressure maps onto status codes (429
-// queue full, 503 closed, 400 bad request, 504 queued-request deadline).
-func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 
 // Stats returns a snapshot of the serving counters: served requests /
 // rows / batches, mean batch occupancy, rejections, and per-batch queue

@@ -81,44 +81,46 @@ func runDistWorld(ctx context.Context, o Options, workers, steps, batch, hidden 
 
 	losses := make([]float64, workers)
 	times := make([][]float64, workers)
+	// train is rank i's loop.
+	train := func(i int, r *transport.TCPRank) error {
+		m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8,
+			WithHead: true, Seed: o.seed()}, hidden)
+		e, err := executor.New(m, execOpts...)
+		if err != nil {
+			return err
+		}
+		e.SetTraining(true)
+		d := training.NewDriver(e, training.NewFusedSGD(0.05))
+		opt := dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
+		sampler := dist.NewDistributedSampler(ds, batch, i, workers, o.seed())
+		for s := 0; s < steps; s++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			b := sampler.Next()
+			if b == nil {
+				sampler.Reset()
+				b = sampler.Next()
+			}
+			t0 := time.Now()
+			out, err := opt.Train(ctx, b.Feeds())
+			if err != nil {
+				return err
+			}
+			times[i] = append(times[i], time.Since(t0).Seconds())
+			if loss, ok := out["loss"]; ok && loss.Size() > 0 {
+				losses[i] = float64(loss.Data()[0])
+			}
+		}
+		return nil
+	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for i, r := range ranks {
 		wg.Add(1)
 		go func(i int, r *transport.TCPRank) {
 			defer wg.Done()
-			errs[i] = transport.Protect(func() error {
-				m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8,
-					WithHead: true, Seed: o.seed()}, hidden)
-				e, err := executor.New(m, execOpts...)
-				if err != nil {
-					return err
-				}
-				e.SetTraining(true)
-				d := training.NewDriver(e, training.NewFusedSGD(0.05))
-				opt := dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
-				sampler := dist.NewDistributedSampler(ds, batch, i, workers, o.seed())
-				for s := 0; s < steps; s++ {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					b := sampler.Next()
-					if b == nil {
-						sampler.Reset()
-						b = sampler.Next()
-					}
-					t0 := time.Now()
-					out, err := opt.Train(ctx, b.Feeds())
-					if err != nil {
-						return err
-					}
-					times[i] = append(times[i], time.Since(t0).Seconds())
-					if loss, ok := out["loss"]; ok && loss.Size() > 0 {
-						losses[i] = float64(loss.Data()[0])
-					}
-				}
-				return nil
-			})
+			errs[i] = train(i, r)
 		}(i, r)
 	}
 	wg.Wait()

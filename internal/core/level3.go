@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"deep500/internal/dist"
 	"deep500/internal/mpi"
 )
 
@@ -52,7 +54,7 @@ type fig12Scheme struct {
 	cost mpi.CostModel
 	// run executes iters training steps of the scheme on rank r with the
 	// given per-node batch.
-	run func(r *mpi.Rank, iters, batchPerNode int)
+	run func(r *mpi.Rank, iters, batchPerNode int) error
 	// centralized marks parameter-server schemes (rank 0 is the server and
 	// contributes no images).
 	centralized bool
@@ -69,50 +71,71 @@ func computeStep(r *mpi.Rank, batchPerNode int) {
 func liveBuf() []float32 { return make([]float32, 256) }
 
 func fig12Schemes(staleness int) []fig12Scheme {
-	ring := func(cost mpi.CostModel) func(*mpi.Rank, int, int) {
-		return func(r *mpi.Rank, iters, batch int) {
-			buf := liveBuf()
-			for i := 0; i < iters; i++ {
-				computeStep(r, batch)
-				r.AllreduceSum(mpi.AllreduceRing, buf, resnet50GradB)
-			}
-		}
+	ctx := context.Background()
+	// send charges a ResNet-50-sized message (or bytes, when given) to dst;
+	// recv takes the next message from src.
+	send := func(r *mpi.Rank, dst int, bytes int64) error { return r.Send(dst, 0, liveBuf(), bytes) }
+	recv := func(r *mpi.Rank, src int) (int, error) {
+		m, err := r.Recv(ctx, src)
+		return m.Src, err
 	}
-	psSync := func(r *mpi.Rank, iters, batch int) {
-		p := r.Size()
-		if r.ID() == 0 { // server
-			for i := 0; i < iters; i++ {
-				for w := 1; w < p; w++ {
-					r.Recv(w)
-				}
-				for w := 1; w < p; w++ {
-					r.Send(w, liveBuf(), resnet50GradB)
-				}
-			}
-			return
-		}
+	ring := func(r *mpi.Rank, iters, batch int) error {
+		buf := liveBuf()
 		for i := 0; i < iters; i++ {
 			computeStep(r, batch)
-			r.Send(0, liveBuf(), resnet50GradB)
-			r.Recv(0)
-		}
-	}
-	psAsync := func(r *mpi.Rank, iters, batch int) {
-		p := r.Size()
-		if r.ID() == 0 {
-			for n := 0; n < (p-1)*iters; n++ {
-				_, src := r.RecvAny()
-				r.Send(src, liveBuf(), resnet50GradB)
+			if err := dist.AllreduceSum(ctx, r, mpi.AllreduceRing, buf, resnet50GradB); err != nil {
+				return err
 			}
-			return
 		}
+		return nil
+	}
+	// worker is a parameter-server worker: compute, push, await parameters.
+	worker := func(r *mpi.Rank, iters, batch int) error {
 		for i := 0; i < iters; i++ {
 			computeStep(r, batch)
-			r.Send(0, liveBuf(), resnet50GradB)
-			r.Recv(0)
+			if err := send(r, 0, resnet50GradB); err != nil {
+				return err
+			}
+			if _, err := recv(r, 0); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	dpsgd := func(r *mpi.Rank, iters, batch int) {
+	psSync := func(r *mpi.Rank, iters, batch int) error {
+		if r.ID() != 0 {
+			return worker(r, iters, batch)
+		}
+		for i := 0; i < iters; i++ {
+			for w := 1; w < r.Size(); w++ {
+				if _, err := recv(r, w); err != nil {
+					return err
+				}
+			}
+			for w := 1; w < r.Size(); w++ {
+				if err := send(r, w, resnet50GradB); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	psAsync := func(r *mpi.Rank, iters, batch int) error {
+		if r.ID() != 0 {
+			return worker(r, iters, batch)
+		}
+		for n := 0; n < (r.Size()-1)*iters; n++ {
+			src, err := recv(r, mpi.AnySource)
+			if err != nil {
+				return err
+			}
+			if err := send(r, src, resnet50GradB); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	dpsgd := func(r *mpi.Rank, iters, batch int) error {
 		p := r.Size()
 		for i := 0; i < iters; i++ {
 			computeStep(r, batch)
@@ -120,13 +143,21 @@ func fig12Schemes(staleness int) []fig12Scheme {
 				continue
 			}
 			left, right := (r.ID()-1+p)%p, (r.ID()+1)%p
-			r.Send(right, liveBuf(), resnet50GradB)
-			r.Send(left, liveBuf(), resnet50GradB)
-			r.Recv(left)
-			r.Recv(right)
+			if err := send(r, right, resnet50GradB); err != nil {
+				return err
+			}
+			if err := send(r, left, resnet50GradB); err != nil {
+				return err
+			}
+			for _, src := range []int{left, right} {
+				if _, err := recv(r, src); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
 	}
-	sparse := func(r *mpi.Rank, iters, batch int) {
+	sparse := func(r *mpi.Rank, iters, batch int) error {
 		// SparCML-style: top-10% selection (charged as filter compute) then
 		// recursive-doubling exchange of a densifying sparse vector.
 		const density = 0.1
@@ -137,9 +168,12 @@ func fig12Schemes(staleness int) []fig12Scheme {
 			nnz := int64(float64(resnet50Params) * density)
 			for mask := 1; mask < r.Size(); mask <<= 1 {
 				partner := r.ID() ^ mask
-				bytes := nnz * 8 // index+value per entry
-				r.Send(partner, liveBuf(), bytes)
-				r.Recv(partner)
+				if err := send(r, partner, nnz*8); err != nil { // index+value per entry
+					return err
+				}
+				if _, err := recv(r, partner); err != nil {
+					return err
+				}
 				// densification: the union roughly doubles until saturation
 				nnz *= 2
 				if nnz > int64(resnet50Params) {
@@ -147,22 +181,18 @@ func fig12Schemes(staleness int) []fig12Scheme {
 				}
 			}
 		}
+		return nil
 	}
-	mavg := func(r *mpi.Rank, iters, batch int) {
-		buf := liveBuf()
-		for i := 0; i < iters; i++ {
-			computeStep(r, batch)
-			// model averaging communicates parameters, not gradients
-			r.AllreduceSum(mpi.AllreduceRing, buf, resnet50GradB)
-		}
-	}
+	// Model averaging communicates parameters, not gradients, in the same
+	// ring all-reduce.
+	mavg := ring
 	_ = staleness
 	return []fig12Scheme{
-		{name: "CDSGD", cost: cppProfile(), run: ring(cppProfile())},
-		{name: "Horovod", cost: cppProfile(), run: ring(cppProfile()),
+		{name: "CDSGD", cost: cppProfile(), run: ring},
+		{name: "Horovod", cost: cppProfile(), run: ring,
 			failsAt: map[int]string{256: "exploding loss (paper §V-E observation)"}},
 		{name: "SparCML", cost: cppProfile(), run: sparse},
-		{name: "REF-dsgd", cost: pythonProfile(), run: ring(pythonProfile())},
+		{name: "REF-dsgd", cost: pythonProfile(), run: ring},
 		{name: "REF-dpsgd", cost: pythonProfile(), run: dpsgd},
 		{name: "REF-mavg", cost: pythonProfile(), run: mavg},
 		{name: "REF-pssgd", cost: pythonProfile(), run: psSync, centralized: true},
@@ -231,9 +261,9 @@ func runFig12(o Options, nodes []int, batchPerNode func(p int) int, iters int, s
 			}
 			sentPerNode := make([]int64, p)
 			makespan, _, err := mpi.Run(p, scheme.cost, func(r *mpi.Rank) error {
-				scheme.run(r, iters, batch)
+				err := scheme.run(r, iters, batch)
 				sentPerNode[r.ID()] = r.SentBytes
-				return nil
+				return err
 			})
 			if err != nil {
 				return rows, fmt.Errorf("%s at %d nodes: %w", scheme.name, p, err)

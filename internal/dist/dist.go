@@ -1,5 +1,7 @@
 // Package dist implements Deep500 Level 3 (paper §IV-F): distributed
-// optimizers as thin wrappers over the internal/mpi collectives. The same
+// optimizers as thin wrappers over a point-to-point fabric (Rank) and the
+// one all-reduce built on it (AllreduceSum), which the internal/mpi
+// simulator and the internal/transport TCP fabric both run. The same
 // base optimizer can be wrapped in a consistent decentralized scheme
 // (allreduce DSGD), neighbor-gossip DPSGD, periodic model averaging, a
 // sparsified decentralized scheme with error feedback, or a centralized

@@ -14,32 +14,75 @@ import (
 // local gradient and the gradients are summed across ranks (divided by the
 // world size) before the base optimizer's update rule runs — bitwise the
 // same trajectory on every rank, matching serial large-batch SGD.
+//
+// The all-reduces run inside the driver's gradient hook, one per
+// parameter. If one fails (a fabric error, or the step's context ending),
+// the rest of the step skips communication and Train returns that error.
+// The parameters are then undefined — some were updated from reduced
+// gradients, some from local ones — and the ranks no longer agree;
+// recovery means restarting every rank from a checkpoint.
 type ConsistentDecentralized struct {
-	d *training.Driver
-	r Rank
+	d    *training.Driver
+	comm stepComm
 }
 
 // NewConsistentDecentralized wraps a driver with an allreduce gradient hook
 // using the chosen allreduce algorithm.
 func NewConsistentDecentralized(d *training.Driver, r Rank, algo mpi.AllreduceAlgo) *ConsistentDecentralized {
+	o := &ConsistentDecentralized{d: d}
 	inv := 1 / float32(r.Size())
 	d.GradHook = func(_ string, grad *tensor.Tensor) *tensor.Tensor {
-		r.AllreduceSum(algo, grad.Data(), mpi.SimActual)
-		for i, v := range grad.Data() {
-			grad.Data()[i] = v * inv
+		if o.comm.allreduce(r, algo, grad.Data(), mpi.SimActual) {
+			for i, v := range grad.Data() {
+				grad.Data()[i] = v * inv
+			}
 		}
 		return grad
 	}
-	return &ConsistentDecentralized{d: d, r: r}
+	return o
 }
 
 // Train runs one allreduce-synchronized step.
 func (o *ConsistentDecentralized) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return o.d.Train(ctx, feeds)
+	return o.comm.train(ctx, o.d, feeds)
 }
 
 // Executor returns the wrapped executor.
 func (o *ConsistentDecentralized) Executor() executor.GraphExecutor { return o.d.Executor() }
+
+// stepComm carries a training step's context into the gradient hook and
+// its first communication error back out: Driver.GradHook cannot return an
+// error. After the first failure the step's remaining all-reduces are
+// skipped rather than each waiting out the fabric's receive timeout.
+type stepComm struct {
+	ctx context.Context
+	err error
+}
+
+// train runs one driver step with c armed for the hooks it triggers.
+func (c *stepComm) train(ctx context.Context, d *training.Driver, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	c.ctx, c.err = ctx, nil
+	out, err := d.Train(ctx, feeds)
+	c.ctx = nil
+	if c.err != nil {
+		return nil, c.err
+	}
+	return out, err
+}
+
+// allreduce sums data across the ranks of r unless the step has already
+// failed, and reports whether data now holds the sum.
+func (c *stepComm) allreduce(r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) bool {
+	if c.err != nil {
+		return false
+	}
+	ctx := c.ctx
+	if ctx == nil { // the driver was stepped directly, not through Train
+		ctx = context.Background()
+	}
+	c.err = AllreduceSum(ctx, r, algo, data, simBytes)
+	return c.err == nil
+}
 
 // NeighborAveraging is gossip-based DPSGD: each rank takes a local
 // optimizer step and then averages its parameters with its ring neighbors,
@@ -63,32 +106,46 @@ func (o *NeighborAveraging) Train(ctx context.Context, feeds map[string]*tensor.
 		return nil, err
 	}
 	p := o.r.Size()
-	if p > 1 {
-		net := o.d.Executor().Network()
-		o.layout.GatherFrom(net)
-		left, right := (o.r.ID()-1+p)%p, (o.r.ID()+1)%p
-		o.r.SendTagged(right, o.layout.Vec, o.d.Step, mpi.SimActual)
-		if left != right {
-			o.r.SendTagged(left, o.layout.Vec, o.d.Step, mpi.SimActual)
-		}
-		lv, _ := o.r.RecvTagged(left)
-		rv := lv
-		if left != right {
-			rv, _ = o.r.RecvTagged(right)
-		}
-		inv := float32(1.0 / 3.0)
-		if left == right { // 2-rank world: single neighbor
-			inv = 0.5
-		}
-		for i := range o.layout.Vec {
-			sum := o.layout.Vec[i] + lv[i]
-			if left != right {
-				sum += rv[i]
-			}
-			o.layout.Vec[i] = sum * inv
-		}
-		o.layout.ScatterTo(net)
+	if p == 1 {
+		return out, nil
 	}
+	net := o.d.Executor().Network()
+	o.layout.GatherFrom(net)
+	left, right := (o.r.ID()-1+p)%p, (o.r.ID()+1)%p
+	if err := o.r.Send(right, o.d.Step, o.layout.Vec, mpi.SimActual); err != nil {
+		return nil, err
+	}
+	if left != right {
+		if err := o.r.Send(left, o.d.Step, o.layout.Vec, mpi.SimActual); err != nil {
+			return nil, err
+		}
+	}
+	lv, err := o.r.Recv(ctx, left)
+	if err != nil {
+		return nil, err
+	}
+	rv := lv
+	if left != right {
+		if rv, err = o.r.Recv(ctx, right); err != nil {
+			return nil, err
+		}
+	}
+	inv := float32(1.0 / 3.0)
+	if left == right { // 2-rank world: single neighbor
+		inv = 0.5
+	}
+	for i := range o.layout.Vec {
+		sum := o.layout.Vec[i] + lv.Data[i]
+		if left != right {
+			sum += rv.Data[i]
+		}
+		o.layout.Vec[i] = sum * inv
+	}
+	o.r.Release(lv.Data)
+	if left != right {
+		o.r.Release(rv.Data)
+	}
+	o.layout.ScatterTo(net)
 	return out, nil
 }
 
@@ -122,7 +179,9 @@ func (o *ModelAveraging) Train(ctx context.Context, feeds map[string]*tensor.Ten
 	if o.d.Step%o.every == 0 && o.r.Size() > 1 {
 		net := o.d.Executor().Network()
 		o.layout.GatherFrom(net)
-		o.r.AllreduceSum(mpi.AllreduceRing, o.layout.Vec, mpi.SimActual)
+		if err := AllreduceSum(ctx, o.r, mpi.AllreduceRing, o.layout.Vec, mpi.SimActual); err != nil {
+			return nil, err
+		}
 		inv := 1 / float32(o.r.Size())
 		for i, v := range o.layout.Vec {
 			o.layout.Vec[i] = v * inv
@@ -138,10 +197,11 @@ func (o *ModelAveraging) Executor() executor.GraphExecutor { return o.d.Executor
 // SparseDecentralized is top-k sparsified DSGD with error feedback
 // (SparCML-style): each rank keeps only the largest-magnitude fraction of
 // each gradient, accumulates the remainder locally as a residual for the
-// next step, and allreduces the sparsified vectors.
+// next step, and allreduces the sparsified vectors. A failed all-reduce
+// fails the step as in ConsistentDecentralized.
 type SparseDecentralized struct {
-	d *training.Driver
-	r Rank
+	d    *training.Driver
+	comm stepComm
 }
 
 // NewSparseDecentralized wraps a driver with top-density sparsification
@@ -150,6 +210,7 @@ func NewSparseDecentralized(d *training.Driver, r Rank, density float64) *Sparse
 	if density <= 0 || density > 1 {
 		density = 1
 	}
+	o := &SparseDecentralized{d: d}
 	inv := 1 / float32(r.Size())
 	residuals := make(map[string][]float32)
 	var scratch []float32
@@ -177,19 +238,19 @@ func NewSparseDecentralized(d *training.Driver, r Rank, density float64) *Sparse
 		}
 		// Charge the wire for index+value pairs of surviving entries rather
 		// than the dense vector.
-		o := nnz * 8
-		r.AllreduceSum(mpi.AllreduceRing, g, o)
-		for i, v := range g {
-			g[i] = v * inv
+		if o.comm.allreduce(r, mpi.AllreduceRing, g, nnz*8) {
+			for i, v := range g {
+				g[i] = v * inv
+			}
 		}
 		return grad
 	}
-	return &SparseDecentralized{d: d, r: r}
+	return o
 }
 
 // Train runs one sparsified allreduce step.
 func (o *SparseDecentralized) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return o.d.Train(ctx, feeds)
+	return o.comm.train(ctx, o.d, feeds)
 }
 
 // Executor returns the wrapped executor.

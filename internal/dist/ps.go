@@ -59,10 +59,9 @@ type ServerConfig struct {
 // rank 0): it owns the packed parameter vector, applies the base
 // optimizer's update rule to every (averaged) incoming gradient, and
 // returns fresh parameters to workers according to the consistency mode.
-// Cancelling ctx makes the server return ctx.Err(): on fabrics with
-// context-aware receives (the simulator and the TCP transport both
-// qualify) a receive blocked on a gradient that will never arrive unblocks
-// promptly; other fabrics stop at the next message boundary.
+// Cancelling ctx makes the server return ctx.Err() promptly, even from a
+// receive blocked on a gradient that will never arrive; a fabric error
+// ends it with that error.
 func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *Params, cfg ServerConfig) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -97,17 +96,20 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 		for step := 0; step < cfg.StepsPerWorker; step++ {
 			sum := make([]float32, params.Len())
 			for w := 1; w <= workers; w++ {
-				g, err := recvCtx(ctx, r, w)
+				m, err := r.Recv(ctx, w)
 				if err != nil {
 					return err
 				}
-				for i, v := range g {
+				for i, v := range m.Data {
 					sum[i] += v
 				}
+				r.Release(m.Data)
 			}
 			apply(sum, 1/float32(workers))
 			for w := 1; w <= workers; w++ {
-				r.Send(w, params.Vec, mpi.SimActual)
+				if err := r.Send(w, TagGrad, params.Vec, mpi.SimActual); err != nil {
+					return err
+				}
 			}
 		}
 	case PSAsync:
@@ -117,31 +119,35 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			// shut the server down while slower workers still train.
 			finished := make(map[int]bool)
 			for len(finished) < workers {
-				g, src, tag, err := recvAnyCtx(ctx, r)
+				m, err := r.Recv(ctx, AnySource)
 				if err != nil {
 					return err
 				}
-				if tag == TagDone {
-					finished[src] = true
+				if m.Tag == TagDone {
+					finished[m.Src] = true
 					continue
 				}
-				apply(g, 1)
-				r.Send(src, params.Vec, mpi.SimActual)
+				apply(m.Data, 1)
+				if err := r.Send(m.Src, TagGrad, params.Vec, mpi.SimActual); err != nil {
+					return err
+				}
 			}
 			return nil
 		}
 		for done := 0; done < workers*cfg.StepsPerWorker; done++ {
-			g, src, _, err := recvAnyCtx(ctx, r)
+			m, err := r.Recv(ctx, AnySource)
 			if err != nil {
 				return err
 			}
-			apply(g, 1)
-			r.Send(src, params.Vec, mpi.SimActual)
+			apply(m.Data, 1)
+			if err := r.Send(m.Src, TagGrad, params.Vec, mpi.SimActual); err != nil {
+				return err
+			}
 		}
 	case PSStale:
 		steps := make([]int, r.Size())
 		owed := make(map[int]bool) // workers whose reply is withheld
-		release := func() {
+		release := func() error {
 			// Slowest active worker defines the staleness horizon.
 			minSteps := -1
 			for w := 1; w <= workers; w++ {
@@ -154,22 +160,29 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			}
 			for src := range owed {
 				if minSteps < 0 || steps[src] <= minSteps+cfg.Staleness {
-					r.Send(src, params.Vec, mpi.SimActual)
+					if err := r.Send(src, TagGrad, params.Vec, mpi.SimActual); err != nil {
+						return err
+					}
 					delete(owed, src)
 				}
 			}
+			return nil
 		}
 		for done := 0; done < workers*cfg.StepsPerWorker; done++ {
-			g, src, _, err := recvAnyCtx(ctx, r)
+			m, err := r.Recv(ctx, AnySource)
 			if err != nil {
 				return err
 			}
-			apply(g, 1)
-			steps[src]++
-			owed[src] = true
-			release()
+			apply(m.Data, 1)
+			steps[m.Src]++
+			owed[m.Src] = true
+			if err := release(); err != nil {
+				return err
+			}
 		}
-		release()
+		if err := release(); err != nil {
+			return err
+		}
 		if len(owed) > 0 {
 			return fmt.Errorf("dist: PS server shut down with %d unreleased workers", len(owed))
 		}
@@ -198,8 +211,8 @@ func NewCentralizedWorker(e executor.GraphExecutor, r Rank) *CentralizedWorker {
 // Finish tells a done-counting server (ServerConfig.UntilDone) that this
 // worker has sent its last gradient; the server exits once every worker
 // has finished. No-op semantics on fixed-count servers: don't call it there.
-func (o *CentralizedWorker) Finish() {
-	o.r.SendTagged(0, nil, TagDone, mpi.SimActual)
+func (o *CentralizedWorker) Finish() error {
+	return o.r.Send(0, TagDone, nil, mpi.SimActual)
 }
 
 // Train computes a local gradient, round-trips it through the server, and
@@ -211,9 +224,15 @@ func (o *CentralizedWorker) Train(ctx context.Context, feeds map[string]*tensor.
 	}
 	net := o.e.Network()
 	grads := o.layout.PackGrads(net)
-	o.r.Send(0, grads, mpi.SimActual)
-	vec := o.r.Recv(0)
-	copy(o.layout.Vec, vec)
+	if err := o.r.Send(0, TagGrad, grads, mpi.SimActual); err != nil {
+		return nil, err
+	}
+	m, err := o.r.Recv(ctx, 0)
+	if err != nil {
+		return nil, err
+	}
+	copy(o.layout.Vec, m.Data)
+	o.r.Release(m.Data)
 	o.layout.ScatterTo(net)
 	return out, nil
 }

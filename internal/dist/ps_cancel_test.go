@@ -31,7 +31,9 @@ func TestPSServerCancelMidRound(t *testing.T) {
 		case 1:
 			e := testModel(7)
 			p := PackParams(e.Network())
-			r.Send(0, make([]float32, p.Len()), mpi.SimActual)
+			if err := r.Send(0, TagGrad, make([]float32, p.Len()), mpi.SimActual); err != nil {
+				return err
+			}
 			// Never complete the round: worker 2 stays silent, so the server
 			// blocks awaiting its gradient. Cancel once the server is parked.
 			time.Sleep(50 * time.Millisecond)
@@ -53,7 +55,7 @@ func TestPSServerCancelMidRound(t *testing.T) {
 }
 
 // TestPSServerCancelUntilDone covers the done-counting async server the job
-// control plane runs: blocked in RecvAny with no traffic at all, a cancel
+// control plane runs: blocked in an any-source receive with no traffic at all, a cancel
 // must return promptly with the context error.
 func TestPSServerCancelUntilDone(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -134,9 +134,9 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 		rank.SetTraceContext(rankSpan.TraceID(), rankSpan.SpanID())
 	}
 
-	// A cancelled rank (killed by the manager) may be blocked in a
-	// transport receive that doesn't carry the context; closing the fabric
-	// wakes it immediately instead of waiting out the receive timeout.
+	// Receives return when ctx ends, but a cancelled rank (killed by the
+	// manager) may also be blocked writing to a stalled peer; closing the
+	// fabric wakes it immediately instead of waiting out the I/O timeout.
 	watchdogDone := make(chan struct{})
 	defer close(watchdogDone)
 	go func() {
@@ -174,12 +174,11 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 	if rankSpan != nil {
 		runCtx = trace.NewContext(ctx, rankSpan)
 	}
-	err = transport.Protect(func() error {
-		if spec.Scheme.Centralized() && rc.Rank == 0 {
-			return runPS(runCtx, rank, spec)
-		}
-		return runTrainLoop(runCtx, rank, spec, rc.Rank, &progress, rc.stepGate)
-	})
+	if spec.Scheme.Centralized() && rc.Rank == 0 {
+		err = runPS(runCtx, rank, spec)
+	} else {
+		err = runTrainLoop(runCtx, rank, spec, rc.Rank, &progress, rc.stepGate)
+	}
 	if err != nil {
 		return err
 	}
@@ -360,7 +359,7 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 		}
 	}
 	if cw != nil && spec.Scheme == SchemeASGD {
-		cw.Finish()
+		return cw.Finish()
 	}
 	return nil
 }

@@ -8,6 +8,10 @@
 // far beyond the host machine (the paper runs up to 256 nodes), with
 // contention effects such as parameter-server queueing emerging naturally
 // from message timestamps.
+//
+// A Rank offers only point-to-point Send and Recv (the dist.Rank contract)
+// plus the virtual clock. The collectives live above that contract in
+// internal/dist, so the simulator and the TCP fabric run one all-reduce.
 package mpi
 
 import (
@@ -57,59 +61,100 @@ func (c CostModel) transferSeconds(bytes int64) float64 {
 	return s
 }
 
+// SimActual charges the actual buffer size on the wire.
+const SimActual int64 = -1
+
+// AllreduceAlgo selects the all-reduce algorithm of dist.AllreduceSum.
+type AllreduceAlgo int
+
+const (
+	// AllreduceRing is the bandwidth-optimal ring: reduce-scatter then
+	// allgather, 2(p-1) steps on n/p chunks.
+	AllreduceRing AllreduceAlgo = iota
+	// AllreduceDoubling is recursive doubling: log2(p) exchanges of the full
+	// vector (power-of-two worlds only; others fall back to the ring).
+	AllreduceDoubling
+)
+
+// AnySource, passed as Recv's src, receives from whichever rank has a
+// message ready, round-robin fair across sources.
+const AnySource = -1
+
+// Message is one received payload with its source rank and tag.
+type Message struct {
+	Data     []float32
+	Src, Tag int
+}
+
 type message struct {
 	data    []float32
 	tag     int
 	arrival float64 // virtual arrival time at the receiver (seconds)
 }
 
-// mailbox is an unbounded FIFO queue with blocking pop.
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+// fifo is one source's queue of undelivered messages. head indexes the next
+// message; the backing array is rewound whenever the queue drains.
+type fifo struct {
 	q    []message
+	head int
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) push(msg message) {
-	m.mu.Lock()
-	m.q = append(m.q, msg)
-	m.cond.Signal()
-	m.mu.Unlock()
-}
-
-func (m *mailbox) pop() message {
-	m.mu.Lock()
-	for len(m.q) == 0 {
-		m.cond.Wait()
-	}
-	msg := m.q[0]
-	m.q = m.q[1:]
-	m.mu.Unlock()
-	return msg
-}
-
-func (m *mailbox) tryPop() (message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.q) == 0 {
+func (f *fifo) pop() (message, bool) {
+	if f.head == len(f.q) {
 		return message{}, false
 	}
-	msg := m.q[0]
-	m.q = m.q[1:]
-	return msg, true
+	m := f.q[f.head]
+	f.q[f.head] = message{}
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return m, true
 }
 
-// World is a communicator: size ranks and their pairwise mailboxes.
+// inbox holds one rank's undelivered messages, one FIFO per source. wake
+// (capacity 1) is signalled on every delivery; only the owning rank
+// receives, so one pending token is enough for it never to miss a message.
+type inbox struct {
+	mu   sync.Mutex
+	from []fifo
+	rr   int // round-robin cursor for AnySource fairness
+	wake chan struct{}
+}
+
+func (in *inbox) push(src int, m message) {
+	in.mu.Lock()
+	in.from[src].q = append(in.from[src].q, m)
+	in.mu.Unlock()
+	select {
+	case in.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pop dequeues the next message from src, or from any source when src is
+// AnySource.
+func (in *inbox) pop(src int) (message, int, bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if src != AnySource {
+		m, ok := in.from[src].pop()
+		return m, src, ok
+	}
+	for off := range in.from {
+		s := (in.rr + off) % len(in.from)
+		if m, ok := in.from[s].pop(); ok {
+			in.rr = (s + 1) % len(in.from)
+			return m, s, true
+		}
+	}
+	return message{}, AnySource, false
+}
+
+// World is a communicator: size ranks and their inboxes.
 type World struct {
-	size  int
-	cost  CostModel
-	boxes [][]*mailbox // boxes[dst][src]
+	size    int
+	cost    CostModel
+	inboxes []*inbox
 	// Volume aggregates traffic over all ranks.
 	Volume *metrics.CommunicationVolume
 }
@@ -120,12 +165,9 @@ func NewWorld(size int, cost CostModel) *World {
 		panic("mpi: world size must be ≥ 1")
 	}
 	w := &World{size: size, cost: cost, Volume: metrics.NewCommunicationVolume()}
-	w.boxes = make([][]*mailbox, size)
-	for dst := range w.boxes {
-		w.boxes[dst] = make([]*mailbox, size)
-		for src := range w.boxes[dst] {
-			w.boxes[dst][src] = newMailbox()
-		}
+	w.inboxes = make([]*inbox, size)
+	for i := range w.inboxes {
+		w.inboxes[i] = &inbox{from: make([]fifo, size), wake: make(chan struct{}, 1)}
 	}
 	return w
 }
@@ -133,8 +175,8 @@ func NewWorld(size int, cost CostModel) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Rank is one process of the world. All methods must be called only from
-// the goroutine that owns the rank.
+// Rank is one process of the world. It implements dist.Rank. All methods
+// must be called only from the goroutine that owns the rank.
 type Rank struct {
 	world *World
 	id    int
@@ -161,19 +203,12 @@ func (r *Rank) chargeHostCopy(bytes int64) {
 	}
 }
 
-// Send transmits data to dst. simBytes is the *charged* wire size; pass
-// SimActual to charge the real buffer size. The data slice is copied.
-func (r *Rank) Send(dst int, data []float32, simBytes int64) {
-	r.SendTagged(dst, data, 0, simBytes)
-}
-
-// SimActual charges the actual buffer size on the wire.
-const SimActual int64 = -1
-
-// SendTagged is Send with a message tag.
-func (r *Rank) SendTagged(dst int, data []float32, tag int, simBytes int64) {
+// Send transmits data to dst with a message tag. simBytes is the *charged*
+// wire size; pass SimActual to charge the real buffer size. The data slice
+// is copied, so the caller may reuse it at once.
+func (r *Rank) Send(dst, tag int, data []float32, simBytes int64) error {
 	if dst < 0 || dst >= r.world.size {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
+		return fmt.Errorf("mpi: rank %d send to invalid rank %d", r.id, dst)
 	}
 	if simBytes == SimActual {
 		simBytes = int64(len(data)) * 4
@@ -184,100 +219,42 @@ func (r *Rank) SendTagged(dst int, data []float32, tag int, simBytes int64) {
 	arrival := r.clock + cost.transferSeconds(simBytes)
 	cp := make([]float32, len(data))
 	copy(cp, data)
-	r.world.boxes[dst][r.id].push(message{data: cp, tag: tag, arrival: arrival})
+	r.world.inboxes[dst].push(r.id, message{data: cp, tag: tag, arrival: arrival})
 	r.world.Volume.AddSent(simBytes)
 	r.SentBytes += simBytes
+	return nil
 }
 
-// Recv blocks for a message from src and returns its payload; the virtual
-// clock advances to at least the message's arrival time.
-func (r *Rank) Recv(src int) []float32 {
-	data, _ := r.RecvTagged(src)
-	return data
-}
-
-// RecvTagged returns the payload and tag of the next message from src.
-func (r *Rank) RecvTagged(src int) ([]float32, int) {
-	msg := r.world.boxes[r.id][src].pop()
-	if msg.arrival > r.clock {
-		r.clock = msg.arrival
+// Recv blocks for the next message from src (or from any rank when src is
+// AnySource) and returns it; the virtual clock advances to at least the
+// message's arrival time. It returns ctx.Err() if ctx ends first. The
+// payload belongs to the caller.
+func (r *Rank) Recv(ctx context.Context, src int) (Message, error) {
+	if src != AnySource && (src < 0 || src >= r.world.size) {
+		return Message{}, fmt.Errorf("mpi: rank %d receive from invalid rank %d", r.id, src)
 	}
-	r.clock += r.world.cost.PerMessageCPU.Seconds()
-	r.chargeHostCopy(int64(len(msg.data)) * 4)
-	r.world.Volume.AddReceived(int64(len(msg.data)) * 4)
-	return msg.data, msg.tag
-}
-
-// RecvAny polls all sources round-robin (deterministic order) and returns
-// the first available message with its source. It busy-waits with a
-// scheduler yield; use for server loops that consume from all workers.
-func (r *Rank) RecvAny() ([]float32, int) {
-	data, src, _ := r.RecvAnyTagged()
-	return data, src
-}
-
-// RecvAnyTagged is RecvAny returning the message tag as well.
-func (r *Rank) RecvAnyTagged() ([]float32, int, int) {
-	data, src, tag, _ := r.recvAny(nil)
-	return data, src, tag
-}
-
-// RecvAnyCtx is RecvAnyTagged that returns ctx.Err() if the context ends
-// before a message arrives — the cancellation-aware receive the parameter
-// server uses so a cancel unblocks it promptly instead of at the next
-// message.
-func (r *Rank) RecvAnyCtx(ctx context.Context) ([]float32, int, int, error) {
-	return r.recvAny(ctx)
-}
-
-// recvAny scans all sources until a message is available; a non-nil ctx is
-// checked every sweep.
-func (r *Rank) recvAny(ctx context.Context) ([]float32, int, int, error) {
+	in := r.world.inboxes[r.id]
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-		for src := 0; src < r.world.size; src++ {
-			if src == r.id {
-				continue
-			}
-			if msg, ok := r.world.boxes[r.id][src].tryPop(); ok {
-				if msg.arrival > r.clock {
-					r.clock = msg.arrival
-				}
-				r.clock += r.world.cost.PerMessageCPU.Seconds()
-				r.world.Volume.AddReceived(int64(len(msg.data)) * 4)
-				return msg.data, src, msg.tag, nil
-			}
-		}
-		// Nothing ready: block on a round-robin scan with short sleeps to
-		// avoid burning CPU; determinism of *virtual* time is preserved
-		// because arrival stamps, not wall time, order the simulation.
-		time.Sleep(time.Microsecond)
-	}
-}
-
-// RecvCtx is Recv(src) that returns ctx.Err() if the context ends before a
-// message from src arrives.
-func (r *Rank) RecvCtx(ctx context.Context, src int) ([]float32, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if msg, ok := r.world.boxes[r.id][src].tryPop(); ok {
+		if msg, s, ok := in.pop(src); ok {
 			if msg.arrival > r.clock {
 				r.clock = msg.arrival
 			}
 			r.clock += r.world.cost.PerMessageCPU.Seconds()
 			r.chargeHostCopy(int64(len(msg.data)) * 4)
 			r.world.Volume.AddReceived(int64(len(msg.data)) * 4)
-			return msg.data, nil
+			return Message{Data: msg.data, Src: s, Tag: msg.tag}, nil
 		}
-		time.Sleep(time.Microsecond)
+		select {
+		case <-in.wake:
+		case <-ctx.Done():
+			return Message{}, ctx.Err()
+		}
 	}
 }
+
+// Release is a no-op: the simulator's payloads are ordinary slices the
+// receiver keeps.
+func (r *Rank) Release([]float32) {}
 
 // Run spawns size rank goroutines executing fn and waits for completion.
 // It returns the maximum virtual time across ranks (the simulated makespan).

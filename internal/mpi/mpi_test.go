@@ -1,20 +1,29 @@
 package mpi
 
 import (
-	"math"
+	"context"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
 func noCost() CostModel { return CostModel{} }
 
+// recv is a blocking receive that fails the test on error.
+func recv(t *testing.T, r *Rank, src int) Message {
+	t.Helper()
+	m, err := r.Recv(context.Background(), src)
+	if err != nil {
+		t.Error(err)
+	}
+	return m
+}
+
 func TestSendRecv(t *testing.T) {
 	_, _, err := Run(2, Aries(), func(r *Rank) error {
 		if r.ID() == 0 {
-			r.Send(1, []float32{1, 2, 3}, SimActual)
+			r.Send(1, 0, []float32{1, 2, 3}, SimActual)
 		} else {
-			got := r.Recv(0)
+			got := recv(t, r, 0).Data
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("recv %v", got)
 			}
@@ -30,10 +39,10 @@ func TestSendCopiesData(t *testing.T) {
 	_, _, err := Run(2, noCost(), func(r *Rank) error {
 		if r.ID() == 0 {
 			buf := []float32{1}
-			r.Send(1, buf, SimActual)
+			r.Send(1, 0, buf, SimActual)
 			buf[0] = 99 // must not affect the receiver
 		} else {
-			if got := r.Recv(0); got[0] != 1 {
+			if got := recv(t, r, 0).Data; got[0] != 1 {
 				t.Errorf("message aliased sender buffer: %v", got)
 			}
 		}
@@ -48,11 +57,11 @@ func TestMessageOrderFIFO(t *testing.T) {
 	_, _, err := Run(2, Aries(), func(r *Rank) error {
 		if r.ID() == 0 {
 			for i := 0; i < 10; i++ {
-				r.Send(1, []float32{float32(i)}, SimActual)
+				r.Send(1, 0, []float32{float32(i)}, SimActual)
 			}
 		} else {
 			for i := 0; i < 10; i++ {
-				if got := r.Recv(0); got[0] != float32(i) {
+				if got := recv(t, r, 0).Data; got[0] != float32(i) {
 					t.Errorf("out of order: %v at %d", got, i)
 				}
 			}
@@ -64,113 +73,14 @@ func TestMessageOrderFIFO(t *testing.T) {
 	}
 }
 
-func TestAllreduceBothAlgorithms(t *testing.T) {
-	for _, algo := range []AllreduceAlgo{AllreduceRing, AllreduceDoubling} {
-		for _, p := range []int{1, 2, 3, 4, 8, 7} {
-			results := make([][]float32, p)
-			_, _, err := Run(p, Aries(), func(r *Rank) error {
-				data := make([]float32, 13)
-				for i := range data {
-					data[i] = float32(r.ID()*100 + i)
-				}
-				r.AllreduceSum(algo, data, SimActual)
-				results[r.ID()] = data
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// expected sum over ranks
-			for i := 0; i < 13; i++ {
-				var want float32
-				for rank := 0; rank < p; rank++ {
-					want += float32(rank*100 + i)
-				}
-				for rank := 0; rank < p; rank++ {
-					if math.Abs(float64(results[rank][i]-want)) > 1e-3 {
-						t.Fatalf("algo %v p=%d rank %d elem %d: %v want %v",
-							algo, p, rank, i, results[rank][i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, p := range []int{2, 3, 4, 8, 5} {
-		for root := 0; root < p; root += 2 {
-			_, _, err := Run(p, Aries(), func(r *Rank) error {
-				data := make([]float32, 4)
-				if r.ID() == root {
-					for i := range data {
-						data[i] = float32(i + 1)
-					}
-				}
-				r.Broadcast(root, data, SimActual)
-				for i := range data {
-					if data[i] != float32(i+1) {
-						t.Errorf("p=%d root=%d rank %d got %v", p, root, r.ID(), data)
-						break
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	_, _, err := Run(4, Aries(), func(r *Rank) error {
-		data := []float32{float32(r.ID())}
-		got := r.Gather(2, data, SimActual)
-		if r.ID() == 2 {
-			for i := 0; i < 4; i++ {
-				if got[i][0] != float32(i) {
-					t.Errorf("gather slot %d = %v", i, got[i])
-				}
-			}
-		} else if got != nil {
-			t.Error("non-root received gather output")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierAndClocks(t *testing.T) {
-	makespan, _, err := Run(4, Aries(), func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Compute(time.Millisecond) // slowest rank
-		}
-		before := r.Time()
-		r.Barrier()
-		if r.ID() != 0 && r.Time() < time.Millisecond {
-			t.Errorf("rank %d virtual clock %v did not wait for slow rank (before %v)", r.ID(), r.Time(), before)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if makespan < time.Millisecond {
-		t.Fatalf("makespan %v", makespan)
-	}
-}
-
 func TestVirtualTimeScalesWithBytes(t *testing.T) {
 	cost := CostModel{Latency: time.Microsecond, Bandwidth: 1e9}
 	timeFor := func(bytes int64) time.Duration {
 		makespan, _, err := Run(2, cost, func(r *Rank) error {
 			if r.ID() == 0 {
-				r.Send(1, []float32{0}, bytes)
+				r.Send(1, 0, []float32{0}, bytes)
 			} else {
-				r.Recv(0)
+				recv(t, r, 0)
 			}
 			return nil
 		})
@@ -190,9 +100,9 @@ func TestVirtualTimeScalesWithBytes(t *testing.T) {
 func TestCommunicationVolumeAccounting(t *testing.T) {
 	_, w, err := Run(2, Aries(), func(r *Rank) error {
 		if r.ID() == 0 {
-			r.Send(1, make([]float32, 256), SimActual) // 1024 B
+			r.Send(1, 0, make([]float32, 256), SimActual) // 1024 B
 		} else {
-			r.Recv(0)
+			recv(t, r, 0)
 		}
 		return nil
 	})
@@ -210,9 +120,9 @@ func TestCommunicationVolumeAccounting(t *testing.T) {
 func TestSimulatedBytesDecoupledFromBuffer(t *testing.T) {
 	_, w, err := Run(2, Aries(), func(r *Rank) error {
 		if r.ID() == 0 {
-			r.Send(1, []float32{1}, 1<<20) // tiny buffer, 1 MiB charged
+			r.Send(1, 0, []float32{1}, 1<<20) // tiny buffer, 1 MiB charged
 		} else {
-			r.Recv(0)
+			recv(t, r, 0)
 		}
 		return nil
 	})
@@ -229,7 +139,8 @@ func TestRecvAny(t *testing.T) {
 		if r.ID() == 0 {
 			seen := map[int]bool{}
 			for i := 0; i < 3; i++ {
-				data, src := r.RecvAny()
+				m := recv(t, r, AnySource)
+				data, src := m.Data, m.Src
 				if int(data[0]) != src {
 					t.Errorf("payload %v from %d", data, src)
 				}
@@ -239,7 +150,7 @@ func TestRecvAny(t *testing.T) {
 				t.Errorf("sources %v", seen)
 			}
 		} else {
-			r.Send(0, []float32{float32(r.ID())}, SimActual)
+			r.Send(0, 0, []float32{float32(r.ID())}, SimActual)
 		}
 		return nil
 	})
@@ -256,12 +167,13 @@ func TestServerQueueingEmergesFromTimestamps(t *testing.T) {
 		ms, _, err := Run(p, cost, func(r *Rank) error {
 			if r.ID() == 0 {
 				for i := 1; i < p; i++ {
-					data, src := r.RecvAny()
-					r.Send(src, data, SimActual)
+					m := recv(t, r, AnySource)
+					data, src := m.Data, m.Src
+					r.Send(src, 0, data, SimActual)
 				}
 			} else {
-				r.Send(0, make([]float32, 1000), SimActual)
-				r.Recv(0)
+				r.Send(0, 0, make([]float32, 1000), SimActual)
+				recv(t, r, 0)
 			}
 			return nil
 		})
@@ -282,7 +194,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 		if r.ID() == 1 {
 			panic("boom")
 		}
-		r.Send(1, []float32{1}, SimActual)
+		r.Send(1, 0, []float32{1}, SimActual)
 		return nil
 	})
 	if err == nil {
@@ -290,38 +202,70 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestPropAllreduceEqualsSerialSum(t *testing.T) {
-	f := func(seed uint16) bool {
-		p := int(seed%6) + 2
-		n := int(seed%17) + 1
-		results := make([][]float32, p)
-		_, _, err := Run(p, noCost(), func(r *Rank) error {
-			data := make([]float32, n)
-			for i := range data {
-				data[i] = float32((r.ID()+1)*(i+1)) / 7
-			}
-			r.AllreduceSum(AllreduceRing, data, SimActual)
-			results[r.ID()] = data
-			return nil
-		})
-		if err != nil {
-			return false
+// TestInvalidPeerIsAnError: a send to or a receive from a rank outside the
+// world returns an error instead of panicking.
+func TestInvalidPeerIsAnError(t *testing.T) {
+	_, _, err := Run(2, noCost(), func(r *Rank) error {
+		if err := r.Send(2, 0, []float32{1}, SimActual); err == nil {
+			t.Error("send to rank 2 of 2 succeeded")
 		}
-		for i := 0; i < n; i++ {
-			var want float64
-			for rank := 0; rank < p; rank++ {
-				want += float64((rank + 1) * (i + 1))
-			}
-			want /= 7
-			for rank := 0; rank < p; rank++ {
-				if math.Abs(float64(results[rank][i])-want) > 1e-2 {
-					return false
-				}
-			}
+		if err := r.Send(-1, 0, nil, SimActual); err == nil {
+			t.Error("send to rank -1 succeeded")
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		if _, err := r.Recv(context.Background(), 5); err == nil {
+			t.Error("receive from rank 5 of 2 succeeded")
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecvHonorsContext: a receive blocked on a message that never comes,
+// from one source or from any, returns the context's error once it ends.
+func TestRecvHonorsContext(t *testing.T) {
+	_, _, err := Run(2, noCost(), func(r *Rank) error {
+		if r.ID() != 0 {
+			return nil
+		}
+		for _, src := range []int{1, AnySource} {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			_, err := r.Recv(ctx, src)
+			cancel()
+			if err != context.DeadlineExceeded {
+				t.Errorf("src %d: Recv returned %v, want deadline exceeded", src, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecvAnyIsRoundRobin: with every source holding messages, consecutive
+// any-source receives rotate over the sources instead of draining the
+// lowest-numbered one first.
+func TestRecvAnyIsRoundRobin(t *testing.T) {
+	w := NewWorld(4, noCost())
+	ranks := make([]*Rank, 4)
+	for i := range ranks {
+		ranks[i] = &Rank{world: w, id: i}
+	}
+	for src := 1; src < 4; src++ {
+		for k := 0; k < 2; k++ {
+			ranks[src].Send(0, k, []float32{float32(src)}, SimActual)
+		}
+	}
+	var order []int
+	for i := 0; i < 6; i++ {
+		order = append(order, recv(t, ranks[0], AnySource).Src)
+	}
+	want := []int{1, 2, 3, 1, 2, 3}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("any-source order %v, want %v", order, want)
+		}
 	}
 }

@@ -29,6 +29,22 @@ func testServer(t *testing.T, opts Options) *Server {
 	return srv
 }
 
+// oneModel serves srv over HTTP the way d500serve serves a model: as the
+// sole tenant of a registry, whose POST /v1/infer routes to it.
+func oneModel(t *testing.T, srv *Server) *httptest.Server {
+	t.Helper()
+	reg := NewRegistry(RegistryOptions{})
+	if err := reg.Load("m", ModelSpec{Version: "v1", Build: func() (*Server, error) { return srv, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(reg.Handler(nil))
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Close(context.Background())
+	})
+	return ts
+}
+
 func postInfer(t *testing.T, ts *httptest.Server, body any) *http.Response {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -46,8 +62,7 @@ func postInfer(t *testing.T, ts *httptest.Server, body any) *http.Response {
 // the HTTP result matches a direct Server.Infer of the same input.
 func TestHTTPInferRoundTrip(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 4, MaxLinger: 5 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := oneModel(t, srv)
 
 	x := make([]float32, 16)
 	for i := range x {
@@ -108,8 +123,7 @@ func TestHTTPInferRoundTrip(t *testing.T) {
 // TestHTTPErrorMapping checks the status-code taxonomy of the front end.
 func TestHTTPErrorMapping(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := oneModel(t, srv)
 
 	cases := []struct {
 		name string
@@ -157,8 +171,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 // TestHTTPStatsAndHealth covers the observability routes.
 func TestHTTPStatsAndHealth(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 2, Replicas: 1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := oneModel(t, srv)
 
 	resp := postInfer(t, ts, InferRequest{Feeds: map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
@@ -175,11 +188,11 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	if sr.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: status %d", sr.StatusCode)
 	}
-	var st Stats
+	var st registryStatsJSON
 	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 1 || st.Batches != 1 || st.MaxBatch != 2 {
+	if st.Requests != 1 || st.Batches != 1 || len(st.Models) != 1 || st.Models[0].Stats.MaxBatch != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 

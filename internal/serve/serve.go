@@ -30,8 +30,10 @@
 // model, each with its own queue + replica pool, hot load/unload and
 // atomic version swap (see registry.go).
 //
-// Public entry points: New (with Options), Server.Infer, Server.Handler
-// (the HTTP JSON front end), Server.Stats and Server.Close. Per-request
+// Public entry points: New (with Options), Server.Infer, Server.Stats and
+// Server.Close. The HTTP JSON front end is Registry.Handler; a single model
+// is served over HTTP as a one-model registry (NewRegistry, Load,
+// Handler(nil)), whose POST /v1/infer routes to the sole loaded model. Per-request
 // context deadlines are honored while a request is queued; once its batch
 // is dispatched the pass runs to completion and abandoned results are
 // discarded.

@@ -4,9 +4,9 @@
 // retry-with-backoff dialing. TCPRank implements the same fabric surface
 // as the in-process simulator (*mpi.Rank) — the dist.Rank interface — so
 // every distributed optimizer (DSGD, DPSGD, model averaging, sparse,
-// parameter server) runs unchanged over real sockets, and the ring
-// allreduce and the sync/async/stale parameter server execute over
-// loopback or a real network instead of goroutine mailboxes.
+// parameter server) and the one dist.AllreduceSum run unchanged over real
+// sockets instead of goroutine mailboxes. Failures are returned as
+// *NetError values, never raised as panics.
 //
 // Frames carry either full-precision float32 vectors or the gradient
 // quantization wire format of dist.Quantize (packed b-bit codes + shared

@@ -10,13 +10,12 @@ import (
 	"time"
 
 	"deep500/internal/dist"
-	"deep500/internal/mpi"
 	"deep500/internal/tensor"
 )
 
-// NetError is the failure a TCPRank operation surfaces: the fabric methods
-// satisfy the error-free dist.Rank interface, so they panic with a
-// *NetError and callers unwrap it with Protect.
+// NetError is the error a TCPRank send or receive returns when the fabric
+// fails: a peer unreachable, a connection lost, a receive timed out, the
+// rank closed.
 type NetError struct {
 	// Op names the failing operation ("send", "recv", "dial", ...).
 	Op string
@@ -32,20 +31,10 @@ func (e *NetError) Error() string {
 
 func (e *NetError) Unwrap() error { return e.Err }
 
-// Protect runs fn, converting a *NetError panic from the fabric back into
-// an ordinary error. Other panics propagate.
-func Protect(fn func() error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ne, ok := p.(*NetError)
-			if !ok {
-				panic(p)
-			}
-			err = ne
-		}
-	}()
-	return fn()
-}
+// Protect runs fn and returns its error. It dates from when the fabric
+// raised NetError as a panic; nothing panics now, and Protect remains only
+// because the repository benchmark's pinned surface calls it.
+func Protect(fn func() error) error { return fn() }
 
 // Options configures a TCPRank.
 type Options struct {
@@ -76,7 +65,7 @@ type Options struct {
 	// Default 30s.
 	IOTimeout time.Duration
 	// RecvTimeout bounds every blocking receive; an expired wait is a fabric
-	// failure (peer hung or dead), surfaced as *NetError. Default 2m.
+	// failure (peer hung or dead), returned as *NetError. Default 2m.
 	RecvTimeout time.Duration
 	// QuantizeBits, when 1..8, ships every non-empty payload in the
 	// dist.Quantize wire format at that width; 0 sends full precision.
@@ -119,26 +108,20 @@ type Stats struct {
 	Redials int64
 }
 
-// message is one delivered payload.
-type message struct {
-	data []float32
-	tag  int
-}
-
 // mailbox is the FIFO of delivered messages from one source. head indexes
 // the next message to pop; the backing array is rewound whenever the queue
 // drains, so steady-state traffic reuses it.
 type mailbox struct {
-	q    []message
+	q    []dist.Message
 	head int
 }
 
-func (b *mailbox) pop() (message, bool) {
+func (b *mailbox) pop() (dist.Message, bool) {
 	if b.head == len(b.q) {
-		return message{}, false
+		return dist.Message{}, false
 	}
 	m := b.q[b.head]
-	b.q[b.head] = message{} // the queue must not pin a payload the consumer owns now
+	b.q[b.head] = dist.Message{} // the queue must not pin a payload the consumer owns now
 	if b.head++; b.head == len(b.q) {
 		b.q, b.head = b.q[:0], 0
 	}
@@ -151,32 +134,41 @@ type peer struct {
 	wbuf []byte     // the frame being written, reused from send to send
 	conn net.Conn
 	gen  int // bumped on every (re)install, guards stale teardown
+	// lostAt is when the last connection died without a replacement; zero
+	// while connected (or before the first connection).
+	lostAt time.Time
 }
+
+// reconnectGrace is how long a rank waits for a peer whose connection it
+// lost to come back before a send to it or a receive from it fails. A
+// restarted worker redials well within it; a dead peer fails the caller in
+// about a second instead of after RecvTimeout.
+const reconnectGrace = time.Second
 
 // maxIdleSlabBytes bounds the receive slabs a rank keeps for reuse. Slabs
 // released beyond it go to the garbage collector.
 const maxIdleSlabBytes = 64 << 20
 
-// TCPRank is the networked fabric: it implements dist.Rank (and
-// dist.CancelableRank) over persistent TCP connections, one duplex
-// connection per peer pair, established by the higher rank dialing the
-// lower. Frames are demultiplexed by per-connection reader goroutines into
-// per-source mailboxes, so sends never block on the application draining
-// and the ring allreduce's send-then-receive step cannot deadlock.
+// TCPRank is the networked fabric: it implements dist.Rank over persistent
+// TCP connections, one duplex connection per peer pair, established by the
+// higher rank dialing the lower. Frames are demultiplexed by per-connection
+// reader goroutines into per-source mailboxes, so sends never block on the
+// application draining and the ring all-reduce's send-then-receive step
+// cannot deadlock.
 //
-// Like *mpi.Rank, a TCPRank's receive methods are owned by one goroutine
-// (the rank's main loop); readers deliver concurrently from any number of
-// connections.
+// Like *mpi.Rank, a TCPRank's Recv is owned by one goroutine (the rank's
+// main loop); readers deliver concurrently from any number of connections.
+// Every failure is a returned *NetError.
 type TCPRank struct {
 	opt Options
 
-	mu    sync.Mutex // guards peers' conn/gen
+	mu    sync.Mutex // guards peers' conn/gen/lostAt
 	peers []*peer
 
 	inbox struct {
 		sync.Mutex
 		queues []mailbox
-		rr     int // round-robin cursor for RecvAny fairness
+		rr     int // round-robin cursor for any-source fairness
 	}
 	notify chan struct{} // cap 1, signaled on every delivery
 	// slabs recycles receive payloads: readers decode into a slab taken from
@@ -206,20 +198,16 @@ type TCPRank struct {
 	peerTrace atomic.Pointer[[2]uint64]
 }
 
-var (
-	_ dist.Rank           = (*TCPRank)(nil)
-	_ dist.CancelableRank = (*TCPRank)(nil)
-	_ dist.Releaser       = (*TCPRank)(nil)
-)
+var _ dist.Rank = (*TCPRank)(nil)
 
-// New builds the rank, starts its accept loop, and eagerly dials every
-// lower rank (with bounded retry-with-backoff, so peers may come up in any
-// order). It returns once all lower connections are established.
 // DefaultOptions returns the transport's resolved defaults (what a zero
 // Options becomes): dial/IO/receive deadlines and retry policy. d500info
 // prints these.
 func DefaultOptions() Options { return (&Options{}).withDefaults() }
 
+// New builds the rank, starts its accept loop, and eagerly dials every
+// lower rank (with bounded retry-with-backoff, so peers may come up in any
+// order). It returns once all lower connections are established.
 func New(opt Options) (*TCPRank, error) {
 	opt = opt.withDefaults()
 	if opt.Size < 1 || opt.ID < 0 || opt.ID >= opt.Size {
@@ -378,21 +366,35 @@ func (t *TCPRank) install(src int, c net.Conn) {
 	}
 	p.conn = c
 	p.gen++
+	p.lostAt = time.Time{}
 	gen := p.gen
 	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.reader(src, c, gen)
 }
 
-// dropConn clears the connection to src if it is still generation gen.
+// dropConn clears the connection to src if it is still generation gen,
+// recording the loss and waking a receiver that may be waiting on src.
 func (t *TCPRank) dropConn(src, gen int) {
 	t.mu.Lock()
 	p := t.peers[src]
-	if p.gen == gen && p.conn != nil {
+	lost := p.gen == gen && p.conn != nil
+	if lost {
 		p.conn.Close()
 		p.conn = nil
+		p.lostAt = time.Now()
 	}
 	t.mu.Unlock()
+	if lost {
+		t.signal()
+	}
+}
+
+// lostAt reports when the connection to src was lost (zero: it was not).
+func (t *TCPRank) lostAt(src int) time.Time {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.peers[src].lostAt
 }
 
 // reader drains frames from one connection into the mailbox of src until
@@ -426,13 +428,13 @@ func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 		if f.Trace != 0 {
 			t.peerTrace.Store(&[2]uint64{f.Trace, f.Span})
 		}
-		t.push(src, message{data: data, tag: int(f.Tag)})
+		t.push(src, dist.Message{Data: data, Src: src, Tag: int(f.Tag)})
 	}
 }
 
-// Release hands a payload returned by one of this rank's receive methods
-// back for reuse by a later receive. It is optional: a payload that is never
-// released is an ordinary slice the caller may keep for as long as it likes.
+// Release hands a payload returned by Recv back for reuse by a later
+// receive. It is optional: a payload that is never released is an
+// ordinary slice the caller may keep for as long as it likes.
 // After Release the caller must not touch the slice again, and must release
 // the slice as it was received (not a sub-slice) and at most once. The idle
 // slabs kept are bounded (maxIdleSlabBytes, read off the arena's idle-bytes
@@ -444,11 +446,16 @@ func (t *TCPRank) Release(data []float32) {
 }
 
 // push appends a message to src's mailbox and signals the owner.
-func (t *TCPRank) push(src int, m message) {
+func (t *TCPRank) push(src int, m dist.Message) {
 	t.inbox.Lock()
 	b := &t.inbox.queues[src]
 	b.q = append(b.q, m)
 	t.inbox.Unlock()
+	t.signal()
+}
+
+// signal wakes the receiving goroutine, if it is waiting.
+func (t *TCPRank) signal() {
 	select {
 	case t.notify <- struct{}{}:
 	default:
@@ -506,12 +513,13 @@ func (t *TCPRank) dialPeer(dst int) (net.Conn, int, error) {
 }
 
 // acquire returns the live connection to dst, dialing (lower peers) or
-// awaiting an inbound connection (higher peers) until deadline.
+// awaiting an inbound connection (higher peers) until deadline — or for at
+// most reconnectGrace once an established connection has been lost.
 func (t *TCPRank) acquire(dst int, deadline time.Time) (net.Conn, int, error) {
 	for {
 		t.mu.Lock()
 		p := t.peers[dst]
-		c, gen := p.conn, p.gen
+		c, gen, lostAt := p.conn, p.gen, p.lostAt
 		t.mu.Unlock()
 		if c != nil {
 			return c, gen, nil
@@ -520,6 +528,9 @@ func (t *TCPRank) acquire(dst int, deadline time.Time) (net.Conn, int, error) {
 			return t.dialPeer(dst)
 		}
 		// Higher ranks dial us; all we can do is wait for the connection.
+		if !lostAt.IsZero() && deadline.After(lostAt.Add(reconnectGrace)) {
+			deadline = lostAt.Add(reconnectGrace)
+		}
 		if time.Now().After(deadline) {
 			return nil, 0, fmt.Errorf("transport: peer %d not connected", dst)
 		}
@@ -531,28 +542,23 @@ func (t *TCPRank) acquire(dst int, deadline time.Time) (net.Conn, int, error) {
 	}
 }
 
-// Send transmits data to dst (tag 0).
-func (t *TCPRank) Send(dst int, data []float32, simBytes int64) {
-	t.SendTagged(dst, data, 0, simBytes)
-}
-
-// SendTagged transmits data to dst with a message tag, re-acquiring the
+// Send transmits data to dst with a message tag, re-acquiring the
 // connection once on write failure. The frame is encoded straight into the
 // peer's reusable write buffer (under the write lock, so concurrent senders
 // to one peer stay whole-frame atomic); data is not retained. Under
 // BestEffortSend an unreachable peer drops the frame; otherwise the failure
-// panics as *NetError. simBytes is a simulator concept and ignored: the wire
-// bytes here are real.
-func (t *TCPRank) SendTagged(dst int, data []float32, tag int, _ int64) {
+// is returned as *NetError. simBytes is a simulator concept and ignored: the
+// wire bytes here are real.
+func (t *TCPRank) Send(dst, tag int, data []float32, _ int64) error {
 	if dst == t.opt.ID || dst < 0 || dst >= t.opt.Size {
-		panic(&NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: fmt.Errorf("invalid destination")})
+		return &NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: fmt.Errorf("invalid destination")}
 	}
 	wait := t.opt.RecvTimeout
 	if t.opt.BestEffortSend {
 		// A best-effort sender (the parameter server) must not stall its
 		// loop on a dead peer: give a reconnecting worker a short grace
 		// window, then drop.
-		wait = time.Second
+		wait = reconnectGrace
 	}
 	deadline := time.Now().Add(wait)
 	var trace, span uint64
@@ -576,50 +582,55 @@ func (t *TCPRank) SendTagged(dst int, data []float32, tag int, _ int64) {
 		if werr == nil {
 			t.sentBytes.Add(int64(n))
 			t.sentFrames.Add(1)
-			return
+			return nil
 		}
 		lastErr = werr
 		t.dropConn(dst, gen)
 	}
 	if t.opt.BestEffortSend {
 		t.dropped.Add(1)
-		return
+		return nil
 	}
-	panic(&NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: lastErr})
+	return &NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: lastErr}
 }
 
-// pop dequeues the next message from src, or — when src is -1 — from any
-// source, round-robin fair.
-func (t *TCPRank) pop(src int) (message, int, bool) {
+// pop dequeues the next message from src, or — when src is AnySource —
+// from any source, round-robin fair.
+func (t *TCPRank) pop(src int) (dist.Message, bool) {
 	t.inbox.Lock()
 	defer t.inbox.Unlock()
-	if src >= 0 {
-		m, ok := t.inbox.queues[src].pop()
-		return m, src, ok
+	if src != dist.AnySource {
+		return t.inbox.queues[src].pop()
 	}
 	for off := 0; off < t.opt.Size; off++ {
 		s := (t.inbox.rr + off) % t.opt.Size
 		if m, ok := t.inbox.queues[s].pop(); ok {
 			t.inbox.rr = (s + 1) % t.opt.Size
-			return m, s, true
+			return m, true
 		}
 	}
-	return message{}, -1, false
+	return dist.Message{}, false
 }
 
-// waitMsg blocks for the next message from src (or any source when src is
-// -1), honoring ctx and the rank's RecvTimeout. One timer serves the whole
-// wait and is stopped when it ends, so a blocking receive leaves nothing on
-// the timer heap. It is the rank's parked timer (see recvTimer) whenever
-// that is free — always, for the single receiving goroutine a rank is meant
-// to have; a second concurrent waiter just makes its own.
-func (t *TCPRank) waitMsg(ctx context.Context, src int) (message, int, error) {
-	if m, s, ok := t.pop(src); ok {
-		return m, s, nil
+// Recv blocks for the next message from src (or any source when src is
+// dist.AnySource). It returns ctx.Err() when ctx ends first, and a
+// *NetError when the rank is closed, when RecvTimeout passes with nothing
+// delivered, or — for a single source — when the connection to src has
+// been lost for reconnectGrace with every message it delivered consumed.
+// An any-source receive outlives one peer's loss: the parameter server
+// keeps serving while a restarted worker reconnects.
+//
+// One timer serves the whole wait and is stopped when it ends, so a
+// blocking receive leaves nothing on the timer heap. It is the rank's
+// parked timer (see recvTimer) whenever that is free — always, for the
+// single receiving goroutine a rank is meant to have; a second concurrent
+// waiter just makes its own.
+func (t *TCPRank) Recv(ctx context.Context, src int) (dist.Message, error) {
+	if src != dist.AnySource && (src < 0 || src >= t.opt.Size || src == t.opt.ID) {
+		return dist.Message{}, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src, Err: fmt.Errorf("invalid source")}
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
+	if m, ok := t.pop(src); ok {
+		return m, nil
 	}
 	timeout := t.recvTimer.Swap(nil)
 	if timeout == nil {
@@ -628,20 +639,35 @@ func (t *TCPRank) waitMsg(ctx context.Context, src int) (message, int, error) {
 		timeout.Reset(t.opt.RecvTimeout)
 	}
 	defer t.parkTimer(timeout)
+	var grace <-chan time.Time // armed while src's connection is down
 	for {
+		if grace == nil && src != dist.AnySource {
+			if at := t.lostAt(src); !at.IsZero() {
+				grace = time.After(time.Until(at.Add(reconnectGrace)))
+			}
+		}
 		select {
 		case <-t.notify:
-		case <-done:
-			return message{}, -1, ctx.Err()
+		case <-ctx.Done():
+			return dist.Message{}, ctx.Err()
 		case <-timeout.C:
-			return message{}, -1, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
+			return dist.Message{}, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
 				Err: fmt.Errorf("no message within %v", t.opt.RecvTimeout)}
 		case <-t.closedCh:
-			return message{}, -1, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
+			return dist.Message{}, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
 				Err: fmt.Errorf("rank closed")}
+		case <-grace:
+			grace = nil
+			if m, ok := t.pop(src); ok {
+				return m, nil
+			}
+			if at := t.lostAt(src); !at.IsZero() && time.Since(at) >= reconnectGrace {
+				return dist.Message{}, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src,
+					Err: fmt.Errorf("connection lost")}
+			}
 		}
-		if m, s, ok := t.pop(src); ok {
-			return m, s, nil
+		if m, ok := t.pop(src); ok {
+			return m, nil
 		}
 	}
 }
@@ -656,69 +682,6 @@ func (t *TCPRank) parkTimer(tm *time.Timer) {
 		}
 	}
 	t.recvTimer.Store(tm)
-}
-
-// mustMsg is waitMsg for the error-free blocking interface methods.
-func (t *TCPRank) mustMsg(src int) (message, int) {
-	m, s, err := t.waitMsg(nil, src)
-	if err != nil {
-		if ne, ok := err.(*NetError); ok {
-			panic(ne)
-		}
-		panic(&NetError{Op: "recv", Rank: t.opt.ID, Peer: src, Err: err})
-	}
-	return m, s
-}
-
-// Recv blocks for the next message from src.
-func (t *TCPRank) Recv(src int) []float32 {
-	m, _ := t.mustMsg(src)
-	return m.data
-}
-
-// RecvTagged blocks for the next message from src, returning payload and tag.
-func (t *TCPRank) RecvTagged(src int) ([]float32, int) {
-	m, _ := t.mustMsg(src)
-	return m.data, m.tag
-}
-
-// RecvAny blocks for the next message from any rank.
-func (t *TCPRank) RecvAny() ([]float32, int) {
-	m, s := t.mustMsg(-1)
-	return m.data, s
-}
-
-// RecvAnyTagged blocks for the next message from any rank, returning
-// payload, source and tag.
-func (t *TCPRank) RecvAnyTagged() ([]float32, int, int) {
-	m, s := t.mustMsg(-1)
-	return m.data, s, m.tag
-}
-
-// RecvCtx is Recv honoring context cancellation.
-func (t *TCPRank) RecvCtx(ctx context.Context, src int) ([]float32, error) {
-	m, _, err := t.waitMsg(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	return m.data, nil
-}
-
-// RecvAnyCtx is RecvAnyTagged honoring context cancellation.
-func (t *TCPRank) RecvAnyCtx(ctx context.Context) ([]float32, int, int, error) {
-	m, s, err := t.waitMsg(ctx, -1)
-	if err != nil {
-		return nil, -1, 0, err
-	}
-	return m.data, s, m.tag, nil
-}
-
-// AllreduceSum sums data elementwise across all ranks in place. The TCP
-// fabric always runs the bandwidth-optimal ring over its point-to-point
-// sends (the algo hint is a simulator concept), with chunking identical to
-// the simulator's ring so both fabrics produce the same floats.
-func (t *TCPRank) AllreduceSum(_ mpi.AllreduceAlgo, data []float32, _ int64) {
-	dist.RingAllreduce(t, data)
 }
 
 // NewLocalWorld builds an n-rank loopback world for tests and the

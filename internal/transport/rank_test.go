@@ -29,6 +29,17 @@ func world(t *testing.T, n int, tweak func(*Options)) []*TCPRank {
 	return ranks
 }
 
+// recv is a blocking receive that reports a failure through t.Error (safe
+// from rank goroutines) and returns the message.
+func recv(t *testing.T, r *TCPRank, src int) dist.Message {
+	t.Helper()
+	m, err := r.Recv(context.Background(), src)
+	if err != nil {
+		t.Error(err)
+	}
+	return m
+}
+
 // run executes body on every rank concurrently (one goroutine per rank, as
 // the ownership contract requires) and fails the test on any error.
 func run(t *testing.T, ranks []*TCPRank, body func(r *TCPRank) error) {
@@ -39,7 +50,7 @@ func run(t *testing.T, ranks []*TCPRank, body func(r *TCPRank) error) {
 		wg.Add(1)
 		go func(i int, r *TCPRank) {
 			defer wg.Done()
-			errs[i] = Protect(func() error { return body(r) })
+			errs[i] = body(r)
 		}(i, r)
 	}
 	wg.Wait()
@@ -61,10 +72,16 @@ func TestTCPRankP2P(t *testing.T) {
 			if dst == r.ID() {
 				continue
 			}
-			r.SendTagged(dst, []float32{float32(r.ID()), float32(dst)}, 10+r.ID(), mpi.SimActual)
+			if err := r.Send(dst, 10+r.ID(), []float32{float32(r.ID()), float32(dst)}, mpi.SimActual); err != nil {
+				return err
+			}
 		}
 		for i := 0; i < n-1; i++ {
-			data, src, tag := r.RecvAnyTagged()
+			m, err := r.Recv(context.Background(), dist.AnySource)
+			if err != nil {
+				return err
+			}
+			data, src, tag := m.Data, m.Src, m.Tag
 			if len(data) != 2 || data[0] != float32(src) || data[1] != float32(r.ID()) {
 				t.Errorf("rank %d: bad payload %v from %d", r.ID(), data, src)
 			}
@@ -84,21 +101,24 @@ func TestTCPRankEmptyMessage(t *testing.T) {
 		ranks := world(t, 2, func(o *Options) { o.QuantizeBits = bits })
 		run(t, ranks, func(r *TCPRank) error {
 			if r.ID() == 1 {
-				r.SendTagged(0, nil, 7, mpi.SimActual)
-				r.SendTagged(0, []float32{}, 8, mpi.SimActual)
-				r.SendTagged(0, []float32{3}, 9, mpi.SimActual)
+				for i, data := range [][]float32{nil, {}, {3}} {
+					if err := r.Send(0, 7+i, data, mpi.SimActual); err != nil {
+						return err
+					}
+				}
 				return nil
 			}
 			for _, wantTag := range []int{7, 8} {
-				data, tag := r.RecvTagged(1)
+				m := recv(t, r, 1)
+				data, tag := m.Data, m.Tag
 				if data == nil || len(data) != 0 || tag != wantTag {
 					t.Errorf("bits=%d: empty message arrived as %#v tag %d, want an empty non-nil slice tag %d",
 						bits, data, tag, wantTag)
 				}
 				r.Release(data)
 			}
-			if data, tag := r.RecvTagged(1); len(data) != 1 || tag != 9 {
-				t.Errorf("bits=%d: message after the empty ones arrived as %v tag %d", bits, data, tag)
+			if m := recv(t, r, 1); len(m.Data) != 1 || m.Tag != 9 {
+				t.Errorf("bits=%d: message after the empty ones arrived as %v tag %d", bits, m.Data, m.Tag)
 			}
 			return nil
 		})
@@ -113,62 +133,20 @@ func TestTCPRankFIFO(t *testing.T) {
 	run(t, ranks, func(r *TCPRank) error {
 		if r.ID() == 1 {
 			for i := 0; i < msgs; i++ {
-				r.Send(0, []float32{float32(i)}, mpi.SimActual)
+				if err := r.Send(0, 0, []float32{float32(i)}, mpi.SimActual); err != nil {
+					return err
+				}
 			}
 			return nil
 		}
 		for i := 0; i < msgs; i++ {
-			got := r.Recv(1)
+			got := recv(t, r, 1).Data
 			if got[0] != float32(i) {
 				t.Errorf("message %d arrived as %g", i, got[0])
 			}
 		}
 		return nil
 	})
-}
-
-// TestTCPRankAllreduceMatchesSimulator is the collective conformance check:
-// the TCP ring allreduce must produce bitwise the floats of the simulator's
-// ring on the same per-rank inputs (identical chunking and reduction
-// order), across world sizes including ones with ragged n/p chunks.
-func TestTCPRankAllreduceMatchesSimulator(t *testing.T) {
-	for _, n := range []int{2, 3, 4} {
-		for _, vecLen := range []int{1, 7, 64, 1023} {
-			inputs := make([][]float32, n)
-			for i := range inputs {
-				rng := tensor.NewRNG(uint64(100*n + vecLen + i))
-				inputs[i] = tensor.RandNormal(rng, 0, 1, vecLen).Data()
-			}
-
-			// Simulator reference.
-			want := make([][]float32, n)
-			if _, _, err := mpi.Run(n, mpi.Aries(), func(r *mpi.Rank) error {
-				v := append([]float32(nil), inputs[r.ID()]...)
-				r.AllreduceSum(mpi.AllreduceRing, v, mpi.SimActual)
-				want[r.ID()] = v
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			ranks := world(t, n, nil)
-			got := make([][]float32, n)
-			run(t, ranks, func(r *TCPRank) error {
-				v := append([]float32(nil), inputs[r.ID()]...)
-				r.AllreduceSum(mpi.AllreduceRing, v, mpi.SimActual)
-				got[r.ID()] = v
-				return nil
-			})
-			for rank := 0; rank < n; rank++ {
-				for i := range want[rank] {
-					if want[rank][i] != got[rank][i] {
-						t.Fatalf("n=%d len=%d rank %d elem %d: TCP %g vs simulator %g",
-							n, vecLen, rank, i, got[rank][i], want[rank][i])
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestTCPRankQuantized runs a quantizing fabric end to end: payloads ship
@@ -180,10 +158,9 @@ func TestTCPRankQuantized(t *testing.T) {
 	data := tensor.RandNormal(rng, 0, 1, 333).Data()
 	run(t, ranks, func(r *TCPRank) error {
 		if r.ID() == 1 {
-			r.Send(0, data, mpi.SimActual)
-			return nil
+			return r.Send(0, 0, data, mpi.SimActual)
 		}
-		got := r.Recv(1)
+		got := recv(t, r, 1).Data
 		if len(got) != len(data) {
 			t.Errorf("decoded %d of %d values", len(got), len(data))
 			return nil
@@ -209,8 +186,8 @@ func TestTCPRankQuantized(t *testing.T) {
 	})
 }
 
-// TestTCPRankRecvCtx covers the context-aware receive surface RunPSServer
-// relies on: cancellation unblocks a parked receive promptly.
+// TestTCPRankRecvCtx pins the receive's cancellation: a parked receive,
+// from one source or from any, returns the context's error promptly.
 func TestTCPRankRecvCtx(t *testing.T) {
 	ranks := world(t, 2, nil)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -219,27 +196,24 @@ func TestTCPRankRecvCtx(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	if _, err := ranks[0].RecvCtx(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RecvCtx returned %v, want context.Canceled", err)
+	if _, err := ranks[0].Recv(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Recv returned %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel2()
-	if _, _, _, err := ranks[1].RecvAnyCtx(ctx2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RecvAnyCtx returned %v, want deadline exceeded", err)
+	if _, err := ranks[1].Recv(ctx2, dist.AnySource); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("any-source Recv returned %v, want deadline exceeded", err)
 	}
 }
 
 // TestTCPRankRecvTimeout pins the blocking-receive bound: a receive with no
-// sender fails as *NetError (via Protect) instead of hanging forever.
+// sender fails as *NetError instead of hanging forever.
 func TestTCPRankRecvTimeout(t *testing.T) {
 	ranks := world(t, 2, func(o *Options) { o.RecvTimeout = 100 * time.Millisecond })
-	err := Protect(func() error {
-		ranks[0].Recv(1)
-		return nil
-	})
+	_, err := ranks[0].Recv(context.Background(), 1)
 	var ne *NetError
 	if !errors.As(err, &ne) {
 		t.Fatalf("got %v, want *NetError", err)
@@ -268,8 +242,8 @@ func TestTCPRankReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Send(0, []float32{1}, mpi.SimActual)
-	if got := r0.Recv(1); got[0] != 1 {
+	r1.Send(0, 0, []float32{1}, mpi.SimActual)
+	if got := recv(t, r0, 1).Data; got[0] != 1 {
 		t.Fatalf("first incarnation sent %v", got)
 	}
 	r1.Close() // worker dies
@@ -279,12 +253,12 @@ func TestTCPRankReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r1b.Close()
-	r1b.Send(0, []float32{2}, mpi.SimActual)
-	if got := r0.Recv(1); got[0] != 2 {
+	r1b.Send(0, 0, []float32{2}, mpi.SimActual)
+	if got := recv(t, r0, 1).Data; got[0] != 2 {
 		t.Fatalf("second incarnation sent %v", got)
 	}
-	r0.Send(1, []float32{3}, mpi.SimActual)
-	if got := r1b.Recv(0); got[0] != 3 {
+	r0.Send(1, 0, []float32{3}, mpi.SimActual)
+	if got := recv(t, r1b, 0).Data; got[0] != 3 {
 		t.Fatalf("reply to second incarnation was %v", got)
 	}
 }
@@ -307,8 +281,8 @@ func TestTCPRankBestEffortSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Send(0, []float32{1}, mpi.SimActual)
-	r0.Recv(1)
+	r1.Send(0, 0, []float32{1}, mpi.SimActual)
+	recv(t, r0, 1)
 	r1.Close()
 	// Wait for rank 0's reader to notice the dead connection.
 	deadline := time.Now().Add(5 * time.Second)
@@ -321,11 +295,7 @@ func TestTCPRankBestEffortSend(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	err = Protect(func() error {
-		r0.Send(1, []float32{9}, mpi.SimActual)
-		return nil
-	})
-	if err != nil {
+	if err := r0.Send(1, 0, []float32{9}, mpi.SimActual); err != nil {
 		t.Fatalf("best-effort send failed: %v", err)
 	}
 	if s := r0.Stats(); s.Dropped == 0 {
@@ -333,7 +303,8 @@ func TestTCPRankBestEffortSend(t *testing.T) {
 	}
 }
 
-// TestProtectPassthrough: Protect converts only *NetError panics.
+// TestProtectPassthrough: Protect returns fn's error unchanged and lets a
+// panic propagate.
 func TestProtectPassthrough(t *testing.T) {
 	if err := Protect(func() error { return nil }); err != nil {
 		t.Fatal(err)
@@ -401,8 +372,8 @@ func TestDialRetryBackoff(t *testing.T) {
 		t.Fatal(r0err)
 	}
 	defer r0.Close()
-	r1.Send(0, []float32{42}, mpi.SimActual)
-	if got := r0.Recv(1); got[0] != 42 {
+	r1.Send(0, 0, []float32{42}, mpi.SimActual)
+	if got := recv(t, r0, 1).Data; got[0] != 42 {
 		t.Fatalf("got %v", got)
 	}
 	if r1.Stats().Redials == 0 {
@@ -431,9 +402,6 @@ func TestTCPRankImplementsDistRank(t *testing.T) {
 	if r.ID() != 0 || r.Size() != 2 {
 		t.Fatal("identity mismatch through the interface")
 	}
-	if _, ok := r.(dist.CancelableRank); !ok {
-		t.Fatal("TCPRank lost the cancelable receive surface")
-	}
 }
 
 // TestTraceContextPropagation: a sender's trace context stamps its frames
@@ -448,10 +416,9 @@ func TestTraceContextPropagation(t *testing.T) {
 	ranks[0].SetTraceContext(0xabc, 0xdef)
 	run(t, ranks, func(r *TCPRank) error {
 		if r.ID() == 0 {
-			r.Send(1, []float32{1, 2}, 0)
-			return nil
+			return r.Send(1, 0, []float32{1, 2}, 0)
 		}
-		r.Recv(0)
+		recv(t, r, 0)
 		return nil
 	})
 	tr, sp, ok := ranks[1].PeerTraceContext()
@@ -463,10 +430,9 @@ func TestTraceContextPropagation(t *testing.T) {
 	ranks[0].SetTraceContext(0, 0)
 	run(t, ranks, func(r *TCPRank) error {
 		if r.ID() == 1 {
-			r.Send(0, []float32{3}, 0)
-			return nil
+			return r.Send(0, 0, []float32{3}, 0)
 		}
-		r.Recv(1)
+		recv(t, r, 1)
 		return nil
 	})
 	if _, _, ok := ranks[0].PeerTraceContext(); ok {

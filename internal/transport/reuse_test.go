@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"runtime"
@@ -9,10 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"deep500/internal/dist"
 	"deep500/internal/mpi"
 )
 
-// TestSendPathGoldenBytes reads what SendTagged actually puts on a socket:
+// TestSendPathGoldenBytes reads what Send actually puts on a socket:
 // frame for frame it must be AppendFrame(EncodeVector(..)) with the rank's
 // trace context stamped in — across payloads that grow, shrink and empty
 // (the write buffer is reused), full precision and quantized.
@@ -45,7 +47,9 @@ func TestSendPathGoldenBytes(t *testing.T) {
 				data[j] = float32(j%13) - 6.5*float32(i)
 			}
 			tag := 40 + i
-			r.SendTagged(0, data, tag, mpi.SimActual)
+			if err := r.Send(0, tag, data, mpi.SimActual); err != nil {
+				t.Fatal(err)
+			}
 
 			want := EncodeVector(1, tag, data, bits)
 			want.Trace, want.Span = 0xabc, 0xdef
@@ -72,8 +76,8 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 		data[i] = float32(i)
 	}
 	roundTrip := func() {
-		ranks[0].Send(1, data, mpi.SimActual)
-		got := ranks[1].Recv(0)
+		ranks[0].Send(1, 0, data, mpi.SimActual)
+		got := recv(t, ranks[1], 0).Data
 		if len(got) != len(data) || got[len(got)-1] != data[len(data)-1] {
 			t.Fatalf("received %d floats ending in %g", len(got), got[len(got)-1])
 		}
@@ -106,7 +110,7 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 
 // TestSlabReuseKeepsUnreleasedPayloads is the safety side of slab reuse,
 // run under the race detector: every rank of a 3-rank world sends to both
-// others concurrently while consuming with RecvAny. Consumers release every
+// others concurrently while consuming with any-source receives. Consumers release every
 // other payload (so slabs do circulate under the readers) and keep the rest
 // forever; what they keep must still hold what was sent when all traffic
 // is done — a consumer that never releases stays correct.
@@ -134,10 +138,12 @@ func TestSlabReuseKeepsUnreleasedPayloads(t *testing.T) {
 					for j := range buf {
 						buf[j] = float32(r.ID()*1000 + i)
 					}
-					// A send failure panics as *NetError on this goroutine
-					// only if the fabric broke, which fails the receives
-					// below too.
-					r.SendTagged(dst, buf[:size-i], i, mpi.SimActual)
+					// A send fails only if the fabric broke, which fails the
+					// receives below too.
+					if err := r.Send(dst, i, buf[:size-i], mpi.SimActual); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -147,7 +153,11 @@ func TestSlabReuseKeepsUnreleasedPayloads(t *testing.T) {
 		}
 		var held []kept
 		for i := 0; i < msgs*(n-1); i++ {
-			data, src, tag := r.RecvAnyTagged()
+			m, err := r.Recv(context.Background(), dist.AnySource)
+			if err != nil {
+				return err
+			}
+			data, src, tag := m.Data, m.Src, m.Tag
 			if len(data) != size-tag {
 				t.Errorf("rank %d: message %d from %d has %d floats", r.ID(), tag, src, len(data))
 			}
@@ -176,12 +186,14 @@ func TestSlabReuseKeepsUnreleasedPayloads(t *testing.T) {
 		mainDone.Wait()
 		for dst := 0; dst < n; dst++ {
 			if dst != r.ID() {
-				r.Send(dst, make([]float32, size), mpi.SimActual)
+				if err := r.Send(dst, 0, make([]float32, size), mpi.SimActual); err != nil {
+					return err
+				}
 			}
 		}
 		for src := 0; src < n; src++ {
 			if src != r.ID() {
-				r.Release(r.Recv(src))
+				r.Release(recv(t, r, src).Data)
 			}
 		}
 		if st := r.slabs.Stats(); st.Hits == 0 {
