@@ -6,8 +6,7 @@
 //
 //	d500bench -experiment all                       # everything (paper-scale)
 //	d500bench -experiment fig6conv -quick
-//	d500bench -experiment tables,compile -quick     # comma-separated ids
-//	d500bench -experiment compile -quick -opt       # compile pipeline everywhere
+//	d500bench -experiment tables,serve -quick       # comma-separated ids
 //	d500bench -experiment tables -quick -format json -out bench.json
 //	d500bench -experiment all -quick -timeout 2m    # deadline-bounded run
 //	d500bench -compare old.json new.json            # regression gate
@@ -39,7 +38,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "scaled-down problem sizes and re-runs")
 	seed := flag.Uint64("seed", 500, "global RNG seed")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
-	opt := flag.Bool("opt", false, "run the compile pipeline (fusion/folding/DCE) over every experiment model")
 	plan := flag.Bool("plan", false, "statically plan forward activation memory (zero-alloc steady-state inference)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no deadline)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -68,9 +66,6 @@ func run() int {
 	if *arena {
 		sessOpts = append(sessOpts, d500.WithArena())
 	}
-	if *opt {
-		sessOpts = append(sessOpts, d500.WithOptimize())
-	}
 	if *plan {
 		sessOpts = append(sessOpts, d500.WithMemPlan())
 	}
@@ -94,7 +89,7 @@ func run() int {
 	// word (e.g. a value after a boolean flag) silently stops flag parsing,
 	// so reject it loudly instead of running a misconfigured suite.
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "d500bench: unexpected argument %q (flags must precede it; boolean flags like -opt take no value)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "d500bench: unexpected argument %q (flags must precede it; boolean flags like -quick take no value)\n", flag.Arg(0))
 		return 2
 	}
 

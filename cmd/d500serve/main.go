@@ -10,7 +10,7 @@
 //	d500serve -model trained.d5nx -addr :8500       # serve a checkpoint
 //	d500serve -models hi=mlp:2,lo=lenet:1           # two tenants, priorities
 //	d500serve -zoo lenet -replicas 1 -max-replicas 4    # queue-driven autoscaling
-//	d500serve -zoo lenet -replicas 4 -batch 16 -linger 2ms -arena -opt
+//	d500serve -zoo lenet -replicas 4 -batch 16 -linger 2ms -arena
 //	d500serve -zoo mlp -log                         # JSON request log on stdout
 //
 // Routes: POST /v1/infer (sole model, or ?model=name), POST
@@ -123,7 +123,6 @@ func run() int {
 	scaleIdle := flag.Duration("scale-idle", 0, "idle time before a scaled-up replica retires (0 = default 500ms)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = replicas*batch*4)")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a shared tensor arena")
-	optimize := flag.Bool("opt", false, "compile the graph before serving (fusion/folding/DCE)")
 	respawn := flag.Bool("respawn", true, "rebuild crashed replicas from the shared weights")
 	logReq := flag.Bool("log", false, "write one JSON line per HTTP request to stdout")
 	traceOn := flag.Bool("trace", false, "record request traces into the in-memory flight recorder (GET /debug/traces)")
@@ -132,7 +131,7 @@ func run() int {
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown budget")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "d500serve: unexpected argument %q (boolean flags like -opt and -arena take no value)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "d500serve: unexpected argument %q (boolean flags like -arena and -log take no value)\n", flag.Arg(0))
 		return 2
 	}
 
@@ -158,9 +157,6 @@ func run() int {
 	metrics.ObserveTracer(tracer)
 	if *arena {
 		sessOpts = append(sessOpts, d500.WithArena())
-	}
-	if *optimize {
-		sessOpts = append(sessOpts, d500.WithOptimize())
 	}
 	srvOpts := []d500.ServerOption{
 		d500.WithMaxBatch(*batch),

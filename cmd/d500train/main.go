@@ -47,7 +47,6 @@ func main() {
 	opt := flag.String("optimizer", "momentum", "optimizer: sgd, momentum, nesterov, adagrad, rmsprop, adam, adam-fused, accelegrad")
 	backend := flag.String("backend", "reference", "framework backend: reference, tfgo, torchgo, cf2go")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
-	optimize := flag.Bool("opt", false, "compile the graph before execution (fusion/folding/DCE)")
 	plan := flag.Bool("plan", false, "statically plan forward activation memory (speeds up the evaluation passes)")
 	epochs := flag.Int("epochs", 5, "training epochs")
 	batch := flag.Int("batch", 64, "minibatch size")
@@ -62,11 +61,11 @@ func main() {
 	traceOn := flag.Bool("trace", false, "trace the run (step/epoch/per-op spans); retained traces print as trace lines")
 	traceSlow := flag.Duration("trace-slow", 0, "tail-sample any run at least this slow (implies -trace; 0 = default 250ms)")
 	flag.Parse()
-	// A stray positional (e.g. "d500train -opt adam", where boolean -opt
-	// consumes no value and "adam" stops flag parsing) would otherwise run
+	// A stray positional (e.g. "d500train -arena true", where boolean -arena
+	// consumes no value and "true" stops flag parsing) would otherwise run
 	// silently misconfigured with every later flag ignored.
 	if flag.NArg() > 0 {
-		fatalIf(fmt.Errorf("unexpected argument %q (boolean flags like -opt and -arena take no value; did you mean -optimizer?)", flag.Arg(0)))
+		fatalIf(fmt.Errorf("unexpected argument %q (boolean flags like -arena and -plan take no value)", flag.Arg(0)))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -102,9 +101,6 @@ func main() {
 	if *arena {
 		opts = append(opts, d500.WithArena())
 	}
-	if *optimize {
-		opts = append(opts, d500.WithOptimize())
-	}
 	if *plan {
 		opts = append(opts, d500.WithMemPlan())
 	}
@@ -119,9 +115,6 @@ func main() {
 	sess, err := d500.New(opts...)
 	fatalIf(err)
 	fatalIf(sess.Open(m))
-	if stats, ok := sess.OptimizeStats(); ok {
-		fmt.Println(stats)
-	}
 
 	ts, err := d500.OptimizerByName(*opt, *lr)
 	fatalIf(err)

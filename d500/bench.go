@@ -23,11 +23,10 @@ type BenchConfig struct {
 // coreOptions maps the session configuration onto the experiment options.
 func (s *Session) coreOptions() core.Options {
 	return core.Options{
-		Quick:    s.cfg.quick,
-		Seed:     s.cfg.seed,
-		Arena:    s.cfg.arena,
-		Optimize: s.cfg.optimize,
-		MemPlan:  s.cfg.memPlan,
+		Quick:   s.cfg.quick,
+		Seed:    s.cfg.seed,
+		Arena:   s.cfg.arena,
+		MemPlan: s.cfg.memPlan,
 	}
 }
 
@@ -62,7 +61,6 @@ func (s *Session) Bench(ctx context.Context, ids []string, cfg BenchConfig) (*Be
 	}
 	env := bench.CaptureEnv()
 	env.Arena = s.cfg.arena
-	env.Optimize = s.cfg.optimize
 	env.MemPlan = s.cfg.memPlan
 	env.Quick = s.cfg.quick
 	env.Seed = s.cfg.seed

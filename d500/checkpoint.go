@@ -17,10 +17,9 @@ import (
 
 // Save writes the session's open model — including its current, possibly
 // trained, parameter tensors — to path in the D5NX binary format. The
-// saved graph is the model as opened (the compile pipeline's rewrites are
-// an executor-side concern and are re-applied on load); parameter
-// mutations from training are captured because executors reference the
-// model's tensors rather than copying them.
+// saved graph is the model as opened; parameter mutations from training
+// are captured because executors reference the model's tensors rather than
+// copying them.
 func (s *Session) Save(path string) error {
 	if s.model == nil {
 		return errNotOpen

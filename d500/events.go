@@ -47,7 +47,7 @@ type EvalEnd struct {
 // BenchSample is emitted for every record a benchmark experiment appends
 // to the machine-readable report, while the suite is still running.
 type BenchSample struct {
-	// Experiment is the suite experiment id ("fig6conv", "compile", ...).
+	// Experiment is the suite experiment id ("fig6conv", "serve", ...).
 	Experiment string
 	// Metric is the record name within the experiment.
 	Metric string

@@ -99,29 +99,3 @@ func ExampleSession_Bench() {
 	// schema v1, experiments: 1
 	// id=tables records=true
 }
-
-// ExampleSession_OptimizeStats shows the graph-compilation pipeline
-// (d500.WithOptimize) shrinking a model's dispatch schedule: LeNet's two
-// Conv→Bias→ReLU and two Dense→Bias→ReLU chains fuse into single nodes.
-// Node counts are structural, so the output is deterministic.
-func ExampleSession_OptimizeStats() {
-	model := models.LeNet(models.Config{
-		Classes: 10, Channels: 1, Height: 28, Width: 28,
-		WithHead: true, Seed: 42,
-	})
-
-	sess, err := d500.New(d500.WithOptimize(), d500.WithSeed(42))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sess.Open(model); err != nil {
-		log.Fatal(err)
-	}
-
-	stats, ok := sess.OptimizeStats()
-	fmt.Println(ok)
-	fmt.Println(stats)
-	// Output:
-	// true
-	// optimized: 14 → 10 nodes (folded 0, eliminated 0, fused 4 chains)
-}

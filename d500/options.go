@@ -23,7 +23,6 @@ func Frameworks() []string {
 type config struct {
 	framework string
 	arena     bool
-	optimize  bool
 	memPlan   bool
 	seed      uint64 // always non-zero after New (defaultSeed fallback)
 	quick     bool
@@ -63,20 +62,6 @@ func WithFramework(name string) Option {
 func WithArena() Option {
 	return func(c *config) error {
 		c.arena = true
-		return nil
-	}
-}
-
-// WithOptimize enables the graph-compilation pipeline: every model the
-// session opens is rewritten — constant folding, dead-node elimination, and
-// fusion of Dense→Bias→Activation and Conv→Bias→ReLU chains into one-pass
-// fused kernels — before the executor runs it. Optimized
-// executors produce tolerance-equal outputs and gradients; the rewrite
-// statistics of the open model are available via Session.OptimizeStats.
-// (This is the -opt flag of d500bench and d500train.)
-func WithOptimize() Option {
-	return func(c *config) error {
-		c.optimize = true
 		return nil
 	}
 }

@@ -171,11 +171,10 @@ func WithRespawn() ServerOption {
 }
 
 // WithSession forwards Session options to the server's replicas: arena
-// recycling, the compile pipeline, the memory plan, the framework profile
-// and the event hook all mean the same thing they mean for a Session —
-// replicas are built by the same function Session.Open uses. Shared
-// resources are resolved once: the replicas share one arena and one
-// compiled model.
+// recycling, the memory plan, the framework profile and the event hook all
+// mean the same thing they mean for a Session — replicas are built by the
+// same function Session.Open uses. Shared resources are resolved once: the
+// replicas share one arena and the model's parameter tensors.
 func WithSession(opts ...Option) ServerOption {
 	return func(c *serverConfig) error {
 		c.sess = append(c.sess, opts...)
@@ -191,17 +190,14 @@ func WithSession(opts ...Option) ServerOption {
 // (see the Session concurrency contract).
 type Server struct {
 	inner  *serve.Server
-	name   string         // model name, the per-tenant metrics label
-	stats  *OptimizeStats // nil without WithOptimize
-	arena  *tensor.Arena  // replica-shared arena, nil without WithArena
-	tracer *Tracer        // replica-shared tracer, nil when tracing is off
+	name   string        // model name, the per-tenant metrics label
+	arena  *tensor.Arena // replica-shared arena, nil without WithArena
+	tracer *Tracer       // replica-shared tracer, nil when tracing is off
 }
 
 // NewServer builds a serving pool over the model. The replicas are
 // configured through WithSession (same vocabulary as New) and share the
-// model's parameter tensors, the kernel worker pool and one tensor arena;
-// the compile pipeline, when enabled, runs once and every replica serves
-// the compiled graph.
+// model's parameter tensors, the kernel worker pool and one tensor arena.
 //
 // Every executed micro-batch is reported to the session hook (WithSession
 // + WithHook) as a ServeSample event.
@@ -228,13 +224,9 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 		return nil, err
 	}
 
-	served, stats, err := base.compile(m)
-	if err != nil {
-		return nil, fmt.Errorf("d500: compiling model %q for serving: %w", m.Name, err)
-	}
-	s := &Server{stats: stats, arena: base.newArena()}
+	s := &Server{arena: base.newArena()}
 	factory := func() (executor.GraphExecutor, error) {
-		return base.newExecutor(served, s.arena)
+		return base.newExecutor(m, s.arena)
 	}
 
 	var observe func(serve.Sample)
@@ -302,15 +294,6 @@ func (s *Server) Infer(ctx context.Context, feeds map[string]*tensor.Tensor) (ma
 // rows / batches, mean batch occupancy, rejections, and per-batch queue
 // wait and execution means.
 func (s *Server) Stats() ServerStats { return s.inner.Stats() }
-
-// OptimizeStats reports what the compile pipeline did to the served
-// model; ok is false when the server was built without WithOptimize.
-func (s *Server) OptimizeStats() (stats OptimizeStats, ok bool) {
-	if s.stats == nil {
-		return OptimizeStats{}, false
-	}
-	return *s.stats, true
-}
 
 // Close stops admission (Infer then returns ErrServerClosed), drains the
 // queued requests and waits for the replicas to finish. If ctx expires

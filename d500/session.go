@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"deep500/internal/bench"
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/frameworks"
 	"deep500/internal/graph"
@@ -16,9 +15,9 @@ import (
 )
 
 // Session is a fully resolved Deep500-Go configuration: framework profile,
-// allocation strategy, compile pipeline, seed and event hook. Open binds
-// it to a model; Infer, Train, Evaluate and Bench then drive the stack
-// with context-aware execution throughout.
+// allocation strategy, seed and event hook. Open binds it to a model;
+// Infer, Train, Evaluate and Bench then drive the stack with context-aware
+// execution throughout.
 //
 // # Concurrency contract
 //
@@ -51,9 +50,6 @@ type Session struct {
 
 	model *graph.Model
 	exec  *executor.Executor
-	// optStats is what the compile pipeline did to model; nil without
-	// WithOptimize.
-	optStats *OptimizeStats
 
 	// benchSuite caches the registered experiment registry (see suite()).
 	benchSuite *bench.Suite
@@ -135,32 +131,11 @@ func (s *Session) Model() *graph.Model { return s.model }
 // errNotOpen is returned by execution methods before Open succeeds.
 var errNotOpen = errors.New("d500: session has no open model (call Open first)")
 
-// compile returns the graph the session's executors run: m itself, or m
-// through the compile pipeline when WithOptimize is set, together with what
-// the pipeline did (nil without WithOptimize).
-func (s *Session) compile(m *graph.Model) (*graph.Model, *OptimizeStats, error) {
-	if !s.cfg.optimize {
-		return m, nil, nil
-	}
-	om, rep, err := compile.Optimize(m, compile.Defaults())
-	if err != nil {
-		return nil, nil, err
-	}
-	return om, &OptimizeStats{
-		NodesBefore:        rep.NodesBefore,
-		NodesAfter:         rep.NodesAfter,
-		Folded:             rep.Folded,
-		Eliminated:         rep.Eliminated,
-		Fused:              rep.Fused,
-		PrunedInitializers: rep.PrunedInitializers,
-	}, nil
-}
-
 // newExecutor is the one mapping from the session configuration to an
-// executor, used by Open and by every Server replica. served is the graph
-// compile returned; arena is the executor's activation arena (nil without
-// WithArena) — Open passes a fresh one, a Server's replicas share one.
-func (s *Session) newExecutor(served *graph.Model, arena *tensor.Arena) (*executor.Executor, error) {
+// executor over m, used by Open and by every Server replica. arena is the
+// executor's activation arena (nil without WithArena) — Open passes a fresh
+// one, a Server's replicas share one.
+func (s *Session) newExecutor(m *graph.Model, arena *tensor.Arena) (*executor.Executor, error) {
 	var opts []executor.Option
 	if arena != nil {
 		opts = append(opts, executor.WithArena(arena))
@@ -169,9 +144,9 @@ func (s *Session) newExecutor(served *graph.Model, arena *tensor.Arena) (*execut
 		opts = append(opts, executor.WithMemPlan(true))
 	}
 	if s.prof != nil {
-		return s.prof.NewExecutor(served, opts...)
+		return s.prof.NewExecutor(m, opts...)
 	}
-	return executor.New(served, opts...)
+	return executor.New(m, opts...)
 }
 
 // newArena returns a fresh activation arena, or nil without WithArena.
@@ -190,48 +165,12 @@ func (s *Session) Open(m *graph.Model) error {
 	if m == nil {
 		return errors.New("d500: Open requires a non-nil model")
 	}
-	served, stats, err := s.compile(m)
+	e, err := s.newExecutor(m, s.newArena())
 	if err != nil {
 		return fmt.Errorf("d500: opening model %q: %w", m.Name, err)
 	}
-	e, err := s.newExecutor(served, s.newArena())
-	if err != nil {
-		return fmt.Errorf("d500: opening model %q: %w", m.Name, err)
-	}
-	s.model, s.exec, s.optStats = m, e, stats
+	s.model, s.exec = m, e
 	return nil
-}
-
-// OptimizeStats summarizes what the compile pipeline did to the open model
-// (see WithOptimize). It is the public mirror of the internal compile
-// report, so consumers never import internal/compile.
-type OptimizeStats struct {
-	// NodesBefore / NodesAfter are graph node counts around the pipeline.
-	NodesBefore, NodesAfter int
-	// Folded nodes were evaluated at compile time into initializers.
-	Folded int
-	// Eliminated nodes were unreachable from the declared outputs.
-	Eliminated int
-	// Fused counts operator chains collapsed into single fused nodes.
-	Fused int
-	// PrunedInitializers counts unreferenced initializers dropped.
-	PrunedInitializers int
-}
-
-// String renders the one-line summary the binaries print under -opt.
-func (s OptimizeStats) String() string {
-	return fmt.Sprintf("optimized: %d → %d nodes (folded %d, eliminated %d, fused %d chains)",
-		s.NodesBefore, s.NodesAfter, s.Folded, s.Eliminated, s.Fused)
-}
-
-// OptimizeStats reports the compile-pipeline rewrite statistics of the open
-// model. ok is false when no model is open or the session was built without
-// WithOptimize.
-func (s *Session) OptimizeStats() (stats OptimizeStats, ok bool) {
-	if s.optStats == nil {
-		return OptimizeStats{}, false
-	}
-	return *s.optStats, true
 }
 
 // Network exposes the live network of the open model — parameters,

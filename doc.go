@@ -3,8 +3,8 @@
 // Reproducible Deep Learning" (Ben-Nun et al., IPDPS 2019).
 //
 // The supported entry point is the d500 package: a d500.Session assembled
-// from typed functional options (WithFramework, WithArena, WithOptimize,
-// WithMemPlan, WithSeed, WithHook) with
+// from typed functional options (WithFramework, WithArena, WithMemPlan,
+// WithSeed, WithHook) with
 // Open/Infer/Train/Evaluate/Bench methods, context-aware execution
 // through the whole chain, and a structured event stream
 // (StepEnd/EpochEnd/EvalEnd/BenchSample/ServeSample) as the single
@@ -16,11 +16,8 @@
 // internal/ is an implementation detail; cmd/ and examples/ consume only
 // the public API. See README.md §"Public API" for the migration table
 // from the old internal entry points, ARCHITECTURE.md for the layer map,
-// the dataflow of one Session.Train call, the lifetime of one serving
-// request, and the graph-compilation pipeline (internal/compile:
-// constant folding, dead-node elimination, operator fusion) documented
-// pass by pass, and docs/serving.md for batching semantics and
-// backpressure.
+// the dataflow of one Session.Train call and the lifetime of one serving
+// request, and docs/serving.md for batching semantics and backpressure.
 //
 // The root package carries only the repository-level benchmark harness
 // (bench_test.go): one benchmark per paper table/figure plus ablations of

@@ -62,7 +62,6 @@ type Environment struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Arena      bool   `json:"arena"`
-	Optimize   bool   `json:"optimize"`
 	MemPlan    bool   `json:"mem_plan,omitempty"`
 	Quick      bool   `json:"quick"`
 	Seed       uint64 `json:"seed"`

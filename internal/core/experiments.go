@@ -62,8 +62,6 @@ func RegisterExperiments(s *bench.Suite, o Options) {
 		}})
 	s.Register(bench.Definition{ID: "validate", Title: "Validation suite (paper §III-E / §IV)",
 		Run: func(c *bench.Context) error { return runValidateExp(c, o) }})
-	s.Register(bench.Definition{ID: "compile", Title: "Graph compilation: fused vs unfused (§III-A Use Case 1)",
-		Run: func(c *bench.Context) error { return runCompileExp(c, o) }})
 	s.Register(bench.Definition{ID: "serve", Title: "Serving: micro-batched vs single-request inference",
 		Run: func(c *bench.Context) error { return runServeExp(c, o) }})
 	s.Register(bench.Definition{ID: "dist", Title: "Distributed: DSGD scaling over TCP loopback",

@@ -19,7 +19,7 @@ func TestRegistryCoversEveryExperiment(t *testing.T) {
 	ids := quickSuite().IDs()
 	want := []string{"tables", "fig2", "fig6conv", "fig6gemm", "fig6acc", "fig7",
 		"overhead", "fig8", "table3", "fig9", "fig10", "fig11", "fig12strong",
-		"fig12weak", "validate", "compile", "serve", "dist", "load"}
+		"fig12weak", "validate", "serve", "dist", "load"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/frameworks"
 	"deep500/internal/graph"
@@ -25,9 +24,6 @@ type Options struct {
 	// Arena installs a fresh tensor buffer pool into every executor an
 	// experiment constructs (mirrors d500train's -arena flag).
 	Arena bool
-	// Optimize runs the compile pipeline (fusion/folding/DCE) over every
-	// model an experiment constructs (mirrors the -opt flag).
-	Optimize bool
 	// MemPlan enables liveness-based static memory planning of forward
 	// activations in every executor an experiment constructs (mirrors the
 	// -plan flag).
@@ -40,9 +36,6 @@ func (o Options) execOpts() []executor.Option {
 	var opts []executor.Option
 	if o.Arena {
 		opts = append(opts, executor.WithArena(tensor.NewArena()))
-	}
-	if o.Optimize {
-		opts = append(opts, executor.WithOptimize(compile.Defaults()))
 	}
 	if o.MemPlan {
 		opts = append(opts, executor.WithMemPlan(true))

@@ -81,8 +81,8 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 	// whose per-request overhead rivals their compute.
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: o.seed()}, 8, 8, 8, 8)
 
-	// execOpts carries the session's arena, compile-pipeline and memory-plan
-	// selection, so -arena/-opt/-plan apply to serving like everywhere else.
+	// execOpts carries the session's arena and memory-plan selection, so
+	// -arena/-plan apply to serving like everywhere else.
 	execOpts := o.execOpts()
 	factory := func() (executor.GraphExecutor, error) { return executor.New(m, execOpts...) }
 
@@ -246,6 +246,21 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 		}
 	}
 	return results, nil
+}
+
+// maxAbsDiffT is the ℓ∞ distance between two same-shaped tensors.
+func maxAbsDiffT(a, b *tensor.Tensor) float64 {
+	var m float64
+	for i, v := range a.Data() {
+		d := float64(v - b.Data()[i])
+		if d < 0 {
+			d = -d
+		}
+		if d > m {
+			m = d
+		}
+	}
+	return m
 }
 
 // percentileOf is metrics.Percentile over an unsorted sample.

@@ -209,6 +209,73 @@ func TestPSServerModes(t *testing.T) {
 	}
 }
 
+// countingRank wraps a Rank and counts successful receives against
+// releases.
+type countingRank struct {
+	Rank
+	recvs, releases int
+}
+
+func (c *countingRank) Recv(ctx context.Context, src int) (Message, error) {
+	m, err := c.Rank.Recv(ctx, src)
+	if err == nil {
+		c.recvs++
+	}
+	return m, err
+}
+
+func (c *countingRank) Release(data []float32) {
+	c.releases++
+	c.Rank.Release(data)
+}
+
+// TestPSServerReleasesEveryReceive holds the parameter server to the Rank
+// contract in every mode: each payload it receives — gradients and the
+// done-counting TagDone markers alike — is released exactly once.
+func TestPSServerReleasesEveryReceive(t *testing.T) {
+	for _, cfg := range []ServerConfig{
+		{Mode: PSSync, StepsPerWorker: 3},
+		{Mode: PSAsync, StepsPerWorker: 3},
+		{Mode: PSAsync, UntilDone: true},
+		{Mode: PSStale, Staleness: 1, StepsPerWorker: 3},
+	} {
+		name := cfg.Mode.String()
+		if cfg.UntilDone {
+			name += "/until-done"
+		}
+		t.Run(name, func(t *testing.T) {
+			const workers = 2
+			ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
+			server := &countingRank{}
+			_, _, err := mpi.Run(workers+1, mpi.Aries(), func(r *mpi.Rank) error {
+				e := testModel(5)
+				if r.ID() == 0 {
+					server.Rank = r
+					return RunPSServer(context.Background(), server, training.NewFusedSGD(0.05),
+						PackParams(e.Network()), cfg)
+				}
+				w := NewCentralizedWorker(e, r)
+				s := NewDistributedSampler(ds, 8, r.ID()-1, workers, 29)
+				for i := 0; i < 3; i++ {
+					if _, err := w.Train(context.Background(), s.Next().Feeds()); err != nil {
+						return err
+					}
+				}
+				if cfg.UntilDone {
+					return w.Finish()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if server.recvs == 0 || server.recvs != server.releases {
+				t.Fatalf("server received %d payloads and released %d", server.recvs, server.releases)
+			}
+		})
+	}
+}
+
 // TestDecentralizedSchemesRun exercises the gossip, averaging and sparse
 // wrappers end to end on the simulated cluster.
 func TestDecentralizedSchemesRun(t *testing.T) {

@@ -59,6 +59,7 @@ type ServerConfig struct {
 // rank 0): it owns the packed parameter vector, applies the base
 // optimizer's update rule to every (averaged) incoming gradient, and
 // returns fresh parameters to workers according to the consistency mode.
+// Every received payload is released once it has been consumed.
 // Cancelling ctx makes the server return ctx.Err() promptly, even from a
 // receive blocked on a gradient that will never arrive; a fabric error
 // ends it with that error.
@@ -93,8 +94,9 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 
 	switch cfg.Mode {
 	case PSSync:
+		sum := make([]float32, params.Len())
 		for step := 0; step < cfg.StepsPerWorker; step++ {
-			sum := make([]float32, params.Len())
+			clear(sum)
 			for w := 1; w <= workers; w++ {
 				m, err := r.Recv(ctx, w)
 				if err != nil {
@@ -124,10 +126,12 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 					return err
 				}
 				if m.Tag == TagDone {
+					r.Release(m.Data)
 					finished[m.Src] = true
 					continue
 				}
 				apply(m.Data, 1)
+				r.Release(m.Data)
 				if err := r.Send(m.Src, TagGrad, params.Vec, mpi.SimActual); err != nil {
 					return err
 				}
@@ -140,6 +144,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 				return err
 			}
 			apply(m.Data, 1)
+			r.Release(m.Data)
 			if err := r.Send(m.Src, TagGrad, params.Vec, mpi.SimActual); err != nil {
 				return err
 			}
@@ -174,6 +179,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 				return err
 			}
 			apply(m.Data, 1)
+			r.Release(m.Data)
 			steps[m.Src]++
 			owed[m.Src] = true
 			if err := release(); err != nil {

@@ -84,3 +84,82 @@ func TestArenaRecyclesActivations(t *testing.T) {
 	t.Logf("arena traffic: %d gets, %d hits (%.0f%% recycled)",
 		st.Gets, st.Hits, 100*float64(st.Hits)/float64(st.Gets))
 }
+
+// TestPlanArenaConformance is the acceptance gate of the executor's
+// allocation strategies: every zoo model must produce tolerance-equal
+// outputs and parameter gradients with the arena and the memory plan on and
+// off, validated under -race in CI.
+func TestPlanArenaConformance(t *testing.T) {
+	const tol = 1e-5
+	for name, m := range conformanceModels() {
+		t.Run(name, func(t *testing.T) {
+			feeds := feedsFor(m, 4, 11)
+			ref := MustNew(m)
+
+			variants := map[string]*Executor{
+				"arena": MustNew(m, WithArena(tensor.NewArena())),
+				// Plan variants: pass 0 profiles, passes 1-2 run out of the
+				// static slab — the repeat loop below exercises both modes, and
+				// the backprop check exercises the plan-bypass path.
+				"plan":       MustNew(m, WithMemPlan(true)),
+				"plan+arena": MustNew(m, WithArena(tensor.NewArena()), WithMemPlan(true)),
+			}
+
+			refOut, err := ref.Inference(context.Background(), feeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for vname, e := range variants {
+				for pass := 0; pass < 3; pass++ { // repeat to exercise arena reuse
+					got, err := e.Inference(context.Background(), feeds)
+					if err != nil {
+						t.Fatalf("%s: %v", vname, err)
+					}
+					for oname, r := range refOut {
+						g, ok := got[oname]
+						if !ok {
+							t.Fatalf("%s: missing output %q", vname, oname)
+						}
+						if d := maxAbsDiff(t, r, g); d > tol {
+							t.Fatalf("%s pass %d: output %q diverges: max |Δ| = %g", vname, pass, oname, d)
+						}
+					}
+				}
+			}
+
+			if _, err := ref.InferenceAndBackprop(context.Background(), feeds, "loss"); err != nil {
+				t.Fatal(err)
+			}
+			refGrads := ref.Network().Gradients()
+			if len(refGrads) == 0 {
+				t.Fatal("reference produced no gradients")
+			}
+			for vname, e := range variants {
+				if _, err := e.InferenceAndBackprop(context.Background(), feeds, "loss"); err != nil {
+					t.Fatalf("%s: %v", vname, err)
+				}
+				gotGrads := e.Network().Gradients()
+				if len(gotGrads) != len(refGrads) {
+					t.Fatalf("%s: gradient count %d vs %d", vname, len(gotGrads), len(refGrads))
+				}
+				for i, pg := range refGrads {
+					if gotGrads[i].Name != pg.Name {
+						t.Fatalf("%s: gradient order %q vs %q", vname, gotGrads[i].Name, pg.Name)
+					}
+					if d := maxAbsDiff(t, pg.Grad, gotGrads[i].Grad); d > tol {
+						t.Fatalf("%s: gradient %q diverges: max |Δ| = %g", vname, pg.Name, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNewRejectsBrokenModel asserts validation errors surface from New.
+func TestNewRejectsBrokenModel(t *testing.T) {
+	m := xorModel()
+	m.Nodes[0].Inputs[0] = "undefined-tensor"
+	if _, err := New(m); err == nil {
+		t.Fatal("expected a validation error from New")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
 	"deep500/internal/obs/trace"
@@ -67,10 +66,6 @@ type Executor struct {
 	memPlan    bool
 	planRT     *planRuntime
 	planActive bool
-	// optimize, when non-nil, runs the compile pipeline over the model at
-	// construction; compileReport records what it rewrote.
-	optimize      *compile.Options
-	compileReport *compile.Report
 
 	training bool
 	// last forward pass state. The maps are allocated once and cleared per
@@ -119,7 +114,7 @@ func WithArena(a *tensor.Arena) Option {
 // WithMemPlan enables liveness-based static memory planning for forward
 // passes. The first inference at a given set of feed shapes profiles
 // activation shapes through the ordinary allocation path, then installs a
-// compile.PlanMemory slab; subsequent same-shape inferences write every
+// PlanMemory slab; subsequent same-shape inferences write every
 // planned activation into fixed slab offsets and allocate nothing. Feed
 // shape changes transparently re-profile and re-plan.
 //
@@ -132,31 +127,16 @@ func WithMemPlan(enable bool) Option {
 	return func(e *Executor) { e.memPlan = enable }
 }
 
-// WithOptimize runs the compile pipeline (constant folding, dead-node
-// elimination, operator fusion — see internal/compile) over the model
-// before the executor is built, so it dispatches fewer nodes. The input
-// model is not mutated; parameter tensors are shared between the original
-// and the compiled graph, so training an optimized executor updates the
-// caller's model too.
-func WithOptimize(o compile.Options) Option {
-	return func(e *Executor) { e.optimize = &o }
-}
-
 // New builds a reference executor for the model. It validates the graph,
-// applies the compile pipeline when WithOptimize is set, instantiates one
-// operator per node and fails on unknown op types.
+// instantiates one operator per node and fails on unknown op types. The
+// executor runs m itself: parameter tensors are shared with the caller's
+// model, so training through the executor updates it.
 func New(m *graph.Model, opts ...Option) (*Executor, error) {
 	e := &Executor{nodeOps: make(map[*graph.Node]ops.Operator)}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.optimize != nil {
-		om, rep, err := compile.Optimize(m, *e.optimize)
-		if err != nil {
-			return nil, err
-		}
-		m, e.compileReport = om, rep
-	} else if err := m.Validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	order, err := m.TopoSort()
@@ -190,10 +170,6 @@ func MustNew(m *graph.Model, opts ...Option) *Executor {
 	}
 	return e
 }
-
-// CompileReport returns the compile pipeline's rewrite report, or nil when
-// the executor was built without WithOptimize.
-func (e *Executor) CompileReport() *compile.Report { return e.compileReport }
 
 // Network returns the live network.
 func (e *Executor) Network() *Network { return e.net }
@@ -369,16 +345,9 @@ func (e *Executor) execNode(n *graph.Node) error {
 		}
 		ins[i] = t
 	}
-	// Workspace accounting for convolutions (fused ones delegate to their
-	// embedded Conv2DOp, so -opt graphs charge the same im2col workspace).
+	// Workspace accounting for convolutions.
 	var workspace int64
-	var conv *ops.Conv2DOp
-	switch cop := op.(type) {
-	case *ops.Conv2DOp:
-		conv = cop
-	case *ops.FusedConvReluOp:
-		conv = cop.ConvOp()
-	}
+	conv, _ := op.(*ops.Conv2DOp)
 	if conv != nil && e.Memory != nil {
 		x, w := ins[0], ins[1]
 		cs := kernels.ConvShape{N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3),

@@ -1,19 +1,18 @@
 package executor
 
 import (
-	"deep500/internal/compile"
 	"deep500/internal/graph"
 	"deep500/internal/ops"
 	"deep500/internal/tensor"
 )
 
-// This file wires the compile pipeline's static memory plan
-// (compile.PlanMemory) into the executor. With WithMemPlan enabled the
-// first inference at a given set of feed shapes runs through the ordinary
-// allocation path while the executor observes every activation's concrete
-// shape; it then builds a plan — one slab, a fixed offset per intermediate
-// — and all subsequent passes at those shapes write activations straight
-// into the slab: zero steady-state allocations per forward pass.
+// This file wires the static memory plan (PlanMemory, plan.go) into the
+// executor. With WithMemPlan enabled the first inference at a given set of
+// feed shapes runs through the ordinary allocation path while the executor
+// observes every activation's concrete shape; it then builds a plan — one
+// slab, a fixed offset per intermediate — and all subsequent passes at
+// those shapes write activations straight into the slab: zero steady-state
+// allocations per forward pass.
 //
 // The plan is forward-only. Training passes (InferenceAndBackprop) bypass
 // it, because backpropagation reads forward activations after the nodes
@@ -25,7 +24,7 @@ import (
 // planRuntime is the executor-side state of one installed memory plan,
 // specialized to a fixed set of feed shapes.
 type planRuntime struct {
-	plan *compile.MemPlan
+	plan *MemPlan
 	// slab is the single backing array every planned activation points into.
 	slab []float32
 	// feedShapes are the feed shapes the plan was specialized to; a pass
@@ -150,7 +149,7 @@ func (e *Executor) buildPlan(feeds map[string]*tensor.Tensor) {
 			}
 		}
 	}
-	plan, err := compile.PlanMemory(e.net.Model, sizes)
+	plan, err := PlanMemory(e.net.Model, sizes)
 	if err != nil || len(plan.Slots) == 0 {
 		return
 	}
@@ -187,7 +186,7 @@ func (e *Executor) buildPlan(feeds map[string]*tensor.Tensor) {
 // MemPlan returns the installed memory plan, or nil when none is active
 // (planning disabled, or no planned pass has run yet). Benchmarks use it to
 // report slab footprint and reuse ratio.
-func (e *Executor) MemPlan() *compile.MemPlan {
+func (e *Executor) MemPlan() *MemPlan {
 	if e.planRT == nil {
 		return nil
 	}

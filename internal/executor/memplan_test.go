@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"deep500/internal/compile"
+	"deep500/internal/graph"
 	"deep500/internal/models"
 	"deep500/internal/tensor"
 )
@@ -15,7 +15,7 @@ import (
 // structure is reused.
 func TestMemPlanZeroAllocs(t *testing.T) {
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: 7}, 32, 16)
-	e := MustNew(m, WithOptimize(compile.Defaults()), WithMemPlan(true))
+	e := MustNew(m, WithMemPlan(true))
 	rng := tensor.NewRNG(11)
 	feeds := map[string]*tensor.Tensor{"x": tensor.RandNormal(rng, 0, 1, 4, 1, 8, 8)}
 	ctx := context.Background()
@@ -45,7 +45,7 @@ func TestMemPlanZeroAllocs(t *testing.T) {
 // run with -benchmem to confirm the zero-allocation property.
 func BenchmarkPlannedForward(b *testing.B) {
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: 7}, 32, 16)
-	e := MustNew(m, WithOptimize(compile.Defaults()), WithMemPlan(true))
+	e := MustNew(m, WithMemPlan(true))
 	feeds := map[string]*tensor.Tensor{"x": tensor.RandNormal(tensor.NewRNG(11), 0, 1, 4, 1, 8, 8)}
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -99,23 +99,38 @@ func TestMemPlanRebuildOnShapeChange(t *testing.T) {
 }
 
 // TestMemPlanReusesSlab asserts the planner actually overlaps intermediate
-// lifetimes on a deep model — the slab must be smaller than the sum of all
-// planned activations.
+// lifetimes — the slab must be smaller than the sum of all planned
+// activations — and pins the exact slab and no-reuse footprints, so a
+// planner change that loses (or gains) reuse shows up as a diff here.
 func TestMemPlanReusesSlab(t *testing.T) {
-	m := models.LeNet(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, Seed: 3})
-	e := MustNew(m, WithOptimize(compile.Defaults()), WithMemPlan(true))
-	feeds := map[string]*tensor.Tensor{"x": tensor.RandNormal(tensor.NewRNG(5), 0, 1, 2, 1, 28, 28)}
-	if _, err := e.Inference(context.Background(), feeds); err != nil {
-		t.Fatal(err)
+	headless := models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, Seed: 3}
+	withHead := models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, WithHead: true, Seed: 500}
+	for _, tc := range []struct {
+		name          string
+		model         *graph.Model
+		batch         int
+		slab, noReuse int64
+	}{
+		{"lenet/headless/b2", models.LeNet(headless), 2, 75264, 120016},
+		{"mlp-256-128/b8", models.MLP(withHead, 256, 128), 8, 33280, 50312},
+		{"lenet/b8", models.LeNet(withHead), 8, 301056, 480392},
+	} {
+		e := MustNew(tc.model, WithMemPlan(true))
+		if _, err := e.Inference(context.Background(), feedsFor(tc.model, tc.batch, 5)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		plan := e.MemPlan()
+		if plan == nil {
+			t.Fatalf("%s: no plan installed", tc.name)
+		}
+		if plan.SlabElems >= plan.NoReuseElems {
+			t.Fatalf("%s: planner found no reuse: slab %d elems, no-reuse %d", tc.name, plan.SlabElems, plan.NoReuseElems)
+		}
+		if slab, noReuse := plan.SlabBytes(), plan.NoReuseBytes(); slab != tc.slab || noReuse != tc.noReuse {
+			t.Errorf("%s: slab %d B, no-reuse %d B; want %d B, %d B", tc.name, slab, noReuse, tc.slab, tc.noReuse)
+		}
+		t.Logf("%s: %s", tc.name, plan)
 	}
-	plan := e.MemPlan()
-	if plan == nil {
-		t.Fatal("no plan installed")
-	}
-	if plan.SlabElems >= plan.NoReuseElems {
-		t.Fatalf("planner found no reuse on LeNet: slab %d elems, no-reuse %d", plan.SlabElems, plan.NoReuseElems)
-	}
-	t.Logf("%s", plan)
 }
 
 // TestMemPlanTrainingBypass asserts the plan never poisons a training pass:

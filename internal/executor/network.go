@@ -3,13 +3,13 @@
 // event ("hook") mechanism for fine-grained measurement and early exits, and
 // a device memory model used to study out-of-memory behaviour (paper §IV-D).
 //
-// Public entry points: New (construction options WithArena, WithMemPlan,
-// WithOptimize), the Executor's Inference / InferenceAndBackprop methods
+// Public entry points: New (construction options WithArena and
+// WithMemPlan), the Executor's Inference / InferenceAndBackprop methods
 // behind the GraphExecutor interface, Network (parameters and gradients),
-// Events and MemoryModel. The executor runs nodes in topological order on
-// the calling goroutine — the paper's "verified yet slow" reference
-// interpreter. WithOptimize routes the model through internal/compile
-// before the executor is built.
+// PlanMemory (the static activation planner behind WithMemPlan), Events and
+// MemoryModel. The executor runs nodes of the caller's graph in topological
+// order on the calling goroutine — the paper's "verified yet slow"
+// reference interpreter.
 package executor
 
 import (

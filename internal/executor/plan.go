@@ -1,4 +1,4 @@
-package compile
+package executor
 
 import (
 	"fmt"
@@ -15,9 +15,9 @@ import (
 // honours the plan performs zero steady-state allocations per forward pass:
 // every activation lives at a fixed slab offset decided here, once.
 //
-// The pass is shape-specialized by design — it is the compile-time half of
-// the zero-alloc inference path, re-run by the executor whenever the feed
-// shapes change.
+// The pass is shape-specialized by design — it is the planning half of the
+// zero-alloc inference path (memplan.go is the run-time half), re-run by
+// the executor whenever the feed shapes change.
 
 // PlanSlot is the slab placement of one planned value.
 type PlanSlot struct {

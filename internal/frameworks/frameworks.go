@@ -154,18 +154,6 @@ func (p Profile) NewExecutor(m *graph.Model, opts ...executor.Option) (*executor
 		conv.Algo = p.DefaultConvAlgo
 		return nil
 	})
-	// Fused Conv→ReLU nodes (compile pipeline, executor.WithOptimize) carry
-	// the same conv geometry behind a different op type; retune their
-	// embedded convolution identically so emulation fidelity survives -opt.
-	v.On("FusedConvRelu", func(_ *graph.Model, n *graph.Node) error {
-		if _, has := n.Attr("algo"); has {
-			return nil
-		}
-		if f, ok := e.Op(n).(*ops.FusedConvReluOp); ok {
-			f.ConvOp().Algo = p.DefaultConvAlgo
-		}
-		return nil
-	})
 	v.On("Split", func(_ *graph.Model, n *graph.Node) error {
 		base := e.Op(n)
 		switch {
@@ -184,10 +172,7 @@ func (p Profile) NewExecutor(m *graph.Model, opts ...executor.Option) (*executor
 		}
 		return nil
 	})
-	// Walk the model the executor actually runs: with executor.WithOptimize
-	// in opts the compile pipeline has rewritten the graph, and profile
-	// customizations must bind to the compiled nodes, not the caller's.
-	if err := v.Walk(e.Network().Model); err != nil {
+	if err := v.Walk(m); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -10,8 +10,8 @@
 // Node and the Attribute constructors (IntAttr, FloatAttr, StringAttr,
 // IntsAttr, TensorAttr), the schema registry (RegisterSchema,
 // LookupSchema, SchemaNames), serialization (Save/Load, Encode/Decode,
-// EncodeJSON/DecodeJSON) and NewVisitor. The compile pipeline
-// (internal/compile) rewrites Models built here before execution.
+// EncodeJSON/DecodeJSON) and NewVisitor. Executors run a Model as built;
+// internal/transform is the graph rewriter (micro-batching, paper Fig. 7).
 package graph
 
 import (

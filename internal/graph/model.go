@@ -280,11 +280,9 @@ func (m *Model) Validate() error {
 
 // ShallowClone returns a structural copy of the model — nodes, inputs,
 // outputs and the initializer *map* are fresh, but initializer tensors are
-// shared with the original. The compile pipeline (internal/compile) rewrites
-// shallow clones so an optimized graph trains the same parameter storage as
-// the model it was compiled from: optimizer updates made through either
-// model's Network are visible to both, and saving the original after
-// training captures the trained weights.
+// shared with the original, so a rewrite of the clone's structure or its
+// initializer map leaves the original alone while parameter updates made
+// through either model are visible to both.
 func (m *Model) ShallowClone() *Model {
 	out := NewModel(m.Name)
 	out.DocString = m.DocString

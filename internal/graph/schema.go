@@ -348,17 +348,6 @@ func registerBuiltins() {
 		InferShapes: func(n *Node, in [][]int) ([][]int, error) {
 			return [][]int{{}}, nil
 		}})
-
-	// --- fused operators produced by the compile pipeline's fusion pass
-	// (internal/compile). They never appear in hand-built models; their
-	// shapes are exactly those of the head op of the chain they replace
-	// (the activation preserves shape).
-	gemmSchema, _ := LookupSchema("Gemm")
-	RegisterSchema(OpSchema{Name: "FusedGemmAct", Domain: "deep500",
-		MinInputs: 2, MaxInputs: 3, NumOutputs: 1, InferShapes: gemmSchema.InferShapes})
-	convSchema, _ := LookupSchema("Conv")
-	RegisterSchema(OpSchema{Name: "FusedConvRelu", Domain: "deep500",
-		MinInputs: 2, MaxInputs: 3, NumOutputs: 1, InferShapes: convSchema.InferShapes})
 }
 
 func init() { registerBuiltins() }

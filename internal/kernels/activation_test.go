@@ -266,12 +266,3 @@ func TestFusedOptimizersMatchComposed(t *testing.T) {
 		t.Fatalf("fused vs composed Adam diff %g", d)
 	}
 }
-
-func TestBiasReLUFused(t *testing.T) {
-	x := []float32{-2, 0.5, 1, -3}
-	BiasReLUFused(1, 2, 2, x, []float32{1, 2})
-	want := []float32{0, 1.5, 3, 0}
-	if maxAbsDiff(x, want) != 0 {
-		t.Fatalf("BiasReLUFused = %v", x)
-	}
-}

@@ -70,166 +70,3 @@ func AdaGradFused(param, grad, s []float32, lr, eps float32) {
 		param[i] -= lr * g / (float32(math.Sqrt(float64(s[i]))) + eps)
 	}
 }
-
-// BiasReLUFused adds a per-channel bias to an N×C×HW activation and applies
-// ReLU in one pass (a typical operator-fusion example). It is the epilogue
-// kernel of the FusedConvRelu graph operator produced by the compile
-// pipeline's fusion pass (internal/compile).
-func BiasReLUFused(n, c, hw int, inout, bias []float32) {
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			b := bias[ch]
-			dst := inout[(i*c+ch)*hw : (i*c+ch+1)*hw]
-			for j, v := range dst {
-				v += b
-				if v < 0 {
-					v = 0
-				}
-				dst[j] = v
-			}
-		}
-	}
-}
-
-// ReLUInPlace rectifies a buffer in place: the bias-less epilogue of a fused
-// Conv→ReLU node.
-func ReLUInPlace(inout []float32) {
-	for i, v := range inout {
-		if v < 0 {
-			inout[i] = 0
-		}
-	}
-}
-
-// Act selects the activation applied by a fused epilogue kernel.
-type Act uint8
-
-const (
-	// ActNone applies no activation (bias-only epilogue).
-	ActNone Act = iota
-	// ActReLU is max(0, x).
-	ActReLU
-	// ActSigmoid is 1/(1+e^-x).
-	ActSigmoid
-	// ActTanh is the hyperbolic tangent.
-	ActTanh
-)
-
-// String returns the graph op-type name of the activation ("Relu",
-// "Sigmoid", "Tanh", "" for none) — the value the fusion pass stores in the
-// fused node's "act" attribute.
-func (a Act) String() string {
-	switch a {
-	case ActReLU:
-		return "Relu"
-	case ActSigmoid:
-		return "Sigmoid"
-	case ActTanh:
-		return "Tanh"
-	}
-	return ""
-}
-
-// ActByName resolves an activation op-type name to its Act constant; ok is
-// false for op types no fused kernel implements.
-func ActByName(name string) (Act, bool) {
-	switch name {
-	case "":
-		return ActNone, true
-	case "Relu":
-		return ActReLU, true
-	case "Sigmoid":
-		return ActSigmoid, true
-	case "Tanh":
-		return ActTanh, true
-	}
-	return ActNone, false
-}
-
-// BiasAct is the epilogue of a fused Dense→Bias→Activation node: one pass
-// over a rows×cols row-major matrix adding a per-column bias (nil skips it)
-// and applying the activation. Compared to the unfused graph this replaces
-// two full memory sweeps (broadcast bias add, then activation into a fresh
-// buffer) and one intermediate activation tensor with a single in-place
-// sweep. The activation and bias-presence dispatch happen once per call;
-// the inner loops are specialized per activation (same style as
-// ActGradFromOutput), keeping the ReLU hot path a single compare.
-func BiasAct(rows, cols int, inout, bias []float32, act Act) {
-	if bias == nil {
-		switch act {
-		case ActReLU:
-			ReLUInPlace(inout[:rows*cols])
-		case ActSigmoid:
-			for i, v := range inout[:rows*cols] {
-				inout[i] = 1 / (1 + float32(math.Exp(float64(-v))))
-			}
-		case ActTanh:
-			for i, v := range inout[:rows*cols] {
-				inout[i] = float32(math.Tanh(float64(v)))
-			}
-		}
-		return
-	}
-	switch act {
-	case ActReLU:
-		for r := 0; r < rows; r++ {
-			row := inout[r*cols : (r+1)*cols]
-			for j, v := range row {
-				v += bias[j]
-				if v < 0 {
-					v = 0
-				}
-				row[j] = v
-			}
-		}
-	case ActSigmoid:
-		for r := 0; r < rows; r++ {
-			row := inout[r*cols : (r+1)*cols]
-			for j, v := range row {
-				row[j] = 1 / (1 + float32(math.Exp(float64(-(v + bias[j])))))
-			}
-		}
-	case ActTanh:
-		for r := 0; r < rows; r++ {
-			row := inout[r*cols : (r+1)*cols]
-			for j, v := range row {
-				row[j] = float32(math.Tanh(float64(v + bias[j])))
-			}
-		}
-	default:
-		for r := 0; r < rows; r++ {
-			row := inout[r*cols : (r+1)*cols]
-			for j := range row {
-				row[j] += bias[j]
-			}
-		}
-	}
-}
-
-// ActGradFromOutput computes the gradient w.r.t. the pre-activation value of
-// a fused node in one pass, using only the forward *output* y = act(pre):
-//
-//	ReLU:    d = g · 1[y>0]        (y > 0 ⟺ pre > 0)
-//	Sigmoid: d = g · y·(1-y)
-//	Tanh:    d = g · (1-y²)
-//	None:    d = g
-//
-// All three supported activations have derivatives expressible in the
-// output, so fused nodes never need to materialize the pre-activation
-// tensor the fusion eliminated.
-func ActGradFromOutput(act Act, y, gradOut, gradPre []float32) {
-	switch act {
-	case ActReLU:
-		ReLUBackward(y, gradOut, gradPre)
-	case ActSigmoid:
-		for i, v := range y {
-			gradPre[i] = gradOut[i] * v * (1 - v)
-		}
-	case ActTanh:
-		for i, v := range y {
-			gradPre[i] = gradOut[i] * (1 - v*v)
-		}
-	default:
-		copy(gradPre, gradOut)
-	}
-}

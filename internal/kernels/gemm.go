@@ -12,11 +12,10 @@
 // against), Conv2D (ConvAlgo: direct, im2col, Winograd) with ConvShape
 // geometry and its gradient kernel Conv2DBackward (conv_backward.go:
 // pool-parallel over fixed image chunks, bitwise repeatable), the pooling
-// and activation kernels, the fused optimizer
-// kernels (AdamFused, MomentumFused, …, §III-A Use Case 1) and the fused
-// graph-operator epilogues (BiasAct, BiasReLUFused, ActGradFromOutput)
-// used by the compile pipeline's fusion pass. Pool is the single shared
-// worker budget every parallel code path in the repository draws from.
+// and activation kernels, the dense-layer bias epilogue BiasAct and the
+// fused optimizer kernels (AdamFused, MomentumFused, …, §III-A Use Case 1).
+// Pool is the single shared worker budget every parallel code path in the
+// repository draws from.
 //
 // There is one product GEMM, two kernels behind one shape rule (gemmInPlace,
 // gemm_small.go). From 9 rows of A up, and whenever A is transposed, it is
@@ -90,4 +89,15 @@ func GemmTransB(a, b, c []float32, m, k, n int) {
 // producing M×N. Used by weight-gradient computation of dense layers.
 func GemmTransA(a, b, c []float32, m, k, n int) {
 	gemmDefault(a, b, c, m, k, n, true, false)
+}
+
+// BiasAct is the bias epilogue of a dense layer: it adds a per-column bias
+// to every row of a rows×cols row-major matrix in place, one sweep.
+func BiasAct(rows, cols int, inout, bias []float32) {
+	for r := 0; r < rows; r++ {
+		row := inout[r*cols : (r+1)*cols]
+		for j := range row {
+			row[j] += bias[j]
+		}
+	}
 }

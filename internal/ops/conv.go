@@ -52,14 +52,9 @@ func (o *Conv2DOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	return o.out1(out)
 }
 
+// Backward lowers to kernels.Conv2DBackward, computing only the gradients
+// the installed mask asks for.
 func (o *Conv2DOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	return o.backward(gradOutputs[0].Data(), fwdInputs)
-}
-
-// backward lowers to kernels.Conv2DBackward, computing only the gradients
-// the installed mask asks for. FusedConvReluOp calls it with the
-// pre-activation gradient.
-func (o *Conv2DOp) backward(g []float32, fwdInputs []*tensor.Tensor) []*tensor.Tensor {
 	x, w := fwdInputs[0], fwdInputs[1]
 	grads := []*tensor.Tensor{o.newGrad(0, x.Shape()...), o.newGrad(1, w.Shape()...)}
 	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
@@ -71,7 +66,7 @@ func (o *Conv2DOp) backward(g []float32, fwdInputs []*tensor.Tensor) []*tensor.T
 			d[i] = t.Data()
 		}
 	}
-	kernels.Conv2DBackward(o.shape(x, w), x.Data(), w.Data(), g, d[0], d[1], d[2])
+	kernels.Conv2DBackward(o.shape(x, w), x.Data(), w.Data(), gradOutputs[0].Data(), d[0], d[1], d[2])
 	return grads
 }
 

@@ -237,46 +237,9 @@ func TestConvBackwardBitwiseAcrossPools(t *testing.T) {
 	}
 }
 
-// TestFusedConvReluBackwardMatchesChain checks the fused operator against
-// Conv→Relu across two batch sizes on one operator instance (the reused
-// pre-activation buffer must follow the shape) and that it forwards the
-// mask to its convolution.
-func TestFusedConvReluBackwardMatchesChain(t *testing.T) {
-	fused := NewFusedConvRelu(kernels.ConvIm2Col, 1, 1, 1, 1)
-	conv := NewConv2D(kernels.ConvIm2Col, 1, 1, 1, 1)
-	relu := NewReLU()
-	for _, n := range []int{6, 2, 9} {
-		rng := tensor.NewRNG(uint64(20 + n))
-		inputs := []*tensor.Tensor{
-			tensor.RandNormal(rng, 0, 1, n, 2, 6, 6),
-			tensor.RandNormal(rng, 0, 0.5, 3, 2, 3, 3),
-			tensor.RandNormal(rng, 0, 0.5, 3),
-		}
-		fOut := fused.Forward(inputs)
-		g := []*tensor.Tensor{tensor.RandNormal(rng, 0, 1, fOut[0].Shape()...)}
-		cOut := conv.Forward(inputs)
-		cOut = []*tensor.Tensor{cOut[0].Clone()}
-		rOut := relu.Forward(cOut)
-		want := conv.Backward(relu.Backward(g, cOut, rOut), inputs, cOut)
-
-		fused.SetGradMask(nil)
-		got := fused.Backward(g, inputs, fOut)
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Errorf("N=%d: fused gradient %d differs from the Conv→Relu chain", n, i)
-			}
-		}
-		fused.SetGradMask([]bool{false, true, true})
-		masked := fused.Backward(g, inputs, fOut)
-		if masked[0] != nil || !sameBits(masked[1], want[1]) || !sameBits(masked[2], want[2]) {
-			t.Errorf("N=%d: masked fused backward: dX=%v, or dW/dBias changed", n, masked[0] != nil)
-		}
-	}
-}
-
-// TestGemmBackwardHonoursMask checks that Gemm, MatMul and FusedGemmAct
-// return nil for exactly the masked inputs and leave the other gradients
-// bit-identical, under every transpose combination.
+// TestGemmBackwardHonoursMask checks that Gemm and MatMul return nil for
+// exactly the masked inputs and leave the other gradients bit-identical,
+// under every transpose combination.
 func TestGemmBackwardHonoursMask(t *testing.T) {
 	type maskable interface {
 		Operator
@@ -298,10 +261,7 @@ func TestGemmBackwardHonoursMask(t *testing.T) {
 				tensor.RandNormal(rng, 0, 1, bShape...),
 				tensor.RandNormal(rng, 0, 1, n),
 			}
-			opsUnderTest := []maskable{
-				NewGemm(transA, transB),
-				NewFusedGemmAct(transA, transB, kernels.ActTanh),
-			}
+			opsUnderTest := []maskable{NewGemm(transA, transB)}
 			if !transA && !transB {
 				opsUnderTest = append(opsUnderTest, NewMatMul())
 			}

@@ -8,7 +8,7 @@ import (
 	"deep500/internal/tensor"
 )
 
-// GemmOp implements Y = act(A·B + bias). Inputs: A [n,k], B [k,m], optional
+// GemmOp implements Y = A·B + bias. Inputs: A [n,k], B [k,m], optional
 // bias [m]. TransB supports weights stored output-major.
 type GemmOp struct {
 	base
@@ -54,7 +54,7 @@ func (o *GemmOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	out := o.newOut(o.outShape(m, n)...)
 	kernels.GemmT(a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
 	if len(inputs) > 2 && inputs[2] != nil {
-		kernels.BiasAct(m, n, out.Data(), inputs[2].Data(), kernels.ActNone)
+		kernels.BiasAct(m, n, out.Data(), inputs[2].Data())
 	}
 	return o.out1(out)
 }

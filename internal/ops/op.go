@@ -14,9 +14,7 @@
 // Public entry points: the Operator interface, Register / Registered /
 // RegisteredOps (the D500_REGISTER_OP analogue), FromNode (the node →
 // operator factory executors use), and the optional capability interfaces
-// TrainingAware, AllocatorAware and GradMaskAware. The fused operators
-// FusedGemmAct and FusedConvRelu (fusedact.go) are produced by the compile
-// pipeline's fusion pass (internal/compile), never by hand-built models.
+// TrainingAware, AllocatorAware and GradMaskAware.
 package ops
 
 import (
@@ -119,8 +117,8 @@ type AllocatorAware interface {
 // derives the mask from the graph — an input requires a gradient iff it is
 // a trainable parameter or depends on one — so a model's data feed never
 // costs a backward-data pass. A nil mask, the state of every operator used
-// outside an executor, means every gradient is computed. Conv, Gemm, MatMul
-// and their fused forms honour the mask; other operators ignore it.
+// outside an executor, means every gradient is computed. Conv, Gemm and
+// MatMul honour the mask; other operators ignore it.
 type GradMaskAware interface {
 	SetGradMask(need []bool)
 }
@@ -161,11 +159,11 @@ func (b *base) newGrad(i int, shape ...int) *tensor.Tensor {
 // gradBuf returns the operator's own zeroed tensor for backward slot i
 // (conventionally the gradient of input i): allocated on first use or when
 // the shape changes, cleared and handed out again otherwise. The operators
-// that produce parameter gradients (Conv, Gemm, MatMul and their fused
-// forms, BatchNormalization, the RNN cell) draw everything their Backward
-// creates from it, which is what keeps a training step from allocating
-// anything that scales with the model, and it sets the lifetime of what
-// they return: valid until the same operator's next Backward. Operators are
+// that produce parameter gradients (Conv, Gemm, MatMul, BatchNormalization,
+// the RNN cell) draw everything their Backward creates from it, which is
+// what keeps a training step from allocating anything that scales with the
+// model, and it sets the lifetime of what they return: valid until the same
+// operator's next Backward. Operators are
 // bound one per node, so within a pass every node's gradients are distinct
 // tensors.
 func (b *base) gradBuf(i int, shape ...int) *tensor.Tensor {

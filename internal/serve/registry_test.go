@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/tensor"
@@ -212,15 +211,15 @@ func TestRegistryPrioritySheds(t *testing.T) {
 
 // TestMultiModelConformance is the multi-tenant acceptance gate: two
 // models served concurrently from one registry must produce outputs
-// tolerance-equal to two standalone single-model servers, with the compile
-// pipeline on and off.
+// tolerance-equal to two standalone single-model servers, with the arena
+// on and off.
 func TestMultiModelConformance(t *testing.T) {
 	const tol = 1e-5
 	zoo := zooModels()
 	pair := map[string]*graph.Model{"mlp": zoo["mlp"], "lenet": zoo["lenet"]}
 	variants := map[string][]executor.Option{
-		"sequential":     nil,
-		"sequential+opt": {executor.WithOptimize(compile.Defaults())},
+		"sequential":       nil,
+		"sequential+arena": {executor.WithArena(tensor.NewArena())},
 	}
 	for vname, opts := range variants {
 		t.Run(vname, func(t *testing.T) {

@@ -322,8 +322,7 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Model returns the served model (the compiled clone when the executors
-// were built with the compile pipeline enabled).
+// Model returns the served model: the graph the replicas' executors run.
 func (s *Server) Model() *graph.Model { return s.model }
 
 // Infer runs one inference request through the micro-batching pipeline

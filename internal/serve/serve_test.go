@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/models"
@@ -64,8 +63,8 @@ func execFactory(m *graph.Model, opts ...executor.Option) func() (executor.Graph
 
 // TestBatchedConformance is the serving acceptance gate: outputs of
 // micro-batched execution must be tolerance-equal to per-item Infer on
-// every zoo model, with the compile pipeline, the memory plan and the arena
-// on and off, under -race. The replicas' Stats are read right after the
+// every zoo model, with the memory plan and the arena on and off, under
+// -race. The replicas' Stats are read right after the
 // replies: a request is counted before it is answered.
 func TestBatchedConformance(t *testing.T) {
 	const tol = 1e-5
@@ -86,12 +85,9 @@ func TestBatchedConformance(t *testing.T) {
 			}
 
 			variants := map[string][]executor.Option{
-				"sequential":      nil,
-				"sequential+opt":  {executor.WithOptimize(compile.Defaults())},
-				"sequential+plan": {executor.WithMemPlan(true)},
-				"sequential+opt+arena": {
-					executor.WithOptimize(compile.Defaults()),
-					executor.WithArena(tensor.NewArena())},
+				"sequential":       nil,
+				"sequential+plan":  {executor.WithMemPlan(true)},
+				"sequential+arena": {executor.WithArena(tensor.NewArena())},
 			}
 			for vname, opts := range variants {
 				t.Run(vname, func(t *testing.T) {
