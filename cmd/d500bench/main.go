@@ -37,8 +37,6 @@ func run() int {
 	experiment := flag.String("experiment", "all", "comma-separated experiment ids (or 'all')")
 	quick := flag.Bool("quick", false, "scaled-down problem sizes and re-runs")
 	seed := flag.Uint64("seed", 500, "global RNG seed")
-	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
-	plan := flag.Bool("plan", false, "statically plan forward activation memory (zero-alloc steady-state inference)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no deadline)")
 	format := flag.String("format", "text", "output format: text or json")
 	out := flag.String("out", "", "write the JSON benchmark report to this file")
@@ -63,12 +61,6 @@ func run() int {
 	}
 
 	sessOpts := []d500.Option{d500.WithSeed(*seed)}
-	if *arena {
-		sessOpts = append(sessOpts, d500.WithArena())
-	}
-	if *plan {
-		sessOpts = append(sessOpts, d500.WithMemPlan())
-	}
 	if *quick {
 		sessOpts = append(sessOpts, d500.WithQuick())
 	}

@@ -10,7 +10,7 @@
 //	d500serve -model trained.d5nx -addr :8500       # serve a checkpoint
 //	d500serve -models hi=mlp:2,lo=lenet:1           # two tenants, priorities
 //	d500serve -zoo lenet -replicas 1 -max-replicas 4    # queue-driven autoscaling
-//	d500serve -zoo lenet -replicas 4 -batch 16 -linger 2ms -arena
+//	d500serve -zoo lenet -replicas 4 -batch 16 -linger 2ms
 //	d500serve -zoo mlp -log                         # JSON request log on stdout
 //
 // Routes: POST /v1/infer (sole model, or ?model=name), POST
@@ -122,7 +122,6 @@ func run() int {
 	scaleUp := flag.Float64("scale-up", 0, "queue-occupancy fraction that triggers a scale-up (0 = default 0.5)")
 	scaleIdle := flag.Duration("scale-idle", 0, "idle time before a scaled-up replica retires (0 = default 500ms)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = replicas*batch*4)")
-	arena := flag.Bool("arena", false, "recycle activation buffers through a shared tensor arena")
 	respawn := flag.Bool("respawn", true, "rebuild crashed replicas from the shared weights")
 	logReq := flag.Bool("log", false, "write one JSON line per HTTP request to stdout")
 	traceOn := flag.Bool("trace", false, "record request traces into the in-memory flight recorder (GET /debug/traces)")
@@ -131,7 +130,7 @@ func run() int {
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown budget")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "d500serve: unexpected argument %q (boolean flags like -arena and -log take no value)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "d500serve: unexpected argument %q (boolean flags like -respawn and -log take no value)\n", flag.Arg(0))
 		return 2
 	}
 
@@ -155,9 +154,6 @@ func run() int {
 		sessOpts = append(sessOpts, d500.WithTracer(tracer))
 	}
 	metrics.ObserveTracer(tracer)
-	if *arena {
-		sessOpts = append(sessOpts, d500.WithArena())
-	}
 	srvOpts := []d500.ServerOption{
 		d500.WithMaxBatch(*batch),
 		d500.WithMaxLinger(*linger),

@@ -46,8 +46,6 @@ func main() {
 	model := flag.String("model", "lenet", "model: mlp, lenet, resnet8, resnet18, wrn16")
 	opt := flag.String("optimizer", "momentum", "optimizer: sgd, momentum, nesterov, adagrad, rmsprop, adam, adam-fused, accelegrad")
 	backend := flag.String("backend", "reference", "framework backend: reference, tfgo, torchgo, cf2go")
-	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
-	plan := flag.Bool("plan", false, "statically plan forward activation memory (speeds up the evaluation passes)")
 	epochs := flag.Int("epochs", 5, "training epochs")
 	batch := flag.Int("batch", 64, "minibatch size")
 	lr := flag.Float64("lr", 0.02, "learning rate")
@@ -61,11 +59,11 @@ func main() {
 	traceOn := flag.Bool("trace", false, "trace the run (step/epoch/per-op spans); retained traces print as trace lines")
 	traceSlow := flag.Duration("trace-slow", 0, "tail-sample any run at least this slow (implies -trace; 0 = default 250ms)")
 	flag.Parse()
-	// A stray positional (e.g. "d500train -arena true", where boolean -arena
+	// A stray positional (e.g. "d500train -trace true", where boolean -trace
 	// consumes no value and "true" stops flag parsing) would otherwise run
 	// silently misconfigured with every later flag ignored.
 	if flag.NArg() > 0 {
-		fatalIf(fmt.Errorf("unexpected argument %q (boolean flags like -arena and -plan take no value)", flag.Arg(0)))
+		fatalIf(fmt.Errorf("unexpected argument %q (boolean flags like -trace take no value)", flag.Arg(0)))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -97,12 +95,6 @@ func main() {
 		d500.WithFramework(*backend),
 		d500.WithSeed(*seed),
 		d500.WithHook(d500.ConsoleHook(os.Stdout)),
-	}
-	if *arena {
-		opts = append(opts, d500.WithArena())
-	}
-	if *plan {
-		opts = append(opts, d500.WithMemPlan())
 	}
 	if *ckptEvery > 0 {
 		opts = append(opts, d500.WithCheckpointEvery(*ckptEvery))

@@ -22,12 +22,7 @@ type BenchConfig struct {
 
 // coreOptions maps the session configuration onto the experiment options.
 func (s *Session) coreOptions() core.Options {
-	return core.Options{
-		Quick:   s.cfg.quick,
-		Seed:    s.cfg.seed,
-		Arena:   s.cfg.arena,
-		MemPlan: s.cfg.memPlan,
-	}
+	return core.Options{Quick: s.cfg.quick, Seed: s.cfg.seed}
 }
 
 // suite lazily builds (and caches) the registered experiment suite under
@@ -60,8 +55,6 @@ func (s *Session) Bench(ctx context.Context, ids []string, cfg BenchConfig) (*Be
 		ids = suite.IDs()
 	}
 	env := bench.CaptureEnv()
-	env.Arena = s.cfg.arena
-	env.MemPlan = s.cfg.memPlan
 	env.Quick = s.cfg.quick
 	env.Seed = s.cfg.seed
 	return suite.Run(ctx, ids, bench.RunConfig{

@@ -11,13 +11,13 @@ import (
 // TestConcurrentSessionsSharedPool is the documented concurrency
 // contract's proof (run under -race in CI): two Sessions on the
 // process-wide kernel pool — and one model's weight tensors — can Infer
-// concurrently, with arenas enabled, and produce the same outputs they
-// produce alone.
+// concurrently, each out of its own memory plan, and produce the same
+// outputs they produce alone.
 func TestConcurrentSessionsSharedPool(t *testing.T) {
 	m := serveModel()
 	newSession := func() *Session {
 		t.Helper()
-		s, err := New(WithArena())
+		s, err := New()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@
 // configuration at construction, returning errors instead of panicking:
 //
 //	sess, err := d500.New(
-//		d500.WithArena(),
+//		d500.WithFramework("torchgo"),
 //		d500.WithSeed(42),
 //	)
 //	if err != nil { ... }

@@ -60,7 +60,7 @@ func openSession(t *testing.T, opts ...Option) *Session {
 
 func TestSessionInferAndEvaluate(t *testing.T) {
 	var events []Event
-	sess := openSession(t, WithArena(), WithHook(func(e Event) {
+	sess := openSession(t, WithHook(func(e Event) {
 		events = append(events, e)
 	}))
 	train, test := SyntheticSplit(128, 32, 4, []int{1, 8, 8}, 0.3, 7)

@@ -91,17 +91,15 @@ type serveSource struct {
 	stats    func() ServerStats           // aggregate serving counters
 	models   func() []ModelStatus         // per-tenant state (one synthetic entry for a Server)
 	registry func() (l, s, u, sh float64) // loads, swaps, unloads, sheds
-	arena    func() float64               // idle arena bytes
 }
 
 // Observe exports the server's counters and gauges: queue depth/capacity,
 // batch totals and occupancy, rejection/expiry/failure counts, replica
-// capacity (configured, live, crashes, respawns, autoscaler moves) and the
-// shared arena's idle footprint. Values are read from Server.Stats at
-// scrape time, so they never drift from GET /stats. The multi-tenant
-// series render the server as a single tenant named after its model; the
-// registry lifecycle counters stay at zero. Call Observe or
-// ObserveRegistry at most once per Metrics.
+// capacity (configured, live, crashes, respawns, autoscaler moves). Values
+// are read from Server.Stats at scrape time, so they never drift from GET
+// /stats. The multi-tenant series render the server as a single tenant
+// named after its model; the registry lifecycle counters stay at zero.
+// Call Observe or ObserveRegistry at most once per Metrics.
 func (m *Metrics) Observe(s *Server) {
 	name := s.name
 	m.observeServe(serveSource{
@@ -110,12 +108,6 @@ func (m *Metrics) Observe(s *Server) {
 			return []ModelStatus{{Name: name, Stats: s.Stats()}}
 		},
 		registry: func() (float64, float64, float64, float64) { return 0, 0, 0, 0 },
-		arena: func() float64 {
-			if s.arena == nil {
-				return 0
-			}
-			return float64(s.arena.FreeBytes())
-		},
 	})
 }
 
@@ -133,7 +125,6 @@ func (m *Metrics) ObserveRegistry(r *Registry) {
 			st := r.Stats()
 			return float64(st.Loads), float64(st.Swaps), float64(st.Unloads), float64(st.Sheds)
 		},
-		arena: r.arenaBytes,
 	})
 }
 
@@ -193,9 +184,6 @@ func (m *Metrics) observeServe(src serveSource) {
 	m.reg.CounterFunc(obs.MetricServeScaleDownsTotal,
 		"Idle replicas retired (drained) by the autoscaler.",
 		stats(func(st ServerStats) float64 { return float64(st.ScaleDowns) }))
-	m.reg.GaugeFunc(obs.MetricServeArenaBytes,
-		"Idle bytes pooled in the replica-shared tensor arenas (0 without -arena).",
-		src.arena)
 	m.reg.GaugeFunc(obs.MetricServeModels,
 		"Models currently loaded (1 for a standalone server).",
 		func() float64 { return float64(len(src.models())) })

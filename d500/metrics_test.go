@@ -26,7 +26,7 @@ func TestMetricsCoversCanonicalNames(t *testing.T) {
 	srv, err := NewServer(m,
 		WithMaxBatch(2),
 		WithReplicas(1),
-		WithSession(WithArena(), WithHook(metrics.Hook())),
+		WithSession(WithHook(metrics.Hook())),
 	)
 	if err != nil {
 		t.Fatal(err)

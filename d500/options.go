@@ -22,8 +22,6 @@ func Frameworks() []string {
 // so New fails fast with a descriptive error.
 type config struct {
 	framework string
-	arena     bool
-	memPlan   bool
 	seed      uint64 // always non-zero after New (defaultSeed fallback)
 	quick     bool
 	hook      Hook
@@ -52,30 +50,6 @@ func WithFramework(name string) Option {
 				name, strings.Join(Frameworks(), ", "))
 		}
 		c.framework = name
-		return nil
-	}
-}
-
-// WithArena routes operator output allocation through a recycling tensor
-// arena: intermediate activations are returned to a buffer pool at the end
-// of each pass instead of being garbage.
-func WithArena() Option {
-	return func(c *config) error {
-		c.arena = true
-		return nil
-	}
-}
-
-// WithMemPlan enables liveness-based static memory planning of forward
-// activations: the first inference pass at a given set of feed shapes
-// profiles the graph, then a single pre-sized slab backs every intermediate
-// tensor of subsequent same-shape passes, making steady-state inference
-// allocation-free. Shape changes re-profile transparently and training
-// passes bypass the plan, so the option is always safe to enable. (This is
-// the -plan flag of d500bench and d500train.)
-func WithMemPlan() Option {
-	return func(c *config) error {
-		c.memPlan = true
 		return nil
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"deep500/internal/graph"
@@ -94,9 +93,6 @@ func WithShedOccupancy(frac float64) RegistryOption {
 // methods are safe for concurrent use.
 type Registry struct {
 	inner *serve.Registry
-
-	mu      sync.Mutex
-	servers map[string]*Server // current version's wrapper per tenant
 }
 
 // NewRegistry builds an empty model registry.
@@ -115,13 +111,10 @@ func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 			DrainGrace:    cfg.drainGrace,
 			ShedOccupancy: cfg.shedOcc,
 		}),
-		servers: make(map[string]*Server),
 	}, nil
 }
 
-// convert wraps a d500 ModelSpec into the internal one, tracking the
-// built wrapper so per-tenant state the internal layer cannot see (the
-// replica-shared arena) stays observable.
+// convert wraps a d500 ModelSpec into the internal one.
 func (r *Registry) convert(name string, spec ModelSpec) (serve.ModelSpec, error) {
 	if spec.Model == nil {
 		return serve.ModelSpec{}, fmt.Errorf("%w: model spec for %q has no graph", ErrBadRequest, name)
@@ -134,9 +127,6 @@ func (r *Registry) convert(name string, spec ModelSpec) (serve.ModelSpec, error)
 			if err != nil {
 				return nil, err
 			}
-			r.mu.Lock()
-			r.servers[name] = srv
-			r.mu.Unlock()
 			return srv.inner, nil
 		},
 	}, nil
@@ -191,26 +181,3 @@ func (r *Registry) Handler(load LoadFunc) http.Handler {
 // Close unloads every model and waits for their servers to drain,
 // bounded by ctx.
 func (r *Registry) Close(ctx context.Context) error { return r.inner.Close(ctx) }
-
-// arenaBytes sums the idle arena footprint across currently-loaded
-// tenants, pruning wrappers whose tenant is gone (unloaded, or replaced
-// by a version whose build raced a registry close).
-func (r *Registry) arenaBytes() float64 {
-	loaded := make(map[string]bool)
-	for _, m := range r.inner.Models() {
-		loaded[m.Name] = true
-	}
-	var total float64
-	r.mu.Lock()
-	for name, srv := range r.servers {
-		if !loaded[name] {
-			delete(r.servers, name)
-			continue
-		}
-		if srv.arena != nil {
-			total += float64(srv.arena.FreeBytes())
-		}
-	}
-	r.mu.Unlock()
-	return total
-}

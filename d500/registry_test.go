@@ -29,7 +29,7 @@ func TestRegistryLifecycleAndMetrics(t *testing.T) {
 	mlp := serveModel()
 	lenet := models.LeNet(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, Seed: 3})
 	if err := reg.Load("mlp", ModelSpec{Version: "v1", Priority: 2, Model: mlp,
-		Options: []ServerOption{WithMaxBatch(2), WithSession(WithArena())}}); err != nil {
+		Options: []ServerOption{WithMaxBatch(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Load("lenet", ModelSpec{Version: "v1", Model: lenet}); err != nil {

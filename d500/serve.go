@@ -81,7 +81,7 @@ func WithMaxLinger(d time.Duration) ServerOption {
 // WithReplicas sets the number of independent session replicas serving
 // requests (default 1). Sessions are single-goroutine by contract, so
 // serving concurrency comes from replicas; all replicas share the model
-// weights, the kernel worker pool and the tensor arena.
+// weights and the kernel worker pool.
 func WithReplicas(n int) ServerOption {
 	return func(c *serverConfig) error {
 		if n < 1 {
@@ -170,11 +170,10 @@ func WithRespawn() ServerOption {
 	}
 }
 
-// WithSession forwards Session options to the server's replicas: arena
-// recycling, the memory plan, the framework profile and the event hook all
-// mean the same thing they mean for a Session — replicas are built by the
-// same function Session.Open uses. Shared resources are resolved once: the
-// replicas share one arena and the model's parameter tensors.
+// WithSession forwards Session options to the server's replicas: the
+// framework profile, the event hook and tracing all mean the same thing
+// they mean for a Session — replicas are built by the same function
+// Session.Open uses. The replicas share the model's parameter tensors.
 func WithSession(opts ...Option) ServerOption {
 	return func(c *serverConfig) error {
 		c.sess = append(c.sess, opts...)
@@ -190,14 +189,13 @@ func WithSession(opts ...Option) ServerOption {
 // (see the Session concurrency contract).
 type Server struct {
 	inner  *serve.Server
-	name   string        // model name, the per-tenant metrics label
-	arena  *tensor.Arena // replica-shared arena, nil without WithArena
-	tracer *Tracer       // replica-shared tracer, nil when tracing is off
+	name   string  // model name, the per-tenant metrics label
+	tracer *Tracer // replica-shared tracer, nil when tracing is off
 }
 
 // NewServer builds a serving pool over the model. The replicas are
 // configured through WithSession (same vocabulary as New) and share the
-// model's parameter tensors, the kernel worker pool and one tensor arena.
+// model's parameter tensors and the kernel worker pool.
 //
 // Every executed micro-batch is reported to the session hook (WithSession
 // + WithHook) as a ServeSample event.
@@ -224,9 +222,9 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 		return nil, err
 	}
 
-	s := &Server{arena: base.newArena()}
+	s := &Server{}
 	factory := func() (executor.GraphExecutor, error) {
-		return base.newExecutor(m, s.arena)
+		return base.newExecutor(m)
 	}
 
 	var observe func(serve.Sample)

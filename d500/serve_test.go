@@ -43,7 +43,7 @@ func TestServerOptionValidation(t *testing.T) {
 }
 
 // TestServerServesAndObserves drives concurrent requests through a fully
-// configured server (arena, replicas) and checks results against a plain
+// configured server (replicas, hook) and checks results against a plain
 // Session plus the ServeSample stream.
 func TestServerServesAndObserves(t *testing.T) {
 	m := serveModel()
@@ -64,16 +64,13 @@ func TestServerServesAndObserves(t *testing.T) {
 		WithMaxLinger(50*time.Millisecond),
 		WithReplicas(2),
 		WithQueueDepth(64),
-		WithSession(
-			WithArena(),
-			WithHook(func(e Event) {
-				if s, ok := e.(ServeSample); ok {
-					mu.Lock()
-					samples = append(samples, s)
-					mu.Unlock()
-				}
-			}),
-		),
+		WithSession(WithHook(func(e Event) {
+			if s, ok := e.(ServeSample); ok {
+				mu.Lock()
+				samples = append(samples, s)
+				mu.Unlock()
+			}
+		})),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -148,21 +145,21 @@ func TestServerServesAndObserves(t *testing.T) {
 	}
 }
 
-// TestServerReplicasHonourMemPlan: WithSession(WithMemPlan()) reaches the
-// replicas, which are built by the same function as Session.Open. With one
-// replica and single-row batches, every pass after the first (profiling)
-// one runs out of the plan, as its exec.forward span records.
+// TestServerReplicasHonourMemPlan: the replicas, built by the same function
+// as Session.Open, plan their memory with no option set. With one replica
+// and single-row batches, every pass after the first two (unplanned, then
+// profiling) runs out of the plan, as its exec.forward span records.
 func TestServerReplicasHonourMemPlan(t *testing.T) {
 	tr, err := NewTracer(TraceConfig{SampleEvery: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(serveModel(), WithReplicas(1), WithMaxBatch(1),
-		WithSession(WithMemPlan(), WithTracer(tr)))
+		WithSession(WithTracer(tr)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const requests = 3
+	const requests = 4
 	for i := 0; i < requests; i++ {
 		if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{"x": serveInput(1, uint64(i))}); err != nil {
 			t.Fatal(err)
@@ -185,7 +182,7 @@ func TestServerReplicasHonourMemPlan(t *testing.T) {
 			}
 		}
 	}
-	if passes != requests || planned != requests-1 {
-		t.Fatalf("%d of %d forward passes ran out of the memory plan, want %d", planned, passes, requests-1)
+	if passes != requests || planned != requests-2 {
+		t.Fatalf("%d of %d forward passes ran out of the memory plan, want %d", planned, passes, requests-2)
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // Session is a fully resolved Deep500-Go configuration: framework profile,
-// allocation strategy, seed and event hook. Open binds it to a model;
+// seed and event hook. Open binds it to a model;
 // Infer, Train, Evaluate and Bench then drive the stack with context-aware
 // execution throughout.
 //
@@ -23,7 +23,7 @@ import (
 //
 // A Session is single-goroutine: no two Session methods may run
 // concurrently, because a pass mutates per-pass executor state (activation
-// maps, FLOP counters, arena lifetimes) without cross-call locking. What
+// maps, FLOP counters, the memory plan's slab) without cross-call locking. What
 // IS safe — and what the serving layer is built on — is running many
 // Sessions concurrently from different goroutines:
 //
@@ -36,8 +36,9 @@ import (
 //     the same weights. Concurrent *readers* (Infer) are safe; mutating
 //     parameters (Train) while another session reads them is a data race
 //     the caller must exclude.
-//   - The tensor arena is internally synchronized. Each Session owns its
-//     arena (WithArena), and the replicas of a Server share one.
+//   - Each Session's executor owns its activation memory: inference passes
+//     run out of a memory plan per set of feed shapes, over one slab per
+//     executor, and return outputs the caller owns.
 //
 // For request-level serving concurrency use NewServer, which manages a
 // pool of session replicas behind a batching queue — Server, unlike
@@ -132,40 +133,22 @@ func (s *Session) Model() *graph.Model { return s.model }
 var errNotOpen = errors.New("d500: session has no open model (call Open first)")
 
 // newExecutor is the one mapping from the session configuration to an
-// executor over m, used by Open and by every Server replica. arena is the
-// executor's activation arena (nil without WithArena) — Open passes a fresh
-// one, a Server's replicas share one.
-func (s *Session) newExecutor(m *graph.Model, arena *tensor.Arena) (*executor.Executor, error) {
-	var opts []executor.Option
-	if arena != nil {
-		opts = append(opts, executor.WithArena(arena))
-	}
-	if s.cfg.memPlan {
-		opts = append(opts, executor.WithMemPlan(true))
-	}
+// executor over m, used by Open and by every Server replica.
+func (s *Session) newExecutor(m *graph.Model) (*executor.Executor, error) {
 	if s.prof != nil {
-		return s.prof.NewExecutor(m, opts...)
+		return s.prof.NewExecutor(m)
 	}
-	return executor.New(m, opts...)
-}
-
-// newArena returns a fresh activation arena, or nil without WithArena.
-func (s *Session) newArena() *tensor.Arena {
-	if !s.cfg.arena {
-		return nil
-	}
-	return tensor.NewArena()
+	return executor.New(m)
 }
 
 // Open validates the model, builds its executor under the session's
 // configuration and makes it the session's active model. Re-opening with a
-// different model replaces the previous executor; arenas are per executor,
-// so the new model never shares buffers with the old one.
+// different model replaces the previous executor and its activation memory.
 func (s *Session) Open(m *graph.Model) error {
 	if m == nil {
 		return errors.New("d500: Open requires a non-nil model")
 	}
-	e, err := s.newExecutor(m, s.newArena())
+	e, err := s.newExecutor(m)
 	if err != nil {
 		return fmt.Errorf("d500: opening model %q: %w", m.Name, err)
 	}
@@ -205,7 +188,8 @@ func (s *Session) GraphExecutor() (executor.GraphExecutor, error) {
 }
 
 // Infer runs one forward pass over the open model and returns its declared
-// outputs. Cancelling ctx aborts the pass between operator dispatches.
+// outputs, which belong to the caller. Cancelling ctx aborts the pass
+// between operator dispatches.
 func (s *Session) Infer(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	if s.exec == nil {
 		return nil, errNotOpen

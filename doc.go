@@ -3,8 +3,7 @@
 // Reproducible Deep Learning" (Ben-Nun et al., IPDPS 2019).
 //
 // The supported entry point is the d500 package: a d500.Session assembled
-// from typed functional options (WithFramework, WithArena, WithMemPlan,
-// WithSeed, WithHook) with
+// from typed functional options (WithFramework, WithSeed, WithHook) with
 // Open/Infer/Train/Evaluate/Bench methods, context-aware execution
 // through the whole chain, and a structured event stream
 // (StepEnd/EpochEnd/EvalEnd/BenchSample/ServeSample) as the single

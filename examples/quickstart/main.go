@@ -40,10 +40,9 @@ func main() {
 	fmt.Printf("model %q: %d nodes, %d parameters\n",
 		model.Name, len(model.Nodes), model.ParamCount())
 
-	// 2. Assemble a session from typed options: arena-recycled
-	//    activations, a fixed seed, a console event consumer.
+	// 2. Assemble a session from typed options: a fixed seed and a
+	//    console event consumer.
 	sess, err := d500.New(
-		d500.WithArena(),
 		d500.WithSeed(42),
 		d500.WithHook(d500.ConsoleHook(log.Writer())),
 	)

@@ -8,7 +8,7 @@ import (
 )
 
 // CaptureEnv records the measurement environment of the current process.
-// Fields the harness controls (Arena, MemPlan, Quick, Seed) are left
+// Fields the harness controls (Quick, Seed) are left
 // for the caller to fill in.
 func CaptureEnv() Environment {
 	return Environment{

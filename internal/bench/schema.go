@@ -61,8 +61,6 @@ type Environment struct {
 	CPUModel   string `json:"cpu_model,omitempty"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Arena      bool   `json:"arena"`
-	MemPlan    bool   `json:"mem_plan,omitempty"`
 	Quick      bool   `json:"quick"`
 	Seed       uint64 `json:"seed"`
 }

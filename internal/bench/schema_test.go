@@ -28,7 +28,6 @@ func goldenReport() *Report {
 			CPUModel:   "Golden CPU @ 2.10GHz",
 			NumCPU:     8,
 			GOMAXPROCS: 8,
-			Arena:      true,
 			Quick:      true,
 			Seed:       500,
 		},

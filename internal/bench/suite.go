@@ -73,7 +73,7 @@ type RunConfig struct {
 	// which is what -format json uses.
 	Out io.Writer
 	// Env is stamped into the report; callers fill the harness-controlled
-	// fields (Arena, MemPlan, Quick, Seed) on top of CaptureEnv().
+	// fields (Quick, Seed) on top of CaptureEnv().
 	Env Environment
 	// Now overrides the report clock (tests); nil uses time.Now.
 	Now func() time.Time

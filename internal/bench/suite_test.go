@@ -31,7 +31,7 @@ func TestSuiteRegisterAndRun(t *testing.T) {
 	}
 
 	var human bytes.Buffer
-	env := Environment{NumCPU: 4, Arena: true, Seed: 7}
+	env := Environment{NumCPU: 4, Quick: true, Seed: 7}
 	now := func() time.Time { return time.Date(2026, 7, 25, 12, 0, 0, 0, time.UTC) }
 	rep, err := s.Run(context.Background(), []string{"one", "two"}, RunConfig{Out: &human, Env: env, Now: now})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestSuiteRegisterAndRun(t *testing.T) {
 	if rep.CreatedAt != "2026-07-25T12:00:00Z" {
 		t.Fatalf("created_at: %s", rep.CreatedAt)
 	}
-	if rep.Env.Seed != 7 || !rep.Env.Arena {
+	if rep.Env.Seed != 7 || !rep.Env.Quick {
 		t.Fatalf("env not stamped: %+v", rep.Env)
 	}
 	if !strings.Contains(human.String(), "human output") {

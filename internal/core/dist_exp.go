@@ -77,15 +77,13 @@ func runDistWorld(ctx context.Context, o Options, workers, steps, batch, hidden 
 		}
 	}()
 
-	execOpts := o.execOpts()
-
 	losses := make([]float64, workers)
 	times := make([][]float64, workers)
 	// train is rank i's loop.
 	train := func(i int, r *transport.TCPRank) error {
 		m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8,
 			WithHead: true, Seed: o.seed()}, hidden)
-		e, err := executor.New(m, execOpts...)
+		e, err := executor.New(m)
 		if err != nil {
 			return err
 		}

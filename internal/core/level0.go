@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"deep500/internal/executor"
 	"deep500/internal/frameworks"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
@@ -21,26 +20,6 @@ type Options struct {
 	Quick bool
 	// Seed drives all generators.
 	Seed uint64
-	// Arena installs a fresh tensor buffer pool into every executor an
-	// experiment constructs (mirrors d500train's -arena flag).
-	Arena bool
-	// MemPlan enables liveness-based static memory planning of forward
-	// activations in every executor an experiment constructs (mirrors the
-	// -plan flag).
-	MemPlan bool
-}
-
-// execOpts maps the options onto executor construction options; each call
-// gets its own arena.
-func (o Options) execOpts() []executor.Option {
-	var opts []executor.Option
-	if o.Arena {
-		opts = append(opts, executor.WithArena(tensor.NewArena()))
-	}
-	if o.MemPlan {
-		opts = append(opts, executor.WithMemPlan(true))
-	}
-	return opts
 }
 
 // measureIters is how many back-to-back invocations one timing sample
@@ -193,7 +172,7 @@ func convRunner(ctx context.Context, p ConvProblem, prof frameworks.Profile, ins
 		}, nil
 	}
 	prof.MemoryCapacity = 0 // benchmarking, not OOM testing
-	e, err := prof.NewExecutor(convModel(p, o.seed()), o.execOpts()...)
+	e, err := prof.NewExecutor(convModel(p, o.seed()))
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +211,7 @@ func gemmRunner(ctx context.Context, p GemmProblem, prof frameworks.Profile, ins
 		}, nil
 	}
 	prof.MemoryCapacity = 0
-	e, err := prof.NewExecutor(gemmModel(p, o.seed()), o.execOpts()...)
+	e, err := prof.NewExecutor(gemmModel(p, o.seed()))
 	if err != nil {
 		return nil, err
 	}

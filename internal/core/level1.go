@@ -52,8 +52,6 @@ func RunFig7(ctx context.Context, o Options) (Fig7Result, error) {
 		cfg.Height, cfg.Width = 64, 64
 	}
 	// Dry run with unlimited memory to find the peak requirement.
-	// The OOM experiment ignores the session's allocation options (arena,
-	// memory plan): they would move the peak it classifies.
 	probe, err := frameworks.TorchGo.NewExecutor(models.AlexNet(cfg))
 	if err != nil {
 		return Fig7Result{}, err
@@ -159,7 +157,7 @@ func RunOverhead(ctx context.Context, o Options) (OverheadResult, error) {
 
 	mkRunner := func(instrument bool) (*training.Runner, error) {
 		m := models.MLP(cfg, hidden)
-		e := executor.MustNew(m, o.execOpts()...)
+		e := executor.MustNew(m)
 		e.SetTraining(true)
 		if instrument {
 			fo := metrics.NewFrameworkOverhead()

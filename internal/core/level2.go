@@ -324,7 +324,7 @@ func RunFig9(ctx context.Context, o Options) ([]ConvergenceCurve, error) {
 	var out []ConvergenceCurve
 	for _, opt := range optimizers {
 		m := models.ResNet(8, cfg)
-		e, err := frameworks.CF2Go.NewExecutor(m, o.execOpts()...)
+		e, err := frameworks.CF2Go.NewExecutor(m)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +376,7 @@ func RunFig10(ctx context.Context, o Options) ([]ConvergenceCurve, error) {
 		m := models.ResNet(8, cfg)
 		prof := c.prof
 		prof.OpOverhead /= 8
-		e, err := prof.NewExecutor(m, o.execOpts()...)
+		e, err := prof.NewExecutor(m)
 		if err != nil {
 			return nil, err
 		}
@@ -438,10 +438,9 @@ func RunFig11(ctx context.Context, o Options) ([]Fig11Point, error) {
 	}
 	cfg := models.Config{Classes: 10, Channels: 1, Height: 16, Width: 16,
 		WithHead: true, Seed: o.seed()}
-	execOpts := o.execOpts()
 	mk := func(v training.AdamVariant) (*executor.Executor, *training.Driver) {
 		m := models.MLP(cfg, 128, 64)
-		e := executor.MustNew(m, execOpts...)
+		e := executor.MustNew(m)
 		e.SetTraining(true)
 		return e, training.NewDriver(e, training.NewAdamVariant(0.001, v))
 	}

@@ -93,9 +93,8 @@ func loadBenchParams(quick bool) loadBenchConfig {
 func RunLoadBench(ctx context.Context, o Options) ([]LoadBenchRow, error) {
 	p := loadBenchParams(o.Quick)
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: o.seed()}, 8, 8, 8, 8)
-	execOpts := o.execOpts()
 	factory := func() (executor.GraphExecutor, error) {
-		e, err := executor.New(m, execOpts...)
+		e, err := executor.New(m)
 		if err != nil {
 			return nil, err
 		}

@@ -81,10 +81,7 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 	// whose per-request overhead rivals their compute.
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: o.seed()}, 8, 8, 8, 8)
 
-	// execOpts carries the session's arena and memory-plan selection, so
-	// -arena/-plan apply to serving like everywhere else.
-	execOpts := o.execOpts()
-	factory := func() (executor.GraphExecutor, error) { return executor.New(m, execOpts...) }
+	factory := func() (executor.GraphExecutor, error) { return executor.New(m) }
 
 	// Per-client request tensors (reused across rounds; the server copies
 	// outputs, never mutates feeds).

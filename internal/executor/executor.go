@@ -22,7 +22,8 @@ type GraphExecutor interface {
 	// Network returns the executed network.
 	Network() *Network
 	// Inference runs a forward pass with the given input feeds and returns
-	// the model's declared outputs.
+	// the model's declared outputs in a fresh map the caller owns, as it
+	// owns the tensors in it.
 	Inference(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
 	// InferenceAndBackprop runs forward and backward from the named loss
 	// tensor; parameter gradients are afterwards available on the Network.
@@ -39,10 +40,11 @@ type GraphExecutor interface {
 // Level 0 operators one after another in topological order on the calling
 // goroutine (the paper positions reference code as "verified yet slow";
 // operators parallelize inside their kernels). It supports the full event,
-// memory-model and instrumentation surface, and can recycle activation
-// storage through a tensor arena or a static memory plan. An Executor is
-// single-goroutine: concurrent passes need one executor each, as the serve
-// replicas have.
+// memory-model and instrumentation surface. From the third inference at a
+// set of feed shapes on, passes run out of a static memory plan for those
+// shapes (memplan.go), so a warm pass allocates only the outputs it
+// returns. An Executor is single-goroutine: concurrent passes need one
+// executor each, as the serve replicas have.
 type Executor struct {
 	net     *Network
 	order   []*graph.Node
@@ -59,13 +61,17 @@ type Executor struct {
 	// framework emulation layer uses it to model runtime dispatch costs.
 	OpOverhead time.Duration
 
-	arena *tensor.Arena
-	// memPlan enables the static memory plan (WithMemPlan); planRT holds
-	// the installed plan and planActive tells whether the current pass runs
-	// out of it (training passes never do).
-	memPlan    bool
-	planRT     *planRuntime
-	planActive bool
+	// The activation allocator (memplan.go): allocs holds each node's, mode
+	// says how the running pass draws outputs, cur is the entry for the
+	// running inference's feed shapes, plans remembers recent sets of feed
+	// shapes with their plans, and slab backs all the plans. pass counts
+	// passes; it is also the LRU clock.
+	allocs map[*graph.Node]*nodeAlloc
+	mode   allocMode
+	cur    *shapePlan
+	plans  []*shapePlan
+	slab   []float32
+	pass   uint64
 
 	training bool
 	// last forward pass state. The maps are allocated once and cleared per
@@ -84,10 +90,6 @@ type Executor struct {
 	gradOf   map[string]*tensor.Tensor
 	lossSeed *tensor.Tensor
 	nodeBwd  map[*graph.Node]*bwdScratch
-	// planOut is the reused outputs map handed back by plan-mode passes;
-	// outScratch is freeActivations' reused protected-outputs buffer.
-	planOut    map[string]*tensor.Tensor
-	outScratch []*tensor.Tensor
 	// passSpan is the current forward pass's trace span (nil when the pass
 	// is untraced — the common case, costing execNode one nil check).
 	passSpan *trace.Span
@@ -95,47 +97,16 @@ type Executor struct {
 	// recent forward pass.
 	LastForwardFLOPs int64
 	// lastActivationBytes is the activation memory charged to the memory
-	// model by the most recent forward pass, released by freeActivations.
+	// model by the most recent forward pass, released by endPass.
 	lastActivationBytes int64
-}
-
-// Option configures an Executor at construction.
-type Option func(*Executor)
-
-// WithArena routes operator output allocation through a recycling tensor
-// arena and releases intermediate activations back to it at the end of each
-// pass. Model outputs are never recycled. With an arena installed,
-// LastValue is only valid for model outputs, feeds and parameters — other
-// activations are detached when the pass ends.
-func WithArena(a *tensor.Arena) Option {
-	return func(e *Executor) { e.arena = a }
-}
-
-// WithMemPlan enables liveness-based static memory planning for forward
-// passes. The first inference at a given set of feed shapes profiles
-// activation shapes through the ordinary allocation path, then installs a
-// PlanMemory slab; subsequent same-shape inferences write every
-// planned activation into fixed slab offsets and allocate nothing. Feed
-// shape changes transparently re-profile and re-plan.
-//
-// With a plan active, the tensors returned by Inference (and the map
-// holding them) are views into the slab, valid until the next pass on this
-// executor — copy them if they must outlive it. Training passes
-// (InferenceAndBackprop) bypass the plan, because backpropagation reads
-// activations past the lifetimes the plan assumes.
-func WithMemPlan(enable bool) Option {
-	return func(e *Executor) { e.memPlan = enable }
 }
 
 // New builds a reference executor for the model. It validates the graph,
 // instantiates one operator per node and fails on unknown op types. The
 // executor runs m itself: parameter tensors are shared with the caller's
 // model, so training through the executor updates it.
-func New(m *graph.Model, opts ...Option) (*Executor, error) {
+func New(m *graph.Model) (*Executor, error) {
 	e := &Executor{nodeOps: make(map[*graph.Node]ops.Operator)}
-	for _, opt := range opts {
-		opt(e)
-	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -146,15 +117,11 @@ func New(m *graph.Model, opts ...Option) (*Executor, error) {
 	e.net = NewNetwork(m)
 	e.order = order
 	e.gradMask = requiresGrad(m, order)
+	e.newAllocs()
 	for _, n := range order {
 		op, err := ops.FromNode(n)
 		if err != nil {
 			return nil, err
-		}
-		if e.arena != nil {
-			if aa, ok := op.(ops.AllocatorAware); ok {
-				aa.SetAllocator(e.arena)
-			}
 		}
 		e.SetOp(n, op)
 	}
@@ -163,8 +130,8 @@ func New(m *graph.Model, opts ...Option) (*Executor, error) {
 }
 
 // MustNew is New, panicking on error; for tests and examples.
-func MustNew(m *graph.Model, opts ...Option) *Executor {
-	e, err := New(m, opts...)
+func MustNew(m *graph.Model) *Executor {
+	e, err := New(m)
 	if err != nil {
 		panic(err)
 	}
@@ -194,11 +161,14 @@ func (e *Executor) Op(n *graph.Node) ops.Operator { return e.nodeOps[n] }
 // SetOp replaces the operator bound to a node. The framework emulation
 // layer uses this (via the graph visitor) to install backend-specific
 // operator implementations, mirroring the paper's visitor-based network
-// construction (Fig. 4). The node's requires-grad mask is installed on the
-// new operator when it can use one.
+// construction (Fig. 4). The node's requires-grad mask and its output
+// allocator are installed on the new operator when it can use them.
 func (e *Executor) SetOp(n *graph.Node, op ops.Operator) {
 	if ga, ok := op.(ops.GradMaskAware); ok {
 		ga.SetGradMask(e.gradMask[n])
+	}
+	if aa, ok := op.(ops.AllocatorAware); ok && e.allocs[n] != nil {
+		aa.SetAllocator(e.allocs[n])
 	}
 	e.nodeOps[n] = op
 }
@@ -233,12 +203,6 @@ func requiresGrad(m *graph.Model, order []*graph.Node) map[*graph.Node][]bool {
 	return masks
 }
 
-// LastValue returns an activation tensor from the most recent pass.
-func (e *Executor) LastValue(name string) (*tensor.Tensor, bool) {
-	t, ok := e.values[name]
-	return t, ok
-}
-
 func (e *Executor) spinOverhead() {
 	if e.OpOverhead <= 0 {
 		return
@@ -264,11 +228,11 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 		ev.BeforeInference()
 	}
 	start := time.Now()
+	e.pass++
 
 	if parent := trace.FromContext(ctx); parent != nil {
 		e.passSpan = parent.StartChild("exec.forward",
-			trace.Bool("plan", e.planActive),
-			trace.Bool("arena", e.arena != nil),
+			trace.Bool("plan", e.mode == allocPlanned),
 			trace.Int("nodes", len(e.order)))
 	}
 
@@ -283,11 +247,6 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	}
 	e.LastForwardFLOPs = 0
 	e.lastActivationBytes = 0
-	if e.planActive {
-		for _, pa := range e.planRT.allocs {
-			pa.next = 0
-		}
-	}
 
 	for name, t := range feeds {
 		e.values[name] = t
@@ -318,8 +277,7 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	if err == nil && ev != nil && ev.AfterInference != nil {
 		ev.AfterInference(time.Since(start))
 	}
-	// Activations are released at the end of the enclosing pass by the
-	// caller via freeActivations.
+	// The enclosing pass ends it with endPass.
 	return err
 }
 
@@ -399,15 +357,13 @@ func (e *Executor) execNode(n *graph.Node) error {
 	return nil
 }
 
-// opSpanAttrs builds a traced op span's attributes: output shape, arena
-// placement and, for convolutions, the kernel algorithm. Only called on
-// traced passes, so the allocations here never touch the untraced fast path.
+// opSpanAttrs builds a traced op span's attributes: output shape and, for
+// convolutions, the kernel algorithm. Only called on traced passes, so the
+// allocations here never touch the untraced fast path.
 func opSpanAttrs(conv *ops.Conv2DOp, outs []*tensor.Tensor) []trace.Attr {
-	attrs := make([]trace.Attr, 0, 3)
+	attrs := make([]trace.Attr, 0, 2)
 	if len(outs) > 0 && outs[0] != nil {
-		attrs = append(attrs,
-			trace.String("shape", fmt.Sprint(outs[0].Shape())),
-			trace.Bool("arena_hit", outs[0].ArenaBacked()))
+		attrs = append(attrs, trace.String("shape", fmt.Sprint(outs[0].Shape())))
 	}
 	if conv != nil {
 		attrs = append(attrs, trace.String("algo", conv.Algo.String()))
@@ -415,87 +371,45 @@ func opSpanAttrs(conv *ops.Conv2DOp, outs []*tensor.Tensor) []trace.Attr {
 	return attrs
 }
 
-// freeActivations ends the activation lifetime of the last pass: it returns
-// the charged bytes to the memory model and, when an arena is installed,
-// recycles every intermediate activation buffer. Model outputs — and any
-// activation whose storage a model output aliases (zero-copy views) — are
-// left alive for the caller.
-func (e *Executor) freeActivations() {
-	if e.Memory != nil {
-		e.Memory.Free(e.lastActivationBytes)
-		e.lastActivationBytes = 0
-	}
-	if e.arena == nil || e.nodeOuts == nil {
-		return
-	}
-	outputs := e.outScratch[:0]
-	for _, name := range e.net.Model.Outputs {
-		if t, ok := e.values[name]; ok && t != nil {
-			outputs = append(outputs, t)
-		}
-	}
-	e.outScratch = outputs
-	for _, outs := range e.nodeOuts {
-		for _, t := range outs {
-			if t == nil || !t.ArenaBacked() {
-				continue
-			}
-			protected := false
-			for _, o := range outputs {
-				if t == o || t.Overlaps(o) {
-					protected = true
-					break
-				}
-			}
-			if !protected {
-				t.Release()
-			}
-		}
-	}
+// endPass returns the activation bytes the pass charged to the memory model
+// and points operator output allocation back at the GC.
+func (e *Executor) endPass() {
+	e.Memory.Free(e.lastActivationBytes)
+	e.lastActivationBytes = 0
+	e.mode, e.cur = allocRecord, nil
 }
 
-// Inference runs a forward pass and returns the model's declared outputs.
-// Cancelling ctx aborts the pass between node executions and returns the
-// context's error.
+// Inference runs a forward pass and returns the model's declared outputs in
+// a fresh map. The outputs belong to the caller: no later pass touches them.
+// The pass runs out of the memory plan for the feeds' shapes once it has
+// one: the first pass at new shapes runs on GC tensors, the second profiles
+// and plans them. Cancelling ctx aborts the pass between node executions and
+// returns the context's error.
 func (e *Executor) Inference(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	if e.memPlan {
-		if e.planRT != nil && !e.planRT.matches(feeds) {
-			e.dropPlan() // feed shapes changed: re-profile
-		}
-		e.setPlanActive(e.planRT != nil)
+	key := feedKey(feeds)
+	e.cur = e.planFor(key, feeds)
+	if e.cur != nil && e.cur.plan != nil {
+		e.mode = allocPlanned
 	}
+	defer e.endPass()
 	if err := e.forward(ctx, feeds); err != nil {
-		e.freeActivations()
 		return nil, err
 	}
-	out := e.collectOutputs()
-	if e.memPlan {
-		if e.planActive && e.planRT.miss {
-			e.dropPlan() // a shape drifted mid-pass: plan is stale
-		} else if !e.planActive {
-			e.buildPlan(feeds) // profiling pass done: install the plan
-		}
+	switch {
+	case e.cur == nil:
+		e.remember(key, feeds)
+	case e.cur.stale:
+		e.forget(e.cur) // an activation shape drifted: start over next time
+	case e.cur.plan == nil:
+		e.cur.lastUse = e.pass
+		e.addPlan(e.cur)
+	default:
+		e.cur.lastUse = e.pass
 	}
-	e.freeActivations()
-	return out, nil
+	return e.collectOutputs(), nil
 }
 
 func (e *Executor) collectOutputs() map[string]*tensor.Tensor {
-	if e.planActive {
-		// Plan-mode passes reuse one outputs map: like the slab tensors it
-		// holds, it is valid until the next pass on this executor.
-		if e.planOut == nil {
-			e.planOut = make(map[string]*tensor.Tensor, len(e.net.Model.Outputs))
-		} else {
-			clear(e.planOut)
-		}
-		for _, name := range e.net.Model.Outputs {
-			if t, ok := e.values[name]; ok {
-				e.planOut[name] = t
-			}
-		}
-		return e.planOut
-	}
 	out := make(map[string]*tensor.Tensor, len(e.net.Model.Outputs))
 	for _, name := range e.net.Model.Outputs {
 		if t, ok := e.values[name]; ok {
@@ -520,16 +434,14 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Training passes never run out of the memory plan: backpropagation
-	// reads forward activations after their plan-assumed last use, so slab
-	// reuse would clobber them. The plan (if any) stays installed for the
-	// next inference.
-	e.setPlanActive(false)
+	// Training passes never run out of the memory plan (mode stays
+	// allocRecord): backpropagation reads forward activations after their
+	// plan-assumed last use, so slab reuse would clobber them. The cached
+	// plans stay for the next inference.
+	defer e.endPass()
 	if err := e.forward(ctx, feeds); err != nil {
-		e.freeActivations()
 		return nil, err
 	}
-	defer e.freeActivations()
 
 	lossT, ok := e.values[loss]
 	if !ok {

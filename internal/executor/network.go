@@ -3,11 +3,10 @@
 // event ("hook") mechanism for fine-grained measurement and early exits, and
 // a device memory model used to study out-of-memory behaviour (paper §IV-D).
 //
-// Public entry points: New (construction options WithArena and
-// WithMemPlan), the Executor's Inference / InferenceAndBackprop methods
-// behind the GraphExecutor interface, Network (parameters and gradients),
-// PlanMemory (the static activation planner behind WithMemPlan), Events and
-// MemoryModel. The executor runs nodes of the caller's graph in topological
+// Public entry points: New, the Executor's Inference / InferenceAndBackprop
+// methods behind the GraphExecutor interface, Network (parameters and
+// gradients), PlanMemory (the static activation planner every inference
+// pass runs out of), Events and MemoryModel. The executor runs nodes of the caller's graph in topological
 // order on the calling goroutine — the paper's "verified yet slow"
 // reference interpreter.
 package executor

@@ -125,10 +125,9 @@ func ByName(name string) (Profile, bool) {
 
 // NewExecutor builds an executor for the model under this profile,
 // converting the model through the graph Visitor into backend-specific
-// operator instances. Extra executor options (execution backend, tensor
-// arena) are passed through.
-func (p Profile) NewExecutor(m *graph.Model, opts ...executor.Option) (*executor.Executor, error) {
-	e, err := executor.New(m, opts...)
+// operator instances.
+func (p Profile) NewExecutor(m *graph.Model) (*executor.Executor, error) {
+	e, err := executor.New(m)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ const (
 	MetricServeReplicasLive        = "d500_serve_replicas_live"
 	MetricServeReplicaCrashesTotal = "d500_serve_replica_crashes_total"
 	MetricServeReplicaRespawns     = "d500_serve_replica_respawns_total"
-	MetricServeArenaBytes          = "d500_serve_arena_bytes"
 
 	// Multi-tenant serving (model registry + autoscaler).
 	MetricServeModels             = "d500_serve_models"
@@ -79,7 +78,6 @@ func CoreNames() []string {
 		MetricServeReplicasLive,
 		MetricServeReplicaCrashesTotal,
 		MetricServeReplicaRespawns,
-		MetricServeArenaBytes,
 		MetricServeModels,
 		MetricServeModelLoadsTotal,
 		MetricServeModelSwapsTotal,

@@ -159,7 +159,7 @@ func (g *Gauge) Set(v float64) {
 
 // GaugeFunc registers a gauge whose value is read from f at scrape time —
 // the natural shape for state someone else owns (queue length, live
-// replica count, arena footprint).
+// replica count).
 func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.register(name, help, "gauge", func(w io.Writer, name string) error {
 		_, err := fmt.Fprintf(w, "%s %s\n", name, fmtFloat(f()))

@@ -97,17 +97,25 @@ func FromNode(n *graph.Node) (Operator, error) {
 	return b(n)
 }
 
+// Allocator hands out operator output tensors from a caller-managed store
+// (the executor's memory plan) instead of the garbage collector.
+type Allocator interface {
+	// Get returns a zero-filled tensor of the given shape.
+	Get(shape ...int) *tensor.Tensor
+}
+
 // AllocatorAware is implemented by operators that can draw their output
-// tensors from a caller-provided allocator. Executors with a tensor arena
-// install it on every operator that supports it, so steady-state forward
-// passes recycle activation buffers instead of allocating garbage.
+// tensors from a caller-provided allocator. The executor installs one on
+// every operator that supports it, so a warm inference pass writes its
+// activations into the memory plan's slab instead of allocating them.
 //
 // Contract relied on by the executor's static memory planner: an
 // AllocatorAware operator requests each of its declared outputs through the
-// allocator exactly once per Forward call, in output-declaration order, and
-// never hands an input tensor back as an output.
+// allocator exactly once per Forward call, in output-declaration order. An
+// output drawn any other way is left to the GC, and so are the inputs of
+// its node, since it may be a view of one.
 type AllocatorAware interface {
-	SetAllocator(a tensor.Allocator)
+	SetAllocator(a Allocator)
 }
 
 // GradMaskAware is implemented by operators that can skip the gradients of
@@ -127,7 +135,7 @@ type GradMaskAware interface {
 // simple operators.
 type base struct {
 	name  string
-	arena tensor.Allocator
+	alloc Allocator
 	// outBuf is the reused single-output return slice (see out1); shapeBuf
 	// is the reused output-shape slice (see shape).
 	outBuf   []*tensor.Tensor
@@ -142,7 +150,7 @@ type base struct {
 func (b base) Name() string { return b.name }
 
 // SetAllocator points the operator's output allocation at a.
-func (b *base) SetAllocator(a tensor.Allocator) { b.arena = a }
+func (b *base) SetAllocator(a Allocator) { b.alloc = a }
 
 // SetGradMask installs the per-input requires-grad mask.
 func (b *base) SetGradMask(need []bool) { b.needGrad = need }
@@ -183,8 +191,8 @@ func (b *base) gradBuf(i int, shape ...int) *tensor.Tensor {
 // newOut allocates a forward-output tensor: from the installed allocator
 // when one is set, from the GC otherwise.
 func (b *base) newOut(shape ...int) *tensor.Tensor {
-	if b.arena != nil {
-		return b.arena.Get(shape...)
+	if b.alloc != nil {
+		return b.alloc.Get(shape...)
 	}
 	return tensor.New(shape...)
 }

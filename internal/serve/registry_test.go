@@ -17,13 +17,13 @@ import (
 	"deep500/internal/tensor"
 )
 
-func testSpec(m *graph.Model, version string, priority int, srvOpts Options, execOpts ...executor.Option) ModelSpec {
+func testSpec(m *graph.Model, version string, priority int, srvOpts Options) ModelSpec {
 	return ModelSpec{
 		Version:  version,
 		Priority: priority,
 		Build: func() (*Server, error) {
 			o := srvOpts
-			o.NewExecutor = execFactory(m, execOpts...)
+			o.NewExecutor = execFactory(m)
 			return New(o)
 		},
 	}
@@ -211,88 +211,81 @@ func TestRegistryPrioritySheds(t *testing.T) {
 
 // TestMultiModelConformance is the multi-tenant acceptance gate: two
 // models served concurrently from one registry must produce outputs
-// tolerance-equal to two standalone single-model servers, with the arena
-// on and off.
+// tolerance-equal to two standalone single-model servers.
 func TestMultiModelConformance(t *testing.T) {
 	const tol = 1e-5
 	zoo := zooModels()
 	pair := map[string]*graph.Model{"mlp": zoo["mlp"], "lenet": zoo["lenet"]}
-	variants := map[string][]executor.Option{
-		"sequential":       nil,
-		"sequential+arena": {executor.WithArena(tensor.NewArena())},
-	}
-	for vname, opts := range variants {
-		t.Run(vname, func(t *testing.T) {
-			const perModel = 6
-			srvOpts := Options{MaxBatch: 4, MaxLinger: 2 * time.Millisecond, Replicas: 2}
+	t.Run("sequential", func(t *testing.T) {
+		const perModel = 6
+		srvOpts := Options{MaxBatch: 4, MaxLinger: 2 * time.Millisecond, Replicas: 2}
 
-			// Standalone reference servers, one per model.
-			want := map[string][]map[string]*tensor.Tensor{}
-			inputs := map[string][]*tensor.Tensor{}
-			for name, m := range pair {
-				o := srvOpts
-				o.NewExecutor = execFactory(m, opts...)
-				solo, err := New(o)
+		// Standalone reference servers, one per model.
+		want := map[string][]map[string]*tensor.Tensor{}
+		inputs := map[string][]*tensor.Tensor{}
+		for name, m := range pair {
+			o := srvOpts
+			o.NewExecutor = execFactory(m)
+			solo, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < perModel; i++ {
+				in := inputFor(m, 1, uint64(100+i))
+				out, err := solo.Infer(context.Background(), map[string]*tensor.Tensor{"x": in})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < perModel; i++ {
-					in := inputFor(m, 1, uint64(100+i))
-					out, err := solo.Infer(context.Background(), map[string]*tensor.Tensor{"x": in})
-					if err != nil {
-						t.Fatal(err)
-					}
-					inputs[name] = append(inputs[name], in)
-					want[name] = append(want[name], out)
-				}
-				solo.Close(context.Background())
+				inputs[name] = append(inputs[name], in)
+				want[name] = append(want[name], out)
 			}
+			solo.Close(context.Background())
+		}
 
-			// One registry serving both concurrently.
-			r := NewRegistry(RegistryOptions{})
-			defer r.Close(context.Background())
-			for name, m := range pair {
-				if err := r.Load(name, testSpec(m, "v1", 0, srvOpts, opts...)); err != nil {
-					t.Fatal(err)
+		// One registry serving both concurrently.
+		r := NewRegistry(RegistryOptions{})
+		defer r.Close(context.Background())
+		for name, m := range pair {
+			if err := r.Load(name, testSpec(m, "v1", 0, srvOpts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type res struct {
+			model string
+			i     int
+			outs  map[string]*tensor.Tensor
+			err   error
+		}
+		results := make(chan res, 2*perModel)
+		var wg sync.WaitGroup
+		for name := range pair {
+			for i := 0; i < perModel; i++ {
+				wg.Add(1)
+				go func(name string, i int) {
+					defer wg.Done()
+					outs, err := r.Infer(context.Background(), name,
+						map[string]*tensor.Tensor{"x": inputs[name][i]})
+					results <- res{model: name, i: i, outs: outs, err: err}
+				}(name, i)
+			}
+		}
+		wg.Wait()
+		close(results)
+		for got := range results {
+			if got.err != nil {
+				t.Fatalf("%s request %d: %v", got.model, got.i, got.err)
+			}
+			for oname, w := range want[got.model][got.i] {
+				g, ok := got.outs[oname]
+				if !ok {
+					t.Fatalf("%s request %d: missing output %q", got.model, got.i, oname)
+				}
+				if d := maxAbsDiff(t, w, g); d > tol {
+					t.Fatalf("%s request %d output %q diverges from standalone server: %g", got.model, got.i, oname, d)
 				}
 			}
-			type res struct {
-				model string
-				i     int
-				outs  map[string]*tensor.Tensor
-				err   error
-			}
-			results := make(chan res, 2*perModel)
-			var wg sync.WaitGroup
-			for name := range pair {
-				for i := 0; i < perModel; i++ {
-					wg.Add(1)
-					go func(name string, i int) {
-						defer wg.Done()
-						outs, err := r.Infer(context.Background(), name,
-							map[string]*tensor.Tensor{"x": inputs[name][i]})
-						results <- res{model: name, i: i, outs: outs, err: err}
-					}(name, i)
-				}
-			}
-			wg.Wait()
-			close(results)
-			for got := range results {
-				if got.err != nil {
-					t.Fatalf("%s request %d: %v", got.model, got.i, got.err)
-				}
-				for oname, w := range want[got.model][got.i] {
-					g, ok := got.outs[oname]
-					if !ok {
-						t.Fatalf("%s request %d: missing output %q", got.model, got.i, oname)
-					}
-					if d := maxAbsDiff(t, w, g); d > tol {
-						t.Fatalf("%s request %d output %q diverges from standalone server: %g", got.model, got.i, oname, d)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRegistryHTTPLifecycle drives the multi-tenant HTTP surface end to

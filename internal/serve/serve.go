@@ -816,6 +816,12 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 		s.observeMu.Unlock()
 	}
 
+	// Inference outputs belong to the caller, so a batch of one request
+	// hands them over whole.
+	if len(live) == 1 {
+		live[0].finish(outs, nil)
+		return
+	}
 	// Split row-aligned outputs per request; copy batch-scoped ones. Each
 	// request is answered as soon as its own rows are cut, so its caller can
 	// send again while the rest of the batch is still being split: answering

@@ -54,17 +54,37 @@ func maxAbsDiff(t *testing.T, a, b *tensor.Tensor) float64 {
 	return m
 }
 
-// execFactory builds a replica factory over one shared model with the
-// given executor options; an arena among them is shared across replicas
-// the way the d500 serving layer wires them.
-func execFactory(m *graph.Model, opts ...executor.Option) func() (executor.GraphExecutor, error) {
-	return func() (executor.GraphExecutor, error) { return executor.New(m, opts...) }
+// execFactory builds a replica factory over one shared model.
+func execFactory(m *graph.Model) func() (executor.GraphExecutor, error) {
+	return func() (executor.GraphExecutor, error) { return executor.New(m) }
+}
+
+// warmFactory is execFactory with every replica's memory plans already
+// cached for batches of 1 to maxRows rows, so every served batch runs out
+// of a plan instead of profiling one.
+func warmFactory(m *graph.Model, maxRows int) func() (executor.GraphExecutor, error) {
+	return func() (executor.GraphExecutor, error) {
+		e, err := executor.New(m)
+		if err != nil {
+			return nil, err
+		}
+		for rows := 1; rows <= maxRows; rows++ {
+			feeds := map[string]*tensor.Tensor{"x": inputFor(m, rows, 1)}
+			for pass := 0; pass < 2; pass++ { // the second pass plans
+				if _, err := e.Inference(context.Background(), feeds); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return e, nil
+	}
 }
 
 // TestBatchedConformance is the serving acceptance gate: outputs of
 // micro-batched execution must be tolerance-equal to per-item Infer on
-// every zoo model, with the memory plan and the arena on and off, under
-// -race. The replicas' Stats are read right after the
+// every zoo model, from fresh replicas and from replicas whose plans for
+// every batch shape are already cached,
+// under -race. The replicas' Stats are read right after the
 // replies: a request is counted before it is answered.
 func TestBatchedConformance(t *testing.T) {
 	const tol = 1e-5
@@ -84,18 +104,17 @@ func TestBatchedConformance(t *testing.T) {
 				want[i] = out
 			}
 
-			variants := map[string][]executor.Option{
-				"sequential":       nil,
-				"sequential+plan":  {executor.WithMemPlan(true)},
-				"sequential+arena": {executor.WithArena(tensor.NewArena())},
+			variants := map[string]func() (executor.GraphExecutor, error){
+				"sequential":      execFactory(m),
+				"sequential+plan": warmFactory(m, requests),
 			}
-			for vname, opts := range variants {
+			for vname, factory := range variants {
 				t.Run(vname, func(t *testing.T) {
 					srv, err := New(Options{
 						MaxBatch:    requests,
 						MaxLinger:   200 * time.Millisecond,
 						Replicas:    2,
-						NewExecutor: execFactory(m, opts...),
+						NewExecutor: factory,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -5,8 +5,8 @@ import "fmt"
 // Batch helpers: the serving layer's dynamic micro-batcher coalesces
 // single-request tensors into one batched execution along the leading
 // (batch) dimension and splits the batched outputs back per request.
-// Both directions copy — a split row view into a batched activation would
-// pin executor- or arena-owned storage past the pass that produced it.
+// Both directions copy — a split row view into a batched output would keep
+// the whole batch alive for as long as any one caller holds its rows.
 
 // ConcatRows stacks tensors along dimension 0. Every part must have rank
 // ≥ 1 and identical trailing dimensions; the result's leading dimension is
@@ -40,8 +40,7 @@ func ConcatRows(parts ...*Tensor) (*Tensor, error) {
 }
 
 // SliceRows returns a copy of rows [start, end) of t along dimension 0.
-// It copies so the slice outlives the batched tensor it came from (which
-// may be arena-backed and recycled on the next pass).
+// It copies so the slice does not alias the batched tensor it came from.
 func (t *Tensor) SliceRows(start, end int) (*Tensor, error) {
 	if t.Rank() < 1 {
 		return nil, fmt.Errorf("tensor: SliceRows requires rank ≥ 1, got a scalar")

@@ -140,8 +140,8 @@ func TestSliceConcatInverseProperty(t *testing.T) {
 		}
 
 		// The pieces are copies: mutating every piece must leave the
-		// original untouched (the batcher hands slices to callers while
-		// the arena may recycle the batch).
+		// original untouched (the batcher hands one piece to each caller,
+		// and no caller may see another's writes).
 		for _, p := range pieces {
 			for j := range p.Data() {
 				p.Data()[j] = -1e30

@@ -7,9 +7,8 @@
 // Public entry points: Tensor construction (New, From, Full, Zeros-like
 // via New), elementwise math (Add, Sub, Mul, Div, Map), the deterministic
 // RNG with the He/Xavier initializers (NewRNG, HeInit, XavierInit,
-// RandNormal), and Arena — the ref-counted, size-class recycling buffer
-// pool executors use to stop steady-state passes from allocating garbage
-// (Allocator is the interface operators draw outputs from).
+// RandNormal), and Arena, the size-class pool of raw buffers behind kernel
+// scratch and transport slabs.
 package tensor
 
 import (
@@ -23,10 +22,6 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float32
-	// arena is non-nil for tensors acquired from an Arena; refs is their
-	// reference count (see arena.go). GC-managed tensors leave both zero.
-	arena *Arena
-	refs  int32
 }
 
 // New returns a zero-filled tensor of the given shape. A call with no

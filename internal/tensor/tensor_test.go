@@ -368,7 +368,7 @@ func TestPropReshapePreservesData(t *testing.T) {
 }
 
 // TestArenaFreeBytesCounter checks the idle-bytes counter against a walk of
-// the free lists through takes, puts, tensor releases and dropped buffers.
+// the free lists through takes, puts, reuse and dropped buffers.
 func TestArenaFreeBytesCounter(t *testing.T) {
 	a := NewArena()
 	walk := func() int64 {
@@ -384,12 +384,11 @@ func TestArenaFreeBytesCounter(t *testing.T) {
 			t.Fatalf("%s: FreeBytes %d, free lists hold %d", when, got, want)
 		}
 	}
-	b1, b2 := a.GetBuf(100), a.GetBuf(5000)
-	x := a.Get(3, 70)
+	b1, b2, b3 := a.GetBuf(100), a.GetBuf(5000), a.GetBuf(210)
 	check("all checked out")
 	a.PutBuf(b1)
 	a.PutBuf(b2)
-	x.Release()
+	a.PutBuf(b3)
 	check("all returned")
 	if a.FreeBytes() != 4*(128+8192+256) {
 		t.Fatalf("FreeBytes %d after returning classes 128, 8192 and 256", a.FreeBytes())
@@ -397,6 +396,6 @@ func TestArenaFreeBytesCounter(t *testing.T) {
 	a.PutBuf(make([]float32, 100)) // not a size class: dropped
 	check("foreign buffer dropped")
 	a.GetBuf(120)
-	a.Get(2, 100).Release()
+	a.PutBuf(a.GetBuf(200))
 	check("reused")
 }

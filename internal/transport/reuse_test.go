@@ -103,9 +103,6 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 	if best != 0 {
 		t.Fatalf("%d warm round trips allocate at least %d B, want 0", trips, best)
 	}
-	if st := ranks[1].slabs.Stats(); st.Hits < trips {
-		t.Fatalf("%d of %d slab requests were served from released slabs", st.Hits, st.Gets)
-	}
 }
 
 // TestSlabReuseKeepsUnreleasedPayloads is the safety side of slab reuse,
@@ -152,6 +149,14 @@ func TestSlabReuseKeepsUnreleasedPayloads(t *testing.T) {
 			src, tag int
 		}
 		var held []kept
+		// released holds the first element of every released slab: a
+		// receive whose payload starts there was served from the pool.
+		released := make(map[*float32]bool)
+		reused := false
+		release := func(data []float32) {
+			released[&data[0]] = true
+			r.Release(data)
+		}
 		for i := 0; i < msgs*(n-1); i++ {
 			m, err := r.Recv(context.Background(), dist.AnySource)
 			if err != nil {
@@ -161,8 +166,9 @@ func TestSlabReuseKeepsUnreleasedPayloads(t *testing.T) {
 			if len(data) != size-tag {
 				t.Errorf("rank %d: message %d from %d has %d floats", r.ID(), tag, src, len(data))
 			}
+			reused = reused || released[&data[0]]
 			if i%2 == 0 {
-				r.Release(data)
+				release(data)
 				continue
 			}
 			held = append(held, kept{data, src, tag})
@@ -193,11 +199,13 @@ func TestSlabReuseKeepsUnreleasedPayloads(t *testing.T) {
 		}
 		for src := 0; src < n; src++ {
 			if src != r.ID() {
-				r.Release(recv(t, r, src).Data)
+				data := recv(t, r, src).Data
+				reused = reused || released[&data[0]]
+				r.Release(data)
 			}
 		}
-		if st := r.slabs.Stats(); st.Hits == 0 {
-			t.Errorf("rank %d: no receive reused a released slab (%d requests)", r.ID(), st.Gets)
+		if !reused {
+			t.Errorf("rank %d: no receive reused a released slab", r.ID())
 		}
 		return nil
 	})
