@@ -27,6 +27,8 @@ func BenchmarkGemmSmallM(b *testing.B) {
 		{"lenet-conv2-col", 150, 100}, // m = 16
 		{"mlp-fc1", 784, 256},
 		{"mlp-fc2", 256, 256},
+		{"tcp-mlp-fc1", 784, 512}, // train_tcp_mlp
+		{"tcp-mlp-fc2", 512, 512},
 	}
 	rng := tensor.NewRNG(1)
 	for _, s := range shapes {

@@ -20,8 +20,10 @@
 // There is one product GEMM, two kernels behind one shape rule (gemmInPlace,
 // gemm_small.go). From 9 rows of A up, and whenever A is transposed, it is
 // the BLIS-style packed register-tiled kernel (gemm_packed.go): operands are
-// repacked into cache-resident panels and multiplied by a spill-free 2×4
-// register micro-kernel, with transposes folded into the packing. Up to 8
+// repacked into cache-resident panels, with transposes folded into the
+// packing, and multiplied by a 4×16 micro-kernel — AVX2 assembly on amd64
+// hosts that have it (gemm_amd64.s), a pure-Go scalar tile everywhere else,
+// bit for bit equal because neither fuses a multiply-add. Up to 8
 // rows — one served request, a coalesced batch, every per-image convolution
 // GEMM of a narrow layer — B is read in place, because a pack that few rows
 // reuse costs as much as the multiply. The two agree bit for bit on finite

@@ -15,6 +15,9 @@ package kernels
 // that started at +0 is never −0), so for finite operands the result is
 // bitwise equal to gemmPacked's and a row's output does not depend on how
 // many rows share its batch or on which side of smallMRows the batch fell.
+// Every product is converted to float32 before it is added, as in the packed
+// kernel's pure-Go tile: gc fuses a multiply-add on some targets (arm64),
+// and a fused term rounds once where the other kernel rounds twice.
 
 // smallMRows is the largest m routed to the in-place kernel. Measured, not
 // tuned per host: docs/kernels.md records the sweep and how to repeat it.
@@ -92,7 +95,7 @@ func smallStreamBlock(a, b, acc []float32, m, k, n, pc, kc int) {
 			b2 := b[(pc+p2)*n:][:len(row)]
 			b3 := b[(pc+p3)*n:][:len(row)]
 			for j, s := range row {
-				row[j] = s + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				row[j] = s + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; g < nz; g++ {
@@ -100,7 +103,7 @@ func smallStreamBlock(a, b, acc []float32, m, k, n, pc, kc int) {
 			av := ai[p]
 			bp := b[(pc+p)*n:][:len(row)]
 			for j, s := range row {
-				row[j] = s + av*bp[j]
+				row[j] = s + float32(av*bp[j])
 			}
 		}
 	}
@@ -108,8 +111,8 @@ func smallStreamBlock(a, b, acc []float32, m, k, n, pc, kc int) {
 
 // smallDotBlock adds A[:, pc:pc+kc]·Bᵀ[pc:pc+kc, :] to C (m×n) for a B
 // stored n×k: every C element is a dot product of an A row with a B row,
-// both contiguous. Two A rows against four B rows keep the packed
-// micro-kernel's eight independent accumulators; an edge tile repeats its
+// both contiguous. Two A rows against four B rows keep eight independent
+// accumulators, as the pure-Go micro-tile does; an edge tile repeats its
 // last row or column as a stand-in and drops the duplicate sums.
 func smallDotBlock(a, b, c []float32, m, k, n, pc, kc int) {
 	for i := 0; i < m; i += 2 {
@@ -127,14 +130,14 @@ func smallDotBlock(a, b, c []float32, m, k, n, pc, kc int) {
 			for p, x0 := range a0 {
 				x1 := a1[p]
 				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
-				c00 += x0 * y0
-				c01 += x0 * y1
-				c02 += x0 * y2
-				c03 += x0 * y3
-				c10 += x1 * y0
-				c11 += x1 * y1
-				c12 += x1 * y2
-				c13 += x1 * y3
+				c00 += float32(x0 * y0)
+				c01 += float32(x0 * y1)
+				c02 += float32(x0 * y2)
+				c03 += float32(x0 * y3)
+				c10 += float32(x1 * y0)
+				c11 += float32(x1 * y1)
+				c12 += float32(x1 * y2)
+				c13 += float32(x1 * y3)
 			}
 			sums := [2][4]float32{{c00, c01, c02, c03}, {c10, c11, c12, c13}}
 			for r := 0; r < min(2, m-i); r++ {

@@ -114,7 +114,7 @@ func TestGemmRowIndependentOfBatch(t *testing.T) {
 // destination.
 func TestPackPanelsMatchParent(t *testing.T) {
 	rng := tensor.NewRNG(22)
-	const rows, cols = 23, 29
+	const rows, cols = 41, 29 // a transposed B reads rows up to off+ext
 	src := randSlice(rng, rows*cols)
 	dirty := func(n int) []float32 {
 		x := make([]float32, n)
@@ -124,7 +124,7 @@ func TestPackPanelsMatchParent(t *testing.T) {
 		return x
 	}
 	for _, trans := range []bool{false, true} {
-		for _, ext := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13} { // mc or nc
+		for _, ext := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 31, 33} { // mc or nc
 			for _, kc := range []int{1, 2, 3, 4, 5, 8, 11} {
 				for _, off := range []int{0, 1, 3} {
 					// Logical element (i, p) of A is src[i*cols+p], or
