@@ -61,3 +61,37 @@ func BenchmarkGemmSmallM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConvLeNet times LeNet's two convolutions at batch 32 on a
+// one-worker pool, per layer and direction: the forward pass, the weight
+// gradient (dW and dBias, as for conv1, whose input needs no gradient) and
+// the input gradient alone. docs/kernels.md has the before/after table of
+// the packed-panel lowering. CI runs it once as a smoke test.
+//
+//	go test ./internal/kernels -run '^$' -bench ConvLeNet -benchmem -cpu 1
+func BenchmarkConvLeNet(b *testing.B) {
+	withPool(1, func() {
+		for i, s := range lenetConvShapes(32) {
+			x, w, gOut := convBackwardOperands(s, 81)
+			bias := seeded(82, s.M)
+			out := make([]float32, s.OutputSize())
+			dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
+			layer := fmt.Sprintf("conv%d", i+1)
+			b.Run(layer+"/fwd", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Conv2D(ConvIm2Col, s, x, w, bias, out)
+				}
+			})
+			b.Run(layer+"/dW", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Conv2DBackward(s, x, w, gOut, nil, dW, dB)
+				}
+			})
+			b.Run(layer+"/dX", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Conv2DBackward(s, x, w, gOut, dX, nil, nil)
+				}
+			})
+		}
+	})
+}

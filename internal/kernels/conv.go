@@ -1,6 +1,9 @@
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConvAlgo selects a 2D convolution implementation, mirroring the algorithm
 // choices (im2col, Winograd, direct) that the paper's Level 0 and the
@@ -11,9 +14,10 @@ const (
 	// ConvDirect is the straightforward 7-loop convolution: no workspace,
 	// lowest memory, slowest for large channel counts.
 	ConvDirect ConvAlgo = iota
-	// ConvIm2Col lowers convolution to GEMM through an im2col buffer
-	// ("implicit precompute GEMM" in the paper's Fig. 7): fast, but the
-	// workspace grows with C·KH·KW·OH·OW per image.
+	// ConvIm2Col lowers convolution to GEMM by im2col ("implicit
+	// precompute GEMM" in the paper's Fig. 7), writing each image's
+	// receptive fields straight into the packed GEMM's panels: fast, but
+	// the workspace grows with C·KH·KW·OH·OW per image.
 	ConvIm2Col
 	// ConvWinograd uses the F(2×2, 3×3) Winograd transform: fewer
 	// multiplications for 3×3/stride-1 convolutions, moderate workspace.
@@ -105,14 +109,20 @@ func (s ConvShape) String() string {
 // in is N×C×H×W, w is M×C×KH×KW, bias is length M (may be nil) and out is
 // N×M×OH×OW, all row-major.
 func Conv2D(algo ConvAlgo, s ConvShape, in, w, bias, out []float32) {
-	if len(in) < s.InputSize() || len(w) < s.WeightSize() || len(out) < s.OutputSize() {
+	if len(in) < s.InputSize() || len(w) < s.WeightSize() || len(out) < s.OutputSize() ||
+		(bias != nil && len(bias) < s.M) {
 		panic("kernels: Conv2D buffer too small")
+	}
+	if bias != nil {
+		bias = bias[:s.M]
 	}
 	switch algo {
 	case ConvDirect:
 		conv2DDirect(s, in, w, out)
 	case ConvIm2Col:
-		conv2DIm2Col(s, in, w, out)
+		// Adds the bias image by image, while each output is in cache.
+		conv2DIm2Col(s, in, w, bias, out)
+		return
 	case ConvWinograd:
 		if !s.SupportsWinograd() {
 			panic("kernels: Winograd requires 3x3 kernel with stride 1")
@@ -121,21 +131,23 @@ func Conv2D(algo ConvAlgo, s ConvShape, in, w, bias, out []float32) {
 	default:
 		panic("kernels: unknown convolution algorithm")
 	}
-	if bias != nil {
-		addBiasNCHW(s, bias, out)
+	oh, ow := s.OutDims()
+	for n := 0; n < s.N; n++ {
+		addBias(bias, out[n*s.M*oh*ow:(n+1)*s.M*oh*ow])
 	}
 }
 
-func addBiasNCHW(s ConvShape, bias, out []float32) {
-	oh, ow := s.OutDims()
-	plane := oh * ow
-	for n := 0; n < s.N; n++ {
-		for m := 0; m < s.M; m++ {
-			dst := out[(n*s.M+m)*plane : (n*s.M+m+1)*plane]
-			b := bias[m]
-			for i := range dst {
-				dst[i] += b
-			}
+// addBias adds bias[m] to plane m of one image's output (len(bias) planes
+// of equal size); a nil bias adds nothing.
+func addBias(bias, out []float32) {
+	if len(bias) == 0 {
+		return
+	}
+	plane := len(out) / len(bias)
+	for m, b := range bias {
+		dst := out[m*plane : (m+1)*plane]
+		for i := range dst {
+			dst[i] += b
 		}
 	}
 }
@@ -181,7 +193,7 @@ func conv2DDirect(s ConvShape, in, w, out []float32) {
 
 // oxSpan returns the half-open range [lo, hi) of output columns whose input
 // column ix = ox·stride − pad + kx lies inside [0, w). It depends on kx alone,
-// so Im2Col and Col2Im compute it once per kernel column and move whole row
+// so Col2Im computes it once per kernel column and moves whole row
 // segments instead of bounds-testing every element.
 func oxSpan(ow, w, stride, pad, kx int) (lo, hi int) {
 	if d := pad - kx; d > 0 {
@@ -194,40 +206,6 @@ func oxSpan(ow, w, stride, pad, kx int) (lo, hi int) {
 		lo = hi
 	}
 	return lo, hi
-}
-
-// Im2Col lowers one image (C×H×W) into a (C·KH·KW)×(OH·OW) matrix. Every
-// element of col is written, so its prior contents do not matter.
-func Im2Col(s ConvShape, img, col []float32) {
-	oh, ow := s.OutDims()
-	idx := 0
-	for c := 0; c < s.C; c++ {
-		inC := img[c*s.H*s.W : (c+1)*s.H*s.W]
-		for ky := 0; ky < s.KH; ky++ {
-			for kx := 0; kx < s.KW; kx++ {
-				lo, hi := oxSpan(ow, s.W, s.StrideW, s.PadW, kx)
-				for oy := 0; oy < oh; oy++ {
-					row := col[idx : idx+ow]
-					idx += ow
-					iy := oy*s.StrideH - s.PadH + ky
-					if iy < 0 || iy >= s.H || lo == hi {
-						clear(row)
-						continue
-					}
-					clear(row[:lo])
-					clear(row[hi:])
-					src := inC[iy*s.W+lo*s.StrideW-s.PadW+kx:]
-					if s.StrideW == 1 {
-						copy(row[lo:hi], src)
-						continue
-					}
-					for i := range row[lo:hi] {
-						row[lo+i] = src[i*s.StrideW]
-					}
-				}
-			}
-		}
-	}
 }
 
 // Col2Im scatters a (C·KH·KW)×(OH·OW) matrix back into a C×H×W image,
@@ -268,34 +246,232 @@ func Col2Im(s ConvShape, col, img []float32) {
 	}
 }
 
-func conv2DIm2Col(s ConvShape, in, w, out []float32) {
-	oh, ow := s.OutDims()
-	k := s.C * s.KH * s.KW
-	spatial := oh * ow
-	if Default.Span(s.N) <= 1 {
-		// Im2Col writes every column element, so the unspecified contents
-		// of an arena scratch buffer are fine.
-		col := scratch.GetBuf(k * spatial)
-		for n := 0; n < s.N; n++ {
-			Im2Col(s, in[n*s.C*s.H*s.W:], col)
-			Gemm(w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
+// padImage returns one image with its zero padding written out, as a
+// C×HP×WP array (HP = H+2·PadH, WP = W+2·PadW), so that every kernel tap at
+// every output position reads inside it and the panel writers need no
+// bounds test. An unpadded image is returned as it is; a padded one is built
+// in buf (at least paddedLen floats).
+func padImage(s ConvShape, img, buf []float32) (p []float32, hp, wp int) {
+	if s.PadH == 0 && s.PadW == 0 {
+		return img[:s.C*s.H*s.W], s.H, s.W
+	}
+	hp, wp = s.H+2*s.PadH, s.W+2*s.PadW
+	p = buf[:s.C*hp*wp]
+	clear(p)
+	for c := 0; c < s.C; c++ {
+		for y := 0; y < s.H; y++ {
+			copy(p[(c*hp+y+s.PadH)*wp+s.PadW:][:s.W], img[(c*s.H+y)*s.W:])
 		}
-		scratch.PutBuf(col)
+	}
+	return p, hp, wp
+}
+
+// paddedLen is the scratch padImage needs for a shape: none without
+// padding.
+func paddedLen(s ConvShape) int {
+	if s.PadH == 0 && s.PadW == 0 {
+		return 0
+	}
+	return s.C * (s.H + 2*s.PadH) * (s.W + 2*s.PadW)
+}
+
+// gatherRows writes n consecutive depth rows of a packed panel into dst:
+// lane l of row i is p[base + i·step + off[l]]. A ragged panel (live lanes
+// fewer than packNR) writes +0 in the lanes past its edge, by masking the
+// bits of a valid read, where packBPanels writes its zero fill. Each row is
+// unrolled and the loop is a function of its own: inlined into a writer the
+// row counter spills, and reloading it every element serialises the row
+// behind a store-to-load forward.
+func gatherRows(dst, p []float32, base, step, n int, off *[packNR]int, live int) {
+	if live < packNR {
+		var k [packNR]uint32
+		for l := range k[:live] {
+			k[l] = ^uint32(0)
+		}
+		for i := 0; i < n; i++ {
+			d := (*[packNR]float32)(dst[i*packNR:])
+			q := p[base+i*step:]
+			d[0], d[1], d[2], d[3] = keep(q[off[0]], k[0]), keep(q[off[1]], k[1]), keep(q[off[2]], k[2]), keep(q[off[3]], k[3])
+			d[4], d[5], d[6], d[7] = keep(q[off[4]], k[4]), keep(q[off[5]], k[5]), keep(q[off[6]], k[6]), keep(q[off[7]], k[7])
+			d[8], d[9], d[10], d[11] = keep(q[off[8]], k[8]), keep(q[off[9]], k[9]), keep(q[off[10]], k[10]), keep(q[off[11]], k[11])
+			d[12], d[13], d[14], d[15] = keep(q[off[12]], k[12]), keep(q[off[13]], k[13]), keep(q[off[14]], k[14]), keep(q[off[15]], k[15])
+		}
 		return
 	}
-	conv2DIm2ColParallel(s, in, w, out, k, spatial)
+	for i := 0; i < n; i++ {
+		d := (*[packNR]float32)(dst[i*packNR:])
+		q := p[base+i*step:]
+		d[0], d[1], d[2], d[3] = q[off[0]], q[off[1]], q[off[2]], q[off[3]]
+		d[4], d[5], d[6], d[7] = q[off[4]], q[off[5]], q[off[6]], q[off[7]]
+		d[8], d[9], d[10], d[11] = q[off[8]], q[off[9]], q[off[10]], q[off[11]]
+		d[12], d[13], d[14], d[15] = q[off[12]], q[off[13]], q[off[14]], q[off[15]]
+	}
+}
+
+// keep returns v where mask is all ones and +0 where it is zero.
+func keep(v float32, mask uint32) float32 {
+	return math.Float32frombits(math.Float32bits(v) & mask)
+}
+
+// copyRows is gatherRows at step 1 for a panel whose sixteen lanes are side
+// by side in the image: each row moves as one vector.
+func copyRows(dst, p []float32, base, n int) {
+	for i := 0; i < n; i++ {
+		*(*[packNR]float32)(dst[i*packNR:]) = *(*[packNR]float32)(p[base+i:])
+	}
+}
+
+// clearDepthPad zeroes the depth padding of one panel, the panel starting at
+// column j0, in every depth block of a whole-operand B pack that is n16
+// columns wide and k deep.
+func clearDepthPad(dst []float32, n16, k, j0 int) {
+	for pc := 0; pc < k; pc += packKC {
+		kcb := min(packKC, k-pc)
+		ka := kcAligned(kcb)
+		clear(dst[n16*pc+j0*ka+kcb*packNR : n16*pc+(j0+packNR)*ka])
+	}
+}
+
+// im2colPanels lowers one image straight into the packed GEMM's B operand
+// for out = W·col: the whole-operand pack (gemmPanels) of the image's
+// (C·KH·KW)×(OH·OW) column matrix, so depth runs over the kernel taps in
+// blocks of packKC and the columns over the output positions in panels of
+// packNR, both zero-padded. The column matrix is never built. A panel is
+// written front to back, one depth row (one tap) at a time, by gathering
+// the tap's pixel at each of the panel's sixteen output positions from the
+// padded image; sixteen positions that lie side by side in one image row
+// move as one vector. The bytes are those packBPanels writes from the
+// column matrix. pad is padImage's scratch.
+func im2colPanels(s ConvShape, img, dst, pad []float32) {
+	p, hp, wp := padImage(s, img, pad)
+	oh, ow := s.OutDims()
+	spatial := oh * ow
+	n16 := (spatial + packNR - 1) / packNR * packNR
+	ckk := s.C * s.KH * s.KW
+	var off [packNR]int
+	oy, ox := 0, 0
+	for j0 := 0; j0 < spatial; j0 += packNR {
+		live := min(packNR, spatial-j0)
+		run := live == packNR
+		for l := range off {
+			off[l] = 0 // lanes past live read the tap's own pixel and are masked
+			if l < live {
+				off[l] = oy*s.StrideH*wp + ox*s.StrideW
+				run = run && off[l] == off[0]+l
+				if ox++; ox == ow {
+					ox, oy = 0, oy+1
+				}
+			}
+		}
+		// Taps (c, ky, kx) come KW at a time, side by side in the padded
+		// image; a run of them may straddle a depth block.
+		q := 0
+		for c := 0; c < s.C; c++ {
+			for ky := 0; ky < s.KH; ky++ {
+				t := (c*hp + ky) * wp
+				for kx := 0; kx < s.KW; {
+					pc := q - q%packKC
+					ka := kcAligned(min(packKC, ckk-pc))
+					n := min(s.KW-kx, pc+packKC-q)
+					rows := dst[n16*pc+j0*ka+(q-pc)*packNR:]
+					if run {
+						copyRows(rows, p, t+kx+off[0], n)
+					} else {
+						gatherRows(rows, p, t+kx, 1, n, &off, live)
+					}
+					kx, q = kx+n, q+n
+				}
+			}
+		}
+		clearDepthPad(dst, n16, ckk, j0)
+	}
+}
+
+// im2colPanelsT lowers one image into the B operand of dW = g·colᵀ: the
+// whole-operand pack of the transposed column matrix, depth over the OH·OW
+// output positions in blocks of packKC and columns over the C·KH·KW kernel
+// taps. A panel holds sixteen taps and is written front to back; each depth
+// row gathers their pixels at one output position from the padded image.
+// The bytes are those packBPanels writes from the column matrix read
+// transposed. pad is padImage's scratch.
+func im2colPanelsT(s ConvShape, img, dst, pad []float32) {
+	p, hp, wp := padImage(s, img, pad)
+	oh, ow := s.OutDims()
+	spatial := oh * ow
+	ckk := s.C * s.KH * s.KW
+	n16 := (ckk + packNR - 1) / packNR * packNR
+	var off [packNR]int
+	for q0 := 0; q0 < ckk; q0 += packNR {
+		live := min(packNR, ckk-q0)
+		for l := range off {
+			off[l] = 0 // lanes past live read the position's own pixel and are masked
+			if q := q0 + l; l < live {
+				c, ky, kx := q/(s.KH*s.KW), q/s.KW%s.KH, q%s.KW
+				off[l] = (c*hp+ky)*wp + kx
+			}
+		}
+		// Output positions come a row of OW at a time, StrideW apart in
+		// the padded image; a row may straddle a depth block.
+		for j := 0; j < spatial; {
+			oy, ox := j/ow, j%ow
+			pc := j - j%packKC
+			ka := kcAligned(min(packKC, spatial-pc))
+			n := min(ow-ox, pc+packKC-j)
+			gatherRows(dst[n16*pc+q0*ka+(j-pc)*packNR:], p, oy*s.StrideH*wp+ox*s.StrideW, s.StrideW, n, &off, live)
+			j += n
+		}
+		clearDepthPad(dst, n16, spatial, q0)
+	}
+}
+
+// conv2DIm2Col computes out = W·col per image on the packed GEMM: W is
+// packed once for the call and read by every image, and each image is
+// lowered straight into B panels, one task per image over the worker pool.
+func conv2DIm2Col(s ConvShape, in, w, bias, out []float32) {
+	ckk := s.C * s.KH * s.KW
+	wPack := scratch.GetBuf(packedLen(s.M, packMR, ckk))
+	packAWhole(w, ckk, s.M, ckk, false, wPack)
+	if Default.Span(s.N) <= 1 {
+		buf := scratch.GetBuf(convPanelsLen(s))
+		for n := 0; n < s.N; n++ {
+			conv2DImage(s, in, wPack, bias, out, buf, n)
+		}
+		scratch.PutBuf(buf)
+	} else {
+		conv2DIm2ColParallel(s, in, wPack, bias, out)
+	}
+	scratch.PutBuf(wPack)
+}
+
+// convPanelsLen is the scratch one forward image needs: its B panels and
+// its padded copy.
+func convPanelsLen(s ConvShape) int {
+	oh, ow := s.OutDims()
+	return packedLen(oh*ow, packNR, s.C*s.KH*s.KW) + paddedLen(s)
+}
+
+// conv2DImage computes image n's output from the packed filter wPack and
+// adds the bias, with buf (convPanelsLen floats) for its panels.
+func conv2DImage(s ConvShape, in, wPack, bias, out, buf []float32, n int) {
+	oh, ow := s.OutDims()
+	spatial := oh * ow
+	ckk := s.C * s.KH * s.KW
+	panels := packedLen(spatial, packNR, ckk)
+	im2colPanels(s, in[n*s.C*s.H*s.W:], buf[:panels], buf[panels:])
+	o := out[n*s.M*spatial : (n+1)*s.M*spatial]
+	gemmPanels(nil, nil, wPack, buf, o, s.M, ckk, spatial, false, false)
+	addBias(bias, o)
 }
 
 // conv2DIm2ColParallel runs one task per image over the worker pool; each
-// task borrows its column buffer from the scratch arena for its duration,
+// task borrows its panel buffer from the scratch arena for its duration,
 // so at most Span(N) buffers are live and none is allocated once the arena
 // is warm. It lives apart from conv2DIm2Col so the dispatch closure cannot
 // force the serial path's variables onto the heap.
-func conv2DIm2ColParallel(s ConvShape, in, w, out []float32, k, spatial int) {
+func conv2DIm2ColParallel(s ConvShape, in, wPack, bias, out []float32) {
 	Default.ParallelWorker(s.N, func(_, n int) {
-		col := scratch.GetBuf(k * spatial)
-		Im2Col(s, in[n*s.C*s.H*s.W:], col)
-		Gemm(w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, k, spatial)
-		scratch.PutBuf(col)
+		buf := scratch.GetBuf(convPanelsLen(s))
+		conv2DImage(s, in, wPack, bias, out, buf, n)
+		scratch.PutBuf(buf)
 	})
 }

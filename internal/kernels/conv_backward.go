@@ -17,8 +17,10 @@ const convBwdChunk = 4
 // image order into a partial of its own, and the partials are summed in
 // chunk order once all chunks are done, so the result is bitwise independent
 // of the pool size and of how chunks were scheduled. Chunk 0's partial is
-// dW/dBias itself; the others, like each task's column buffers, are borrowed
-// from the scratch arena for the duration of the call.
+// dW/dBias itself; the others, like each task's panel buffers, are borrowed
+// from the scratch arena for the duration of the call. Wᵀ, the A operand of
+// every image's dX product, is packed once per call and only read by the
+// tasks.
 func Conv2DBackward(s ConvShape, x, w, gOut, dX, dW, dBias []float32) {
 	if len(x) < s.InputSize() || len(w) < s.WeightSize() || len(gOut) < s.OutputSize() ||
 		(dX != nil && len(dX) < s.InputSize()) || (dW != nil && len(dW) < s.WeightSize()) ||
@@ -36,36 +38,63 @@ func Conv2DBackward(s ConvShape, x, w, gOut, dX, dW, dBias []float32) {
 		clear(dBias)
 		return
 	}
+	var wt []float32
+	if dX != nil {
+		ckk := s.C * s.KH * s.KW
+		wt = scratch.GetBuf(packedLen(ckk, packMR, s.M))
+		packAWhole(w, ckk, ckk, s.M, true, wt)
+	}
 	chunks := (s.N + convBwdChunk - 1) / convBwdChunk
 	partW := scratch.GetBuf((chunks - 1) * len(dW))
 	partB := scratch.GetBuf((chunks - 1) * len(dBias))
-	Default.ParallelWorker(chunks, func(_, ci int) {
-		cw, cb := dW, dBias
-		if ci > 0 {
-			cw = partW[(ci-1)*len(dW) : ci*len(dW)]
-			cb = partB[(ci-1)*len(dBias) : ci*len(dBias)]
+	if Default.Span(chunks) <= 1 {
+		for ci := 0; ci < chunks; ci++ {
+			conv2DBackwardTask(s, x, wt, gOut, dX, dW, dBias, partW, partB, ci)
 		}
-		conv2DBackwardChunk(s, x, w, gOut, dX, cw, cb, ci*convBwdChunk, min((ci+1)*convBwdChunk, s.N))
-	})
+	} else {
+		conv2DBackwardParallel(s, x, wt, gOut, dX, dW, dBias, partW, partB, chunks)
+	}
 	for ci := 1; ci < chunks; ci++ {
 		addTo(dW, partW[(ci-1)*len(dW):])
 		addTo(dBias, partB[(ci-1)*len(dBias):])
 	}
+	scratch.PutBuf(wt)
 	scratch.PutBuf(partW)
 	scratch.PutBuf(partB)
 }
 
+// conv2DBackwardParallel runs one task per chunk over the worker pool. It
+// lives apart from Conv2DBackward so the dispatch closure cannot force the
+// serial path's variables onto the heap.
+func conv2DBackwardParallel(s ConvShape, x, wt, gOut, dX, dW, dBias, partW, partB []float32, chunks int) {
+	Default.ParallelWorker(chunks, func(_, ci int) {
+		conv2DBackwardTask(s, x, wt, gOut, dX, dW, dBias, partW, partB, ci)
+	})
+}
+
+// conv2DBackwardTask runs chunk ci into its own dW/dBias partial.
+func conv2DBackwardTask(s ConvShape, x, wt, gOut, dX, dW, dBias, partW, partB []float32, ci int) {
+	if ci > 0 {
+		dW = partW[(ci-1)*len(dW) : ci*len(dW)]
+		dBias = partB[(ci-1)*len(dBias) : ci*len(dBias)]
+	}
+	conv2DBackwardChunk(s, x, wt, gOut, dX, dW, dBias, ci*convBwdChunk, min((ci+1)*convBwdChunk, s.N))
+}
+
 // conv2DBackwardChunk handles images [n0, n1): it writes their dX slices and
 // leaves the chunk's dW and dBias sums in dW and dBias (zero-length when that
-// gradient is not wanted).
-func conv2DBackwardChunk(s ConvShape, x, w, gOut, dX, dW, dBias []float32, n0, n1 int) {
+// gradient is not wanted). wt is the packed Wᵀ (nil when dX is). Per image,
+// dW's product reads B panels that im2colPanelsT lowered the image into,
+// and dX's reads the gradient packed by the GEMM against wt.
+func conv2DBackwardChunk(s ConvShape, x, wt, gOut, dX, dW, dBias []float32, n0, n1 int) {
 	oh, ow := s.OutDims()
 	spatial := oh * ow
 	ckk := s.C * s.KH * s.KW
 	imgLen := s.C * s.H * s.W
-	var col, imgW, dcol []float32
+	var colT, pad, imgW, dcol []float32
 	if len(dW) > 0 {
-		col = scratch.GetBuf(ckk * spatial)
+		colT = scratch.GetBuf(packedLen(ckk, packNR, spatial))
+		pad = scratch.GetBuf(paddedLen(s))
 		imgW = scratch.GetBuf(len(dW))
 	}
 	if dX != nil {
@@ -75,17 +104,17 @@ func conv2DBackwardChunk(s ConvShape, x, w, gOut, dX, dW, dBias []float32, n0, n
 		g := gOut[n*s.M*spatial : (n+1)*s.M*spatial]
 		if len(dW) > 0 {
 			// dW += gOut (M×OHW) · colᵀ (OHW×CKK)
-			Im2Col(s, x[n*imgLen:], col)
+			im2colPanelsT(s, x[n*imgLen:], colT, pad)
 			if n == n0 {
-				GemmTransB(g, col, dW, s.M, spatial, ckk)
+				gemmPanels(g, nil, nil, colT, dW, s.M, spatial, ckk, false, false)
 			} else {
-				GemmTransB(g, col, imgW, s.M, spatial, ckk)
+				gemmPanels(g, nil, nil, colT, imgW, s.M, spatial, ckk, false, false)
 				addTo(dW, imgW)
 			}
 		}
 		if dX != nil {
 			// dcol = Wᵀ (CKK×M) · gOut (M×OHW)
-			GemmTransA(w, g, dcol, ckk, s.M, spatial)
+			gemmPanels(nil, g, wt, nil, dcol, ckk, s.M, spatial, false, false)
 			Col2Im(s, dcol, dX[n*imgLen:])
 		}
 		for m := range dBias {
@@ -100,7 +129,8 @@ func conv2DBackwardChunk(s ConvShape, x, w, gOut, dX, dW, dBias []float32, n0, n
 			}
 		}
 	}
-	scratch.PutBuf(col)
+	scratch.PutBuf(colT)
+	scratch.PutBuf(pad)
 	scratch.PutBuf(imgW)
 	scratch.PutBuf(dcol)
 }

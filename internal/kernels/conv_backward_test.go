@@ -154,7 +154,7 @@ func TestIm2ColCol2ImSpanMatchesPerElement(t *testing.T) {
 		img := seeded(11, s.C*s.H*s.W)
 		// Poison the destinations: both forms must overwrite everything.
 		col, refCol := seeded(12, n), seeded(13, n)
-		Im2Col(s, img, col)
+		im2col(s, img, col)
 		refIm2Col(s, img, refCol)
 		if !bitsEqual(col, refCol) {
 			t.Errorf("%v: Im2Col span form differs from per-element form", s)
@@ -317,7 +317,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	col := make([]float32, s.C*s.KH*s.KW*oh*ow)
 	b.Run("span", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Im2Col(s, img, col)
+			im2col(s, img, col)
 		}
 	})
 	b.Run("per-element", func(b *testing.B) {

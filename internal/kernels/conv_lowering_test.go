@@ -1,0 +1,356 @@
+package kernels
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
+	"testing"
+
+	"deep500/internal/tensor"
+)
+
+// convBitsHash is the FNV-64a hash of every output bit of
+// TestConvBitsPinned's sweep, computed when convolution still lowered
+// through a column matrix and the shape-routed GEMM. A change that moves any
+// bit of a LeNet convolution, forward or backward, changes this hash.
+const convBitsHash = 0xfea048de8b45c94e
+
+// lenetConvShapes are LeNet's two convolutions at batch n.
+func lenetConvShapes(n int) []ConvShape {
+	return []ConvShape{
+		{N: n, C: 1, H: 28, W: 28, M: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+		{N: n, C: 6, H: 14, W: 14, M: 16, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
+	}
+}
+
+// TestConvBitsPinned holds the im2col convolution's forward output and its
+// backward dX, dW and dBias on LeNet's conv1 and conv2, at batch 1 and 32,
+// to the bits they had before convolution lowered into packed panels, on
+// the micro-kernel this host runs and on the pure-Go tile.
+func TestConvBitsPinned(t *testing.T) {
+	onEachMicroKernel(t, func(t *testing.T) {
+		if got := convSweepHash(); got != convBitsHash {
+			t.Errorf("convolution output hash %#016x, want %#016x: a kernel change moved output bits",
+				got, uint64(convBitsHash))
+		}
+	})
+}
+
+func convSweepHash() uint64 {
+	rng := tensor.NewRNG(28)
+	h := fnv.New64a()
+	var word [4]byte
+	sum := func(v []float32) {
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(word[:], math.Float32bits(x))
+			h.Write(word[:])
+		}
+	}
+	for _, n := range []int{1, 32} {
+		for _, s := range lenetConvShapes(n) {
+			x := randSlice(rng, s.InputSize())
+			if s.C > 1 {
+				// conv2 reads a pooled ReLU output: about half exact zeros.
+				for i := range x {
+					x[i] = max(x[i], 0)
+				}
+			}
+			w := randSlice(rng, s.WeightSize())
+			bias := randSlice(rng, s.M)
+			gOut := randSlice(rng, s.OutputSize())
+			out := make([]float32, s.OutputSize())
+			Conv2D(ConvIm2Col, s, x, w, bias, out)
+			sum(out)
+			dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
+			Conv2DBackward(s, x, w, gOut, dX, dW, dB)
+			sum(dX)
+			sum(dW)
+			sum(dB)
+		}
+	}
+	return h.Sum64()
+}
+
+// im2col lowers one image (C×H×W) into its (C·KH·KW)×(OH·OW) column
+// matrix, one oxSpan row segment at a time: the Im2Col convolution lowered
+// through before the panel writers, and the matrix their output is checked
+// against.
+func im2col(s ConvShape, img, col []float32) {
+	oh, ow := s.OutDims()
+	idx := 0
+	for c := 0; c < s.C; c++ {
+		inC := img[c*s.H*s.W : (c+1)*s.H*s.W]
+		for ky := 0; ky < s.KH; ky++ {
+			for kx := 0; kx < s.KW; kx++ {
+				lo, hi := oxSpan(ow, s.W, s.StrideW, s.PadW, kx)
+				for oy := 0; oy < oh; oy++ {
+					row := col[idx : idx+ow]
+					idx += ow
+					iy := oy*s.StrideH - s.PadH + ky
+					if iy < 0 || iy >= s.H || lo == hi {
+						clear(row)
+						continue
+					}
+					clear(row[:lo])
+					clear(row[hi:])
+					src := inC[iy*s.W+lo*s.StrideW-s.PadW+kx:]
+					if s.StrideW == 1 {
+						copy(row[lo:hi], src)
+						continue
+					}
+					for i := range row[lo:hi] {
+						row[lo+i] = src[i*s.StrideW]
+					}
+				}
+			}
+		}
+	}
+}
+
+// convLoweringShapes is the differential grid for the panel writers: the
+// backward grid plus a depth C·KH·KW past packKC that is not a multiple of
+// packNR, one that is a multiple, output planes past packKC and past packNC,
+// and a filter count past packMC (two row blocks of the pre-packed filter).
+func convLoweringShapes() []ConvShape {
+	return append(convBackwardShapes(),
+		ConvShape{N: 1, C: 1, H: 50, W: 45, M: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		ConvShape{N: 2, C: 12, H: 9, W: 9, M: 20, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		ConvShape{N: 2, C: 16, H: 20, W: 20, M: 3, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+		ConvShape{N: 1, C: 3, H: 40, W: 37, M: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		ConvShape{N: 5, C: 2, H: 6, W: 6, M: 130, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+	)
+}
+
+// onEachMicroKernel runs f on the assembly tile, where this host has it,
+// and on the pure-Go tile.
+func onEachMicroKernel(t *testing.T, f func(t *testing.T)) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	paths := []bool{false}
+	if useAVX2 {
+		paths = append(paths, true)
+	}
+	for _, asm := range paths {
+		useAVX2 = asm
+		t.Run(fmt.Sprintf("avx2=%v", asm), f)
+	}
+}
+
+// packColumns packs a column matrix (taps×positions) the way the loop nest
+// would, as a whole-operand B pack: straight for out = W·col, transposed
+// for dW = g·colᵀ.
+func packColumns(col []float32, taps, positions int, trans bool) []float32 {
+	k, n := taps, positions
+	if trans {
+		k, n = positions, taps
+	}
+	n16 := (n + packNR - 1) / packNR * packNR
+	dst := make([]float32, packedLen(n, packNR, k))
+	for pc := 0; pc < k; pc += packKC {
+		packBPanels(col, positions, pc, 0, min(packKC, k-pc), n, trans, dst[n16*pc:])
+	}
+	return dst
+}
+
+// TestGemmPanelsPrepackedMatchesPacked: handing the loop nest pre-packed
+// A, B or both changes no output bit, on shapes that cross packMC, packKC
+// and packNC in every operand layout.
+func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
+	rng := tensor.NewRNG(56)
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, s := range []struct {
+			m, k, n        int
+			transA, transB bool
+		}{
+			{6, 25, 784, false, false},
+			{16, 150, 100, false, true},
+			{133, 300, 37, true, false},
+			{9, 513, 2053, false, true},
+			{130, 259, 2050, true, true},
+		} {
+			a := randSlice(rng, s.m*s.k)
+			b := randSlice(rng, s.k*s.n)
+			want := make([]float32, s.m*s.n)
+			gemmPacked(a, b, want, s.m, s.k, s.n, s.transA, s.transB)
+			lda, ldb := s.k, s.n
+			if s.transA {
+				lda = s.m
+			}
+			if s.transB {
+				ldb = s.k
+			}
+			ap := make([]float32, packedLen(s.m, packMR, s.k))
+			packAWhole(a, lda, s.m, s.k, s.transA, ap)
+			n16 := (s.n + packNR - 1) / packNR * packNR
+			bp := make([]float32, packedLen(s.n, packNR, s.k))
+			for pc := 0; pc < s.k; pc += packKC {
+				packBPanels(b, ldb, pc, 0, min(packKC, s.k-pc), s.n, s.transB, bp[n16*pc:])
+			}
+			for _, with := range []struct {
+				name   string
+				ap, bp []float32
+			}{{"A", ap, nil}, {"B", nil, bp}, {"A and B", ap, bp}} {
+				got := randSlice(rng, s.m*s.n)
+				gemmPanels(a, b, with.ap, with.bp, got, s.m, s.k, s.n, s.transA, s.transB)
+				if !bitsEqual(got, want) {
+					t.Errorf("%+v: pre-packed %s differs from gemmPacked", s, with.name)
+				}
+			}
+		}
+	})
+}
+
+// TestConvLoweringPanelsMatchPackedIm2Col: both panel writers leave exactly
+// the bytes packBPanels makes of the image's column matrix, into buffers
+// poisoned beforehand.
+func TestConvLoweringPanelsMatchPackedIm2Col(t *testing.T) {
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, s := range convLoweringShapes() {
+			oh, ow := s.OutDims()
+			spatial, ckk := oh*ow, s.C*s.KH*s.KW
+			img := seeded(51, s.C*s.H*s.W)
+			col := make([]float32, ckk*spatial)
+			im2col(s, img, col)
+
+			want := packColumns(col, ckk, spatial, false)
+			got := seeded(52, len(want))
+			im2colPanels(s, img, got, seeded(53, paddedLen(s)))
+			if !bitsEqual(got, want) {
+				t.Errorf("%v: im2colPanels differs from packBPanels(im2col)", s)
+			}
+
+			want = packColumns(col, ckk, spatial, true)
+			got = seeded(54, len(want))
+			im2colPanelsT(s, img, got, seeded(55, paddedLen(s)))
+			if !bitsEqual(got, want) {
+				t.Errorf("%v: im2colPanelsT differs from packBPanels(im2colᵀ)", s)
+			}
+		}
+	})
+}
+
+// columnConv2D is the forward lowering as it was before the panel writers:
+// per image, the column matrix, then the packed GEMM over it.
+func columnConv2D(s ConvShape, in, w, out []float32) {
+	oh, ow := s.OutDims()
+	spatial, ckk := oh*ow, s.C*s.KH*s.KW
+	col := make([]float32, ckk*spatial)
+	for n := 0; n < s.N; n++ {
+		im2col(s, in[n*s.C*s.H*s.W:], col)
+		gemmPacked(w, col, out[n*s.M*spatial:(n+1)*s.M*spatial], s.M, ckk, spatial, false, false)
+	}
+}
+
+// columnConv2DBackward is Conv2DBackward's arithmetic as it was before the
+// panel writers, serially: per image the column matrix and the packed GEMMs
+// over it, dW and dBias summed in image order within a chunk of
+// convBwdChunk images and the chunk sums added in chunk order.
+func columnConv2DBackward(s ConvShape, x, w, gOut []float32) (dX, dW, dB []float32) {
+	oh, ow := s.OutDims()
+	spatial, ckk, imgLen := oh*ow, s.C*s.KH*s.KW, s.C*s.H*s.W
+	dX, dW, dB = make([]float32, s.InputSize()), make([]float32, s.WeightSize()), make([]float32, s.M)
+	col, dcol := make([]float32, ckk*spatial), make([]float32, ckk*spatial)
+	imgW := make([]float32, len(dW))
+	partW, partB := make([]float32, len(dW)), make([]float32, s.M)
+	for n0 := 0; n0 < s.N; n0 += convBwdChunk {
+		for n := n0; n < min(n0+convBwdChunk, s.N); n++ {
+			g := gOut[n*s.M*spatial : (n+1)*s.M*spatial]
+			im2col(s, x[n*imgLen:], col)
+			gemmPacked(g, col, imgW, s.M, spatial, ckk, false, true)
+			gemmPacked(w, g, dcol, ckk, s.M, spatial, true, false)
+			Col2Im(s, dcol, dX[n*imgLen:])
+			if n == n0 {
+				copy(partW, imgW)
+			} else {
+				addTo(partW, imgW)
+			}
+			for m := range partB {
+				var sum float32
+				for _, v := range g[m*spatial : (m+1)*spatial] {
+					sum += v
+				}
+				if n == n0 {
+					partB[m] = sum
+				} else {
+					partB[m] += sum
+				}
+			}
+		}
+		if n0 == 0 {
+			copy(dW, partW)
+			copy(dB, partB)
+		} else {
+			addTo(dW, partW)
+			addTo(dB, partB)
+		}
+	}
+	return dX, dW, dB
+}
+
+// TestConvLoweringMatchesColumnGemm: Conv2D(im2col) and Conv2DBackward
+// give bit for bit what lowering through the column matrix and the packed
+// GEMM gave, on a one- and a four-worker pool.
+func TestConvLoweringMatchesColumnGemm(t *testing.T) {
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, workers := range []int{1, 4} {
+			withPool(workers, func() {
+				for _, s := range convLoweringShapes() {
+					x, w, gOut := convBackwardOperands(s, 61)
+					want := make([]float32, s.OutputSize())
+					columnConv2D(s, x, w, want)
+					got := seeded(62, s.OutputSize())
+					Conv2D(ConvIm2Col, s, x, w, nil, got)
+					if !bitsEqual(got, want) {
+						t.Errorf("%d workers, %v: Conv2D differs from the column-matrix lowering", workers, s)
+					}
+					wantX, wantW, wantB := columnConv2DBackward(s, x, w, gOut)
+					dX, dW, dB := seeded(63, len(x)), seeded(64, len(w)), seeded(65, s.M)
+					Conv2DBackward(s, x, w, gOut, dX, dW, dB)
+					if !bitsEqual(dX, wantX) || !bitsEqual(dW, wantW) || !bitsEqual(dB, wantB) {
+						t.Errorf("%d workers, %v: Conv2DBackward differs from the column-matrix lowering", workers, s)
+					}
+				}
+			})
+		}
+	})
+}
+
+// TestConvLoweringAllocsNothing: on a one-worker pool, once the scratch
+// pool is warm, a LeNet convolution forward and backward allocates nothing:
+// panels, filter packs and partials all come from the scratch pool.
+func TestConvLoweringAllocsNothing(t *testing.T) {
+	withPool(1, func() {
+		for _, s := range lenetConvShapes(32) {
+			x, w, gOut := convBackwardOperands(s, 71)
+			bias := seeded(72, s.M)
+			out := make([]float32, s.OutputSize())
+			dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
+			allocs := testing.AllocsPerRun(5, func() {
+				Conv2D(ConvIm2Col, s, x, w, bias, out)
+				Conv2DBackward(s, x, w, gOut, dX, dW, dB)
+			})
+			if allocs != 0 {
+				t.Errorf("%v: %v allocations per forward+backward, want 0", s, allocs)
+			}
+		}
+	})
+}
+
+// TestConv2DShortBiasPanics: a bias shorter than the filter count is
+// refused up front, with the message every short buffer gets.
+func TestConv2DShortBiasPanics(t *testing.T) {
+	s := ConvShape{N: 1, C: 2, H: 5, W: 5, M: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	for _, algo := range []ConvAlgo{ConvDirect, ConvIm2Col, ConvWinograd} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "buffer too small") {
+					t.Errorf("%v with a short bias: panic %q, want \"buffer too small\"", algo, msg)
+				}
+			}()
+			Conv2D(algo, s, make([]float32, s.InputSize()), make([]float32, s.WeightSize()),
+				make([]float32, s.M-1), make([]float32, s.OutputSize()))
+		}()
+	}
+}

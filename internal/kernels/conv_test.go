@@ -86,7 +86,7 @@ func TestIm2ColCol2ImRoundTripShape(t *testing.T) {
 	img := randSlice(rng, s.C*s.H*s.W)
 	oh, ow := s.OutDims()
 	col := make([]float32, s.C*s.KH*s.KW*oh*ow)
-	Im2Col(s, img, col)
+	im2col(s, img, col)
 	back := make([]float32, len(img))
 	Col2Im(s, col, back)
 	if d := maxAbsDiff(img, back); d != 0 {

@@ -23,15 +23,17 @@
 // repacked into cache-resident panels, with transposes folded into the
 // packing, and multiplied by a 4×16 micro-kernel — AVX2 assembly on amd64
 // hosts that have it (gemm_amd64.s), a pure-Go scalar tile everywhere else,
-// bit for bit equal because neither fuses a multiply-add. Up to 8
-// rows — one served request, a coalesced batch, every per-image convolution
-// GEMM of a narrow layer — B is read in place, because a pack that few rows
-// reuse costs as much as the multiply. The two agree bit for bit on finite
-// operands. docs/kernels.md documents the rule and the measurement behind
-// its constant, the packing layout, the micro-tile sizing and how to re-tune
-// the blocking constants. All scratch flows through the package-level
-// size-class buffer pool (scratch.go), so steady-state kernels allocate
-// nothing.
+// bit for bit equal because neither fuses a multiply-add. Up to 8 rows — one
+// served request, a coalesced batch — B is read in place, because a pack
+// that few rows reuse costs as much as the multiply. The two agree bit for
+// bit on finite operands. Convolution does not go through the rule: it
+// lowers each image straight into the packed kernel's B panels and packs its
+// filter once per call (conv.go), so every convolution GEMM runs the vector
+// tile at any filter count. docs/kernels.md documents the rule and the
+// measurement behind its constant, the packing layout, the convolution
+// lowering, the micro-tile sizing and how to re-tune the blocking constants.
+// All scratch flows through the package-level size-class buffer pool
+// (scratch.go), so steady-state kernels allocate nothing.
 package kernels
 
 // Gemm computes C = A·B for row-major matrices: A is M×K, B is K×N and C is

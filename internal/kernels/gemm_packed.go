@@ -40,11 +40,12 @@ func kcAligned(kc int) int { return (kc + packKU - 1) / packKU * packKU }
 // packAPanels packs the mc×kc block of A starting at logical (i0, p0) into
 // MR-row panels of padded depth kcAligned(kc). A is m×k row-major, or its
 // k×m transpose when trans is set; lda is the stored row stride. Rows past
-// mc and depth past kc are zero-filled. A full panel of a transposed A moves
-// one whole MR-vector per depth step (no inner loop, no bounds test per
-// float). An untransposed A keeps the row-at-a-time loop: on the benchmark
-// shapes its block is a small share of the packing (32 rows of A against a
-// 784×512 B).
+// mc and depth past kc are zero-filled. A full panel moves one whole
+// MR-vector per depth step in either layout: four adjacent floats of a
+// transposed A, or the four rows of an untransposed A read side by side (a
+// convolution's weight gradient packs its output gradient, M rows by
+// OH·OW deep, once per image). A ragged last panel keeps the
+// row-at-a-time loop.
 func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32) {
 	ka := kcAligned(kc)
 	panels := (mc + packMR - 1) / packMR
@@ -70,6 +71,19 @@ func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32
 				for r := rows; r < packMR; r++ {
 					d[r] = 0
 				}
+			}
+		case rows == packMR:
+			// A stored m×k: read the MR rows side by side and write one
+			// MR-vector per depth step.
+			i := i0 + ip*packMR
+			s0 := a[i*lda+p0:][:kc]
+			s1 := a[(i+1)*lda+p0:][:kc]
+			s2 := a[(i+2)*lda+p0:][:kc]
+			s3 := a[(i+3)*lda+p0:][:kc]
+			d := panel[:packMR*kc]
+			for p, v := range s0 {
+				q := (*[packMR]float32)(d[packMR*p:])
+				q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
 			}
 		default:
 			for r := 0; r < rows; r++ {
@@ -290,15 +304,47 @@ func tile2x4(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int) {
 	}
 }
 
+// packedDepth is the depth of a whole-operand pack of depth k: every
+// packKC block but the last is full, and the last is padded to packKU.
+func packedDepth(k int) int { return k - k%packKC + kcAligned(k%packKC) }
+
+// packedLen is the length of a whole-operand pack of depth k: an A of n
+// rows (tile packMR) or a B of n columns (tile packNR).
+func packedLen(n, tile, k int) int {
+	return (n + tile - 1) / tile * tile * packedDepth(k)
+}
+
+// packAWhole packs all of op(A) (m×k; stored k×m when trans, row stride lda)
+// as a whole-operand pack for gemmPanels: its depth blocks of packKC in
+// order, block pc starting at m₄·pc (m₄ is m rounded up to packMR) and
+// holding the MR-row panels of every row, exactly what packAPanels gives the
+// loop nest block by block. A caller that multiplies one A by many Bs packs
+// it once.
+func packAWhole(a []float32, lda, m, k int, trans bool, dst []float32) {
+	m4 := (m + packMR - 1) / packMR * packMR
+	for pc := 0; pc < k; pc += packKC {
+		packAPanels(a, lda, 0, pc, m, min(packKC, k-pc), trans, dst[m4*pc:])
+	}
+}
+
 // gemmPacked computes C = op(A)·op(B) with panel packing and the
 // register-tiled micro-kernel. A is m×k (or stored k×m when transA), B is
-// k×n (or stored n×k when transB), C is m×n and is overwritten. Macro row
-// blocks of A are distributed over the shared worker pool; each worker
-// packs its own A block while the packed B block is shared read-only.
+// k×n (or stored n×k when transB), C is m×n and is overwritten.
 func gemmPacked(a, b, c []float32, m, k, n int, transA, transB bool) {
-	for i := range c[:m*n] {
-		c[i] = 0
-	}
+	gemmPanels(a, b, nil, nil, c, m, k, n, transA, transB)
+}
+
+// gemmPanels is the five-loop nest behind gemmPacked. Either operand may
+// come pre-packed: ap is a whole-operand pack of A (packAWhole's layout) and
+// bp one of B (depth blocks of packKC in order, block pc starting at n₁₆·pc
+// and holding the NR-column panels of every column, as packBPanels lays them
+// out); a nil pack means the nest packs that operand itself from a or b.
+// The panels are the same bytes either way, so the result does not depend
+// on who packed. Macro row blocks of A are distributed over the shared
+// worker pool; each worker packs its own A block while the packed B block is
+// shared read-only.
+func gemmPanels(a, b, ap, bp, c []float32, m, k, n int, transA, transB bool) {
+	clear(c[:m*n])
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
@@ -315,43 +361,59 @@ func gemmPacked(a, b, c []float32, m, k, n int, transA, transB bool) {
 		nc = (n + packNR - 1) / packNR * packNR
 	}
 	kc := min(packKC, k)
+	m4 := (m + packMR - 1) / packMR * packMR
+	n16 := (n + packNR - 1) / packNR * packNR
 	aBufLen := (min(packMC, m) + packMR - 1) / packMR * packMR * kcAligned(kc)
-	bBufLen := (nc + packNR - 1) / packNR * packNR * kcAligned(kc)
-	pb := scratch.GetBuf(bBufLen)
-	defer scratch.PutBuf(pb)
+	var pb []float32
+	if bp == nil {
+		pb = scratch.GetBuf((nc + packNR - 1) / packNR * packNR * kcAligned(kc))
+	}
 	for jc := 0; jc < n; jc += nc {
 		ncb := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kcb := min(kc, k-pc)
-			packBPanels(b, ldb, pc, jc, kcb, ncb, transB, pb)
+			blockB := pb
+			if bp != nil {
+				blockB = bp[n16*pc+jc*kcAligned(kcb):]
+			} else {
+				packBPanels(b, ldb, pc, jc, kcb, ncb, transB, pb)
+			}
+			var blockA []float32
+			if ap != nil {
+				blockA = ap[m4*pc:]
+			}
 			mBlocks := (m + packMC - 1) / packMC
 			nPanels := (ncb + packNR - 1) / packNR
 			if Default.Span(mBlocks) <= 1 || mBlocks == 1 {
-				pa := scratch.GetBuf(aBufLen)
+				var pa []float32
+				if ap == nil {
+					pa = scratch.GetBuf(aBufLen)
+				}
 				for ic := 0; ic < m; ic += packMC {
-					packedMacroBlock(a, c, pb, lda, ic, pc, jc, min(packMC, m-ic), kcb, ncb, nPanels, n, transA, pa)
+					packedMacroBlock(a, blockA, c, blockB, lda, ic, pc, jc, min(packMC, m-ic), kcb, ncb, nPanels, n, transA, pa)
 				}
 				scratch.PutBuf(pa)
 				continue
 			}
-			packedParallelBlocks(a, c, pb, lda, pc, jc, m, kcb, ncb, nPanels, n, transA, aBufLen, mBlocks)
+			packedParallelBlocks(a, blockA, c, blockB, lda, pc, jc, m, kcb, ncb, nPanels, n, transA, aBufLen, mBlocks)
 		}
 	}
+	scratch.PutBuf(pb)
 }
 
 // packedParallelBlocks distributes the MC row blocks of one (jc, pc)
 // iteration over the worker pool, handing each worker slot a private A pack
-// buffer. It lives apart from gemmPacked so the dispatch closure's captures
-// don't force the serial path's loop variables onto the heap — single-worker
-// pools run the whole GEMM allocation-free.
-func packedParallelBlocks(a, c, pb []float32, lda, pc, jc, m, kcb, ncb, nPanels, ldc int, transA bool, aBufLen, mBlocks int) {
+// buffer unless A came pre-packed. It lives apart from gemmPanels so the
+// dispatch closure's captures don't force the serial path's loop variables
+// onto the heap — single-worker pools run the whole GEMM allocation-free.
+func packedParallelBlocks(a, ap, c, pb []float32, lda, pc, jc, m, kcb, ncb, nPanels, ldc int, transA bool, aBufLen, mBlocks int) {
 	pas := make([][]float32, Default.Span(mBlocks))
 	Default.ParallelWorker(mBlocks, func(w, bi int) {
-		if pas[w] == nil {
+		if pas[w] == nil && ap == nil {
 			pas[w] = scratch.GetBuf(aBufLen)
 		}
 		ic := bi * packMC
-		packedMacroBlock(a, c, pb, lda, ic, pc, jc, min(packMC, m-ic), kcb, ncb, nPanels, ldc, transA, pas[w])
+		packedMacroBlock(a, ap, c, pb, lda, ic, pc, jc, min(packMC, m-ic), kcb, ncb, nPanels, ldc, transA, pas[w])
 	})
 	for _, buf := range pas {
 		if buf != nil {
@@ -360,11 +422,17 @@ func packedParallelBlocks(a, c, pb []float32, lda, pc, jc, m, kcb, ncb, nPanels,
 	}
 }
 
-// packedMacroBlock packs one MC×KC block of A and sweeps it against every
-// packed B panel, issuing one micro-kernel call per MR×NR tile.
-func packedMacroBlock(a, c, pb []float32, lda, ic, pc, jc, mcb, kcb, ncb, nPanels, ldc int, transA bool, pa []float32) {
-	packAPanels(a, lda, ic, pc, mcb, kcb, transA, pa)
+// packedMacroBlock sweeps one MC×KC block of A against every packed B
+// panel, issuing one micro-kernel call per MR×NR tile. The A block is read
+// from ap, the depth block's part of a whole-operand pack, or, when ap is
+// nil, packed from a into pa first.
+func packedMacroBlock(a, ap, c, pb []float32, lda, ic, pc, jc, mcb, kcb, ncb, nPanels, ldc int, transA bool, pa []float32) {
 	ka := kcAligned(kcb)
+	if ap != nil {
+		pa = ap[ic*ka:]
+	} else {
+		packAPanels(a, lda, ic, pc, mcb, kcb, transA, pa)
+	}
 	mPanels := (mcb + packMR - 1) / packMR
 	for jp := 0; jp < nPanels; jp++ {
 		nr := min(packNR, ncb-jp*packNR)

@@ -3,10 +3,11 @@ package kernels
 // Small-M GEMM: the product of a few rows of A with a B that is read in
 // place. Packing B costs one pass over k·n floats and pays for itself only
 // when each packed element is reused by many rows of A; a served request is
-// one row, a coalesced batch is eight, and every per-image convolution GEMM
-// has as many rows as the layer has output channels. Below smallMRows rows
-// the packed kernel spends as long packing as multiplying (docs/kernels.md
-// has the crossover table), so those shapes come here instead.
+// one row and a coalesced batch is eight. Below smallMRows rows the packed
+// kernel spends as long packing as multiplying (docs/kernels.md has the
+// crossover table), so those shapes come here instead. Convolution is not
+// among them: its lowering writes the packed panels directly, so it has no
+// separate pack to amortise.
 //
 // The kernel keeps gemmPacked's accumulation order exactly: depth is cut
 // into blocks of packKC, each C element sums its block sequentially in p

@@ -31,7 +31,7 @@ func oldConvBackward(o *Conv2DOp, gradOutputs, fwdInputs []*tensor.Tensor) []*te
 	for n := 0; n < s.N; n++ {
 		img := x.Data()[n*s.C*s.H*s.W:]
 		gOut := g.Data()[n*s.M*spatial : (n+1)*s.M*spatial]
-		kernels.Im2Col(s, img, col)
+		im2col(s, img, col)
 		kernels.GemmTransB(gOut, col, perImageGW, s.M, spatial, ckk)
 		for i, v := range perImageGW {
 			gradWAcc[i] += v
@@ -56,6 +56,30 @@ func oldConvBackward(o *Conv2DOp, gradOutputs, fwdInputs []*tensor.Tensor) []*te
 		grads = append(grads, gb)
 	}
 	return grads
+}
+
+// im2col lowers one C×H×W image into its (C·KH·KW)×(OH·OW) column matrix,
+// one bounds test per element: the lowering the old loop above ran.
+func im2col(s kernels.ConvShape, img, col []float32) {
+	oh, ow := s.OutDims()
+	idx := 0
+	for c := 0; c < s.C; c++ {
+		for ky := 0; ky < s.KH; ky++ {
+			for kx := 0; kx < s.KW; kx++ {
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*s.StrideH - s.PadH + ky
+					for ox := 0; ox < ow; ox++ {
+						ix := ox*s.StrideW - s.PadW + kx
+						col[idx] = 0
+						if iy >= 0 && iy < s.H && ix >= 0 && ix < s.W {
+							col[idx] = img[(c*s.H+iy)*s.W+ix]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
 }
 
 // convChunk mirrors the kernel's fixed backward chunk (kernels.convBwdChunk):
