@@ -6,15 +6,17 @@
 //
 //	d500bench -experiment all                       # everything (paper-scale)
 //	d500bench -experiment fig6conv -quick
-//	d500bench -experiment tables,serve -quick       # comma-separated ids
-//	d500bench -experiment tables -quick -format json -out bench.json
+//	d500bench -experiment tables,fig2 -quick        # comma-separated ids
+//	d500bench -experiment all -quick -format json -out bench.json
 //	d500bench -experiment all -quick -timeout 2m    # deadline-bounded run
-//	d500bench -compare old.json new.json            # regression gate
-//	d500bench -experiment tables -quick -baseline BENCH_BASELINE.json
 //	d500bench -list
 //
-// Exit codes: 0 success, 1 experiment failure or classified regression,
-// 2 usage error (unknown experiment id, bad flags).
+// The deterministic records of every experiment (counts, bytes, virtual
+// time, accuracies; not wall-clock seconds) are pinned exactly by
+// internal/core's TestPaperRecordsGolden.
+//
+// Exit codes: 0 success, 1 experiment failure, 2 usage error (unknown or
+// repeated experiment id, bad flags).
 package main
 
 import (
@@ -28,7 +30,6 @@ import (
 	"strings"
 
 	"deep500/d500"
-	"deep500/internal/bench"
 )
 
 func main() { os.Exit(run()) }
@@ -40,24 +41,12 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no deadline)")
 	format := flag.String("format", "text", "output format: text or json")
 	out := flag.String("out", "", "write the JSON benchmark report to this file")
-	compare := flag.String("compare", "", "compare this baseline report against a second report (positional arg) and exit")
-	baseline := flag.String("baseline", "", "after running, gate the fresh report against this baseline report")
-	threshold := flag.Float64("threshold", bench.DefaultThreshold, "relative median change classified as improvement/regression")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "d500bench: unknown -format %q (text or json)\n", *format)
 		return 2
-	}
-
-	// Pure comparison mode: no experiments run.
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "d500bench: -compare OLD.json needs exactly one positional argument: NEW.json")
-			return 2
-		}
-		return compareReports(*compare, flag.Arg(0), *threshold, *format)
 	}
 
 	sessOpts := []d500.Option{d500.WithSeed(*seed)}
@@ -77,9 +66,9 @@ func run() int {
 		return 0
 	}
 
-	// Outside -compare mode no positional arguments are meaningful; a stray
-	// word (e.g. a value after a boolean flag) silently stops flag parsing,
-	// so reject it loudly instead of running a misconfigured suite.
+	// No positional arguments are meaningful; a stray word (e.g. a value
+	// after a boolean flag) silently stops flag parsing, so reject it loudly
+	// instead of running a misconfigured suite.
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "d500bench: unexpected argument %q (flags must precede it; boolean flags like -quick take no value)\n", flag.Arg(0))
 		return 2
@@ -98,6 +87,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "d500bench: -experiment names no experiments")
 		return 2
 	}
+	seen := map[string]bool{}
 	for _, id := range targets {
 		if !sess.HasExperiment(id) {
 			fmt.Fprintf(os.Stderr, "d500bench: unknown experiment %q; known ids:\n", id)
@@ -106,6 +96,11 @@ func run() int {
 			}
 			return 2
 		}
+		if seen[id] {
+			fmt.Fprintf(os.Stderr, "d500bench: experiment %q named twice\n", id)
+			return 2
+		}
+		seen[id] = true
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -144,46 +139,6 @@ func run() int {
 		}
 	}
 	if runErr != nil {
-		return 1
-	}
-	if *baseline != "" {
-		old, err := bench.ReadReport(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "d500bench: %v\n", err)
-			return 1
-		}
-		cmp := bench.Compare(old, report, bench.CompareConfig{Threshold: *threshold})
-		cmp.Render(os.Stderr)
-		if cmp.Regressed > 0 {
-			fmt.Fprintf(os.Stderr, "d500bench: %d metric(s) regressed against %s\n", cmp.Regressed, *baseline)
-			return 1
-		}
-	}
-	return 0
-}
-
-func compareReports(oldPath, newPath string, threshold float64, format string) int {
-	oldR, err := bench.ReadReport(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "d500bench: %v\n", err)
-		return 1
-	}
-	newR, err := bench.ReadReport(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "d500bench: %v\n", err)
-		return 1
-	}
-	cmp := bench.Compare(oldR, newR, bench.CompareConfig{Threshold: threshold})
-	if format == "json" {
-		if err := cmp.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "d500bench: %v\n", err)
-			return 1
-		}
-	} else {
-		cmp.Render(os.Stdout)
-	}
-	if cmp.Regressed > 0 {
-		fmt.Fprintf(os.Stderr, "d500bench: %d metric(s) regressed\n", cmp.Regressed)
 		return 1
 	}
 	return 0

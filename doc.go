@@ -24,8 +24,7 @@
 //
 // Machine-readable benchmark results live in internal/bench: d500bench
 // emits bench.Report JSON (environment capture, raw samples, derived
-// stats), and bench.Compare classifies metric deltas between two reports
-// as improved/regressed/neutral — the regression gate CI applies against
-// the committed BENCH_BASELINE.json. See README.md §"Benchmarking &
-// regression gates" for the schema and the baseline-refresh workflow.
+// stats), and internal/core's TestPaperRecordsGolden pins every
+// deterministic record of the paper experiments exactly. See README.md
+// §"Benchmarking" for the schema and the golden's regeneration workflow.
 package deep500

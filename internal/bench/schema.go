@@ -2,22 +2,23 @@
 // Deep500-Go (paper §III-C / §V-A: metrics, environment capture and
 // statistically sound timing are first-class artifacts, not printf output).
 //
-// It provides three pieces:
+// It provides two pieces:
 //
 //   - a JSON schema (Report / Experiment / Record) capturing the experiment
 //     id, git revision, execution environment, per-metric raw samples with
 //     warmup discard, and derived statistics (min/median/p95, MAD, FLOP/s,
-//     bytes and allocations per operation);
+//     bytes and allocations per operation); and
 //   - a Suite registry experiments register themselves into, replacing the
-//     hardcoded id switch that used to live in cmd/d500bench; and
-//   - a comparator (Compare) that classifies every metric of two reports as
-//     improved / regressed / neutral using overlap of median±MAD windows
-//     plus a configurable relative threshold — the CI regression gate.
+//     hardcoded id switch that used to live in cmd/d500bench.
+//
+// Records carry a Direction: timing records ("s") and ReportOnly records
+// are captured for the reader; every other record of the paper experiments
+// is a deterministic quantity that internal/core pins exactly in its
+// TestPaperRecordsGolden golden file.
 package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 
@@ -30,8 +31,8 @@ import (
 const SchemaVersion = 1
 
 // Direction states which way a metric should move to count as an
-// improvement. ReportOnly metrics are captured for the record but never
-// gate a comparison.
+// improvement. ReportOnly metrics are captured for the record but are
+// never pinned: they depend on timing or message arrival order.
 type Direction string
 
 const (
@@ -153,32 +154,4 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadReport loads a report from a JSON file, rejecting unknown schema
-// versions so a stale baseline fails loudly instead of comparing garbage.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("%s: schema version %d, want %d (refresh the baseline)",
-			path, r.SchemaVersion, SchemaVersion)
-	}
-	// Re-derive stats from raw samples so the samples are authoritative:
-	// a hand-edited report (e.g. an injected slowdown) or a schema-checked
-	// baseline can never carry stats that disagree with its data.
-	for i := range r.Experiments {
-		for j := range r.Experiments[i].Records {
-			if rec := &r.Experiments[i].Records[j]; len(rec.Samples) > 0 {
-				rec.Finalize()
-			}
-		}
-	}
-	return &r, nil
 }

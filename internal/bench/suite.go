@@ -84,11 +84,13 @@ type RunConfig struct {
 }
 
 // Run executes the named experiments in order and assembles the report.
-// The context is checked before each experiment, so cancellation or an
-// expired deadline stops the suite at an experiment boundary and is also
-// visible to experiments through Context.Ctx. Experiments that were run
-// before an error occurred stay in the returned report so partial results
-// are not lost.
+// An unknown or repeated id fails the run before any experiment starts:
+// consumers key records by (experiment, record name), so a repeated id
+// would conflate two runs. The context is checked before each experiment,
+// so cancellation or an expired deadline stops the suite at an experiment
+// boundary and is also visible to experiments through Context.Ctx.
+// Experiments that were run before an error occurred stay in the returned
+// report so partial results are not lost.
 func (s *Suite) Run(ctx context.Context, ids []string, cfg RunConfig) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -107,14 +109,21 @@ func (s *Suite) Run(ctx context.Context, ids []string, cfg RunConfig) (*Report, 
 		CreatedAt:     now().UTC().Format(time.RFC3339),
 		Env:           cfg.Env,
 	}
+	seen := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if !s.Has(id) {
+			return rep, fmt.Errorf("unknown experiment %q (known: %v)", id, s.IDs())
+		}
+		if seen[id] {
+			return rep, fmt.Errorf("experiment %q requested twice", id)
+		}
+		seen[id] = true
+	}
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		def, ok := s.Lookup(id)
-		if !ok {
-			return rep, fmt.Errorf("unknown experiment %q (known: %v)", id, s.IDs())
-		}
+		def, _ := s.Lookup(id)
 		c := &Context{Ctx: ctx, Out: out, observe: cfg.Observe, exp: Experiment{ID: def.ID, Title: def.Title}}
 		if err := def.Run(c); err != nil {
 			return rep, fmt.Errorf("%s: %w", id, err)

@@ -85,6 +85,22 @@ func TestSuiteUnknownIDFails(t *testing.T) {
 	}
 }
 
+// TestSuiteRepeatedIDFails: a repeated id is rejected before anything
+// runs, so no report ever holds one experiment id twice.
+func TestSuiteRepeatedIDFails(t *testing.T) {
+	s := NewSuite()
+	ran := 0
+	s.Register(Definition{ID: "a", Run: func(*Context) error { ran++; return nil }})
+	s.Register(Definition{ID: "b", Run: func(*Context) error { ran++; return nil }})
+	rep, err := s.Run(context.Background(), []string{"a", "b", "a"}, RunConfig{})
+	if err == nil || !strings.Contains(err.Error(), `"a" requested twice`) {
+		t.Fatalf("repeated id accepted: err = %v", err)
+	}
+	if ran != 0 || len(rep.Experiments) != 0 {
+		t.Fatalf("%d experiment(s) ran before the repeated id was rejected: %+v", ran, rep.Experiments)
+	}
+}
+
 func TestSuiteErrorKeepsPartialResults(t *testing.T) {
 	s := NewSuite()
 	s.Register(Definition{ID: "good", Run: func(c *Context) error {

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // Support levels in the capability matrices.
 type Support int
 
@@ -249,14 +247,4 @@ func DeepBenchGemm(quick bool) []GemmProblem {
 		return []GemmProblem{{128, 128, 32}, {64, 256, 64}, {256, 64, 16}}
 	}
 	return all
-}
-
-// SortedCapNames returns column names sorted (helper for tests).
-func SortedCapNames(m map[string]Support) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

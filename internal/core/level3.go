@@ -311,21 +311,6 @@ func RenderFig12(title string, rows []Fig12Row) *Table {
 	return t
 }
 
-// SuiteDist is a convenience: strong scaling + its communication volumes,
-// the full Fig. 12 reproduction.
-func SuiteDist(o Options) (*Table, *Table, error) {
-	strong, err := RunFig12Strong(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	weak, err := RunFig12Weak(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RenderFig12("Fig. 12 (left): strong scaling, ResNet-50, global B=1024", strong),
-		RenderFig12("Fig. 12 (right): weak scaling, ResNet-50", weak), nil
-}
-
 // SimClockNote documents virtual-time semantics for reports.
 const SimClockNote = "distributed timings use the deterministic α-β virtual clock of internal/mpi; " +
 	"collectives move real data between goroutine ranks, so algorithmic correctness is testable bit-for-bit"

@@ -16,8 +16,8 @@ import (
 	"deep500/internal/tensor"
 )
 
-// TestScheduleDeterministic pins the property the bench gate rests on:
-// the schedule — including its length — is a pure function of
+// TestScheduleDeterministic pins the property every load comparison rests
+// on: the schedule — including its length — is a pure function of
 // (profile, seed).
 func TestScheduleDeterministic(t *testing.T) {
 	profiles := map[string]Profile{

@@ -162,22 +162,11 @@ func TestSamplerLifecycle(t *testing.T) {
 
 func TestWallclockTime(t *testing.T) {
 	w := NewWallclockTime("sleep")
-	w.Measure(func() { time.Sleep(2 * time.Millisecond) })
+	w.Begin()
+	time.Sleep(2 * time.Millisecond)
+	w.End()
 	if w.Count() != 1 || w.Samples()[0] < 0.001 {
 		t.Fatalf("samples %v", w.Samples())
-	}
-}
-
-func TestFLOPSMetric(t *testing.T) {
-	f := NewFLOPS("gemm")
-	f.RecordWork(2_000_000, time.Millisecond)
-	got := f.Samples()[0]
-	if math.Abs(got-2e9)/2e9 > 0.01 {
-		t.Fatalf("FLOP/s = %v", got)
-	}
-	f.RecordWork(100, 0) // zero duration must be ignored
-	if f.Count() != 1 {
-		t.Fatal("zero-duration sample recorded")
 	}
 }
 

@@ -22,29 +22,6 @@ func (w *WallclockTime) Begin() { w.start = time.Now() }
 // End closes the region and records its duration.
 func (w *WallclockTime) End() { w.Record(time.Since(w.start).Seconds()) }
 
-// Measure times one invocation of f.
-func (w *WallclockTime) Measure(f func()) {
-	w.Begin()
-	f()
-	w.End()
-}
-
-// FLOPS converts (work, duration) observations into FLOP/s samples — the
-// Level 0 "FLOPs" performance metric.
-type FLOPS struct{ *Sampler }
-
-// NewFLOPS returns a FLOP/s metric.
-func NewFLOPS(name string) *FLOPS {
-	return &FLOPS{NewSampler(name, "FLOP/s")}
-}
-
-// RecordWork records one observation of work FLOPs done in d.
-func (f *FLOPS) RecordWork(work int64, d time.Duration) {
-	if d > 0 {
-		f.Record(float64(work) / d.Seconds())
-	}
-}
-
 // DatasetLatency measures minibatch-loading latency in seconds (Level 2/3
 // I/O metric, paper Fig. 8).
 type DatasetLatency struct{ *WallclockTime }

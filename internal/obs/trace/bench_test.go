@@ -9,9 +9,8 @@ import (
 // The disabled-tracer path is what every request, step and op pays when
 // tracing is off: a nil-receiver method call or one context Value lookup
 // returning nil. These benchmarks pin that cost near zero — CI runs them
-// as a smoke alongside the d500bench regression gate, and
-// TestDisabledPathAllocs below turns the allocation half into a hard
-// test-time assertion.
+// as a smoke in its trace-off overhead step, and TestDisabledPathAllocs
+// below turns the allocation half into a hard test-time assertion.
 
 func BenchmarkDisabledSpanLifecycle(b *testing.B) {
 	var t *Tracer

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -24,11 +25,12 @@ func testModel(seed uint64) *executor.Executor {
 	return e
 }
 
-// dsgdTrace is one rank's training record: per-step loss plus final packed
-// parameters.
+// dsgdTrace is one rank's training record: per-step loss, final packed
+// parameters and, over TCP, the bytes the rank put on the wire each step.
 type dsgdTrace struct {
 	losses []float32
 	params []float32
+	sent   []int64
 }
 
 // dsgdWorker runs allreduce-averaged DSGD for one rank over whatever
@@ -41,6 +43,8 @@ func dsgdWorker(r dist.Rank, ds training.Dataset, steps, batch int) (dsgdTrace, 
 	stride := tensor.Volume(ds.SampleShape())
 	share := batch / r.Size()
 	var tr dsgdTrace
+	wire, _ := r.(*TCPRank)
+	var sentBefore int64
 	for i := 0; i < steps; i++ {
 		x := make([]float32, share*stride)
 		labels := make([]float32, share)
@@ -57,23 +61,43 @@ func dsgdWorker(r dist.Rank, ds training.Dataset, steps, batch int) (dsgdTrace, 
 			return tr, err
 		}
 		tr.losses = append(tr.losses, out["loss"].Data()[0])
+		if wire != nil {
+			sent := wire.Stats().SentBytes
+			tr.sent = append(tr.sent, sent-sentBefore)
+			sentBefore = sent
+		}
 	}
 	tr.params = append([]float32(nil), dist.PackParams(e.Network()).Vec...)
 	return tr, nil
 }
 
-// TestTCPDSGDMatchesSimulator is the PR's acceptance criterion: two-worker
-// DSGD over TCP loopback must reach tolerance-equal losses (and final
-// parameters) against the in-process simulator on the same seed and data
-// partition. Both fabrics run the identical worker code; the TCP ring
-// reproduces the simulator ring's chunking, so the trajectories agree to
-// float32 round-off.
+// TestTCPDSGDMatchesSimulator: DSGD over TCP loopback must reach
+// tolerance-equal losses (and final parameters) against the in-process
+// simulator on the same seed and data partition, at two and four workers.
+// Both fabrics run the identical worker code; the TCP ring reproduces the
+// simulator ring's chunking, so the trajectories agree to float32
+// round-off. Rank 0's wire volume per step is pinned exactly: it is a pure
+// function of the parameter count, the world size and the framing, so any
+// change to the ring schedule or the frame layout shows up here.
 func TestTCPDSGDMatchesSimulator(t *testing.T) {
 	const (
-		workers = 2
-		batch   = 8
-		steps   = 3
+		batch = 8
+		steps = 3
 	)
+	for _, tc := range []struct {
+		workers     int
+		sentPerStep int64 // rank 0's Stats().SentBytes per step
+	}{
+		{2, 2960},
+		{4, 4920},
+	} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			testTCPDSGDMatchesSimulator(t, tc.workers, batch, steps, tc.sentPerStep)
+		})
+	}
+}
+
+func testTCPDSGDMatchesSimulator(t *testing.T, workers, batch, steps int, sentPerStep int64) {
 	ds := training.SyntheticClassification(batch*steps, 4, []int{1, 6, 6}, 0.2, 13)
 
 	// In-process simulator run.
@@ -132,6 +156,11 @@ func TestTCPDSGDMatchesSimulator(t *testing.T) {
 			if d := math.Abs(float64(sim.params[i] - tcp.params[i])); d > tol {
 				t.Fatalf("rank %d param %d: TCP %g vs simulator %g", w, i, tcp.params[i], sim.params[i])
 			}
+		}
+	}
+	for i, sent := range tcpTraces[0].sent {
+		if sent != sentPerStep {
+			t.Errorf("rank 0 step %d: sent %d bytes, want %d", i, sent, sentPerStep)
 		}
 	}
 }
