@@ -393,22 +393,11 @@ func BenchmarkFig11DivergenceStep(b *testing.B) {
 // --- Fig. 12: distributed scaling simulation -----------------------------
 
 func BenchmarkFig12StrongRound(b *testing.B) {
-	for _, scheme := range []string{"CDSGD", "REF-dsgd", "REF-asgd", "SparCML"} {
-		b.Run(scheme, func(b *testing.B) {
-			o := benchOpts
-			for i := 0; i < b.N; i++ {
-				rows, err := benchFig12Round(o, scheme)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = rows
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := core.RunFig12Strong(benchOpts); err != nil {
+			b.Fatal(err)
+		}
 	}
-}
-
-func benchFig12Round(o core.Options, scheme string) ([]core.Fig12Row, error) {
-	return core.RunFig12Schemes(o, []int{8}, 64, 1, []string{scheme})
 }
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------
@@ -615,16 +604,5 @@ func BenchmarkAblationQuantize(b *testing.B) {
 				dist.Dequantize(codes, scale, bits, dst)
 			}
 		})
-	}
-}
-
-// BenchmarkPipelinePartition measures the Level 1 pipeline transform.
-func BenchmarkPipelinePartition(b *testing.B) {
-	cfg := models.Config{Classes: 10, Channels: 3, Height: 32, Width: 32, Seed: 14, WidthScale: 0.25}
-	for i := 0; i < b.N; i++ {
-		m := models.ResNet(18, cfg)
-		if _, err := transform.PartitionPipeline(m, 4); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -48,8 +48,8 @@ func printServe() {
 	fmt.Printf("  %-22s %v (flag -scale-interval, option WithScaleInterval)\n", "scale interval", d.ScaleInterval)
 	fmt.Printf("  %-22s %.2f queue occupancy (flag -scale-up, option WithScaleUpOccupancy)\n", "scale-up threshold", d.ScaleUpOccupancy)
 	fmt.Printf("  %-22s %v idle (flag -scale-idle, option WithScaleDownIdle)\n", "scale-down after", d.ScaleDownIdle)
-	fmt.Printf("  %-22s %v (registry option WithDrainGrace; bounds swap/unload drains)\n", "drain grace", d.DrainGrace)
-	fmt.Printf("  %-22s %.2f higher-priority occupancy (registry option WithShedOccupancy)\n", "shed threshold", d.ShedOccupancy)
+	fmt.Printf("  %-22s %v (registry constant; bounds swap/unload drains)\n", "drain grace", d.DrainGrace)
+	fmt.Printf("  %-22s %.2f higher-priority occupancy (registry constant)\n", "shed threshold", d.ShedOccupancy)
 	fmt.Printf("  %-22s %d workers (shared kernels pool)\n", "worker budget", d.PoolWorkers)
 	fmt.Printf("  %-22s %v (WithSession(WithFramework(...)))\n", "replica frameworks", d.Frameworks)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"deep500/internal/graph"
 	"deep500/internal/serve"
@@ -52,39 +51,6 @@ type LoadRequest = serve.LoadRequest
 // (cmd/d500serve wires the built-in model zoo here).
 type LoadFunc func(name string, req LoadRequest) (ModelSpec, error)
 
-// registryConfig is the resolved registry configuration.
-type registryConfig struct {
-	drainGrace time.Duration
-	shedOcc    float64
-}
-
-// RegistryOption configures NewRegistry.
-type RegistryOption func(*registryConfig) error
-
-// WithDrainGrace bounds how long a replaced or unloaded version's server
-// may spend draining in-flight requests in the background (default 30s).
-func WithDrainGrace(d time.Duration) RegistryOption {
-	return func(c *registryConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("d500: WithDrainGrace requires a positive duration, got %v", d)
-		}
-		c.drainGrace = d
-		return nil
-	}
-}
-
-// WithShedOccupancy sets the queue-occupancy fraction at or above which a
-// tenant counts as pressured for priority shedding (default 0.5).
-func WithShedOccupancy(frac float64) RegistryOption {
-	return func(c *registryConfig) error {
-		if frac <= 0 || frac > 1 {
-			return fmt.Errorf("d500: WithShedOccupancy requires a fraction in (0, 1], got %g", frac)
-		}
-		c.shedOcc = frac
-		return nil
-	}
-}
-
 // Registry is the multi-tenant serving front end: a name → Server table
 // with hot load/unload over HTTP, atomic version swaps (in-flight
 // requests drain on the version that admitted them while new admissions
@@ -95,23 +61,12 @@ type Registry struct {
 	inner *serve.Registry
 }
 
-// NewRegistry builds an empty model registry.
-func NewRegistry(opts ...RegistryOption) (*Registry, error) {
-	var cfg registryConfig
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	return &Registry{
-		inner: serve.NewRegistry(serve.RegistryOptions{
-			DrainGrace:    cfg.drainGrace,
-			ShedOccupancy: cfg.shedOcc,
-		}),
-	}, nil
+// NewRegistry builds an empty model registry. Replaced and unloaded
+// versions drain for at most 30s, and a tenant's queue counts as under
+// pressure for priority shedding at half occupancy (see DefaultServerConfig).
+// The error is always nil; the signature leaves room for validated options.
+func NewRegistry() (*Registry, error) {
+	return &Registry{inner: serve.NewRegistry()}, nil
 }
 
 // convert wraps a d500 ModelSpec into the internal one.

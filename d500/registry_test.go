@@ -20,7 +20,7 @@ import (
 // through ObserveRegistry (aggregate series, lifecycle counters, and
 // per-tenant labeled series tracking load/unload), then unload.
 func TestRegistryLifecycleAndMetrics(t *testing.T) {
-	reg, err := NewRegistry(WithDrainGrace(5 * time.Second))
+	reg, err := NewRegistry()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,9 @@ func TestRegistryLifecycleAndMetrics(t *testing.T) {
 	}
 }
 
-// TestRegistryOptionValidation mirrors the fail-fast option policy.
+// TestRegistryOptionValidation mirrors the fail-fast option policy: a
+// model spec without a graph is a bad request, not a deferred failure.
 func TestRegistryOptionValidation(t *testing.T) {
-	if _, err := NewRegistry(WithDrainGrace(0)); err == nil {
-		t.Error("zero drain grace accepted")
-	}
-	if _, err := NewRegistry(WithShedOccupancy(1.5)); err == nil {
-		t.Error("occupancy above 1 accepted")
-	}
 	reg, err := NewRegistry()
 	if err != nil {
 		t.Fatal(err)

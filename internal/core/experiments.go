@@ -106,7 +106,7 @@ func runTables(c *bench.Context) error {
 // timeLoop measures f averaged over iters per sample, discarding warmup
 // leading samples, and returns the retained distribution.
 func timeLoop(samples, warmup, iters int, f func()) (metrics.Distribution, int) {
-	s := metrics.NewSampler("t", "s").WithReruns(samples)
+	s := metrics.NewSampler("t", "s")
 	for k := 0; k < warmup+samples; k++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {

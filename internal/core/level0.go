@@ -107,8 +107,8 @@ func runFig6(ctx context.Context, kind string, convs []ConvProblem, gemms []Gemm
 		all := make(map[string]*metrics.Sampler, len(modes))
 		spot := make(map[string]*metrics.Sampler, len(modes))
 		for _, mode := range modes {
-			all[mode] = metrics.NewSampler(p.Name+"/"+mode, "s").WithReruns(reruns)
-			spot[mode] = metrics.NewSampler(p.Name+"/"+mode, "s").WithReruns(reruns)
+			all[mode] = metrics.NewSampler(p.Name+"/"+mode, "s")
+			spot[mode] = metrics.NewSampler(p.Name+"/"+mode, "s")
 		}
 		for pi := 0; pi < nProblems; pi++ {
 			runners := make(map[string]func() (float64, error), len(modes))

@@ -140,46 +140,53 @@ type OverheadResult struct {
 	OverheadFraction  float64
 }
 
+// overheadSetup is the §V-D workload: an MLP classifier and its seeded
+// training set.
+type overheadSetup struct {
+	cfg    models.Config
+	hidden int
+	train  *training.InMemoryDataset
+	seed   uint64
+}
+
+func newOverheadSetup(o Options) overheadSetup {
+	cfg := models.Config{Classes: 10, Channels: 1, Height: 16, Width: 16,
+		WithHead: true, Seed: o.seed()}
+	hidden, n := 256, 2048
+	if o.Quick {
+		// enough steps per epoch that the median is stable at ms scale
+		hidden, n = 64, 1024
+	}
+	ds, _ := training.SyntheticSplit(n, 64, 10, []int{1, cfg.Height, cfg.Width}, 0.3, o.seed())
+	return overheadSetup{cfg: cfg, hidden: hidden, train: ds, seed: o.seed()}
+}
+
+// runner builds one of the experiment's two training loops: native when
+// events is nil, otherwise instrumented with events on every pass and the
+// training-accuracy and loss series recorded.
+func (s overheadSetup) runner(events *executor.Events) *training.Runner {
+	e := executor.MustNew(models.MLP(s.cfg, s.hidden))
+	e.SetTraining(true)
+	e.Events = events
+	d := training.NewDriver(e, training.NewFusedMomentum(0.05, 0.9))
+	r := training.NewRunner(d, training.NewShuffleSampler(s.train, 64, s.seed), nil)
+	if events == nil {
+		r.TrainingAcc = nil
+		r.LossCurve = nil
+	}
+	return r
+}
+
 // RunOverhead reproduces the §V-D "Optimization Overhead" experiment: epoch
 // time of a native training loop vs the same loop under full Deep500
 // instrumentation (events + metrics). The paper reports <1% overhead.
 func RunOverhead(ctx context.Context, o Options) (OverheadResult, error) {
 	epochs := o.reruns()
-	cfg := models.Config{Classes: 10, Channels: 1, Height: 16, Width: 16,
-		WithHead: true, Seed: o.seed()}
-	hidden := 256
-	n := 2048
 	if o.Quick {
-		// enough steps per epoch that the median is stable at ms scale
-		hidden, n, epochs = 64, 1024, 8
+		epochs = 8
 	}
-	ds, _ := training.SyntheticSplit(n, 64, 10, []int{1, cfg.Height, cfg.Width}, 0.3, o.seed())
-
-	mkRunner := func(instrument bool) (*training.Runner, error) {
-		m := models.MLP(cfg, hidden)
-		e := executor.MustNew(m)
-		e.SetTraining(true)
-		if instrument {
-			fo := metrics.NewFrameworkOverhead()
-			e.Events = fo.Events()
-		}
-		d := training.NewDriver(e, training.NewFusedMomentum(0.05, 0.9))
-		sampler := training.NewShuffleSampler(ds, 64, o.seed())
-		r := training.NewRunner(d, sampler, nil)
-		if !instrument {
-			r.TrainingAcc = nil
-			r.LossCurve = nil
-		}
-		return r, nil
-	}
-	native, err := mkRunner(false)
-	if err != nil {
-		return OverheadResult{}, err
-	}
-	inst, err := mkRunner(true)
-	if err != nil {
-		return OverheadResult{}, err
-	}
+	s := newOverheadSetup(o)
+	native, inst := s.runner(nil), s.runner(metrics.NewFrameworkOverhead().Events())
 	// Warm both configurations, then interleave epoch measurements so both
 	// see identical cache/allocator/GC conditions (paired methodology, as
 	// in the Level 0 experiment).
@@ -189,8 +196,8 @@ func RunOverhead(ctx context.Context, o Options) (OverheadResult, error) {
 	if _, err := inst.EpochTime(ctx); err != nil {
 		return OverheadResult{}, err
 	}
-	nativeT := metrics.NewSampler("native epoch", "s").WithReruns(epochs)
-	instT := metrics.NewSampler("instrumented epoch", "s").WithReruns(epochs)
+	nativeT := metrics.NewSampler("native epoch", "s")
+	instT := metrics.NewSampler("instrumented epoch", "s")
 	for ep := 0; ep < epochs; ep++ {
 		dn, err := native.EpochTime(ctx)
 		if err != nil {

@@ -190,7 +190,7 @@ func RunTable3(o Options, workDir string) ([]Table3Row, error) {
 	shufIdx := rng.Perm(n)[:batch]
 
 	median := func(f func() error) (float64, error) {
-		s := metrics.NewSampler("t", "s").WithReruns(o.reruns())
+		s := metrics.NewSampler("t", "s")
 		for r := 0; r < o.reruns(); r++ {
 			start := time.Now()
 			if err := f(); err != nil {

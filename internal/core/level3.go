@@ -230,12 +230,6 @@ func RunFig12Weak(o Options) ([]Fig12Row, error) {
 		[]string{"CDSGD", "Horovod", "SPARCML", "TF-PS"})
 }
 
-// RunFig12Schemes runs selected schemes at fixed per-node batch — the
-// entry point benchmarks use for single-round scaling measurements.
-func RunFig12Schemes(o Options, nodes []int, batchPerNode, iters int, schemeNames []string) ([]Fig12Row, error) {
-	return runFig12(o, nodes, func(int) int { return batchPerNode }, iters, schemeNames)
-}
-
 func runFig12(o Options, nodes []int, batchPerNode func(p int) int, iters int, schemeNames []string) ([]Fig12Row, error) {
 	wanted := make(map[string]bool, len(schemeNames))
 	for _, n := range schemeNames {

@@ -118,13 +118,6 @@ func DecodeJPEG(spec Spec, data []byte) ([]uint8, error) {
 	return out, nil
 }
 
-// PixelsToFloats normalizes uint8 pixels into [0,1) floats, appended to dst.
-func PixelsToFloats(pixels []uint8, dst []float32) {
-	for i, p := range pixels {
-		dst[i] = float32(p) / 255
-	}
-}
-
 // SynthBatch allocates and generates a synthetic minibatch directly in
 // memory — the "Synth" generator baseline of Fig. 8 (no storage, no
 // decode; just allocation plus pseudo-random fill).

@@ -8,10 +8,9 @@ import (
 
 // Events is the hook set a graph executor invokes during complex actions
 // (paper §IV-D: "Events are user-specified hooks called at certain points
-// during backpropagation and training"). Any field may be nil. A metric can
-// implement both the metrics.TestMetric interface and populate an Events
-// value, exactly as the paper suggests extending TestMetric and Event
-// together.
+// during backpropagation and training"). Any field may be nil. A metric
+// can populate an Events value, as the paper suggests extending TestMetric
+// and Event together (metrics.FrameworkOverhead does).
 type Events struct {
 	// BeforeOp/AfterOp wrap each node execution (forward direction).
 	BeforeOp func(n *graph.Node)
@@ -28,72 +27,4 @@ type Events struct {
 	// Stop, if non-nil, is polled between nodes; returning true aborts the
 	// pass early (the paper's "early stopping condition" example).
 	Stop func() bool
-}
-
-// Merge returns an Events value that invokes the hooks of both a and b.
-func Merge(a, b *Events) *Events {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := &Events{}
-	out.BeforeOp = chain1(a.BeforeOp, b.BeforeOp)
-	out.AfterOp = chain2(a.AfterOp, b.AfterOp)
-	out.BeforeBackwardOp = chain1(a.BeforeBackwardOp, b.BeforeBackwardOp)
-	out.AfterBackwardOp = chain2(a.AfterBackwardOp, b.AfterBackwardOp)
-	out.BeforeInference = chain0(a.BeforeInference, b.BeforeInference)
-	out.AfterInference = chainD(a.AfterInference, b.AfterInference)
-	out.BeforeBackprop = chain0(a.BeforeBackprop, b.BeforeBackprop)
-	out.AfterBackprop = chainD(a.AfterBackprop, b.AfterBackprop)
-	switch {
-	case a.Stop != nil && b.Stop != nil:
-		out.Stop = func() bool { return a.Stop() || b.Stop() }
-	case a.Stop != nil:
-		out.Stop = a.Stop
-	default:
-		out.Stop = b.Stop
-	}
-	return out
-}
-
-func chain0(f, g func()) func() {
-	if f == nil {
-		return g
-	}
-	if g == nil {
-		return f
-	}
-	return func() { f(); g() }
-}
-
-func chainD(f, g func(time.Duration)) func(time.Duration) {
-	if f == nil {
-		return g
-	}
-	if g == nil {
-		return f
-	}
-	return func(d time.Duration) { f(d); g(d) }
-}
-
-func chain1(f, g func(*graph.Node)) func(*graph.Node) {
-	if f == nil {
-		return g
-	}
-	if g == nil {
-		return f
-	}
-	return func(n *graph.Node) { f(n); g(n) }
-}
-
-func chain2(f, g func(*graph.Node, time.Duration)) func(*graph.Node, time.Duration) {
-	if f == nil {
-		return g
-	}
-	if g == nil {
-		return f
-	}
-	return func(n *graph.Node, d time.Duration) { f(n, d); g(n, d) }
 }

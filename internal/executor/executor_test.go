@@ -154,18 +154,6 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
-func TestEventMerge(t *testing.T) {
-	var a, b int
-	ev := Merge(&Events{BeforeInference: func() { a++ }}, &Events{BeforeInference: func() { b++ }})
-	ev.BeforeInference()
-	if a != 1 || b != 1 {
-		t.Fatal("merged hooks not both called")
-	}
-	if Merge(nil, ev) != ev || Merge(ev, nil) != ev {
-		t.Fatal("nil merge should return the other side")
-	}
-}
-
 func TestMemoryModelOOM(t *testing.T) {
 	m := NewMemoryModel(100)
 	if err := m.Alloc(60); err != nil {

@@ -108,12 +108,3 @@ func (n *Network) setGrad(name string, g *tensor.Tensor) { n.grads[name] = g }
 
 // ClearGradients drops all stored gradients.
 func (n *Network) ClearGradients() { clear(n.grads) }
-
-// ParamBytes returns the total parameter footprint in bytes.
-func (n *Network) ParamBytes() int64 {
-	var b int64
-	for _, t := range n.values {
-		b += t.Bytes()
-	}
-	return b
-}

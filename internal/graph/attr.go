@@ -8,10 +8,10 @@
 // Public entry points: Model (NewModel, AddNode/AddInput/AddOutput/
 // AddInitializer, Validate, TopoSort, InferShapes, Clone/ShallowClone),
 // Node and the Attribute constructors (IntAttr, FloatAttr, StringAttr,
-// IntsAttr, TensorAttr), the schema registry (RegisterSchema,
-// LookupSchema, SchemaNames), serialization (Save/Load, Encode/Decode,
-// EncodeJSON/DecodeJSON) and NewVisitor. Executors run a Model as built;
-// internal/transform is the graph rewriter (micro-batching, paper Fig. 7).
+// IntsAttr), the schema registry (RegisterSchema, LookupSchema),
+// serialization (Save/Load, Encode/Decode) and NewVisitor. Executors run a
+// Model as built; internal/transform is the graph rewriter (micro-batching,
+// paper Fig. 7).
 package graph
 
 import (
@@ -63,8 +63,7 @@ type Attribute struct {
 	T      *tensor.Tensor
 }
 
-// IntAttr, FloatAttr, StringAttr, IntsAttr, FloatsAttr and TensorAttr are
-// attribute constructors.
+// IntAttr, FloatAttr, StringAttr and IntsAttr are attribute constructors.
 func IntAttr(name string, v int64) Attribute { return Attribute{Name: name, Type: AttrInt, I: v} }
 func FloatAttr(name string, v float64) Attribute {
 	return Attribute{Name: name, Type: AttrFloat, F: v}
@@ -72,12 +71,6 @@ func FloatAttr(name string, v float64) Attribute {
 func StringAttr(name, v string) Attribute { return Attribute{Name: name, Type: AttrString, S: v} }
 func IntsAttr(name string, v ...int64) Attribute {
 	return Attribute{Name: name, Type: AttrInts, Ints: v}
-}
-func FloatsAttr(name string, v ...float64) Attribute {
-	return Attribute{Name: name, Type: AttrFloats, Floats: v}
-}
-func TensorAttr(name string, t *tensor.Tensor) Attribute {
-	return Attribute{Name: name, Type: AttrTensor, T: t}
 }
 
 func (a Attribute) String() string {

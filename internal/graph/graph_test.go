@@ -93,12 +93,6 @@ func TestTopoSortOrder(t *testing.T) {
 
 func TestProducerConsumers(t *testing.T) {
 	m := smallMLP()
-	if p := m.Producer("h1"); p == nil || p.Name != "fc1" {
-		t.Fatalf("Producer(h1) = %v", p)
-	}
-	if p := m.Producer("x"); p != nil {
-		t.Fatalf("Producer(x) should be nil, got %v", p.Name)
-	}
 	cs := m.Consumers("h2")
 	if len(cs) != 1 || cs[0].Name != "fc2" {
 		t.Fatalf("Consumers(h2) = %v", cs)
@@ -170,7 +164,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 	m.FindNode("fc1").Attrs["alpha"] = FloatAttr("alpha", 1.25)
 	m.FindNode("fc1").Attrs["tag"] = StringAttr("tag", "dense")
 	m.FindNode("fc1").Attrs["ks"] = IntsAttr("ks", 3, 3)
-	m.FindNode("fc1").Attrs["ws"] = FloatsAttr("ws", 0.5, 0.25)
+	m.FindNode("fc1").Attrs["ws"] = Attribute{Name: "ws", Type: AttrFloats, Floats: []float64{0.5, 0.25}}
+	m.FindNode("prob").Attrs["v"] = Attribute{Name: "v", Type: AttrTensor, T: tensor.From([]float32{1, 2}, 2)}
 	var buf bytes.Buffer
 	if err := Encode(m, &buf); err != nil {
 		t.Fatal(err)
@@ -194,6 +189,12 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if got.FindNode("fc1").AttrInts("ks", nil)[1] != 3 {
 		t.Fatal("ints attribute lost")
+	}
+	if ws, ok := fc1.Attr("ws"); !ok || len(ws.Floats) != 2 || ws.Floats[1] != 0.25 {
+		t.Fatal("floats attribute lost")
+	}
+	if v, ok := got.FindNode("prob").Attr("v"); !ok || v.T == nil || v.T.Data()[1] != 2 {
+		t.Fatal("tensor attribute lost")
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)

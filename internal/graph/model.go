@@ -123,19 +123,6 @@ func (m *Model) FindNode(name string) *Node {
 	return nil
 }
 
-// Producer returns the node producing the named tensor, or nil if it is a
-// graph input or initializer.
-func (m *Model) Producer(tensorName string) *Node {
-	for _, n := range m.Nodes {
-		for _, o := range n.Outputs {
-			if o == tensorName {
-				return n
-			}
-		}
-	}
-	return nil
-}
-
 // Consumers returns all nodes that read the named tensor.
 func (m *Model) Consumers(tensorName string) []*Node {
 	var out []*Node

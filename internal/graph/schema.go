@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -44,18 +43,6 @@ func LookupSchema(name string) (OpSchema, bool) {
 	defer schemaMu.RUnlock()
 	s, ok := schemas[name]
 	return s, ok
-}
-
-// SchemaNames returns all registered op types, sorted.
-func SchemaNames() []string {
-	schemaMu.RLock()
-	defer schemaMu.RUnlock()
-	names := make([]string, 0, len(schemas))
-	for n := range schemas {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func sameShape(n *Node, in [][]int) ([][]int, error) {

@@ -261,7 +261,7 @@ func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
 	total := spec.TotalSteps() // 512/2/8 × 4 = 128
 
 	awaitRankStep(t, m, job.ID, 1, 4)
-	if err := m.KillRank(job.ID, 1); err != nil {
+	if err := m.killRank(job.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	close(killed)
@@ -299,7 +299,7 @@ func TestCrashWithoutCheckpointRestartsFromZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitRankStep(t, m, job.ID, 2, 2)
-	if err := m.KillRank(job.ID, 2); err != nil {
+	if err := m.killRank(job.ID, 2); err != nil {
 		t.Fatal(err)
 	}
 	close(killed)
@@ -344,7 +344,7 @@ func TestDSGDWorkerDeathFailsJob(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := m.KillRank(job.ID, 0); err != nil {
+	if err := m.killRank(job.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	final := awaitState(t, m, job.ID, StateFailed, 60*time.Second)

@@ -320,10 +320,10 @@ func (m *Manager) killAllLocked(j *Job) {
 	}
 }
 
-// KillRank terminates one rank's process; the exit routes through the
+// killRank terminates one rank's process; the exit routes through the
 // normal crash path (restart for restartable schemes, job failure
 // otherwise). Tests and chaos drills use it to exercise recovery.
-func (m *Manager) KillRank(id string, rank int) error {
+func (m *Manager) killRank(id string, rank int) error {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	if !ok {

@@ -45,9 +45,6 @@ func NewTestAccuracy(everyKEpochs int) *Series {
 // Name returns the metric name.
 func (s *Series) Name() string { return s.name }
 
-// RequiredReruns is 1 for curve metrics.
-func (s *Series) RequiredReruns() int { return 1 }
-
 // Observe records value at (step, epoch) if it falls on the k-th cadence.
 func (s *Series) Observe(step, epoch int, value float64) {
 	s.calls++
@@ -113,9 +110,6 @@ func NewDatasetBias() *DatasetBias {
 
 // Name returns the metric name.
 func (b *DatasetBias) Name() string { return b.name }
-
-// RequiredReruns is 1.
-func (b *DatasetBias) RequiredReruns() int { return 1 }
 
 // ObserveLabel counts one sampled label.
 func (b *DatasetBias) ObserveLabel(label int) {

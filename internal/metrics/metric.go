@@ -1,10 +1,10 @@
 // Package metrics implements the Deep500 metric framework (paper §IV-B,
-// challenge 2): a generic TestMetric interface, summary statistics with the
-// paper's evaluation methodology (medians and nonparametric 95% confidence
-// intervals over 30 re-runs, §V-A), and the concrete metric families
-// attached to the four levels — wallclock time, FLOP/s, accuracy series,
-// framework overhead, communication volume, dataset latency, dataset bias
-// and time-to-accuracy.
+// challenge 2): summary statistics with the paper's evaluation methodology
+// (medians and nonparametric 95% confidence intervals over 30 re-runs,
+// §V-A), and the concrete metric families attached to the four levels —
+// wallclock time, FLOP/s, accuracy series, framework overhead,
+// communication volume, dataset latency, dataset bias and
+// time-to-accuracy.
 package metrics
 
 import (
@@ -18,15 +18,6 @@ import (
 // experiments (§V-A: "we run them 30 times and report median results and
 // nonparametric 95% confidence intervals").
 const DefaultReruns = 30
-
-// TestMetric is the minimal metric interface: every metric can identify
-// itself, report how many re-runs a sound measurement needs, and summarize
-// what it has collected.
-type TestMetric interface {
-	Name() string
-	RequiredReruns() int
-	Summarize() Summary
-}
 
 // Summary holds order statistics of a sample set. Median is the middle
 // sample (the mean of the two middle samples for an even count); the
@@ -56,26 +47,16 @@ func (s Summary) String() string {
 type Sampler struct {
 	name    string
 	unit    string
-	reruns  int
 	samples []float64
 }
 
-// NewSampler returns a sampler with the default re-run requirement.
+// NewSampler returns an empty sampler.
 func NewSampler(name, unit string) *Sampler {
-	return &Sampler{name: name, unit: unit, reruns: DefaultReruns}
-}
-
-// WithReruns overrides the required re-run count and returns the sampler.
-func (s *Sampler) WithReruns(n int) *Sampler {
-	s.reruns = n
-	return s
+	return &Sampler{name: name, unit: unit}
 }
 
 // Name returns the metric name.
 func (s *Sampler) Name() string { return s.name }
-
-// RequiredReruns returns how many measurements a sound summary needs.
-func (s *Sampler) RequiredReruns() int { return s.reruns }
 
 // Record adds one sample.
 func (s *Sampler) Record(v float64) { s.samples = append(s.samples, v) }

@@ -140,8 +140,8 @@ func TestPropCIOrdering(t *testing.T) {
 }
 
 func TestSamplerLifecycle(t *testing.T) {
-	s := NewSampler("x", "unit").WithReruns(5)
-	if s.RequiredReruns() != 5 || s.Name() != "x" {
+	s := NewSampler("x", "unit")
+	if s.Name() != "x" {
 		t.Fatal("config lost")
 	}
 	for i := 0; i < 5; i++ {

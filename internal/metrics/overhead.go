@@ -26,9 +26,8 @@ func NewFrameworkOverhead() *FrameworkOverhead {
 	}
 }
 
-// Events returns executor hooks that feed this metric; attach them with
-// executor.Merge when other hooks are present. This is the paper's pattern
-// of one class extending both TestMetric and Event.
+// Events returns executor hooks that feed this metric: the paper's pattern
+// of one metric class that also extends Event.
 //
 // Operators run one after another inside the pass, so the overhead — pass
 // time not spent inside an operator — is never negative.
@@ -62,9 +61,6 @@ func NewCommunicationVolume() *CommunicationVolume {
 
 // Name returns the metric name.
 func (c *CommunicationVolume) Name() string { return c.name }
-
-// RequiredReruns is 1: volume is deterministic for a fixed schedule.
-func (c *CommunicationVolume) RequiredReruns() int { return 1 }
 
 // AddSent, AddReceived record traffic; AddMessage counts one message.
 func (c *CommunicationVolume) AddSent(b int64)     { c.sent.Add(b); c.messages.Add(1) }

@@ -50,9 +50,6 @@ func NewTimeToAccuracy(name string, target float64) *TimeToAccuracy {
 // Name returns the metric name.
 func (t *TimeToAccuracy) Name() string { return t.name }
 
-// RequiredReruns is 1: time-to-accuracy is a single-trajectory metric.
-func (t *TimeToAccuracy) RequiredReruns() int { return 1 }
-
 // Start resets the clock.
 func (t *TimeToAccuracy) Start() {
 	t.start = time.Now()

@@ -42,6 +42,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"deep500/internal/tensor"
 )
 
 // Defaults for Options fields left zero.
@@ -146,7 +148,7 @@ func New(opt Options) *Tracer {
 	t := &Tracer{opt: opt, rec: NewRecorder(opt.Capacity)}
 	seed := opt.Seed
 	if seed == 0 {
-		seed = uint64(time.Now().UnixNano())*0x9E3779B97F4A7C15 ^ uint64(os.Getpid())<<32
+		seed = uint64(time.Now().UnixNano())*tensor.SplitMixGamma ^ uint64(os.Getpid())<<32
 	}
 	t.ids.Store(seed)
 	return t
@@ -175,12 +177,7 @@ func (t *Tracer) Counters() (spans, dropped, sampled uint64) {
 // nextID draws the next SplitMix64 identifier (never zero: zero is the
 // wire encoding of "untraced").
 func (t *Tracer) nextID() uint64 {
-	x := t.ids.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := tensor.SplitMix64(t.ids.Add(tensor.SplitMixGamma))
 	if x == 0 {
 		x = 1
 	}

@@ -66,14 +66,6 @@ func Register(opType string, b Builder) {
 	registry[opType] = b
 }
 
-// Registered reports whether an op type has a builder.
-func Registered(opType string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[opType]
-	return ok
-}
-
 // RegisteredOps returns all op types with builders, sorted.
 func RegisteredOps() []string {
 	registryMu.RLock()

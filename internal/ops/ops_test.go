@@ -358,9 +358,6 @@ func TestCustomOperatorRegistration(t *testing.T) {
 	Register("MedianPool3", func(n *graph.Node) (Operator, error) {
 		return NewIdentity(), nil
 	})
-	if !Registered("MedianPool3") {
-		t.Fatal("custom op not registered")
-	}
 	found := false
 	for _, n := range RegisteredOps() {
 		if n == "MedianPool3" {

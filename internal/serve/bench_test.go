@@ -17,7 +17,7 @@ func BenchmarkDecodeFeeds(b *testing.B) {
 	for i := range data {
 		data[i] = float32(rng.Norm())
 	}
-	body, err := json.Marshal(InferRequest{Feeds: map[string]TensorJSON{
+	body, err := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 28, 28}, Data: data},
 	}})
 	if err != nil {
@@ -36,7 +36,7 @@ func BenchmarkDecodeFeeds(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var req InferRequest
+			var req inferRequest
 			if err := strictDecode(body, &req); err != nil {
 				b.Fatal(err)
 			}

@@ -372,7 +372,7 @@ func TestChaosSwapNeverRoutesToDeadPool(t *testing.T) {
 	m := chaosModel()
 	var armed atomic.Int32
 	armed.Store(-1)
-	r := NewRegistry(RegistryOptions{})
+	r := NewRegistry()
 	defer r.Close(context.Background())
 
 	v1 := ModelSpec{Version: "v1", Build: func() (*Server, error) {

@@ -16,7 +16,7 @@ import (
 // strconv.ParseFloat(…, 32) — the function encoding/json itself ends in — so
 // a decoded tensor is bit for bit what json.Unmarshal would have produced.
 
-// parseFeeds decodes an InferRequest body into feed tensors. Every error is
+// parseFeeds decodes an inferRequest body into feed tensors. Every error is
 // the client's: the caller answers 400.
 func parseFeeds(body []byte) (map[string]*tensor.Tensor, error) {
 	s := scanner{b: body}

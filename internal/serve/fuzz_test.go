@@ -27,7 +27,7 @@ import (
 // all iterations of one fuzz worker.
 func fuzzRegistry(f *testing.F) *Registry {
 	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 4, Width: 4, Seed: 7}, 8)
-	r := NewRegistry(RegistryOptions{})
+	r := NewRegistry()
 	spec := ModelSpec{Version: "v1", Build: func() (*Server, error) {
 		return New(Options{
 			MaxBatch:    1,
@@ -88,7 +88,7 @@ func FuzzInferJSON(f *testing.F) {
 	// Seed corpus: one valid request, then the malformed taxonomy —
 	// truncated JSON, wrong-typed fields, empty feeds, volume mismatches,
 	// negative and zero dimensions, unknown fields, non-finite numbers.
-	valid, _ := json.Marshal(InferRequest{Feeds: map[string]TensorJSON{
+	valid, _ := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)},
 	}})
 	f.Add(valid)
@@ -114,7 +114,7 @@ func FuzzInferJSON(f *testing.F) {
 	f.Add([]byte(`{"feeds":{}} {"feeds":{}}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var probe InferRequest
+		var probe inferRequest
 		decodeErr := strictDecode(body, &probe)
 		if feeds, err := parseFeeds(body); err == nil { // must never panic
 			compareWithStrictJSON(t, body, feeds)

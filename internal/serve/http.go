@@ -62,8 +62,8 @@ type TensorJSON struct {
 	Data  []float32 `json:"data"`
 }
 
-// InferRequest is the POST /v1/infer body.
-type InferRequest struct {
+// inferRequest is the POST /v1/infer body.
+type inferRequest struct {
 	Feeds map[string]TensorJSON `json:"feeds"`
 }
 
@@ -103,7 +103,7 @@ func echoTrace(w http.ResponseWriter, capture *trace.Capture) {
 	}
 }
 
-// decodeFeeds reads and decodes an InferRequest body (parseFeeds, decode.go),
+// decodeFeeds reads and decodes an inferRequest body (parseFeeds, decode.go),
 // writing the 400 response itself on failure (second result false). It is
 // the only request decoder of the inference routes. The body is read once into a pooled buffer;
 // the decoded tensors own their data, so the buffer goes straight back.

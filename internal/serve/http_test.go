@@ -33,7 +33,7 @@ func testServer(t *testing.T, opts Options) *Server {
 // sole tenant of a registry, whose POST /v1/infer routes to it.
 func oneModel(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
-	reg := NewRegistry(RegistryOptions{})
+	reg := NewRegistry()
 	if err := reg.Load("m", ModelSpec{Version: "v1", Build: func() (*Server, error) { return srv, nil }}); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestHTTPInferRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp := postInfer(t, ts, InferRequest{Feeds: map[string]TensorJSON{
+			resp := postInfer(t, ts, inferRequest{Feeds: map[string]TensorJSON{
 				"x": {Shape: []int{1, 1, 4, 4}, Data: x},
 			}})
 			defer resp.Body.Close()
@@ -130,11 +130,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 		body any
 		want int
 	}{
-		{"wrong feed name", InferRequest{Feeds: map[string]TensorJSON{
+		{"wrong feed name", inferRequest{Feeds: map[string]TensorJSON{
 			"nope": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}}, http.StatusBadRequest},
-		{"shape/data mismatch", InferRequest{Feeds: map[string]TensorJSON{
+		{"shape/data mismatch", inferRequest{Feeds: map[string]TensorJSON{
 			"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 3)}}}, http.StatusBadRequest},
-		{"negative dimension", InferRequest{Feeds: map[string]TensorJSON{
+		{"negative dimension", inferRequest{Feeds: map[string]TensorJSON{
 			"x": {Shape: []int{-1, 16}, Data: nil}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"bogus": 1}, http.StatusBadRequest},
 	}
@@ -160,7 +160,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp = postInfer(t, ts, InferRequest{Feeds: map[string]TensorJSON{
+	resp = postInfer(t, ts, inferRequest{Feeds: map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -173,7 +173,7 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 2, Replicas: 1})
 	ts := oneModel(t, srv)
 
-	resp := postInfer(t, ts, InferRequest{Feeds: map[string]TensorJSON{
+	resp := postInfer(t, ts, inferRequest{Feeds: map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -25,7 +25,7 @@ var (
 	ErrShed = fmt.Errorf("%w: admission shed (higher-priority model under pressure)", ErrQueueFull)
 )
 
-// Registry defaults, exported for the d500 option layer and d500info.
+// Registry constants, exported for d500.DefaultServerConfig.
 const (
 	// DefaultDrainGrace bounds how long a replaced or unloaded model's
 	// server may spend draining in-flight requests in the background.
@@ -62,20 +62,6 @@ type modelEntry struct {
 	priority int
 }
 
-// RegistryOptions tunes a Registry. Zero values select the defaults.
-type RegistryOptions struct {
-	// DrainGrace bounds background draining of replaced/unloaded servers
-	// (default 30s).
-	DrainGrace time.Duration
-	// ShedOccupancy is the queue-occupancy high-water fraction at or above
-	// which a model is considered pressured for priority shedding
-	// (default 0.5).
-	ShedOccupancy float64
-	// OnModel, when non-nil, is called after every registry mutation with
-	// the model name and the operation ("load", "swap", "unload").
-	OnModel func(name, op string)
-}
-
 // Registry is the multi-tenant serving front: a mutable name → server
 // table with hot load/unload, atomic version swap, and priority-based
 // admission shedding. Each model owns its own admission queue and replica
@@ -86,8 +72,6 @@ type RegistryOptions struct {
 // background, so in-flight requests complete on the version that admitted
 // them while new admissions route to the replacement.
 type Registry struct {
-	opts RegistryOptions
-
 	mu     sync.RWMutex
 	models map[string]*modelEntry
 	closed bool
@@ -102,24 +86,16 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry(opts RegistryOptions) *Registry {
-	if opts.DrainGrace <= 0 {
-		opts.DrainGrace = DefaultDrainGrace
-	}
-	if opts.ShedOccupancy <= 0 || opts.ShedOccupancy > 1 {
-		opts.ShedOccupancy = DefaultShedOccupancy
-	}
-	return &Registry{
-		opts:   opts,
-		models: make(map[string]*modelEntry),
-	}
+func NewRegistry() *Registry {
+	return &Registry{models: make(map[string]*modelEntry)}
 }
 
 // Load installs (or replaces) the named model. The spec's Build runs
 // first, outside the lock; only a successfully built server is swapped
 // in, so a failing build leaves the previous version serving untouched.
 // On a swap the old version's server stops admitting immediately and
-// drains its in-flight requests in the background, bounded by DrainGrace.
+// drains its in-flight requests in the background, bounded by
+// DefaultDrainGrace.
 func (r *Registry) Load(name string, spec ModelSpec) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty model name", ErrBadRequest)
@@ -141,20 +117,15 @@ func (r *Registry) Load(name string, spec ModelSpec) error {
 	r.models[name] = &modelEntry{srv: srv, version: spec.Version, priority: spec.Priority}
 	r.mu.Unlock()
 
-	op := "load"
 	r.statsMu.Lock()
 	if old != nil {
 		r.swaps++
-		op = "swap"
 	} else {
 		r.loads++
 	}
 	r.statsMu.Unlock()
 	if old != nil {
 		r.drainAsync(old.srv)
-	}
-	if r.opts.OnModel != nil {
-		r.opts.OnModel(name, op)
 	}
 	return nil
 }
@@ -174,18 +145,16 @@ func (r *Registry) Unload(name string) error {
 	r.unloads++
 	r.statsMu.Unlock()
 	r.drainAsync(e.srv)
-	if r.opts.OnModel != nil {
-		r.opts.OnModel(name, "unload")
-	}
 	return nil
 }
 
-// drainAsync retires a server in the background, bounded by DrainGrace.
+// drainAsync retires a server in the background, bounded by
+// DefaultDrainGrace.
 func (r *Registry) drainAsync(srv *Server) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), r.opts.DrainGrace)
+		ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainGrace)
 		defer cancel()
 		_ = srv.Close(ctx)
 	}()
@@ -207,7 +176,7 @@ func (r *Registry) lookup(name string) (*Server, error) {
 	}
 	shed := false
 	for _, o := range r.models {
-		if o.priority > e.priority && o.srv.queueOccupancy() >= r.opts.ShedOccupancy {
+		if o.priority > e.priority && o.srv.queueOccupancy() >= DefaultShedOccupancy {
 			shed = true
 			break
 		}

@@ -36,7 +36,7 @@ func testSpec(m *graph.Model, version string, priority int, srvOpts Options) Mod
 func TestRegistryRoutesAndLifecycle(t *testing.T) {
 	zoo := zooModels()
 	mlp, lenet := zoo["mlp"], zoo["lenet"]
-	r := NewRegistry(RegistryOptions{})
+	r := NewRegistry()
 	defer r.Close(context.Background())
 	if err := r.Load("mlp", testSpec(mlp, "v1", 0, Options{})); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestRegistrySwapDrainsOldVersion(t *testing.T) {
 	m := chaosModel()
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
-	r := NewRegistry(RegistryOptions{})
+	r := NewRegistry()
 	defer r.Close(context.Background())
 
 	v1 := ModelSpec{Version: "v1", Build: func() (*Server, error) {
@@ -148,7 +148,7 @@ func TestRegistryPrioritySheds(t *testing.T) {
 	m := chaosModel()
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
-	r := NewRegistry(RegistryOptions{ShedOccupancy: 0.5})
+	r := NewRegistry()
 	defer r.Close(context.Background())
 
 	// High-priority tenant with a tiny queue we can pressure.
@@ -243,7 +243,7 @@ func TestMultiModelConformance(t *testing.T) {
 		}
 
 		// One registry serving both concurrently.
-		r := NewRegistry(RegistryOptions{})
+		r := NewRegistry()
 		defer r.Close(context.Background())
 		for name, m := range pair {
 			if err := r.Load(name, testSpec(m, "v1", 0, srvOpts)); err != nil {
@@ -293,7 +293,7 @@ func TestMultiModelConformance(t *testing.T) {
 // HTTP, DELETE unloads, and the sole-model /v1/infer compatibility route.
 func TestRegistryHTTPLifecycle(t *testing.T) {
 	zoo := zooModels()
-	r := NewRegistry(RegistryOptions{})
+	r := NewRegistry()
 	defer r.Close(context.Background())
 	loader := func(name string, lr LoadRequest) (ModelSpec, error) {
 		m, ok := zoo[lr.Zoo]
@@ -327,7 +327,7 @@ func TestRegistryHTTPLifecycle(t *testing.T) {
 	// Sole model: /v1/infer routes without a name.
 	m := zoo["mlp"]
 	in := inputFor(m, 1, 5)
-	ireq, _ := json.Marshal(InferRequest{Feeds: map[string]TensorJSON{"x": {Shape: in.Shape(), Data: in.Data()}}})
+	ireq, _ := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{"x": {Shape: in.Shape(), Data: in.Data()}}})
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(ireq))
 	if err != nil {
 		t.Fatal(err)

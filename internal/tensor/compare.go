@@ -54,42 +54,3 @@ func AllClose(got, want *Tensor, rtol, atol float64) bool {
 	}
 	return true
 }
-
-// Heatmap reduces the elementwise absolute difference of two rank-≥2 tensors
-// to a 2D grid of rows×cols cells, each holding the mean absolute error of
-// the elements mapped into it. It is the "heatmap" validation output of the
-// paper (§III-E): a coarse view that highlights *where* two computations
-// disagree.
-func Heatmap(got, want *Tensor, rows, cols int) [][]float64 {
-	if len(got.data) != len(want.data) {
-		panic("tensor: Heatmap size mismatch")
-	}
-	grid := make([][]float64, rows)
-	counts := make([][]int, rows)
-	for i := range grid {
-		grid[i] = make([]float64, cols)
-		counts[i] = make([]int, cols)
-	}
-	n := len(got.data)
-	if n == 0 {
-		return grid
-	}
-	cells := rows * cols
-	for i := range got.data {
-		cell := i * cells / n
-		if cell >= cells {
-			cell = cells - 1
-		}
-		r, c := cell/cols, cell%cols
-		grid[r][c] += math.Abs(float64(got.data[i]) - float64(want.data[i]))
-		counts[r][c]++
-	}
-	for r := range grid {
-		for c := range grid[r] {
-			if counts[r][c] > 0 {
-				grid[r][c] /= float64(counts[r][c])
-			}
-		}
-	}
-	return grid
-}

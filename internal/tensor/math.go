@@ -39,29 +39,10 @@ func (t *Tensor) AddInPlace(x *Tensor) *Tensor {
 	return t
 }
 
-// SubInPlace computes t -= x.
-func (t *Tensor) SubInPlace(x *Tensor) *Tensor {
-	if len(t.data) != len(x.data) {
-		panic("tensor: SubInPlace size mismatch")
-	}
-	for i, v := range x.data {
-		t.data[i] -= v
-	}
-	return t
-}
-
 // Scale multiplies every element by s in place.
 func (t *Tensor) Scale(s float32) *Tensor {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-	return t
-}
-
-// AddScalar adds s to every element in place.
-func (t *Tensor) AddScalar(s float32) *Tensor {
-	for i := range t.data {
-		t.data[i] += s
 	}
 	return t
 }
@@ -73,14 +54,6 @@ func (t *Tensor) Axpy(alpha float32, x *Tensor) *Tensor {
 	}
 	for i, v := range x.data {
 		t.data[i] += alpha * v
-	}
-	return t
-}
-
-// Apply replaces every element with f(element), in place.
-func (t *Tensor) Apply(f func(float32) float32) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
 	}
 	return t
 }
@@ -133,17 +106,6 @@ func (t *Tensor) Max() float32 {
 	return m
 }
 
-// ArgMax returns the flat index of the largest element.
-func (t *Tensor) ArgMax() int {
-	best, bi := float32(math.Inf(-1)), 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // Dot returns the inner product of a and b (float64 accumulation).
 func Dot(a, b *Tensor) float64 {
 	if len(a.data) != len(b.data) {
@@ -152,15 +114,6 @@ func Dot(a, b *Tensor) float64 {
 	var s float64
 	for i := range a.data {
 		s += float64(a.data[i]) * float64(b.data[i])
-	}
-	return s
-}
-
-// Norm1 returns the ℓ1 norm of t.
-func (t *Tensor) Norm1() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
 	}
 	return s
 }
@@ -174,58 +127,8 @@ func (t *Tensor) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the ℓ∞ (max-abs) norm of t.
-func (t *Tensor) NormInf() float64 {
-	var m float64
-	for _, v := range t.data {
-		if a := math.Abs(float64(v)); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Variance returns the population variance of the elements.
-func (t *Tensor) Variance() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	mean := t.Mean()
-	var s float64
-	for _, v := range t.data {
-		d := float64(v) - mean
-		s += d * d
-	}
-	return s / float64(len(t.data))
-}
-
-// Transpose2D returns the transpose of a rank-2 tensor.
-func Transpose2D(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: Transpose2D requires rank 2")
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.data[j*r+i] = t.data[i*c+j]
-		}
-	}
-	return out
-}
-
-// SumAxis0 reduces a rank-2 tensor [n, m] over its first axis to [m].
-func SumAxis0(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SumAxis0 requires rank 2")
-	}
-	out := New(t.shape[1])
-	SumAxis0Into(out, t)
-	return out
-}
-
-// SumAxis0Into is SumAxis0 writing into dst, which must hold m elements (in
-// any shape) and is overwritten.
+// SumAxis0Into reduces a rank-2 tensor [n, m] over its first axis into dst,
+// which must hold m elements (in any shape) and is overwritten.
 func SumAxis0Into(dst, t *Tensor) {
 	if t.Rank() != 2 || dst.Size() != t.shape[1] {
 		panic(fmt.Sprintf("tensor: SumAxis0Into of %v into %v", t.shape, dst.shape))

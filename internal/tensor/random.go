@@ -16,13 +16,22 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// SplitMixGamma is SplitMix64's state increment, 2^64 over the golden ratio.
+const SplitMixGamma = 0x9E3779B97F4A7C15
+
+// SplitMix64 is SplitMix64's output mixer: it maps a state that has just
+// been advanced by SplitMixGamma to 64 pseudo-random bits. RNG and the
+// span-ID generator of internal/obs/trace both draw through it.
+func SplitMix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += SplitMixGamma
+	return SplitMix64(r.state)
 }
 
 // Float64 returns a uniform sample in [0, 1).

@@ -86,17 +86,6 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 // Data returns the underlying buffer. Mutations are visible to the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 
-// Strides returns the row-major strides of the tensor.
-func (t *Tensor) Strides() []int {
-	s := make([]int, len(t.shape))
-	acc := 1
-	for i := len(t.shape) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= t.shape[i]
-	}
-	return s
-}
-
 // Index converts multi-dimensional indices to a flat offset.
 func (t *Tensor) Index(idx ...int) int {
 	if len(idx) != len(t.shape) {
@@ -125,14 +114,6 @@ func (t *Tensor) Clone() *Tensor {
 	s := make([]int, len(t.shape))
 	copy(s, t.shape)
 	return &Tensor{shape: s, data: d}
-}
-
-// CopyFrom copies src's data into t. Shapes must have equal volume.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: copy size mismatch %v vs %v", t.shape, src.shape))
-	}
-	copy(t.data, src.data)
 }
 
 // Reshape returns a view of t with a new shape of equal volume. One

@@ -2,6 +2,7 @@ package training
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -22,7 +23,8 @@ type embedded struct{ ThreeStep }
 // rulePairs pairs every product rule with the composing reference form it
 // replaced, under a decaying schedule where the rule takes one.
 var rulePairs = func() []rulePair {
-	decay := StepDecay(0.05, 0.5, 7)
+	// 0.05, halved every 7 steps.
+	decay := Schedule(func(step int) float32 { return 0.05 * float32(math.Pow(0.5, float64(step/7))) })
 	return []rulePair{
 		{"sgd",
 			func() ThreeStep { return &FusedSGD{LR: decay} },

@@ -1,34 +1,12 @@
 package training
 
-import (
-	"math"
-
-	"deep500/internal/tensor"
-)
+import "deep500/internal/tensor"
 
 // Schedule maps a step index to a learning rate.
 type Schedule func(step int) float32
 
 // ConstantLR returns a constant learning-rate schedule.
 func ConstantLR(lr float32) Schedule { return func(int) float32 { return lr } }
-
-// StepDecay decays lr by factor every interval steps.
-func StepDecay(lr, factor float32, interval int) Schedule {
-	return func(step int) float32 {
-		return lr * float32(math.Pow(float64(factor), float64(step/interval)))
-	}
-}
-
-// CosineAnnealing anneals lr from lr to minLR over total steps.
-func CosineAnnealing(lr, minLR float32, total int) Schedule {
-	return func(step int) float32 {
-		if step >= total {
-			return minLR
-		}
-		c := 0.5 * (1 + math.Cos(math.Pi*float64(step)/float64(total)))
-		return minLR + (lr-minLR)*float32(c)
-	}
-}
 
 // GradientDescent is plain SGD with a learning-rate schedule — the paper's
 // "Gradient Descent with learning rate schedule" reference optimizer. This

@@ -2,7 +2,6 @@ package training
 
 import (
 	"context"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -182,14 +181,6 @@ func TestSchedules(t *testing.T) {
 	c := ConstantLR(0.1)
 	if c(0) != 0.1 || c(1000) != 0.1 {
 		t.Fatal("constant")
-	}
-	s := StepDecay(1, 0.5, 10)
-	if s(0) != 1 || s(10) != 0.5 || s(20) != 0.25 {
-		t.Fatalf("step decay: %v %v %v", s(0), s(10), s(20))
-	}
-	cos := CosineAnnealing(1, 0, 100)
-	if cos(0) != 1 || math.Abs(float64(cos(50))-0.5) > 1e-6 || cos(100) != 0 {
-		t.Fatalf("cosine: %v %v %v", cos(0), cos(50), cos(100))
 	}
 }
 

@@ -232,32 +232,6 @@ func MicrobatchModel(m *graph.Model, batch int, memBudget int64, cost ConvCostMo
 	return transformed, nil
 }
 
-// EliminateIdentity removes Identity nodes, rewiring consumers to the
-// identity's input. Identity nodes producing graph outputs are kept.
-func EliminateIdentity(m *graph.Model) int {
-	outputs := make(map[string]bool)
-	for _, o := range m.Outputs {
-		outputs[o] = true
-	}
-	removed := 0
-	for _, n := range append([]*graph.Node(nil), m.Nodes...) {
-		if n.OpType != "Identity" || outputs[n.Outputs[0]] {
-			continue
-		}
-		src, dst := n.Inputs[0], n.Outputs[0]
-		for _, c := range m.Consumers(dst) {
-			for i, in := range c.Inputs {
-				if in == dst {
-					c.Inputs[i] = src
-				}
-			}
-		}
-		m.RemoveNode(n)
-		removed++
-	}
-	return removed
-}
-
 // StripDropout removes Dropout nodes (an inference-time optimization),
 // rewiring consumers to the dropout input.
 func StripDropout(m *graph.Model) int {

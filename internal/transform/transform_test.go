@@ -161,23 +161,6 @@ func TestMicrobatchModelSkipsSmallConvs(t *testing.T) {
 	}
 }
 
-func TestEliminateIdentity(t *testing.T) {
-	m := graph.NewModel("id")
-	m.AddInput("x", 2)
-	m.AddNode(graph.NewNode("Identity", "i1", []string{"x"}, []string{"a"}))
-	m.AddNode(graph.NewNode("Relu", "r", []string{"a"}, []string{"y"}))
-	m.AddOutput("y")
-	if removed := EliminateIdentity(m); removed != 1 {
-		t.Fatalf("removed %d", removed)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.FindNode("r").Inputs[0] != "x" {
-		t.Fatal("consumer not rewired")
-	}
-}
-
 func TestStripDropoutPreservesOutput(t *testing.T) {
 	cfg := models.Config{Classes: 10, Channels: 3, Height: 224, Width: 224, Seed: 3, WidthScale: 0.1}
 	m := models.AlexNet(cfg)

@@ -15,7 +15,6 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -156,10 +155,10 @@ func appendF32(dst []byte, data []float32) []byte {
 // readVector reads the plen payload bytes of the vector frame f (FrameF32 or
 // FrameQuant, header already validated against plen) from r and decodes them
 // into dst, which holds f.Count elements. It is the one decoder of the vector
-// wire format: the connection readers call it with a recycled dst, DecodeVector
-// with a fresh one. A float payload is read straight into dst's own storage; a
-// quantized one goes through scratch, which is grown as needed and returned
-// for the caller to pass in again.
+// wire format, and the connection readers call it with a recycled dst. A
+// float payload is read straight into dst's own storage; a quantized one goes
+// through scratch, which is grown as needed and returned for the caller to
+// pass in again.
 func readVector(r io.Reader, f *Frame, plen int, dst []float32, scratch []byte) ([]byte, error) {
 	switch f.Type {
 	case FrameF32:
@@ -184,10 +183,8 @@ func readVector(r io.Reader, f *Frame, plen int, dst []float32, scratch []byte) 
 // appendVectorFrame appends the complete frame — header and payload — for a
 // float32 vector from src with tag: full precision when bits is 0,
 // dist.Quantize compression otherwise. trace and span are the frame's trace
-// context. The bytes are exactly AppendFrame(dst, EncodeVector(src, tag,
-// data, bits)) with those trace fields set, without the intermediate
-// payload: this is the send path's encoder, writing into a buffer the
-// caller reuses.
+// context. It is the send path's encoder, writing into a buffer the caller
+// reuses.
 func appendVectorFrame(dst []byte, src, tag int, data []float32, bits uint, trace, span uint64) []byte {
 	f := Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag), Count: uint32(len(data)), Trace: trace, Span: span}
 	if bits > 0 && len(data) > 0 {
@@ -266,24 +263,6 @@ func decodeHeader(h []byte) (Frame, int, error) {
 	return f, int(plen), nil
 }
 
-// DecodeFrame decodes one frame from the front of b, returning the frame
-// and the bytes consumed. Truncated, oversized and corrupt inputs return
-// errors, never panic.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	f, plen, err := decodeHeader(b)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	if len(b) < headerLen+plen {
-		return Frame{}, 0, fmt.Errorf("transport: truncated payload (%d of %d bytes)", len(b)-headerLen, plen)
-	}
-	if err := f.validate(plen); err != nil {
-		return Frame{}, 0, err
-	}
-	f.Payload = b[headerLen : headerLen+plen]
-	return f, headerLen + plen, nil
-}
-
 // WriteFrame writes f's wire encoding to w.
 func WriteFrame(w io.Writer, f *Frame) error {
 	buf := AppendFrame(make([]byte, 0, headerLen+len(f.Payload)), f)
@@ -319,34 +298,4 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("transport: reading %d payload bytes: %w", plen, err)
 	}
 	return f, nil
-}
-
-// EncodeVector builds the frame for a float32 vector from src with tag:
-// full precision when bits is 0, dist.Quantize compression otherwise.
-func EncodeVector(src, tag int, data []float32, bits uint) Frame {
-	if bits > 0 && len(data) > 0 {
-		codes, scale := dist.Quantize(data, bits)
-		payload := make([]byte, 4+len(codes))
-		binary.LittleEndian.PutUint32(payload[0:4], math.Float32bits(scale))
-		copy(payload[4:], codes)
-		return Frame{Type: FrameQuant, Bits: uint8(bits), Src: int32(src), Tag: int32(tag),
-			Count: uint32(len(data)), Payload: payload}
-	}
-	payload := appendF32(make([]byte, 0, 4*len(data)), data)
-	return Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag),
-		Count: uint32(len(data)), Payload: payload}
-}
-
-// DecodeVector reconstructs the float32 vector of a FrameF32 or FrameQuant
-// frame (quantized payloads are dequantized through dist.Dequantize). A frame
-// whose fields and payload disagree returns an error.
-func DecodeVector(f *Frame) ([]float32, error) {
-	if err := f.validate(len(f.Payload)); err != nil {
-		return nil, err
-	}
-	data := make([]float32, f.Count)
-	if _, err := readVector(bytes.NewReader(f.Payload), f, len(f.Payload), data, nil); err != nil {
-		return nil, err
-	}
-	return data, nil
 }

@@ -10,32 +10,61 @@ import (
 	"deep500/internal/tensor"
 )
 
-// TestFrameRoundTrip pins the codec both through the byte-slice path
-// (AppendFrame/DecodeFrame) and the stream path (WriteFrame/ReadFrame) for
-// full-precision and every quantized width.
+// wantFrame is a vector frame assembled field by field and encoded through
+// AppendFrame: the reference the send path's one-pass encoder,
+// appendVectorFrame, must match byte for byte.
+func wantFrame(src, tag int, data []float32, bits uint, trace, span uint64) []byte {
+	f := Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag), Count: uint32(len(data)), Trace: trace, Span: span}
+	if bits > 0 && len(data) > 0 {
+		codes, scale := dist.Quantize(data, bits)
+		f.Type, f.Bits = FrameQuant, uint8(bits)
+		f.Payload = append(binary.LittleEndian.AppendUint32(nil, math.Float32bits(scale)), codes...)
+	} else {
+		for _, v := range data {
+			f.Payload = binary.LittleEndian.AppendUint32(f.Payload, math.Float32bits(v))
+		}
+	}
+	return AppendFrame(nil, &f)
+}
+
+// readVectorFrame decodes one vector frame the way a connection reader
+// does: the header, then readVector into a fresh slice.
+func readVectorFrame(wire []byte) (Frame, []float32, error) {
+	r := bytes.NewReader(wire)
+	f, plen, err := readHeader(r, make([]byte, headerLen))
+	if err != nil {
+		return Frame{}, nil, err
+	}
+	data := make([]float32, f.Count)
+	if _, err := readVector(r, &f, plen, data, nil); err != nil {
+		return Frame{}, nil, err
+	}
+	return f, data, nil
+}
+
+// TestFrameRoundTrip pins the send path's encoder (appendVectorFrame)
+// against the field-by-field encoding and the stream decoders (ReadFrame, and readHeader plus readVector as
+// the connection readers use them) for full-precision and every quantized
+// width.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	var scratch []byte
 	for _, n := range []int{0, 1, 7, 100} {
 		data := tensor.RandNormal(rng, 0, 1, n+1).Data()[:n]
 		for bits := uint(0); bits <= 8; bits++ {
-			f := EncodeVector(3, 2, data, bits)
-			wire := AppendFrame(nil, &f)
-
-			// The send path's one-pass encoder emits the same bytes, behind
-			// whatever its buffer already holds.
-			traced := f
-			traced.Trace, traced.Span = 0xfeed, 0xbeef
-			if one := appendVectorFrame([]byte("kept"), 3, 2, data, bits, 0xfeed, 0xbeef); !bytes.Equal(one, AppendFrame([]byte("kept"), &traced)) {
-				t.Fatalf("n=%d bits=%d: appendVectorFrame differs from AppendFrame(EncodeVector)", n, bits)
+			wire := appendVectorFrame(nil, 3, 2, data, bits, 0, 0)
+			if !bytes.Equal(wire, wantFrame(3, 2, data, bits, 0, 0)) {
+				t.Fatalf("n=%d bits=%d: appendVectorFrame differs from the field-by-field encoding", n, bits)
+			}
+			// Traced, and appended behind whatever the buffer already holds.
+			kept := appendVectorFrame([]byte("kept"), 3, 2, data, bits, 0xfeed, 0xbeef)
+			if !bytes.Equal(kept, append([]byte("kept"), wantFrame(3, 2, data, bits, 0xfeed, 0xbeef)...)) {
+				t.Fatalf("n=%d bits=%d: traced appendVectorFrame differs from the field-by-field encoding", n, bits)
 			}
 
-			got, used, err := DecodeFrame(wire)
+			got, err := ReadFrame(bytes.NewReader(wire))
 			if err != nil {
 				t.Fatalf("n=%d bits=%d: decode: %v", n, bits, err)
-			}
-			if used != len(wire) {
-				t.Fatalf("n=%d bits=%d: consumed %d of %d bytes", n, bits, used, len(wire))
 			}
 			if got.Src != 3 || got.Tag != 2 || got.Count != uint32(n) {
 				t.Fatalf("n=%d bits=%d: header %+v", n, bits, got)
@@ -43,50 +72,31 @@ func TestFrameRoundTrip(t *testing.T) {
 			if got.Trace != 0 || got.Span != 0 {
 				t.Fatalf("n=%d bits=%d: untraced frame decoded trace ctx %x/%x", n, bits, got.Trace, got.Span)
 			}
-
-			streamed, err := ReadFrame(bytes.NewReader(wire))
-			if err != nil {
-				t.Fatalf("n=%d bits=%d: stream read: %v", n, bits, err)
-			}
-			if !bytes.Equal(streamed.Payload, got.Payload) {
-				t.Fatalf("n=%d bits=%d: stream and slice payloads differ", n, bits)
-			}
-
-			vec, err := DecodeVector(&got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(vec) != n {
-				t.Fatalf("n=%d bits=%d: decoded %d values", n, bits, len(vec))
+			if re := AppendFrame(nil, &got); !bytes.Equal(re, wire) {
+				t.Fatalf("n=%d bits=%d: AppendFrame of the decoded frame differs from the sent bytes", n, bits)
 			}
 
 			// The connection readers' path: header, then readVector straight
 			// off the stream into a recycled (dirty) slab, with the scratch
-			// carried over from the previous frame. Same floats, whole frame
-			// consumed.
+			// carried over from the previous frame. Whole frame consumed.
 			stream := bytes.NewReader(wire)
 			hf, plen, err := readHeader(stream, make([]byte, headerLen))
 			if err != nil {
 				t.Fatalf("n=%d bits=%d: readHeader: %v", n, bits, err)
 			}
-			slab := make([]float32, n)
-			for i := range slab {
-				slab[i] = float32(math.NaN())
+			vec := make([]float32, n)
+			for i := range vec {
+				vec[i] = float32(math.NaN())
 			}
-			if scratch, err = readVector(stream, &hf, plen, slab, scratch); err != nil {
+			if scratch, err = readVector(stream, &hf, plen, vec, scratch); err != nil {
 				t.Fatalf("n=%d bits=%d: readVector: %v", n, bits, err)
 			}
 			if stream.Len() != 0 {
 				t.Fatalf("n=%d bits=%d: readVector left %d bytes of the frame unread", n, bits, stream.Len())
 			}
-			for i := range vec {
-				if math.Float32bits(slab[i]) != math.Float32bits(vec[i]) {
-					t.Fatalf("n=%d bits=%d: streamed value %d is %g, DecodeVector gave %g", n, bits, i, slab[i], vec[i])
-				}
-			}
 			if bits == 0 || n == 0 {
 				for i := range vec {
-					if vec[i] != data[i] {
+					if math.Float32bits(vec[i]) != math.Float32bits(data[i]) {
 						t.Fatalf("n=%d: full-precision value %d changed: %g vs %g", n, i, vec[i], data[i])
 					}
 				}
@@ -109,13 +119,17 @@ func TestFrameRoundTrip(t *testing.T) {
 // corrupt returns a valid encoded frame with one mutation applied.
 func corrupt(t *testing.T, mutate func(b []byte) []byte) []byte {
 	t.Helper()
-	f := EncodeVector(1, 0, []float32{1, 2, 3}, 0)
-	return mutate(AppendFrame(nil, &f))
+	return mutate(appendVectorFrame(nil, 1, 0, []float32{1, 2, 3}, 0, 0, 0))
 }
 
 // TestFrameDecodeRejects drives the decoder through every corruption class:
 // all must return an error, none may panic or succeed.
 func TestFrameDecodeRejects(t *testing.T) {
+	quant := func(bits byte) []byte {
+		b := appendVectorFrame(nil, 1, 0, []float32{1, 2, 3}, 4, 0, 0)
+		b[6] = bits
+		return b
+	}
 	cases := map[string][]byte{
 		"empty":            {},
 		"truncated header": corrupt(t, func(b []byte) []byte { return b[:10] }),
@@ -138,18 +152,8 @@ func TestFrameDecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[16:20], 7)
 			return b
 		}),
-		"quant bits zero": func() []byte {
-			f := EncodeVector(1, 0, []float32{1, 2, 3}, 4)
-			b := AppendFrame(nil, &f)
-			b[6] = 0
-			return b
-		}(),
-		"quant bits nine": func() []byte {
-			f := EncodeVector(1, 0, []float32{1, 2, 3}, 4)
-			b := AppendFrame(nil, &f)
-			b[6] = 9
-			return b
-		}(),
+		"quant bits zero": quant(0),
+		"quant bits nine": quant(9),
 		"hello with payload": func() []byte {
 			f := Frame{Type: FrameHello, Src: 1, Count: 1, Payload: []byte{0, 0, 0, 0}}
 			return AppendFrame(nil, &f)
@@ -160,11 +164,11 @@ func TestFrameDecodeRejects(t *testing.T) {
 		}(),
 	}
 	for name, wire := range cases {
-		if _, _, err := DecodeFrame(wire); err == nil {
+		if _, err := ReadFrame(bytes.NewReader(wire)); err == nil {
 			t.Errorf("%s: decode succeeded on corrupt input", name)
 		}
-		if _, err := ReadFrame(bytes.NewReader(wire)); err == nil {
-			t.Errorf("%s: stream decode succeeded on corrupt input", name)
+		if _, _, err := readVectorFrame(wire); err == nil {
+			t.Errorf("%s: vector decode succeeded on corrupt input", name)
 		}
 	}
 }
@@ -172,9 +176,15 @@ func TestFrameDecodeRejects(t *testing.T) {
 // TestDecodeVectorRejects: a hand-built frame whose payload does not match
 // its fields, or that carries no vector, is an error and never a panic.
 func TestDecodeVectorRejects(t *testing.T) {
-	short := EncodeVector(1, 0, []float32{1, 2, 3}, 0)
+	short, err := ReadFrame(bytes.NewReader(appendVectorFrame(nil, 1, 0, []float32{1, 2, 3}, 0, 0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	short.Payload = short.Payload[:8]
-	quant := EncodeVector(1, 0, []float32{1, 2, 3}, 4)
+	quant, err := ReadFrame(bytes.NewReader(appendVectorFrame(nil, 1, 0, []float32{1, 2, 3}, 4, 0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	quant.Payload = quant.Payload[:3]
 	for name, f := range map[string]Frame{
 		"short float payload": short,
@@ -182,7 +192,7 @@ func TestDecodeVectorRejects(t *testing.T) {
 		"hello":               {Type: FrameHello, Src: 1},
 		"unknown type":        {Type: 77},
 	} {
-		if v, err := DecodeVector(&f); err == nil {
+		if _, v, err := readVectorFrame(AppendFrame(nil, &f)); err == nil {
 			t.Errorf("%s: decoded %v", name, v)
 		}
 	}
@@ -192,28 +202,24 @@ func TestDecodeVectorRejects(t *testing.T) {
 // either fail cleanly or decode to a frame whose re-encoding decodes
 // identically. (go test runs the seed corpus; go test -fuzz explores.)
 func FuzzDecodeFrame(f *testing.F) {
-	good := EncodeVector(2, 1, []float32{-1, 0.5, 3}, 0)
-	f.Add(AppendFrame(nil, &good))
-	quant := EncodeVector(0, 0, []float32{-1, 0.5, 3, 0.25, 9}, 3)
-	f.Add(AppendFrame(nil, &quant))
+	f.Add(appendVectorFrame(nil, 2, 1, []float32{-1, 0.5, 3}, 0, 0, 0))
+	f.Add(appendVectorFrame(nil, 0, 0, []float32{-1, 0.5, 3, 0.25, 9}, 3, 0, 0))
 	hello := Frame{Type: FrameHello, Src: 4}
 	f.Add(AppendFrame(nil, &hello))
-	traced := EncodeVector(1, 3, []float32{2, 4}, 0)
-	traced.Trace, traced.Span = 0xdeadbeefcafef00d, 0x0123456789abcdef
-	f.Add(AppendFrame(nil, &traced))
+	f.Add(appendVectorFrame(nil, 1, 3, []float32{2, 4}, 0, 0xdeadbeefcafef00d, 0x0123456789abcdef))
 	f.Add([]byte("D5TP"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		fr, used, err := DecodeFrame(wire) // must never panic
+		fr, err := ReadFrame(bytes.NewReader(wire)) // must never panic
 		if err != nil {
 			return
 		}
-		if used < headerLen || used > len(wire) {
-			t.Fatalf("consumed %d of %d bytes", used, len(wire))
+		if n := headerLen + len(fr.Payload); n > len(wire) {
+			t.Fatalf("decoded %d bytes from %d", n, len(wire))
 		}
 		re := AppendFrame(nil, &fr)
-		fr2, _, err := DecodeFrame(re)
+		fr2, err := ReadFrame(bytes.NewReader(re))
 		if err != nil {
 			t.Fatalf("re-encoded frame fails to decode: %v", err)
 		}
@@ -223,7 +229,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encode round trip mismatch: %+v vs %+v", fr, fr2)
 		}
 		if fr.Type == FrameF32 || fr.Type == FrameQuant {
-			if _, err := DecodeVector(&fr); err != nil {
+			if _, _, err := readVectorFrame(wire); err != nil {
 				t.Fatalf("validated frame fails vector decode: %v", err)
 			}
 		}
@@ -233,23 +239,22 @@ func FuzzDecodeFrame(f *testing.F) {
 // TestFrameTraceRoundTrip pins the version-2 trace fields through both
 // decode paths.
 func TestFrameTraceRoundTrip(t *testing.T) {
-	f := EncodeVector(3, 2, []float32{1, 2}, 0)
-	f.Trace, f.Span = 0xfeedface12345678, 0x1122334455667788
-	wire := AppendFrame(nil, &f)
+	const traceID, spanID = 0xfeedface12345678, 0x1122334455667788
+	wire := appendVectorFrame(nil, 3, 2, []float32{1, 2}, 0, traceID, spanID)
 
-	got, _, err := DecodeFrame(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != f.Trace || got.Span != f.Span {
-		t.Fatalf("decoded trace ctx %x/%x, want %x/%x", got.Trace, got.Span, f.Trace, f.Span)
-	}
 	streamed, err := ReadFrame(bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.Trace != f.Trace || streamed.Span != f.Span {
-		t.Fatalf("streamed trace ctx %x/%x", streamed.Trace, streamed.Span)
+	if streamed.Trace != traceID || streamed.Span != spanID {
+		t.Fatalf("streamed trace ctx %x/%x, want %x/%x", streamed.Trace, streamed.Span, uint64(traceID), uint64(spanID))
+	}
+	got, _, err := readVectorFrame(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Trace != traceID || got.Span != spanID {
+		t.Fatalf("reader-path trace ctx %x/%x", got.Trace, got.Span)
 	}
 }
 
@@ -261,13 +266,12 @@ func TestQuantizedFrameWireSize(t *testing.T) {
 		data[i] = float32(i%17) - 8
 	}
 	for bits := uint(1); bits <= 8; bits++ {
-		f := EncodeVector(0, 0, data, bits)
-		if want := 4 + dist.QuantizedLen(len(data), bits); len(f.Payload) != want {
-			t.Fatalf("bits=%d: payload %d bytes, want %d", bits, len(f.Payload), want)
+		payload := len(appendVectorFrame(nil, 0, 0, data, bits, 0, 0)) - headerLen
+		if want := 4 + dist.QuantizedLen(len(data), bits); payload != want {
+			t.Fatalf("bits=%d: payload %d bytes, want %d", bits, payload, want)
 		}
 	}
-	full := EncodeVector(0, 0, data, 0)
-	if len(full.Payload) != 4000 {
-		t.Fatalf("full-precision payload %d bytes", len(full.Payload))
+	if full := len(appendVectorFrame(nil, 0, 0, data, 0, 0, 0)) - headerLen; full != 4000 {
+		t.Fatalf("full-precision payload %d bytes", full)
 	}
 }

@@ -190,12 +190,8 @@ type TCPRank struct {
 	dropped, redials       atomic.Int64
 
 	// traceCtx is the outbound trace context stamped on every frame this
-	// rank sends ([trace, span]; nil = untraced). peerTrace is the most
-	// recent non-zero trace context received from any peer — how a worker
-	// that was not launched with an explicit context still learns the
-	// step's trace.
-	traceCtx  atomic.Pointer[[2]uint64]
-	peerTrace atomic.Pointer[[2]uint64]
+	// rank sends ([trace, span]; nil = untraced).
+	traceCtx atomic.Pointer[[2]uint64]
 }
 
 var _ dist.Rank = (*TCPRank)(nil)
@@ -280,17 +276,6 @@ func (t *TCPRank) SetTraceContext(traceID, spanID uint64) {
 		return
 	}
 	t.traceCtx.Store(&[2]uint64{traceID, spanID})
-}
-
-// PeerTraceContext returns the most recent non-zero trace context seen on
-// an inbound frame, if any — a receiver-side rank joins the sender's
-// trace through it.
-func (t *TCPRank) PeerTraceContext() (traceID, spanID uint64, ok bool) {
-	p := t.peerTrace.Load()
-	if p == nil {
-		return 0, 0, false
-	}
-	return p[0], p[1], true
 }
 
 // Close tears the rank down: listener, every connection, and all reader
@@ -425,9 +410,6 @@ func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 		}
 		t.recvBytes.Add(int64(headerLen + plen))
 		t.recvFrames.Add(1)
-		if f.Trace != 0 {
-			t.peerTrace.Store(&[2]uint64{f.Trace, f.Span})
-		}
 		t.push(src, dist.Message{Data: data, Src: src, Tag: int(f.Tag)})
 	}
 }

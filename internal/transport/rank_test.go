@@ -404,38 +404,40 @@ func TestTCPRankImplementsDistRank(t *testing.T) {
 	}
 }
 
-// TestTraceContextPropagation: a sender's trace context stamps its frames
-// and surfaces at the receiver via PeerTraceContext; clearing it stops
-// the stamping.
+// TestTraceContextPropagation: a sender's trace context stamps every frame
+// it puts on the wire, and clearing it stops the stamping. The peer is a
+// raw connection, so the test reads the frames exactly as they were sent.
 func TestTraceContextPropagation(t *testing.T) {
-	ranks := world(t, 2, nil)
-	if _, _, ok := ranks[1].PeerTraceContext(); ok {
-		t.Fatal("fresh rank reports a peer trace context")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ranks[0].SetTraceContext(0xabc, 0xdef)
-	run(t, ranks, func(r *TCPRank) error {
-		if r.ID() == 0 {
-			return r.Send(1, 0, []float32{1, 2}, 0)
-		}
-		recv(t, r, 0)
-		return nil
-	})
-	tr, sp, ok := ranks[1].PeerTraceContext()
-	if !ok || tr != 0xabc || sp != 0xdef {
-		t.Fatalf("peer trace ctx %x/%x ok=%v, want abc/def", tr, sp, ok)
+	r0, err := New(Options{ID: 0, Size: 2, Listener: ln, Peers: []string{ln.Addr().String(), ""}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Sender side never learns its own context from inbound frames of an
-	// untraced peer, and clearing stops stamping.
-	ranks[0].SetTraceContext(0, 0)
-	run(t, ranks, func(r *TCPRank) error {
-		if r.ID() == 1 {
-			return r.Send(0, 0, []float32{3}, 0)
+	defer r0.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	hello := Frame{Type: FrameHello, Src: 1}
+	if err := WriteFrame(c, &hello); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range [][2]uint64{{0xabc, 0xdef}, {0, 0}} {
+		r0.SetTraceContext(want[0], want[1])
+		if err := r0.Send(1, 0, []float32{1, 2}, mpi.SimActual); err != nil {
+			t.Fatal(err)
 		}
-		recv(t, r, 1)
-		return nil
-	})
-	if _, _, ok := ranks[0].PeerTraceContext(); ok {
-		t.Fatal("untraced frame installed a peer trace context")
+		f, err := ReadFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Trace != want[0] || f.Span != want[1] {
+			t.Fatalf("frame trace ctx %x/%x, want %x/%x", f.Trace, f.Span, want[0], want[1])
+		}
 	}
 }

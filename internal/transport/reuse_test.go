@@ -15,9 +15,9 @@ import (
 )
 
 // TestSendPathGoldenBytes reads what Send actually puts on a socket:
-// frame for frame it must be AppendFrame(EncodeVector(..)) with the rank's
-// trace context stamped in — across payloads that grow, shrink and empty
-// (the write buffer is reused), full precision and quantized.
+// frame for frame it must be the field-by-field encoding (wantFrame) with
+// the rank's trace context stamped in — across payloads that grow, shrink
+// and empty (the write buffer is reused), full precision and quantized.
 func TestSendPathGoldenBytes(t *testing.T) {
 	for _, bits := range []uint{0, 4} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,15 +51,13 @@ func TestSendPathGoldenBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want := EncodeVector(1, tag, data, bits)
-			want.Trace, want.Span = 0xabc, 0xdef
-			wire := AppendFrame(nil, &want)
+			wire := wantFrame(1, tag, data, bits, 0xabc, 0xdef)
 			got := make([]byte, len(wire))
 			if _, err := io.ReadFull(c, got); err != nil {
 				t.Fatalf("bits=%d send %d: %v", bits, i, err)
 			}
 			if !bytes.Equal(got, wire) {
-				t.Fatalf("bits=%d send %d (%d floats): wire bytes differ from AppendFrame(EncodeVector)", bits, i, n)
+				t.Fatalf("bits=%d send %d (%d floats): wire bytes differ from the field-by-field encoding", bits, i, n)
 			}
 		}
 	}

@@ -89,7 +89,9 @@ func TestExecutorComparisonDetectsDifference(t *testing.T) {
 	// Corrupt one weight of e2.
 	name := e2.Network().Params()[0]
 	w, _ := e2.Network().FetchTensor(name)
-	w.AddScalar(0.5)
+	for i := range w.Data() {
+		w.Data()[i] += 0.5
+	}
 	res := TestExecutor(e1, e2, feeds, 1e-6)
 	if res.Passed {
 		t.Fatal("difference not detected")

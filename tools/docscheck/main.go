@@ -9,7 +9,10 @@
 //  3. drift between the canonical metric list (internal/obs/names.go)
 //     and the metric reference in docs/operations.md — every canonical
 //     series must be documented there, and every d500_* series the doc
-//     mentions must exist in code.
+//     mentions must exist in code; and
+//  4. exported internal/ identifiers with no non-test reference outside
+//     their declaration (deadapi.go) — dead internal API is deleted,
+//     unexported, or allowlisted for one of a closed set of reasons.
 //
 // Usage: go run ./tools/docscheck [repo-root]   (default ".")
 package main
@@ -37,6 +40,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkDocComments(filepath.Join(root, "d500"))...)
 	problems = append(problems, checkMetricsDocs(filepath.Join(root, "docs", "operations.md"))...)
+	problems = append(problems, checkDeadAPI(root, deadAPIAllowlist)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -44,7 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, d500 doc comments and metric reference OK")
+	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference and internal API callers OK")
 }
 
 // mdLink matches [text](target); images ![alt](target) share the suffix.
@@ -194,16 +198,4 @@ func checkMetricsDocs(docPath string) []string {
 }
 
 // exportedRecv reports whether a method receiver names an exported type.
-func exportedRecv(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
-	}
-	t := recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if ident, ok := t.(*ast.Ident); ok {
-		return ident.IsExported()
-	}
-	return false
-}
+func exportedRecv(recv *ast.FieldList) bool { return ast.IsExported(recvName(recv)) }
