@@ -16,8 +16,13 @@ func positiveMask(b uint32) uint32 {
 // ReLU computes out[i] = in[i] if in[i] > 0 else +0 (so −0 and NaN give +0).
 func ReLU(in, out []float32) {
 	out = out[:len(in)]
-	for i, v := range in {
-		b := math.Float32bits(v)
+	done := 0
+	if useAVX2 && len(in) >= 8 {
+		done = len(in) &^ 7
+		reluAVX2(&in[0], &out[0], done)
+	}
+	for i := done; i < len(in); i++ {
+		b := math.Float32bits(in[i])
 		out[i] = math.Float32frombits(b & positiveMask(b))
 	}
 }
@@ -26,8 +31,13 @@ func ReLU(in, out []float32) {
 func ReLUBackward(fwdIn, gradOut, gradIn []float32) {
 	gradOut = gradOut[:len(fwdIn)]
 	gradIn = gradIn[:len(fwdIn)]
-	for i, v := range fwdIn {
-		gradIn[i] = math.Float32frombits(math.Float32bits(gradOut[i]) & positiveMask(math.Float32bits(v)))
+	done := 0
+	if useAVX2 && len(fwdIn) >= 8 {
+		done = len(fwdIn) &^ 7
+		reluBackwardAVX2(&fwdIn[0], &gradOut[0], &gradIn[0], done)
+	}
+	for i := done; i < len(fwdIn); i++ {
+		gradIn[i] = math.Float32frombits(math.Float32bits(gradOut[i]) & positiveMask(math.Float32bits(fwdIn[i])))
 	}
 }
 

@@ -95,3 +95,42 @@ func BenchmarkConvLeNet(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPoolReLULeNet times LeNet's two ReLU → max-pool pairs at batch
+// 32 (conv1's 32×6×28×28 output and conv2's 32×16×10×10), forward (ReLU,
+// then the pool with argmax) and backward (the pool's input gradient, then
+// ReLU's), on the pure-Go loops and on the AVX2 kernels. docs/kernels.md
+// has the table. CI runs it once as a smoke test.
+//
+//	go test ./internal/kernels -run '^$' -bench PoolReLULeNet -benchmem -cpu 1
+func BenchmarkPoolReLULeNet(b *testing.B) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	paths := []string{"go"}
+	if useAVX2 {
+		paths = append(paths, "avx2")
+	}
+	for i, s := range lenetPoolShapes(32) {
+		x := seeded(uint64(90+i), s.inputSize())
+		act, gradAct, gradX := make([]float32, len(x)), make([]float32, len(x)), make([]float32, len(x))
+		out, argmax := make([]float32, s.OutputSize()), make([]int32, s.OutputSize())
+		gOut := seeded(uint64(95+i), s.OutputSize())
+		layer := fmt.Sprintf("pool%d", i+1)
+		for _, path := range paths {
+			asm := path == "avx2"
+			b.Run(layer+"/fwd/"+path, func(b *testing.B) {
+				useAVX2 = asm
+				for i := 0; i < b.N; i++ {
+					ReLU(x, act)
+					MaxPool2D(s, act, out, argmax)
+				}
+			})
+			b.Run(layer+"/bwd/"+path, func(b *testing.B) {
+				useAVX2 = asm
+				for i := 0; i < b.N; i++ {
+					MaxPool2DBackward(s, gOut, argmax, gradAct)
+					ReLUBackward(x, gradAct, gradX)
+				}
+			})
+		}
+	}
+}

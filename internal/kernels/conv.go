@@ -146,6 +146,10 @@ func addBias(bias, out []float32) {
 	plane := len(out) / len(bias)
 	for m, b := range bias {
 		dst := out[m*plane : (m+1)*plane]
+		if useAVX2 && plane >= 8 {
+			addBiasAVX2(&dst[0], plane&^7, b)
+			dst = dst[plane&^7:]
+		}
 		for i := range dst {
 			dst[i] += b
 		}

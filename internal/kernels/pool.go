@@ -81,6 +81,12 @@ func maxPool2DGeneral(s PoolShape, in, out []float32, argmax []int32, oh, ow int
 // argmax — including which of several equal maxima wins — are the general
 // loop's.
 func maxPool2DUnpadded(s PoolShape, in, out []float32, argmax []int32, oh, ow int) {
+	if vectorPool(s, ow) && argmax != nil {
+		planes := s.N * s.C
+		in, out, argmax = in[:planes*s.H*s.W], out[:planes*oh*ow], argmax[:planes*oh*ow]
+		maxPool2x2AVX2(&in[0], &out[0], &argmax[0], planes, s.H, s.W, oh, ow)
+		return
+	}
 	for plane := 0; plane < s.N*s.C; plane++ {
 		inP := plane * s.H * s.W
 		o := plane * oh * ow
@@ -107,16 +113,47 @@ func maxPool2DUnpadded(s PoolShape, in, out []float32, argmax []int32, oh, ow in
 	}
 }
 
-// MaxPool2DBackward scatters gradOut into gradIn at the argmax positions.
-// gradIn must be zeroed by the caller or reused intentionally.
+// vectorPool reports whether the AVX2 kernels take pool s, whose output is
+// ow wide: 2×2 windows at stride 2 without padding (both LeNet pools), at
+// least four outputs wide.
+func vectorPool(s PoolShape, ow int) bool {
+	return useAVX2 && s.KH == 2 && s.KW == 2 && s.StrideH == 2 && s.StrideW == 2 &&
+		s.PadH == 0 && s.PadW == 0 && s.H >= 2 && ow >= 4 && s.N*s.C > 0
+}
+
+// MaxPool2DBackward writes the input gradient of MaxPool2D: every element
+// of gradIn[:N·C·H·W] is overwritten, with 0 + g at the position the argmax
+// of an output with gradient g names (so g = −0 gives +0), summed where
+// overlapping windows name one position twice, and +0 everywhere else.
 func MaxPool2DBackward(s PoolShape, gradOut []float32, argmax []int32, gradIn []float32) {
-	for i := range gradIn[:s.N*s.C*s.H*s.W] {
-		gradIn[i] = 0
+	gradIn = gradIn[:s.N*s.C*s.H*s.W]
+	if oh, ow := s.OutDims(); vectorPool(s, ow) {
+		planes := s.N * s.C
+		gradOut, argmax = gradOut[:planes*oh*ow], argmax[:planes*oh*ow]
+		maxPool2x2BackwardAVX2(&gradOut[0], &argmax[0], &gradIn[0], planes, s.H, s.W, oh, ow)
+		clearUncovered(s, gradIn, oh, ow)
+		return
 	}
+	clear(gradIn)
 	for i, g := range gradOut[:s.OutputSize()] {
 		if idx := argmax[i]; idx >= 0 {
 			gradIn[idx] += g
 		}
+	}
+}
+
+// clearUncovered writes +0 to the elements of an odd-sized plane that no
+// 2×2, stride-2 window covers: the last column and the last row.
+func clearUncovered(s PoolShape, gradIn []float32, oh, ow int) {
+	if s.W == 2*ow && s.H == 2*oh {
+		return
+	}
+	for p := 0; p < s.N*s.C; p++ {
+		plane := gradIn[p*s.H*s.W : (p+1)*s.H*s.W]
+		for y := 0; y < 2*oh; y++ {
+			clear(plane[y*s.W+2*ow : (y+1)*s.W])
+		}
+		clear(plane[2*oh*s.W:])
 	}
 }
 
