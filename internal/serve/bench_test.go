@@ -12,17 +12,7 @@ import (
 // against the strict encoding/json decode it replaced, validation included
 // on both sides. CI runs it once as a smoke test.
 func BenchmarkDecodeFeeds(b *testing.B) {
-	data := make([]float32, 784)
-	rng := tensor.NewRNG(1)
-	for i := range data {
-		data[i] = float32(rng.Norm())
-	}
-	body, err := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{
-		"x": {Shape: []int{1, 1, 28, 28}, Data: data},
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	body := lenetRowBody(b)
 	b.Run("scanner", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -45,4 +35,21 @@ func BenchmarkDecodeFeeds(b *testing.B) {
 			}
 		}
 	})
+}
+
+// lenetRowBody is BenchmarkDecodeFeeds' request: one LeNet row of 784
+// standard-normal values, as encoding/json marshals them.
+func lenetRowBody(tb testing.TB) []byte {
+	data := make([]float32, 784)
+	rng := tensor.NewRNG(1)
+	for i := range data {
+		data[i] = float32(rng.Norm())
+	}
+	body, err := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{
+		"x": {Shape: []int{1, 1, 28, 28}, Data: data},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
 }

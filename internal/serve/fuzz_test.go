@@ -112,6 +112,9 @@ func FuzzInferJSON(f *testing.F) {
 	f.Add([]byte(`{"feeds":{"x":{"shape":null,"data":[1]}},"feeds":null}`))
 	f.Add([]byte(`{"feeds":{"x\u0031":{"shape":[1],"data":[1]},"x1":{"shape":[1],"data":[2]}}}`))
 	f.Add([]byte(`{"feeds":{}} {"feeds":{}}`))
+	// Numbers on both sides of parseFloat32's fast path: a float32
+	// midpoint, 2^53+1, an exponent past 22 and -0 with an absurd exponent.
+	f.Add([]byte(`{"feeds":{"x":{"shape":[4],"data":[16777217,9007199254740993,1e23,-0e999]}}}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var probe inferRequest

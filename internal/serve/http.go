@@ -32,8 +32,9 @@ import (
 //	int     = [ "-" ] ( "0" | digit1-9 { digit } )     must fit an int
 //	num     = int [ "." digit { digit } ] [ ( "e" | "E" ) [ "+" | "-" ] digit { digit } ]
 //
-// A num is converted by strconv.ParseFloat(num, 32), as encoding/json
-// converts it, and must be in float32 range (1e39 is a 400, 1e-60 is 0). An
+// A num yields the value strconv.ParseFloat(num, 32) returns, bit for bit,
+// as encoding/json converts it (exactFloat32 in decode.go has the proof),
+// and must be in float32 range (1e39 is a 400, 1e-60 is 0). An
 // absent shape is the scalar shape [], an absent data is no values; the
 // values must fill the shape and no dimension may be negative. This is a
 // subset of what the strict encoding/json decoder (DisallowUnknownFields)
