@@ -44,7 +44,7 @@ func buildModel(name string, cfg models.Config) (*graph.Model, error) {
 
 func main() {
 	model := flag.String("model", "lenet", "model: mlp, lenet, resnet8, resnet18, wrn16")
-	opt := flag.String("optimizer", "momentum", "optimizer: sgd, momentum, nesterov, adagrad, rmsprop, adam, adam-fused, accelegrad")
+	opt := flag.String("optimizer", "momentum", "optimizer: sgd, momentum, nesterov, adagrad, rmsprop, adam, accelegrad")
 	backend := flag.String("backend", "reference", "framework backend: reference, tfgo, torchgo, cf2go")
 	epochs := flag.Int("epochs", 5, "training epochs")
 	batch := flag.Int("batch", 64, "minibatch size")

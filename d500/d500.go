@@ -13,8 +13,8 @@
 //	if err := sess.Open(model); err != nil { ... }
 //	out, err := sess.Infer(ctx, feeds)
 //
-// Every execution entry point — Infer, Train, Evaluate, Bench, Trainer
-// steps — takes a context.Context that is observed between operator
+// Every execution entry point — Infer, Train, Bench, Trainer steps and
+// evaluation — takes a context.Context that is observed between operator
 // dispatches, training steps and suite experiments, so callers get
 // cancellation and deadlines through the full execution chain.
 //

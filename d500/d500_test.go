@@ -3,6 +3,7 @@ package d500
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,18 +32,9 @@ func TestExecutionBeforeOpenFails(t *testing.T) {
 	if _, err := sess.Infer(context.Background(), nil); !errors.Is(err, errNotOpen) {
 		t.Fatalf("Infer before Open: %v", err)
 	}
-	if _, err := sess.Evaluate(context.Background(), SequentialSampler(mustDataset(t), 8)); !errors.Is(err, errNotOpen) {
-		t.Fatalf("Evaluate before Open: %v", err)
-	}
 	if _, err := sess.NewDriver(SGD(0.1)); !errors.Is(err, errNotOpen) {
 		t.Fatalf("NewDriver before Open: %v", err)
 	}
-}
-
-func mustDataset(t *testing.T) Dataset {
-	t.Helper()
-	train, _ := SyntheticSplit(64, 16, 4, []int{1, 8, 8}, 0.3, 3)
-	return train
 }
 
 func openSession(t *testing.T, opts ...Option) *Session {
@@ -72,7 +64,15 @@ func TestSessionInferAndEvaluate(t *testing.T) {
 	if out["loss"] == nil || out["acc"] == nil {
 		t.Fatalf("missing outputs: %v", out)
 	}
-	acc, err := sess.Evaluate(context.Background(), SequentialSampler(test, 16))
+	d, err := sess.NewDriver(SGD(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sess.NewTrainer(d, SequentialSampler(train, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := tr.Evaluate(context.Background(), SequentialSampler(test, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +210,26 @@ func TestSessionWithFramework(t *testing.T) {
 func TestEvaluateRestoresInferenceMode(t *testing.T) {
 	sess := openSession(t)
 	train, test := SyntheticSplit(64, 32, 4, []int{1, 8, 8}, 0.3, 7)
-	// Evaluate on a never-trained session must not flip it into training
-	// mode, and a completed Train must hand the session back in inference
-	// mode.
-	if _, err := sess.Evaluate(context.Background(), SequentialSampler(test, 16)); err != nil {
-		t.Fatal(err)
-	}
+	// Evaluate between training steps must hand the executor back in
+	// training mode, and a completed Train must hand the session back in
+	// inference mode.
 	ge, err := sess.GraphExecutor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ge.Training() {
-		t.Fatal("Evaluate left a fresh session in training mode")
+	d, err := sess.NewDriver(SGD(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sess.NewTrainer(d, ShuffleSampler(train, 32, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Evaluate(context.Background(), SequentialSampler(test, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if !ge.Training() {
+		t.Fatal("Evaluate left a training session in inference mode")
 	}
 	if _, err := sess.Train(context.Background(), TrainConfig{
 		Optimizer: SGD(0.05), Train: ShuffleSampler(train, 32, 1), Epochs: 1,
@@ -235,9 +243,13 @@ func TestEvaluateRestoresInferenceMode(t *testing.T) {
 
 func TestEvaluateMissingAccOutputErrors(t *testing.T) {
 	sess := openSession(t)
-	_, test := SyntheticSplit(64, 32, 4, []int{1, 8, 8}, 0.3, 7)
-	if _, err := sess.Evaluate(context.Background(), SequentialSampler(test, 16), "no-such-output"); err == nil {
-		t.Fatal("missing accuracy output must error, not report 0%")
+	train, test := SyntheticSplit(64, 32, 4, []int{1, 8, 8}, 0.3, 7)
+	_, err := sess.Train(context.Background(), TrainConfig{
+		Optimizer: SGD(0.05), Train: ShuffleSampler(train, 32, 1), Test: SequentialSampler(test, 16),
+		AccOutput: "no-such-output",
+	})
+	if err == nil || !strings.Contains(err.Error(), "no-such-output") {
+		t.Fatalf("missing accuracy output must error, not report 0%%: %v", err)
 	}
 }
 
@@ -246,13 +258,13 @@ func TestWithSeedZeroUsesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Seed() != 500 {
-		t.Fatalf("WithSeed(0) resolved to %d, want default 500", sess.Seed())
+	if sess.cfg.seed != 500 {
+		t.Fatalf("WithSeed(0) resolved to %d, want default 500", sess.cfg.seed)
 	}
 }
 
 func TestOptimizerByName(t *testing.T) {
-	for _, name := range []string{"sgd", "momentum", "nesterov", "adagrad", "rmsprop", "adam", "adam-fused", "accelegrad"} {
+	for _, name := range []string{"sgd", "momentum", "nesterov", "adagrad", "rmsprop", "adam", "accelegrad"} {
 		if _, err := OptimizerByName(name, 0.01); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -10,9 +10,9 @@ import (
 // Metrics aggregates the session/server event stream and serving counters
 // into a Prometheus-scrapable registry — the production observability
 // surface documented in docs/operations.md. Build one with NewMetrics,
-// install Hook() on the sessions/servers to observe, call Observe(server)
-// to export the serving gauges, and mount Handler() as GET /metrics (this
-// is what cmd/d500serve does).
+// install Hook() on the sessions/servers to observe, call
+// ObserveRegistry to export the serving gauges, and mount Handler() as GET
+// /metrics (this is what cmd/d500serve does).
 type Metrics struct {
 	reg *obs.Registry
 
@@ -31,7 +31,7 @@ type Metrics struct {
 
 // NewMetrics builds a registry with the event-driven series registered
 // (request counts, latency histograms, training progress). The
-// Stats-driven serving gauges appear once Observe binds a Server.
+// Stats-driven serving gauges appear once ObserveRegistry binds a Registry.
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	return &Metrics{
@@ -83,58 +83,25 @@ func (m *Metrics) Hook() Hook {
 	}
 }
 
-// serveSource abstracts what the serving gauges are read from, so one
-// registration path covers both a standalone Server (a single implicit
-// tenant) and a multi-tenant Registry (aggregates summed across tenants,
-// plus one labeled series per tenant).
-type serveSource struct {
-	stats    func() ServerStats           // aggregate serving counters
-	models   func() []ModelStatus         // per-tenant state (one synthetic entry for a Server)
-	registry func() (l, s, u, sh float64) // loads, swaps, unloads, sheds
-}
-
-// Observe exports the server's counters and gauges: queue depth/capacity,
-// batch totals and occupancy, rejection/expiry/failure counts, replica
-// capacity (configured, live, crashes, respawns, autoscaler moves). Values
-// are read from Server.Stats at scrape time, so they never drift from GET
-// /stats. The multi-tenant series render the server as a single tenant
-// named after its model; the registry lifecycle counters stay at zero.
-// Call Observe or ObserveRegistry at most once per Metrics.
-func (m *Metrics) Observe(s *Server) {
-	name := s.name
-	m.observeServe(serveSource{
-		stats: s.Stats,
-		models: func() []ModelStatus {
-			return []ModelStatus{{Name: name, Stats: s.Stats()}}
-		},
-		registry: func() (float64, float64, float64, float64) { return 0, 0, 0, 0 },
-	})
-}
-
-// ObserveRegistry exports a multi-tenant registry: every aggregate series
-// Observe exports (summed across tenants, so dashboards built for a
-// single server keep working), the registry lifecycle counters
-// (loads/swaps/unloads, priority sheds), a loaded-tenant gauge, and
-// per-tenant series labeled by model name that appear and vanish with hot
-// load/unload. Call Observe or ObserveRegistry at most once per Metrics.
+// ObserveRegistry exports a multi-tenant registry's counters and gauges,
+// read from Registry.Stats and Registry.Models at scrape time so they
+// never drift from GET /stats: the aggregate serving series summed across
+// tenants (queue depth/capacity, batch totals and occupancy,
+// rejection/expiry/failure counts, replica capacity, crashes, respawns and
+// autoscaler moves), the registry lifecycle counters (loads/swaps/unloads,
+// priority sheds), a loaded-tenant gauge, and per-tenant series labeled by
+// model name that appear and vanish with hot load/unload. Call at most
+// once per Metrics.
 func (m *Metrics) ObserveRegistry(r *Registry) {
-	m.observeServe(serveSource{
-		stats:  func() ServerStats { return r.Stats().Aggregate },
-		models: r.Models,
-		registry: func() (float64, float64, float64, float64) {
-			st := r.Stats()
-			return float64(st.Loads), float64(st.Swaps), float64(st.Unloads), float64(st.Sheds)
-		},
-	})
-}
-
-func (m *Metrics) observeServe(src serveSource) {
 	stats := func(f func(ServerStats) float64) func() float64 {
-		return func() float64 { return f(src.stats()) }
+		return func() float64 { return f(r.Stats().Aggregate) }
+	}
+	lifecycle := func(f func(RegistryStats) uint64) func() float64 {
+		return func() float64 { return float64(f(r.Stats())) }
 	}
 	perModel := func(f func(ModelStatus) float64) func() map[string]float64 {
 		return func() map[string]float64 {
-			models := src.models()
+			models := r.Models()
 			out := make(map[string]float64, len(models))
 			for _, st := range models {
 				out[st.Name] = f(st)
@@ -185,20 +152,20 @@ func (m *Metrics) observeServe(src serveSource) {
 		"Idle replicas retired (drained) by the autoscaler.",
 		stats(func(st ServerStats) float64 { return float64(st.ScaleDowns) }))
 	m.reg.GaugeFunc(obs.MetricServeModels,
-		"Models currently loaded (1 for a standalone server).",
-		func() float64 { return float64(len(src.models())) })
+		"Models currently loaded.",
+		func() float64 { return float64(len(r.Models())) })
 	m.reg.CounterFunc(obs.MetricServeModelLoadsTotal,
 		"Models hot-loaded into the registry.",
-		func() float64 { l, _, _, _ := src.registry(); return l })
+		lifecycle(func(st RegistryStats) uint64 { return st.Loads }))
 	m.reg.CounterFunc(obs.MetricServeModelSwapsTotal,
 		"Atomic version swaps (a load replacing a served model).",
-		func() float64 { _, s, _, _ := src.registry(); return s })
+		lifecycle(func(st RegistryStats) uint64 { return st.Swaps }))
 	m.reg.CounterFunc(obs.MetricServeModelUnloadsTotal,
 		"Models unloaded from the registry.",
-		func() float64 { _, _, u, _ := src.registry(); return u })
+		lifecycle(func(st RegistryStats) uint64 { return st.Unloads }))
 	m.reg.CounterFunc(obs.MetricServeShedTotal,
 		"Admissions shed because a higher-priority model was under pressure.",
-		func() float64 { _, _, _, sh := src.registry(); return sh })
+		lifecycle(func(st RegistryStats) uint64 { return st.Sheds }))
 	m.reg.CounterVecFunc(obs.MetricServeModelRequestsTotal,
 		"Requests admitted, by model.", "model",
 		perModel(func(st ModelStatus) float64 { return float64(st.Stats.Requests) }))

@@ -14,7 +14,7 @@ import (
 	"deep500/internal/tensor"
 )
 
-// TestMetricsCoversCanonicalNames: once a Metrics observes a server, every
+// TestMetricsCoversCanonicalNames: once a Metrics observes a registry, every
 // metric in the canonical obs.CoreNames() list must be registered — the
 // same invariant tools/docscheck enforces between names and
 // docs/operations.md, closed from the code side. (The d500_dist_* names in
@@ -23,23 +23,24 @@ import (
 func TestMetricsCoversCanonicalNames(t *testing.T) {
 	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 4, Width: 4, Seed: 7}, 8)
 	metrics := NewMetrics()
-	srv, err := NewServer(m,
-		WithMaxBatch(2),
-		WithReplicas(1),
-		WithSession(WithHook(metrics.Hook())),
-	)
+	reg, err := NewRegistry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close(context.Background())
-	metrics.Observe(srv)
+	defer reg.Close(context.Background())
+	if err := reg.Load("mlp", ModelSpec{Model: m, Options: []ServerOption{
+		WithMaxBatch(2),
+		WithReplicas(1),
+		WithSession(WithHook(metrics.Hook())),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	metrics.ObserveRegistry(reg)
 
 	// Serve one request so the event-driven histograms have samples.
 	rng := tensor.NewRNG(3)
-	if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{
-		"x": tensor.RandNormal(rng, 0, 1, 1, 1, 4, 4),
-	}); err != nil {
-		t.Fatal(err)
+	if code := callRegistry(t, reg.Handler(nil), http.MethodPost, "/v1/models/mlp/infer", tensor.RandNormal(rng, 0, 1, 1, 1, 4, 4)); code != http.StatusOK {
+		t.Fatalf("infer: status %d", code)
 	}
 
 	rec := httptest.NewRecorder()
@@ -50,7 +51,7 @@ func TestMetricsCoversCanonicalNames(t *testing.T) {
 	body := rec.Body.String()
 	for _, name := range obs.CoreNames() {
 		if !strings.Contains(body, "# TYPE "+name+" ") {
-			t.Errorf("canonical metric %s is not registered by NewMetrics+Observe", name)
+			t.Errorf("canonical metric %s is not registered by NewMetrics+ObserveRegistry", name)
 		}
 	}
 	for _, want := range []string{

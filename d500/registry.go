@@ -7,7 +7,6 @@ import (
 
 	"deep500/internal/graph"
 	"deep500/internal/serve"
-	"deep500/internal/tensor"
 )
 
 // Multi-tenant serving errors, re-exported like the single-server set.
@@ -96,15 +95,6 @@ func (r *Registry) Load(name string, spec ModelSpec) error {
 		return err
 	}
 	return r.inner.Load(name, ispec)
-}
-
-// Unload removes the named model; its server drains in the background.
-func (r *Registry) Unload(name string) error { return r.inner.Unload(name) }
-
-// Infer routes one request to the named model. Unknown names return
-// ErrUnknownModel; priority-shed admissions return ErrShed.
-func (r *Registry) Infer(ctx context.Context, name string, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return r.inner.Infer(ctx, name, feeds)
 }
 
 // Models lists the loaded tenants, sorted by name.

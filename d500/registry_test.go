@@ -1,7 +1,9 @@
 package d500
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -15,10 +17,30 @@ import (
 	"deep500/internal/tensor"
 )
 
+// callRegistry sends one request to the registry's HTTP front end and
+// returns the status code. A non-nil x is sent as the infer body's feed "x".
+func callRegistry(t *testing.T, h http.Handler, method, path string, x *tensor.Tensor) int {
+	t.Helper()
+	var body []byte
+	if x != nil {
+		var err error
+		body, err = json.Marshal(map[string]any{"feeds": map[string]any{
+			"x": map[string]any{"shape": x.Shape(), "data": x.Data()},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec.Code
+}
+
 // TestRegistryLifecycleAndMetrics drives the public multi-tenant surface
-// end to end: load two models, route, hot-swap one, observe everything
-// through ObserveRegistry (aggregate series, lifecycle counters, and
-// per-tenant labeled series tracking load/unload), then unload.
+// end to end: load two models, route over HTTP, hot-swap one, observe
+// everything through ObserveRegistry (aggregate series, lifecycle
+// counters, and per-tenant labeled series tracking load/unload), then
+// unload.
 func TestRegistryLifecycleAndMetrics(t *testing.T) {
 	reg, err := NewRegistry()
 	if err != nil {
@@ -39,18 +61,17 @@ func TestRegistryLifecycleAndMetrics(t *testing.T) {
 	metrics := NewMetrics()
 	metrics.ObserveRegistry(reg)
 
-	// Route to both tenants; an unknown name is a typed error.
-	if _, err := reg.Infer(context.Background(), "mlp", map[string]*tensor.Tensor{"x": serveInput(1, 1)}); err != nil {
-		t.Fatal(err)
+	// Route to both tenants; an unknown name is a 404.
+	h := reg.Handler(nil)
+	if code := callRegistry(t, h, http.MethodPost, "/v1/models/mlp/infer", serveInput(1, 1)); code != http.StatusOK {
+		t.Fatalf("infer mlp: status %d", code)
 	}
 	rng := tensor.NewRNG(2)
-	if _, err := reg.Infer(context.Background(), "lenet", map[string]*tensor.Tensor{
-		"x": tensor.RandNormal(rng, 0, 1, 1, 1, 28, 28),
-	}); err != nil {
-		t.Fatal(err)
+	if code := callRegistry(t, h, http.MethodPost, "/v1/models/lenet/infer", tensor.RandNormal(rng, 0, 1, 1, 1, 28, 28)); code != http.StatusOK {
+		t.Fatalf("infer lenet: status %d", code)
 	}
-	if _, err := reg.Infer(context.Background(), "ghost", nil); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("unknown model: %v", err)
+	if code := callRegistry(t, h, http.MethodPost, "/v1/models/ghost/infer", serveInput(1, 1)); code != http.StatusNotFound {
+		t.Fatalf("unknown model: status %d, want 404", code)
 	}
 
 	// Hot swap mlp to v2; the registry must report the swap and keep both
@@ -58,8 +79,8 @@ func TestRegistryLifecycleAndMetrics(t *testing.T) {
 	if err := reg.Load("mlp", ModelSpec{Version: "v2", Priority: 2, Model: mlp}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Infer(context.Background(), "mlp", map[string]*tensor.Tensor{"x": serveInput(1, 4)}); err != nil {
-		t.Fatal(err)
+	if code := callRegistry(t, h, http.MethodPost, "/v1/models/mlp/infer", serveInput(1, 4)); code != http.StatusOK {
+		t.Fatalf("infer mlp v2: status %d", code)
 	}
 	st := reg.Stats()
 	if st.Models != 2 || st.Loads != 2 || st.Swaps != 1 {
@@ -93,8 +114,8 @@ func TestRegistryLifecycleAndMetrics(t *testing.T) {
 	}
 
 	// Unloading drops the tenant's labeled series and bumps the counter.
-	if err := reg.Unload("lenet"); err != nil {
-		t.Fatal(err)
+	if code := callRegistry(t, h, http.MethodDelete, "/v1/models/lenet", nil); code != http.StatusOK {
+		t.Fatalf("DELETE lenet: status %d", code)
 	}
 	rec = httptest.NewRecorder()
 	metrics.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -187,7 +208,7 @@ func TestAutoscaleOptionsAndEvent(t *testing.T) {
 		if !ev.Up || ev.Replicas < 2 {
 			t.Fatalf("first scale event should grow the pool: %+v", ev)
 		}
-		if st := srv.Stats(); st.ScaleUps == 0 {
+		if st := srv.inner.Stats(); st.ScaleUps == 0 {
 			t.Fatalf("event without counter: %+v", st)
 		}
 	case <-time.After(10 * time.Second):

@@ -31,8 +31,9 @@ var (
 	ErrReplicaCrash = serve.ErrReplicaCrash
 )
 
-// ServerStats is the serving counter snapshot returned by Server.Stats
-// (and rendered by the HTTP /stats route).
+// ServerStats is one server's serving counter snapshot: per tenant in
+// Registry.Models, summed across tenants in Registry.Stats, and rendered
+// by the HTTP /stats route.
 type ServerStats = serve.Stats
 
 // serverConfig is the resolved server configuration.
@@ -188,9 +189,7 @@ func WithSession(opts ...Option) ServerOption {
 // use — Server is the one concurrency-safe entry point of the package
 // (see the Session concurrency contract).
 type Server struct {
-	inner  *serve.Server
-	name   string  // model name, the per-tenant metrics label
-	tracer *Tracer // replica-shared tracer, nil when tracing is off
+	inner *serve.Server
 }
 
 // NewServer builds a serving pool over the model. The replicas are
@@ -222,7 +221,6 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 		return nil, err
 	}
 
-	s := &Server{}
 	factory := func() (executor.GraphExecutor, error) {
 		return base.newExecutor(m)
 	}
@@ -267,16 +265,8 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.inner = inner
-	s.name = m.Name
-	s.tracer = base.tracer
-	return s, nil
+	return &Server{inner: inner}, nil
 }
-
-// Tracer returns the tracer serving requests record into — the one
-// WithSession(WithTrace/WithTracer) resolved — or nil when tracing is
-// off. Mount Tracer().Handler() to expose the flight recorder.
-func (s *Server) Tracer() *Tracer { return s.tracer }
 
 // Infer runs one inference request through the micro-batching pipeline.
 // Feeds must supply exactly the model's declared inputs, each with a
@@ -287,11 +277,6 @@ func (s *Server) Tracer() *Tracer { return s.tracer }
 func (s *Server) Infer(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	return s.inner.Infer(ctx, feeds)
 }
-
-// Stats returns a snapshot of the serving counters: served requests /
-// rows / batches, mean batch occupancy, rejections, and per-batch queue
-// wait and execution means.
-func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 
 // Close stops admission (Infer then returns ErrServerClosed), drains the
 // queued requests and waits for the replicas to finish. If ctx expires

@@ -131,7 +131,7 @@ func TestServerServesAndObserves(t *testing.T) {
 	if rows != requests {
 		t.Fatalf("ServeSample events account for %d rows, want %d", rows, requests)
 	}
-	st := srv.Stats()
+	st := srv.inner.Stats()
 	if st.Requests != requests || st.Batches != uint64(len(samples)) {
 		t.Fatalf("stats %+v disagree with %d observed samples", st, len(samples))
 	}

@@ -11,12 +11,11 @@ import (
 	"deep500/internal/graph"
 	"deep500/internal/obs/trace"
 	"deep500/internal/tensor"
-	"deep500/internal/training"
 )
 
 // Session is a fully resolved Deep500-Go configuration: framework profile,
 // seed and event hook. Open binds it to a model;
-// Infer, Train, Evaluate and Bench then drive the stack with context-aware
+// Infer, Train and Bench then drive the stack with context-aware
 // execution throughout.
 //
 // # Concurrency contract
@@ -109,11 +108,6 @@ func New(opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// Tracer returns the session's tracer: the one WithTracer attached, the
-// session-owned one WithTrace built, or nil (valid everywhere — tracing
-// off). Mount Tracer().Handler() to expose the flight recorder.
-func (s *Session) Tracer() *Tracer { return s.tracer }
-
 // Framework returns the emulated framework profile name ("reference" when
 // the session uses the uninstrumented reference executor).
 func (s *Session) Framework() string {
@@ -122,9 +116,6 @@ func (s *Session) Framework() string {
 	}
 	return s.cfg.framework
 }
-
-// Seed returns the seed driving the session's generators.
-func (s *Session) Seed() uint64 { return s.cfg.seed }
 
 // Model returns the opened model, nil before Open.
 func (s *Session) Model() *graph.Model { return s.model }
@@ -165,18 +156,6 @@ func (s *Session) Network() (*executor.Network, error) {
 	return s.exec.Network(), nil
 }
 
-// SetTraining switches training-dependent operators (dropout, batch
-// normalization) between training and inference behaviour — the escape
-// hatch for step-level loops driven through NewDriver/NewTrainer.
-// Session.Train and Evaluate manage the mode themselves.
-func (s *Session) SetTraining(on bool) error {
-	if s.exec == nil {
-		return errNotOpen
-	}
-	s.exec.SetTraining(on)
-	return nil
-}
-
 // GraphExecutor exposes the open model's executor behind the internal
 // GraphExecutor interface — the handle the Level 3 worker schemes
 // (dist.NewCentralizedWorker) bind to.
@@ -195,32 +174,6 @@ func (s *Session) Infer(ctx context.Context, feeds map[string]*tensor.Tensor) (m
 		return nil, errNotOpen
 	}
 	return s.exec.Inference(ctx, feeds)
-}
-
-// Evaluate computes mean accuracy of the open model over a sampler in
-// inference mode and emits an EvalEnd event. The model output carrying
-// batch accuracy defaults to "acc"; pass a name to override it (the
-// counterpart of TrainConfig.AccOutput). Inference failures — and a model
-// that never produces the accuracy output — are returned as errors, never
-// reported as 0% accuracy. The executor's training/inference mode is
-// restored afterwards.
-func (s *Session) Evaluate(ctx context.Context, data Sampler, accOutput ...string) (float64, error) {
-	if s.exec == nil {
-		return 0, errNotOpen
-	}
-	if data == nil {
-		return 0, errors.New("d500: Evaluate requires a sampler")
-	}
-	name := "acc"
-	if len(accOutput) > 0 && accOutput[0] != "" {
-		name = accOutput[0]
-	}
-	acc, err := training.EvaluateExecutor(ctx, s.exec, data, name)
-	if err != nil {
-		return 0, err
-	}
-	s.emit(EvalEnd{Accuracy: acc})
-	return acc, nil
 }
 
 // emit delivers an event to the session hook, if any.

@@ -48,7 +48,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Tracer() != nil {
+	if sess.tracer != nil {
 		t.Fatal("untraced session claims a tracer")
 	}
 }
@@ -64,7 +64,7 @@ func TestSessionTraceSpanEvent(t *testing.T) {
 			traces = append(traces, ts)
 		}
 	}))
-	if sess.Tracer() == nil {
+	if sess.tracer == nil {
 		t.Fatal("WithTrace session owns no tracer")
 	}
 	train, _ := SyntheticSplit(128, 32, 4, []int{1, 8, 8}, 0.3, 7)
@@ -95,7 +95,7 @@ func TestSessionTraceSpanEvent(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	sess.Tracer().Handler().ServeHTTP(rec,
+	sess.tracer.Handler().ServeHTTP(rec,
 		httptest.NewRequest("GET", "/debug/traces?trace="+ev.TraceID, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/traces?trace=%s: %d\n%s", ev.TraceID, rec.Code, rec.Body)
@@ -122,7 +122,7 @@ func TestSessionTraceSpanEvent(t *testing.T) {
 			t.Errorf("retained trace has no %q span (got %v)", want, names)
 		}
 	}
-	spans, _, sampled := sess.Tracer().Counters()
+	spans, _, sampled := sess.tracer.Counters()
 	if spans == 0 || sampled == 0 {
 		t.Fatalf("counters: %d spans, %d sampled — want both non-zero", spans, sampled)
 	}
@@ -155,7 +155,7 @@ func TestObserveTracerCoversTraceNames(t *testing.T) {
 }
 
 // TestServerTracerWiring: WithSession(WithTracer) lands serve spans in
-// the shared recorder, and Server.Tracer exposes the shared handle.
+// the shared recorder.
 func TestServerTracerWiring(t *testing.T) {
 	tr, err := NewTracer(TraceConfig{SampleEvery: 1, SlowThreshold: time.Hour, Process: "serve-test"})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestServerTracerWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Tracer() != tr {
+	if sess.tracer != tr {
 		t.Fatal("WithTracer session does not share the tracer")
 	}
 	metrics := NewMetrics()
@@ -176,9 +176,6 @@ func TestServerTracerWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close(context.Background())
-	if srv.Tracer() != tr {
-		t.Fatal("server does not share the tracer")
-	}
 	rng := tensor.NewRNG(3)
 	if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{
 		"x": tensor.RandNormal(rng, 0, 1, 1, 1, 4, 4),

@@ -66,10 +66,6 @@ func RMSProp(lr, decay float64) ThreeStep {
 // Adam is Adam in the Kingma & Ba formulation.
 func Adam(lr float64) ThreeStep { return training.NewFusedAdam(float32(lr)) }
 
-// FusedAdam is an alias of Adam, kept for callers written when Adam was the
-// composing reference form and the fused rule had its own name.
-func FusedAdam(lr float64) ThreeStep { return Adam(lr) }
-
 // AcceleGrad is the paper's custom-optimizer walkthrough (Listing 7).
 func AcceleGrad(lr, d, g float64) ThreeStep {
 	return training.NewAcceleGrad(float32(lr), float32(d), float32(g))
@@ -89,12 +85,12 @@ func OptimizerByName(name string, lr float64) (ThreeStep, error) {
 		return AdaGrad(lr), nil
 	case "rmsprop":
 		return RMSProp(lr, 0.9), nil
-	case "adam", "adam-fused": // "adam-fused" is an alias from before the fused rules were the default
+	case "adam":
 		return Adam(lr), nil
 	case "accelegrad":
 		return AcceleGrad(lr, 1, 1), nil
 	}
-	return nil, fmt.Errorf("d500: unknown optimizer %q (sgd, momentum, nesterov, adagrad, rmsprop, adam, adam-fused, accelegrad)", name)
+	return nil, fmt.Errorf("d500: unknown optimizer %q (sgd, momentum, nesterov, adagrad, rmsprop, adam, accelegrad)", name)
 }
 
 // Data helpers: public constructors for the built-in samplers and the
@@ -160,13 +156,6 @@ func (s *Session) NewTrainer(opt Optimizer, train, test Sampler) (*Trainer, erro
 
 // Step runs one optimization step on a batch and returns its loss.
 func (t *Trainer) Step(ctx context.Context, b *Batch) (float64, error) { return t.r.Step(ctx, b) }
-
-// RunEpoch trains over one pass of the training sampler and returns the
-// mean loss; cancellation stops at a batch boundary.
-func (t *Trainer) RunEpoch(ctx context.Context) (float64, error) { return t.r.RunEpoch(ctx) }
-
-// RunEpochs trains for n epochs with per-epoch evaluation.
-func (t *Trainer) RunEpochs(ctx context.Context, n int) error { return t.r.RunEpochs(ctx, n) }
 
 // Evaluate computes mean accuracy over a sampler and emits EvalEnd.
 func (t *Trainer) Evaluate(ctx context.Context, data Sampler) (float64, error) {
@@ -271,7 +260,7 @@ func (s *Session) Train(ctx context.Context, cfg TrainConfig) (*TrainResult, err
 	t.r.StopOnNaN = cfg.StopOnNaN
 	var tta *metrics.TimeToAccuracy
 	if cfg.TargetAccuracy > 0 {
-		tta = metrics.NewTimeToAccuracy("tta", cfg.TargetAccuracy)
+		tta = metrics.NewTimeToAccuracy(cfg.TargetAccuracy)
 		tta.Start()
 		t.r.TTA = tta
 	}

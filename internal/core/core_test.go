@@ -200,7 +200,7 @@ func TestOverheadSmall(t *testing.T) {
 	if nodes := len(models.MLP(s.cfg, s.hidden).Nodes); ops != nodes*steps {
 		t.Fatalf("%d operator events, want %d nodes × %d steps", ops, nodes, steps)
 	}
-	if n := fo.AbsoluteSampler.Count(); n != steps {
+	if n := fo.AbsoluteSampler.Summarize().N; n != steps {
 		t.Fatalf("%d overhead samples, want one per step (%d)", n, steps)
 	}
 }

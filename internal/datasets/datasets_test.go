@@ -122,12 +122,6 @@ func TestRecordFileRoundTrip(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
-	if err := r.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := r.Next(); err != nil || string(got) != "hello" {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestRecordCRCDetectsCorruption(t *testing.T) {

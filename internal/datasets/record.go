@@ -105,15 +105,6 @@ func (r *RecordReader) Next() ([]byte, error) {
 // Close closes the file.
 func (r *RecordReader) Close() error { return r.f.Close() }
 
-// Reset rewinds to the file start.
-func (r *RecordReader) Reset() error {
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r.r.Reset(r.f)
-	return nil
-}
-
 // EncodeSample frames a labeled JPEG into a record payload.
 func EncodeSample(label int, jpegBytes []byte) []byte {
 	out := make([]byte, 4+len(jpegBytes))

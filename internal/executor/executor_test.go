@@ -183,16 +183,16 @@ func TestExecutorOOMAndRecovery(t *testing.T) {
 	if !errors.As(err, &oom) {
 		t.Fatalf("want OOM, got %v", err)
 	}
-	if e.Memory.Used() != 0 {
-		t.Fatalf("memory leaked after OOM: %d", e.Memory.Used())
+	if e.Memory.used != 0 {
+		t.Fatalf("memory leaked after OOM: %d", e.Memory.used)
 	}
 	// Enough memory: same executor succeeds.
 	e.Memory = NewMemoryModel(1 << 20)
 	if _, err := e.Inference(context.Background(), map[string]*tensor.Tensor{"x": x, "labels": labels}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Memory.Used() != 0 {
-		t.Fatalf("activations not freed: %d", e.Memory.Used())
+	if e.Memory.used != 0 {
+		t.Fatalf("activations not freed: %d", e.Memory.used)
 	}
 	if e.Memory.Peak() == 0 {
 		t.Fatal("peak not recorded")

@@ -59,26 +59,10 @@ func (m *MemoryModel) Free(bytes int64) {
 	}
 }
 
-// Used returns the bytes currently allocated.
-func (m *MemoryModel) Used() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.used
-}
-
 // Peak returns the high-water mark.
 func (m *MemoryModel) Peak() int64 {
 	if m == nil {
 		return 0
 	}
 	return m.peak
-}
-
-// Reset zeroes usage and peak.
-func (m *MemoryModel) Reset() {
-	if m == nil {
-		return
-	}
-	m.used, m.peak = 0, 0
 }

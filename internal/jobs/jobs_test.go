@@ -213,8 +213,8 @@ func TestJobASGDSucceeds(t *testing.T) {
 			t.Errorf("rank %d step %d, want 4", rank, final.Workers[rank].Step)
 		}
 	}
-	if m.Metrics().JobsRunning.Value() != 0 {
-		t.Errorf("jobs_running gauge = %d after completion", m.Metrics().JobsRunning.Value())
+	if m.Metrics().JobsRunning.v.Load() != 0 {
+		t.Errorf("jobs_running gauge = %d after completion", m.Metrics().JobsRunning.v.Load())
 	}
 }
 
@@ -351,8 +351,8 @@ func TestDSGDWorkerDeathFailsJob(t *testing.T) {
 	if final.Workers[0].Restarts != 0 {
 		t.Fatalf("dsgd rank restarted %d times; ring schemes must not restart", final.Workers[0].Restarts)
 	}
-	if m.Metrics().JobsRunning.Value() != 0 {
-		t.Errorf("jobs_running gauge = %d after failure", m.Metrics().JobsRunning.Value())
+	if m.Metrics().JobsRunning.v.Load() != 0 {
+		t.Errorf("jobs_running gauge = %d after failure", m.Metrics().JobsRunning.v.Load())
 	}
 }
 

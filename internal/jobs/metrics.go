@@ -33,9 +33,6 @@ type UpDown struct {
 func (u *UpDown) Inc() { u.g.Set(float64(u.v.Add(1))) }
 func (u *UpDown) Dec() { u.g.Set(float64(u.v.Add(-1))) }
 
-// Value returns the current level.
-func (u *UpDown) Value() int64 { return u.v.Load() }
-
 // NewMetrics registers the distributed control-plane metrics on a fresh
 // registry.
 func NewMetrics() *Metrics {

@@ -16,8 +16,6 @@ type SeriesPoint struct {
 // Series collects a training curve — the TrainingAccuracy ("every k-th
 // step") and TestAccuracy ("every k-th epoch") metrics of Level 2.
 type Series struct {
-	name   string
-	unit   string
 	Every  int // record every k-th observation (1 = all)
 	points []SeriesPoint
 	calls  int
@@ -25,25 +23,12 @@ type Series struct {
 }
 
 // NewSeries returns a series metric recording every k-th observation.
-func NewSeries(name, unit string, every int) *Series {
+func NewSeries(every int) *Series {
 	if every < 1 {
 		every = 1
 	}
-	return &Series{name: name, unit: unit, Every: every, start: time.Now()}
+	return &Series{Every: every, start: time.Now()}
 }
-
-// NewTrainingAccuracy returns the Level 2 TrainingAccuracy metric.
-func NewTrainingAccuracy(everyKSteps int) *Series {
-	return NewSeries("TrainingAccuracy", "fraction", everyKSteps)
-}
-
-// NewTestAccuracy returns the Level 2 TestAccuracy metric.
-func NewTestAccuracy(everyKEpochs int) *Series {
-	return NewSeries("TestAccuracy", "fraction", everyKEpochs)
-}
-
-// Name returns the metric name.
-func (s *Series) Name() string { return s.name }
 
 // Observe records value at (step, epoch) if it falls on the k-th cadence.
 func (s *Series) Observe(step, epoch int, value float64) {
@@ -81,35 +66,19 @@ func (s *Series) Best() float64 {
 	return best
 }
 
-// Summarize summarizes the recorded values.
-func (s *Series) Summarize() Summary {
-	vals := make([]float64, len(s.points))
-	for i, p := range s.points {
-		vals[i] = p.Value
-	}
-	sum := Summarize(vals)
-	sum.Name = s.name
-	sum.Unit = s.unit
-	return sum
-}
-
 // DatasetBias collects a histogram of sampled labels and quantifies
 // deviation from uniformity (Level 2 "DatasetBias": the paper validates
 // dataset samplers by collecting a histogram of sampled elements w.r.t.
 // labels, §IV-E).
 type DatasetBias struct {
-	name   string
 	counts map[int]int
 	total  int
 }
 
 // NewDatasetBias returns a label-histogram metric.
 func NewDatasetBias() *DatasetBias {
-	return &DatasetBias{name: "DatasetBias", counts: make(map[int]int)}
+	return &DatasetBias{counts: make(map[int]int)}
 }
-
-// Name returns the metric name.
-func (b *DatasetBias) Name() string { return b.name }
 
 // ObserveLabel counts one sampled label.
 func (b *DatasetBias) ObserveLabel(label int) {
@@ -134,16 +103,4 @@ func (b *DatasetBias) ChiSquare() float64 {
 		chi += d * d / expected
 	}
 	return chi
-}
-
-// Summarize reports per-label counts as a distribution summary.
-func (b *DatasetBias) Summarize() Summary {
-	vals := make([]float64, 0, len(b.counts))
-	for _, c := range b.counts {
-		vals = append(vals, float64(c))
-	}
-	s := Summarize(vals)
-	s.Name = b.name
-	s.Unit = "samples/label"
-	return s
 }

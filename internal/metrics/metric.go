@@ -1,10 +1,11 @@
-// Package metrics implements the Deep500 metric framework (paper §IV-B,
-// challenge 2): summary statistics with the paper's evaluation methodology
-// (medians and nonparametric 95% confidence intervals over 30 re-runs,
-// §V-A), and the concrete metric families attached to the four levels —
-// wallclock time, FLOP/s, accuracy series, framework overhead,
-// communication volume, dataset latency, dataset bias and
-// time-to-accuracy.
+// Package metrics holds the Deep500 measurements (paper §IV-B, challenge
+// 2): order statistics with the paper's evaluation methodology (Sampler
+// and Summarize give medians and nonparametric 95% confidence intervals
+// over 30 re-runs, §V-A; Percentile and MAD), and one type per measured
+// quantity: WallclockTime (Levels 0–1), FrameworkOverhead (Level 1),
+// Series for accuracy and loss curves, DatasetLatency, DatasetBias and
+// TimeToAccuracy (Level 2), and CommunicationVolume (Level 3). The types
+// share no interface; each caller reads the one it records.
 package metrics
 
 import (
@@ -55,20 +56,8 @@ func NewSampler(name, unit string) *Sampler {
 	return &Sampler{name: name, unit: unit}
 }
 
-// Name returns the metric name.
-func (s *Sampler) Name() string { return s.name }
-
 // Record adds one sample.
 func (s *Sampler) Record(v float64) { s.samples = append(s.samples, v) }
-
-// Count returns the number of samples recorded so far.
-func (s *Sampler) Count() int { return len(s.samples) }
-
-// Samples returns the raw samples (not a copy).
-func (s *Sampler) Samples() []float64 { return s.samples }
-
-// Reset discards all samples.
-func (s *Sampler) Reset() { s.samples = s.samples[:0] }
 
 // Summarize computes order statistics over the recorded samples.
 func (s *Sampler) Summarize() Summary {
@@ -117,9 +106,8 @@ func Summarize(samples []float64) Summary {
 	}
 }
 
-// MAD returns the median absolute deviation of the samples from center —
-// the robust dispersion estimate the benchmark comparator uses for its
-// significance windows (median ± MAD).
+// MAD returns the median absolute deviation of the samples from center, a
+// dispersion estimate robust to outliers.
 func MAD(samples []float64, center float64) float64 {
 	if len(samples) == 0 {
 		return 0

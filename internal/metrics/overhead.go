@@ -46,21 +46,13 @@ func (f *FrameworkOverhead) Events() *executor.Events {
 }
 
 // CommunicationVolume accumulates bytes moved over the (simulated) network,
-// the Level 3 metric of §IV-F. It is safe for concurrent use by many ranks.
+// the Level 3 metric of §IV-F. The zero value is ready to use, and it is
+// safe for concurrent use by many ranks.
 type CommunicationVolume struct {
-	name     string
 	sent     atomic.Int64
 	received atomic.Int64
 	messages atomic.Int64
 }
-
-// NewCommunicationVolume returns the metric.
-func NewCommunicationVolume() *CommunicationVolume {
-	return &CommunicationVolume{name: "CommunicationVolume"}
-}
-
-// Name returns the metric name.
-func (c *CommunicationVolume) Name() string { return c.name }
 
 // AddSent, AddReceived record traffic; AddMessage counts one message.
 func (c *CommunicationVolume) AddSent(b int64)     { c.sent.Add(b); c.messages.Add(1) }
@@ -71,17 +63,3 @@ func (c *CommunicationVolume) AddReceived(b int64) { c.received.Add(b) }
 func (c *CommunicationVolume) Sent() int64     { return c.sent.Load() }
 func (c *CommunicationVolume) Received() int64 { return c.received.Load() }
 func (c *CommunicationVolume) Messages() int64 { return c.messages.Load() }
-
-// Reset zeroes the counters.
-func (c *CommunicationVolume) Reset() {
-	c.sent.Store(0)
-	c.received.Store(0)
-	c.messages.Store(0)
-}
-
-// Summarize reports total sent bytes.
-func (c *CommunicationVolume) Summarize() Summary {
-	v := float64(c.sent.Load())
-	return Summary{Name: c.name, Unit: "B", N: 1,
-		Mean: v, Median: v, Min: v, Max: v, CI95Low: v, CI95High: v}
-}

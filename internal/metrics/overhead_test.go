@@ -27,14 +27,14 @@ func TestFrameworkOverheadOnRealExecutor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fo.Count() != 5 {
-		t.Fatalf("overhead samples = %d", fo.Count())
-	}
 	sum := fo.Summarize()
+	if sum.N != 5 {
+		t.Fatalf("overhead samples = %d", sum.N)
+	}
 	if sum.Median < 0 || sum.Median > 1 {
 		t.Fatalf("overhead fraction out of range: %v", sum.Median)
 	}
-	if fo.AbsoluteSampler.Count() != 5 {
+	if fo.AbsoluteSampler.Summarize().N != 5 {
 		t.Fatal("absolute overhead not sampled")
 	}
 }

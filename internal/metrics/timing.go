@@ -35,7 +35,6 @@ func NewDatasetLatency(name string) *DatasetLatency {
 // it watches (elapsed time, accuracy) observations and reports the first
 // time the target accuracy was reached.
 type TimeToAccuracy struct {
-	name    string
 	Target  float64
 	reached bool
 	when    time.Duration
@@ -43,12 +42,9 @@ type TimeToAccuracy struct {
 }
 
 // NewTimeToAccuracy returns a time-to-accuracy metric for the given target.
-func NewTimeToAccuracy(name string, target float64) *TimeToAccuracy {
-	return &TimeToAccuracy{name: name, Target: target, start: time.Now()}
+func NewTimeToAccuracy(target float64) *TimeToAccuracy {
+	return &TimeToAccuracy{Target: target, start: time.Now()}
 }
-
-// Name returns the metric name.
-func (t *TimeToAccuracy) Name() string { return t.name }
 
 // Start resets the clock.
 func (t *TimeToAccuracy) Start() {
@@ -66,14 +62,3 @@ func (t *TimeToAccuracy) Observe(acc float64) {
 
 // Reached reports whether the target was hit and when.
 func (t *TimeToAccuracy) Reached() (bool, time.Duration) { return t.reached, t.when }
-
-// Summarize reports the time-to-accuracy (seconds) or an empty summary.
-func (t *TimeToAccuracy) Summarize() Summary {
-	s := Summary{Name: t.name, Unit: "s"}
-	if t.reached {
-		s.N = 1
-		v := t.when.Seconds()
-		s.Mean, s.Median, s.Min, s.Max, s.CI95Low, s.CI95High = v, v, v, v, v, v
-	}
-	return s
-}

@@ -164,16 +164,13 @@ func NewWorld(size int, cost CostModel) *World {
 	if size < 1 {
 		panic("mpi: world size must be ≥ 1")
 	}
-	w := &World{size: size, cost: cost, Volume: metrics.NewCommunicationVolume()}
+	w := &World{size: size, cost: cost, Volume: new(metrics.CommunicationVolume)}
 	w.inboxes = make([]*inbox, size)
 	for i := range w.inboxes {
 		w.inboxes[i] = &inbox{from: make([]fifo, size), wake: make(chan struct{}, 1)}
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Rank is one process of the world. It implements dist.Rank. All methods
 // must be called only from the goroutine that owns the rank.

@@ -26,11 +26,11 @@ func BenchmarkDecodeFeeds(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var req inferRequest
-			if err := strictDecode(body, &req); err != nil {
+			feeds, err := strictFeeds(body)
+			if err != nil {
 				b.Fatal(err)
 			}
-			for _, tj := range req.Feeds {
+			for _, tj := range feeds {
 				_ = tensor.From(tj.Data, tj.Shape...)
 			}
 		}
@@ -45,7 +45,7 @@ func lenetRowBody(tb testing.TB) []byte {
 	for i := range data {
 		data[i] = float32(rng.Norm())
 	}
-	body, err := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{
+	body, err := json.Marshal(map[string]any{"feeds": map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 28, 28}, Data: data},
 	}})
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // proof), and that is the function encoding/json itself ends in, so a
 // decoded tensor is bit for bit what json.Unmarshal would have produced.
 
-// parseFeeds decodes an inferRequest body into feed tensors. Every error is
-// the client's: the caller answers 400.
+// parseFeeds decodes a POST /v1/infer body, {"feeds": {name: TensorJSON}},
+// into feed tensors. Every error is the client's: the caller answers 400.
 func parseFeeds(body []byte) (map[string]*tensor.Tensor, error) {
 	s := scanner{b: body}
 	var feeds map[string]*tensor.Tensor

@@ -19,14 +19,14 @@ import (
 // bit-identical data.
 func compareWithStrictJSON(t *testing.T, body []byte, feeds map[string]*tensor.Tensor) {
 	t.Helper()
-	var ref inferRequest
-	if err := strictDecode(body, &ref); err != nil {
+	ref, err := strictFeeds(body)
+	if err != nil {
 		t.Fatalf("accepted a body encoding/json rejects (%v): %q", err, body)
 	}
-	if len(feeds) != len(ref.Feeds) {
-		t.Fatalf("%d feeds, encoding/json sees %d: %q", len(feeds), len(ref.Feeds), body)
+	if len(feeds) != len(ref) {
+		t.Fatalf("%d feeds, encoding/json sees %d: %q", len(feeds), len(ref), body)
 	}
-	for name, want := range ref.Feeds {
+	for name, want := range ref {
 		got, ok := feeds[name]
 		if !ok {
 			t.Fatalf("feed %q missing: %q", name, body)
@@ -200,7 +200,7 @@ func TestDecodeFeedsAllocatesTheTensorOnly(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i) / 784
 	}
-	structOrder, _ := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{"x": {Shape: []int{1, 1, 28, 28}, Data: data}}})
+	structOrder, _ := json.Marshal(map[string]any{"feeds": map[string]TensorJSON{"x": {Shape: []int{1, 1, 28, 28}, Data: data}}})
 	mapOrder, _ := json.Marshal(map[string]any{"feeds": map[string]any{"x": map[string]any{"data": data, "shape": []int{1, 1, 28, 28}}}})
 	for _, body := range [][]byte{structOrder, mapOrder} {
 		feeds, err := parseFeeds(body)

@@ -81,6 +81,17 @@ func strictDecode(body []byte, v any) error {
 	return nil
 }
 
+// strictFeeds is strictDecode over a POST /v1/infer body. The target is a
+// struct, not a map, so unknown top-level fields are rejected and "feeds"
+// is matched the way encoding/json matches a tagged field.
+func strictFeeds(body []byte) (map[string]TensorJSON, error) {
+	var req struct {
+		Feeds map[string]TensorJSON `json:"feeds"`
+	}
+	err := strictDecode(body, &req)
+	return req.Feeds, err
+}
+
 func FuzzInferJSON(f *testing.F) {
 	r := fuzzRegistry(f)
 	handler := r.Handler(nil)
@@ -88,7 +99,7 @@ func FuzzInferJSON(f *testing.F) {
 	// Seed corpus: one valid request, then the malformed taxonomy —
 	// truncated JSON, wrong-typed fields, empty feeds, volume mismatches,
 	// negative and zero dimensions, unknown fields, non-finite numbers.
-	valid, _ := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{
+	valid, _ := json.Marshal(map[string]any{"feeds": map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)},
 	}})
 	f.Add(valid)
@@ -117,8 +128,7 @@ func FuzzInferJSON(f *testing.F) {
 	f.Add([]byte(`{"feeds":{"x":{"shape":[4],"data":[16777217,9007199254740993,1e23,-0e999]}}}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var probe inferRequest
-		decodeErr := strictDecode(body, &probe)
+		_, decodeErr := strictFeeds(body)
 		if feeds, err := parseFeeds(body); err == nil { // must never panic
 			compareWithStrictJSON(t, body, feeds)
 		}

@@ -63,11 +63,6 @@ type TensorJSON struct {
 	Data  []float32 `json:"data"`
 }
 
-// inferRequest is the POST /v1/infer body.
-type inferRequest struct {
-	Feeds map[string]TensorJSON `json:"feeds"`
-}
-
 // InferResponse is the POST /v1/infer response body.
 type InferResponse struct {
 	Outputs map[string]TensorJSON `json:"outputs"`
@@ -104,7 +99,7 @@ func echoTrace(w http.ResponseWriter, capture *trace.Capture) {
 	}
 }
 
-// decodeFeeds reads and decodes an inferRequest body (parseFeeds, decode.go),
+// decodeFeeds reads and decodes a POST /v1/infer body (parseFeeds, decode.go),
 // writing the 400 response itself on failure (second result false). It is
 // the only request decoder of the inference routes. The body is read once into a pooled buffer;
 // the decoded tensors own their data, so the buffer goes straight back.

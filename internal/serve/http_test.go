@@ -83,7 +83,7 @@ func TestHTTPInferRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp := postInfer(t, ts, inferRequest{Feeds: map[string]TensorJSON{
+			resp := postInfer(t, ts, map[string]any{"feeds": map[string]TensorJSON{
 				"x": {Shape: []int{1, 1, 4, 4}, Data: x},
 			}})
 			defer resp.Body.Close()
@@ -130,11 +130,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 		body any
 		want int
 	}{
-		{"wrong feed name", inferRequest{Feeds: map[string]TensorJSON{
+		{"wrong feed name", map[string]any{"feeds": map[string]TensorJSON{
 			"nope": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}}, http.StatusBadRequest},
-		{"shape/data mismatch", inferRequest{Feeds: map[string]TensorJSON{
+		{"shape/data mismatch", map[string]any{"feeds": map[string]TensorJSON{
 			"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 3)}}}, http.StatusBadRequest},
-		{"negative dimension", inferRequest{Feeds: map[string]TensorJSON{
+		{"negative dimension", map[string]any{"feeds": map[string]TensorJSON{
 			"x": {Shape: []int{-1, 16}, Data: nil}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"bogus": 1}, http.StatusBadRequest},
 	}
@@ -160,7 +160,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp = postInfer(t, ts, inferRequest{Feeds: map[string]TensorJSON{
+	resp = postInfer(t, ts, map[string]any{"feeds": map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -173,7 +173,7 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 2, Replicas: 1})
 	ts := oneModel(t, srv)
 
-	resp := postInfer(t, ts, inferRequest{Feeds: map[string]TensorJSON{
+	resp := postInfer(t, ts, map[string]any{"feeds": map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -327,7 +327,7 @@ func TestRegistryHTTPLifecycle(t *testing.T) {
 	// Sole model: /v1/infer routes without a name.
 	m := zoo["mlp"]
 	in := inputFor(m, 1, 5)
-	ireq, _ := json.Marshal(inferRequest{Feeds: map[string]TensorJSON{"x": {Shape: in.Shape(), Data: in.Data()}}})
+	ireq, _ := json.Marshal(map[string]any{"feeds": map[string]TensorJSON{"x": {Shape: in.Shape(), Data: in.Data()}}})
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(ireq))
 	if err != nil {
 		t.Fatal(err)

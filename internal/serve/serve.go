@@ -228,7 +228,6 @@ type Server struct {
 	opts    Options
 	inputs  []graph.TensorInfo
 	outputs []string
-	model   *graph.Model
 
 	queue   chan *request
 	ctx     context.Context
@@ -309,7 +308,6 @@ func New(opts Options) (*Server, error) {
 		execs = append(execs, e)
 	}
 	m := execs[0].Network().Model
-	s.model = m
 	s.inputs = m.Inputs
 	s.outputs = m.Outputs
 	for _, e := range execs {
@@ -321,9 +319,6 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Model returns the served model: the graph the replicas' executors run.
-func (s *Server) Model() *graph.Model { return s.model }
 
 // Infer runs one inference request through the micro-batching pipeline
 // and returns the model's declared outputs for this request's rows.

@@ -59,12 +59,3 @@ func (t *Tensor) SliceRows(start, end int) (*Tensor, error) {
 	copy(out.data, t.data[start*rowSize:end*rowSize])
 	return out, nil
 }
-
-// Rows returns the leading dimension of t, or an error for scalars — the
-// batcher's unit of admission accounting.
-func (t *Tensor) Rows() (int, error) {
-	if t.Rank() < 1 {
-		return 0, fmt.Errorf("tensor: a scalar has no batch dimension")
-	}
-	return t.shape[0], nil
-}

@@ -71,10 +71,4 @@ func TestSliceRowsErrors(t *testing.T) {
 			t.Fatalf("expected error for range %v", r)
 		}
 	}
-	if _, err := New(3).Rows(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Scalar(1).Rows(); err == nil {
-		t.Fatal("expected error for scalar Rows")
-	}
 }

@@ -84,28 +84,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.data))
 }
 
-// Min returns the smallest element.
-func (t *Tensor) Min() float32 {
-	m := float32(math.Inf(1))
-	for _, v := range t.data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest element.
-func (t *Tensor) Max() float32 {
-	m := float32(math.Inf(-1))
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Dot returns the inner product of a and b (float64 accumulation).
 func Dot(a, b *Tensor) float64 {
 	if len(a.data) != len(b.data) {

@@ -84,10 +84,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Split derives an independent generator; useful for giving each worker or
-// layer its own stream while keeping global determinism.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64() ^ 0xD1B54A32D192ED03) }
-
 // RNGState is the complete serializable state of an RNG: the SplitMix64
 // counter plus the cached Box-Muller spare. Restoring it reproduces the
 // generator's future stream bit-for-bit, which exact-resume checkpointing

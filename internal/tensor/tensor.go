@@ -86,27 +86,6 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 // Data returns the underlying buffer. Mutations are visible to the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 
-// Index converts multi-dimensional indices to a flat offset.
-func (t *Tensor) Index(idx ...int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// At returns the element at the given indices.
-func (t *Tensor) At(idx ...int) float32 { return t.data[t.Index(idx...)] }
-
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.Index(idx...)] = v }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	d := make([]float32, len(t.data))

@@ -68,9 +68,6 @@ func NewDriver(exec executor.GraphExecutor, ts ThreeStep) *Driver {
 // Executor returns the bound executor.
 func (d *Driver) Executor() executor.GraphExecutor { return d.exec }
 
-// ThreeStep returns the wrapped optimizer.
-func (d *Driver) ThreeStep() ThreeStep { return d.ts }
-
 // Train runs one iteration: prepare parameters, inference+backprop, apply
 // update rule (optionally transformed by GradHook) — Listing 9's sequence.
 // A rule that returns the parameter tensor it was handed has updated it in

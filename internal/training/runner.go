@@ -70,9 +70,9 @@ func NewRunner(opt Optimizer, train, test Sampler) *Runner {
 		Opt: opt, TrainSet: train, TestSet: test,
 		LossOutput:  "loss",
 		AccOutput:   "acc",
-		TrainingAcc: metrics.NewTrainingAccuracy(1),
-		TestAcc:     metrics.NewTestAccuracy(1),
-		LossCurve:   metrics.NewSeries("TrainingLoss", "loss", 1),
+		TrainingAcc: metrics.NewSeries(1),
+		TestAcc:     metrics.NewSeries(1),
+		LossCurve:   metrics.NewSeries(1),
 	}
 }
 
@@ -232,8 +232,8 @@ func (r *Runner) Evaluate(ctx context.Context, s Sampler) (float64, error) {
 // EvaluateExecutor runs a sampler through an executor in inference mode
 // and returns the sample-weighted mean of the named accuracy output. The
 // executor's previous training/inference mode is restored afterwards, so
-// evaluating through a session that never trained does not flip it into
-// training mode. Batches whose outputs lack the accuracy tensor are an
+// evaluating between training steps hands the executor back in training
+// mode. Batches whose outputs lack the accuracy tensor are an
 // error, never a silent 0% score.
 func EvaluateExecutor(ctx context.Context, exec executor.GraphExecutor, s Sampler, accOutput string) (float64, error) {
 	if accOutput == "" {

@@ -188,7 +188,7 @@ func TestRunnerMetricspopulated(t *testing.T) {
 	e := mlpExec(t, 30)
 	train, test := synthSamplers(32)
 	r := NewRunner(NewDriver(e, NewGradientDescent(0.1)), train, test)
-	r.TTA = metrics.NewTimeToAccuracy("tta", 0.5)
+	r.TTA = metrics.NewTimeToAccuracy(0.5)
 	r.TTA.Start()
 	var steps, epochs int
 	r.AfterStep = func(step int, loss, acc float64) { steps++ }

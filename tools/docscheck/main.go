@@ -10,9 +10,18 @@
 //     and the metric reference in docs/operations.md — every canonical
 //     series must be documented there, and every d500_* series the doc
 //     mentions must exist in code; and
-//  4. exported internal/ identifiers with no non-test reference outside
-//     their declaration (deadapi.go) — dead internal API is deleted,
-//     unexported, or allowlisted for one of a closed set of reasons.
+//  4. dead API under internal/ and in the public d500/ package
+//     (deadapi.go). The module is type-checked with go/types, and an
+//     exported func, type, var, const, method or struct field is dead when
+//     no non-test identifier outside its declaration resolves to it. A
+//     method an interface needs stays live: one of the module's own
+//     interfaces (named, or a literal such as a type assertion's), one
+//     declared in a standard package the module imports, or error; the
+//     method may be promoted through an embedded type. A used iota group
+//     keeps all its members, a field set positionally in an unkeyed
+//     literal is live, and d500's exported error sentinels are exempt.
+//     Dead API is deleted, unexported, or allowlisted for one of a closed
+//     set of reasons.
 //
 // Usage: go run ./tools/docscheck [repo-root]   (default ".")
 package main
@@ -48,7 +57,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference and internal API callers OK")
+	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference and API callers OK")
 }
 
 // mdLink matches [text](target); images ![alt](target) share the suffix.
@@ -198,4 +207,4 @@ func checkMetricsDocs(docPath string) []string {
 }
 
 // exportedRecv reports whether a method receiver names an exported type.
-func exportedRecv(recv *ast.FieldList) bool { return ast.IsExported(recvName(recv)) }
+func exportedRecv(recv *ast.FieldList) bool { return baseIdent(recv.List[0].Type).IsExported() }

@@ -1,10 +1,29 @@
 package main
 
-import "example/internal/p"
+import (
+	"encoding/json"
+	"fmt"
+
+	"example/d500"
+	"example/internal/p"
+)
 
 func main() {
 	var t p.T
 	var m p.Mode = p.ModeA
-	_, _ = t, m
+	_, _ = json.Marshal(t)
+	_ = m
 	p.Live()
+	p.A{}.Reset()
+	_ = p.B{}
+	fmt.Println(p.S{})
+	var v any = p.Q{}
+	if q, ok := v.(interface{ Quack() string }); ok {
+		fmt.Println(q.Quack())
+	}
+	var n p.Namer = p.Outer{}
+	fmt.Println(n.Name(), n.Kind())
+	_ = p.F{Used: 1}
+	_ = p.G{1, 2}
+	d500.Run()
 }

@@ -12,8 +12,9 @@ func Live() {}
 // T is used from cmd/app.
 type T struct{}
 
-// MarshalJSON satisfies json.Marshaler; nothing names it.
-func (T) MarshalJSON() ([]byte, error) { return nil, nil }
+// MarshalJSON satisfies json.Marshaler, and cmd/app marshals a T; nothing
+// names it.
+func (T) MarshalJSON() ([]byte, error) { return []byte("{}"), nil }
 
 // Mode enumerates with iota; cmd/app names only ModeA.
 type Mode int
@@ -22,3 +23,48 @@ const (
 	ModeA Mode = iota
 	ModeB
 )
+
+// A and B both have a Reset; cmd/app calls only A's.
+type (
+	A struct{}
+	B struct{}
+)
+
+func (A) Reset() {}
+func (B) Reset() {}
+
+// S has a String method that only fmt.Stringer needs.
+type S struct{}
+
+func (S) String() string { return "s" }
+
+// Q has a method only an anonymous interface in cmd/app's type assertion
+// needs.
+type Q struct{}
+
+func (Q) Quack() string { return "quack" }
+
+// Namer is implemented by Outer, not by inner, which has only Name.
+type Namer interface {
+	Name() string
+	Kind() string
+}
+
+type inner struct{}
+
+func (inner) Name() string { return "inner" }
+
+// Outer gets Name from inner.
+type Outer struct{ inner }
+
+// Kind completes Namer.
+func (Outer) Kind() string { return "outer" }
+
+// F has one field cmd/app sets by key and one nothing references.
+type F struct {
+	Used   int
+	Unused int
+}
+
+// G is only built positionally.
+type G struct{ X, Y int }
