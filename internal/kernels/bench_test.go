@@ -134,3 +134,42 @@ func BenchmarkPoolReLULeNet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUpdateLeNetFC1 times one MomentumFused and one SGDFused step
+// over LeNet's fc1 weights (400×120 = 48 000 floats), on the pure-Go loops
+// and on the AVX2 kernels, from a normal state and from a subnormal one:
+// for Momentum the velocities a zero gradient leaves stuck at 1–4 ulp (most
+// of fc1's late in a train_lenet run), for SGD subnormal gradients. Each
+// scalar operation on a subnormal takes a microcode assist, and an assist
+// costs the same for one lane as for eight. docs/kernels.md has the table.
+// CI runs it once as a smoke test.
+//
+//	go test ./internal/kernels -run '^$' -bench UpdateLeNetFC1 -benchmem -cpu 1
+func BenchmarkUpdateLeNetFC1(b *testing.B) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	paths := []string{"go"}
+	if useAVX2 {
+		paths = append(paths, "avx2")
+	}
+	for _, c := range []struct{ rule, state, class string }{
+		{"momentum", "normal", "normal"},
+		{"momentum", "subnormal", "stuck subnormal velocity"},
+		{"sgd", "normal", "normal"},
+		{"sgd", "subnormal", "subnormal gradient"},
+	} {
+		for _, path := range paths {
+			param, grad, vel := updateState(c.class, tensor.NewRNG(35), 400*120)
+			asm := path == "avx2"
+			b.Run(c.rule+"/"+c.state+"/"+path, func(b *testing.B) {
+				useAVX2 = asm
+				for i := 0; i < b.N; i++ {
+					if c.rule == "momentum" {
+						MomentumFused(param, grad, vel, 0.02, 0.9)
+					} else {
+						SGDFused(param, grad, 0.05)
+					}
+				}
+			})
+		}
+	}
+}

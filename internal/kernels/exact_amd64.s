@@ -326,3 +326,107 @@ addBiasLoop:
 	JNZ     addBiasLoop
 	VZEROUPPER
 	RET
+
+// func momentumAVX2(param, grad, vel []float32, lr, mu float32)
+//
+// vel[i] = vel[i]·μ − g[i]·lr, then param[i] = param[i] + vel[i], for the
+// len(grad) elements: eight per step, then one at a time with the VEX scalar
+// forms. Each operation rounds once, as the scalar loop's MULSS, SUBSS and
+// ADDSS do, with the same first operand (which decides the NaN an
+// operation on two NaNs returns); nothing is fused, skipped or flushed, so
+// a subnormal velocity costs the same microcode assist the scalar loop
+// pays, for eight lanes at once.
+TEXT ·momentumAVX2(SB), NOSPLIT, $0-80
+	MOVQ         param_base+0(FP), DI
+	MOVQ         grad_base+24(FP), SI
+	MOVQ         grad_len+32(FP), CX
+	MOVQ         vel_base+48(FP), DX
+	VBROADCASTSS lr+72(FP), Y0
+	VBROADCASTSS mu+76(FP), Y1
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	JZ           momentumTail
+
+momentumLoop:
+	VMOVUPS (DX), Y2
+	VMULPS  Y1, Y2, Y2
+	VMOVUPS (SI), Y3
+	VMULPS  Y0, Y3, Y3
+	VSUBPS  Y3, Y2, Y2
+	VMOVUPS Y2, (DX)
+	VMOVUPS (DI), Y4
+	VADDPS  Y2, Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    BX
+	JNZ     momentumLoop
+
+momentumTail:
+	ANDQ $7, CX
+	JZ   momentumDone
+
+momentumTailLoop:
+	VMOVSS (DX), X2
+	VMULSS X1, X2, X2
+	VMOVSS (SI), X3
+	VMULSS X0, X3, X3
+	VSUBSS X3, X2, X2
+	VMOVSS X2, (DX)
+	VMOVSS (DI), X4
+	VADDSS X2, X4, X4
+	VMOVSS X4, (DI)
+	ADDQ   $4, DI
+	ADDQ   $4, SI
+	ADDQ   $4, DX
+	DECQ   CX
+	JNZ    momentumTailLoop
+
+momentumDone:
+	VZEROUPPER
+	RET
+
+// func sgdAVX2(param, grad []float32, lr float32)
+//
+// param[i] = param[i] − g[i]·lr for the len(grad) elements, eight per step
+// and the rest one at a time, with the scalar loop's two roundings and operand
+// order.
+TEXT ·sgdAVX2(SB), NOSPLIT, $0-52
+	MOVQ         param_base+0(FP), DI
+	MOVQ         grad_base+24(FP), SI
+	MOVQ         grad_len+32(FP), CX
+	VBROADCASTSS lr+48(FP), Y0
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	JZ           sgdTail
+
+sgdLoop:
+	VMOVUPS (SI), Y1
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS (DI), Y2
+	VSUBPS  Y1, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    BX
+	JNZ     sgdLoop
+
+sgdTail:
+	ANDQ $7, CX
+	JZ   sgdDone
+
+sgdTailLoop:
+	VMOVSS (SI), X1
+	VMULSS X0, X1, X1
+	VMOVSS (DI), X2
+	VSUBSS X1, X2, X2
+	VMOVSS X2, (DI)
+	ADDQ   $4, DI
+	ADDQ   $4, SI
+	DECQ   CX
+	JNZ    sgdTailLoop
+
+sgdDone:
+	VZEROUPPER
+	RET

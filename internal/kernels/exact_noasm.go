@@ -24,3 +24,11 @@ func reluBackwardAVX2(fwdIn, gradOut, gradIn *float32, n int) {
 func addBiasAVX2(dst *float32, n int, b float32) {
 	panic("kernels: no assembly bias add on this architecture")
 }
+
+func momentumAVX2(param, grad, vel []float32, lr, mu float32) {
+	panic("kernels: no assembly update on this architecture")
+}
+
+func sgdAVX2(param, grad []float32, lr float32) {
+	panic("kernels: no assembly update on this architecture")
+}

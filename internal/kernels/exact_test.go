@@ -15,16 +15,18 @@ import (
 	"deep500/internal/tensor"
 )
 
-// FNV-64a hashes of every output bit of the pooling, ReLU and bias sweeps
-// below, computed with the pure-Go loops before the AVX2 kernels existed.
-// A change that moves any output bit of one of these kernels — on the
-// vector path or the fallback — changes its hash.
+// FNV-64a hashes of every output bit of the pooling, ReLU, bias and
+// optimizer-update sweeps below, computed with the pure-Go loops before the
+// AVX2 kernels existed. A change that moves any output bit of one of these
+// kernels — on the vector path or the fallback — changes its hash.
 const (
 	maxPoolBitsHash         = 0xfc3dca4989fea182
 	maxPoolBackwardBitsHash = 0x529ac6405ea73310
 	reluBitsHash            = 0xec1ac90b247f5114
 	reluBackwardBitsHash    = 0xc5c221271f8043ae
 	addBiasBitsHash         = 0x00330477587d53c8
+	momentumBitsHash        = 0x1c0e33701394c4b7
+	sgdBitsHash             = 0x7acc7db312a1f2ef
 )
 
 // lenetPoolShapes are LeNet's two max pools at batch n.
@@ -151,6 +153,97 @@ func addBiasSweepHash() uint64 {
 	return h.sum.Sum64()
 }
 
+// updateSweepLengths are LeNet's fc1 weight count (400×120) and ragged
+// lengths around the vector width, down to the empty slice.
+var updateSweepLengths = []int{0, 1, 7, 8, 9, 15, 16, 17, 48000}
+
+// updateClasses name the value classes of the update sweep. updateState
+// builds each one's starting param, grad and vel.
+var updateClasses = []string{"normal", "stuck subnormal velocity", "subnormal gradient", "±0", "NaN", "±Inf"}
+
+// updateState returns n elements of the named class. Where a class draws
+// from a short list of values, param, grad and vel cycle through it at
+// different strides, so every combination lands in every vector lane and
+// in the scalar tail.
+func updateState(class string, rng *tensor.RNG, n int) (param, grad, vel []float32) {
+	param, grad, vel = make([]float32, n), make([]float32, n), make([]float32, n)
+	combine := func(vals ...float32) {
+		k := len(vals)
+		for i := range param {
+			param[i], grad[i], vel[i] = vals[i%k], vals[i/k%k], vals[i/(k*k)%k]
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	switch class {
+	case "normal":
+		param, grad, vel = randSlice(rng, n), randSlice(rng, n), randSlice(rng, n)
+	case "stuck subnormal velocity":
+		// A zero gradient decays vel ← 0.9·vel into the subnormals, where
+		// 0.9·k ulp rounds back to k ulp for k ≤ 4: some lanes start there,
+		// some hundreds of ulp up, some at small normals.
+		param = randSlice(rng, n)
+		for i := range vel {
+			v := math.Float32frombits(uint32(1 + i%300))
+			if i%7 == 0 {
+				v = float32(i%5+1) * 1e-37
+			}
+			if i%2 == 1 {
+				v, grad[i] = -v, negZero
+			}
+			vel[i] = v
+		}
+	case "subnormal gradient":
+		param, vel = randSlice(rng, n), randSlice(rng, n)
+		for i := range grad {
+			b := uint32(1 + rng.Uint64()%0x7fffff)
+			if i%2 == 1 {
+				b |= 0x80000000
+			}
+			grad[i] = math.Float32frombits(b)
+		}
+	case "±0":
+		combine(0, negZero)
+	case "NaN":
+		combine(1.5, math.Float32frombits(0x7fc00001), math.Float32frombits(0x7f800123),
+			math.Float32frombits(0xffc00456), -2.5)
+	case "±Inf":
+		combine(float32(math.Inf(1)), float32(math.Inf(-1)), 0.75, -0.25, 0)
+	default:
+		panic("unknown update class " + class)
+	}
+	return param, grad, vel
+}
+
+// updateSweepHashes runs 50 MomentumFused steps (train_lenet's lr 0.02,
+// μ 0.9) and 50 SGDFused steps (train_tcp_mlp's lr 0.05) from each class
+// at each length, holding the gradient, and returns the hash of the
+// momentum param and vel and the hash of the SGD param.
+func updateSweepHashes(t *testing.T) (momentum, sgd uint64) {
+	rng := tensor.NewRNG(34)
+	hm, hs := newBitsHasher(), newBitsHasher()
+	for _, class := range updateClasses {
+		for _, n := range updateSweepLengths {
+			param, grad, vel := updateState(class, rng, n)
+			sgdParam := append([]float32(nil), param...)
+			for step := 0; step < 50; step++ {
+				MomentumFused(param, grad, vel, 0.02, 0.9)
+				SGDFused(sgdParam, grad, 0.05)
+			}
+			if class == "stuck subnormal velocity" {
+				for i, v := range vel {
+					if a := math.Float32bits(v) &^ 0x80000000; i%7 != 0 && (a == 0 || a > 4) {
+						t.Fatalf("n=%d: vel[%d] = %g after 50 steps, want a 1–4 ulp subnormal", n, i, v)
+					}
+				}
+			}
+			hm.floats(param)
+			hm.floats(vel)
+			hs.floats(sgdParam)
+		}
+	}
+	return hm.sum.Sum64(), hs.sum.Sum64()
+}
+
 // TestMaxPoolBitsPinned holds the max pool's output, argmax and input
 // gradient to the bits the pure-Go loops gave, on the vector path and on
 // the fallback.
@@ -177,6 +270,16 @@ func TestReLUBitsPinned(t *testing.T) {
 func TestAddBiasBitsPinned(t *testing.T) {
 	onEachMicroKernel(t, func(t *testing.T) {
 		checkPinned(t, "addBias", addBiasSweepHash(), addBiasBitsHash)
+	})
+}
+
+// TestUpdateBitsPinned holds MomentumFused and SGDFused to the bits the
+// pure-Go loops gave, on the vector path and on the fallback.
+func TestUpdateBitsPinned(t *testing.T) {
+	onEachMicroKernel(t, func(t *testing.T) {
+		momentum, sgd := updateSweepHashes(t)
+		checkPinned(t, "MomentumFused", momentum, momentumBitsHash)
+		checkPinned(t, "SGDFused", sgd, sgdBitsHash)
 	})
 }
 

@@ -7,6 +7,10 @@ import "math"
 // fused Adam GPU kernel against TensorFlow's composition of many small Eigen
 // ops; the same contrast exists here between AdamFused and an update built
 // from a sequence of elementwise tensor operations.
+//
+// Every product in the momentum, Nesterov and SGD loops is converted to
+// float32 before it is added: gc fuses x*y - z into one rounding on arm64
+// (FMSUBS, FMADDS) and not on amd64, and the conversion keeps both at two.
 
 // AdamFused applies one Adam step in a single pass over the parameters:
 //
@@ -28,10 +32,16 @@ func AdamFused(param, grad, m, v []float32, lr, beta1, beta2, eps float32, t int
 }
 
 // MomentumFused applies one SGD-with-momentum step in a single pass:
-// vel ← μ·vel - lr·g; p ← p + vel.
+// vel ← μ·vel - lr·g; p ← p + vel. On AVX2 hosts the vector kernel
+// (exact_amd64.s) makes the same roundings in the same operand order, so
+// the bits are the loop's.
 func MomentumFused(param, grad, vel []float32, lr, mu float32) {
+	if useAVX2 && len(param) >= len(grad) && len(vel) >= len(grad) {
+		momentumAVX2(param, grad, vel, lr, mu)
+		return
+	}
 	for i, g := range grad {
-		vel[i] = mu*vel[i] - lr*g
+		vel[i] = float32(mu*vel[i]) - float32(lr*g)
 		param[i] += vel[i]
 	}
 }
@@ -41,15 +51,20 @@ func MomentumFused(param, grad, vel []float32, lr, mu float32) {
 // the order the composed reference sums it).
 func NesterovFused(param, grad, vel []float32, lr, mu float32) {
 	for i, g := range grad {
-		vel[i] = mu*vel[i] - lr*g
-		param[i] = (param[i] + mu*vel[i]) - lr*g
+		vel[i] = float32(mu*vel[i]) - float32(lr*g)
+		param[i] = (param[i] + float32(mu*vel[i])) - float32(lr*g)
 	}
 }
 
-// SGDFused applies p ← p - lr·g in one pass.
+// SGDFused applies p ← p - lr·g in one pass, on AVX2 hosts with the vector
+// kernel, which gives the loop's bits as MomentumFused's does.
 func SGDFused(param, grad []float32, lr float32) {
+	if useAVX2 && len(param) >= len(grad) {
+		sgdAVX2(param, grad, lr)
+		return
+	}
 	for i, g := range grad {
-		param[i] -= lr * g
+		param[i] -= float32(lr * g)
 	}
 }
 

@@ -32,6 +32,11 @@
 // tile at any filter count. docs/kernels.md documents the rule and the
 // measurement behind its constant, the packing layout, the convolution
 // lowering, the micro-tile sizing and how to re-tune the blocking constants.
+// Max pooling, ReLU, the convolution bias add and the two fused updates the
+// training workloads run (MomentumFused, SGDFused) have AVX2 kernels too
+// (exact_amd64.s), behind the same check. Each makes the pure-Go loop's
+// comparisons and roundings in its operand order, so the bits are the
+// loop's; FMA and flushing subnormals to zero are not allowed there.
 // All scratch flows through the package-level size-class buffer pool
 // (scratch.go), so steady-state kernels allocate nothing.
 package kernels
