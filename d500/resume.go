@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"deep500/internal/graph"
-	"deep500/internal/tensor"
 	"deep500/internal/training"
 )
 
@@ -90,16 +89,26 @@ type ckptResult struct {
 	err         error
 }
 
-// newCheckpointer validates that the run is checkpointable and starts the
-// writer goroutine. cancel aborts the run when a write fails.
-func newCheckpointer(s *Session, cfg TrainConfig, r *training.Runner, cancel func()) (*checkpointer, error) {
+// checkpointable returns the run's optimizer and training sampler as the
+// checkpoint interfaces, or an error naming the one that is not.
+func checkpointable(cfg TrainConfig) (training.CheckpointableOptimizer, training.CheckpointableSampler, error) {
 	co, ok := cfg.Optimizer.(training.CheckpointableOptimizer)
 	if !ok {
-		return nil, fmt.Errorf("d500: optimizer %T does not support checkpointing (implement training.CheckpointableOptimizer)", cfg.Optimizer)
+		return nil, nil, fmt.Errorf("d500: optimizer %T does not support checkpointing (implement training.CheckpointableOptimizer)", cfg.Optimizer)
 	}
 	cs, ok := cfg.Train.(training.CheckpointableSampler)
 	if !ok {
-		return nil, fmt.Errorf("d500: sampler %T does not support checkpointing (implement training.CheckpointableSampler)", cfg.Train)
+		return nil, nil, fmt.Errorf("d500: sampler %T does not support checkpointing (implement training.CheckpointableSampler)", cfg.Train)
+	}
+	return co, cs, nil
+}
+
+// newCheckpointer validates that the run is checkpointable and starts the
+// writer goroutine. cancel aborts the run when a write fails.
+func newCheckpointer(s *Session, cfg TrainConfig, r *training.Runner, cancel func()) (*checkpointer, error) {
+	co, cs, err := checkpointable(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ck := &checkpointer{
 		sess:    s,
@@ -126,33 +135,13 @@ func restoreCheckpoint(s *Session, cfg TrainConfig, r *training.Runner, ck *Chec
 	if s.model != ck.model {
 		return errors.New("d500: TrainConfig.Resume checkpoint's model is not the session's open model (Open(checkpoint.Model()) first)")
 	}
-	co, ok := cfg.Optimizer.(training.CheckpointableOptimizer)
-	if !ok {
-		return fmt.Errorf("d500: optimizer %T does not support resume", cfg.Optimizer)
-	}
-	cs, ok := cfg.Train.(training.CheckpointableSampler)
-	if !ok {
-		return fmt.Errorf("d500: sampler %T does not support resume", cfg.Train)
+	co, cs, err := checkpointable(cfg)
+	if err != nil {
+		return err
 	}
 	ts := ck.train
-	if err := co.RestoreState(training.OptimizerState{
-		Ints:    ts.OptInts,
-		Floats:  ts.OptFloats,
-		Tensors: ts.OptTensors,
-	}); err != nil {
-		return fmt.Errorf("d500: restoring optimizer state: %w", err)
-	}
-	var rng *tensor.RNGState
-	if ts.HasSamplerRNG {
-		st := ts.SamplerRNG
-		rng = &st
-	}
-	if err := cs.RestoreState(training.SamplerState{
-		Order: ts.SamplerOrder,
-		Pos:   ts.SamplerPos,
-		RNG:   rng,
-	}); err != nil {
-		return fmt.Errorf("d500: restoring sampler state: %w", err)
+	if err := training.RestoreTrainState(ts, co, cs); err != nil {
+		return fmt.Errorf("d500: %w", err)
 	}
 	r.ResumeAt(ts.Step, ts.EpochsDone, ts.MidEpoch)
 	return nil
@@ -168,23 +157,8 @@ func (ck *checkpointer) snapshot(midEpoch bool) *graph.Checkpoint {
 	for name, t := range m.Initializers {
 		m.Initializers[name] = t.Clone()
 	}
-	opt := ck.co.CaptureState()
-	samp := ck.cs.CaptureState()
-	ts := &graph.TrainState{
-		Step:         ck.r.Steps(),
-		EpochsDone:   ck.r.EpochsDone(),
-		MidEpoch:     midEpoch,
-		OptInts:      opt.Ints,
-		OptFloats:    opt.Floats,
-		OptTensors:   opt.Tensors,
-		SamplerOrder: samp.Order,
-		SamplerPos:   samp.Pos,
-	}
-	if samp.RNG != nil {
-		ts.HasSamplerRNG = true
-		ts.SamplerRNG = *samp.RNG
-	}
-	return &graph.Checkpoint{Model: m, Train: ts}
+	return &graph.Checkpoint{Model: m,
+		Train: training.CaptureTrainState(ck.r.Steps(), ck.r.EpochsDone(), midEpoch, ck.co, ck.cs)}
 }
 
 // afterStep is chained into the runner's AfterStep hook.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -157,8 +158,8 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 
 func (r *reader) trainState() *TrainState {
 	s := &TrainState{
-		Step:       int(r.uvarint()),
-		EpochsDone: int(r.uvarint()),
+		Step:       r.count("step count", math.MaxInt),
+		EpochsDone: r.count("epoch count", math.MaxInt),
 		MidEpoch:   r.bool(),
 		OptInts:    make(map[string]int64),
 		OptFloats:  make(map[string]float64),
@@ -182,7 +183,10 @@ func (r *reader) trainState() *TrainState {
 		}
 	}
 	s.SamplerOrder = list(r, "sampler order length", func() int { return int(r.varint()) })
-	s.SamplerPos = int(r.uvarint())
+	s.SamplerPos = r.count("sampler position", math.MaxInt)
+	if r.err == nil && s.SamplerPos > len(s.SamplerOrder) {
+		r.err = fmt.Errorf("graph: sampler position %d past the end of its %d-sample order", s.SamplerPos, len(s.SamplerOrder))
+	}
 	s.HasSamplerRNG = r.bool()
 	s.SamplerRNG.State = r.uvarint()
 	s.SamplerRNG.HasSpare = r.bool()

@@ -78,6 +78,40 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsBadCursor: a counter that does not fit an int (a
+// uvarint ≥ 2^63, which int() would wrap negative) and a sampler position
+// past the end of its order are decode errors, not states that panic a
+// resumed sampler later.
+func TestCheckpointRejectsBadCursor(t *testing.T) {
+	for name, corrupt := range map[string]func(*TrainState){
+		"step ≥ 2^63":          func(s *TrainState) { s.Step = -1 },
+		"epochs ≥ 2^63":        func(s *TrainState) { s.EpochsDone = math.MinInt },
+		"sampler pos ≥ 2^63":   func(s *TrainState) { s.SamplerPos = -3 },
+		"sampler pos past end": func(s *TrainState) { s.SamplerPos = len(s.SamplerOrder) + 1 },
+	} {
+		ts := sampleTrainState()
+		corrupt(ts)
+		var buf bytes.Buffer
+		if err := EncodeCheckpoint(&Checkpoint{Model: smallMLP(), Train: ts}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := DecodeCheckpoint(&buf); err == nil {
+			t.Errorf("%s: decoded with step %d, epochs %d, sampler pos %d of %d",
+				name, c.Train.Step, c.Train.EpochsDone, c.Train.SamplerPos, len(c.Train.SamplerOrder))
+		}
+	}
+	// The end of the order itself is a valid cursor: an epoch just finished.
+	ts := sampleTrainState()
+	ts.SamplerPos = len(ts.SamplerOrder)
+	var buf bytes.Buffer
+	if err := EncodeCheckpoint(&Checkpoint{Model: smallMLP(), Train: ts}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(&buf); err != nil {
+		t.Fatalf("cursor at the end of the order rejected: %v", err)
+	}
+}
+
 // TestCheckpointDeterministicBytes: the same checkpoint always serializes
 // to the same bytes (maps are written in sorted key order).
 func TestCheckpointDeterministicBytes(t *testing.T) {

@@ -8,13 +8,16 @@ import (
 	"deep500/internal/graph"
 	"deep500/internal/models"
 	"deep500/internal/tensor"
+	"deep500/internal/training"
 )
 
 // FuzzDecodeD5NX feeds arbitrary bytes to Decode and DecodeCheckpoint. No
 // input may panic or allocate ahead of its own bytes, and every accepted
 // input must re-encode to a stream that decodes to an equal model: the
-// encoding is deterministic, so equal models re-encode to equal bytes.
-// Seeds are encoded zoo models, a version-2 checkpoint and the 18-byte
+// encoding is deterministic, so equal models re-encode to equal bytes. An
+// accepted checkpoint must also resume without panicking: restored into a
+// shuffle sampler, it either errors or yields its next batch.
+// Seeds are encoded zoo models, two version-2 checkpoints and the 18-byte
 // stream whose rank-2^62 input once panicked the decoder.
 func FuzzDecodeD5NX(f *testing.F) {
 	cfg := models.Config{Classes: 3, Channels: 1, Height: 4, Width: 4, Seed: 1, WidthScale: 0.25}
@@ -25,20 +28,24 @@ func FuzzDecodeD5NX(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	var ckpt bytes.Buffer
-	if err := graph.EncodeCheckpoint(&graph.Checkpoint{Model: models.MLP(cfg, 2), Train: &graph.TrainState{
-		Step: 7, EpochsDone: 1, MidEpoch: true,
-		OptInts:       map[string]int64{"t": 7},
-		OptFloats:     map[string]float64{"lr": 0.5},
-		OptTensors:    map[string]*tensor.Tensor{"m/w": tensor.From([]float32{1, -2}, 2)},
-		SamplerOrder:  []int{2, 0, 1},
-		SamplerPos:    1,
-		HasSamplerRNG: true,
-		SamplerRNG:    tensor.RNGState{State: 9, HasSpare: true, Spare: 0.25},
-	}}, &ckpt); err != nil {
-		f.Fatal(err)
+	// Sampler position -3 is written as a uvarint ≥ 2^63, which the decoder
+	// once wrapped into a cursor that panicked the resumed sampler.
+	for _, pos := range []int{1, -3} {
+		var ckpt bytes.Buffer
+		if err := graph.EncodeCheckpoint(&graph.Checkpoint{Model: models.MLP(cfg, 2), Train: &graph.TrainState{
+			Step: 7, EpochsDone: 1, MidEpoch: true,
+			OptInts:       map[string]int64{"t": 7},
+			OptFloats:     map[string]float64{"lr": 0.5},
+			OptTensors:    map[string]*tensor.Tensor{"m/w": tensor.From([]float32{1, -2}, 2)},
+			SamplerOrder:  []int{2, 0, 1},
+			SamplerPos:    pos,
+			HasSamplerRNG: true,
+			SamplerRNG:    tensor.RNGState{State: 9, HasSpare: true, Spare: 0.25},
+		}}, &ckpt); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ckpt.Bytes())
 	}
-	f.Add(ckpt.Bytes())
 	f.Add(binary.AppendUvarint([]byte("D5NX\x01\x00\x00\x01\x00"), 1<<62))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -63,6 +70,11 @@ func FuzzDecodeD5NX(f *testing.F) {
 		}
 		if twice := reencode(t, c2.Model, c2.Train); !bytes.Equal(once, twice) {
 			t.Fatal("decode → encode → decode changed the checkpoint")
+		}
+		ds := training.NewInMemoryDataset(make([]float32, 4), []int{0, 1, 0, 1}, []int{1})
+		s := training.NewShuffleSampler(ds, 2, 1)
+		if training.RestoreTrainState(c.Train, nil, s) == nil {
+			s.Next()
 		}
 	})
 }

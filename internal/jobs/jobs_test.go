@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"deep500/internal/graph"
 	"deep500/internal/obs"
 )
 
@@ -282,6 +283,35 @@ func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
 	// (the checkpoint pinned a step ≥ 2 before the kill).
 	if w.Step != total {
 		t.Fatalf("rank 1 final step %d, want %d", w.Step, total)
+	}
+}
+
+// TestUnbuildableCheckpointFailsRank: D5NX decoding does not validate the
+// graph, so a checkpoint can hold a model that does not build. The rank
+// that resumes from it returns an error naming itself — it must not panic,
+// which under LocalRunner would take the whole process down — and once its
+// restarts are spent the job fails with that error.
+func TestUnbuildableCheckpointFailsRank(t *testing.T) {
+	m, _ := startControlPlane(t)
+	spec := Spec{
+		Scheme: SchemeASGD, Workers: 2,
+		Samples: 64, Batch: 8, Epochs: 1, Hidden: 8, Seed: 7,
+		CheckpointDir: t.TempDir(), MaxRestarts: 1,
+	}
+	model := buildModel(spec)
+	model.Nodes[0].OpType = "NoSuchOp"
+	if err := graph.SaveCheckpoint(&graph.Checkpoint{Model: model, Train: &graph.TrainState{}}, spec.CheckpointPath(1)); err != nil {
+		t.Fatal(err)
+	}
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := awaitState(t, m, job.ID, StateFailed, 60*time.Second)
+	for _, want := range []string{"rank 1 building model", "NoSuchOp"} {
+		if !strings.Contains(final.Error, want) {
+			t.Errorf("job error %q does not contain %q", final.Error, want)
+		}
 	}
 }
 

@@ -105,8 +105,8 @@ func TestDistributedTraceTree(t *testing.T) {
 		t.Fatalf("%d dist.rank spans, want 2", ranks)
 	}
 	// The sampled first step of each rank carries its op subtree.
-	if n := countSpans(td, "dist.step"); n < 2 {
-		t.Fatalf("%d dist.step spans, want at least one per worker", n)
+	if n := countSpans(td, "train.step"); n < 2 {
+		t.Fatalf("%d train.step spans, want at least one per worker", n)
 	}
 	opChains := 0
 	for _, s := range td.Spans {
@@ -114,13 +114,13 @@ func TestDistributedTraceTree(t *testing.T) {
 			continue
 		}
 		step, ok := spans[s.Parent]
-		if !ok || step.Name != "dist.step" {
-			t.Fatalf("exec.forward parented on %+v, want dist.step", step)
+		if !ok || step.Name != "train.step" {
+			t.Fatalf("exec.forward parented on %+v, want train.step", step)
 		}
 		opChains++
 	}
 	if opChains == 0 {
-		t.Fatal("no exec.forward span under any dist.step")
+		t.Fatal("no exec.forward span under any train.step")
 	}
 }
 

@@ -22,11 +22,6 @@ import (
 	"deep500/internal/transport"
 )
 
-// traceStepEvery samples one distributed optimization step per this many
-// for per-op tracing (plus the first step); every step's subtree on a
-// long job would blow the per-trace span budget.
-const traceStepEvery = 100
-
 // RankConfig is everything a rank process needs to join its job: identity
 // plus the control-plane URL. The spec itself is fetched from the control
 // plane, so restarted processes always see the authoritative config.
@@ -281,7 +276,10 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 		}
 	}
 
-	e := executor.MustNew(model)
+	e, err := executor.New(model)
+	if err != nil {
+		return fmt.Errorf("jobs: rank %d building model: %w", rankID, err)
+	}
 	e.SetTraining(true)
 	ds := buildDataset(spec)
 	sampler := dist.NewDistributedSampler(ds, spec.Batch, workerIdx, spec.Workers, spec.Seed)
@@ -299,23 +297,21 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 		opt = dist.NewConsistentDecentralized(training.NewDriver(e, rule), rank, mpi.AllreduceRing)
 	}
 
-	step := 0
+	// The runner owns the step counter and the step spans; this loop keeps
+	// the sampler (one continuous shard stream, reset only when it runs
+	// dry) and the checkpoint cadence. Parameter-server schemes keep
+	// optimizer slots on the server, so the worker checkpoints none.
+	r := &training.Runner{Opt: opt, TrainSet: sampler, LossOutput: "loss", AccOutput: "acc"}
 	if resume != nil {
-		step = resume.Step
-		st := training.SamplerState{Order: resume.SamplerOrder, Pos: resume.SamplerPos}
-		if resume.HasSamplerRNG {
-			rng := resume.SamplerRNG
-			st.RNG = &rng
+		if err := training.RestoreTrainState(resume, nil, sampler); err != nil {
+			return fmt.Errorf("jobs: rank %d: %w", rankID, err)
 		}
-		if err := sampler.RestoreState(st); err != nil {
-			return fmt.Errorf("jobs: rank %d restoring sampler: %w", rankID, err)
-		}
+		r.ResumeAt(resume.Step, resume.EpochsDone, resume.MidEpoch)
 	}
 
 	total := spec.TotalSteps()
 	perEpoch := spec.StepsPerEpoch()
-	var lastLoss float64
-	for step < total {
+	for r.Steps() < total {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -324,33 +320,17 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 			sampler.Reset()
 			continue
 		}
-		// First and every traceStepEvery-th step get a span with the full
-		// per-op subtree; the rest run with span-free contexts.
-		var stepSpan *trace.Span
-		stepCtx := ctx
-		if parent := trace.FromContext(ctx); parent != nil {
-			if step%traceStepEvery == 0 {
-				stepSpan = parent.StartChild("dist.step", trace.Int("step", step+1))
-				stepCtx = trace.NewContext(ctx, stepSpan)
-			} else {
-				stepCtx = trace.WithoutSpan(ctx)
-			}
-		}
-		out, err := opt.Train(stepCtx, b.Feeds())
+		loss, err := r.Step(ctx, b)
 		if err != nil {
-			stepSpan.SetError(err)
-			stepSpan.End()
 			return err
 		}
-		step++
-		if loss, ok := out["loss"]; ok && loss.Size() > 0 {
-			lastLoss = float64(loss.Data()[0])
-		}
-		stepSpan.AddAttrs(trace.Float("loss", lastLoss))
-		stepSpan.End()
-		progress.store(step, lastLoss)
+		step := r.Steps()
+		progress.store(step, loss)
 		if ckptPath != "" && (step%spec.CheckpointEvery == 0 || step == total) {
-			if err := saveWorkerCheckpoint(ckptPath, model, sampler, step, perEpoch); err != nil {
+			// The model is cloned: the optimizer keeps mutating the live
+			// tensors.
+			ts := training.CaptureTrainState(step, step/perEpoch, step%perEpoch != 0, nil, sampler)
+			if err := graph.SaveCheckpoint(&graph.Checkpoint{Model: model.Clone(), Train: ts}, ckptPath); err != nil {
 				return fmt.Errorf("jobs: rank %d checkpointing: %w", rankID, err)
 			}
 		}
@@ -362,28 +342,6 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 		return cw.Finish()
 	}
 	return nil
-}
-
-// saveWorkerCheckpoint writes a worker's exact-resume state: the model
-// weights as of this step (cloned — the optimizer keeps mutating the live
-// tensors), the shard cursor, and the step counter. Parameter-server
-// schemes keep optimizer slots on the server, so the worker state carries
-// none.
-func saveWorkerCheckpoint(path string, model *graph.Model, sampler *dist.DistributedSampler, step, perEpoch int) error {
-	m := model.Clone()
-	st := sampler.CaptureState()
-	ts := &graph.TrainState{
-		Step:         step,
-		EpochsDone:   step / perEpoch,
-		MidEpoch:     step%perEpoch != 0,
-		SamplerOrder: st.Order,
-		SamplerPos:   st.Pos,
-	}
-	if st.RNG != nil {
-		ts.HasSamplerRNG = true
-		ts.SamplerRNG = *st.RNG
-	}
-	return graph.SaveCheckpoint(&graph.Checkpoint{Model: m, Train: ts}, path)
 }
 
 // controlClient is the rank side of the control-plane HTTP protocol.

@@ -6,30 +6,16 @@ import (
 	"deep500/internal/tensor"
 )
 
-// AdaGrad accumulates squared gradients per parameter.
-type AdaGrad struct {
-	LR, Eps float32
-	squares map[string]*tensor.Tensor
-}
+// AdaGrad accumulates squared gradients per parameter: the reference
+// update rule over FusedAdaGrad's state.
+type AdaGrad struct{ FusedAdaGrad }
 
 // NewAdaGrad returns an AdaGrad reference optimizer.
-func NewAdaGrad(lr float32) *AdaGrad {
-	return &AdaGrad{LR: lr, Eps: 1e-8, squares: make(map[string]*tensor.Tensor)}
-}
-
-// NewInput is a no-op.
-func (o *AdaGrad) NewInput() {}
-
-// PrepareParam is a no-op.
-func (o *AdaGrad) PrepareParam(string, *tensor.Tensor) *tensor.Tensor { return nil }
+func NewAdaGrad(lr float32) *AdaGrad { return &AdaGrad{*NewFusedAdaGrad(lr)} }
 
 // UpdateRule applies s += g²; w -= lr·g/(√s+ε).
 func (o *AdaGrad) UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor {
-	s, ok := o.squares[name]
-	if !ok {
-		s = tensor.New(oldParam.Shape()...)
-		o.squares[name] = s
-	}
+	s := slotFor(o.squares, name, oldParam)
 	s.AddInPlace(tensor.Mul(grad, grad))
 	out := oldParam.Clone()
 	g, sd, od := grad.Data(), s.Data(), out.Data()
@@ -39,30 +25,16 @@ func (o *AdaGrad) UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor
 	return out
 }
 
-// RMSProp keeps an exponential moving average of squared gradients.
-type RMSProp struct {
-	LR, Rho, Eps float32
-	squares      map[string]*tensor.Tensor
-}
+// RMSProp keeps an exponential moving average of squared gradients: the
+// reference update rule over FusedRMSProp's state.
+type RMSProp struct{ FusedRMSProp }
 
 // NewRMSProp returns an RMSProp reference optimizer.
-func NewRMSProp(lr, rho float32) *RMSProp {
-	return &RMSProp{LR: lr, Rho: rho, Eps: 1e-8, squares: make(map[string]*tensor.Tensor)}
-}
-
-// NewInput is a no-op.
-func (o *RMSProp) NewInput() {}
-
-// PrepareParam is a no-op.
-func (o *RMSProp) PrepareParam(string, *tensor.Tensor) *tensor.Tensor { return nil }
+func NewRMSProp(lr, rho float32) *RMSProp { return &RMSProp{*NewFusedRMSProp(lr, rho)} }
 
 // UpdateRule applies s ← ρs + (1-ρ)g²; w -= lr·g/√(s+ε).
 func (o *RMSProp) UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor {
-	s, ok := o.squares[name]
-	if !ok {
-		s = tensor.New(oldParam.Shape()...)
-		o.squares[name] = s
-	}
+	s := slotFor(o.squares, name, oldParam)
 	g, sd := grad.Data(), s.Data()
 	for i := range sd {
 		sd[i] = o.Rho*sd[i] + (1-o.Rho)*g[i]*g[i]
@@ -90,51 +62,30 @@ const (
 	AdamEpsInside
 )
 
-// Adam is the Adam reference optimizer with selectable formulation.
+// Adam is the Adam reference optimizer with selectable formulation: the
+// reference update rule over FusedAdam's state.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float32
-	Variant               AdamVariant
-	t                     int
-	m, v                  map[string]*tensor.Tensor
+	FusedAdam
+	Variant AdamVariant
 }
 
 // NewAdam returns Adam in the reference (paper) formulation.
-func NewAdam(lr float32) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[string]*tensor.Tensor), v: make(map[string]*tensor.Tensor)}
-}
+func NewAdam(lr float32) *Adam { return &Adam{FusedAdam: *NewFusedAdam(lr)} }
 
 // NewAdamVariant returns Adam in the chosen formulation.
 func NewAdamVariant(lr float32, variant AdamVariant) *Adam {
-	a := NewAdam(lr)
-	a.Variant = variant
-	return a
+	return &Adam{FusedAdam: *NewFusedAdam(lr), Variant: variant}
 }
-
-// NewInput advances the time step (bias correction uses t starting at 1).
-func (o *Adam) NewInput() { o.t++ }
-
-// PrepareParam is a no-op.
-func (o *Adam) PrepareParam(string, *tensor.Tensor) *tensor.Tensor { return nil }
 
 // UpdateRule applies the chosen Adam formulation.
 func (o *Adam) UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor {
-	m, ok := o.m[name]
-	if !ok {
-		m = tensor.New(oldParam.Shape()...)
-		o.m[name] = m
-		o.v[name] = tensor.New(oldParam.Shape()...)
-	}
-	v := o.v[name]
+	m, v := slotFor(o.m, name, oldParam), slotFor(o.v, name, oldParam)
 	g, md, vd := grad.Data(), m.Data(), v.Data()
 	for i := range md {
 		md[i] = o.Beta1*md[i] + (1-o.Beta1)*g[i]
 		vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g[i]*g[i]
 	}
-	t := o.t
-	if t < 1 {
-		t = 1
-	}
+	t := max(o.t, 1)
 	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(t)))
 	bc2 := 1 - float32(math.Pow(float64(o.Beta2), float64(t)))
 	out := oldParam.Clone()

@@ -3,14 +3,18 @@ package training
 import (
 	"fmt"
 
+	"deep500/internal/graph"
 	"deep500/internal/tensor"
 )
 
-// Exact-resume support. Every reference and fused optimizer can flatten its
-// state (step counters, momentum/variance slots) into an OptimizerState and
-// restore it later, and both samplers can capture their epoch cursor, so a
-// checkpoint taken mid-run restores a trajectory that is bitwise-equal to
-// the uninterrupted one (paper pillar 5, "Reproducibility").
+// Exact-resume support. Every fused optimizer, AcceleGrad, and through
+// embedding every reference form, can flatten its state (step counters,
+// momentum/variance slots) into an OptimizerState and restore it later, and
+// both samplers can capture their epoch cursor, so a checkpoint taken
+// mid-run restores a trajectory that is bitwise-equal to the uninterrupted
+// one (paper pillar 5, "Reproducibility"). CaptureTrainState and
+// RestoreTrainState are the one mapping between these and the checkpoint's
+// graph.TrainState.
 
 // OptimizerState is a flattened, serializable snapshot of an optimizer.
 // Tensor keys are namespaced by slot ("vel/<param>", "m/<param>", ...), so
@@ -55,77 +59,6 @@ func restoreTensors(src map[string]*tensor.Tensor, prefix string) map[string]*te
 		}
 	}
 	return out
-}
-
-// CaptureState snapshots the schedule step.
-func (o *GradientDescent) CaptureState() OptimizerState {
-	s := newOptimizerState()
-	s.Ints["step"] = int64(o.step)
-	return s
-}
-
-// RestoreState rewinds the schedule step.
-func (o *GradientDescent) RestoreState(s OptimizerState) error {
-	o.step = int(s.Ints["step"])
-	return nil
-}
-
-// CaptureState snapshots the schedule step and velocity slots.
-func (o *Momentum) CaptureState() OptimizerState {
-	s := newOptimizerState()
-	s.Ints["step"] = int64(o.step)
-	captureTensors(s.Tensors, "vel", o.vel)
-	return s
-}
-
-// RestoreState rewinds the schedule step and velocity slots.
-func (o *Momentum) RestoreState(s OptimizerState) error {
-	o.step = int(s.Ints["step"])
-	o.vel = restoreTensors(s.Tensors, "vel")
-	return nil
-}
-
-// CaptureState snapshots the squared-gradient accumulators.
-func (o *AdaGrad) CaptureState() OptimizerState {
-	s := newOptimizerState()
-	captureTensors(s.Tensors, "sq", o.squares)
-	return s
-}
-
-// RestoreState rewinds the squared-gradient accumulators.
-func (o *AdaGrad) RestoreState(s OptimizerState) error {
-	o.squares = restoreTensors(s.Tensors, "sq")
-	return nil
-}
-
-// CaptureState snapshots the moving-average accumulators.
-func (o *RMSProp) CaptureState() OptimizerState {
-	s := newOptimizerState()
-	captureTensors(s.Tensors, "sq", o.squares)
-	return s
-}
-
-// RestoreState rewinds the moving-average accumulators.
-func (o *RMSProp) RestoreState(s OptimizerState) error {
-	o.squares = restoreTensors(s.Tensors, "sq")
-	return nil
-}
-
-// CaptureState snapshots the time step and first/second-moment slots.
-func (o *Adam) CaptureState() OptimizerState {
-	s := newOptimizerState()
-	s.Ints["t"] = int64(o.t)
-	captureTensors(s.Tensors, "m", o.m)
-	captureTensors(s.Tensors, "v", o.v)
-	return s
-}
-
-// RestoreState rewinds the time step and moment slots.
-func (o *Adam) RestoreState(s OptimizerState) error {
-	o.t = int(s.Ints["t"])
-	o.m = restoreTensors(s.Tensors, "m")
-	o.v = restoreTensors(s.Tensors, "v")
-	return nil
 }
 
 // CaptureState snapshots the full AcceleGrad state: time step, α_t/τ_t,
@@ -284,6 +217,50 @@ func (s *ShuffleSampler) RestoreState(st SamplerState) error {
 	s.order = append([]int(nil), st.Order...)
 	s.pos = st.Pos
 	s.rng.RestoreState(*st.RNG)
+	return nil
+}
+
+// CaptureTrainState flattens a run's position into a checkpoint's training
+// section: the step and epoch counters, the optimizer's slots and the
+// sampler's cursor. co may be nil for a run that checkpoints no optimizer
+// slots (a parameter-server worker: the server owns them).
+func CaptureTrainState(step, epochsDone int, midEpoch bool, co CheckpointableOptimizer, cs CheckpointableSampler) *graph.TrainState {
+	samp := cs.CaptureState()
+	ts := &graph.TrainState{
+		Step:         step,
+		EpochsDone:   epochsDone,
+		MidEpoch:     midEpoch,
+		SamplerOrder: samp.Order,
+		SamplerPos:   samp.Pos,
+	}
+	if co != nil {
+		opt := co.CaptureState()
+		ts.OptInts, ts.OptFloats, ts.OptTensors = opt.Ints, opt.Floats, opt.Tensors
+	}
+	if samp.RNG != nil {
+		ts.HasSamplerRNG = true
+		ts.SamplerRNG = *samp.RNG
+	}
+	return ts
+}
+
+// RestoreTrainState rewinds an optimizer (skipped when co is nil) and a
+// sampler to a checkpoint's training section. The step and epoch counters
+// are the caller's to apply (Runner.ResumeAt).
+func RestoreTrainState(ts *graph.TrainState, co CheckpointableOptimizer, cs CheckpointableSampler) error {
+	if co != nil {
+		if err := co.RestoreState(OptimizerState{Ints: ts.OptInts, Floats: ts.OptFloats, Tensors: ts.OptTensors}); err != nil {
+			return fmt.Errorf("training: restoring optimizer state: %w", err)
+		}
+	}
+	st := SamplerState{Order: ts.SamplerOrder, Pos: ts.SamplerPos}
+	if ts.HasSamplerRNG {
+		rng := ts.SamplerRNG
+		st.RNG = &rng
+	}
+	if err := cs.RestoreState(st); err != nil {
+		return fmt.Errorf("training: restoring sampler state: %w", err)
+	}
 	return nil
 }
 

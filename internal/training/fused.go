@@ -11,13 +11,14 @@ import (
 // tensor and returns that same tensor, which Driver.Train recognises as an
 // in-place update — a step allocates nothing that scales with the parameter
 // count. They are the Caffe2-style dedicated operator of the paper's Use
-// Case 1; the reference optimizers in sgd.go and adaptive.go, which compose
-// tensor operations and allocate fresh tensors, remain only as what
+// Case 1. The reference optimizers in sgd.go and adaptive.go embed these
+// types and override only UpdateRule with one that composes tensor
+// operations and allocates fresh tensors; they remain only as what
 // validation.TestOptimizer and the Fig. 9 reproduction compare them with
 // (reference Adam ≈5× slower than the native fused one).
 //
-// Slot names in CaptureState match the reference forms', so a checkpoint
-// written by either loads into the other.
+// A reference form's state, constructor defaults and CaptureState are its
+// fused twin's, so a checkpoint written by either loads into the other.
 
 // slotFor returns the per-parameter state tensor of name, creating it zeroed
 // in the parameter's shape on first use.

@@ -28,7 +28,7 @@ var rulePairs = func() []rulePair {
 	return []rulePair{
 		{"sgd",
 			func() ThreeStep { return &FusedSGD{LR: decay} },
-			func() ThreeStep { return &GradientDescent{LR: decay} }},
+			func() ThreeStep { return &GradientDescent{FusedSGD{LR: decay}} }},
 		{"momentum",
 			func() ThreeStep { o := NewFusedMomentum(0, 0.9); o.LR = decay; return o },
 			func() ThreeStep { o := NewMomentum(0, 0.9); o.LR = decay; return o }},

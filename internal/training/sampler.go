@@ -78,14 +78,12 @@ func (d *InMemoryDataset) Read(i int, dst []float32) int {
 
 // baseSampler assembles batches given an index order.
 type baseSampler struct {
-	ds        Dataset
-	batch     int
-	pos       int
-	order     []int
-	dropLast  bool
-	bias      *metrics.DatasetBias
-	batchBuf  []float32
-	labelsBuf []float32
+	ds       Dataset
+	batch    int
+	pos      int
+	order    []int
+	dropLast bool
+	bias     *metrics.DatasetBias
 }
 
 func (s *baseSampler) BatchSize() int { return s.batch }
@@ -103,10 +101,6 @@ func (s *baseSampler) next() *Batch {
 		n = remaining
 	}
 	stride := tensor.Volume(s.ds.SampleShape())
-	if cap(s.batchBuf) < n*stride {
-		s.batchBuf = make([]float32, n*stride)
-		s.labelsBuf = make([]float32, n)
-	}
 	xData := make([]float32, n*stride)
 	labels := make([]float32, n)
 	for j := 0; j < n; j++ {

@@ -11,22 +11,13 @@ func ConstantLR(lr float32) Schedule { return func(int) float32 { return lr } }
 // GradientDescent is plain SGD with a learning-rate schedule — the paper's
 // "Gradient Descent with learning rate schedule" reference optimizer. This
 // is a deliberately *reference* (allocation-per-step, composed-from-tensor-
-// ops) implementation; the fused counterparts live in fused.go.
-type GradientDescent struct {
-	LR   Schedule
-	step int
-}
+// ops) update rule over its fused twin's state (fused.go).
+type GradientDescent struct{ FusedSGD }
 
 // NewGradientDescent returns SGD with a constant learning rate.
 func NewGradientDescent(lr float32) *GradientDescent {
-	return &GradientDescent{LR: ConstantLR(lr)}
+	return &GradientDescent{*NewFusedSGD(lr)}
 }
-
-// NewInput advances the schedule.
-func (o *GradientDescent) NewInput() { o.step++ }
-
-// PrepareParam is a no-op for SGD.
-func (o *GradientDescent) PrepareParam(string, *tensor.Tensor) *tensor.Tensor { return nil }
 
 // UpdateRule returns w - lr·g.
 func (o *GradientDescent) UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor {
@@ -35,41 +26,23 @@ func (o *GradientDescent) UpdateRule(grad, oldParam *tensor.Tensor, name string)
 }
 
 // Momentum is SGD with (Polyak) momentum.
-type Momentum struct {
-	LR       Schedule
-	Mu       float32
-	Nesterov bool
-	step     int
-	vel      map[string]*tensor.Tensor
-}
+type Momentum struct{ FusedMomentum }
 
 // NewMomentum returns momentum SGD.
 func NewMomentum(lr, mu float32) *Momentum {
-	return &Momentum{LR: ConstantLR(lr), Mu: mu, vel: make(map[string]*tensor.Tensor)}
+	return &Momentum{*NewFusedMomentum(lr, mu)}
 }
 
 // NewNesterov returns Nesterov-accelerated SGD.
 func NewNesterov(lr, mu float32) *Momentum {
-	m := NewMomentum(lr, mu)
-	m.Nesterov = true
-	return m
+	return &Momentum{*NewFusedNesterov(lr, mu)}
 }
-
-// NewInput advances the schedule.
-func (o *Momentum) NewInput() { o.step++ }
-
-// PrepareParam is a no-op.
-func (o *Momentum) PrepareParam(string, *tensor.Tensor) *tensor.Tensor { return nil }
 
 // UpdateRule applies v ← μv - lr·g; w ← w + v (plus the Nesterov lookahead
 // when enabled).
 func (o *Momentum) UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor {
 	lr := o.LR(o.step)
-	v, ok := o.vel[name]
-	if !ok {
-		v = tensor.New(oldParam.Shape()...)
-		o.vel[name] = v
-	}
+	v := slotFor(o.vel, name, oldParam)
 	v.Scale(o.Mu)
 	v.Axpy(-lr, grad)
 	if o.Nesterov {
