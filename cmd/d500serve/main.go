@@ -50,22 +50,12 @@ import (
 // zooModel builds a headless (inference-only) zoo architecture at its
 // classic input geometry.
 func zooModel(name string) (*graph.Model, error) {
-	mnist := models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, Seed: 42}
-	cifar := models.Config{Classes: 10, Channels: 3, Height: 32, Width: 32, Seed: 42}
+	cfg := models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, Seed: 42} // MNIST
 	switch strings.ToLower(name) {
-	case "mlp":
-		return models.MLP(mnist, 256, 128), nil
-	case "lenet":
-		return models.LeNet(mnist), nil
-	case "resnet8":
-		return models.ResNet(8, cifar), nil
-	case "resnet18":
-		return models.ResNet(18, cifar), nil
-	case "wrn16":
-		return models.WideResNet(16, 2, cifar), nil
-	default:
-		return nil, fmt.Errorf("unknown zoo model %q (mlp, lenet, resnet8, resnet18, wrn16)", name)
+	case "resnet8", "resnet18", "wrn16":
+		cfg.Channels, cfg.Height, cfg.Width = 3, 32, 32 // CIFAR
 	}
+	return models.ByName(name, cfg)
 }
 
 // tenantSpec is one -models entry: a serving name, a zoo architecture,

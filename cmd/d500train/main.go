@@ -18,29 +18,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
 	"deep500/d500"
 	"deep500/internal/graph"
 	"deep500/internal/models"
 )
-
-func buildModel(name string, cfg models.Config) (*graph.Model, error) {
-	switch strings.ToLower(name) {
-	case "mlp":
-		return models.MLP(cfg, 256, 128), nil
-	case "lenet":
-		return models.LeNet(cfg), nil
-	case "resnet8":
-		return models.ResNet(8, cfg), nil
-	case "resnet18":
-		return models.ResNet(18, cfg), nil
-	case "wrn16":
-		return models.WideResNet(16, 2, cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q (mlp, lenet, resnet8, resnet18, wrn16)", name)
-	}
-}
 
 func main() {
 	model := flag.String("model", "lenet", "model: mlp, lenet, resnet8, resnet18, wrn16")
@@ -87,7 +69,7 @@ func main() {
 		fmt.Printf("resuming from %s (step %d, %d epoch(s) done)\n", *resume, cp.Step(), cp.EpochsDone())
 	} else {
 		var err error
-		m, err = buildModel(*model, cfg)
+		m, err = models.ByName(*model, cfg)
 		fatalIf(err)
 	}
 

@@ -1,5 +1,7 @@
 package core
 
+import "strconv"
+
 // Support levels in the capability matrices.
 type Support int
 
@@ -169,31 +171,9 @@ func RenderFig2() *Table {
 
 func fnum(f float64) string {
 	if f == float64(int64(f)) {
-		return itoa(int64(f))
+		return strconv.FormatInt(int64(f), 10)
 	}
-	return itoa(int64(f + 0.5))
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return strconv.FormatInt(int64(f+0.5), 10)
 }
 
 // DeepBenchConvShapes lists convolution problem sizes in the spirit of the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -490,7 +491,7 @@ func RenderFig11(points []Fig11Point) *Table {
 	t := &Table{Title: "Fig. 11: weight divergence between Adam formulations (reference vs ε-inside)",
 		Headers: []string{"Iteration", "Σ l2", "max l∞"}}
 	for _, p := range points {
-		t.AddRow(itoa(int64(p.Iteration)),
+		t.AddRow(strconv.Itoa(p.Iteration),
 			fmt.Sprintf("%.5g", p.TotalL2), fmt.Sprintf("%.5g", p.TotalLInf))
 	}
 	t.AddNote("expected shape: divergence grows with iterations; fully connected weights diverge faster than biases")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"deep500/internal/dist"
@@ -293,10 +294,10 @@ func RenderFig12(title string, rows []Fig12Row) *Table {
 		Headers: []string{"Optimizer", "Nodes", "Throughput [img/s]", "Sent/node"}}
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.Scheme, itoa(int64(r.Nodes)), "n/a: "+r.Failed, "-")
+			t.AddRow(r.Scheme, strconv.Itoa(r.Nodes), "n/a: "+r.Failed, "-")
 			continue
 		}
-		t.AddRow(r.Scheme, itoa(int64(r.Nodes)),
+		t.AddRow(r.Scheme, strconv.Itoa(r.Nodes),
 			fmt.Sprintf("%.0f", r.Throughput),
 			fmt.Sprintf("%.3f GB", r.PerNodeGB))
 	}

@@ -8,9 +8,11 @@ import (
 	"deep500/internal/tensor"
 )
 
-// refIm2Col and refCol2Im are the per-element forms Im2Col and Col2Im had
-// before the span rewrite: a bounds test on every element.
-func refIm2Col(s ConvShape, img, col []float32) {
+// im2col and refCol2Im are the per-element forms of the lowering and of
+// Col2Im, a bounds test on every element: the column matrix the panel
+// writers and the column-matrix convolution (conv_lowering_test.go) are
+// checked against, and the reference for Col2Im's span form.
+func im2col(s ConvShape, img, col []float32) {
 	oh, ow := s.OutDims()
 	idx := 0
 	for c := 0; c < s.C; c++ {
@@ -59,39 +61,6 @@ func refCol2Im(s ConvShape, col, img []float32) {
 	}
 }
 
-// refConv2DBackward is the serial per-image loop that was the body of
-// ops.Conv2DOp.Backward before Conv2DBackward replaced it, over the
-// per-element im2col/col2im forms. It always computes all three gradients.
-func refConv2DBackward(s ConvShape, x, w, gOut []float32) (dX, dW, dBias []float32) {
-	oh, ow := s.OutDims()
-	spatial := oh * ow
-	ckk := s.C * s.KH * s.KW
-	dX = make([]float32, s.InputSize())
-	dW = make([]float32, s.WeightSize())
-	dBias = make([]float32, s.M)
-	col := make([]float32, ckk*spatial)
-	dcol := make([]float32, ckk*spatial)
-	imgW := make([]float32, s.M*ckk)
-	for n := 0; n < s.N; n++ {
-		g := gOut[n*s.M*spatial : (n+1)*s.M*spatial]
-		refIm2Col(s, x[n*s.C*s.H*s.W:], col)
-		GemmTransB(g, col, imgW, s.M, spatial, ckk)
-		for i, v := range imgW {
-			dW[i] += v
-		}
-		GemmTransA(w, g, dcol, ckk, s.M, spatial)
-		refCol2Im(s, dcol, dX[n*s.C*s.H*s.W:])
-		for m := 0; m < s.M; m++ {
-			var sum float32
-			for _, v := range g[m*spatial : (m+1)*spatial] {
-				sum += v
-			}
-			dBias[m] += sum
-		}
-	}
-	return dX, dW, dBias
-}
-
 // convBackwardShapes is the differential-test grid: batch sizes around the
 // chunk boundary, one and several input channels, stride 1 and 2, pad 0–2,
 // plus the two LeNet shapes, a non-square kernel and two degenerate
@@ -126,18 +95,6 @@ func convBackwardOperands(s ConvShape, seed uint64) (x, w, gOut []float32) {
 
 func seeded(seed uint64, n int) []float32 { return randSlice(tensor.NewRNG(seed), n) }
 
-func bitsEqual(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // withPool runs f with kernels.Default replaced by a pool of the given
 // size (go test -cpu does not resize Default).
 func withPool(workers int, f func()) {
@@ -147,84 +104,18 @@ func withPool(workers int, f func()) {
 	f()
 }
 
-func TestIm2ColCol2ImSpanMatchesPerElement(t *testing.T) {
+// TestCol2ImSpanMatchesPerElement: Col2Im's span form overwrites the whole
+// image with what the per-element scatter gives, bit for bit.
+func TestCol2ImSpanMatchesPerElement(t *testing.T) {
 	for _, s := range convBackwardShapes() {
 		oh, ow := s.OutDims()
-		n := s.C * s.KH * s.KW * oh * ow
-		img := seeded(11, s.C*s.H*s.W)
+		src := seeded(14, s.C*s.KH*s.KW*oh*ow)
 		// Poison the destinations: both forms must overwrite everything.
-		col, refCol := seeded(12, n), seeded(13, n)
-		im2col(s, img, col)
-		refIm2Col(s, img, refCol)
-		if !bitsEqual(col, refCol) {
-			t.Errorf("%v: Im2Col span form differs from per-element form", s)
-		}
-		src := seeded(14, n)
-		back, refBack := seeded(15, len(img)), seeded(16, len(img))
+		back, refBack := seeded(15, s.C*s.H*s.W), seeded(16, s.C*s.H*s.W)
 		Col2Im(s, src, back)
 		refCol2Im(s, src, refBack)
-		if !bitsEqual(back, refBack) {
-			t.Errorf("%v: Col2Im span form differs from per-element form", s)
-		}
+		requireSameBits(t, fmt.Sprintf("%v: Col2Im", s), back, refBack)
 	}
-}
-
-func TestConv2DBackwardMatchesSerialReference(t *testing.T) {
-	for _, s := range convBackwardShapes() {
-		x, w, gOut := convBackwardOperands(s, 21)
-		refX, refW, refB := refConv2DBackward(s, x, w, gOut)
-		dX := seeded(1, s.InputSize()) // poisoned: the kernel overwrites
-		dW := seeded(2, s.WeightSize())
-		dB := seeded(3, s.M)
-		Conv2DBackward(s, x, w, gOut, dX, dW, dB)
-		// dX is per image and keeps the old order exactly; dW and dBias
-		// regroup the batch sum by chunk, so they agree to rounding, and
-		// exactly (up to the sign of zero) while the batch is one chunk.
-		if !bitsEqual(dX, refX) {
-			t.Errorf("%v: dX differs from the serial reference", s)
-		}
-		tol := 1e-4
-		if s.N <= convBwdChunk {
-			tol = 0
-		}
-		if d := maxRelDiff(dW, refW); d > tol {
-			t.Errorf("%v: dW off the serial reference by %g", s, d)
-		}
-		if d := maxRelDiff(dB, refB); d > tol {
-			t.Errorf("%v: dBias off the serial reference by %g", s, d)
-		}
-
-		// Leaving a gradient out must not change the others by one bit.
-		for _, skip := range []string{"dX", "dW", "dBias", "dX+dBias"} {
-			oX, oW, oB := make([]float32, len(dX)), make([]float32, len(dW)), make([]float32, len(dB))
-			switch skip {
-			case "dX":
-				oX = nil
-			case "dW":
-				oW = nil
-			case "dBias":
-				oB = nil
-			case "dX+dBias":
-				oX, oB = nil, nil
-			}
-			Conv2DBackward(s, x, w, gOut, oX, oW, oB)
-			if (oX != nil && !bitsEqual(oX, dX)) || (oW != nil && !bitsEqual(oW, dW)) || (oB != nil && !bitsEqual(oB, dB)) {
-				t.Errorf("%v: skipping %s changed another gradient", s, skip)
-			}
-		}
-	}
-}
-
-// maxRelDiff is the largest |a-b| relative to the larger magnitude (or to 1
-// for small values).
-func maxRelDiff(a, b []float32) float64 {
-	var worst float64
-	for i := range a {
-		d := math.Abs(float64(a[i]) - float64(b[i]))
-		scale := math.Max(1, math.Max(math.Abs(float64(a[i])), math.Abs(float64(b[i]))))
-		worst = math.Max(worst, d/scale)
-	}
-	return worst
 }
 
 // TestConv2DBackwardFiniteDifferences checks every gradient against central
@@ -286,9 +177,9 @@ func TestConv2DBackwardBitwiseAcrossPoolsAndRepeats(t *testing.T) {
 		withPool(1, func() { wantX, wantW, wantB = run() })
 		check := func(label string) {
 			dX, dW, dB := run()
-			if !bitsEqual(dX, wantX) || !bitsEqual(dW, wantW) || !bitsEqual(dB, wantB) {
-				t.Errorf("%v: %s differs from the 1-worker result", s, label)
-			}
+			requireSameBits(t, fmt.Sprintf("%v: dX under %s", s, label), dX, wantX)
+			requireSameBits(t, fmt.Sprintf("%v: dW under %s", s, label), dW, wantW)
+			requireSameBits(t, fmt.Sprintf("%v: dBias under %s", s, label), dB, wantB)
 		}
 		withPool(2, func() { check("pool of 2") })
 		withPool(8, func() {
@@ -308,21 +199,4 @@ func TestConv2DBackwardEmptyBatch(t *testing.T) {
 			t.Fatal("empty batch must leave zero gradients")
 		}
 	}
-}
-
-func BenchmarkIm2Col(b *testing.B) {
-	s := ConvShape{N: 1, C: 6, H: 14, W: 14, M: 16, KH: 5, KW: 5, StrideH: 1, StrideW: 1}
-	oh, ow := s.OutDims()
-	img := seeded(1, s.C*s.H*s.W)
-	col := make([]float32, s.C*s.KH*s.KW*oh*ow)
-	b.Run("span", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im2col(s, img, col)
-		}
-	})
-	b.Run("per-element", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			refIm2Col(s, img, col)
-		}
-	})
 }

@@ -1,21 +1,12 @@
 package kernels
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 	"testing"
 
 	"deep500/internal/tensor"
 )
-
-// convBitsHash is the FNV-64a hash of every output bit of
-// TestConvBitsPinned's sweep, computed when convolution still lowered
-// through a column matrix and the shape-routed GEMM. A change that moves any
-// bit of a LeNet convolution, forward or backward, changes this hash.
-const convBitsHash = 0xfea048de8b45c94e
 
 // lenetConvShapes are LeNet's two convolutions at batch n.
 func lenetConvShapes(n int) []ConvShape {
@@ -25,29 +16,11 @@ func lenetConvShapes(n int) []ConvShape {
 	}
 }
 
-// TestConvBitsPinned holds the im2col convolution's forward output and its
-// backward dX, dW and dBias on LeNet's conv1 and conv2, at batch 1 and 32,
-// to the bits they had before convolution lowered into packed panels, on
-// the micro-kernel this host runs and on the pure-Go tile.
-func TestConvBitsPinned(t *testing.T) {
-	onEachMicroKernel(t, func(t *testing.T) {
-		if got := convSweepHash(); got != convBitsHash {
-			t.Errorf("convolution output hash %#016x, want %#016x: a kernel change moved output bits",
-				got, uint64(convBitsHash))
-		}
-	})
-}
-
+// convSweepHash hashes the im2col convolution's forward output and its
+// backward dX, dW and dBias on LeNet's conv1 and conv2, at batch 1 and 32.
 func convSweepHash() uint64 {
 	rng := tensor.NewRNG(28)
-	h := fnv.New64a()
-	var word [4]byte
-	sum := func(v []float32) {
-		for _, x := range v {
-			binary.LittleEndian.PutUint32(word[:], math.Float32bits(x))
-			h.Write(word[:])
-		}
-	}
+	h := NewBitsHasher()
 	for _, n := range []int{1, 32} {
 		for _, s := range lenetConvShapes(n) {
 			x := randSlice(rng, s.InputSize())
@@ -62,51 +35,15 @@ func convSweepHash() uint64 {
 			gOut := randSlice(rng, s.OutputSize())
 			out := make([]float32, s.OutputSize())
 			Conv2D(ConvIm2Col, s, x, w, bias, out)
-			sum(out)
+			h.Floats(out)
 			dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
 			Conv2DBackward(s, x, w, gOut, dX, dW, dB)
-			sum(dX)
-			sum(dW)
-			sum(dB)
+			h.Floats(dX)
+			h.Floats(dW)
+			h.Floats(dB)
 		}
 	}
 	return h.Sum64()
-}
-
-// im2col lowers one image (C×H×W) into its (C·KH·KW)×(OH·OW) column
-// matrix, one oxSpan row segment at a time: the Im2Col convolution lowered
-// through before the panel writers, and the matrix their output is checked
-// against.
-func im2col(s ConvShape, img, col []float32) {
-	oh, ow := s.OutDims()
-	idx := 0
-	for c := 0; c < s.C; c++ {
-		inC := img[c*s.H*s.W : (c+1)*s.H*s.W]
-		for ky := 0; ky < s.KH; ky++ {
-			for kx := 0; kx < s.KW; kx++ {
-				lo, hi := oxSpan(ow, s.W, s.StrideW, s.PadW, kx)
-				for oy := 0; oy < oh; oy++ {
-					row := col[idx : idx+ow]
-					idx += ow
-					iy := oy*s.StrideH - s.PadH + ky
-					if iy < 0 || iy >= s.H || lo == hi {
-						clear(row)
-						continue
-					}
-					clear(row[:lo])
-					clear(row[hi:])
-					src := inC[iy*s.W+lo*s.StrideW-s.PadW+kx:]
-					if s.StrideW == 1 {
-						copy(row[lo:hi], src)
-						continue
-					}
-					for i := range row[lo:hi] {
-						row[lo+i] = src[i*s.StrideW]
-					}
-				}
-			}
-		}
-	}
 }
 
 // convLoweringShapes is the differential grid for the panel writers: the
@@ -193,9 +130,7 @@ func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
 			}{{"A", ap, nil}, {"B", nil, bp}, {"A and B", ap, bp}} {
 				got := randSlice(rng, s.m*s.n)
 				gemmPanels(a, b, with.ap, with.bp, got, s.m, s.k, s.n, s.transA, s.transB)
-				if !bitsEqual(got, want) {
-					t.Errorf("%+v: pre-packed %s differs from gemmPacked", s, with.name)
-				}
+				requireSameBits(t, fmt.Sprintf("%+v: pre-packed %s", s, with.name), got, want)
 			}
 		}
 	})
@@ -216,16 +151,12 @@ func TestConvLoweringPanelsMatchPackedIm2Col(t *testing.T) {
 			want := packColumns(col, ckk, spatial, false)
 			got := seeded(52, len(want))
 			im2colPanels(s, img, got, seeded(53, paddedLen(s)))
-			if !bitsEqual(got, want) {
-				t.Errorf("%v: im2colPanels differs from packBPanels(im2col)", s)
-			}
+			requireSameBits(t, fmt.Sprintf("%v: im2colPanels", s), got, want)
 
 			want = packColumns(col, ckk, spatial, true)
 			got = seeded(54, len(want))
 			im2colPanelsT(s, img, got, seeded(55, paddedLen(s)))
-			if !bitsEqual(got, want) {
-				t.Errorf("%v: im2colPanelsT differs from packBPanels(im2colᵀ)", s)
-			}
+			requireSameBits(t, fmt.Sprintf("%v: im2colPanelsT", s), got, want)
 		}
 	})
 }
@@ -296,22 +227,48 @@ func TestConvLoweringMatchesColumnGemm(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			withPool(workers, func() {
 				for _, s := range convLoweringShapes() {
+					what := fmt.Sprintf("%d workers, %v", workers, s)
 					x, w, gOut := convBackwardOperands(s, 61)
 					want := make([]float32, s.OutputSize())
 					columnConv2D(s, x, w, want)
 					got := seeded(62, s.OutputSize())
 					Conv2D(ConvIm2Col, s, x, w, nil, got)
-					if !bitsEqual(got, want) {
-						t.Errorf("%d workers, %v: Conv2D differs from the column-matrix lowering", workers, s)
-					}
+					requireSameBits(t, what+": Conv2D", got, want)
 					wantX, wantW, wantB := columnConv2DBackward(s, x, w, gOut)
 					dX, dW, dB := seeded(63, len(x)), seeded(64, len(w)), seeded(65, s.M)
 					Conv2DBackward(s, x, w, gOut, dX, dW, dB)
-					if !bitsEqual(dX, wantX) || !bitsEqual(dW, wantW) || !bitsEqual(dB, wantB) {
-						t.Errorf("%d workers, %v: Conv2DBackward differs from the column-matrix lowering", workers, s)
-					}
+					requireSameBits(t, what+": dX", dX, wantX)
+					requireSameBits(t, what+": dW", dW, wantW)
+					requireSameBits(t, what+": dBias", dB, wantB)
 				}
 			})
+		}
+	})
+}
+
+// TestConv2DBackwardMatchesSerialReference: on the default pool, every
+// gradient Conv2DBackward is asked for equals the serial reference
+// (columnConv2DBackward) bit for bit, whichever of the others are left out.
+func TestConv2DBackwardMatchesSerialReference(t *testing.T) {
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, s := range convBackwardShapes() {
+			x, w, gOut := convBackwardOperands(s, 21)
+			refX, refW, refB := columnConv2DBackward(s, x, w, gOut)
+			for _, skip := range []string{"none", "dX", "dW", "dBias", "dX+dBias"} {
+				// Poisoned: the kernel overwrites what it computes.
+				o := [][]float32{seeded(1, len(x)), seeded(2, len(w)), seeded(3, s.M)}
+				for i, name := range []string{"dX", "dW", "dBias"} {
+					if strings.Contains(skip, name) {
+						o[i] = nil
+					}
+				}
+				Conv2DBackward(s, x, w, gOut, o[0], o[1], o[2])
+				for i, want := range [][]float32{refX, refW, refB} {
+					if o[i] != nil {
+						requireSameBits(t, fmt.Sprintf("%v: gradient %d without %s", s, i, skip), o[i], want)
+					}
+				}
+			}
 		}
 	})
 }

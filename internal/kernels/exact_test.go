@@ -15,20 +15,6 @@ import (
 	"deep500/internal/tensor"
 )
 
-// FNV-64a hashes of every output bit of the pooling, ReLU, bias and
-// optimizer-update sweeps below, computed with the pure-Go loops before the
-// AVX2 kernels existed. A change that moves any output bit of one of these
-// kernels — on the vector path or the fallback — changes its hash.
-const (
-	maxPoolBitsHash         = 0xfc3dca4989fea182
-	maxPoolBackwardBitsHash = 0x529ac6405ea73310
-	reluBitsHash            = 0xec1ac90b247f5114
-	reluBackwardBitsHash    = 0xc5c221271f8043ae
-	addBiasBitsHash         = 0x00330477587d53c8
-	momentumBitsHash        = 0x1c0e33701394c4b7
-	sgdBitsHash             = 0x7acc7db312a1f2ef
-)
-
 // lenetPoolShapes are LeNet's two max pools at batch n.
 func lenetPoolShapes(n int) []PoolShape {
 	return []PoolShape{
@@ -60,25 +46,26 @@ func poolEdgeShapes() []PoolShape {
 
 func (s PoolShape) inputSize() int { return s.N * s.C * s.H * s.W }
 
-// bitsHasher feeds float32 and int32 bit patterns into one FNV-64a hash.
-type bitsHasher struct {
+// BitsHasher feeds float32 and int32 bit patterns into one FNV-64a hash,
+// the hash every row of the bit contract (bit_contract_test.go) is kept in.
+type BitsHasher struct {
+	hash.Hash64
 	word [4]byte
-	sum  hash.Hash64
 }
 
-func newBitsHasher() *bitsHasher { return &bitsHasher{sum: fnv.New64a()} }
+func NewBitsHasher() *BitsHasher { return &BitsHasher{Hash64: fnv.New64a()} }
 
-func (h *bitsHasher) floats(v []float32) {
+func (h *BitsHasher) Floats(v []float32) {
 	for _, x := range v {
 		binary.LittleEndian.PutUint32(h.word[:], math.Float32bits(x))
-		h.sum.Write(h.word[:])
+		h.Write(h.word[:])
 	}
 }
 
-func (h *bitsHasher) ints(v []int32) {
+func (h *BitsHasher) Ints(v []int32) {
 	for _, x := range v {
 		binary.LittleEndian.PutUint32(h.word[:], uint32(x))
-		h.sum.Write(h.word[:])
+		h.Write(h.word[:])
 	}
 }
 
@@ -88,7 +75,7 @@ func (h *bitsHasher) ints(v []int32) {
 // gradIn starts poisoned: the backward pass must write all of it.
 func poolSweepHashes() (fwd, bwd uint64) {
 	rng := tensor.NewRNG(31)
-	hf, hb := newBitsHasher(), newBitsHasher()
+	hf, hb := NewBitsHasher(), NewBitsHasher()
 	for _, s := range append(lenetPoolShapes(32), poolEdgeShapes()...) {
 		for _, relu := range []bool{false, true} {
 			in := awkwardMix(rng, s.inputSize())
@@ -97,15 +84,15 @@ func poolSweepHashes() (fwd, bwd uint64) {
 			}
 			out, argmax := make([]float32, s.OutputSize()), make([]int32, s.OutputSize())
 			MaxPool2D(s, in, out, argmax)
-			hf.floats(out)
-			hf.ints(argmax)
+			hf.Floats(out)
+			hf.Ints(argmax)
 			gradOut := awkwardMix(rng, s.OutputSize())
 			gradIn := awkwardMix(rng, s.inputSize())
 			MaxPool2DBackward(s, gradOut, argmax, gradIn)
-			hb.floats(gradIn)
+			hb.Floats(gradIn)
 		}
 	}
-	return hf.sum.Sum64(), hb.sum.Sum64()
+	return hf.Sum64(), hb.Sum64()
 }
 
 // reluSweepLengths are LeNet's ReLU sizes at batch 32 (conv1, conv2, fc1,
@@ -115,18 +102,18 @@ var reluSweepLengths = []int{32 * 6 * 28 * 28, 32 * 16 * 10 * 10, 32 * 120, 32 *
 
 func reluSweepHashes() (fwd, bwd uint64) {
 	rng := tensor.NewRNG(32)
-	hf, hb := newBitsHasher(), newBitsHasher()
+	hf, hb := NewBitsHasher(), NewBitsHasher()
 	for _, n := range reluSweepLengths {
 		in := awkwardMix(rng, n)
 		out := awkwardMix(rng, n)
 		ReLU(in, out)
-		hf.floats(out)
+		hf.Floats(out)
 		gradOut := awkwardMix(rng, n)
 		gradIn := awkwardMix(rng, n)
 		ReLUBackward(in, gradOut, gradIn)
-		hb.floats(gradIn)
+		hb.Floats(gradIn)
 	}
-	return hf.sum.Sum64(), hb.sum.Sum64()
+	return hf.Sum64(), hb.Sum64()
 }
 
 // addBiasSweepHash adds awkward biases to awkward images: LeNet's conv1 and
@@ -134,23 +121,23 @@ func reluSweepHashes() (fwd, bwd uint64) {
 // every awkward class.
 func addBiasSweepHash() uint64 {
 	rng := tensor.NewRNG(33)
-	h := newBitsHasher()
+	h := NewBitsHasher()
 	for _, s := range []struct{ planes, size int }{
 		{6, 28 * 28}, {16, 10 * 10}, {3, 1}, {3, 7}, {2, 8}, {4, 9}, {2, 33}, {0, 5},
 	} {
 		bias := awkwardMix(rng, s.planes)
 		out := awkwardMix(rng, s.planes*s.size)
 		addBias(bias, out)
-		h.floats(out)
+		h.Floats(out)
 	}
 	// Every awkward class as a bias: an add of two NaNs returns the first
 	// operand's, so this pins the operand order too.
 	for _, size := range []int{8, 17, 100} {
 		out := awkwardMix(rng, len(awkward)*size)
 		addBias(awkward, out)
-		h.floats(out)
+		h.Floats(out)
 	}
-	return h.sum.Sum64()
+	return h.Sum64()
 }
 
 // updateSweepLengths are LeNet's fc1 weight count (400×120) and ragged
@@ -220,7 +207,7 @@ func updateState(class string, rng *tensor.RNG, n int) (param, grad, vel []float
 // momentum param and vel and the hash of the SGD param.
 func updateSweepHashes(t *testing.T) (momentum, sgd uint64) {
 	rng := tensor.NewRNG(34)
-	hm, hs := newBitsHasher(), newBitsHasher()
+	hm, hs := NewBitsHasher(), NewBitsHasher()
 	for _, class := range updateClasses {
 		for _, n := range updateSweepLengths {
 			param, grad, vel := updateState(class, rng, n)
@@ -236,58 +223,12 @@ func updateSweepHashes(t *testing.T) (momentum, sgd uint64) {
 					}
 				}
 			}
-			hm.floats(param)
-			hm.floats(vel)
-			hs.floats(sgdParam)
+			hm.Floats(param)
+			hm.Floats(vel)
+			hs.Floats(sgdParam)
 		}
 	}
-	return hm.sum.Sum64(), hs.sum.Sum64()
-}
-
-// TestMaxPoolBitsPinned holds the max pool's output, argmax and input
-// gradient to the bits the pure-Go loops gave, on the vector path and on
-// the fallback.
-func TestMaxPoolBitsPinned(t *testing.T) {
-	onEachMicroKernel(t, func(t *testing.T) {
-		fwd, bwd := poolSweepHashes()
-		checkPinned(t, "MaxPool2D", fwd, maxPoolBitsHash)
-		checkPinned(t, "MaxPool2DBackward", bwd, maxPoolBackwardBitsHash)
-	})
-}
-
-// TestReLUBitsPinned holds ReLU and ReLUBackward to the bits the pure-Go
-// loops gave, on the vector path and on the fallback.
-func TestReLUBitsPinned(t *testing.T) {
-	onEachMicroKernel(t, func(t *testing.T) {
-		fwd, bwd := reluSweepHashes()
-		checkPinned(t, "ReLU", fwd, reluBitsHash)
-		checkPinned(t, "ReLUBackward", bwd, reluBackwardBitsHash)
-	})
-}
-
-// TestAddBiasBitsPinned holds the convolution's per-plane bias add to the
-// bits the pure-Go loop gave, on the vector path and on the fallback.
-func TestAddBiasBitsPinned(t *testing.T) {
-	onEachMicroKernel(t, func(t *testing.T) {
-		checkPinned(t, "addBias", addBiasSweepHash(), addBiasBitsHash)
-	})
-}
-
-// TestUpdateBitsPinned holds MomentumFused and SGDFused to the bits the
-// pure-Go loops gave, on the vector path and on the fallback.
-func TestUpdateBitsPinned(t *testing.T) {
-	onEachMicroKernel(t, func(t *testing.T) {
-		momentum, sgd := updateSweepHashes(t)
-		checkPinned(t, "MomentumFused", momentum, momentumBitsHash)
-		checkPinned(t, "SGDFused", sgd, sgdBitsHash)
-	})
-}
-
-func checkPinned(t *testing.T, kernel string, got, want uint64) {
-	t.Helper()
-	if got != want {
-		t.Errorf("%s output hash %#016x, want %#016x: a kernel change moved output bits", kernel, got, want)
-	}
+	return hm.Sum64(), hs.Sum64()
 }
 
 // poolWindow is one 2×2 window, its values in (ky, kx) order, and which of

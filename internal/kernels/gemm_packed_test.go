@@ -1,44 +1,17 @@
 package kernels
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"deep500/internal/tensor"
 )
 
-// gemmPackedBitsHash is the FNV-64a hash of every output bit of
-// TestGemmPackedBitsPinned's sweep, computed with the scalar 2×4 tile the
-// vector micro-kernel replaced. A kernel change that moves any output bit of
-// the packed GEMM — and with it every golden value, trajectory and
-// checkpoint — changes this hash.
-const gemmPackedBitsHash = 0x195769e0c4a09564
-
-// TestGemmPackedBitsPinned holds gemmPacked's output to the bits it had
-// before the vector micro-kernel, across builds, on the micro-kernel this
-// host runs and on the pure-Go tile. The sweep covers the benchmark
+// gemmPackedSweepHash hashes gemmPacked's output over the benchmark
 // workloads' GEMMs (the MLP's three dense layers forward, their transB input
 // gradients and transA weight gradients, and LeNet conv2's per-image
 // product), ragged shapes that cross packMC, packKC and packNC in every
 // operand layout, and an A that is one-third exact zeros.
-func TestGemmPackedBitsPinned(t *testing.T) {
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	paths := []bool{false}
-	if useAVX2 {
-		paths = append(paths, true)
-	}
-	for _, asm := range paths {
-		useAVX2 = asm
-		if got := gemmPackedSweepHash(); got != gemmPackedBitsHash {
-			t.Errorf("assembly kernel %v: gemmPacked output hash %#016x, want %#016x: a kernel change moved output bits",
-				asm, got, uint64(gemmPackedBitsHash))
-		}
-	}
-}
-
 func gemmPackedSweepHash() uint64 {
 	shapes := []struct {
 		m, k, n        int
@@ -60,20 +33,13 @@ func gemmPackedSweepHash() uint64 {
 		{17, 257, 45, true, false},
 	}
 	rng := tensor.NewRNG(27)
-	h := fnv.New64a()
-	var word [4]byte
-	sum := func(c []float32) {
-		for _, v := range c {
-			binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
-			h.Write(word[:])
-		}
-	}
+	h := NewBitsHasher()
 	for _, s := range shapes {
 		a := randSlice(rng, s.m*s.k)
 		b := randSlice(rng, s.k*s.n)
 		c := make([]float32, s.m*s.n)
 		gemmPacked(a, b, c, s.m, s.k, s.n, s.transA, s.transB)
-		sum(c)
+		h.Floats(c)
 	}
 	// One third of A exactly zero, as behind a ReLU or in padded im2col rows.
 	const m, k, n = 48, 200, 70
@@ -84,7 +50,7 @@ func gemmPackedSweepHash() uint64 {
 	b := randSlice(rng, k*n)
 	c := make([]float32, m*n)
 	gemmPacked(a, b, c, m, k, n, false, false)
-	sum(c)
+	h.Floats(c)
 	return h.Sum64()
 }
 

@@ -11,6 +11,7 @@ package models
 
 import (
 	"fmt"
+	"strings"
 
 	"deep500/internal/graph"
 	"deep500/internal/tensor"
@@ -411,4 +412,23 @@ func WideResNet(depth, widen int, cfg Config) *graph.Model {
 	b.flatten()
 	b.dense(b.c, cfg.Classes)
 	return b.head()
+}
+
+// ByName builds the zoo architecture the command-line tools name: "mlp"
+// (hidden layers 256 and 128), "lenet", "resnet8", "resnet18" or "wrn16"
+// (widen factor 2), matched case-insensitively, at cfg's geometry.
+func ByName(name string, cfg Config) (*graph.Model, error) {
+	switch strings.ToLower(name) {
+	case "mlp":
+		return MLP(cfg, 256, 128), nil
+	case "lenet":
+		return LeNet(cfg), nil
+	case "resnet8":
+		return ResNet(8, cfg), nil
+	case "resnet18":
+		return ResNet(18, cfg), nil
+	case "wrn16":
+		return WideResNet(16, 2, cfg), nil
+	}
+	return nil, fmt.Errorf("unknown model %q (mlp, lenet, resnet8, resnet18, wrn16)", name)
 }

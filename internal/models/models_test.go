@@ -159,3 +159,18 @@ func TestSerializationOfModelZoo(t *testing.T) {
 		t.Fatalf("loaded model does not execute: %v", err)
 	}
 }
+
+// TestByName builds every name the command-line tools accept, in any case,
+// and refuses any other.
+func TestByName(t *testing.T) {
+	for _, name := range []string{"mlp", "LeNet", "resnet8", "resnet18", "WRN16"} {
+		m, err := ByName(name, cifarCfg(false))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		validateAndInfer(t, m, 2)
+	}
+	if _, err := ByName("alexnet", mnistCfg(false)); err == nil {
+		t.Fatal("alexnet is not a command-line name, want an error")
+	}
+}

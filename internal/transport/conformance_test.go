@@ -71,12 +71,12 @@ func dsgdWorker(r dist.Rank, ds training.Dataset, steps, batch int) (dsgdTrace, 
 	return tr, nil
 }
 
-// TestTCPDSGDMatchesSimulator: DSGD over TCP loopback must reach
-// tolerance-equal losses (and final parameters) against the in-process
-// simulator on the same seed and data partition, at two and four workers.
-// Both fabrics run the identical worker code; the TCP ring reproduces the
-// simulator ring's chunking, so the trajectories agree to float32
-// round-off. Rank 0's wire volume per step is pinned exactly: it is a pure
+// TestTCPDSGDMatchesSimulator: DSGD over TCP loopback reaches the losses
+// and final parameters of the in-process simulator bit for bit, on the same
+// seed and data partition, at two and four workers. Both fabrics run the
+// identical worker code and the TCP ring reproduces the simulator ring's
+// chunking (TestBitContract's trajectory/dsgd row holds the same at two
+// ranks). Rank 0's wire volume per step is pinned exactly: it is a pure
 // function of the parameter count, the world size and the framing, so any
 // change to the ring schedule or the frame layout shows up here.
 func TestTCPDSGDMatchesSimulator(t *testing.T) {
@@ -137,24 +137,20 @@ func testTCPDSGDMatchesSimulator(t *testing.T, workers, batch, steps int, sentPe
 		}
 	}
 
-	const tol = 1e-6
 	for w := 0; w < workers; w++ {
 		sim, tcp := simTraces[w], tcpTraces[w]
-		if len(sim.losses) != steps || len(tcp.losses) != steps {
-			t.Fatalf("rank %d: %d simulator losses, %d TCP losses", w, len(sim.losses), len(tcp.losses))
+		if len(sim.losses) != steps || len(tcp.losses) != steps || len(sim.params) != len(tcp.params) {
+			t.Fatalf("rank %d: %d simulator losses, %d TCP losses; %d vs %d parameters",
+				w, len(sim.losses), len(tcp.losses), len(sim.params), len(tcp.params))
 		}
-		for i := range sim.losses {
-			if d := math.Abs(float64(sim.losses[i] - tcp.losses[i])); d > tol {
-				t.Errorf("rank %d step %d: TCP loss %g vs simulator %g (|Δ|=%g)",
-					w, i, tcp.losses[i], sim.losses[i], d)
-			}
-		}
-		if len(sim.params) != len(tcp.params) {
-			t.Fatalf("rank %d: parameter length mismatch %d vs %d", w, len(sim.params), len(tcp.params))
-		}
-		for i := range sim.params {
-			if d := math.Abs(float64(sim.params[i] - tcp.params[i])); d > tol {
-				t.Fatalf("rank %d param %d: TCP %g vs simulator %g", w, i, tcp.params[i], sim.params[i])
+		for _, c := range []struct {
+			what     string
+			sim, tcp []float32
+		}{{"loss", sim.losses, tcp.losses}, {"parameter", sim.params, tcp.params}} {
+			for i := range c.sim {
+				if math.Float32bits(c.sim[i]) != math.Float32bits(c.tcp[i]) {
+					t.Fatalf("rank %d %s %d: TCP %g, simulator %g", w, c.what, i, c.tcp[i], c.sim[i])
+				}
 			}
 		}
 	}

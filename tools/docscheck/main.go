@@ -1,9 +1,9 @@
 // Command docscheck is the repository's documentation linter, run by the
 // CI docs job. It fails (exit 1) on:
 //
-//  1. broken intra-repository markdown links — every relative link target
-//     in every *.md file must exist on disk (fragments are stripped;
-//     external http(s)/mailto links are ignored); and
+//  1. broken intra-repository markdown links (fragments are stripped;
+//     external http(s)/mailto links are ignored), and Test…, Benchmark…
+//     or Fuzz… names a markdown file cites that no func declares; and
 //  2. exported identifiers in the public d500/ package missing doc
 //     comments — the public API surface must stay fully documented; and
 //  3. drift between the canonical metric list (internal/obs/names.go)
@@ -46,7 +46,7 @@ func main() {
 		root = os.Args[1]
 	}
 	var problems []string
-	problems = append(problems, checkMarkdownLinks(root)...)
+	problems = append(problems, checkMarkdown(root)...)
 	problems = append(problems, checkDocComments(filepath.Join(root, "d500"))...)
 	problems = append(problems, checkMetricsDocs(filepath.Join(root, "docs", "operations.md"))...)
 	problems = append(problems, checkDeadAPI(root, deadAPIAllowlist)...)
@@ -57,33 +57,53 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference and API callers OK")
+	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference, API callers and cited tests OK")
 }
 
 // mdLink matches [text](target); images ![alt](target) share the suffix.
-var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+// testName matches a test, benchmark or fuzz name; goFunc a declared one.
+var (
+	mdLink   = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	goFunc   = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?(\w+)`)
+)
 
-// checkMarkdownLinks verifies every relative link in every markdown file
-// under root resolves to an existing file or directory.
-func checkMarkdownLinks(root string) []string {
+// checkMarkdown checks every markdown file under root but .git and testdata:
+// each relative link must resolve, and each test name cited must be a func
+// the walked Go files declare, except in root files other than README.md and
+// ARCHITECTURE.md, which record history, plans and references.
+func checkMarkdown(root string) []string {
 	var problems []string
+	declared := make(map[string]bool)
+	var cited [][2]string // markdown path, test name
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
+		name := d.Name()
 		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "node_modules" || (strings.HasPrefix(name, ".") && name != ".") {
+			if path != root && (name == ".git" || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(d.Name(), ".md") {
+		ext := filepath.Ext(name)
+		if ext != ".md" && ext != ".go" {
 			return nil
 		}
 		data, err := os.ReadFile(path)
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
+		case ext == ".go":
+			for _, m := range goFunc.FindAllStringSubmatch(string(data), -1) {
+				declared[m[1]] = true
+			}
+			return nil
+		case filepath.Dir(path) != filepath.Clean(root) || name == "README.md" || name == "ARCHITECTURE.md":
+			for _, test := range testName.FindAllString(string(data), -1) {
+				cited = append(cited, [2]string{path, test})
+			}
 		}
 		for _, m := range mdLink.FindAllStringSubmatch(string(data), -1) {
 			target := m[1]
@@ -104,6 +124,12 @@ func checkMarkdownLinks(root string) []string {
 	})
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("docscheck: walking %s: %v", root, err))
+	}
+	for _, c := range cited {
+		if !declared[c[1]] {
+			declared[c[1]] = true // report each name once
+			problems = append(problems, fmt.Sprintf("%s: cites %s, which no func in the module declares", c[0], c[1]))
+		}
 	}
 	return problems
 }
