@@ -114,6 +114,14 @@ func New(m *graph.Model) (*Executor, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A model whose declared shapes no pass could run (a Gemm on a rank-0
+	// weight, a bias of the wrong length, a zero stride) is refused here,
+	// not by a panic in its first pass. InferShapes resolves a dynamic
+	// leading (batch) dimension only, so a model declaring another dynamic
+	// dimension is refused too.
+	if _, err := m.InferShapes(1); err != nil {
+		return nil, err
+	}
 	e.net = NewNetwork(m)
 	e.order = order
 	e.gradMask = requiresGrad(m, order)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
+	"deep500/internal/models"
 	"deep500/internal/tensor"
 )
 
@@ -262,5 +264,55 @@ func TestOpOverheadSlowsExecution(t *testing.T) {
 	slowDur := time.Since(t0)
 	if slowDur < fastDur+5*time.Millisecond {
 		t.Fatalf("overhead not applied: fast %v slow %v", fastDur, slowDur)
+	}
+}
+
+// lenetWith returns LeNet with edit applied to its first node of type op.
+func lenetWith(op string, edit func(m *graph.Model, n *graph.Node)) *graph.Model {
+	m := models.LeNet(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, Seed: 1})
+	for _, n := range m.Nodes {
+		if n.OpType == op {
+			edit(m, n)
+			break
+		}
+	}
+	return m
+}
+
+// TestNewRejectsInconsistentShapes: New runs shape inference over the
+// declared input shapes, so a model no pass could run is refused with the
+// offending node named, before any operator sees a tensor. Each of these
+// was accepted once and panicked its first pass, or New itself.
+func TestNewRejectsInconsistentShapes(t *testing.T) {
+	ints := func(name string, v ...int64) graph.Attribute {
+		return graph.Attribute{Name: name, Type: graph.AttrInts, Ints: v}
+	}
+	for _, c := range []struct {
+		name, want string
+		m          *graph.Model
+	}{
+		{"rank-0 Gemm weight", `node "fc_8": Gemm: rank-2 inputs required`, lenetWith("Gemm", func(m *graph.Model, n *graph.Node) {
+			m.AddInitializer("scalar_w", tensor.Scalar(1))
+			n.Inputs[1] = "scalar_w"
+		})},
+		{"Conv bias of 0 values for 6 filters", `node "conv_1": Conv: bias [0] for 6 outputs`, lenetWith("Conv", func(m *graph.Model, n *graph.Node) {
+			m.AddInitializer("empty_b", tensor.New(0))
+			n.Inputs[2] = "empty_b"
+		})},
+		{"one-value kernel_shape", `node "pool_3": MaxPool: kernel_shape [2]`, lenetWith("MaxPool", func(m *graph.Model, n *graph.Node) {
+			n.Attrs["kernel_shape"] = ints("kernel_shape", 2)
+		})},
+		{"zero stride", `node "pool_3": MaxPool: strides [0 0]`, lenetWith("MaxPool", func(m *graph.Model, n *graph.Node) {
+			n.Attrs["strides"] = ints("strides", 0, 0)
+		})},
+		{"window past the padded input", `node "conv_4": Conv: 5x5 window over a 2x2 input`, lenetWith("MaxPool", func(m *graph.Model, n *graph.Node) {
+			n.Attrs["kernel_shape"] = ints("kernel_shape", 14, 14)
+			n.Attrs["strides"] = ints("strides", 14, 14)
+		})},
+	} {
+		_, err := New(c.m)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -2,9 +2,12 @@ package graph_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
+	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/models"
 	"deep500/internal/tensor"
@@ -93,4 +96,70 @@ func reencode(t *testing.T, m *graph.Model, ts *graph.TrainState) []byte {
 		t.Fatalf("re-encoding an accepted stream: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzBuildAndRun: a model the decoder and executor.New accept runs. Each
+// accepted input gets zero feeds of its declared shapes at batch 2 and one
+// inference and one training pass (loss = the first output), which may
+// return an error but not panic. Models whose inferred activations exceed
+// a million floats are skipped, to keep the fuzzer's memory small. Seeds
+// are encoded zoo models and the MLP whose first Gemm reads a rank-0
+// weight, which executor.New once accepted and whose first pass panicked.
+//
+//	go test ./internal/graph -run '^$' -fuzz FuzzBuildAndRun -fuzztime 60s
+func FuzzBuildAndRun(f *testing.F) {
+	cfg := models.Config{Classes: 3, Channels: 1, Height: 8, Width: 8, Seed: 1, WidthScale: 0.25, WithHead: true}
+	rankZero := models.MLP(cfg, 4)
+	rankZero.AddInitializer("scalar_w", tensor.Scalar(1))
+	for _, n := range rankZero.Nodes {
+		if n.OpType == "Gemm" {
+			n.Inputs[1] = "scalar_w"
+			break
+		}
+	}
+	for _, m := range []*graph.Model{models.MLP(cfg, 4), models.LeNet(cfg), models.ResNet(8, cfg), rankZero} {
+		var buf bytes.Buffer
+		if err := graph.Encode(m, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const batch, budget = 2, 1 << 20
+		m, err := graph.Decode(bytes.NewReader(data))
+		if err != nil || len(m.Outputs) == 0 {
+			return
+		}
+		e, err := executor.New(m)
+		if err != nil {
+			return
+		}
+		shapes, err := m.InferShapes(batch)
+		if err != nil {
+			return // New checked batch 1; a fixed Reshape may not take 2
+		}
+		total := 0
+		for _, s := range shapes {
+			n := 1
+			for _, d := range s {
+				n *= max(d, 1)
+				if n > budget {
+					return
+				}
+			}
+			if total += n; total > budget {
+				return
+			}
+		}
+		feeds := map[string]*tensor.Tensor{}
+		for _, in := range m.Inputs {
+			s := shapes[in.Name]
+			if slices.ContainsFunc(s, func(d int) bool { return d < 0 }) {
+				return // a declared dimension no feed can have
+			}
+			feeds[in.Name] = tensor.New(s...)
+		}
+		e.Inference(context.Background(), feeds)
+		e.InferenceAndBackprop(context.Background(), feeds, m.Outputs[0])
+	})
 }

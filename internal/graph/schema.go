@@ -63,6 +63,22 @@ func broadcastBinary(n *Node, in [][]int) ([][]int, error) {
 	return [][]int{append([]int(nil), b...)}, nil
 }
 
+// checkBias checks a Gemm's or Conv's optional third input: one value per
+// output column or filter, as the operators read it.
+func checkBias(n *Node, in [][]int, outputs int) error {
+	if len(in) < 3 || in[2] == nil {
+		return nil
+	}
+	size := 1
+	for _, d := range in[2] {
+		size *= d
+	}
+	if size != outputs {
+		return fmt.Errorf("%s: bias %v for %d outputs", n.OpType, in[2], outputs)
+	}
+	return nil
+}
+
 func ints(v []int64) []int {
 	out := make([]int, len(v))
 	for i, x := range v {
@@ -71,13 +87,21 @@ func ints(v []int64) []int {
 	return out
 }
 
-// convLikeDims computes output H,W from attrs shared by Conv and pooling.
-func convLikeDims(n *Node, h, w, kh, kw int) (int, int) {
+// convLikeDims computes output H,W from attrs shared by Conv and pooling,
+// and refuses attrs the operators could not run: strides and pads of fewer
+// than two values, a stride below 1, a window larger than the padded input.
+func convLikeDims(n *Node, h, w, kh, kw int) (int, int, error) {
 	strides := ints(n.AttrInts("strides", []int64{1, 1}))
 	pads := ints(n.AttrInts("pads", []int64{0, 0}))
+	if len(strides) < 2 || len(pads) < 2 || min(strides[0], strides[1]) < 1 {
+		return 0, 0, fmt.Errorf("%s: strides %v, pads %v", n.OpType, strides, pads)
+	}
+	if h+2*pads[0] < kh || w+2*pads[1] < kw {
+		return 0, 0, fmt.Errorf("%s: %dx%d window over a %dx%d input padded by %v", n.OpType, kh, kw, h, w, pads)
+	}
 	oh := (h+2*pads[0]-kh)/strides[0] + 1
 	ow := (w+2*pads[1]-kw)/strides[1] + 1
-	return oh, ow
+	return oh, ow, nil
 }
 
 func registerBuiltins() {
@@ -119,6 +143,9 @@ func registerBuiltins() {
 			if ka != kb {
 				return nil, fmt.Errorf("Gemm: inner dims %d vs %d", ka, kb)
 			}
+			if err := checkBias(n, in, o); err != nil {
+				return nil, err
+			}
 			return [][]int{{m, o}}, nil
 		}})
 
@@ -131,7 +158,13 @@ func registerBuiltins() {
 			if x[1] != w[1] {
 				return nil, fmt.Errorf("Conv: channel mismatch %d vs %d", x[1], w[1])
 			}
-			oh, ow := convLikeDims(n, x[2], x[3], w[2], w[3])
+			if err := checkBias(n, in, w[0]); err != nil {
+				return nil, err
+			}
+			oh, ow, err := convLikeDims(n, x[2], x[3], w[2], w[3])
+			if err != nil {
+				return nil, err
+			}
 			return [][]int{{x[0], w[0], oh, ow}}, nil
 		}})
 
@@ -141,7 +174,13 @@ func registerBuiltins() {
 			return nil, fmt.Errorf("%s: NCHW input required, got %v", n.OpType, x)
 		}
 		k := ints(n.AttrInts("kernel_shape", []int64{2, 2}))
-		oh, ow := convLikeDims(n, x[2], x[3], k[0], k[1])
+		if len(k) < 2 {
+			return nil, fmt.Errorf("%s: kernel_shape %v", n.OpType, k)
+		}
+		oh, ow, err := convLikeDims(n, x[2], x[3], k[0], k[1])
+		if err != nil {
+			return nil, err
+		}
 		return [][]int{{x[0], x[1], oh, ow}}, nil
 	}
 	RegisterSchema(OpSchema{Name: "MaxPool", MinInputs: 1, MaxInputs: 1, NumOutputs: 1, InferShapes: pool})

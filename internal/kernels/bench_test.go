@@ -63,13 +63,19 @@ func BenchmarkGemmSmallM(b *testing.B) {
 }
 
 // BenchmarkConvLeNet times LeNet's two convolutions at batch 32 on a
-// one-worker pool, per layer and direction: the forward pass, the weight
+// one-worker pool, per layer and direction — the forward pass, the weight
 // gradient (dW and dBias, as for conv1, whose input needs no gradient) and
-// the input gradient alone. docs/kernels.md has the before/after table of
-// the packed-panel lowering. CI runs it once as a smoke test.
+// the input gradient alone — on the pure-Go panel writers and Col2Im and on
+// the AVX2 ones (the GEMM tile follows the same switch). docs/kernels.md has
+// the table. CI runs it once as a smoke test.
 //
 //	go test ./internal/kernels -run '^$' -bench ConvLeNet -benchmem -cpu 1
 func BenchmarkConvLeNet(b *testing.B) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	paths := []string{"go"}
+	if useAVX2 {
+		paths = append(paths, "avx2")
+	}
 	withPool(1, func() {
 		for i, s := range lenetConvShapes(32) {
 			x, w, gOut := convBackwardOperands(s, 81)
@@ -77,21 +83,27 @@ func BenchmarkConvLeNet(b *testing.B) {
 			out := make([]float32, s.OutputSize())
 			dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
 			layer := fmt.Sprintf("conv%d", i+1)
-			b.Run(layer+"/fwd", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					Conv2D(ConvIm2Col, s, x, w, bias, out)
-				}
-			})
-			b.Run(layer+"/dW", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					Conv2DBackward(s, x, w, gOut, nil, dW, dB)
-				}
-			})
-			b.Run(layer+"/dX", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					Conv2DBackward(s, x, w, gOut, dX, nil, nil)
-				}
-			})
+			for _, path := range paths {
+				asm := path == "avx2"
+				b.Run(layer+"/fwd/"+path, func(b *testing.B) {
+					useAVX2 = asm
+					for i := 0; i < b.N; i++ {
+						Conv2D(ConvIm2Col, s, x, w, bias, out)
+					}
+				})
+				b.Run(layer+"/dW/"+path, func(b *testing.B) {
+					useAVX2 = asm
+					for i := 0; i < b.N; i++ {
+						Conv2DBackward(s, x, w, gOut, nil, dW, dB)
+					}
+				})
+				b.Run(layer+"/dX/"+path, func(b *testing.B) {
+					useAVX2 = asm
+					for i := 0; i < b.N; i++ {
+						Conv2DBackward(s, x, w, gOut, dX, nil, nil)
+					}
+				})
+			}
 		}
 	})
 }

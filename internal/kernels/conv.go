@@ -198,7 +198,8 @@ func conv2DDirect(s ConvShape, in, w, out []float32) {
 // oxSpan returns the half-open range [lo, hi) of output columns whose input
 // column ix = ox·stride − pad + kx lies inside [0, w). It depends on kx alone,
 // so Col2Im computes it once per kernel column and moves whole row
-// segments instead of bounds-testing every element.
+// segments instead of bounds-testing every element; given the rows'
+// arguments it is the range of output rows a kernel row reaches.
 func oxSpan(ow, w, stride, pad, kx int) (lo, hi int) {
 	if d := pad - kx; d > 0 {
 		lo = (d + stride - 1) / stride
@@ -215,32 +216,42 @@ func oxSpan(ow, w, stride, pad, kx int) (lo, hi int) {
 // Col2Im scatters a (C·KH·KW)×(OH·OW) matrix back into a C×H×W image,
 // accumulating overlaps; used by convolution backward-data. Contributions
 // land in the same (c, ky, kx, oy, ox) order as the per-element form, so the
-// sums round identically.
+// sums round identically. Within one tap (c, ky, kx) no two land on the same
+// element, so at stride 1 the tap's rows go to the vector unit in one call.
 func Col2Im(s ConvShape, col, img []float32) {
 	oh, ow := s.OutDims()
 	clear(img[:s.C*s.H*s.W])
-	idx := 0
+	step := s.StrideH * s.W // image floats between the rows of consecutive oy
 	for c := 0; c < s.C; c++ {
 		imC := img[c*s.H*s.W : (c+1)*s.H*s.W]
 		for ky := 0; ky < s.KH; ky++ {
+			oy0, oy1 := oxSpan(oh, s.H, s.StrideH, s.PadH, ky)
 			for kx := 0; kx < s.KW; kx++ {
+				rows := col[((c*s.KH+ky)*s.KW+kx)*oh*ow:][:oh*ow]
 				lo, hi := oxSpan(ow, s.W, s.StrideW, s.PadW, kx)
-				for oy := 0; oy < oh; oy++ {
-					row := col[idx : idx+ow]
-					idx += ow
-					iy := oy*s.StrideH - s.PadH + ky
-					if iy < 0 || iy >= s.H || lo == hi {
-						continue
-					}
-					src := row[lo:hi]
-					dst := imC[iy*s.W+lo*s.StrideW-s.PadW+kx:]
+				if lo == hi || oy0 == oy1 {
+					continue
+				}
+				// Row oy adds into image row oy·StrideH − PadH + ky from
+				// column lo·StrideW − PadW + kx on.
+				d := (oy0*s.StrideH-s.PadH+ky)*s.W + lo*s.StrideW - s.PadW + kx
+				if s.StrideW == 1 && useAVX2 {
+					n := hi - lo
+					dst := imC[d : d+(oy1-oy0-1)*step+n]
+					src := rows[oy0*ow+lo : (oy1-1)*ow+hi]
+					col2ImRowsAVX2(&dst[0], &src[0], n, oy1-oy0, step, ow)
+					continue
+				}
+				for oy := oy0; oy < oy1; oy, d = oy+1, d+step {
+					src := rows[oy*ow+lo : oy*ow+hi]
 					if s.StrideW == 1 {
-						dst = dst[:len(src)]
+						dst := imC[d : d+len(src)]
 						for i, v := range src {
 							dst[i] += v
 						}
 						continue
 					}
+					dst := imC[d:]
 					for i, v := range src {
 						dst[i*s.StrideW] += v
 					}
@@ -277,6 +288,52 @@ func paddedLen(s ConvShape) int {
 		return 0
 	}
 	return s.C * (s.H + 2*s.PadH) * (s.W + 2*s.PadW)
+}
+
+// maxRuns is the most runs of consecutive offsets a panel may split into
+// and still be written by runs; a panel with more (a strided convolution's)
+// is gathered lane by lane.
+const maxRuns = 4
+
+// panelRuns is a packed panel's live lanes as runs of consecutive offsets
+// into the padded image, built once per panel for copyRunsAVX2: run r covers
+// the lanes mask[r] sets, and lane l of it reads offset src[r] + l. It lives
+// on the writer's stack.
+type panelRuns struct {
+	n    int
+	src  [maxRuns]int
+	mask [maxRuns][packNR]int32
+}
+
+// set splits the first live lanes of off into maximal runs and reports
+// whether there are at most maxRuns. Each depth row adds a base of at most
+// reach to the offsets; set panics unless every live read of every row then
+// lies inside a padded image of size floats, so that the rows' assembly
+// reads nothing outside it.
+func (r *panelRuns) set(off *[packNR]int, live, reach, size int) bool {
+	r.n, r.mask = 0, [maxRuns][packNR]int32{}
+	lo, hi := off[0], off[0]
+	for l, o := range off[:live] {
+		if l == 0 || o != off[l-1]+1 {
+			if r.n == maxRuns {
+				return false
+			}
+			r.src[r.n] = o - l
+			r.n++
+		}
+		r.mask[r.n-1][l] = -1
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	if lo < 0 || hi+reach >= size {
+		panic("kernels: convolution panel reads outside its padded image")
+	}
+	return true
+}
+
+// copy is gatherRows over the runs: n depth rows into dst, lane l of row i
+// from p[base + i·step + off[l]] and +0 past the live lanes.
+func (r *panelRuns) copy(dst, p []float32, base, step, n int) {
+	copyRunsAVX2(&dst[:n*packNR][0], &p[base], step, n, &r.src, &r.mask, r.n)
 }
 
 // gatherRows writes n consecutive depth rows of a packed panel into dst:
@@ -343,16 +400,20 @@ func clearDepthPad(dst []float32, n16, k, j0 int) {
 // packNR, both zero-padded. The column matrix is never built. A panel is
 // written front to back, one depth row (one tap) at a time, by gathering
 // the tap's pixel at each of the panel's sixteen output positions from the
-// padded image; sixteen positions that lie side by side in one image row
-// move as one vector. The bytes are those packBPanels writes from the
-// column matrix. pad is padImage's scratch.
+// padded image. On AVX2 a panel whose positions fall in at most maxRuns
+// runs along image rows moves each run as one masked vector (panelRuns);
+// otherwise sixteen positions side by side in one image row move as one
+// vector, and any others lane by lane. The bytes are those packBPanels
+// writes from the column matrix. pad is padImage's scratch.
 func im2colPanels(s ConvShape, img, dst, pad []float32) {
 	p, hp, wp := padImage(s, img, pad)
 	oh, ow := s.OutDims()
 	spatial := oh * ow
 	n16 := (spatial + packNR - 1) / packNR * packNR
 	ckk := s.C * s.KH * s.KW
+	reach := ((s.C-1)*hp+s.KH-1)*wp + s.KW - 1 // the last tap's base
 	var off [packNR]int
+	var runs panelRuns
 	oy, ox := 0, 0
 	for j0 := 0; j0 < spatial; j0 += packNR {
 		live := min(packNR, spatial-j0)
@@ -367,6 +428,7 @@ func im2colPanels(s ConvShape, img, dst, pad []float32) {
 				}
 			}
 		}
+		byRuns := useAVX2 && runs.set(&off, live, reach, len(p))
 		// Taps (c, ky, kx) come KW at a time, side by side in the padded
 		// image; a run of them may straddle a depth block.
 		q := 0
@@ -378,9 +440,12 @@ func im2colPanels(s ConvShape, img, dst, pad []float32) {
 					ka := kcAligned(min(packKC, ckk-pc))
 					n := min(s.KW-kx, pc+packKC-q)
 					rows := dst[n16*pc+j0*ka+(q-pc)*packNR:]
-					if run {
+					switch {
+					case byRuns:
+						runs.copy(rows, p, t+kx, 1, n)
+					case run:
 						copyRows(rows, p, t+kx+off[0], n)
-					} else {
+					default:
 						gatherRows(rows, p, t+kx, 1, n, &off, live)
 					}
 					kx, q = kx+n, q+n
@@ -395,7 +460,8 @@ func im2colPanels(s ConvShape, img, dst, pad []float32) {
 // whole-operand pack of the transposed column matrix, depth over the OH·OW
 // output positions in blocks of packKC and columns over the C·KH·KW kernel
 // taps. A panel holds sixteen taps and is written front to back; each depth
-// row gathers their pixels at one output position from the padded image.
+// row gathers their pixels at one output position from the padded image, by
+// runs of KW side by side where the panel has at most maxRuns of them.
 // The bytes are those packBPanels writes from the column matrix read
 // transposed. pad is padImage's scratch.
 func im2colPanelsT(s ConvShape, img, dst, pad []float32) {
@@ -404,7 +470,9 @@ func im2colPanelsT(s ConvShape, img, dst, pad []float32) {
 	spatial := oh * ow
 	ckk := s.C * s.KH * s.KW
 	n16 := (ckk + packNR - 1) / packNR * packNR
+	reach := (oh-1)*s.StrideH*wp + (ow-1)*s.StrideW // the last position's base
 	var off [packNR]int
+	var runs panelRuns
 	for q0 := 0; q0 < ckk; q0 += packNR {
 		live := min(packNR, ckk-q0)
 		for l := range off {
@@ -414,6 +482,7 @@ func im2colPanelsT(s ConvShape, img, dst, pad []float32) {
 				off[l] = (c*hp+ky)*wp + kx
 			}
 		}
+		byRuns := useAVX2 && runs.set(&off, live, reach, len(p))
 		// Output positions come a row of OW at a time, StrideW apart in
 		// the padded image; a row may straddle a depth block.
 		for j := 0; j < spatial; {
@@ -421,7 +490,12 @@ func im2colPanelsT(s ConvShape, img, dst, pad []float32) {
 			pc := j - j%packKC
 			ka := kcAligned(min(packKC, spatial-pc))
 			n := min(ow-ox, pc+packKC-j)
-			gatherRows(dst[n16*pc+q0*ka+(j-pc)*packNR:], p, oy*s.StrideH*wp+ox*s.StrideW, s.StrideW, n, &off, live)
+			rows, base := dst[n16*pc+q0*ka+(j-pc)*packNR:], oy*s.StrideH*wp+ox*s.StrideW
+			if byRuns {
+				runs.copy(rows, p, base, s.StrideW, n)
+			} else {
+				gatherRows(rows, p, base, s.StrideW, n, &off, live)
+			}
 			j += n
 		}
 		clearDepthPad(dst, n16, spatial, q0)

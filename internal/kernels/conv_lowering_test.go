@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +60,53 @@ func convLoweringShapes() []ConvShape {
 		ConvShape{N: 1, C: 3, H: 40, W: 37, M: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 		ConvShape{N: 5, C: 2, H: 6, W: 6, M: 130, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 	)
+}
+
+// col2ImMix returns n values for Col2Im: awkwardMix's normal draws, zeros
+// and ties, with ±0 and denormals of both signs in place of its NaNs,
+// infinities and ±MaxFloat32. An add of two NaNs returns its first
+// operand's, and gc may commute a scalar float add (under -race it does in
+// Col2Im's loop), so which NaN a sum keeps is no part of the bit contract;
+// nor is the NaN an overflow to +Inf and −Inf makes, which differs between
+// architectures.
+func col2ImMix(rng *tensor.RNG, n int) []float32 {
+	x := awkwardMix(rng, n)
+	for i, v := range x {
+		if a := math.Abs(float64(v)); a != a || a >= math.MaxFloat32 {
+			x[i] = math.Float32frombits(uint32(i%3) | uint32(i%2)<<31)
+		}
+	}
+	return x
+}
+
+// convLoweringSweepHash hashes the im2col convolution's forward output, its
+// backward dX, dW and dBias, and Col2Im of a col2ImMix column matrix, over
+// convLoweringShapes, a 3×3 stride-2 convolution (too many runs per panel
+// for the run writers) and a padded 5×5 one whose Col2Im clips oy at both
+// image edges.
+func convLoweringSweepHash() uint64 {
+	rng := tensor.NewRNG(29)
+	h := NewBitsHasher()
+	for i, s := range append(convLoweringShapes(),
+		ConvShape{N: 3, C: 4, H: 15, W: 17, M: 6, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+		ConvShape{N: 2, C: 3, H: 9, W: 11, M: 4, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3},
+	) {
+		x, w, gOut := convBackwardOperands(s, uint64(100+3*i))
+		bias := randSlice(rng, s.M)
+		out := make([]float32, s.OutputSize())
+		Conv2D(ConvIm2Col, s, x, w, bias, out)
+		h.Floats(out)
+		dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
+		Conv2DBackward(s, x, w, gOut, dX, dW, dB)
+		h.Floats(dX)
+		h.Floats(dW)
+		h.Floats(dB)
+		oh, ow := s.OutDims()
+		img := make([]float32, s.C*s.H*s.W)
+		Col2Im(s, col2ImMix(rng, s.C*s.KH*s.KW*oh*ow), img)
+		h.Floats(img)
+	}
+	return h.Sum64()
 }
 
 // onEachMicroKernel runs f on the assembly tile, where this host has it,
@@ -310,4 +359,114 @@ func TestConv2DShortBiasPanics(t *testing.T) {
 				make([]float32, s.M-1), make([]float32, s.OutputSize()))
 		}()
 	}
+}
+
+// panelRunCounts returns, for each panel of im2colPanels (trans false) or
+// im2colPanelsT (trans true) at shape s, how many runs of consecutive
+// offsets its live lanes split into.
+func panelRunCounts(s ConvShape, trans bool) []int {
+	oh, ow := s.OutDims()
+	hp, wp := s.H+2*s.PadH, s.W+2*s.PadW
+	var offs []int
+	if trans {
+		for q := 0; q < s.C*s.KH*s.KW; q++ {
+			offs = append(offs, (q/(s.KH*s.KW)*hp+q/s.KW%s.KH)*wp+q%s.KW)
+		}
+	} else {
+		for j := 0; j < oh*ow; j++ {
+			offs = append(offs, j/ow*s.StrideH*wp+j%ow*s.StrideW)
+		}
+	}
+	var counts []int
+	for l, o := range offs {
+		if l%packNR == 0 {
+			counts = append(counts, 0)
+		}
+		if l%packNR == 0 || o != offs[l-1]+1 {
+			counts[len(counts)-1]++
+		}
+	}
+	return counts
+}
+
+// TestConvRunsEdgeCases runs the panel writers and Col2Im, on each kernel
+// path, over the shapes where the run writer and the vector Col2Im have
+// edges: both writers must leave packBPanels' bytes over the column matrix
+// in poisoned buffers, and Col2Im the per-element scatter's bits for a
+// col2ImMix column matrix (±0, denormals, ties). Each case names the edge
+// and checks that its shape has it.
+func TestConvRunsEdgeCases(t *testing.T) {
+	type edge struct {
+		name string
+		s    ConvShape
+		has  func(s ConvShape) bool
+	}
+	last := func(c []int) int { return c[len(c)-1] }
+	cases := []edge{
+		{"last run ends on the image's last float",
+			ConvShape{N: 1, C: 2, H: 6, W: 7, M: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool {
+				return last(panelRunCounts(s, false)) == 1 && last(panelRunCounts(s, true)) == 1
+			}},
+		{"last run ends on the padded image's last float",
+			ConvShape{N: 1, C: 1, H: 5, W: 5, M: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+			func(s ConvShape) bool { return last(panelRunCounts(s, false)) == 2 }},
+		{"one live lane",
+			ConvShape{N: 1, C: 2, H: 1, W: 19, M: 2, KH: 1, KW: 3, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool {
+				_, ow := s.OutDims()
+				return ow%packNR == 1 && last(panelRunCounts(s, false)) == 1
+			}},
+		{"one live lane of taps",
+			ConvShape{N: 1, C: 17, H: 4, W: 4, M: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool { return s.C%packNR == 1 && last(panelRunCounts(s, true)) == 1 }},
+		{"n = 1 rows",
+			ConvShape{N: 1, C: 3, H: 7, W: 1, M: 2, KH: 2, KW: 1, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool { _, ow := s.OutDims(); return s.KW == 1 && ow == 1 }},
+		{"exactly maxRuns runs",
+			ConvShape{N: 1, C: 2, H: 9, W: 8, M: 2, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool {
+				return slices.Max(panelRunCounts(s, false)) == maxRuns && slices.Max(panelRunCounts(s, true)) == maxRuns
+			}},
+		{"more than maxRuns runs: gathered",
+			ConvShape{N: 1, C: 2, H: 9, W: 9, M: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+			func(s ConvShape) bool {
+				return slices.Min(panelRunCounts(s, false)) > maxRuns && panelRunCounts(s, true)[0] > maxRuns
+			}},
+	}
+	// Col2Im spans of every length, from tail only (1–7) to two vectors
+	// and a tail.
+	for w := 1; w <= 17; w++ {
+		cases = append(cases, edge{fmt.Sprintf("Col2Im span of %d", w),
+			ConvShape{N: 1, C: 2, H: 5, W: w + 2, M: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool { _, ow := s.OutDims(); return ow == w }})
+	}
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			s := c.s
+			if !c.has(s) {
+				t.Fatalf("%s: %v does not have the edge", c.name, s)
+			}
+			oh, ow := s.OutDims()
+			spatial, ckk := oh*ow, s.C*s.KH*s.KW
+			img := seeded(91, s.C*s.H*s.W)
+			col := make([]float32, ckk*spatial)
+			im2col(s, img, col)
+			for _, trans := range []bool{false, true} {
+				want := packColumns(col, ckk, spatial, trans)
+				got := seeded(92, len(want))
+				if trans {
+					im2colPanelsT(s, img, got, seeded(93, paddedLen(s)))
+				} else {
+					im2colPanels(s, img, got, seeded(93, paddedLen(s)))
+				}
+				requireSameBits(t, fmt.Sprintf("%s (%v): panels, transposed %v", c.name, s, trans), got, want)
+			}
+			dcol := col2ImMix(tensor.NewRNG(94), ckk*spatial)
+			got, want := seeded(95, len(img)), seeded(96, len(img))
+			Col2Im(s, dcol, got)
+			refCol2Im(s, dcol, want)
+			requireSameBits(t, fmt.Sprintf("%s (%v): Col2Im", c.name, s), got, want)
+		}
+	})
 }

@@ -32,3 +32,11 @@ func momentumAVX2(param, grad, vel []float32, lr, mu float32) {
 func sgdAVX2(param, grad []float32, lr float32) {
 	panic("kernels: no assembly update on this architecture")
 }
+
+func copyRunsAVX2(dst, q *float32, step, n int, src *[maxRuns]int, mask *[maxRuns][packNR]int32, runs int) {
+	panic("kernels: no assembly panel writer on this architecture")
+}
+
+func col2ImRowsAVX2(dst, src *float32, n, rows, dstStep, srcStep int) {
+	panic("kernels: no assembly Col2Im on this architecture")
+}

@@ -19,6 +19,7 @@ var KernelSweeps = []struct {
 }{
 	{[]string{"kernel/gemmPacked"}, func(*testing.T) []uint64 { return []uint64{gemmPackedSweepHash()} }},
 	{[]string{"kernel/conv"}, func(*testing.T) []uint64 { return []uint64{convSweepHash()} }},
+	{[]string{"kernel/convLowering"}, func(*testing.T) []uint64 { return []uint64{convLoweringSweepHash()} }},
 	{[]string{"kernel/maxPool", "kernel/maxPoolBackward"}, func(*testing.T) []uint64 {
 		fwd, bwd := poolSweepHashes()
 		return []uint64{fwd, bwd}
