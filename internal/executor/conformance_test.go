@@ -80,8 +80,9 @@ func sameBits(a, b *tensor.Tensor) bool {
 // TestPlanConformance is the acceptance gate of the memory plan: on every
 // zoo model, the profiling pass 2 and planned passes 3-5 return outputs
 // bitwise equal to the unplanned first pass. A training pass runs before
-// each of them; it bypasses the plan, and its parameter gradients must
-// equal a fresh executor's bit for bit. Validated under -race in CI.
+// each of them, out of its own plan from its third pass on, and its
+// parameter gradients must equal a fresh executor's bit for bit. Validated
+// under -race in CI.
 func TestPlanConformance(t *testing.T) {
 	for name, m := range conformanceModels() {
 		t.Run(name, func(t *testing.T) {
@@ -124,8 +125,13 @@ func TestPlanConformance(t *testing.T) {
 					}
 				}
 			}
-			if len(e.plans) != 1 || e.plans[0].plan == nil || len(e.plans[0].plan.Slots) == 0 {
-				t.Fatal("want one cached plan that places activations")
+			if len(e.plans) != 2 || e.plans[0].train == e.plans[1].train {
+				t.Fatalf("%d cached entries; want one inference and one training entry", len(e.plans))
+			}
+			for _, p := range e.plans {
+				if p.plan == nil || len(p.plan.Slots) == 0 {
+					t.Fatalf("the entry with train=%v holds no plan that places activations", p.train)
+				}
 			}
 		})
 	}

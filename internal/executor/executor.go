@@ -40,11 +40,12 @@ type GraphExecutor interface {
 // Level 0 operators one after another in topological order on the calling
 // goroutine (the paper positions reference code as "verified yet slow";
 // operators parallelize inside their kernels). It supports the full event,
-// memory-model and instrumentation surface. From the third inference at a
-// set of feed shapes on, passes run out of a static memory plan for those
-// shapes (memplan.go), so a warm pass allocates only the outputs it
-// returns. An Executor is single-goroutine: concurrent passes need one
-// executor each, as the serve replicas have.
+// memory-model and instrumentation surface. From the third inference or
+// training pass at a set of feed shapes on, passes run out of a static
+// memory plan for those shapes and that kind of pass (memplan.go), so a
+// warm pass allocates only the outputs it returns. An Executor is
+// single-goroutine: concurrent passes need one executor each, as the serve
+// replicas have.
 type Executor struct {
 	net     *Network
 	order   []*graph.Node
@@ -63,9 +64,9 @@ type Executor struct {
 
 	// The activation allocator (memplan.go): allocs holds each node's, mode
 	// says how the running pass draws outputs, cur is the entry for the
-	// running inference's feed shapes, plans remembers recent sets of feed
-	// shapes with their plans, and slab backs all the plans. pass counts
-	// passes; it is also the LRU clock.
+	// running pass's feed shapes and kind, plans remembers recent sets of
+	// feed shapes with their plans, and slab backs all the plans. pass
+	// counts passes; it is also the LRU clock.
 	allocs map[*graph.Node]*nodeAlloc
 	mode   allocMode
 	cur    *shapePlan
@@ -82,8 +83,9 @@ type Executor struct {
 	nodeOuts  map[*graph.Node][]*tensor.Tensor
 	nodeInBuf map[*graph.Node][]*tensor.Tensor
 	// Backward-pass storage, allocated once and reused every step (the
-	// operators keep their gradient tensors the same way, ops.base.gradBuf),
-	// so a warm training step allocates nothing that scales with the model:
+	// operators keep their gradient tensors the same way, ops.base.gradBuf,
+	// and the forward activations come from the training plan), so a warm
+	// training step allocates nothing that scales with the model:
 	// gradOf maps a value to its gradient during a pass, lossSeed is the
 	// all-ones gradient of the loss, and nodeBwd holds each node's gradOuts
 	// slice and the zero tensors standing in for outputs without a gradient.
@@ -394,18 +396,29 @@ func (e *Executor) endPass() {
 // and plans them. Cancelling ctx aborts the pass between node executions and
 // returns the context's error.
 func (e *Executor) Inference(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	defer e.endPass()
+	if err := e.plannedForward(ctx, feeds, false); err != nil {
+		return nil, err
+	}
+	return e.collectOutputs(), nil
+}
+
+// plannedForward runs the forward pass out of the plan for the feeds'
+// shapes and the pass kind (train: InferenceAndBackprop) when there is
+// one, then remembers, plans or refreshes that entry (memplan.go). The
+// caller ends the pass with endPass.
+func (e *Executor) plannedForward(ctx context.Context, feeds map[string]*tensor.Tensor, train bool) error {
 	key := feedKey(feeds)
-	e.cur = e.planFor(key, feeds)
+	e.cur = e.planFor(key, train, feeds)
 	if e.cur != nil && e.cur.plan != nil {
 		e.mode = allocPlanned
 	}
-	defer e.endPass()
 	if err := e.forward(ctx, feeds); err != nil {
-		return nil, err
+		return err
 	}
 	switch {
 	case e.cur == nil:
-		e.remember(key, feeds)
+		e.remember(key, train, feeds)
 	case e.cur.stale:
 		e.forget(e.cur) // an activation shape drifted: start over next time
 	case e.cur.plan == nil:
@@ -414,7 +427,7 @@ func (e *Executor) Inference(ctx context.Context, feeds map[string]*tensor.Tenso
 	default:
 		e.cur.lastUse = e.pass
 	}
-	return e.collectOutputs(), nil
+	return nil
 }
 
 func (e *Executor) collectOutputs() map[string]*tensor.Tensor {
@@ -436,18 +449,17 @@ type bwdScratch struct {
 // InferenceAndBackprop runs forward then backpropagates from the named loss
 // tensor. Parameter gradients become available via Network().Gradients();
 // they are this executor's buffers and are recycled by its next
-// InferenceAndBackprop (see Network.Gradients). Cancelling ctx aborts either
-// pass between node executions and returns the context's error.
+// InferenceAndBackprop (see Network.Gradients). The forward pass runs out
+// of the training plan for the feeds' shapes once it has one, a plan that
+// keeps every activation to the end of the pass, since the backward pass
+// reads them after their last forward consumer. Cancelling ctx aborts
+// either pass between node executions and returns the context's error.
 func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*tensor.Tensor, loss string) (map[string]*tensor.Tensor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Training passes never run out of the memory plan (mode stays
-	// allocRecord): backpropagation reads forward activations after their
-	// plan-assumed last use, so slab reuse would clobber them. The cached
-	// plans stay for the next inference.
 	defer e.endPass()
-	if err := e.forward(ctx, feeds); err != nil {
+	if err := e.plannedForward(ctx, feeds, true); err != nil {
 		return nil, err
 	}
 
@@ -467,10 +479,8 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 		e.nodeBwd = make(map[*graph.Node]*bwdScratch, len(e.order))
 	}
 	// The map and the per-node slices are emptied when the pass ends, not
-	// when the next one starts: they reference every gradient of the pass,
-	// and the per-pass ones among them (the activation gradients of
-	// parameter-free operators) must be garbage once it is over, not stay
-	// live through the next forward pass.
+	// when the next one starts: every gradient they reference belongs to an
+	// operator, valid only until that operator's next Backward.
 	gradOf := e.gradOf
 	defer clear(gradOf)
 	if e.lossSeed == nil || !tensor.SameShape(e.lossSeed, lossT) {
@@ -525,7 +535,10 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 		if ev != nil && ev.BeforeBackwardOp != nil {
 			ev.BeforeBackwardOp(n)
 		}
-		opSpan := bwdSpan.StartChild("op.bwd:"+n.OpType, trace.String("node", n.Name))
+		var opSpan *trace.Span
+		if bwdSpan != nil {
+			opSpan = bwdSpan.StartChild("op.bwd:"+n.OpType, trace.String("node", n.Name))
+		}
 		opStart := time.Now()
 		e.spinOverhead()
 		gradIns := op.Backward(gradOuts, e.nodeIns[n], outs)

@@ -6,27 +6,32 @@ import (
 )
 
 // This file is the executor's activation allocator: a static memory plan
-// (PlanMemory, plan.go) per set of feed shapes. A pass that does not run out
-// of a plan draws operator outputs from the GC while the executor records
-// which tensors each operator drew. The first inference at a set of feed
-// shapes only remembers the shapes. The second one is the profiling pass:
-// the executor plans every activation it drew into one slab, and later
-// passes at those shapes write activations at fixed slab offsets. A shape
-// seen once therefore never gets a plan, and never grows the slab. What a
-// planned pass allocates is exactly what it returns: the model outputs and
-// the map holding them, which stay out of the slab and belong to the
-// caller.
+// (PlanMemory, plan.go) per set of feed shapes and pass kind. A pass that
+// does not run out of a plan draws operator outputs from the GC while the
+// executor records which tensors each operator drew. The first pass at a
+// set of feed shapes only remembers the shapes. The second one is the
+// profiling pass: the executor plans every activation it drew into one
+// slab, and later passes at those shapes write activations at fixed slab
+// offsets. A shape seen once therefore never gets a plan, and never grows
+// the slab. What a planned pass allocates is at most what it returns: the
+// model outputs and the map holding them, which stay out of the slab and
+// belong to the caller.
+//
+// Inference and training passes (InferenceAndBackprop) are planned apart:
+// an entry remembers which kind of pass it was made for, so a training
+// pass never runs on an inference plan. An inference plan reuses a value's
+// slab region once its last consumer ran. A training plan reuses nothing:
+// backpropagation reads forward activations after the nodes an inference
+// plan considers their last consumers, so every value of a training pass
+// stays live to the end of the pass. Running nodes strictly in the
+// planner's topological order is what makes slab reuse safe: a recycled
+// region's previous tenant is dead before its next producer runs.
 //
 // The executor remembers at most planCacheSize sets of feed shapes, planned
 // or not, evicting the least recently used. Every plan is an offset table
 // into the executor's one slab, sized to the largest plan: an executor runs
-// one pass at a time, so no two plans need the slab at once.
-//
-// Training passes (InferenceAndBackprop) bypass the plan, because
-// backpropagation reads forward activations after the nodes the plan
-// considers their last consumers. Running nodes strictly in the planner's
-// topological order is what makes slab reuse safe: a recycled region's
-// previous tenant is dead before its next producer runs.
+// one pass at a time, and nothing a pass leaves behind lives in the slab,
+// so no two plans need the slab at once.
 
 // planCacheSize bounds the sets of feed shapes one executor remembers. It is
 // not a bound on the shapes a caller may send. When more shapes recur than
@@ -43,10 +48,12 @@ const (
 	allocPlanned                  // from the current plan's slab
 )
 
-// shapePlan is one remembered set of feed shapes and, from its second
-// sighting on, the slab placement of every planned activation at them.
+// shapePlan is one remembered set of feed shapes and pass kind and, from
+// its second sighting on, the slab placement of every planned activation
+// at them.
 type shapePlan struct {
 	key   uint64 // feedKey of feeds
+	train bool   // made for training passes (InferenceAndBackprop)
 	feeds map[string][]int
 	plan  *MemPlan // nil until the profiling pass
 	// outs[i][j] is the slab tensor handed out for node i's output j, or
@@ -78,9 +85,10 @@ func feedKey(feeds map[string]*tensor.Tensor) uint64 {
 }
 
 // matches reports whether feeds, whose feedKey is key, have exactly the
-// shapes the entry was made for. It allocates nothing.
-func (p *shapePlan) matches(key uint64, feeds map[string]*tensor.Tensor) bool {
-	if key != p.key || len(feeds) != len(p.feeds) {
+// shapes the entry was made for, on a pass of the entry's kind. It
+// allocates nothing.
+func (p *shapePlan) matches(key uint64, train bool, feeds map[string]*tensor.Tensor) bool {
+	if key != p.key || train != p.train || len(feeds) != len(p.feeds) {
 		return false
 	}
 	for name, t := range feeds {
@@ -132,21 +140,22 @@ func (a *nodeAlloc) Get(shape ...int) *tensor.Tensor {
 	return t
 }
 
-// planFor returns the entry remembered for the feeds' shapes, or nil.
-func (e *Executor) planFor(key uint64, feeds map[string]*tensor.Tensor) *shapePlan {
+// planFor returns the entry remembered for the feeds' shapes and the pass
+// kind, or nil.
+func (e *Executor) planFor(key uint64, train bool, feeds map[string]*tensor.Tensor) *shapePlan {
 	for _, p := range e.plans {
-		if p.matches(key, feeds) {
+		if p.matches(key, train, feeds) {
 			return p
 		}
 	}
 	return nil
 }
 
-// remember records the feeds' shapes after their first pass. When the
-// executor already remembers planCacheSize of them it forgets the least
-// recently used and reuses that entry's storage, so traffic with more
-// shapes than the cache holds allocates nothing here.
-func (e *Executor) remember(key uint64, feeds map[string]*tensor.Tensor) {
+// remember records the feeds' shapes and the pass kind after their first
+// pass. When the executor already remembers planCacheSize of them it
+// forgets the least recently used and reuses that entry's storage, so
+// traffic with more shapes than the cache holds allocates nothing here.
+func (e *Executor) remember(key uint64, train bool, feeds map[string]*tensor.Tensor) {
 	var p *shapePlan
 	if len(e.plans) < planCacheSize {
 		p = &shapePlan{feeds: make(map[string][]int, len(feeds))}
@@ -168,7 +177,7 @@ func (e *Executor) remember(key uint64, feeds map[string]*tensor.Tensor) {
 	for name, t := range feeds {
 		p.feeds[name] = append(p.feeds[name][:0], t.Shape()...)
 	}
-	p.key, p.lastUse = key, e.pass
+	p.key, p.train, p.lastUse = key, train, e.pass
 	e.plans = append(e.plans, p)
 }
 
@@ -219,7 +228,7 @@ func (e *Executor) addPlan(p *shapePlan) {
 	for name := range pinned {
 		delete(drawn, name)
 	}
-	plan, err := PlanMemory(e.net.Model, drawn)
+	plan, err := PlanMemory(e.net.Model, drawn, p.train)
 	if err != nil {
 		return
 	}

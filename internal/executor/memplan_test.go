@@ -2,6 +2,7 @@ package executor
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"deep500/internal/graph"
@@ -217,7 +218,7 @@ func TestPlanOneOffShapeKeepsSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	small := e.planFor(feedKey(one), one).plan.SlabElems
+	small := e.planFor(feedKey(one), false, one).plan.SlabElems
 	got, err := e.Inference(ctx, big)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +237,7 @@ func TestPlanOneOffShapeKeepsSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p := e.planFor(feedKey(big), big); p == nil || p.plan != nil {
+	if p := e.planFor(feedKey(big), false, big); p == nil || p.plan != nil {
 		t.Fatal("the one-off batch shape was planned, or not remembered")
 	}
 	if len(e.slab) != small {
@@ -405,45 +406,139 @@ func TestMemPlanReusesSlab(t *testing.T) {
 	}
 }
 
-// TestMemPlanTrainingBypass asserts the plan never poisons a training pass:
-// gradients after planned inference passes equal a fresh executor's bit
-// for bit, and the plan serves the next inference.
-func TestMemPlanTrainingBypass(t *testing.T) {
+// TestMemPlanTrainingEntries asserts that inference and training passes at
+// the same feed shapes never share a cache entry, in either order: each
+// kind's first pass is remembered in an entry of its own and its second
+// one plans it. A training plan keeps every activation to the end of the
+// pass, so it reuses no slab space; its planned passes give gradients
+// bitwise equal to a fresh executor's, and the inference plan keeps
+// serving inference between them.
+func TestMemPlanTrainingEntries(t *testing.T) {
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, WithHead: true, Seed: 7}, 32, 16)
-	planned := MustNew(m)
-	ref := MustNew(m)
 	feeds := feedsFor(m, 4, 11)
 	ctx := context.Background()
-
-	// Install the plan with inference passes, then train through it.
-	for i := 0; i < 2; i++ {
-		if _, err := planned.Inference(ctx, feeds); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := planned.InferenceAndBackprop(ctx, feeds, "loss"); err != nil {
-		t.Fatal(err)
-	}
+	ref := MustNew(m)
 	if _, err := ref.InferenceAndBackprop(ctx, feeds, "loss"); err != nil {
 		t.Fatal(err)
 	}
-	refGrads := ref.Network().Gradients()
-	gotGrads := planned.Network().Gradients()
-	if len(refGrads) == 0 || len(refGrads) != len(gotGrads) {
-		t.Fatalf("gradient count %d vs %d", len(gotGrads), len(refGrads))
+	want := ref.Network().Gradients()
+	key := feedKey(feeds)
+	entries := func(e *Executor) (inf, train *shapePlan) {
+		t.Helper()
+		inf, train = e.planFor(key, false, feeds), e.planFor(key, true, feeds)
+		if inf != nil && inf == train {
+			t.Fatal("an inference and a training pass share one entry")
+		}
+		return inf, train
 	}
-	for i, pg := range refGrads {
-		if !sameBits(pg.Grad, gotGrads[i].Grad) {
-			t.Fatalf("gradient %q differs after planned passes", pg.Name)
+	infer := func(e *Executor) map[string]*tensor.Tensor {
+		t.Helper()
+		out, err := e.Inference(ctx, feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	train := func(e *Executor) {
+		t.Helper()
+		if _, err := e.InferenceAndBackprop(ctx, feeds, "loss"); err != nil {
+			t.Fatal(err)
+		}
+		got := e.Network().Gradients()
+		for i, pg := range want {
+			if !sameBits(pg.Grad, got[i].Grad) {
+				t.Fatalf("gradient %q differs from a fresh executor's", pg.Name)
+			}
 		}
 	}
-	// And the plan still serves the next inference.
-	if _, err := planned.Inference(ctx, feeds); err != nil {
-		t.Fatal(err)
+
+	inferFirst := MustNew(m)
+	firstOut := infer(inferFirst)
+	infer(inferFirst)
+	train(inferFirst)
+	if inf, tr := entries(inferFirst); inf == nil || inf.plan == nil || tr == nil || tr.plan != nil {
+		t.Fatal("the first training pass after a planned inference did not get an unplanned entry of its own")
 	}
-	if len(planned.plans) != 1 || planned.plans[0].plan == nil {
-		t.Fatal("training dropped the plan installed before it")
+	for i := 0; i < 3; i++ {
+		train(inferFirst)
+		out := infer(inferFirst)
+		for name, f := range firstOut {
+			if !sameBits(f, out[name]) {
+				t.Fatalf("output %q differs from the first inference after training passes", name)
+			}
+		}
 	}
+	inf, tr := entries(inferFirst)
+	if len(inferFirst.plans) != 2 || inf == nil || inf.plan == nil || tr == nil || tr.plan == nil {
+		t.Fatalf("%d entries; want a planned inference and a planned training entry", len(inferFirst.plans))
+	}
+	if tr.plan.SlabElems != tr.plan.NoReuseElems || len(tr.plan.Slots) == 0 {
+		t.Fatalf("training plan: slab %d elements for %d planned; want no reuse", tr.plan.SlabElems, tr.plan.NoReuseElems)
+	}
+	for name, s := range tr.plan.Slots {
+		if s.Death != len(inferFirst.order) {
+			t.Fatalf("training plan frees %q after node %d; want it live to the end of the pass", name, s.Death)
+		}
+	}
+	if inf.plan.SlabElems >= inf.plan.NoReuseElems {
+		t.Fatal("the inference plan lost its interval reuse")
+	}
+
+	trainFirst := MustNew(m)
+	train(trainFirst)
+	train(trainFirst)
+	infer(trainFirst)
+	if inf, tr := entries(trainFirst); tr == nil || tr.plan == nil || inf == nil || inf.plan != nil {
+		t.Fatal("the first inference after a planned training pass did not get an unplanned entry of its own")
+	}
+}
+
+// TestMemPlanTrainingAllocs is the training side of the zero-alloc gate:
+// once warm, a LeNet training pass at batch 32 (the train_lenet workload's
+// step) allocates less than one batch-sized activation, conv1's output.
+// Activations come from the training plan and every operator's gradients
+// from its own buffers; what is left is the model outputs and small
+// bookkeeping (a few KB, most of it the kernels' parallel dispatch).
+func TestMemPlanTrainingAllocs(t *testing.T) {
+	m := models.LeNet(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, WithHead: true, Seed: 3})
+	e := MustNew(m)
+	feeds := feedsFor(m, 32, 5)
+	ctx := context.Background()
+	pass := func() {
+		if _, err := e.InferenceAndBackprop(ctx, feeds, "loss"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		pass()
+	}
+	tr := e.planFor(feedKey(feeds), true, feeds)
+	if tr == nil || tr.plan == nil {
+		t.Fatal("no training plan after four training passes")
+	}
+	var conv1 int64
+	for _, n := range e.order {
+		if n.OpType == "Conv" {
+			conv1 = int64(tr.plan.Slots[n.Outputs[0]].Elems) * 4
+			break
+		}
+	}
+	if conv1 == 0 {
+		t.Fatal("the training plan does not place conv1's output")
+	}
+	const passes = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	perPass := int64(after.TotalAlloc-before.TotalAlloc) / passes
+	if perPass >= conv1 {
+		t.Fatalf("a warm training pass allocates %d B; want less than conv1's output, %d B", perPass, conv1)
+	}
+	t.Logf("warm training pass: %d B allocated, conv1's output %d B, training slab %d KiB",
+		perPass, conv1, tr.plan.SlabBytes()/1024)
 }
 
 // viewOp returns a zero-copy view of its input, as the torchgo profile's
@@ -452,7 +547,7 @@ type viewOp struct{}
 
 func (viewOp) Name() string { return "View" }
 func (viewOp) Forward(in []*tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{in[0].Reshape(in[0].Shape()...)}
+	return []*tensor.Tensor{tensor.From(in[0].Data(), in[0].Shape()...)}
 }
 func (viewOp) Backward(g, in, out []*tensor.Tensor) []*tensor.Tensor { return []*tensor.Tensor{g[0]} }
 func (viewOp) FLOPs([]*tensor.Tensor) int64                          { return 0 }

@@ -16,8 +16,10 @@ import (
 // every activation lives at a fixed slab offset decided here, once.
 //
 // The pass is shape-specialized by design — it is the planning half of the
-// zero-alloc inference path (memplan.go is the run-time half), re-run by
-// the executor whenever the feed shapes change.
+// executor's activation allocator (memplan.go is the run-time half), re-run
+// by the executor whenever the feed shapes change. A training pass is
+// planned too, with every value kept to the end of the pass, because
+// backpropagation reads activations after their last forward consumer.
 
 // PlanSlot is the slab placement of one planned value.
 type PlanSlot struct {
@@ -26,7 +28,8 @@ type PlanSlot struct {
 	Elems  int
 	// Birth is the topological index of the producing node; Death is the
 	// index of the last consuming node, or the node count for model
-	// outputs (live until the end of the pass).
+	// outputs and for every value of a training plan (live until the end
+	// of the pass).
 	Birth int
 	Death int
 }
@@ -90,7 +93,12 @@ type freeBlock struct {
 // (model outputs stay live to the end of the pass), then assigns offsets
 // with a greedy best-fit free list: freed intervals are coalesced with
 // their slab neighbours and the smallest block that fits is split.
-func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
+//
+// A training plan (training set) keeps every value live to the end of the
+// pass, as it keeps model outputs: the backward pass that follows the
+// forward reads activations after their last forward consumer. Such a plan
+// reuses no interval; its slab is the sum of its values.
+func PlanMemory(m *graph.Model, sizes map[string]int, training bool) (*MemPlan, error) {
 	order, err := m.TopoSort()
 	if err != nil {
 		return nil, err
@@ -126,16 +134,13 @@ func PlanMemory(m *graph.Model, sizes map[string]int) (*MemPlan, error) {
 				continue
 			}
 			v := &planValue{name: out, elems: elems, birth: i, death: i}
-			if isModelOut[out] {
-				v.death = len(order) // live until the end of the pass
-			}
 			vals[out] = v
 			planned = append(planned, v)
 		}
 	}
 	for _, v := range planned {
-		if isModelOut[v.name] {
-			v.death = len(order)
+		if training || isModelOut[v.name] {
+			v.death = len(order) // live until the end of the pass
 		}
 	}
 

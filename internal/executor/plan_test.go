@@ -64,7 +64,7 @@ func checkNoLiveOverlap(t *testing.T, p *MemPlan) {
 
 func TestPlanChainReuse(t *testing.T) {
 	m := chainModel()
-	p, err := PlanMemory(m, sizesFor([]string{"a", "b", "c"}, 100))
+	p, err := PlanMemory(m, sizesFor([]string{"a", "b", "c"}, 100), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPlanChainReuse(t *testing.T) {
 
 func TestPlanDiamond(t *testing.T) {
 	m := diamondModel()
-	p, err := PlanMemory(m, sizesFor([]string{"a", "b", "c", "d"}, 100))
+	p, err := PlanMemory(m, sizesFor([]string{"a", "b", "c", "d"}, 100), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPlanDiamond(t *testing.T) {
 // interpreter plan-safe with no extra synchronization.
 func TestPlanMixedSizesNoLiveOverlap(t *testing.T) {
 	for _, m := range []*graph.Model{chainModel(), diamondModel()} {
-		p, err := PlanMemory(m, map[string]int{"a": 100, "b": 60, "c": 40, "d": 100})
+		p, err := PlanMemory(m, map[string]int{"a": 100, "b": 60, "c": 40, "d": 100}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestPlanCoalescing(t *testing.T) {
 	m.AddOutput("e")
 	// a and b (50 each) die after n2; d (80) fits only in their coalesced
 	// 100-element range.
-	p, err := PlanMemory(m, map[string]int{"a": 50, "b": 50, "c": 100, "d": 80, "e": 10})
+	p, err := PlanMemory(m, map[string]int{"a": 50, "b": 50, "c": 100, "d": 80, "e": 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPlanCoalescing(t *testing.T) {
 
 // TestPlanSkipsUnknownSizes leaves values without a size entry unplanned.
 func TestPlanSkipsUnknownSizes(t *testing.T) {
-	p, err := PlanMemory(chainModel(), map[string]int{"a": 100, "c": 100})
+	p, err := PlanMemory(chainModel(), map[string]int{"a": 100, "c": 100}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -99,12 +100,18 @@ func reencode(t *testing.T, m *graph.Model, ts *graph.TrainState) []byte {
 }
 
 // FuzzBuildAndRun: a model the decoder and executor.New accept runs. Each
-// accepted input gets zero feeds of its declared shapes at batch 2 and one
-// inference and one training pass (loss = the first output), which may
-// return an error but not panic. Models whose inferred activations exceed
-// a million floats are skipped, to keep the fuzzer's memory small. Seeds
-// are encoded zoo models and the MLP whose first Gemm reads a rank-0
-// weight, which executor.New once accepted and whose first pass panicked.
+// accepted input gets feeds of its declared shapes at batch 2 (a fixed
+// pattern of values, zeros for rank-1 feeds, which may be class labels),
+// one inference pass and then three training passes (loss = the first output)
+// with a second inference between the second and the third. Any pass may
+// return an error but not panic. When the first training pass succeeds,
+// the third, the first to run out of the training plan, must return
+// outputs and gradients bitwise equal to the first's, which an activation
+// the plan placed over a live one would break. Models whose inferred
+// activations exceed a million floats are skipped, to keep the fuzzer's
+// memory small. Seeds are encoded zoo models and the MLP whose first Gemm
+// reads a rank-0 weight, which executor.New once accepted and whose first
+// pass panicked.
 //
 //	go test ./internal/graph -run '^$' -fuzz FuzzBuildAndRun -fuzztime 60s
 func FuzzBuildAndRun(f *testing.F) {
@@ -157,9 +164,57 @@ func FuzzBuildAndRun(f *testing.F) {
 			if slices.ContainsFunc(s, func(d int) bool { return d < 0 }) {
 				return // a declared dimension no feed can have
 			}
-			feeds[in.Name] = tensor.New(s...)
+			t := tensor.New(s...)
+			if len(s) > 1 { // rank-1 feeds (class labels) stay zero: a valid class
+				for i := range t.Data() {
+					t.Data()[i] = float32(i%13)/8 - 0.75
+				}
+			}
+			feeds[in.Name] = t
 		}
-		e.Inference(context.Background(), feeds)
-		e.InferenceAndBackprop(context.Background(), feeds, m.Outputs[0])
+		ctx := context.Background()
+		e.Inference(ctx, feeds)
+		first, err := e.InferenceAndBackprop(ctx, feeds, m.Outputs[0])
+		if err != nil {
+			return
+		}
+		grads := map[string]*tensor.Tensor{}
+		for _, pg := range e.Network().Gradients() {
+			grads[pg.Name] = pg.Grad.Clone() // the executor reuses its gradient buffers
+		}
+		e.InferenceAndBackprop(ctx, feeds, m.Outputs[0])
+		e.Inference(ctx, feeds)
+		third, err := e.InferenceAndBackprop(ctx, feeds, m.Outputs[0])
+		if err != nil {
+			t.Fatalf("the third training pass failed where the first did not: %v", err)
+		}
+		for name, want := range first {
+			if !sameBits(want, third[name]) {
+				t.Fatalf("output %q of the third training pass differs from the first's", name)
+			}
+		}
+		got := e.Network().Gradients()
+		if len(got) != len(grads) {
+			t.Fatalf("%d gradients on the third training pass, %d on the first", len(got), len(grads))
+		}
+		for _, pg := range got {
+			if !sameBits(grads[pg.Name], pg.Grad) {
+				t.Fatalf("gradient %q of the third training pass differs from the first's", pg.Name)
+			}
+		}
 	})
+}
+
+// sameBits reports whether a and b have the same shape and bit-identical
+// elements.
+func sameBits(a, b *tensor.Tensor) bool {
+	if a == nil || b == nil || !tensor.SameShape(a, b) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float32bits(v) != math.Float32bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -21,9 +21,9 @@ func (o *ReLUOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *ReLUOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	kernels.ReLUBackward(fwdInputs[0].Data(), gradOutputs[0].Data(), gradIn.Data())
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *ReLUOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -51,7 +51,7 @@ func (o *LeakyReLUOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *LeakyReLUOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	in := fwdInputs[0].Data()
 	g := gradOutputs[0].Data()
 	dst := gradIn.Data()
@@ -62,7 +62,7 @@ func (o *LeakyReLUOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tens
 			dst[i] = o.Alpha * g[i]
 		}
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *LeakyReLUOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -80,9 +80,9 @@ func (o *SigmoidOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *SigmoidOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	kernels.SigmoidBackward(fwdOutputs[0].Data(), gradOutputs[0].Data(), gradIn.Data())
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *SigmoidOp) FLOPs(inputs []*tensor.Tensor) int64 { return 4 * elementwiseFLOPs(inputs) }
@@ -100,9 +100,9 @@ func (o *TanhOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *TanhOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	kernels.TanhBackward(fwdOutputs[0].Data(), gradOutputs[0].Data(), gradIn.Data())
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *TanhOp) FLOPs(inputs []*tensor.Tensor) int64 { return 4 * elementwiseFLOPs(inputs) }
@@ -127,7 +127,7 @@ func (o *SoftmaxOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor
 	y := fwdOutputs[0]
 	g := gradOutputs[0]
 	n, m := y.Dim(0), y.Dim(1)
-	gradIn := tensor.New(n, m)
+	gradIn := o.fullGrad(0, o.outShape(n, m)...)
 	for r := 0; r < n; r++ {
 		yr := y.Data()[r*m : (r+1)*m]
 		gr := g.Data()[r*m : (r+1)*m]
@@ -140,7 +140,7 @@ func (o *SoftmaxOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor
 			dst[i] = yr[i] * (gr[i] - float32(dot))
 		}
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *SoftmaxOp) FLOPs(inputs []*tensor.Tensor) int64 { return 5 * elementwiseFLOPs(inputs) }
@@ -192,15 +192,16 @@ func (o *DropoutOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *DropoutOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	if !o.Training || o.Ratio <= 0 {
-		return []*tensor.Tensor{gradOutputs[0].Clone()}
-	}
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	g := gradOutputs[0].Data()
+	if !o.Training || o.Ratio <= 0 {
+		copy(gradIn.Data(), g)
+		return o.grads(gradIn)
+	}
 	for i := range g {
 		gradIn.Data()[i] = g[i] * o.mask[i]
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *DropoutOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -225,12 +226,12 @@ func (o *unaryMathOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tens
 	x := fwdInputs[0].Data()
 	y := fwdOutputs[0].Data()
 	g := gradOutputs[0].Data()
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	dst := gradIn.Data()
 	for i := range x {
 		dst[i] = o.df(x[i], y[i], g[i])
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *unaryMathOp) FLOPs(inputs []*tensor.Tensor) int64 { return 2 * elementwiseFLOPs(inputs) }

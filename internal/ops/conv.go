@@ -56,9 +56,9 @@ func (o *Conv2DOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 // the installed mask asks for.
 func (o *Conv2DOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	x, w := fwdInputs[0], fwdInputs[1]
-	grads := []*tensor.Tensor{o.newGrad(0, x.Shape()...), o.newGrad(1, w.Shape()...)}
+	grads := o.grads(o.newGrad(0, x.Shape()...), o.newGrad(1, w.Shape()...))
 	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
-		grads = append(grads, o.newGrad(2, w.Dim(0)))
+		grads = o.grads(grads[0], grads[1], o.newGrad(2, o.outShape(w.Dim(0))...))
 	}
 	var d [3][]float32
 	for i, t := range grads {
@@ -76,8 +76,14 @@ func (o *Conv2DOp) FLOPs(inputs []*tensor.Tensor) int64 {
 
 func init() {
 	Register("Conv", func(n *graph.Node) (Operator, error) {
-		strides := n.AttrInts("strides", []int64{1, 1})
-		pads := n.AttrInts("pads", []int64{0, 0})
+		sh, sw, err := attrPair(n, "strides", 1)
+		if err != nil {
+			return nil, err
+		}
+		ph, pw, err := attrPair(n, "pads", 0)
+		if err != nil {
+			return nil, err
+		}
 		algo := kernels.ConvIm2Col
 		switch n.AttrString("algo", "im2col") {
 		case "direct":
@@ -89,6 +95,6 @@ func init() {
 		default:
 			return nil, fmt.Errorf("ops: unknown conv algo %q", n.AttrString("algo", ""))
 		}
-		return NewConv2D(algo, int(strides[0]), int(strides[1]), int(pads[0]), int(pads[1])), nil
+		return NewConv2D(algo, sh, sw, ph, pw), nil
 	})
 }

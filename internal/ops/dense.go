@@ -86,13 +86,12 @@ func (o *GemmOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) [
 	default:
 		kernels.GemmT(g.Data(), a.Data(), gradB.Data(), n, m, k, true, o.TransA)
 	}
-	grads := []*tensor.Tensor{gradA, gradB}
 	if len(fwdInputs) > 2 && fwdInputs[2] != nil {
-		gb := o.gradBuf(2, fwdInputs[2].Shape()...)
+		gb := o.fullGrad(2, fwdInputs[2].Shape()...)
 		tensor.SumAxis0Into(gb, g)
-		grads = append(grads, gb)
+		return o.grads(gradA, gradB, gb)
 	}
-	return grads
+	return o.grads(gradA, gradB)
 }
 
 func (o *GemmOp) FLOPs(inputs []*tensor.Tensor) int64 {

@@ -25,14 +25,15 @@ func (o *DivOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 func (o *DivOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	a, b := fwdInputs[0], fwdInputs[1]
 	g := gradOutputs[0]
-	gradA := tensor.Div(g, b)
+	gradA := o.fullGrad(0, a.Shape()...)
 	// d/db (a/b) = -a/b²
-	gradB := tensor.New(b.Shape()...)
+	gradB := o.fullGrad(1, b.Shape()...)
 	for i := range gradB.Data() {
 		bv := b.Data()[i]
+		gradA.Data()[i] = g.Data()[i] / bv
 		gradB.Data()[i] = -g.Data()[i] * a.Data()[i] / (bv * bv)
 	}
-	return []*tensor.Tensor{gradA, gradB}
+	return o.grads(gradA, gradB)
 }
 
 func (o *DivOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -56,8 +57,8 @@ func (o *PowOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []
 	a, b := fwdInputs[0], fwdInputs[1]
 	y := fwdOutputs[0]
 	g := gradOutputs[0]
-	gradA := tensor.New(a.Shape()...)
-	gradB := tensor.New(b.Shape()...)
+	gradA := o.gradBuf(0, a.Shape()...)
+	gradB := o.gradBuf(1, b.Shape()...)
 	for i := range gradA.Data() {
 		av, bv := float64(a.Data()[i]), float64(b.Data()[i])
 		gradA.Data()[i] = g.Data()[i] * float32(bv*math.Pow(av, bv-1))
@@ -65,7 +66,7 @@ func (o *PowOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []
 			gradB.Data()[i] = g.Data()[i] * y.Data()[i] * float32(math.Log(av))
 		}
 	}
-	return []*tensor.Tensor{gradA, gradB}
+	return o.grads(gradA, gradB)
 }
 
 func (o *PowOp) FLOPs(inputs []*tensor.Tensor) int64 { return 10 * elementwiseFLOPs(inputs) }

@@ -30,7 +30,7 @@ func (o *EluOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *EluOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	in := fwdInputs[0].Data()
 	y := fwdOutputs[0].Data()
 	g := gradOutputs[0].Data()
@@ -42,7 +42,7 @@ func (o *EluOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []
 			dst[i] = g[i] * (y[i] + o.Alpha) // d/dx α(eˣ-1) = αeˣ = y+α
 		}
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *EluOp) FLOPs(inputs []*tensor.Tensor) int64 { return 3 * elementwiseFLOPs(inputs) }
@@ -73,7 +73,7 @@ func (o *ClipOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *ClipOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.gradBuf(0, fwdInputs[0].Shape()...)
 	in := fwdInputs[0].Data()
 	g := gradOutputs[0].Data()
 	dst := gradIn.Data()
@@ -82,7 +82,7 @@ func (o *ClipOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) [
 			dst[i] = g[i]
 		}
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *ClipOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }

@@ -10,22 +10,26 @@ import (
 // the single-dtype tensor model of the repository while matching the
 // paper's extension of ONNX with loss operators (§IV-B).
 
-func labelInts(t *tensor.Tensor) []int {
-	out := make([]int, t.Size())
-	for i, v := range t.Data() {
-		out[i] = int(v)
+// labelInts converts t's class ids into buf, grown as needed.
+func labelInts(buf []int, t *tensor.Tensor) []int {
+	buf = buf[:0]
+	for _, v := range t.Data() {
+		buf = append(buf, int(v))
 	}
-	return out
+	return buf
 }
 
 // SoftmaxCrossEntropyOp fuses softmax and mean cross-entropy.
 // Inputs: logits [N,M], labels [N]. Outputs: scalar loss, probabilities
 // [N,M]. Backward returns the gradient w.r.t. logits (labels get nil).
-type SoftmaxCrossEntropyOp struct{ base }
+type SoftmaxCrossEntropyOp struct {
+	base
+	labels []int // the last pass's class ids, reused
+}
 
 // NewSoftmaxCrossEntropy returns the fused loss operator.
 func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropyOp {
-	return &SoftmaxCrossEntropyOp{base{name: "SoftmaxCrossEntropy"}}
+	return &SoftmaxCrossEntropyOp{base: base{name: "SoftmaxCrossEntropy"}}
 }
 
 func (o *SoftmaxCrossEntropyOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
@@ -33,7 +37,8 @@ func (o *SoftmaxCrossEntropyOp) Forward(inputs []*tensor.Tensor) []*tensor.Tenso
 	n, m := logits.Dim(0), logits.Dim(1)
 	probs := tensor.New(n, m)
 	kernels.Softmax(logits.Data(), probs.Data(), n, m)
-	loss := kernels.CrossEntropyForward(probs.Data(), labelInts(labels), n, m)
+	o.labels = labelInts(o.labels, labels)
+	loss := kernels.CrossEntropyForward(probs.Data(), o.labels, n, m)
 	return []*tensor.Tensor{tensor.Scalar(loss), probs}
 }
 
@@ -41,13 +46,14 @@ func (o *SoftmaxCrossEntropyOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*t
 	logits, labels := fwdInputs[0], fwdInputs[1]
 	probs := fwdOutputs[1]
 	n, m := logits.Dim(0), logits.Dim(1)
-	gradIn := tensor.New(n, m)
-	kernels.SoftmaxCrossEntropyBackward(probs.Data(), labelInts(labels), gradIn.Data(), n, m)
+	gradIn := o.fullGrad(0, o.outShape(n, m)...)
+	o.labels = labelInts(o.labels, labels)
+	kernels.SoftmaxCrossEntropyBackward(probs.Data(), o.labels, gradIn.Data(), n, m)
 	// scale by upstream scalar gradient (usually 1)
 	if g := gradOutputs[0]; g != nil && g.Size() == 1 && g.Data()[0] != 1 {
 		gradIn.Scale(g.Data()[0])
 	}
-	return []*tensor.Tensor{gradIn, nil}
+	return o.grads(gradIn, nil)
 }
 
 func (o *SoftmaxCrossEntropyOp) FLOPs(inputs []*tensor.Tensor) int64 {
@@ -77,14 +83,14 @@ func (o *MSEOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []
 	if g := gradOutputs[0]; g != nil && g.Size() == 1 {
 		scale *= g.Data()[0]
 	}
-	gradP := tensor.New(p.Shape()...)
-	gradT := tensor.New(t.Shape()...)
+	gradP := o.fullGrad(0, p.Shape()...)
+	gradT := o.fullGrad(1, t.Shape()...)
 	for i, v := range p.Data() {
 		d := scale * (v - t.Data()[i])
 		gradP.Data()[i] = d
 		gradT.Data()[i] = -d
 	}
-	return []*tensor.Tensor{gradP, gradT}
+	return o.grads(gradP, gradT)
 }
 
 func (o *MSEOp) FLOPs(inputs []*tensor.Tensor) int64 { return 3 * int64(inputs[0].Size()) }
@@ -117,7 +123,7 @@ func (o *AccuracyOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *AccuracyOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{nil, nil}
+	return o.grads(nil, nil)
 }
 
 func (o *AccuracyOp) FLOPs(inputs []*tensor.Tensor) int64 { return int64(inputs[0].Size()) }

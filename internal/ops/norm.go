@@ -82,7 +82,7 @@ func (o *BatchNormOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tens
 	kernels.BatchNormBackward(n, c, hw, x.Data(), gradOutputs[0].Data(), gamma.Data(),
 		mean, variance, o.Eps, gradX.Data(), gradGamma.Data(), gradBeta.Data())
 	// no gradients for running statistics
-	return []*tensor.Tensor{gradX, gradGamma, gradBeta, nil, nil}
+	return o.grads(gradX, gradGamma, gradBeta, nil, nil)
 }
 
 func (o *BatchNormOp) FLOPs(inputs []*tensor.Tensor) int64 { return 8 * int64(inputs[0].Size()) }

@@ -35,9 +35,9 @@ type Operator interface {
 	// Backward receives gradients w.r.t. each output plus the forward
 	// inputs and outputs, and returns gradients w.r.t. each input. A nil
 	// entry means "no gradient" (e.g. for integer label inputs).
-	// An operator may return tensors it keeps and reuses — the built-in
-	// ones with parameter inputs do (base's gradBuf) — so a result is only
-	// valid until the same operator's next Backward.
+	// An operator may return tensors it keeps and reuses — every built-in
+	// one does (base's gradBuf), and reuses the returned slice too — so a
+	// result is only valid until the same operator's next Backward.
 	Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor
 	// FLOPs estimates the forward floating-point work for the given inputs.
 	FLOPs(inputs []*tensor.Tensor) int64
@@ -135,8 +135,10 @@ type base struct {
 	// needGrad is the installed GradMaskAware mask (nil: all gradients).
 	needGrad []bool
 	// gradBufs are the tensors Backward hands out, one per slot, kept and
-	// reused from call to call (see gradBuf).
+	// reused from call to call (see gradBuf); gradOut is the reused slice
+	// that returns them (see grads).
 	gradBufs []*tensor.Tensor
+	gradOut  []*tensor.Tensor
 }
 
 func (b base) Name() string { return b.name }
@@ -147,26 +149,46 @@ func (b *base) SetAllocator(a Allocator) { b.alloc = a }
 // SetGradMask installs the per-input requires-grad mask.
 func (b *base) SetGradMask(need []bool) { b.needGrad = need }
 
-// newGrad returns the zeroed gradient tensor of input i (see gradBuf), or
-// nil when the installed mask says that gradient is not read.
+// newGrad returns the gradient tensor of input i, uncleared (see
+// fullGrad), or nil when the installed mask says that gradient is not
+// read. Conv and Gemm use it: their backward kernels overwrite every
+// element.
 func (b *base) newGrad(i int, shape ...int) *tensor.Tensor {
 	if i < len(b.needGrad) && !b.needGrad[i] {
 		return nil
 	}
-	return b.gradBuf(i, shape...)
+	return b.fullGrad(i, shape...)
 }
 
 // gradBuf returns the operator's own zeroed tensor for backward slot i
 // (conventionally the gradient of input i): allocated on first use or when
-// the shape changes, cleared and handed out again otherwise. The operators
-// that produce parameter gradients (Conv, Gemm, MatMul, BatchNormalization,
-// the RNN cell) draw everything their Backward creates from it, which is
-// what keeps a training step from allocating anything that scales with the
-// model, and it sets the lifetime of what they return: valid until the same
-// operator's next Backward. Operators are
-// bound one per node, so within a pass every node's gradients are distinct
-// tensors.
+// the shape changes, cleared and handed out again otherwise. Every built-in
+// operator draws all its Backward creates from it, parameter gradients and
+// batch-sized activation gradients alike, which is what keeps a warm
+// training step from allocating, and it sets the lifetime of what they
+// return: valid until the same operator's next Backward. An operator whose
+// gradient equals its upstream one copies it into its own buffer rather
+// than returning the upstream tensor, since the executor accumulates into
+// a gradient in place (AddInPlace). Operators are bound one per node, so
+// within a pass every node's gradients are distinct tensors.
 func (b *base) gradBuf(i int, shape ...int) *tensor.Tensor {
+	t, kept := b.keptGrad(i, shape)
+	if kept {
+		t.Zero()
+	}
+	return t
+}
+
+// fullGrad is gradBuf without the clearing, for a Backward that writes
+// every element of the gradient.
+func (b *base) fullGrad(i int, shape ...int) *tensor.Tensor {
+	t, _ := b.keptGrad(i, shape)
+	return t
+}
+
+// keptGrad returns slot i's tensor at shape, and whether it is the one a
+// previous Backward handed out (a new one is zero-filled).
+func (b *base) keptGrad(i int, shape []int) (*tensor.Tensor, bool) {
 	for len(b.gradBufs) <= i {
 		b.gradBufs = append(b.gradBufs, nil)
 	}
@@ -174,10 +196,26 @@ func (b *base) gradBuf(i int, shape ...int) *tensor.Tensor {
 	if t == nil || !tensor.ShapeEq(t.Shape(), shape) {
 		t = tensor.New(shape...)
 		b.gradBufs[i] = t
-		return t
+		return t, false
 	}
-	t.Zero()
+	return t, true
+}
+
+// gradCopy returns slot i's buffer (see fullGrad) at shape holding a copy of
+// g, which has as many elements: the gradient of an operator that passes
+// its upstream gradient through unchanged, or reshaped.
+func (b *base) gradCopy(i int, g *tensor.Tensor, shape []int) *tensor.Tensor {
+	t := b.fullGrad(i, shape...)
+	copy(t.Data(), g.Data())
 	return t
+}
+
+// grads returns the operator's reused Backward result slice holding ts, so
+// Backward allocates no per-call slice (the executor consumes it before the
+// node's next Backward, as it does out1's slice).
+func (b *base) grads(ts ...*tensor.Tensor) []*tensor.Tensor {
+	b.gradOut = append(b.gradOut[:0], ts...)
+	return b.gradOut
 }
 
 // newOut allocates a forward-output tensor: from the installed allocator

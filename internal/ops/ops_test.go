@@ -352,6 +352,25 @@ func TestFromNodeFactory(t *testing.T) {
 	}
 }
 
+// TestFromNodeRejectsShortAttrs: a Conv or pooling node whose strides,
+// pads or window list one value is refused by the factory with an error,
+// not indexed out of range.
+func TestFromNodeRejectsShortAttrs(t *testing.T) {
+	for _, op := range []string{"Conv", "MaxPool", "AveragePool"} {
+		for _, attr := range []graph.Attribute{
+			graph.IntsAttr("strides", 2), graph.IntsAttr("pads", 1), graph.IntsAttr("kernel_shape", 3),
+		} {
+			if op == "Conv" && attr.Name == "kernel_shape" {
+				continue // Conv takes its window from the weight's shape
+			}
+			n := graph.NewNode(op, "n", []string{"x", "w"}, []string{"y"}, attr)
+			if _, err := FromNode(n); err == nil {
+				t.Errorf("%s with one-value %s: no error", op, attr.Name)
+			}
+		}
+	}
+}
+
 func TestCustomOperatorRegistration(t *testing.T) {
 	// The paper's median-pooling custom operator (Listing 3), in Go:
 	// registering an identity-like stand-in exercises the same path.

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
 	"deep500/internal/tensor"
@@ -41,9 +43,9 @@ func (o *MaxPoolOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 
 func (o *MaxPoolOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	s := o.shape(fwdInputs[0])
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	kernels.MaxPool2DBackward(s, gradOutputs[0].Data(), o.argmax, gradIn.Data())
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *MaxPoolOp) FLOPs(inputs []*tensor.Tensor) int64 {
@@ -80,9 +82,9 @@ func (o *AvgPoolOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 
 func (o *AvgPoolOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	s := o.shape(fwdInputs[0])
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.fullGrad(0, fwdInputs[0].Shape()...)
 	kernels.AvgPool2DBackward(s, gradOutputs[0].Data(), gradIn.Data())
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *AvgPoolOp) FLOPs(inputs []*tensor.Tensor) int64 {
@@ -107,27 +109,48 @@ func (o *GlobalAvgPoolOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 func (o *GlobalAvgPoolOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	x := fwdInputs[0]
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	gradIn := tensor.New(x.Shape()...)
+	gradIn := o.fullGrad(0, x.Shape()...)
 	kernels.GlobalAvgPoolBackward(n, c, h, w, gradOutputs[0].Data(), gradIn.Data())
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *GlobalAvgPoolOp) FLOPs(inputs []*tensor.Tensor) int64 { return int64(inputs[0].Size()) }
 
-func poolAttrs(n *graph.Node) (kh, kw, sh, sw, ph, pw int) {
-	k := n.AttrInts("kernel_shape", []int64{2, 2})
-	s := n.AttrInts("strides", []int64{1, 1})
-	p := n.AttrInts("pads", []int64{0, 0})
-	return int(k[0]), int(k[1]), int(s[0]), int(s[1]), int(p[0]), int(p[1])
+// attrPair reads the first two values of the integer list attribute name,
+// which default to def, refusing a list with fewer than two.
+func attrPair(n *graph.Node, name string, def int64) (int, int, error) {
+	v := n.AttrInts(name, []int64{def, def})
+	if len(v) < 2 {
+		return 0, 0, fmt.Errorf("ops: %s node %q: %s needs two values, got %v", n.OpType, n.Name, name, v)
+	}
+	return int(v[0]), int(v[1]), nil
+}
+
+// poolAttrs reads a pooling node's window, strides and pads.
+func poolAttrs(n *graph.Node) (kh, kw, sh, sw, ph, pw int, err error) {
+	if kh, kw, err = attrPair(n, "kernel_shape", 2); err != nil {
+		return
+	}
+	if sh, sw, err = attrPair(n, "strides", 1); err != nil {
+		return
+	}
+	ph, pw, err = attrPair(n, "pads", 0)
+	return
 }
 
 func init() {
 	Register("MaxPool", func(n *graph.Node) (Operator, error) {
-		kh, kw, sh, sw, ph, pw := poolAttrs(n)
+		kh, kw, sh, sw, ph, pw, err := poolAttrs(n)
+		if err != nil {
+			return nil, err
+		}
 		return NewMaxPool(kh, kw, sh, sw, ph, pw), nil
 	})
 	Register("AveragePool", func(n *graph.Node) (Operator, error) {
-		kh, kw, sh, sw, ph, pw := poolAttrs(n)
+		kh, kw, sh, sw, ph, pw, err := poolAttrs(n)
+		if err != nil {
+			return nil, err
+		}
 		return NewAvgPool(kh, kw, sh, sw, ph, pw), nil
 	})
 	Register("GlobalAveragePool", func(n *graph.Node) (Operator, error) {

@@ -59,7 +59,7 @@ func (o *RNNTanhCell) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tens
 	kernels.GemmTransA(h.Data(), dPre.Data(), gradWh.Data(), h.Dim(1), n, hdim)
 	gradB := o.gradBuf(4, hdim)
 	tensor.SumAxis0Into(gradB, dPre)
-	return []*tensor.Tensor{gradX, gradH, gradWx, gradWh, gradB}
+	return o.grads(gradX, gradH, gradWx, gradWh, gradB)
 }
 
 func (o *RNNTanhCell) FLOPs(inputs []*tensor.Tensor) int64 {

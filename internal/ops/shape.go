@@ -23,7 +23,8 @@ func (o *AddOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *AddOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{gradOutputs[0].Clone(), gradOutputs[0].Clone()}
+	g := gradOutputs[0]
+	return o.grads(o.gradCopy(0, g, g.Shape()), o.gradCopy(1, g, g.Shape()))
 }
 
 func (o *AddOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -45,8 +46,11 @@ func (o *SubOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 
 func (o *SubOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	g := gradOutputs[0]
-	neg := tensor.Map(g, func(v float32) float32 { return -v })
-	return []*tensor.Tensor{g.Clone(), neg}
+	neg := o.fullGrad(1, g.Shape()...)
+	for i, v := range g.Data() {
+		neg.Data()[i] = -v
+	}
+	return o.grads(o.gradCopy(0, g, g.Shape()), neg)
 }
 
 func (o *SubOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -67,8 +71,15 @@ func (o *MulOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *MulOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	g := gradOutputs[0]
-	return []*tensor.Tensor{tensor.Mul(g, fwdInputs[1]), tensor.Mul(g, fwdInputs[0])}
+	g := gradOutputs[0].Data()
+	a, b := fwdInputs[0].Data(), fwdInputs[1].Data()
+	gradA := o.fullGrad(0, fwdInputs[0].Shape()...)
+	gradB := o.fullGrad(1, fwdInputs[1].Shape()...)
+	for i := range g {
+		gradA.Data()[i] = g[i] * b[i]
+		gradB.Data()[i] = g[i] * a[i]
+	}
+	return o.grads(gradA, gradB)
 }
 
 func (o *MulOp) FLOPs(inputs []*tensor.Tensor) int64 { return elementwiseFLOPs(inputs) }
@@ -89,11 +100,12 @@ func (o *SumOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *SumOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	grads := make([]*tensor.Tensor, len(fwdInputs))
-	for i := range grads {
-		grads[i] = gradOutputs[0].Clone()
+	g := gradOutputs[0]
+	o.gradOut = o.gradOut[:0]
+	for i := range fwdInputs {
+		o.gradOut = append(o.gradOut, o.gradCopy(i, g, g.Shape()))
 	}
-	return grads
+	return o.gradOut
 }
 
 func (o *SumOp) FLOPs(inputs []*tensor.Tensor) int64 {
@@ -113,7 +125,7 @@ func (o *IdentityOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *IdentityOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{gradOutputs[0].Clone()}
+	return o.grads(o.gradCopy(0, gradOutputs[0], fwdInputs[0].Shape()))
 }
 
 func (o *IdentityOp) FLOPs(inputs []*tensor.Tensor) int64 { return 0 }
@@ -164,7 +176,7 @@ func (o *FlattenOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *FlattenOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{gradOutputs[0].Clone().Reshape(fwdInputs[0].Shape()...)}
+	return o.grads(o.gradCopy(0, gradOutputs[0], fwdInputs[0].Shape()))
 }
 
 func (o *FlattenOp) FLOPs(inputs []*tensor.Tensor) int64 { return 0 }
@@ -211,7 +223,7 @@ func (o *ReshapeOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *ReshapeOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{gradOutputs[0].Clone().Reshape(fwdInputs[0].Shape()...)}
+	return o.grads(o.gradCopy(0, gradOutputs[0], fwdInputs[0].Shape()))
 }
 
 func (o *ReshapeOp) FLOPs(inputs []*tensor.Tensor) int64 { return 0 }
@@ -248,15 +260,15 @@ func (o *ConcatOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 
 func (o *ConcatOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
 	g := gradOutputs[0]
-	grads := make([]*tensor.Tensor, len(fwdInputs))
+	o.gradOut = o.gradOut[:0]
 	off := 0
 	for i, x := range fwdInputs {
-		gi := tensor.New(x.Shape()...)
+		gi := o.fullGrad(i, x.Shape()...)
 		copy(gi.Data(), g.Data()[off:off+x.Size()])
-		grads[i] = gi
+		o.gradOut = append(o.gradOut, gi)
 		off += x.Size()
 	}
-	return grads
+	return o.gradOut
 }
 
 func (o *ConcatOp) FLOPs(inputs []*tensor.Tensor) int64 { return 0 }
@@ -296,13 +308,13 @@ func (o *SplitOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (o *SplitOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor) []*tensor.Tensor {
-	gradIn := tensor.New(fwdInputs[0].Shape()...)
+	gradIn := o.gradBuf(0, fwdInputs[0].Shape()...)
 	off := 0
 	for _, g := range gradOutputs {
 		copy(gradIn.Data()[off:], g.Data())
 		off += g.Size()
 	}
-	return []*tensor.Tensor{gradIn}
+	return o.grads(gradIn)
 }
 
 func (o *SplitOp) FLOPs(inputs []*tensor.Tensor) int64 { return 0 }

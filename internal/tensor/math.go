@@ -14,9 +14,6 @@ func Sub(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 { return x * y }) }
 
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 { return x / y }) }
-
 func zipNew(a, b *Tensor, f func(x, y float32) float32) *Tensor {
 	if !SameShape(a, b) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.shape, b.shape))

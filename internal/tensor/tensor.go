@@ -95,35 +95,6 @@ func (t *Tensor) Clone() *Tensor {
 	return &Tensor{shape: s, data: d}
 }
 
-// Reshape returns a view of t with a new shape of equal volume. One
-// dimension may be -1, in which case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n, infer := 1, -1
-	for i, d := range shape {
-		if d == -1 {
-			if infer >= 0 {
-				panic("tensor: multiple -1 dimensions in reshape")
-			}
-			infer = i
-			continue
-		}
-		n *= d
-	}
-	out := make([]int, len(shape))
-	copy(out, shape)
-	if infer >= 0 {
-		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		out[infer] = len(t.data) / n
-		n *= out[infer]
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
-	}
-	return &Tensor{shape: out, data: t.data}
-}
-
 // Zero sets all elements to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {

@@ -13,9 +13,9 @@ import (
 // training loop (Runner → Driver → executor) twice: once plainly, once
 // evaluating the test set after every step. The evaluations are inference
 // passes out of the executor's memory plans, at the batch shape the
-// training steps run; the training passes bypass the plans. The two runs
-// must agree bit for bit: per-step losses, final parameters and final
-// accuracy.
+// training steps run, and the training passes run out of a plan of their
+// own over the same slab. The two runs must agree bit for bit: per-step
+// losses, final parameters and final accuracy.
 func TestEvaluateBetweenStepsLeavesTrainingBitwise(t *testing.T) {
 	type result struct {
 		losses []float64

@@ -130,8 +130,14 @@ func (b *mailbox) pop() (dist.Message, bool) {
 
 // peer is the connection slot for one remote rank.
 type peer struct {
-	wmu  sync.Mutex // serializes frame writes on conn; guards wbuf
-	wbuf []byte     // the frame being written, reused from send to send
+	wmu sync.Mutex // serializes frame writes on conn; guards wbuf, wvec and vec
+	// wbuf is the frame being written, or only its header when the payload
+	// is written from the sender's own floats (see writeVector); reused
+	// from send to send. wvec is the vectored write of such a frame, over
+	// the two-slot array vec.
+	wbuf []byte
+	wvec net.Buffers
+	vec  [2][]byte
 	conn net.Conn
 	gen  int // bumped on every (re)install, guards stale teardown
 	// lostAt is when the last connection died without a replacement; zero
@@ -525,9 +531,9 @@ func (t *TCPRank) acquire(dst int, deadline time.Time) (net.Conn, int, error) {
 }
 
 // Send transmits data to dst with a message tag, re-acquiring the
-// connection once on write failure. The frame is encoded straight into the
-// peer's reusable write buffer (under the write lock, so concurrent senders
-// to one peer stay whole-frame atomic); data is not retained. Under
+// connection once on write failure. The frame is written under the peer's
+// write lock, so concurrent senders to one peer stay whole-frame atomic
+// (see writeVector); data is not retained. Under
 // BestEffortSend an unreachable peer drops the frame; otherwise the failure
 // is returned as *NetError. simBytes is a simulator concept and ignored: the
 // wire bytes here are real.
@@ -556,10 +562,8 @@ func (t *TCPRank) Send(dst, tag int, data []float32, _ int64) error {
 		}
 		p := t.peers[dst]
 		p.wmu.Lock()
-		p.wbuf = appendVectorFrame(p.wbuf[:0], t.opt.ID, tag, data, t.opt.QuantizeBits, trace, span)
-		n := len(p.wbuf)
 		c.SetWriteDeadline(time.Now().Add(t.opt.IOTimeout))
-		_, werr := c.Write(p.wbuf)
+		n, werr := p.writeVector(c, t.opt.ID, tag, data, t.opt.QuantizeBits, trace, span)
 		p.wmu.Unlock()
 		if werr == nil {
 			t.sentBytes.Add(int64(n))
@@ -574,6 +578,30 @@ func (t *TCPRank) Send(dst, tag int, data []float32, _ int64) error {
 		return nil
 	}
 	return &NetError{Op: "send", Rank: t.opt.ID, Peer: dst, Err: lastErr}
+}
+
+// writeVector writes to c the frame appendVectorFrame encodes and returns
+// its length; the caller holds p.wmu. On a little-endian host a float
+// payload already is the wire layout, so the header and data's own bytes
+// go out in one vectored write (writev on a TCP connection) and the floats
+// are never copied. A quantized payload, or any payload on a big-endian
+// host, is encoded into wbuf first, and so is an empty frame: it is only
+// a header.
+func (p *peer) writeVector(c net.Conn, src, tag int, data []float32, bits uint, trace, span uint64) (int, error) {
+	if !hostLittleEndian || bits > 0 || len(data) == 0 {
+		p.wbuf = appendVectorFrame(p.wbuf[:0], src, tag, data, bits, trace, span)
+		_, err := c.Write(p.wbuf)
+		return len(p.wbuf), err
+	}
+	f := Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag), Count: uint32(len(data)), Trace: trace, Span: span}
+	p.wbuf = appendHeader(p.wbuf[:0], &f, 4*len(data))
+	// WriteTo consumes the slice it writes, so the slice is rebuilt over
+	// vec each time, and vec is cleared after so it pins no payload.
+	p.vec = [2][]byte{p.wbuf, f32Bytes(data)}
+	p.wvec = p.vec[:]
+	n, err := p.wvec.WriteTo(c)
+	p.vec = [2][]byte{}
+	return int(n), err
 }
 
 // pop dequeues the next message from src, or — when src is AnySource —

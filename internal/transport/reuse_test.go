@@ -63,6 +63,71 @@ func TestSendPathGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestWriteVectorMatchesAppendFrame: what a peer reads after writeVector is
+// exactly AppendFrame's encoding of the frame, and writeVector reports its
+// length, for float, empty and quantized frames, over a TCP connection
+// (one vectored write) and over a pipe (which takes each buffer in turn).
+// Nothing of the payload stays referenced after the write.
+func TestWriteVectorMatchesAppendFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer accepted.Close()
+	pw, pr := net.Pipe()
+	defer pw.Close()
+	defer pr.Close()
+
+	data := make([]float32, 1000)
+	for i := range data {
+		data[i] = float32(i%29) - 14.25
+	}
+	for _, conn := range []struct {
+		name string
+		w, r net.Conn
+	}{{"tcp", dialed, accepted}, {"pipe", pw, pr}} {
+		var p peer
+		for _, fr := range []struct {
+			name string
+			data []float32
+			bits uint
+		}{{"float", data, 0}, {"empty", nil, 0}, {"quantized", data, 4}, {"float-again", data[:17], 0}} {
+			want := wantFrame(3, 7, fr.data, fr.bits, 0x11, 0x22)
+			got := make([]byte, len(want))
+			read := make(chan error, 1)
+			go func() {
+				conn.r.SetReadDeadline(time.Now().Add(10 * time.Second))
+				_, err := io.ReadFull(conn.r, got)
+				read <- err
+			}()
+			n, err := p.writeVector(conn.w, 3, 7, fr.data, fr.bits, 0x11, 0x22)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", conn.name, fr.name, err)
+			}
+			if err := <-read; err != nil {
+				t.Fatalf("%s/%s: reading: %v", conn.name, fr.name, err)
+			}
+			if n != len(want) || !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s: wrote %d bytes, peer read %d bytes differing from AppendFrame's %d",
+					conn.name, fr.name, n, len(got), len(want))
+			}
+			if p.vec[0] != nil || p.vec[1] != nil {
+				t.Fatalf("%s/%s: the write vector still references the frame", conn.name, fr.name)
+			}
+		}
+	}
+}
+
 // TestRoundTripAllocatesNothing pins the copy-free frame path: once the
 // per-peer write buffer, the receive slab, the mailbox and the receive timer
 // exist, a send → blocking receive → release round trip of a parameter-sized
