@@ -104,9 +104,9 @@ type ReplicaDown struct {
 }
 
 // CheckpointSaved is emitted by Session.Train after a training checkpoint
-// has been durably written (the asynchronous writer completed its atomic
-// rename). It is delivered on the training goroutine, like every other
-// training event.
+// has been durably written (its atomic rename completed). It is delivered
+// on the training goroutine, like every other training event, and a step's
+// checkpoint arrives before that step's StepEnd.
 type CheckpointSaved struct {
 	// Step and Epoch locate the snapshot in the run: optimization steps and
 	// full epochs completed at capture time.

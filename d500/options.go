@@ -81,11 +81,11 @@ func WithQuick() Option {
 }
 
 // WithCheckpointEvery sets the cadence, in optimization steps, of the
-// asynchronous checkpoints Session.Train writes when
-// TrainConfig.CheckpointPath is set: every n steps, the run's state (model
-// weights, optimizer slots, sampler/RNG cursor) is snapshotted and written
-// atomically in the background. Without this option a checkpointing run
-// snapshots at every epoch boundary instead. See TrainConfig.CheckpointPath
+// checkpoints Session.Train writes when TrainConfig.CheckpointPath is set:
+// every n steps, the run's state (model weights, optimizer slots,
+// sampler/RNG cursor) is written atomically on the training goroutine,
+// which waits for the write. Without this option a checkpointing run
+// writes at every epoch boundary instead. See TrainConfig.CheckpointPath
 // and Resume.
 func WithCheckpointEvery(steps int) Option {
 	return func(c *config) error {

@@ -2,6 +2,8 @@ package d500
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"math"
 	"path/filepath"
 	"testing"
@@ -243,5 +245,85 @@ func TestResumeValidation(t *testing.T) {
 		Resume:    cp,
 	}); err == nil {
 		t.Fatal("resume onto a different open model must fail")
+	}
+}
+
+// checkpointRun trains a fresh two-epoch run that checkpoints to path
+// (every > 0 sets WithCheckpointEvery) and returns its StepEnd and
+// CheckpointSaved events in delivery order.
+func checkpointRun(t *testing.T, path string, every int) ([]Event, error) {
+	t.Helper()
+	var events []Event
+	opts := []Option{WithSeed(11), WithHook(func(e Event) {
+		switch e.(type) {
+		case StepEnd, CheckpointSaved:
+			events = append(events, e)
+		}
+	})}
+	if every > 0 {
+		opts = append(opts, WithCheckpointEvery(every))
+	}
+	sess, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Open(resumeModel()); err != nil {
+		t.Fatal(err)
+	}
+	train, _ := SyntheticSplit(resumeSamples, resumeSamples/4, 4, []int{1, 4, 4}, 0.3, resumeSeed)
+	_, err = sess.Train(context.Background(), TrainConfig{
+		Optimizer:      Adam(0.01),
+		Train:          ShuffleSampler(train, resumeBatch, resumeSeed),
+		Epochs:         2,
+		CheckpointPath: path,
+	})
+	return events, err
+}
+
+// TestCheckpointEveryStep: with WithCheckpointEvery(1) each step is written
+// exactly once, in step order, and its CheckpointSaved arrives before its
+// StepEnd — a hook that stops the run there finds the step on disk.
+func TestCheckpointEveryStep(t *testing.T) {
+	events, err := checkpointRun(t, filepath.Join(t.TempDir(), "run.ckpt"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEpoch := resumeSamples / resumeBatch
+	if len(events) != 2*2*perEpoch {
+		t.Fatalf("%d events for %d steps, want a CheckpointSaved and a StepEnd each: %v", len(events), 2*perEpoch, events)
+	}
+	for i := 0; i < 2*perEpoch; i++ {
+		ck, ok := events[2*i].(CheckpointSaved)
+		if !ok || ck.Step != i+1 || ck.Epoch != i/perEpoch {
+			t.Fatalf("event %d is %+v, want CheckpointSaved of step %d in epoch %d", 2*i, events[2*i], i+1, i/perEpoch)
+		}
+		if se, ok := events[2*i+1].(StepEnd); !ok || se.Step != i+1 {
+			t.Fatalf("event %d is %+v, want StepEnd of step %d", 2*i+1, events[2*i+1], i+1)
+		}
+	}
+}
+
+// TestCheckpointWriteErrorStopsTrain: a checkpoint path that cannot be
+// written makes Train return the write error, and no step after the one
+// whose write failed is reported (nor, with a step cadence, that step).
+func TestCheckpointWriteErrorStopsTrain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "run.ckpt")
+	perEpoch := resumeSamples / resumeBatch
+	for _, c := range []struct{ every, lastStep int }{{1, 0}, {0, perEpoch}} {
+		events, err := checkpointRun(t, path, c.every)
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("every=%d: Train returned %v, want the write error", c.every, err)
+		}
+		last := 0
+		for _, e := range events {
+			if se, ok := e.(StepEnd); ok {
+				last = se.Step
+			} else {
+				t.Fatalf("every=%d: unexpected %+v", c.every, e)
+			}
+		}
+		if last != c.lastStep {
+			t.Fatalf("every=%d: last StepEnd at step %d, want %d", c.every, last, c.lastStep)
+		}
 	}
 }

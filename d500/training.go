@@ -185,12 +185,12 @@ type TrainConfig struct {
 	// StopOnNaN aborts the run when the loss diverges.
 	StopOnNaN bool
 	// CheckpointPath enables exact-resume checkpointing: the run's state
-	// (model weights, optimizer slots, sampler/RNG cursor) is snapshotted at
-	// step or epoch boundaries (see WithCheckpointEvery) and written to this
-	// path atomically by a background writer, plus once synchronously when
-	// the run ends. Requires a checkpointable optimizer and sampler (all
-	// built-ins are). Each durable write emits a CheckpointSaved event; a
-	// write failure aborts the run.
+	// (model weights, optimizer slots, sampler/RNG cursor) is written to this
+	// path atomically at step or epoch boundaries (see WithCheckpointEvery),
+	// on the training goroutine, plus once more when the run completes or is
+	// cancelled between steps. Requires a checkpointable optimizer and
+	// sampler (all built-ins are). Each durable write emits a
+	// CheckpointSaved event; a write failure stops the run with that error.
 	CheckpointPath string
 	// Resume continues a run from a checkpoint loaded with d500.Resume. The
 	// session must have Opened exactly Resume.Model(), and Optimizer/Train/
@@ -269,31 +269,19 @@ func (s *Session) Train(ctx context.Context, cfg TrainConfig) (*TrainResult, err
 			return nil, err
 		}
 	}
-	runCtx := ctx
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
-	var ck *checkpointer
 	if cfg.CheckpointPath != "" {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithCancel(runCtx)
-		defer cancel()
-		ck, err = newCheckpointer(s, cfg, t.r, cancel)
+		co, _, err := checkpointable(cfg)
 		if err != nil {
 			return nil, err
 		}
-		// Chain the checkpoint capture behind the event-emitting callbacks;
-		// both run on the training goroutine at step/epoch boundaries.
-		prevStep := t.r.AfterStep
-		t.r.AfterStep = func(step int, loss, acc float64) {
-			prevStep(step, loss, acc)
-			ck.afterStep(step)
-		}
-		prevEpoch := t.r.AfterEpoch
-		t.r.AfterEpoch = func(epoch int, testAcc float64) {
-			prevEpoch(epoch, testAcc)
-			ck.afterEpoch()
-		}
+		t.r.Checkpoint = &training.Checkpointing{Path: cfg.CheckpointPath, Every: s.cfg.ckptEvery, Opt: co,
+			Saved: func(step, epoch int) {
+				s.emit(CheckpointSaved{Step: step, Epoch: epoch, Path: cfg.CheckpointPath})
+			}}
+	}
+	runCtx := ctx
+	if runCtx == nil {
+		runCtx = context.Background()
 	}
 	epochs := cfg.Epochs
 	if epochs <= 0 {
@@ -311,13 +299,6 @@ func (s *Session) Train(ctx context.Context, cfg TrainConfig) (*TrainResult, err
 	runErr := t.r.RunEpochs(runCtx, epochs)
 	root.SetError(runErr)
 	root.End()
-	if ck != nil {
-		// A checkpoint-write failure cancels the run context, so it takes
-		// precedence over the context error it caused.
-		if ckErr := ck.finish(); ckErr != nil {
-			return nil, ckErr
-		}
-	}
 	if runErr != nil {
 		return nil, runErr
 	}

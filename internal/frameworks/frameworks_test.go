@@ -174,19 +174,22 @@ func TestMicrobatchAsymmetry(t *testing.T) {
 	// tfgo executes Split/Concat with extra copies, torchgo with views:
 	// on a split-heavy graph, tfgo's extra copy work must be observable as
 	// more bytes moved. We verify the op substitution, not wallclock.
-	m := graph.NewModel("split")
-	m.AddInput("x", 8, 4)
-	m.AddNode(graph.NewNode("Split", "s", []string{"x"}, []string{"a", "b"},
-		graph.IntAttr("axis", 0), graph.IntsAttr("split", 4, 4)))
-	m.AddNode(graph.NewNode("Concat", "c", []string{"a", "b"}, []string{"y"},
-		graph.IntAttr("axis", 0)))
-	m.AddOutput("y")
-
-	etf, err := TFGo.NewExecutor(m.Clone())
+	// Each executor gets its own model, built afresh.
+	splitConcat := func() *graph.Model {
+		m := graph.NewModel("split")
+		m.AddInput("x", 8, 4)
+		m.AddNode(graph.NewNode("Split", "s", []string{"x"}, []string{"a", "b"},
+			graph.IntAttr("axis", 0), graph.IntsAttr("split", 4, 4)))
+		m.AddNode(graph.NewNode("Concat", "c", []string{"a", "b"}, []string{"y"},
+			graph.IntAttr("axis", 0)))
+		m.AddOutput("y")
+		return m
+	}
+	etf, err := TFGo.NewExecutor(splitConcat())
 	if err != nil {
 		t.Fatal(err)
 	}
-	etorch, err := TorchGo.NewExecutor(m.Clone())
+	etorch, err := TorchGo.NewExecutor(splitConcat())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // (paper Fig. 4).
 //
 // Public entry points: Model (NewModel, AddNode/AddInput/AddOutput/
-// AddInitializer, Validate, TopoSort, InferShapes, Clone/ShallowClone),
+// AddInitializer, Validate, TopoSort, InferShapes),
 // Node and the Attribute constructors (IntAttr, FloatAttr, StringAttr,
 // IntsAttr), the schema registry (RegisterSchema, LookupSchema),
 // serialization (Save/Load, Encode/Decode) and NewVisitor. Executors run a

@@ -239,35 +239,6 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := smallMLP()
-	c := m.Clone()
-	c.Initializers["w1"].Data()[0] = 999
-	if m.Initializers["w1"].Data()[0] == 999 {
-		t.Fatal("clone shares tensors")
-	}
-	c.Nodes[0].Inputs[0] = "zzz"
-	if m.Nodes[0].Inputs[0] == "zzz" {
-		t.Fatal("clone shares node slices")
-	}
-}
-
-// TestShallowCloneSharesParameters pins the ShallowClone contract the
-// checkpoint snapshot relies on: parameter tensors are shared, while node
-// structure and the initializer map are the clone's own.
-func TestShallowCloneSharesParameters(t *testing.T) {
-	m := smallMLP()
-	c := m.ShallowClone()
-	if c.Initializers["w1"] != m.Initializers["w1"] {
-		t.Fatal("shallow clone does not share parameter storage with the source model")
-	}
-	c.Initializers["w1"] = tensor.New(4, 8)
-	c.Nodes[0].Inputs[0] = "zzz"
-	if m.Initializers["w1"] == c.Initializers["w1"] || m.Nodes[0].Inputs[0] == "zzz" {
-		t.Fatal("shallow clone shares its initializer map or node slices with the source")
-	}
-}
-
 func TestVisitorDispatch(t *testing.T) {
 	m := smallMLP()
 	var seen []string

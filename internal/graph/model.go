@@ -264,52 +264,3 @@ func (m *Model) Validate() error {
 	}
 	return nil
 }
-
-// ShallowClone returns a structural copy of the model — nodes, inputs,
-// outputs and the initializer *map* are fresh, but initializer tensors are
-// shared with the original, so a rewrite of the clone's structure or its
-// initializer map leaves the original alone while parameter updates made
-// through either model are visible to both.
-func (m *Model) ShallowClone() *Model {
-	out := NewModel(m.Name)
-	out.DocString = m.DocString
-	for _, n := range m.Nodes {
-		attrs := make([]Attribute, 0, len(n.Attrs))
-		for _, a := range n.Attrs {
-			attrs = append(attrs, a)
-		}
-		out.AddNode(NewNode(n.OpType, n.Name, n.Inputs, n.Outputs, attrs...))
-	}
-	for _, in := range m.Inputs {
-		out.AddInput(in.Name, in.Shape...)
-	}
-	out.Outputs = append([]string(nil), m.Outputs...)
-	for name, t := range m.Initializers {
-		out.Initializers[name] = t
-	}
-	return out
-}
-
-// Clone returns a deep copy of the model (tensors included).
-func (m *Model) Clone() *Model {
-	out := NewModel(m.Name)
-	out.DocString = m.DocString
-	for _, n := range m.Nodes {
-		attrs := make([]Attribute, 0, len(n.Attrs))
-		for _, a := range n.Attrs {
-			if a.Type == AttrTensor && a.T != nil {
-				a.T = a.T.Clone()
-			}
-			attrs = append(attrs, a)
-		}
-		out.AddNode(NewNode(n.OpType, n.Name, n.Inputs, n.Outputs, attrs...))
-	}
-	for _, in := range m.Inputs {
-		out.AddInput(in.Name, in.Shape...)
-	}
-	out.Outputs = append([]string(nil), m.Outputs...)
-	for name, t := range m.Initializers {
-		out.Initializers[name] = t.Clone()
-	}
-	return out
-}

@@ -161,6 +161,7 @@ func TestSpecValidateRejects(t *testing.T) {
 		{Model: "transformer"},             // unknown model
 		{QuantBits: 9},                     // out of range
 		{Samples: 8, Workers: 4, Batch: 8}, // zero steps per epoch
+		{Optimizer: "lion"},                // unknown optimizer
 	}
 	for i, c := range cases {
 		if err := c.WithDefaults().Validate(); err == nil {

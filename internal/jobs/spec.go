@@ -141,6 +141,9 @@ func (s Spec) Validate() error {
 	if strings.ToLower(s.Model) != "mlp" {
 		return fmt.Errorf("jobs: unknown model %q (mlp)", s.Model)
 	}
+	if _, err := buildRule(s); err != nil {
+		return err
+	}
 	if s.QuantBits > 8 {
 		return fmt.Errorf("jobs: quant_bits %d out of range [0, 8]", s.QuantBits)
 	}

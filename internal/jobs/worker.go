@@ -248,8 +248,8 @@ func runPS(ctx context.Context, rank *transport.TCPRank, spec Spec) error {
 	return dist.RunPSServer(ctx, rank, rule, dist.PackParams(e.Network()), cfg)
 }
 
-// runTrainLoop is a worker rank: shard the data, train for the spec's step
-// budget through the scheme's optimizer, checkpoint on cadence, resume
+// runTrainLoop is a worker rank: shard the data, train for the spec's
+// epochs through the scheme's optimizer, checkpoint on cadence, resume
 // from the checkpoint when one exists.
 func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankID int, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) error {
 	workerIdx := spec.WorkerIndex(rankID)
@@ -297,46 +297,28 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 		opt = dist.NewConsistentDecentralized(training.NewDriver(e, rule), rank, mpi.AllreduceRing)
 	}
 
-	// The runner owns the step counter and the step spans; this loop keeps
-	// the sampler (one continuous shard stream, reset only when it runs
-	// dry) and the checkpoint cadence. Parameter-server schemes keep
-	// optimizer slots on the server, so the worker checkpoints none.
-	r := &training.Runner{Opt: opt, TrainSet: sampler, LossOutput: "loss", AccOutput: "acc"}
+	// The runner owns the step loop, the epoch resets of the shard sampler
+	// (which yields StepsPerEpoch batches an epoch) and the checkpoint
+	// cadence. Parameter-server schemes keep optimizer slots on the server,
+	// so the worker checkpoints none.
+	r := &training.Runner{Opt: opt, TrainSet: sampler, LossOutput: "loss", AccOutput: "acc",
+		AfterStep: func(step int, loss, _ float64) {
+			progress.store(step, loss)
+			if stepGate != nil {
+				stepGate(ctx, rankID, step)
+			}
+		}}
+	if ckptPath != "" {
+		r.Checkpoint = &training.Checkpointing{Path: ckptPath, Every: spec.CheckpointEvery}
+	}
 	if resume != nil {
 		if err := training.RestoreTrainState(resume, nil, sampler); err != nil {
 			return fmt.Errorf("jobs: rank %d: %w", rankID, err)
 		}
 		r.ResumeAt(resume.Step, resume.EpochsDone, resume.MidEpoch)
 	}
-
-	total := spec.TotalSteps()
-	perEpoch := spec.StepsPerEpoch()
-	for r.Steps() < total {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b := sampler.Next()
-		if b == nil {
-			sampler.Reset()
-			continue
-		}
-		loss, err := r.Step(ctx, b)
-		if err != nil {
-			return err
-		}
-		step := r.Steps()
-		progress.store(step, loss)
-		if ckptPath != "" && (step%spec.CheckpointEvery == 0 || step == total) {
-			// The model is cloned: the optimizer keeps mutating the live
-			// tensors.
-			ts := training.CaptureTrainState(step, step/perEpoch, step%perEpoch != 0, nil, sampler)
-			if err := graph.SaveCheckpoint(&graph.Checkpoint{Model: model.Clone(), Train: ts}, ckptPath); err != nil {
-				return fmt.Errorf("jobs: rank %d checkpointing: %w", rankID, err)
-			}
-		}
-		if stepGate != nil {
-			stepGate(ctx, rankID, step)
-		}
+	if err := r.RunEpochs(ctx, spec.Epochs); err != nil {
+		return err
 	}
 	if cw != nil && spec.Scheme == SchemeASGD {
 		return cw.Finish()

@@ -5,7 +5,7 @@
 // layout, decoupled from any particular framework backend.
 //
 // Public entry points: Tensor construction (New, From, Full, Zeros-like
-// via New), elementwise math (Add, Sub, Mul, Div, Map), the deterministic
+// via New), elementwise math (Add, Sub, Mul, Map), the deterministic
 // RNG with the He/Xavier initializers (NewRNG, HeInit, XavierInit,
 // RandNormal), and Arena, the size-class pool of raw buffers behind kernel
 // scratch and transport slabs.
@@ -14,6 +14,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -30,7 +31,7 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, slices.Clone(shape)))
 		}
 		n *= d
 	}
@@ -47,7 +48,7 @@ func From(data []float32, shape ...int) *Tensor {
 		n *= d
 	}
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), slices.Clone(shape), n))
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)

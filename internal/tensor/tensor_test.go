@@ -16,6 +16,22 @@ func TestNewShapeAndSize(t *testing.T) {
 	}
 }
 
+var allocSink *Tensor
+
+// TestNewShapeDoesNotEscape: a shape passed as scalars stays on the
+// caller's stack, so New allocates its own shape copy, the Tensor and the
+// data, and nothing else.
+func TestNewShapeDoesNotEscape(t *testing.T) {
+	n, h := 3, 5
+	if a := testing.AllocsPerRun(100, func() { allocSink = New(n, h) }); a != 3 {
+		t.Fatalf("New(n, h) allocates %v times, want 3", a)
+	}
+	data := make([]float32, n*h)
+	if a := testing.AllocsPerRun(100, func() { allocSink = From(data, n, h) }); a != 2 {
+		t.Fatalf("From(data, n, h) allocates %v times, want 2", a)
+	}
+}
+
 func TestScalar(t *testing.T) {
 	s := Scalar(3.5)
 	if s.Rank() != 0 || s.Size() != 1 || s.Data()[0] != 3.5 {

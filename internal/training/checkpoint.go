@@ -34,9 +34,9 @@ func newOptimizerState() OptimizerState {
 }
 
 // CheckpointableOptimizer is implemented by optimizers that support exact
-// resume. CaptureState must deep-copy tensor slots: the snapshot is handed
-// to an asynchronous checkpoint writer while training keeps mutating the
-// live state.
+// resume. CaptureState deep-copies tensor slots and RestoreState copies
+// them back in, so a captured state is a value: it stays valid as training
+// moves on, and one state can seed any number of optimizers.
 type CheckpointableOptimizer interface {
 	CaptureState() OptimizerState
 	RestoreState(OptimizerState) error

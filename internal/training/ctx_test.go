@@ -3,10 +3,13 @@ package training
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"deep500/internal/executor"
+	"deep500/internal/graph"
 	"deep500/internal/models"
+	"deep500/internal/tensor"
 )
 
 func cancelRunner(t *testing.T) *Runner {
@@ -55,5 +58,60 @@ func TestEvaluateReturnsInferenceError(t *testing.T) {
 	}
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %v out of range", acc)
+	}
+}
+
+// failAt makes the nth Train call of the optimizer it wraps fail.
+type failAt struct {
+	Optimizer
+	n, calls int
+}
+
+func (f *failAt) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	if f.calls++; f.calls == f.n {
+		return nil, errors.New("injected step failure")
+	}
+	return f.Optimizer.Train(ctx, feeds)
+}
+
+// TestRunnerCheckpointStops pins where a checkpointing run's last write
+// lands: a failed step leaves the last cadence checkpoint standing, and a
+// cancellation between steps writes the step it stopped after.
+func TestRunnerCheckpointStops(t *testing.T) {
+	run := func(r *Runner, ctx context.Context) (saved []int, ts *graph.TrainState, err error) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		r.Checkpoint = &Checkpointing{Path: path, Every: 2,
+			Saved: func(step, _ int) { saved = append(saved, step) }}
+		err = r.RunEpochs(ctx, 5)
+		if ck, lerr := graph.LoadCheckpoint(path); lerr == nil {
+			ts = ck.Train
+		}
+		return saved, ts, err
+	}
+
+	r := cancelRunner(t)
+	r.Opt = &failAt{Optimizer: r.Opt, n: 4}
+	saved, ts, err := run(r, context.Background())
+	if err == nil || err.Error() != "injected step failure" {
+		t.Fatalf("want the step's error, got %v", err)
+	}
+	if len(saved) != 1 || saved[0] != 2 || ts == nil || ts.Step != 2 || !ts.MidEpoch {
+		t.Fatalf("after a failed step 4: writes %v, checkpoint %+v; want step 2's alone", saved, ts)
+	}
+
+	r = cancelRunner(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r.AfterStep = func(step int, _, _ float64) {
+		if step == 3 {
+			cancel()
+		}
+	}
+	saved, ts, err = run(r, ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if len(saved) != 2 || saved[1] != 3 || ts == nil || ts.Step != 3 || !ts.MidEpoch || ts.EpochsDone != 0 {
+		t.Fatalf("cancelled after step 3: writes %v, checkpoint %+v; want steps 2 and 3, mid-epoch", saved, ts)
 	}
 }

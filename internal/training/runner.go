@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"deep500/internal/executor"
+	"deep500/internal/graph"
 	"deep500/internal/metrics"
 	"deep500/internal/obs/trace"
 	"deep500/internal/tensor"
@@ -37,12 +38,61 @@ type Runner struct {
 	// StopOnNaN aborts training when the loss becomes NaN/Inf (used by the
 	// weak-scaling experiment to detect exploding losses).
 	StopOnNaN bool
+	// Checkpoint, when set, makes the runner write exact-resume checkpoints
+	// at its own step and epoch boundaries (see Checkpointing).
+	Checkpoint *Checkpointing
 
 	step       int
 	epochsDone int
 	// skipReset makes the next RunEpoch continue the sampler's in-flight
 	// epoch instead of resetting it — set by ResumeAt for mid-epoch resume.
 	skipReset bool
+	// unsaved is set once a step has completed since the last checkpoint
+	// write; interrupted when the between-step context check, which only
+	// runs inside an epoch, stopped the run.
+	unsaved, interrupted bool
+}
+
+// Checkpointing configures the checkpoints a Runner writes through
+// graph.SaveCheckpoint, synchronously on the training goroutine, of the live
+// model its executor runs (the write serialises the weights before the
+// next step can touch them, so nothing is copied first):
+//   - every Every steps, before AfterStep, so a hook that stops the run
+//     finds that step's checkpoint on disk; with Every = 0, at each epoch
+//     boundary instead, before AfterEpoch;
+//   - once more when RunEpochs returns after a completed run or from its
+//     between-step context check, unless that step is already on disk.
+//
+// A Step that fails leaves the last checkpoint standing, and a write
+// error is returned from Step or RunEpochs. The training sampler must be
+// a CheckpointableSampler.
+type Checkpointing struct {
+	Path  string
+	Every int
+	// Opt holds the optimizer slots to save; nil saves none (a
+	// parameter-server worker, whose server owns them).
+	Opt CheckpointableOptimizer
+	// Saved, when set, is called after each completed write.
+	Saved func(step, epochsDone int)
+}
+
+// save writes a checkpoint of the run's current position.
+func (r *Runner) save(midEpoch bool) error {
+	c := r.Checkpoint
+	cs, ok := r.TrainSet.(CheckpointableSampler)
+	if !ok {
+		return fmt.Errorf("training: sampler %T does not support checkpointing", r.TrainSet)
+	}
+	ck := &graph.Checkpoint{Model: r.Opt.Executor().Network().Model,
+		Train: CaptureTrainState(r.step, r.epochsDone, midEpoch, c.Opt, cs)}
+	if err := graph.SaveCheckpoint(ck, c.Path); err != nil {
+		return fmt.Errorf("training: writing checkpoint %s: %w", c.Path, err)
+	}
+	r.unsaved = false
+	if c.Saved != nil {
+		c.Saved(r.step, r.epochsDone)
+	}
+	return nil
 }
 
 // Steps returns the number of optimization steps completed so far.
@@ -112,12 +162,21 @@ func (r *Runner) Step(ctx context.Context, b *Batch) (float64, error) {
 	if r.LossCurve != nil {
 		r.LossCurve.Observe(r.step, 0, loss)
 	}
+	r.unsaved = true
+	diverged := r.StopOnNaN && (loss != loss || loss > 1e30)
+	if c := r.Checkpoint; c != nil && c.Every > 0 && r.step%c.Every == 0 && !diverged {
+		if err := r.save(true); err != nil {
+			span.SetError(err)
+			span.End()
+			return loss, err
+		}
+	}
 	if r.AfterStep != nil {
 		r.AfterStep(r.step, loss, acc)
 	}
 	span.AddAttrs(trace.Float("loss", loss), trace.Float("acc", acc))
 	span.End()
-	if r.StopOnNaN && (loss != loss || loss > 1e30) {
+	if diverged {
 		return loss, fmt.Errorf("training: loss diverged at step %d (%v)", r.step, loss)
 	}
 	return loss, nil
@@ -155,6 +214,7 @@ func (r *Runner) runEpochSteps(ctx context.Context, resumed bool) (float64, int,
 	var n int
 	for {
 		if err := ctx.Err(); err != nil {
+			r.interrupted = true
 			return 0, n, err
 		}
 		b := r.TrainSet.Next()
@@ -182,11 +242,25 @@ func (r *Runner) runEpochSteps(ctx context.Context, resumed bool) (float64, int,
 // RunEpochs trains until n total epochs are done, with per-epoch
 // evaluation. On a fresh runner that is n epochs; on one rewound with
 // ResumeAt it is the remaining n−EpochsDone(). Cancelling ctx stops
-// training between steps and surfaces the context's error.
+// training between steps and surfaces the context's error; with
+// Checkpoint set, the position it stopped at is written first.
 func (r *Runner) RunEpochs(ctx context.Context, n int) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	r.interrupted = false
+	err := r.runEpochs(ctx, n)
+	if r.Checkpoint != nil && r.unsaved && (err == nil || r.interrupted) {
+		if werr := r.save(r.interrupted); werr != nil {
+			return werr
+		}
+	}
+	return err
+}
+
+// runEpochs is RunEpochs' epoch loop, split out so the final checkpoint
+// sees how it returned.
+func (r *Runner) runEpochs(ctx context.Context, n int) error {
 	for epoch := r.epochsDone + 1; epoch <= n; epoch++ {
 		if _, err := r.RunEpoch(ctx); err != nil {
 			return err
@@ -204,6 +278,11 @@ func (r *Runner) RunEpochs(ctx context.Context, n int) error {
 			}
 			if r.TTA != nil {
 				r.TTA.Observe(testAcc)
+			}
+		}
+		if c := r.Checkpoint; c != nil && c.Every == 0 {
+			if err := r.save(false); err != nil {
+				return err
 			}
 		}
 		if r.AfterEpoch != nil {
