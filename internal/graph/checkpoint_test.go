@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -218,5 +219,44 @@ func TestSaveAtomic(t *testing.T) {
 	}
 	if ck.Train == nil || ck.Train.Step != 1234 {
 		t.Fatal("saved checkpoint did not survive the failed-overwrite attempt")
+	}
+}
+
+// TestEncodeCheckpointCopiesNoTensor: encoding a checkpoint allocates the
+// same whatever the tensors in it (each tensor's floats go to the buffered
+// writer as they are stored, not through a copy), and the portable
+// conversion path writes the same bytes as the little-endian one.
+func TestEncodeCheckpointCopiesNoTensor(t *testing.T) {
+	small := &Checkpoint{Model: smallMLP(), Train: sampleTrainState()}
+	big := &Checkpoint{Model: smallMLP(), Train: sampleTrainState()}
+	for i := 0; i < 16; i++ {
+		big.Train.OptTensors[fmt.Sprintf("m/extra%02d", i)] = tensor.New(64, 300)
+	}
+	allocs := func(c *Checkpoint) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := EncodeCheckpoint(c, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(big); b != a {
+		t.Errorf("%v allocations with 16 more 64×300 tensors, %v without: want the same", b, a)
+	}
+
+	d := big.Train.OptTensors["m/extra03"].Data()
+	for i := range d {
+		d[i] = float32(i) * -0.37
+	}
+	var native, portable bytes.Buffer
+	if err := EncodeCheckpoint(big, &native); err != nil {
+		t.Fatal(err)
+	}
+	defer func(v bool) { hostLittleEndian = v }(hostLittleEndian)
+	hostLittleEndian = false
+	if err := EncodeCheckpoint(big, &portable); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(native.Bytes(), portable.Bytes()) {
+		t.Fatal("the portable float encoding differs from the little-endian one")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"deep500/internal/tensor"
 )
@@ -82,12 +83,27 @@ func (w *writer) tensor(t *tensor.Tensor) {
 		return
 	}
 	data := t.Data()
-	raw := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
+	if hostLittleEndian {
+		// The float storage already is the stream's bytes.
+		if len(data) > 0 {
+			_, w.err = w.w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 4*len(data)))
+		}
+		return
 	}
-	_, w.err = w.w.Write(raw)
+	var raw [512]byte
+	for len(data) > 0 && w.err == nil {
+		n := min(len(data), len(raw)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
+		}
+		_, w.err = w.w.Write(raw[:4*n])
+		data = data[n:]
+	}
 }
+
+// hostLittleEndian tells whether a []float32's memory already is D5NX's
+// little-endian float encoding. Tests clear it to run the portable path.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 func (w *writer) attr(a Attribute) {
 	w.str(a.Name)

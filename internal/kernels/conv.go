@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ConvAlgo selects a 2D convolution implementation, mirroring the algorithm
 // choices (im2col, Winograd, direct) that the paper's Level 0 and the
@@ -266,19 +263,19 @@ func Col2Im(s ConvShape, col, img []float32) {
 // every output position reads inside it and the panel writers need no
 // bounds test. An unpadded image is returned as it is; a padded one is built
 // in buf (at least paddedLen floats).
-func padImage(s ConvShape, img, buf []float32) (p []float32, hp, wp int) {
+func padImage(s ConvShape, img, buf []float32) []float32 {
 	if s.PadH == 0 && s.PadW == 0 {
-		return img[:s.C*s.H*s.W], s.H, s.W
+		return img[:s.C*s.H*s.W]
 	}
-	hp, wp = s.H+2*s.PadH, s.W+2*s.PadW
-	p = buf[:s.C*hp*wp]
+	hp, wp := s.H+2*s.PadH, s.W+2*s.PadW
+	p := buf[:s.C*hp*wp]
 	clear(p)
 	for c := 0; c < s.C; c++ {
 		for y := 0; y < s.H; y++ {
 			copy(p[(c*hp+y+s.PadH)*wp+s.PadW:][:s.W], img[(c*s.H+y)*s.W:])
 		}
 	}
-	return p, hp, wp
+	return p
 }
 
 // paddedLen is the scratch padImage needs for a shape: none without
@@ -288,218 +285,6 @@ func paddedLen(s ConvShape) int {
 		return 0
 	}
 	return s.C * (s.H + 2*s.PadH) * (s.W + 2*s.PadW)
-}
-
-// maxRuns is the most runs of consecutive offsets a panel may split into
-// and still be written by runs; a panel with more (a strided convolution's)
-// is gathered lane by lane.
-const maxRuns = 4
-
-// panelRuns is a packed panel's live lanes as runs of consecutive offsets
-// into the padded image, built once per panel for copyRunsAVX2: run r covers
-// the lanes mask[r] sets, and lane l of it reads offset src[r] + l. It lives
-// on the writer's stack.
-type panelRuns struct {
-	n    int
-	src  [maxRuns]int
-	mask [maxRuns][packNR]int32
-}
-
-// set splits the first live lanes of off into maximal runs and reports
-// whether there are at most maxRuns. Each depth row adds a base of at most
-// reach to the offsets; set panics unless every live read of every row then
-// lies inside a padded image of size floats, so that the rows' assembly
-// reads nothing outside it.
-func (r *panelRuns) set(off *[packNR]int, live, reach, size int) bool {
-	r.n, r.mask = 0, [maxRuns][packNR]int32{}
-	lo, hi := off[0], off[0]
-	for l, o := range off[:live] {
-		if l == 0 || o != off[l-1]+1 {
-			if r.n == maxRuns {
-				return false
-			}
-			r.src[r.n] = o - l
-			r.n++
-		}
-		r.mask[r.n-1][l] = -1
-		lo, hi = min(lo, o), max(hi, o)
-	}
-	if lo < 0 || hi+reach >= size {
-		panic("kernels: convolution panel reads outside its padded image")
-	}
-	return true
-}
-
-// copy is gatherRows over the runs: n depth rows into dst, lane l of row i
-// from p[base + i·step + off[l]] and +0 past the live lanes.
-func (r *panelRuns) copy(dst, p []float32, base, step, n int) {
-	copyRunsAVX2(&dst[:n*packNR][0], &p[base], step, n, &r.src, &r.mask, r.n)
-}
-
-// gatherRows writes n consecutive depth rows of a packed panel into dst:
-// lane l of row i is p[base + i·step + off[l]]. A ragged panel (live lanes
-// fewer than packNR) writes +0 in the lanes past its edge, by masking the
-// bits of a valid read, where packBPanels writes its zero fill. Each row is
-// unrolled and the loop is a function of its own: inlined into a writer the
-// row counter spills, and reloading it every element serialises the row
-// behind a store-to-load forward.
-func gatherRows(dst, p []float32, base, step, n int, off *[packNR]int, live int) {
-	if live < packNR {
-		var k [packNR]uint32
-		for l := range k[:live] {
-			k[l] = ^uint32(0)
-		}
-		for i := 0; i < n; i++ {
-			d := (*[packNR]float32)(dst[i*packNR:])
-			q := p[base+i*step:]
-			d[0], d[1], d[2], d[3] = keep(q[off[0]], k[0]), keep(q[off[1]], k[1]), keep(q[off[2]], k[2]), keep(q[off[3]], k[3])
-			d[4], d[5], d[6], d[7] = keep(q[off[4]], k[4]), keep(q[off[5]], k[5]), keep(q[off[6]], k[6]), keep(q[off[7]], k[7])
-			d[8], d[9], d[10], d[11] = keep(q[off[8]], k[8]), keep(q[off[9]], k[9]), keep(q[off[10]], k[10]), keep(q[off[11]], k[11])
-			d[12], d[13], d[14], d[15] = keep(q[off[12]], k[12]), keep(q[off[13]], k[13]), keep(q[off[14]], k[14]), keep(q[off[15]], k[15])
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		d := (*[packNR]float32)(dst[i*packNR:])
-		q := p[base+i*step:]
-		d[0], d[1], d[2], d[3] = q[off[0]], q[off[1]], q[off[2]], q[off[3]]
-		d[4], d[5], d[6], d[7] = q[off[4]], q[off[5]], q[off[6]], q[off[7]]
-		d[8], d[9], d[10], d[11] = q[off[8]], q[off[9]], q[off[10]], q[off[11]]
-		d[12], d[13], d[14], d[15] = q[off[12]], q[off[13]], q[off[14]], q[off[15]]
-	}
-}
-
-// keep returns v where mask is all ones and +0 where it is zero.
-func keep(v float32, mask uint32) float32 {
-	return math.Float32frombits(math.Float32bits(v) & mask)
-}
-
-// copyRows is gatherRows at step 1 for a panel whose sixteen lanes are side
-// by side in the image: each row moves as one vector.
-func copyRows(dst, p []float32, base, n int) {
-	for i := 0; i < n; i++ {
-		*(*[packNR]float32)(dst[i*packNR:]) = *(*[packNR]float32)(p[base+i:])
-	}
-}
-
-// clearDepthPad zeroes the depth padding of one panel, the panel starting at
-// column j0, in every depth block of a whole-operand B pack that is n16
-// columns wide and k deep.
-func clearDepthPad(dst []float32, n16, k, j0 int) {
-	for pc := 0; pc < k; pc += packKC {
-		kcb := min(packKC, k-pc)
-		ka := kcAligned(kcb)
-		clear(dst[n16*pc+j0*ka+kcb*packNR : n16*pc+(j0+packNR)*ka])
-	}
-}
-
-// im2colPanels lowers one image straight into the packed GEMM's B operand
-// for out = W·col: the whole-operand pack (gemmPanels) of the image's
-// (C·KH·KW)×(OH·OW) column matrix, so depth runs over the kernel taps in
-// blocks of packKC and the columns over the output positions in panels of
-// packNR, both zero-padded. The column matrix is never built. A panel is
-// written front to back, one depth row (one tap) at a time, by gathering
-// the tap's pixel at each of the panel's sixteen output positions from the
-// padded image. On AVX2 a panel whose positions fall in at most maxRuns
-// runs along image rows moves each run as one masked vector (panelRuns);
-// otherwise sixteen positions side by side in one image row move as one
-// vector, and any others lane by lane. The bytes are those packBPanels
-// writes from the column matrix. pad is padImage's scratch.
-func im2colPanels(s ConvShape, img, dst, pad []float32) {
-	p, hp, wp := padImage(s, img, pad)
-	oh, ow := s.OutDims()
-	spatial := oh * ow
-	n16 := (spatial + packNR - 1) / packNR * packNR
-	ckk := s.C * s.KH * s.KW
-	reach := ((s.C-1)*hp+s.KH-1)*wp + s.KW - 1 // the last tap's base
-	var off [packNR]int
-	var runs panelRuns
-	oy, ox := 0, 0
-	for j0 := 0; j0 < spatial; j0 += packNR {
-		live := min(packNR, spatial-j0)
-		run := live == packNR
-		for l := range off {
-			off[l] = 0 // lanes past live read the tap's own pixel and are masked
-			if l < live {
-				off[l] = oy*s.StrideH*wp + ox*s.StrideW
-				run = run && off[l] == off[0]+l
-				if ox++; ox == ow {
-					ox, oy = 0, oy+1
-				}
-			}
-		}
-		byRuns := useAVX2 && runs.set(&off, live, reach, len(p))
-		// Taps (c, ky, kx) come KW at a time, side by side in the padded
-		// image; a run of them may straddle a depth block.
-		q := 0
-		for c := 0; c < s.C; c++ {
-			for ky := 0; ky < s.KH; ky++ {
-				t := (c*hp + ky) * wp
-				for kx := 0; kx < s.KW; {
-					pc := q - q%packKC
-					ka := kcAligned(min(packKC, ckk-pc))
-					n := min(s.KW-kx, pc+packKC-q)
-					rows := dst[n16*pc+j0*ka+(q-pc)*packNR:]
-					switch {
-					case byRuns:
-						runs.copy(rows, p, t+kx, 1, n)
-					case run:
-						copyRows(rows, p, t+kx+off[0], n)
-					default:
-						gatherRows(rows, p, t+kx, 1, n, &off, live)
-					}
-					kx, q = kx+n, q+n
-				}
-			}
-		}
-		clearDepthPad(dst, n16, ckk, j0)
-	}
-}
-
-// im2colPanelsT lowers one image into the B operand of dW = g·colᵀ: the
-// whole-operand pack of the transposed column matrix, depth over the OH·OW
-// output positions in blocks of packKC and columns over the C·KH·KW kernel
-// taps. A panel holds sixteen taps and is written front to back; each depth
-// row gathers their pixels at one output position from the padded image, by
-// runs of KW side by side where the panel has at most maxRuns of them.
-// The bytes are those packBPanels writes from the column matrix read
-// transposed. pad is padImage's scratch.
-func im2colPanelsT(s ConvShape, img, dst, pad []float32) {
-	p, hp, wp := padImage(s, img, pad)
-	oh, ow := s.OutDims()
-	spatial := oh * ow
-	ckk := s.C * s.KH * s.KW
-	n16 := (ckk + packNR - 1) / packNR * packNR
-	reach := (oh-1)*s.StrideH*wp + (ow-1)*s.StrideW // the last position's base
-	var off [packNR]int
-	var runs panelRuns
-	for q0 := 0; q0 < ckk; q0 += packNR {
-		live := min(packNR, ckk-q0)
-		for l := range off {
-			off[l] = 0 // lanes past live read the position's own pixel and are masked
-			if q := q0 + l; l < live {
-				c, ky, kx := q/(s.KH*s.KW), q/s.KW%s.KH, q%s.KW
-				off[l] = (c*hp+ky)*wp + kx
-			}
-		}
-		byRuns := useAVX2 && runs.set(&off, live, reach, len(p))
-		// Output positions come a row of OW at a time, StrideW apart in
-		// the padded image; a row may straddle a depth block.
-		for j := 0; j < spatial; {
-			oy, ox := j/ow, j%ow
-			pc := j - j%packKC
-			ka := kcAligned(min(packKC, spatial-pc))
-			n := min(ow-ox, pc+packKC-j)
-			rows, base := dst[n16*pc+q0*ka+(j-pc)*packNR:], oy*s.StrideH*wp+ox*s.StrideW
-			if byRuns {
-				runs.copy(rows, p, base, s.StrideW, n)
-			} else {
-				gatherRows(rows, p, base, s.StrideW, n, &off, live)
-			}
-			j += n
-		}
-		clearDepthPad(dst, n16, spatial, q0)
-	}
 }
 
 // conv2DIm2Col computes out = W·col per image on the packed GEMM: W is

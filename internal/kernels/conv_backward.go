@@ -117,22 +117,46 @@ func conv2DBackwardChunk(s ConvShape, x, wt, gOut, dX, dW, dBias []float32, n0, 
 			gemmPanels(nil, g, wt, nil, dcol, ckk, s.M, spatial, false, false)
 			Col2Im(s, dcol, dX[n*imgLen:])
 		}
-		for m := range dBias {
-			var sum float32
-			for _, v := range g[m*spatial : (m+1)*spatial] {
-				sum += v
-			}
-			if n == n0 {
-				dBias[m] = sum
-			} else {
-				dBias[m] += sum
-			}
-		}
+		planeSums(dBias, g, n == n0)
 	}
 	scratch.PutBuf(colT)
 	scratch.PutBuf(pad)
 	scratch.PutBuf(imgW)
 	scratch.PutBuf(dcol)
+}
+
+// planeSums adds to dst[m] (or with set, writes to it) the sum of plane m
+// of g, which holds len(dst) planes of equal size. Each plane is summed in
+// order from 0, four planes at a time in independent accumulators, so the
+// adds of one plane do not wait on each other's. A last group of fewer than
+// four sums the last plane again in its spare accumulators and drops them.
+func planeSums(dst, g []float32, set bool) {
+	if len(dst) == 0 {
+		return
+	}
+	plane := len(g) / len(dst)
+	last := len(dst) - 1
+	for m := 0; m <= last; m += 4 {
+		g0 := g[m*plane:][:plane]
+		g1 := g[min(m+1, last)*plane:][:plane]
+		g2 := g[min(m+2, last)*plane:][:plane]
+		g3 := g[min(m+3, last)*plane:][:plane]
+		var s0, s1, s2, s3 float32
+		for i, v := range g0 {
+			s0 += v
+			s1 += g1[i]
+			s2 += g2[i]
+			s3 += g3[i]
+		}
+		sums := [4]float32{s0, s1, s2, s3}
+		for r, v := range sums[:min(4, len(dst)-m)] {
+			if set {
+				dst[m+r] = v
+			} else {
+				dst[m+r] += v
+			}
+		}
+	}
 }
 
 // addTo adds src[:len(dst)] to dst element-wise.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"deep500/internal/tensor"
@@ -154,6 +155,11 @@ func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
 			{133, 300, 37, true, false},
 			{9, 513, 2053, false, true},
 			{130, 259, 2050, true, true},
+			// A's last panel of 1, 2 and 3 rows, in both layouts.
+			{5, 300, 37, false, false},
+			{6, 300, 37, true, false},
+			{7, 33, 20, false, true},
+			{9, 33, 20, true, true},
 		} {
 			a := randSlice(rng, s.m*s.k)
 			b := randSlice(rng, s.k*s.n)
@@ -433,6 +439,22 @@ func TestConvRunsEdgeCases(t *testing.T) {
 			func(s ConvShape) bool {
 				return slices.Min(panelRunCounts(s, false)) > maxRuns && panelRunCounts(s, true)[0] > maxRuns
 			}},
+		{"a gathered panel beside run panels",
+			ConvShape{N: 1, C: 1, H: 10, W: 5, M: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool {
+				c := panelRunCounts(s, false)
+				return c[0] > maxRuns && last(c) <= maxRuns
+			}},
+		{"depth past packKC",
+			ConvShape{N: 1, C: 16, H: 8, W: 8, M: 3, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool { return s.C*s.KH*s.KW > packKC }},
+		{"ragged last panels of several runs",
+			ConvShape{N: 1, C: 3, H: 7, W: 7, M: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
+			func(s ConvShape) bool {
+				oh, ow := s.OutDims()
+				return oh*ow%packNR != 0 && last(panelRunCounts(s, false)) > 1 &&
+					s.C*s.KH*s.KW%packNR != 0 && last(panelRunCounts(s, true)) > 1
+			}},
 	}
 	// Col2Im spans of every length, from tail only (1–7) to two vectors
 	// and a tail.
@@ -468,5 +490,147 @@ func TestConvRunsEdgeCases(t *testing.T) {
 			refCol2Im(s, dcol, want)
 			requireSameBits(t, fmt.Sprintf("%s (%v): Col2Im", c.name, s), got, want)
 		}
+	})
+}
+
+// TestPackAPanelsRagged: a whole-operand A pack holds A's elements in panel
+// order and +0 in the dead rows of a ragged last panel (M ≡ 1, 2, 3 mod 4)
+// and in the depth padding, in both layouts, over a poisoned buffer.
+func TestPackAPanelsRagged(t *testing.T) {
+	for _, m := range []int{1, 2, 3, 5, 6, 7, 8} {
+		for _, k := range []int{1, 7, 300} {
+			for _, trans := range []bool{false, true} {
+				a := seeded(57, m*k)
+				lda := k
+				if trans {
+					lda = m
+				}
+				m4 := (m + packMR - 1) / packMR * packMR
+				want := make([]float32, packedLen(m, packMR, k))
+				for pc := 0; pc < k; pc += packKC {
+					ka := kcAligned(min(packKC, k-pc))
+					for i := 0; i < m; i++ {
+						for p := pc; p < min(pc+packKC, k); p++ {
+							at := i*lda + p
+							if trans {
+								at = p*lda + i
+							}
+							want[m4*pc+i/packMR*packMR*ka+(p-pc)*packMR+i%packMR] = a[at]
+						}
+					}
+				}
+				got := seeded(58, len(want))
+				packAWhole(a, lda, m, k, trans, got)
+				requireSameBits(t, fmt.Sprintf("m=%d k=%d trans=%v", m, k, trans), got, want)
+			}
+		}
+	}
+}
+
+// lowerThrough checks that tables t lower img to exactly the bytes
+// packBPanels makes of its column matrix, in both directions.
+func lowerThrough(t *testing.T, what string, tab *convTables, img []float32) {
+	t.Helper()
+	s := tab.shape
+	oh, ow := s.OutDims()
+	spatial, ckk := oh*ow, s.C*s.KH*s.KW
+	col := make([]float32, ckk*spatial)
+	im2col(s, img, col)
+	for _, trans := range []bool{false, true} {
+		want := packColumns(col, ckk, spatial, trans)
+		got := seeded(59, len(want))
+		tab.lower(img, got, seeded(60, paddedLen(s)), trans)
+		requireSameBits(t, fmt.Sprintf("%s, transposed %v", what, trans), got, want)
+	}
+}
+
+// cachedShapes returns the shapes c holds, in slot order.
+func cachedShapes(c *tableCache) []ConvShape {
+	var shapes []ConvShape
+	for i := range c {
+		if tab := c[i].Load(); tab != nil {
+			shapes = append(shapes, tab.shape)
+		}
+	}
+	return shapes
+}
+
+// TestConvTablesConcurrentFirstUse: goroutines that meet a new shape at
+// the same moment all get tables that lower it correctly, and the cache
+// keeps exactly one entry for it (run it under -race).
+func TestConvTablesConcurrentFirstUse(t *testing.T) {
+	s := ConvShape{C: 3, H: 13, W: 11, M: 5, KH: 3, KW: 2, StrideH: 1, StrideW: 1, PadH: 1}
+	img := seeded(73, s.C*s.H*s.W)
+	onEachMicroKernel(t, func(t *testing.T) {
+		var c tableCache
+		start := make(chan struct{})
+		got := make([]*convTables, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = c.get(s)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, tab := range got {
+			lowerThrough(t, fmt.Sprintf("goroutine %d", g), tab, img)
+		}
+		if shapes := cachedShapes(&c); len(shapes) != 1 || shapes[0] != s {
+			t.Fatalf("cache holds %v, want only %v", shapes, s)
+		}
+	})
+}
+
+// TestConvTablesIgnoreBatch: tables built for a batch of 32 are the ones a
+// batch of 1 gets, and Conv2D and Conv2DBackward at batch 1 through them
+// give the column-matrix route's bits.
+func TestConvTablesIgnoreBatch(t *testing.T) {
+	var c tableCache
+	s32 := ConvShape{N: 32, C: 6, H: 14, W: 14, M: 16, KH: 5, KW: 5, StrideH: 1, StrideW: 1}
+	s1 := s32
+	s1.N = 1
+	if a, b := c.get(s32), c.get(s1); a != b || len(cachedShapes(&c)) != 1 || a.shape.N != 0 {
+		t.Fatalf("batch 32 then 1: tables %p and %p, cache %v; want one entry with N = 0", a, b, cachedShapes(&c))
+	}
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, s := range []ConvShape{s32, s1} {
+			x, w, gOut := convBackwardOperands(s, 74)
+			want := make([]float32, s.OutputSize())
+			columnConv2D(s, x, w, want)
+			got := seeded(75, s.OutputSize())
+			Conv2D(ConvIm2Col, s, x, w, nil, got)
+			requireSameBits(t, fmt.Sprintf("%v: Conv2D", s), got, want)
+			wantX, wantW, wantB := columnConv2DBackward(s, x, w, gOut)
+			dX, dW, dB := seeded(76, len(x)), seeded(77, len(w)), seeded(78, s.M)
+			Conv2DBackward(s, x, w, gOut, dX, dW, dB)
+			requireSameBits(t, fmt.Sprintf("%v: dX", s), dX, wantX)
+			requireSameBits(t, fmt.Sprintf("%v: dW", s), dW, wantW)
+			requireSameBits(t, fmt.Sprintf("%v: dBias", s), dB, wantB)
+		}
+	})
+	s1.N = 0
+	if n := len(slices.DeleteFunc(cachedShapes(&convTableCache), func(c ConvShape) bool { return c != s1 })); n != 1 {
+		t.Errorf("the package cache holds %d entries for %v, want 1", n, s1)
+	}
+}
+
+// TestConvTablesOverCap: once the cache is full, a new shape's tables are
+// built for the call and not kept, and lower it to the same bytes.
+func TestConvTablesOverCap(t *testing.T) {
+	var c tableCache
+	for i := 0; i < convTablesCap; i++ {
+		c.get(ConvShape{C: 1, H: 3 + i, W: 3, M: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1})
+	}
+	s := ConvShape{C: 2, H: 9, W: 8, M: 2, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
+	a, b := c.get(s), c.get(s)
+	if a == b || slices.Contains(cachedShapes(&c), s) || len(cachedShapes(&c)) != convTablesCap {
+		t.Fatalf("over the cap: %v kept, or one table served twice", s)
+	}
+	onEachMicroKernel(t, func(t *testing.T) {
+		lowerThrough(t, "over the cap", a, seeded(79, s.C*s.H*s.W))
 	})
 }

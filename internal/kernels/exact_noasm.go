@@ -33,7 +33,7 @@ func sgdAVX2(param, grad []float32, lr float32) {
 	panic("kernels: no assembly update on this architecture")
 }
 
-func copyRunsAVX2(dst, q *float32, step, n int, src *[maxRuns]int, mask *[maxRuns][packNR]int32, runs int) {
+func copyRunsAVX2(dst, p *float32, base *int, n, runs int, src *[maxRuns]int, mask *[maxRuns][packNR]int32) {
 	panic("kernels: no assembly panel writer on this architecture")
 }
 

@@ -40,67 +40,79 @@ func kcAligned(kc int) int { return (kc + packKU - 1) / packKU * packKU }
 // packAPanels packs the mc×kc block of A starting at logical (i0, p0) into
 // MR-row panels of padded depth kcAligned(kc). A is m×k row-major, or its
 // k×m transpose when trans is set; lda is the stored row stride. Rows past
-// mc and depth past kc are zero-filled. A full panel moves one whole
+// mc and depth past kc are zero-filled. Every panel moves one whole
 // MR-vector per depth step in either layout: four adjacent floats of a
 // transposed A, or the four rows of an untransposed A read side by side (a
 // convolution's weight gradient packs its output gradient, M rows by
-// OH·OW deep, once per image). A ragged last panel keeps the
-// row-at-a-time loop.
+// OH·OW deep, once per image). A ragged last panel of 1–3 rows writes +0
+// in its dead lanes within the same vector: an untransposed A reads them
+// from zeroDepth, a transposed one masks the bits of a live row's read.
 func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32) {
 	ka := kcAligned(kc)
 	panels := (mc + packMR - 1) / packMR
 	for ip := 0; ip < panels; ip++ {
 		rows := min(packMR, mc-ip*packMR)
 		panel := dst[ip*packMR*ka : (ip+1)*packMR*ka]
+		d := panel[:packMR*kc]
 		switch {
 		case rows == packMR && trans:
 			// A stored k×m: the MR logical rows of one depth step are
 			// adjacent in memory and already in panel order.
 			off := p0*lda + i0 + ip*packMR
-			for d := panel[:packMR*kc]; len(d) >= packMR; d = d[packMR:] {
+			for ; len(d) >= packMR; d = d[packMR:] {
 				*(*[packMR]float32)(d) = *(*[packMR]float32)(a[off:])
 				off += lda
 			}
 		case trans:
-			for p := 0; p < kc; p++ {
-				src := a[(p0+p)*lda+i0+ip*packMR:]
-				d := panel[p*packMR : p*packMR+packMR]
-				for r := 0; r < rows; r++ {
-					d[r] = src[r]
-				}
-				for r := rows; r < packMR; r++ {
-					d[r] = 0
-				}
-			}
-		case rows == packMR:
-			// A stored m×k: read the MR rows side by side and write one
-			// MR-vector per depth step.
-			i := i0 + ip*packMR
-			s0 := a[i*lda+p0:][:kc]
-			s1 := a[(i+1)*lda+p0:][:kc]
-			s2 := a[(i+2)*lda+p0:][:kc]
-			s3 := a[(i+3)*lda+p0:][:kc]
-			d := panel[:packMR*kc]
-			for p, v := range s0 {
-				q := (*[packMR]float32)(d[packMR*p:])
-				q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
-			}
+			packColsRagged(d, a[p0*lda+i0+ip*packMR:], lda, rows)
 		default:
-			for r := 0; r < rows; r++ {
-				src := a[(i0+ip*packMR+r)*lda+p0:]
-				for p := 0; p < kc; p++ {
-					panel[p*packMR+r] = src[p]
+			// A stored m×k: read the MR rows side by side, the dead ones
+			// from zeroDepth.
+			var src [packMR][]float32
+			for r := range src {
+				src[r] = zeroDepth[:kc]
+				if r < rows {
+					src[r] = a[(i0+ip*packMR+r)*lda+p0:][:kc]
 				}
 			}
-			for r := rows; r < packMR; r++ {
-				for p := 0; p < kc; p++ {
-					panel[p*packMR+r] = 0
-				}
-			}
+			packRowsSideBySide(d, src[0], src[1], src[2], src[3])
 		}
 		for i := kc * packMR; i < ka*packMR; i++ {
 			panel[i] = 0
 		}
+	}
+}
+
+// zeroDepth is a depth block of zeros: the dead rows of a ragged A panel.
+var zeroDepth [packKC]float32
+
+// packRowsSideBySide writes one MR-vector per depth step from four rows of
+// equal length: d[4p+r] = s_r[p]. Its loop is a function of its own
+// (inlined into packAPanels the depth counter spilled, and each step
+// waited on its reload).
+//
+//go:noinline
+func packRowsSideBySide(d, s0, s1, s2, s3 []float32) {
+	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+	d = d[:packMR*len(s0)]
+	for p, v := range s0 {
+		q := (*[packMR]float32)(d[packMR*p:])
+		q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
+	}
+}
+
+// packColsRagged writes len(d)/MR depth steps of a ragged panel of a
+// transposed A: step p holds a[p·lda : p·lda+rows] and +0 past it, lane r
+// reading column min(r, rows−1) and keeping it only if live.
+func packColsRagged(d, a []float32, lda, rows int) {
+	r1, r2, r3 := min(1, rows-1), min(2, rows-1), min(3, rows-1)
+	var k [packMR]uint32
+	for r := range k[:rows] {
+		k[r] = ^uint32(0)
+	}
+	for off := 0; len(d) >= packMR; d, off = d[packMR:], off+lda {
+		q := a[off : off+rows]
+		*(*[packMR]float32)(d) = [packMR]float32{q[0], keep(q[r1], k[1]), keep(q[r2], k[2]), keep(q[r3], k[3])}
 	}
 }
 

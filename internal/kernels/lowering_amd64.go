@@ -4,14 +4,14 @@ package kernels
 // stands in, bit for bit, for the pure-Go loop its caller runs when useAVX2
 // is clear; the caller checks lengths and bounds.
 
-// copyRunsAVX2 writes n depth rows of a packed panel from its run table:
-// row i at dst + 16i, run r's lanes (those mask[r] sets) from
-// q + i·step + src[r], +0 in every other lane. runs is 1 to maxRuns, and
+// copyRunsAVX2 writes n depth rows of a packed panel from its runs: row i
+// at dst + 16i, run r's lanes (those mask[r] sets) from
+// p + base[i] + src[r], +0 in every other lane. runs is 1 to maxRuns, and
 // the caller has checked that every read under a mask lies inside its
 // image.
 //
 //go:noescape
-func copyRunsAVX2(dst, q *float32, step, n int, src *[maxRuns]int, mask *[maxRuns][packNR]int32, runs int)
+func copyRunsAVX2(dst, p *float32, base *int, n, runs int, src *[maxRuns]int, mask *[maxRuns][packNR]int32)
 
 // col2ImRowsAVX2 adds rows spans of n floats, n ≥ 1 and rows ≥ 1:
 // dst[i] += src[i] for i < n, then dst advances dstStep floats and src

@@ -8,52 +8,53 @@
 // out after the GEMM tile, which keeps its place mod 64.)
 
 // RUN loads one more run of a panel row, its lanes under masks m0 and m1
-// (+0 elsewhere) from SI + off bytes, into t0 and t1 and merges it into the
-// row in Y0 and Y1. The runs' masks are disjoint, so each lane ORs its one
-// value with +0 bits: exact.
-#define RUN(off, m0, m1, t0, t1) \
-	VMASKMOVPS (SI)(off*1), m0, t0   \
-	VMASKMOVPS 32(SI)(off*1), m1, t1 \
-	VORPS      t0, Y0, Y0            \
+// (+0 elsewhere), from the run's start r plus the row's base (SI floats),
+// into t0 and t1 and merges it into the row in Y0 and Y1. The runs' masks
+// are disjoint, so each lane ORs its one value with +0 bits: exact.
+#define RUN(r, m0, m1, t0, t1) \
+	VMASKMOVPS (r)(SI*4), m0, t0   \
+	VMASKMOVPS 32(r)(SI*4), m1, t1 \
+	VORPS      t0, Y0, Y0          \
 	VORPS      t1, Y1, Y1
 
-// ROW loads a panel row's first run into Y0 and Y1.
+// ROW loads the next row's base into SI and its first run into Y0 and Y1.
 #define ROW \
-	VMASKMOVPS (SI)(R8*1), Y8, Y0 \
-	VMASKMOVPS 32(SI)(R8*1), Y9, Y1
+	MOVQ       (BX), SI             \
+	VMASKMOVPS (R8)(SI*4), Y8, Y0   \
+	VMASKMOVPS 32(R8)(SI*4), Y9, Y1
 
 // NEXTROW stores the row and steps to the next one, setting the flags from
 // the rows left.
 #define NEXTROW \
 	VMOVUPS Y0, (DI)   \
 	VMOVUPS Y1, 32(DI) \
-	ADDQ    BX, SI     \
+	ADDQ    $8, BX     \
 	ADDQ    $64, DI    \
 	DECQ    CX
 
-// func copyRunsAVX2(dst, q *float32, step, n int, src *[maxRuns]int, mask *[maxRuns][packNR]int32, runs int)
+// func copyRunsAVX2(dst, p *float32, base *int, n, runs int, src *[maxRuns]int, mask *[maxRuns][packNR]int32)
 //
-// n rows of sixteen floats from the run table: run r's offset (in R8–R11,
-// bytes) and its two masks (Y8–Y15) stay in registers, and one loop per run
-// count moves every row. A masked-out lane is neither read nor faulted on,
-// so a run may sit at either end of its image.
+// n rows of sixteen floats, row i's base read from base[i]: each run's
+// start (p + src[r], in R8–R11) and its two masks (Y8–Y15) stay in
+// registers, and one loop per run count moves every row. A masked-out lane
+// is neither read nor faulted on, so a run may sit at either end of its
+// image, and a start past the runs in use is never dereferenced.
 TEXT ·copyRunsAVX2(SB), NOSPLIT, $0-56
 	MOVQ    dst+0(FP), DI
-	MOVQ    q+8(FP), SI
-	MOVQ    step+16(FP), BX
+	MOVQ    p+8(FP), SI
+	MOVQ    base+16(FP), BX
 	MOVQ    n+24(FP), CX
-	MOVQ    src+32(FP), DX
-	MOVQ    mask+40(FP), AX
-	MOVQ    runs+48(FP), R12
-	SHLQ    $2, BX
+	MOVQ    runs+32(FP), R12
+	MOVQ    src+40(FP), DX
+	MOVQ    mask+48(FP), AX
 	MOVQ    0(DX), R8
 	MOVQ    8(DX), R9
 	MOVQ    16(DX), R10
 	MOVQ    24(DX), R11
-	SHLQ    $2, R8
-	SHLQ    $2, R9
-	SHLQ    $2, R10
-	SHLQ    $2, R11
+	LEAQ    (SI)(R8*4), R8
+	LEAQ    (SI)(R9*4), R9
+	LEAQ    (SI)(R10*4), R10
+	LEAQ    (SI)(R11*4), R11
 	VMOVUPS 0(AX), Y8
 	VMOVUPS 32(AX), Y9
 	VMOVUPS 64(AX), Y10
