@@ -1,10 +1,11 @@
 // Command d500dist is the distributed-training entry point, one binary for
 // every role in the stack:
 //
-//	-role sim     (default) the in-process simulated cluster: goroutine
-//	              ranks over the virtual α-β network, reporting accuracy,
-//	              communication volume and simulated makespan (paper
-//	              Level 3).
+//	-role sim     (default) the job built from the flags on the in-process
+//	              simulated cluster: goroutine ranks over the virtual α-β
+//	              network running the rank program the worker processes
+//	              run, reporting accuracy, communication volume and
+//	              simulated makespan (paper Level 3).
 //	-role launch  the networked control plane: starts the trainer-service
 //	              HTTP API (/v1/jobs), submits one job built from the
 //	              flags, launches its own binary once per rank
@@ -30,29 +31,29 @@ import (
 	"syscall"
 	"time"
 
-	"deep500/d500"
-	"deep500/internal/dist"
 	"deep500/internal/jobs"
-	"deep500/internal/models"
 	"deep500/internal/mpi"
 	"deep500/internal/obs/trace"
 )
 
 func main() {
 	role := flag.String("role", "sim", "sim, launch, ps or worker")
-	scheme := flag.String("scheme", "dsgd", "sim: dsgd, dpsgd, mavg, sparse, pssgd, asgd, stale; launch: asgd, pssgd, dsgd")
-	nodes := flag.Int("nodes", 4, "sim: number of simulated nodes")
-	workers := flag.Int("workers", 2, "launch: number of worker processes")
+	var schemes []string
+	for _, s := range jobs.Schemes() {
+		schemes = append(schemes, string(s))
+	}
+	scheme := flag.String("scheme", string(jobs.SchemeDSGD), strings.Join(schemes, ", "))
+	workers := flag.Int("workers", 2, "number of workers (centralized schemes add a parameter-server rank)")
 	epochs := flag.Int("epochs", 4, "epochs")
-	batch := flag.Int("batch", 16, "per-node minibatch")
+	batch := flag.Int("batch", 16, "per-worker minibatch")
 	lr := flag.Float64("lr", 0.05, "learning rate")
 	samples := flag.Int("samples", 1920, "synthetic training samples")
 	seed := flag.Uint64("seed", 42, "seed")
-	hidden := flag.Int("hidden", 32, "launch: MLP hidden width")
-	optimizer := flag.String("optimizer", "sgd", "launch: sgd, momentum, adam, rmsprop")
-	quant := flag.Uint("quant", 0, "launch: gradient quantization bits (0 = full precision)")
-	ckptDir := flag.String("checkpoint-dir", "", "launch: exact-resume checkpoint directory (enables restart recovery)")
-	ckptEvery := flag.Int("checkpoint-every", 5, "launch: checkpoint cadence in steps")
+	hidden := flag.Int("hidden", 32, "MLP hidden width")
+	optimizer := flag.String("optimizer", "sgd", "sgd, momentum, adam, rmsprop")
+	quant := flag.Uint("quant", 0, "launch: gradient quantization bits (0 = full precision; the simulator has no quantizer)")
+	ckptDir := flag.String("checkpoint-dir", "", "exact-resume checkpoint directory (enables restart recovery)")
+	ckptEvery := flag.Int("checkpoint-every", 5, "checkpoint cadence in steps")
 	maxRestarts := flag.Int("max-restarts", 2, "launch: per-worker restart budget")
 	addr := flag.String("addr", "127.0.0.1:6500", "launch: control-plane HTTP listen address")
 	hbTimeout := flag.Duration("heartbeat-timeout", 15*time.Second, "launch: silence before a rank is declared dead")
@@ -65,26 +66,27 @@ func main() {
 	control := flag.String("control", "", "ps/worker: control-plane base URL")
 	flag.Parse()
 
+	spec := jobs.Spec{
+		Scheme:          jobs.Scheme(strings.ToLower(*scheme)),
+		Workers:         *workers,
+		Epochs:          *epochs,
+		Batch:           *batch,
+		LR:              *lr,
+		Samples:         *samples,
+		Seed:            *seed,
+		Hidden:          *hidden,
+		Optimizer:       *optimizer,
+		QuantBits:       *quant,
+		CheckpointDir:   *ckptDir,
+		CheckpointEvery: *ckptEvery,
+		MaxRestarts:     *maxRestarts,
+	}
 	switch strings.ToLower(*role) {
 	case "sim":
-		runSim(*scheme, *nodes, *epochs, *batch, *lr, *samples, *seed)
+		simulate(spec)
 	case "launch":
 		runLaunch(launchConfig{
-			spec: jobs.Spec{
-				Scheme:          jobs.Scheme(strings.ToLower(*scheme)),
-				Workers:         *workers,
-				Epochs:          *epochs,
-				Batch:           *batch,
-				LR:              *lr,
-				Samples:         *samples,
-				Seed:            *seed,
-				Hidden:          *hidden,
-				Optimizer:       *optimizer,
-				QuantBits:       *quant,
-				CheckpointDir:   *ckptDir,
-				CheckpointEvery: *ckptEvery,
-				MaxRestarts:     *maxRestarts,
-			},
+			spec:      spec,
 			addr:      *addr,
 			hbTimeout: *hbTimeout,
 			traceOn:   *traceOn || *traceSlow > 0,
@@ -296,129 +298,21 @@ func fatal(err error) {
 
 // ---- sim: the in-process simulated cluster (paper Level 3) ----
 
-func runSim(scheme string, nodes, epochs, batch int, lr float64, samples int, seed uint64) {
+func simulate(spec jobs.Spec) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	centralized := false
-	switch strings.ToLower(scheme) {
-	case "pssgd", "asgd", "stale":
-		centralized = true
-	case "dsgd", "dpsgd", "mavg", "sparse":
-	default:
-		fmt.Fprintf(os.Stderr, "d500dist: unknown scheme %q\n", scheme)
-		os.Exit(1)
-	}
-
-	cfg := models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8, WithHead: true, Seed: seed}
-	shape := []int{1, 8, 8}
-	trainDS, testDS := d500.SyntheticSplit(samples, samples/4, cfg.Classes, shape, 0.25, seed)
-	stepsPerEpoch := samples / func() int {
-		w := nodes
-		if centralized {
-			w--
-		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}() / batch
-
-	accCh := make(chan float64, 1)
-	makespan, world, err := mpi.Run(nodes, mpi.Aries(), func(r *mpi.Rank) error {
-		sess, err := d500.New(d500.WithSeed(seed))
-		if err != nil {
-			return err
-		}
-		if err := sess.Open(models.MLP(cfg, 64)); err != nil {
-			return err
-		}
-		if centralized && r.ID() == 0 {
-			net, err := sess.Network()
-			if err != nil {
-				return err
-			}
-			return dist.RunPSServer(ctx, r, d500.SGD(lr),
-				dist.PackParams(net), dist.ServerConfig{
-					Mode:           psMode(scheme),
-					Staleness:      2,
-					StepsPerWorker: stepsPerEpoch * epochs,
-				})
-		}
-		workerIdx, workers := r.ID(), nodes
-		if centralized {
-			workerIdx, workers = r.ID()-1, nodes-1
-		}
-		d, err := sess.NewDriver(d500.SGD(lr))
-		if err != nil {
-			return err
-		}
-		var opt d500.Optimizer
-		switch strings.ToLower(scheme) {
-		case "dsgd":
-			opt = dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
-		case "dpsgd":
-			opt = dist.NewNeighborAveraging(d, r)
-		case "mavg":
-			opt = dist.NewModelAveraging(d, r, 2)
-		case "sparse":
-			opt = dist.NewSparseDecentralized(d, r, 0.2)
-		default:
-			ge, err := sess.GraphExecutor()
-			if err != nil {
-				return err
-			}
-			opt = dist.NewCentralizedWorker(ge, r)
-		}
-		sampler := dist.NewDistributedSampler(trainDS, batch, workerIdx, workers, seed)
-		trainer, err := sess.NewTrainer(opt, sampler, nil)
-		if err != nil {
-			return err
-		}
-		for ep := 0; ep < epochs; ep++ {
-			sampler.Reset()
-			for s := 0; s < stepsPerEpoch; s++ {
-				b := sampler.Next()
-				if b == nil {
-					break
-				}
-				if _, err := trainer.Step(ctx, b); err != nil {
-					return err
-				}
-			}
-		}
-		reporter := 0
-		if centralized {
-			reporter = 1
-		}
-		if r.ID() == reporter {
-			acc, err := trainer.Evaluate(ctx, d500.SequentialSampler(testDS, 64))
-			if err != nil {
-				return err
-			}
-			accCh <- acc
-		}
-		return nil
-	})
+	res, err := jobs.Simulate(ctx, spec, mpi.Aries())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "d500dist:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	acc := <-accCh
-	fmt.Printf("scheme=%s nodes=%d epochs=%d batch/node=%d\n", scheme, nodes, epochs, batch)
-	fmt.Printf("final test accuracy:   %.4f\n", acc)
-	fmt.Printf("simulated makespan:    %v (virtual α-β clock)\n", makespan)
+	spec = spec.WithDefaults()
+	fmt.Printf("scheme=%s workers=%d world=%d epochs=%d batch/worker=%d hidden=%d\n",
+		spec.Scheme, spec.Workers, spec.WorldSize(), spec.Epochs, spec.Batch, spec.Hidden)
+	for _, w := range res.Workers {
+		fmt.Printf("rank %d %-6s step %d loss %.4f\n", w.Rank, w.Role, w.Step, w.Loss)
+	}
+	fmt.Printf("final test accuracy:   %.4f\n", res.Accuracy)
+	fmt.Printf("simulated makespan:    %v (virtual α-β clock)\n", res.Makespan)
 	fmt.Printf("communication volume:  %.2f MB sent / %.2f MB received / %d messages\n",
-		float64(world.Volume.Sent())/1e6, float64(world.Volume.Received())/1e6, world.Volume.Messages())
-}
-
-func psMode(scheme string) dist.PSMode {
-	switch strings.ToLower(scheme) {
-	case "asgd":
-		return dist.PSAsync
-	case "stale":
-		return dist.PSStale
-	default:
-		return dist.PSSync
-	}
+		float64(res.Volume.Sent())/1e6, float64(res.Volume.Received())/1e6, res.Volume.Messages())
 }

@@ -55,7 +55,7 @@ func printServe() {
 }
 
 // printDist renders the distributed-training surface: the TCP transport's
-// resolved defaults and the job-spec defaults of d500dist -role launch.
+// resolved defaults, the job-spec defaults of d500dist and the scheme table.
 func printDist() {
 	o := transport.DefaultOptions()
 	fmt.Println("\nTransport defaults (internal/transport, d500dist rank fabric):")
@@ -66,8 +66,17 @@ func printDist() {
 	fmt.Printf("  %-22s full precision (flag -quant 1..8 enables quantized frames)\n", "quantize bits")
 
 	s := jobs.Spec{}.WithDefaults()
-	fmt.Println("\nJob-spec defaults (d500dist -role launch / POST /v1/jobs):")
-	fmt.Printf("  %-22s %s (asgd restartable; pssgd, dsgd fail on worker loss)\n", "scheme", s.Scheme)
+	fmt.Println("\nJob-spec defaults (d500dist -role sim|launch / POST /v1/jobs):")
+	fmt.Printf("  %-22s %s\n", "scheme", s.Scheme)
+	for _, sc := range jobs.Schemes() {
+		kind := "decentralized; a worker loss fails the job"
+		if sc.Restartable() {
+			kind = "parameter server; workers restart from checkpoints"
+		} else if sc.Centralized() {
+			kind = "parameter server; a worker loss fails the job"
+		}
+		fmt.Printf("  %-22s %s\n", "  "+string(sc), kind)
+	}
 	fmt.Printf("  %-22s %d (+1 parameter-server rank for centralized schemes)\n", "workers", s.Workers)
 	fmt.Printf("  %-22s %s lr=%g\n", "optimizer", s.Optimizer, s.LR)
 	fmt.Printf("  %-22s %s hidden=%d\n", "model", s.Model, s.Hidden)

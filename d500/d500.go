@@ -19,7 +19,7 @@
 // cancellation and deadlines through the full execution chain.
 //
 // Observation happens through a single structured event stream: install a
-// Hook with WithHook and receive typed StepEnd / EpochEnd / EvalEnd /
+// Hook with WithHook and receive typed StepEnd / EpochEnd /
 // BenchSample / ServeSample events. ConsoleHook renders that stream as
 // the progress lines and sample tables the binaries print.
 //

@@ -50,6 +50,9 @@ func openSession(t *testing.T, opts ...Option) *Session {
 	return sess
 }
 
+// TestSessionInferAndEvaluate drives a session by hand: Infer returns the
+// loss and accuracy outputs and emits nothing, and the test-set evaluation
+// of a Train run reaches the event stream and the result alike.
 func TestSessionInferAndEvaluate(t *testing.T) {
 	var events []Event
 	sess := openSession(t, WithHook(func(e Event) {
@@ -64,26 +67,22 @@ func TestSessionInferAndEvaluate(t *testing.T) {
 	if out["loss"] == nil || out["acc"] == nil {
 		t.Fatalf("missing outputs: %v", out)
 	}
-	d, err := sess.NewDriver(SGD(0.05))
+	if len(events) != 0 {
+		t.Fatalf("Infer emitted %v", events)
+	}
+	res, err := sess.Train(context.Background(), TrainConfig{
+		Optimizer: SGD(0.05), Train: SequentialSampler(train, 8),
+		Test: SequentialSampler(test, 16), Epochs: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sess.NewTrainer(d, SequentialSampler(train, 8), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := tr.Evaluate(context.Background(), SequentialSampler(test, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	acc := res.FinalTestAccuracy
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy out of range: %v", acc)
 	}
-	if len(events) != 1 {
-		t.Fatalf("want one EvalEnd event, got %v", events)
-	}
-	if ev, ok := events[0].(EvalEnd); !ok || ev.Accuracy != acc {
-		t.Fatalf("EvalEnd mismatch: %+v vs %v", events[0], acc)
+	if ev, ok := events[len(events)-1].(EpochEnd); !ok || ev.TestAccuracy != acc {
+		t.Fatalf("last event %+v, want EpochEnd with test accuracy %v", events[len(events)-1], acc)
 	}
 }
 
@@ -208,33 +207,29 @@ func TestSessionWithFramework(t *testing.T) {
 }
 
 func TestEvaluateRestoresInferenceMode(t *testing.T) {
-	sess := openSession(t)
-	train, test := SyntheticSplit(64, 32, 4, []int{1, 8, 8}, 0.3, 7)
-	// Evaluate between training steps must hand the executor back in
-	// training mode, and a completed Train must hand the session back in
-	// inference mode.
+	// The evaluation after each epoch must hand the executor back in
+	// training mode (EpochEnd follows it), and a completed Train must hand
+	// the session back in inference mode.
+	var training []bool
+	var ge interface{ Training() bool }
+	sess := openSession(t, WithHook(func(e Event) {
+		if _, ok := e.(EpochEnd); ok {
+			training = append(training, ge.Training())
+		}
+	}))
 	ge, err := sess.GraphExecutor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := sess.NewDriver(SGD(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sess.NewTrainer(d, ShuffleSampler(train, 32, 1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Evaluate(context.Background(), SequentialSampler(test, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if !ge.Training() {
-		t.Fatal("Evaluate left a training session in inference mode")
-	}
+	train, test := SyntheticSplit(64, 32, 4, []int{1, 8, 8}, 0.3, 7)
 	if _, err := sess.Train(context.Background(), TrainConfig{
-		Optimizer: SGD(0.05), Train: ShuffleSampler(train, 32, 1), Epochs: 1,
+		Optimizer: SGD(0.05), Train: ShuffleSampler(train, 32, 1),
+		Test: SequentialSampler(test, 16), Epochs: 2,
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if len(training) != 2 || !training[0] || !training[1] {
+		t.Fatalf("training mode after each epoch's evaluation: %v, want [true true]", training)
 	}
 	if ge.Training() {
 		t.Fatal("Train left the session in training mode")

@@ -11,7 +11,7 @@ import (
 // being recorded, a serving micro-batch executing, the autoscaler resizing
 // a replica pool, a replica crashing, a checkpoint landing on disk, or
 // the session tracer retaining a trace. The concrete types are StepEnd,
-// EpochEnd, EvalEnd, BenchSample, ServeSample, ServeScale, ReplicaDown,
+// EpochEnd, BenchSample, ServeSample, ServeScale, ReplicaDown,
 // CheckpointSaved and TraceSpan; consumers type-switch on the value they
 // receive.
 type Event interface{ event() }
@@ -36,12 +36,6 @@ type EpochEnd struct {
 	TestAccuracy float64
 	// LastLoss is the most recent training loss observation.
 	LastLoss float64
-}
-
-// EvalEnd is emitted when a standalone evaluation completes.
-type EvalEnd struct {
-	// Accuracy is the sample-weighted mean accuracy over the sampler.
-	Accuracy float64
 }
 
 // BenchSample is emitted for every record a benchmark experiment appends
@@ -137,7 +131,6 @@ type TraceSpan struct {
 
 func (StepEnd) event()         {}
 func (EpochEnd) event()        {}
-func (EvalEnd) event()         {}
 func (BenchSample) event()     {}
 func (ServeSample) event()     {}
 func (ServeScale) event()      {}
@@ -177,8 +170,6 @@ func ConsoleHook(w io.Writer) Hook {
 			}
 		case EpochEnd:
 			fmt.Fprintf(w, "epoch %2d  test accuracy %.4f  last loss %.4f\n", ev.Epoch, ev.TestAccuracy, ev.LastLoss)
-		case EvalEnd:
-			fmt.Fprintf(w, "evaluation  accuracy %.4f\n", ev.Accuracy)
 		case BenchSample:
 			fmt.Fprintf(w, "bench %-12s %-32s %12.6g %s (%d samples)\n", ev.Experiment, ev.Metric, ev.Value, ev.Unit, ev.Samples)
 		case ServeSample:

@@ -25,7 +25,6 @@ type Metrics struct {
 	trainEpochs *obs.Counter
 	trainLoss   *obs.Gauge
 	trainAcc    *obs.Gauge
-	evalAcc     *obs.Gauge
 	ckptWrites  *obs.Counter
 }
 
@@ -50,8 +49,6 @@ func NewMetrics() *Metrics {
 			"Loss of the most recent training step."),
 		trainAcc: reg.Gauge(obs.MetricTrainAccuracy,
 			"Minibatch accuracy of the most recent training step."),
-		evalAcc: reg.Gauge(obs.MetricEvalAccuracy,
-			"Accuracy of the most recent evaluation."),
 		ckptWrites: reg.Counter(obs.MetricCheckpointWritesTotal,
 			"Training checkpoints durably written."),
 	}
@@ -72,8 +69,6 @@ func (m *Metrics) Hook() Hook {
 			m.trainAcc.Set(ev.Accuracy)
 		case EpochEnd:
 			m.trainEpochs.Inc()
-		case EvalEnd:
-			m.evalAcc.Set(ev.Accuracy)
 		case ServeSample:
 			m.batchLatency.Observe(ev.Exec.Seconds())
 			m.queueWait.Observe(ev.QueueWait.Seconds())

@@ -74,7 +74,6 @@ func TestMetricsTrainingHook(t *testing.T) {
 	hook(StepEnd{Step: 1, Loss: 2.5, Accuracy: 0.25})
 	hook(StepEnd{Step: 2, Loss: 1.25, Accuracy: 0.5})
 	hook(EpochEnd{Epoch: 1, TestAccuracy: 0.5})
-	hook(EvalEnd{Accuracy: 0.75})
 	hook(CheckpointSaved{Step: 2, Epoch: 1, Path: "x.ckpt"})
 	hook(ServeSample{Requests: 1, Rows: 1, QueueWait: time.Millisecond, Exec: 2 * time.Millisecond})
 
@@ -86,7 +85,6 @@ func TestMetricsTrainingHook(t *testing.T) {
 		"d500_train_loss 1.25",
 		"d500_train_accuracy 0.5",
 		"d500_train_epochs_total 1",
-		"d500_eval_accuracy 0.75",
 		"d500_checkpoint_writes_total 1",
 		"d500_serve_queue_wait_seconds_count 1",
 	} {

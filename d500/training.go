@@ -126,8 +126,8 @@ func (s *Session) NewDriver(ts ThreeStep) (*Driver, error) {
 	return training.NewDriver(s.exec, ts), nil
 }
 
-// Trainer gives step-level control over a training run — the distributed
-// binaries drive custom per-rank loops through it — while still routing
+// Trainer gives step-level control over a training run — a caller with
+// its own step loop drives it batch by batch — while still routing
 // observations through the session event stream.
 type Trainer struct {
 	s *Session
@@ -156,16 +156,6 @@ func (s *Session) NewTrainer(opt Optimizer, train, test Sampler) (*Trainer, erro
 
 // Step runs one optimization step on a batch and returns its loss.
 func (t *Trainer) Step(ctx context.Context, b *Batch) (float64, error) { return t.r.Step(ctx, b) }
-
-// Evaluate computes mean accuracy over a sampler and emits EvalEnd.
-func (t *Trainer) Evaluate(ctx context.Context, data Sampler) (float64, error) {
-	acc, err := t.r.Evaluate(ctx, data)
-	if err != nil {
-		return 0, err
-	}
-	t.s.emit(EvalEnd{Accuracy: acc})
-	return acc, nil
-}
 
 // TrainConfig parameterizes Session.Train.
 type TrainConfig struct {

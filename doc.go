@@ -6,7 +6,7 @@
 // from typed functional options (WithFramework, WithSeed, WithHook) with
 // Open/Infer/Train/Evaluate/Bench methods, context-aware execution
 // through the whole chain, and a structured event stream
-// (StepEnd/EpochEnd/EvalEnd/BenchSample/ServeSample) as the single
+// (StepEnd/EpochEnd/BenchSample/ServeSample) as the single
 // observation channel. For online inference, d500.NewServer puts a model
 // behind the serving subsystem (internal/serve): a dynamic micro-batching
 // queue over a pool of session replicas with bounded admission, fronted

@@ -1,13 +1,15 @@
 // Distributed training schemes: the paper's Listing 8, runnable.
 //
-// The same base optimizer is wrapped in four distributed schemes —
-// consistent decentralized (allreduce DSGD), neighbor-gossip DPSGD, model
-// averaging, and a synchronous parameter server — and each is trained on a
-// simulated 4-node cluster with real data movement, every rank driving its
-// loop through a public d500 Session. The program reports accuracy,
-// per-node communication volume and the simulated makespan, demonstrating
-// that "comparing multiple communication schemes is as easy as replacing
-// an operator" (§V-E).
+// Every scheme of the job-spec table — allreduce DSGD, neighbor-gossip
+// DPSGD, model averaging, sparsified allreduce, and the synchronous,
+// asynchronous and stale-synchronous parameter servers — trains the same
+// model on a simulated 4-worker cluster with real data movement. Each run
+// is jobs.Simulate: the rank program the d500dist worker processes run
+// over TCP, here on goroutine ranks under a virtual α-β clock. Only the
+// spec's Scheme changes between rows, demonstrating that "comparing
+// multiple communication schemes is as easy as replacing an operator"
+// (§V-E). The program reports accuracy, communication volume and the
+// simulated makespan.
 //
 // Run: go run ./examples/distributed
 package main
@@ -17,119 +19,20 @@ import (
 	"fmt"
 	"log"
 
-	"deep500/d500"
-	"deep500/internal/dist"
-	"deep500/internal/models"
+	"deep500/internal/jobs"
 	"deep500/internal/mpi"
 )
 
-const (
-	nodes  = 4
-	epochs = 3
-	batch  = 16
-	lr     = 0.05
-)
-
 func main() {
-	ctx := context.Background()
-	shape := []int{1, 8, 8}
-	trainDS, testDS := d500.SyntheticSplit(1536, 384, 4, shape, 0.25, 21)
-
-	type scheme struct {
-		name        string
-		centralized bool
-		mk          func(sess *d500.Session, d *d500.Driver, r *mpi.Rank) (d500.Optimizer, error)
-	}
-	schemes := []scheme{
-		{"ConsistentDecentralized (DSGD)", false, func(_ *d500.Session, d *d500.Driver, r *mpi.Rank) (d500.Optimizer, error) {
-			return dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing), nil
-		}},
-		{"NeighborAveraging (DPSGD)", false, func(_ *d500.Session, d *d500.Driver, r *mpi.Rank) (d500.Optimizer, error) {
-			return dist.NewNeighborAveraging(d, r), nil
-		}},
-		{"ModelAveraging (MAVG, k=2)", false, func(_ *d500.Session, d *d500.Driver, r *mpi.Rank) (d500.Optimizer, error) {
-			return dist.NewModelAveraging(d, r, 2), nil
-		}},
-		{"ConsistentCentralized (PSSGD)", true, func(sess *d500.Session, _ *d500.Driver, r *mpi.Rank) (d500.Optimizer, error) {
-			ge, err := sess.GraphExecutor()
-			if err != nil {
-				return nil, err
-			}
-			return dist.NewCentralizedWorker(ge, r), nil
-		}},
-	}
-
-	fmt.Printf("%-32s %-10s %-14s %-12s\n", "scheme", "accuracy", "sent/node", "sim time")
-	for _, sc := range schemes {
-		workers := nodes
-		if sc.centralized {
-			workers = nodes - 1
-		}
-		accCh := make(chan float64, 1)
-		volCh := make(chan int64, 1)
-		makespan, _, err := mpi.Run(nodes, mpi.Aries(), func(r *mpi.Rank) error {
-			sess, err := d500.New(d500.WithSeed(9))
-			if err != nil {
-				return err
-			}
-			m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 8, Width: 8,
-				WithHead: true, Seed: 9}, 64)
-			if err := sess.Open(m); err != nil {
-				return err
-			}
-			stepsPerEpoch := 1536 / workers / batch
-			if sc.centralized && r.ID() == 0 {
-				net, err := sess.Network()
-				if err != nil {
-					return err
-				}
-				return dist.RunPSServer(ctx, r, d500.SGD(lr),
-					dist.PackParams(net),
-					dist.ServerConfig{Mode: dist.PSSync, StepsPerWorker: stepsPerEpoch * epochs})
-			}
-			workerIdx := r.ID()
-			if sc.centralized {
-				workerIdx--
-			}
-			d, err := sess.NewDriver(d500.SGD(lr))
-			if err != nil {
-				return err
-			}
-			opt, err := sc.mk(sess, d, r)
-			if err != nil {
-				return err
-			}
-			sampler := dist.NewDistributedSampler(trainDS, batch, workerIdx, workers, 13)
-			trainer, err := sess.NewTrainer(opt, sampler, nil)
-			if err != nil {
-				return err
-			}
-			for ep := 0; ep < epochs; ep++ {
-				sampler.Reset()
-				for s := 0; s < stepsPerEpoch; s++ {
-					b := sampler.Next()
-					if b == nil {
-						break
-					}
-					if _, err := trainer.Step(ctx, b); err != nil {
-						return err
-					}
-				}
-			}
-			if workerIdx == 0 {
-				acc, err := trainer.Evaluate(ctx, d500.SequentialSampler(testDS, 64))
-				if err != nil {
-					return err
-				}
-				accCh <- acc
-				volCh <- r.SentBytes
-			}
-			return nil
-		})
+	fmt.Printf("%-8s %-10s %-12s %-12s\n", "scheme", "accuracy", "sent", "sim time")
+	for _, scheme := range jobs.Schemes() {
+		res, err := jobs.Simulate(context.Background(), jobs.Spec{
+			Scheme: scheme, Workers: 4, Epochs: 3, Batch: 16, Samples: 1536, Seed: 9,
+		}, mpi.Aries())
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-32s %-10.4f %-14s %-12v\n", sc.name, <-accCh,
-			fmt.Sprintf("%.2f MB", float64(<-volCh)/1e6), makespan)
+		fmt.Printf("%-8s %-10.4f %-12s %-12v\n", scheme, res.Accuracy,
+			fmt.Sprintf("%.2f MB", float64(res.Volume.Sent())/1e6), res.Makespan)
 	}
 }

@@ -405,9 +405,10 @@ func Save(m *Model, path string) error {
 }
 
 // WriteFileAtomic writes a file by streaming through write into a temp file
-// in the destination directory, syncing, and renaming over path. Readers
-// never observe a partial file: they see either the old content or the new.
-// The checkpoint writer and Save share this path.
+// in the destination directory, syncing, renaming over path and syncing
+// the directory. Readers never observe a partial file: they see either the
+// old content or the new, and once it returns nil the new content survives
+// a power loss. The checkpoint writer and Save share this path.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -437,7 +438,14 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	// The new name is durable only once the directory is: without this a
+	// power loss could bring the previous file back.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Load reads a D5NX binary model from a file.

@@ -8,6 +8,9 @@ import (
 	"deep500/internal/obs/trace"
 )
 
+// maxSpecBytes bounds a submitted job spec's body.
+const maxSpecBytes = 1 << 20
+
 // Handler builds the trainer-service HTTP API over a Manager:
 //
 //	POST   /v1/jobs                 submit a Spec, returns the Job
@@ -21,11 +24,16 @@ import (
 //	POST   /v1/jobs/{id}/spans      rank callback: trace-span upload
 //	GET    /metrics                 Prometheus text exposition
 //	GET    /healthz
+//
+// A submitted spec is decoded strictly: an unknown field (a misspelt
+// "worker") is a 400, not a silent default.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"deep500/internal/graph"
+	"deep500/internal/mpi"
 	"deep500/internal/obs"
 )
 
@@ -185,60 +187,57 @@ func TestMetricsCoverDistNames(t *testing.T) {
 	}
 }
 
-// TestJobASGDSucceeds runs the real thing end to end: submit an async
-// parameter-server job, three rank processes (PS + 2 workers) join over
-// loopback TCP, train, report done, and the job reaches succeeded.
-func TestJobASGDSucceeds(t *testing.T) {
+// TestSchemesOnBothFabrics runs every scheme of the table twice: through
+// Simulate, and as a job whose ranks join over loopback TCP, register,
+// train, report done and take the job to succeeded. Both fabrics run the
+// same rank program, so every worker reaches TotalSteps on both, and
+// where no parameter server applies gradients in arrival order each
+// worker's final loss is bitwise equal across them.
+func TestSchemesOnBothFabrics(t *testing.T) {
+	if _, err := Simulate(context.Background(), Spec{QuantBits: 4}, mpi.Aries()); err == nil {
+		t.Error("Simulate accepted a quantized spec")
+	}
 	m, _ := startControlPlane(t)
-	job, err := m.Submit(Spec{
-		Scheme: SchemeASGD, Workers: 2,
-		Samples: 64, Batch: 8, Epochs: 1, Hidden: 8, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := awaitState(t, m, job.ID, StateSucceeded, 30*time.Second)
-	if len(final.Workers) != 3 {
-		t.Fatalf("want 3 ranks, got %d", len(final.Workers))
-	}
-	if final.Workers[0].Role != "ps" {
-		t.Fatalf("rank 0 role = %q, want ps", final.Workers[0].Role)
-	}
-	for _, w := range final.Workers {
-		if w.Phase != WorkerDone {
-			t.Errorf("rank %d phase %s, want done", w.Rank, w.Phase)
-		}
-	}
-	// Each worker ran 64/2/8 = 4 steps and reported progress.
-	for _, rank := range []int{1, 2} {
-		if final.Workers[rank].Step != 4 {
-			t.Errorf("rank %d step %d, want 4", rank, final.Workers[rank].Step)
-		}
+	for _, scheme := range Schemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			spec := Spec{
+				Scheme: scheme, Workers: 2,
+				Samples: 64, Batch: 8, Epochs: 1, Hidden: 8, Seed: 42,
+			}.WithDefaults()
+			sim, err := Simulate(context.Background(), spec, mpi.Aries())
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := awaitState(t, m, job.ID, StateSucceeded, 30*time.Second)
+			if len(final.Workers) != spec.WorldSize() || len(sim.Workers) != spec.WorldSize() {
+				t.Fatalf("%d TCP and %d simulated ranks, want %d",
+					len(final.Workers), len(sim.Workers), spec.WorldSize())
+			}
+			bitwise := scheme != SchemeASGD && scheme != SchemeStale
+			for rank, w := range final.Workers {
+				s := sim.Workers[rank]
+				if w.Phase != WorkerDone || w.Role != spec.Role(rank) || s.Role != w.Role {
+					t.Errorf("rank %d: TCP %s %s, simulated %s", rank, w.Role, w.Phase, s.Role)
+				}
+				if w.Role == "ps" {
+					continue
+				}
+				if w.Step != spec.TotalSteps() || s.Step != spec.TotalSteps() {
+					t.Errorf("rank %d: step %d on TCP, %d simulated, want %d",
+						rank, w.Step, s.Step, spec.TotalSteps())
+				}
+				if bitwise && math.Float64bits(w.Loss) != math.Float64bits(s.Loss) {
+					t.Errorf("rank %d: final loss %v on TCP, %v simulated", rank, w.Loss, s.Loss)
+				}
+			}
+		})
 	}
 	if m.Metrics().JobsRunning.v.Load() != 0 {
 		t.Errorf("jobs_running gauge = %d after completion", m.Metrics().JobsRunning.v.Load())
-	}
-}
-
-// TestJobDSGDSucceeds covers the decentralized path: no PS rank, the
-// workers allreduce over the loopback ring.
-func TestJobDSGDSucceeds(t *testing.T) {
-	m, _ := startControlPlane(t)
-	job, err := m.Submit(Spec{
-		Scheme: SchemeDSGD, Workers: 2,
-		Samples: 64, Batch: 8, Epochs: 1, Hidden: 8, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := awaitState(t, m, job.ID, StateSucceeded, 30*time.Second)
-	if len(final.Workers) != 2 {
-		t.Fatalf("dsgd wants no PS rank: got %d ranks", len(final.Workers))
-	}
-	for _, w := range final.Workers {
-		if w.Role != "worker" {
-			t.Errorf("rank %d role %q", w.Rank, w.Role)
-		}
 	}
 }
 
@@ -552,16 +551,22 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsBadSpec pins validation at the API boundary.
+// TestSubmitRejectsBadSpec pins validation at the API boundary: an
+// unknown scheme, and an unknown field, which would otherwise run the
+// default worker count.
 func TestSubmitRejectsBadSpec(t *testing.T) {
-	_, srv := startControlPlane(t)
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"scheme":"ring"}`))
-	if err != nil {
-		t.Fatal(err)
+	m, srv := startControlPlane(t)
+	for _, body := range []string{`{"scheme":"ring"}`, `{"scheme":"dsgd","worker":4}`} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", body, resp.Status)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: %s, want 400", resp.Status)
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Errorf("%d job(s) submitted from bad specs", len(jobs))
 	}
 }

@@ -100,12 +100,8 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		span:    span,
 	}
 	for rank := 0; rank < spec.WorldSize(); rank++ {
-		role := "worker"
-		if spec.Scheme.Centralized() && rank == 0 {
-			role = "ps"
-		}
 		j.Workers = append(j.Workers, &Worker{
-			Rank: rank, Role: role, Phase: WorkerStarting, LastHeartbeat: time.Now(),
+			Rank: rank, Role: spec.Role(rank), Phase: WorkerStarting, LastHeartbeat: time.Now(),
 		})
 	}
 	m.jobs[j.ID] = j

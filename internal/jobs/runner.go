@@ -43,12 +43,8 @@ type ExecRunner struct {
 
 // Start launches the rank process.
 func (e *ExecRunner) Start(job *Job, rank int) (Proc, error) {
-	role := "worker"
-	if job.Spec.Scheme.Centralized() && rank == 0 {
-		role = "ps"
-	}
 	args := []string{
-		"-role", role,
+		"-role", job.Spec.Role(rank),
 		"-job", job.ID,
 		"-rank", fmt.Sprint(rank),
 		"-control", e.ControlURL,

@@ -1,47 +1,122 @@
-// Package jobs is the FfDL-shaped control plane over the networked
-// distributed-training stack: a trainer service that accepts JSON job
-// specs, a lifecycle manager that spawns one OS process per rank (a
-// parameter server plus workers, or a decentralized ring), monitors them
-// through heartbeats, restarts dead workers from their exact-resume
-// checkpoints, and a job monitor speaking HTTP (/v1/jobs, /v1/jobs/{id}).
-// The data plane underneath is internal/transport: every rank process
-// speaks the TCP fabric, so the same dist optimizers that run on the
-// in-process simulator train across real processes.
+// Package jobs runs the distributed-training schemes. Its rank program —
+// the parameter server on rank 0 of a centralized scheme, the training
+// loop on every other rank — is the only one in the repository, and it
+// runs on both fabrics: Simulate runs a job's ranks as goroutines over the
+// in-process simulator's virtual α-β network (d500dist -role sim), and
+// RunRank runs one rank as an OS process over the TCP transport. Above the
+// TCP path sits an FfDL-shaped control plane: a trainer service that
+// accepts JSON job specs, a lifecycle manager that spawns one process per
+// rank, monitors them through heartbeats and restarts dead workers from
+// their exact-resume checkpoints, and a job monitor speaking HTTP
+// (/v1/jobs, /v1/jobs/{id}).
 package jobs
 
 import (
 	"fmt"
 	"strings"
 
+	"deep500/internal/dist"
+	"deep500/internal/mpi"
 	"deep500/internal/obs/trace"
+	"deep500/internal/training"
 )
 
-// Scheme is a distributed training scheme the control plane can launch.
+// Scheme is a distributed training scheme. Each one is a row of the scheme
+// table, which fixes everything the scheme decides on either fabric.
 type Scheme string
 
+// The schemes, in table order.
 const (
-	// SchemeASGD is the asynchronous parameter server (HOGWILD-style).
-	// Rank 0 serves in done-counting mode, so workers are restartable: a
-	// replayed gradient after a checkpoint restart is just one more
-	// asynchronous update.
-	SchemeASGD Scheme = "asgd"
-	// SchemePSSGD is the synchronous parameter server. Rounds assume exact
-	// per-worker step counts, so a worker loss fails the job.
-	SchemePSSGD Scheme = "pssgd"
 	// SchemeDSGD is decentralized allreduce-averaged SGD over the ring.
-	// The ring blocks on a dead member, so a worker loss fails the job.
 	SchemeDSGD Scheme = "dsgd"
+	// SchemeDPSGD averages parameters with the ring neighbours after each
+	// local step (gossip).
+	SchemeDPSGD Scheme = "dpsgd"
+	// SchemeMAvg allreduce-averages the models every second step.
+	SchemeMAvg Scheme = "mavg"
+	// SchemeSparse allreduces the top 20 % of each gradient and keeps the
+	// rest as a residual.
+	SchemeSparse Scheme = "sparse"
+	// SchemePSSGD is the synchronous parameter server.
+	SchemePSSGD Scheme = "pssgd"
+	// SchemeASGD is the asynchronous parameter server (HOGWILD-style).
+	SchemeASGD Scheme = "asgd"
+	// SchemeStale is the stale-synchronous parameter server: a worker runs
+	// at most two steps ahead of the slowest.
+	SchemeStale Scheme = "stale"
 )
+
+// schemeDef is one row of the scheme table.
+type schemeDef struct {
+	name Scheme
+	// server configures rank 0's parameter server; nil for a decentralized
+	// scheme. The rank program fills in StepsPerWorker.
+	server *dist.ServerConfig
+	// worker wraps a worker's driver in the scheme's optimizer.
+	worker func(d *training.Driver, r dist.Rank) training.Optimizer
+}
+
+// schemes is the scheme table: the one list of names Validate, the
+// d500dist flags and d500info read.
+var schemes = []schemeDef{
+	{name: SchemeDSGD, worker: func(d *training.Driver, r dist.Rank) training.Optimizer {
+		return dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
+	}},
+	{name: SchemeDPSGD, worker: func(d *training.Driver, r dist.Rank) training.Optimizer {
+		return dist.NewNeighborAveraging(d, r)
+	}},
+	{name: SchemeMAvg, worker: func(d *training.Driver, r dist.Rank) training.Optimizer {
+		return dist.NewModelAveraging(d, r, 2)
+	}},
+	{name: SchemeSparse, worker: func(d *training.Driver, r dist.Rank) training.Optimizer {
+		return dist.NewSparseDecentralized(d, r, 0.2)
+	}},
+	{name: SchemePSSGD, server: &dist.ServerConfig{Mode: dist.PSSync}, worker: centralizedWorker},
+	// The asynchronous server counts finished workers instead of steps, so
+	// a worker restarted from its checkpoint may replay gradients.
+	{name: SchemeASGD, server: &dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true}, worker: centralizedWorker},
+	{name: SchemeStale, server: &dist.ServerConfig{Mode: dist.PSStale, Staleness: 2}, worker: centralizedWorker},
+}
+
+// centralizedWorker ships each gradient to the server on rank 0, which
+// applies the update rule; the driver contributes only its executor.
+func centralizedWorker(d *training.Driver, r dist.Rank) training.Optimizer {
+	return dist.NewCentralizedWorker(d.Executor(), r)
+}
+
+// Schemes lists every scheme in table order.
+func Schemes() []Scheme {
+	out := make([]Scheme, len(schemes))
+	for i, d := range schemes {
+		out[i] = d.name
+	}
+	return out
+}
+
+// def returns s's row of the scheme table (the zero row for an unknown
+// name, which Validate rejects).
+func (s Scheme) def() schemeDef {
+	for _, d := range schemes {
+		if d.name == s {
+			return d
+		}
+	}
+	return schemeDef{}
+}
 
 // Centralized reports whether the scheme dedicates rank 0 to a parameter
 // server.
-func (s Scheme) Centralized() bool { return s == SchemeASGD || s == SchemePSSGD }
+func (s Scheme) Centralized() bool { return s.def().server != nil }
 
 // Restartable reports whether a dead worker can rejoin from its checkpoint
-// without corrupting the scheme's consistency model. Only the asynchronous
-// server qualifies: sync rounds and the allreduce ring both assume a fixed
-// member set in lockstep.
-func (s Scheme) Restartable() bool { return s == SchemeASGD }
+// without corrupting the scheme's consistency model: only a done-counting
+// asynchronous server qualifies. Sync and stale rounds and the
+// decentralized rings all assume a fixed member set in lockstep, so a
+// worker loss fails their job.
+func (s Scheme) Restartable() bool {
+	srv := s.def().server
+	return srv != nil && srv.UntilDone
+}
 
 // Spec is a training job specification, submitted as JSON to
 // POST /v1/jobs. Zero fields take the documented defaults.
@@ -55,7 +130,7 @@ type Spec struct {
 	// Hidden is the MLP hidden width (default 32).
 	Hidden int `json:"hidden,omitempty"`
 	// Optimizer is the update rule ("sgd", "momentum", "adam", ...; the
-	// server applies it in centralized schemes, each worker in dsgd).
+	// server applies it in centralized schemes, each worker in the others).
 	Optimizer string `json:"optimizer,omitempty"`
 	// LR is the learning rate (default 0.05).
 	LR float64 `json:"lr,omitempty"`
@@ -133,10 +208,12 @@ func (s Spec) WithDefaults() Spec {
 // Validate rejects structurally impossible specs. Call on a
 // defaults-applied spec.
 func (s Spec) Validate() error {
-	switch s.Scheme {
-	case SchemeASGD, SchemePSSGD, SchemeDSGD:
-	default:
-		return fmt.Errorf("jobs: unknown scheme %q (asgd, pssgd, dsgd)", s.Scheme)
+	if s.Scheme.def().worker == nil {
+		names := make([]string, len(schemes))
+		for i, d := range schemes {
+			names[i] = string(d.name)
+		}
+		return fmt.Errorf("jobs: unknown scheme %q (%s)", s.Scheme, strings.Join(names, ", "))
 	}
 	if strings.ToLower(s.Model) != "mlp" {
 		return fmt.Errorf("jobs: unknown model %q (mlp)", s.Model)
@@ -174,6 +251,15 @@ func (s Spec) WorkerIndex(rank int) int {
 		return rank - 1
 	}
 	return rank
+}
+
+// Role names rank's part in the job: "ps" for the parameter server on rank
+// 0 of a centralized scheme, "worker" otherwise.
+func (s Spec) Role(rank int) string {
+	if s.Scheme.Centralized() && rank == 0 {
+		return "ps"
+	}
+	return "worker"
 }
 
 // StepsPerEpoch is each worker's step count per epoch: the dataset is

@@ -16,7 +16,6 @@ import (
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/models"
-	"deep500/internal/mpi"
 	"deep500/internal/obs/trace"
 	"deep500/internal/training"
 	"deep500/internal/transport"
@@ -68,12 +67,8 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 	// back at completion for one coherent tree across all processes.
 	var rankSpan *trace.Span
 	if rm, ok := trace.Parse(spec.Trace); ok && rc.Tracer.Enabled() {
-		role := "worker"
-		if spec.Scheme.Centralized() && rc.Rank == 0 {
-			role = "ps"
-		}
 		rankSpan = rc.Tracer.StartRemote(rm, "dist.rank",
-			trace.Int("rank", rc.Rank), trace.String("role", role))
+			trace.Int("rank", rc.Rank), trace.String("role", spec.Role(rc.Rank)))
 		defer func() {
 			rankSpan.SetError(err)
 			rankSpan.End()
@@ -117,7 +112,7 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 		Peers:          peers,
 		DialRanks:      dialRanks,
 		QuantizeBits:   spec.QuantBits,
-		BestEffortSend: spec.Scheme.Centralized() && rc.Rank == 0,
+		BestEffortSend: spec.Role(rc.Rank) == "ps",
 	})
 	if err != nil {
 		return fmt.Errorf("jobs: rank %d joining fabric: %w", rc.Rank, err)
@@ -169,12 +164,7 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 	if rankSpan != nil {
 		runCtx = trace.NewContext(ctx, rankSpan)
 	}
-	if spec.Scheme.Centralized() && rc.Rank == 0 {
-		err = runPS(runCtx, rank, spec)
-	} else {
-		err = runTrainLoop(runCtx, rank, spec, rc.Rank, &progress, rc.stepGate)
-	}
-	if err != nil {
+	if _, err := runRole(runCtx, rank, spec, &progress, rc.stepGate); err != nil {
 		return err
 	}
 	step, loss := progress.load()
@@ -209,10 +199,11 @@ func buildModel(spec Spec) *graph.Model {
 	}, spec.Hidden)
 }
 
-// buildDataset generates the job's synthetic training set (identical on
-// every rank; the distributed sampler shards it).
-func buildDataset(spec Spec) *training.InMemoryDataset {
-	return training.SyntheticClassification(spec.Samples, 4, []int{1, 8, 8}, 0.25, spec.Seed)
+// buildData generates the job's synthetic training set (identical on every
+// rank; the distributed sampler shards it) and Samples/4 held-out samples
+// of the same task, which only Simulate evaluates.
+func buildData(spec Spec) (train, test *training.InMemoryDataset) {
+	return training.SyntheticSplit(spec.Samples, spec.Samples/4, 4, []int{1, 8, 8}, 0.25, spec.Seed)
 }
 
 // buildRule resolves the spec's optimizer name.
@@ -231,28 +222,36 @@ func buildRule(spec Spec) (training.ThreeStep, error) {
 	return nil, fmt.Errorf("jobs: unknown optimizer %q (sgd, momentum, adam, rmsprop)", spec.Optimizer)
 }
 
+// runRole runs rank's part of the job on either fabric: the parameter
+// server on rank 0 of a centralized scheme, the training loop on every
+// other rank. A worker returns its trained executor.
+func runRole(ctx context.Context, rank dist.Rank, spec Spec, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) (executor.GraphExecutor, error) {
+	if spec.Role(rank.ID()) == "ps" {
+		return nil, runPS(ctx, rank, spec)
+	}
+	return runTrainLoop(ctx, rank, spec, progress, stepGate)
+}
+
 // runPS is rank 0 of a centralized scheme: the parameter server owning the
-// authoritative weights. Async jobs serve until every worker reports done
-// (restart-tolerant); sync jobs serve a fixed per-worker step count.
-func runPS(ctx context.Context, rank *transport.TCPRank, spec Spec) error {
+// authoritative weights, configured by the scheme's row. A done-counting
+// server serves until every worker reports done (restart-tolerant); the
+// others serve a fixed per-worker step count.
+func runPS(ctx context.Context, rank dist.Rank, spec Spec) error {
 	rule, err := buildRule(spec)
 	if err != nil {
 		return err
 	}
 	e := executor.MustNew(buildModel(spec))
-	e.SetTraining(true)
-	cfg := dist.ServerConfig{Mode: dist.PSSync, StepsPerWorker: spec.TotalSteps()}
-	if spec.Scheme == SchemeASGD {
-		cfg = dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true}
-	}
+	cfg := *spec.Scheme.def().server
+	cfg.StepsPerWorker = spec.TotalSteps()
 	return dist.RunPSServer(ctx, rank, rule, dist.PackParams(e.Network()), cfg)
 }
 
 // runTrainLoop is a worker rank: shard the data, train for the spec's
 // epochs through the scheme's optimizer, checkpoint on cadence, resume
 // from the checkpoint when one exists.
-func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankID int, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) error {
-	workerIdx := spec.WorkerIndex(rankID)
+func runTrainLoop(ctx context.Context, rank dist.Rank, spec Spec, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) (executor.GraphExecutor, error) {
+	rankID := rank.ID()
 	model := buildModel(spec)
 	ckptPath := ""
 	if spec.Scheme.Restartable() {
@@ -260,7 +259,7 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 	}
 	if ckptPath != "" {
 		if err := os.MkdirAll(spec.CheckpointDir, 0o755); err != nil {
-			return fmt.Errorf("jobs: rank %d checkpoint dir: %w", rankID, err)
+			return nil, fmt.Errorf("jobs: rank %d checkpoint dir: %w", rankID, err)
 		}
 	}
 
@@ -272,30 +271,22 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 			model = ck.Model
 			resume = ck.Train
 		} else if err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("jobs: rank %d loading checkpoint %s: %w", rankID, ckptPath, err)
+			return nil, fmt.Errorf("jobs: rank %d loading checkpoint %s: %w", rankID, ckptPath, err)
 		}
 	}
 
 	e, err := executor.New(model)
 	if err != nil {
-		return fmt.Errorf("jobs: rank %d building model: %w", rankID, err)
+		return nil, fmt.Errorf("jobs: rank %d building model: %w", rankID, err)
 	}
 	e.SetTraining(true)
-	ds := buildDataset(spec)
-	sampler := dist.NewDistributedSampler(ds, spec.Batch, workerIdx, spec.Workers, spec.Seed)
-
-	var opt training.Optimizer
-	var cw *dist.CentralizedWorker
-	if spec.Scheme.Centralized() {
-		cw = dist.NewCentralizedWorker(e, rank)
-		opt = cw
-	} else {
-		rule, err := buildRule(spec)
-		if err != nil {
-			return err
-		}
-		opt = dist.NewConsistentDecentralized(training.NewDriver(e, rule), rank, mpi.AllreduceRing)
+	rule, err := buildRule(spec)
+	if err != nil {
+		return nil, err
 	}
+	opt := spec.Scheme.def().worker(training.NewDriver(e, rule), rank)
+	train, _ := buildData(spec)
+	sampler := dist.NewDistributedSampler(train, spec.Batch, spec.WorkerIndex(rankID), spec.Workers, spec.Seed)
 
 	// The runner owns the step loop, the epoch resets of the shard sampler
 	// (which yields StepsPerEpoch batches an epoch) and the checkpoint
@@ -313,17 +304,17 @@ func runTrainLoop(ctx context.Context, rank *transport.TCPRank, spec Spec, rankI
 	}
 	if resume != nil {
 		if err := training.RestoreTrainState(resume, nil, sampler); err != nil {
-			return fmt.Errorf("jobs: rank %d: %w", rankID, err)
+			return nil, fmt.Errorf("jobs: rank %d: %w", rankID, err)
 		}
 		r.ResumeAt(resume.Step, resume.EpochsDone, resume.MidEpoch)
 	}
 	if err := r.RunEpochs(ctx, spec.Epochs); err != nil {
-		return err
+		return nil, err
 	}
-	if cw != nil && spec.Scheme == SchemeASGD {
-		return cw.Finish()
+	if spec.Scheme.Restartable() { // the server counts finished workers
+		return e, opt.(*dist.CentralizedWorker).Finish()
 	}
-	return nil
+	return e, nil
 }
 
 // controlClient is the rank side of the control-plane HTTP protocol.

@@ -40,7 +40,6 @@ const (
 	MetricTrainLoss             = "d500_train_loss"
 	MetricTrainAccuracy         = "d500_train_accuracy"
 	MetricTrainEpochsTotal      = "d500_train_epochs_total"
-	MetricEvalAccuracy          = "d500_eval_accuracy"
 	MetricCheckpointWritesTotal = "d500_checkpoint_writes_total"
 
 	// Distributed job control plane (d500dist -role launch /metrics).
@@ -92,7 +91,6 @@ func CoreNames() []string {
 		MetricTrainLoss,
 		MetricTrainAccuracy,
 		MetricTrainEpochsTotal,
-		MetricEvalAccuracy,
 		MetricCheckpointWritesTotal,
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the observability layer: a dependency-free metrics
 // registry rendering the Prometheus text exposition format. The d500 layer
-// aggregates its typed Hook events (StepEnd, EvalEnd, ServeSample,
+// aggregates its typed Hook events (StepEnd, ServeSample,
 // ReplicaDown, ...) into these counters, gauges and fixed-bucket histograms
 // and mounts the registry as GET /metrics on d500serve — turning the
 // paper's measurement philosophy (every level instrumented) into an ops
