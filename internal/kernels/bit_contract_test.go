@@ -64,6 +64,23 @@ func TestBitContract(t *testing.T) {
 	}
 }
 
+// The names the kernel rows had before the contract was one table: each runs
+// its TestBitContract row alone.
+func TestGemmPackedBitsPinned(t *testing.T) { checkKernelRow(t, "kernel/gemmPacked") }
+func TestConvBitsPinned(t *testing.T)       { checkKernelRow(t, "kernel/conv") }
+func TestMaxPoolBitsPinned(t *testing.T)    { checkKernelRow(t, "kernel/maxPool") }
+func TestReLUBitsPinned(t *testing.T)       { checkKernelRow(t, "kernel/relu") }
+func TestAddBiasBitsPinned(t *testing.T)    { checkKernelRow(t, "kernel/addBias") }
+func TestUpdateBitsPinned(t *testing.T)     { checkKernelRow(t, "kernel/momentum") }
+
+func checkKernelRow(t *testing.T, class string) {
+	for _, r := range kernelRows() {
+		if r.classes[0] == class {
+			checkRow(t, r, readGolden(t))
+		}
+	}
+}
+
 func updating() bool { return os.Getenv("UPDATE_GOLDEN") != "" }
 
 func readGolden(t *testing.T) map[string]uint64 {
