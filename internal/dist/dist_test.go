@@ -165,6 +165,48 @@ func TestDSGDMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestAllreduceMeanFoldsTheScale holds AllreduceMean, which scales each sum
+// once where it is complete, bitwise to AllreduceSum followed by every rank
+// multiplying by 1/p, at 2, 3 and 4 ranks with either algorithm (3 ranks run
+// the ring for both). The vector's length leaves the ring's chunks uneven,
+// and it holds a −0 on every rank, an infinity and subnormals.
+func TestAllreduceMeanFoldsTheScale(t *testing.T) {
+	input := func(id int) []float32 {
+		v := tensor.RandNormal(tensor.NewRNG(uint64(40+id)), 0, 1, 1001).Data()
+		v[0], v[1], v[2], v[3] = float32(math.Copysign(0, -1)), float32(math.Inf(1)), 1e-45, -3e-45
+		return v
+	}
+	ctx := context.Background()
+	for _, p := range []int{2, 3, 4} {
+		for _, algo := range []mpi.AllreduceAlgo{mpi.AllreduceRing, mpi.AllreduceDoubling} {
+			want, got := make([][]float32, p), make([][]float32, p)
+			if _, _, err := mpi.Run(p, mpi.Aries(), func(r *mpi.Rank) error {
+				id := r.ID()
+				want[id] = input(id)
+				if err := AllreduceSum(ctx, r, algo, want[id], mpi.SimActual); err != nil {
+					return err
+				}
+				inv := 1 / float32(p)
+				for i, v := range want[id] {
+					want[id][i] = v * inv
+				}
+				got[id] = input(id)
+				return AllreduceMean(ctx, r, algo, got[id], mpi.SimActual)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for id := range got {
+				for i := range got[id] {
+					if math.Float32bits(got[id][i]) != math.Float32bits(want[0][i]) {
+						t.Fatalf("p=%d algo=%v rank %d [%d]: mean %g (%#x), sum then scale %g (%#x)", p, algo, id, i,
+							got[id][i], math.Float32bits(got[id][i]), want[0][i], math.Float32bits(want[0][i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPSServerModes runs a tiny training loop against the parameter server
 // in all three consistency modes and checks ranks terminate cleanly with
 // finite, synchronized-enough parameters.

@@ -30,13 +30,8 @@ type ConsistentDecentralized struct {
 // using the chosen allreduce algorithm.
 func NewConsistentDecentralized(d *training.Driver, r Rank, algo mpi.AllreduceAlgo) *ConsistentDecentralized {
 	o := &ConsistentDecentralized{d: d}
-	inv := 1 / float32(r.Size())
 	d.GradHook = func(_ string, grad *tensor.Tensor) *tensor.Tensor {
-		if o.comm.allreduce(r, algo, grad.Data(), mpi.SimActual) {
-			for i, v := range grad.Data() {
-				grad.Data()[i] = v * inv
-			}
-		}
+		o.comm.allreduceMean(r, algo, grad.Data(), mpi.SimActual)
 		return grad
 	}
 	return o
@@ -70,18 +65,17 @@ func (c *stepComm) train(ctx context.Context, d *training.Driver, feeds map[stri
 	return out, err
 }
 
-// allreduce sums data across the ranks of r unless the step has already
-// failed, and reports whether data now holds the sum.
-func (c *stepComm) allreduce(r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) bool {
+// allreduceMean averages data across the ranks of r unless the step has
+// already failed.
+func (c *stepComm) allreduceMean(r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) {
 	if c.err != nil {
-		return false
+		return
 	}
 	ctx := c.ctx
 	if ctx == nil { // the driver was stepped directly, not through Train
 		ctx = context.Background()
 	}
-	c.err = AllreduceSum(ctx, r, algo, data, simBytes)
-	return c.err == nil
+	c.err = AllreduceMean(ctx, r, algo, data, simBytes)
 }
 
 // NeighborAveraging is gossip-based DPSGD: each rank takes a local
@@ -179,12 +173,8 @@ func (o *ModelAveraging) Train(ctx context.Context, feeds map[string]*tensor.Ten
 	if o.d.Step%o.every == 0 && o.r.Size() > 1 {
 		net := o.d.Executor().Network()
 		o.layout.GatherFrom(net)
-		if err := AllreduceSum(ctx, o.r, mpi.AllreduceRing, o.layout.Vec, mpi.SimActual); err != nil {
+		if err := AllreduceMean(ctx, o.r, mpi.AllreduceRing, o.layout.Vec, mpi.SimActual); err != nil {
 			return nil, err
-		}
-		inv := 1 / float32(o.r.Size())
-		for i, v := range o.layout.Vec {
-			o.layout.Vec[i] = v * inv
 		}
 		o.layout.ScatterTo(net)
 	}
@@ -211,7 +201,6 @@ func NewSparseDecentralized(d *training.Driver, r Rank, density float64) *Sparse
 		density = 1
 	}
 	o := &SparseDecentralized{d: d}
-	inv := 1 / float32(r.Size())
 	residuals := make(map[string][]float32)
 	var scratch []float32
 	d.GradHook = func(name string, grad *tensor.Tensor) *tensor.Tensor {
@@ -238,11 +227,7 @@ func NewSparseDecentralized(d *training.Driver, r Rank, density float64) *Sparse
 		}
 		// Charge the wire for index+value pairs of surviving entries rather
 		// than the dense vector.
-		if o.comm.allreduce(r, mpi.AllreduceRing, g, nnz*8) {
-			for i, v := range g {
-				g[i] = v * inv
-			}
-		}
+		o.comm.allreduceMean(r, mpi.AllreduceRing, g, nnz*8)
 		return grad
 	}
 	return o

@@ -66,6 +66,22 @@ const (
 // it has been consumed, so a warm all-reduce on TCP allocates nothing. On
 // error data is left partially reduced.
 func AllreduceSum(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) error {
+	return allreduce(ctx, r, algo, data, simBytes, 1)
+}
+
+// AllreduceMean is AllreduceSum followed by a division by the world size,
+// with the scaling folded into the reduction: each element is multiplied by
+// 1/p once, where its sum is complete (the ring's owner of a chunk before the
+// allgather, every rank after recursive doubling's last exchange), and every
+// rank then holds that one product. The bits are those of summing and then
+// multiplying each element by 1/p on every rank.
+func AllreduceMean(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) error {
+	return allreduce(ctx, r, algo, data, simBytes, 1/float32(r.Size()))
+}
+
+// allreduce sums data across the ranks of r and multiplies each complete
+// sum by scale, unless scale is 1.
+func allreduce(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64, scale float32) error {
 	p := r.Size()
 	if p == 1 {
 		return nil
@@ -74,14 +90,30 @@ func AllreduceSum(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []fl
 		simBytes = int64(len(data)) * 4
 	}
 	if algo == mpi.AllreduceDoubling && p&(p-1) == 0 {
-		return doublingAllreduce(ctx, r, data, simBytes)
+		return doublingAllreduce(ctx, r, data, simBytes, scale)
 	}
-	return ringAllreduce(ctx, r, data, simBytes)
+	return ringAllreduce(ctx, r, data, simBytes, scale)
+}
+
+// addScaled sets dst[i] to dst[i]+src[i], times scale unless scale is 1: the
+// sum is rounded to float32 before the product, as when they are two passes.
+func addScaled(dst, src []float32, scale float32) {
+	src = src[:len(dst)]
+	if scale == 1 {
+		for i := range dst {
+			dst[i] += src[i]
+		}
+		return
+	}
+	for i := range dst {
+		dst[i] = float32(dst[i]+src[i]) * scale
+	}
 }
 
 // ringAllreduce is reduce-scatter then allgather over a logical ring on the
-// p chunks data[c·n/p : (c+1)·n/p].
-func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64) error {
+// p chunks data[c·n/p : (c+1)·n/p]. The last reduce-scatter step completes
+// the chunk this rank owns, and scales it before the allgather sends it.
+func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, scale float32) error {
 	p, id, n := r.Size(), r.ID(), len(data)
 	chunk := func(c int) []float32 { return data[c*n/p : (c+1)*n/p] }
 	chunkBytes := func(c int) int64 {
@@ -91,9 +123,10 @@ func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64) 
 		return simBytes * int64(len(chunk(c))) / int64(n)
 	}
 	next, prev := (id+1)%p, (id-1+p)%p
-	// exchange sends chunk out to next, then adds (or copies) the chunk
-	// arriving from prev into chunk in.
-	exchange := func(out, in int, add bool) error {
+	// exchange sends chunk out to next, then adds the chunk arriving from
+	// prev into chunk in and scales the sums by s, or copies it when add is
+	// off.
+	exchange := func(out, in int, add bool, s float32) error {
 		if err := r.Send(next, 0, chunk(out), chunkBytes(out)); err != nil {
 			return err
 		}
@@ -106,9 +139,7 @@ func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64) 
 			return fmt.Errorf("dist: rank %d all-reduce got %d values from rank %d, want %d", id, len(m.Data), prev, len(dst))
 		}
 		if add {
-			for i := range dst {
-				dst[i] += m.Data[i]
-			}
+			addScaled(dst, m.Data, s)
 		} else {
 			copy(dst, m.Data)
 		}
@@ -118,21 +149,26 @@ func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64) 
 	// Reduce-scatter: after p-1 steps, rank i holds the full sum of chunk
 	// (i+1) mod p.
 	for step := 0; step < p-1; step++ {
-		if err := exchange((id-step+p)%p, (id-step-1+p)%p, true); err != nil {
+		s := float32(1)
+		if step == p-2 {
+			s = scale
+		}
+		if err := exchange((id-step+p)%p, (id-step-1+p)%p, true, s); err != nil {
 			return err
 		}
 	}
 	// Allgather: circulate the reduced chunks.
 	for step := 0; step < p-1; step++ {
-		if err := exchange((id-step+1+p)%p, (id-step+p)%p, false); err != nil {
+		if err := exchange((id-step+1+p)%p, (id-step+p)%p, false, 1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// doublingAllreduce is log2(p) exchange-and-add steps on the full vector.
-func doublingAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64) error {
+// doublingAllreduce is log2(p) exchange-and-add steps on the full vector;
+// the last one scales the complete sums.
+func doublingAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, scale float32) error {
 	for mask := 1; mask < r.Size(); mask <<= 1 {
 		partner := r.ID() ^ mask
 		if err := r.Send(partner, 0, data, simBytes); err != nil {
@@ -145,9 +181,11 @@ func doublingAllreduce(ctx context.Context, r Rank, data []float32, simBytes int
 		if len(m.Data) != len(data) {
 			return fmt.Errorf("dist: rank %d all-reduce got %d values from rank %d, want %d", r.ID(), len(m.Data), partner, len(data))
 		}
-		for i := range data {
-			data[i] += m.Data[i]
+		s := float32(1)
+		if mask<<1 >= r.Size() {
+			s = scale
 		}
+		addScaled(data, m.Data, s)
 		r.Release(m.Data)
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -71,9 +72,20 @@ func awaitRankStep(t *testing.T, m *Manager, id string, rank, step int) {
 // every rank the runner starts.
 func startGatedControlPlane(t *testing.T, gate func(ctx context.Context, rank, step int)) (*Manager, *httptest.Server) {
 	t.Helper()
+	return startControlPlaneWith(t, gate, nil)
+}
+
+// startControlPlaneWith is startGatedControlPlane whose manager starts
+// ranks through wrap's runner around the LocalRunner, when wrap is set.
+func startControlPlaneWith(t *testing.T, gate func(ctx context.Context, rank, step int), wrap func(*LocalRunner) Runner) (*Manager, *httptest.Server) {
+	t.Helper()
 	runner := &LocalRunner{Heartbeat: 20, stepGate: gate}
+	var r Runner = runner
+	if wrap != nil {
+		r = wrap(runner)
+	}
 	m, err := NewManager(Config{
-		Runner:           runner,
+		Runner:           r,
 		HeartbeatTimeout: 10 * time.Second,
 		PollInterval:     50 * time.Millisecond,
 	})
@@ -149,10 +161,10 @@ func TestSpecDefaults(t *testing.T) {
 	if got := s.TotalSteps(); got != 64 {
 		t.Fatalf("TotalSteps = %d, want 64", got)
 	}
-	if got := (Spec{CheckpointDir: "/tmp/x"}).CheckpointPath(2); got != "/tmp/x/rank-2.d5nx" {
+	if got := (Spec{CheckpointDir: "/tmp/x"}).CheckpointPath("job-3", 2); got != filepath.FromSlash("/tmp/x/job-3/rank-2.d5nx") {
 		t.Fatalf("CheckpointPath = %q", got)
 	}
-	if got := (Spec{}).CheckpointPath(2); got != "" {
+	if got := (Spec{}).CheckpointPath("job-3", 2); got != "" {
 		t.Fatalf("CheckpointPath without dir = %q, want empty", got)
 	}
 }
@@ -275,7 +287,7 @@ func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
 	if w.Phase != WorkerDone {
 		t.Fatalf("rank 1 phase %s, want done", w.Phase)
 	}
-	if _, err := os.Stat(spec.CheckpointPath(1)); err != nil {
+	if _, err := os.Stat(spec.CheckpointPath(job.ID, 1)); err != nil {
 		t.Fatalf("rank 1 checkpoint missing: %v", err)
 	}
 	// The restart resumed rather than started over: the replacement's final
@@ -292,7 +304,6 @@ func TestWorkerKillRestartsFromCheckpoint(t *testing.T) {
 // which under LocalRunner would take the whole process down — and once its
 // restarts are spent the job fails with that error.
 func TestUnbuildableCheckpointFailsRank(t *testing.T) {
-	m, _ := startControlPlane(t)
 	spec := Spec{
 		Scheme: SchemeASGD, Workers: 2,
 		Samples: 64, Batch: 8, Epochs: 1, Hidden: 8, Seed: 7,
@@ -300,9 +311,18 @@ func TestUnbuildableCheckpointFailsRank(t *testing.T) {
 	}
 	model := buildModel(spec)
 	model.Nodes[0].OpType = "NoSuchOp"
-	if err := graph.SaveCheckpoint(&graph.Checkpoint{Model: model, Train: &graph.TrainState{}}, spec.CheckpointPath(1)); err != nil {
-		t.Fatal(err)
-	}
+	// The job's checkpoint directory is created when it is submitted, so
+	// the bad checkpoint goes in as rank 1 starts.
+	m, _ := startControlPlaneWith(t, nil, func(local *LocalRunner) Runner {
+		return plantingRunner{local, func(job *Job, rank int) {
+			if rank != 1 {
+				return
+			}
+			if err := graph.SaveCheckpoint(&graph.Checkpoint{Model: model, Train: &graph.TrainState{}}, job.Spec.CheckpointPath(job.ID, 1)); err != nil {
+				t.Error(err)
+			}
+		}}
+	})
 	job, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -312,6 +332,54 @@ func TestUnbuildableCheckpointFailsRank(t *testing.T) {
 		if !strings.Contains(final.Error, want) {
 			t.Errorf("job error %q does not contain %q", final.Error, want)
 		}
+	}
+}
+
+// plantingRunner calls before ahead of every rank its LocalRunner starts.
+type plantingRunner struct {
+	*LocalRunner
+	before func(job *Job, rank int)
+}
+
+func (p plantingRunner) Start(job *Job, rank int) (Proc, error) {
+	p.before(job, rank)
+	return p.LocalRunner.Start(job, rank)
+}
+
+// TestJobsDoNotShareCheckpoints runs one checkpointing asgd spec over one
+// directory through Simulate and then as a job under two managers, as two
+// launcher processes would run it: each run is a new job and trains its
+// whole budget instead of resuming from the checkpoint an earlier run
+// finished with.
+func TestJobsDoNotShareCheckpoints(t *testing.T) {
+	spec := Spec{
+		Scheme: SchemeASGD, Workers: 2,
+		Samples: 64, Batch: 8, Epochs: 1, Hidden: 8, Seed: 5,
+		CheckpointDir: t.TempDir(), CheckpointEvery: 1,
+	}.WithDefaults()
+	sim, err := Simulate(context.Background(), spec, mpi.Aries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := func(run string, workers []Worker) {
+		for _, w := range workers[1:] { // rank 0 is the server
+			if w.Step != spec.TotalSteps() {
+				t.Errorf("%s rank %d: step %d, want %d", run, w.Rank, w.Step, spec.TotalSteps())
+			}
+		}
+	}
+	steps("Simulate", sim.Workers)
+	for i := range 2 {
+		m, _ := startControlPlane(t)
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var workers []Worker
+		for _, w := range awaitState(t, m, job.ID, StateSucceeded, 30*time.Second).Workers {
+			workers = append(workers, *w)
+		}
+		steps(fmt.Sprintf("manager %d %s", i+1, job.ID), workers)
 	}
 }
 

@@ -89,9 +89,18 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		spec.Trace = trace.Format(span.TraceID(), span.SpanID())
 	}
 	m.mu.Lock()
-	m.nextID++
+	id, err := spec.claimJobID(func() string {
+		m.nextID++
+		return fmt.Sprintf("job-%d", m.nextID)
+	})
+	if err != nil {
+		m.mu.Unlock()
+		span.SetError(err)
+		span.End()
+		return nil, err
+	}
 	j := &Job{
-		ID:      fmt.Sprintf("job-%d", m.nextID),
+		ID:      id,
 		Spec:    spec,
 		State:   StatePending,
 		Created: time.Now(),

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -31,6 +32,7 @@ type SimResult struct {
 // ends with, so a scheme trains here exactly as its TCP job does. The
 // first rank to fail cancels the others, and its error is returned.
 // Quantized specs are refused: the simulator ships full-precision floats.
+// Every call is a new job: its checkpoints go under a fresh "sim-…" id.
 func Simulate(ctx context.Context, spec Spec, cost mpi.CostModel) (*SimResult, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -38,6 +40,10 @@ func Simulate(ctx context.Context, spec Spec, cost mpi.CostModel) (*SimResult, e
 	}
 	if spec.QuantBits != 0 {
 		return nil, fmt.Errorf("jobs: the simulator has no quantizer (quant_bits %d)", spec.QuantBits)
+	}
+	job, err := spec.claimJobID(func() string { return fmt.Sprintf("sim-%016x", rand.Uint64()) })
+	if err != nil {
+		return nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -49,7 +55,7 @@ func Simulate(ctx context.Context, spec Spec, cost mpi.CostModel) (*SimResult, e
 	first := spec.WorldSize() - spec.Workers // worker 0's rank
 	progress := make([]rankProgress, spec.WorldSize())
 	makespan, world, err := mpi.Run(spec.WorldSize(), cost, func(r *mpi.Rank) error {
-		e, err := runRole(ctx, r, spec, &progress[r.ID()], nil)
+		e, err := runRole(ctx, r, spec, job, &progress[r.ID()], nil)
 		if err != nil {
 			failed.Do(func() { firstErr = fmt.Errorf("jobs: rank %d: %w", r.ID(), err); cancel() })
 		}

@@ -12,7 +12,11 @@
 package jobs
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"deep500/internal/dist"
@@ -146,9 +150,9 @@ type Spec struct {
 	// Seed fixes the model init, data generation and shard permutation.
 	Seed uint64 `json:"seed,omitempty"`
 	// CheckpointDir, when set, enables exact-resume checkpointing: each
-	// worker writes rank-<r>.d5nx there and a restarted worker resumes from
-	// it (required for restart recovery; without it a restarted worker
-	// rejoins from step 0).
+	// worker writes <job id>/rank-<r>.d5nx there and a restarted worker of
+	// the same job resumes from it (required for restart recovery; without
+	// it a restarted worker rejoins from step 0).
 	CheckpointDir string `json:"checkpoint_dir,omitempty"`
 	// CheckpointEvery is the checkpoint cadence in steps (default 5).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -270,11 +274,40 @@ func (s Spec) StepsPerEpoch() int { return s.Samples / s.Workers / s.Batch }
 // TotalSteps is the per-worker step budget of the whole job.
 func (s Spec) TotalSteps() int { return s.StepsPerEpoch() * s.Epochs }
 
-// CheckpointPath is worker rank's checkpoint file ("" when checkpointing
-// is off).
-func (s Spec) CheckpointPath(rank int) string {
+// checkpoints reports whether the job's workers checkpoint: only a
+// restartable scheme's do, and only into a CheckpointDir.
+func (s Spec) checkpoints() bool { return s.CheckpointDir != "" && s.Scheme.Restartable() }
+
+// CheckpointPath is the checkpoint file of worker rank in job ("" when
+// checkpointing is off). Each job writes under a directory of its own, so a
+// job never resumes from another job's checkpoints.
+func (s Spec) CheckpointPath(job string, rank int) string {
 	if s.CheckpointDir == "" {
 		return ""
 	}
-	return fmt.Sprintf("%s/rank-%d.d5nx", s.CheckpointDir, rank)
+	return filepath.Join(s.CheckpointDir, job, fmt.Sprintf("rank-%d.d5nx", rank))
+}
+
+// claimJobID returns the first id from next whose checkpoint directory does
+// not exist yet, creating it. It calls next once and creates nothing when
+// the job does not checkpoint. Checking for the directory, not only for a
+// new id, keeps a job from resuming a checkpoint that an earlier process
+// left under the same id.
+func (s Spec) claimJobID(next func() string) (string, error) {
+	if !s.checkpoints() {
+		return next(), nil
+	}
+	if err := os.MkdirAll(s.CheckpointDir, 0o755); err != nil {
+		return "", fmt.Errorf("jobs: checkpoint dir: %w", err)
+	}
+	for {
+		id := next()
+		err := os.Mkdir(filepath.Join(s.CheckpointDir, id), 0o755)
+		if err == nil {
+			return id, nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", fmt.Errorf("jobs: checkpoint dir: %w", err)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -164,7 +165,7 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 	if rankSpan != nil {
 		runCtx = trace.NewContext(ctx, rankSpan)
 	}
-	if _, err := runRole(runCtx, rank, spec, &progress, rc.stepGate); err != nil {
+	if _, err := runRole(runCtx, rank, spec, rc.JobID, &progress, rc.stepGate); err != nil {
 		return err
 	}
 	step, loss := progress.load()
@@ -222,14 +223,14 @@ func buildRule(spec Spec) (training.ThreeStep, error) {
 	return nil, fmt.Errorf("jobs: unknown optimizer %q (sgd, momentum, adam, rmsprop)", spec.Optimizer)
 }
 
-// runRole runs rank's part of the job on either fabric: the parameter
-// server on rank 0 of a centralized scheme, the training loop on every
-// other rank. A worker returns its trained executor.
-func runRole(ctx context.Context, rank dist.Rank, spec Spec, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) (executor.GraphExecutor, error) {
+// runRole runs rank's part of job on either fabric: the parameter server
+// on rank 0 of a centralized scheme, the training loop on every other rank.
+// A worker returns its trained executor.
+func runRole(ctx context.Context, rank dist.Rank, spec Spec, job string, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) (executor.GraphExecutor, error) {
 	if spec.Role(rank.ID()) == "ps" {
 		return nil, runPS(ctx, rank, spec)
 	}
-	return runTrainLoop(ctx, rank, spec, progress, stepGate)
+	return runTrainLoop(ctx, rank, spec, job, progress, stepGate)
 }
 
 // runPS is rank 0 of a centralized scheme: the parameter server owning the
@@ -249,16 +250,14 @@ func runPS(ctx context.Context, rank dist.Rank, spec Spec) error {
 
 // runTrainLoop is a worker rank: shard the data, train for the spec's
 // epochs through the scheme's optimizer, checkpoint on cadence, resume
-// from the checkpoint when one exists.
-func runTrainLoop(ctx context.Context, rank dist.Rank, spec Spec, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) (executor.GraphExecutor, error) {
+// from the checkpoint when job has one.
+func runTrainLoop(ctx context.Context, rank dist.Rank, spec Spec, job string, progress *rankProgress, stepGate func(ctx context.Context, rank, step int)) (executor.GraphExecutor, error) {
 	rankID := rank.ID()
 	model := buildModel(spec)
 	ckptPath := ""
-	if spec.Scheme.Restartable() {
-		ckptPath = spec.CheckpointPath(rankID)
-	}
-	if ckptPath != "" {
-		if err := os.MkdirAll(spec.CheckpointDir, 0o755); err != nil {
+	if spec.checkpoints() {
+		ckptPath = spec.CheckpointPath(job, rankID)
+		if err := os.MkdirAll(filepath.Dir(ckptPath), 0o755); err != nil {
 			return nil, fmt.Errorf("jobs: rank %d checkpoint dir: %w", rankID, err)
 		}
 	}

@@ -157,7 +157,9 @@ func kernelRows() []bitRow {
 	var rows []bitRow
 	for _, k := range kernels.KernelSweeps {
 		rows = append(rows, bitRow{k.Classes, func(t *testing.T, cell cellFunc) {
-			kernels.OnEachMicroKernel(t, func(t *testing.T) { cell(t, t.Name(), k.Sweep(t)...) })
+			kernels.OnEachMicroKernel(t, func(t *testing.T) {
+				k.Sweep(t, func(suffix string, hashes ...uint64) { cell(t, t.Name()+suffix, hashes...) })
+			})
 		}})
 	}
 	return rows

@@ -142,7 +142,8 @@ func packColumns(col []float32, taps, positions int, trans bool) []float32 {
 
 // TestGemmPanelsPrepackedMatchesPacked: handing the loop nest pre-packed
 // A, B or both changes no output bit, on shapes that cross packMC, packKC
-// and packNC in every operand layout.
+// and packNC in every operand layout. A pre-packed B is never read in
+// place, so this also holds the in-place route to the packed one.
 func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
 	rng := tensor.NewRNG(56)
 	onEachMicroKernel(t, func(t *testing.T) {
@@ -155,6 +156,7 @@ func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
 			{133, 300, 37, true, false},
 			{9, 513, 2053, false, true},
 			{130, 259, 2050, true, true},
+			{packMC, 259, 2050, false, false},
 			// A's last panel of 1, 2 and 3 rows, in both layouts.
 			{5, 300, 37, false, false},
 			{6, 300, 37, true, false},

@@ -1,6 +1,9 @@
 package kernels
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // For the external test package: UseAVX2 points at the switch between the
 // assembly kernels and the pure-Go loops, HostHasAVX2 is its value at
@@ -11,26 +14,35 @@ var (
 )
 
 // KernelSweeps are the sweeps behind the bit contract's kernel rows
-// (bit_contract_test.go). Each hashes every output bit of its classes, in
-// order.
+// (bit_contract_test.go). Each reports one or more cells to cell, naming
+// each by a suffix, and every cell hashes every output bit of its classes,
+// in order.
 var KernelSweeps = []struct {
 	Classes []string
-	Sweep   func(t *testing.T) []uint64
+	Sweep   func(t *testing.T, cell func(suffix string, hashes ...uint64))
 }{
-	{[]string{"kernel/gemmPacked"}, func(*testing.T) []uint64 { return []uint64{gemmPackedSweepHash()} }},
-	{[]string{"kernel/conv"}, func(*testing.T) []uint64 { return []uint64{convSweepHash()} }},
-	{[]string{"kernel/convLowering"}, func(*testing.T) []uint64 { return []uint64{convLoweringSweepHash()} }},
-	{[]string{"kernel/maxPool", "kernel/maxPoolBackward"}, func(*testing.T) []uint64 {
+	{[]string{"kernel/gemmPacked"}, func(_ *testing.T, cell func(string, ...uint64)) {
+		// Whole, then the untransposed-A shapes a batch at a time: one row
+		// above the small-M kernel's limit, the training batch, and one
+		// macro block, the largest batch whose B is read in place.
+		cell(" whole", gemmPackedSweepHash(0))
+		for _, rows := range []int{smallMRows + 1, 32, packMC} {
+			cell(fmt.Sprintf(" %d rows at a time", rows), gemmPackedSweepHash(rows))
+		}
+	}},
+	{[]string{"kernel/conv"}, func(_ *testing.T, cell func(string, ...uint64)) { cell("", convSweepHash()) }},
+	{[]string{"kernel/convLowering"}, func(_ *testing.T, cell func(string, ...uint64)) { cell("", convLoweringSweepHash()) }},
+	{[]string{"kernel/maxPool", "kernel/maxPoolBackward"}, func(_ *testing.T, cell func(string, ...uint64)) {
 		fwd, bwd := poolSweepHashes()
-		return []uint64{fwd, bwd}
+		cell("", fwd, bwd)
 	}},
-	{[]string{"kernel/relu", "kernel/reluBackward"}, func(*testing.T) []uint64 {
+	{[]string{"kernel/relu", "kernel/reluBackward"}, func(_ *testing.T, cell func(string, ...uint64)) {
 		fwd, bwd := reluSweepHashes()
-		return []uint64{fwd, bwd}
+		cell("", fwd, bwd)
 	}},
-	{[]string{"kernel/addBias"}, func(*testing.T) []uint64 { return []uint64{addBiasSweepHash()} }},
-	{[]string{"kernel/momentum", "kernel/sgd"}, func(t *testing.T) []uint64 {
+	{[]string{"kernel/addBias"}, func(_ *testing.T, cell func(string, ...uint64)) { cell("", addBiasSweepHash()) }},
+	{[]string{"kernel/momentum", "kernel/sgd"}, func(t *testing.T, cell func(string, ...uint64)) {
 		momentum, sgd := updateSweepHashes(t)
-		return []uint64{momentum, sgd}
+		cell("", momentum, sgd)
 	}},
 }

@@ -25,13 +25,13 @@ func cpuHasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
-// kernel4x16AVX2 adds the packMR×packNR tile Aᵖ·Bᵖ over ka packed depth
-// steps into C at c with row stride ldc. The caller guarantees ka is a
-// positive multiple of packKU and that pa, pb and the four C rows are in
-// bounds.
+// kernel4x16AVX2 adds the packMR×packNR tile Aᵖ·B over kd depth steps into
+// C at c with row stride ldc, reading the 16 B columns of each step ldb
+// floats after the last. The caller guarantees kd ≥ 1 and that pa, the kd
+// B rows and the four C rows are in bounds.
 //
 //go:noescape
-func kernel4x16AVX2(pa, pb *float32, ka int, c *float32, ldc int)
+func kernel4x16AVX2(pa, pb *float32, kd, ldb int, c *float32, ldc int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,21 +1,30 @@
 #include "textflag.h"
 
-// func kernel4x16AVX2(pa, pb *float32, ka int, c *float32, ldc int)
+// func kernel4x16AVX2(pa, pb *float32, kd, ldb int, c *float32, ldc int)
 //
-// C[0:4, 0:16] += Aᵖ·Bᵖ over ka packed depth steps (ka a positive multiple
-// of 4). pa is a 4-row A panel (4 floats per depth step), pb a 16-column B
-// panel (16 floats per step), c points at C[0, 0] and ldc is C's row stride
-// in floats. Y0–Y7 hold the 4×16 tile, two YMM vectors per row, for the
-// whole depth loop. Each step multiplies and then adds — VMULPS, VADDPS,
-// never a fused multiply-add — so every C element sees the same rounded
-// products and sums, in the same order, as the scalar fallback.
-TEXT ·kernel4x16AVX2(SB), NOSPLIT, $0-40
+// C[0:4, 0:16] += Aᵖ·B over kd depth steps (kd ≥ 1). pa is a 4-row packed
+// A panel (4 floats per depth step). pb points at the first of kd rows of
+// 16 B columns, ldb floats apart: a packed B panel (ldb 16) or B where it
+// is stored. c points at C[0, 0] and ldc is C's row stride in floats. Y0–Y7
+// hold the 4×16 tile, two YMM vectors per row, for the whole depth loop:
+// kd/4 unrolled steps of four, then kd mod 4 single steps. Each step
+// multiplies and then adds — VMULPS, VADDPS, never a fused multiply-add —
+// so every C element sees the same rounded products and sums, in the same
+// order, as the scalar fallback.
+TEXT ·kernel4x16AVX2(SB), NOSPLIT, $0-48
 	MOVQ pa+0(FP), SI
 	MOVQ pb+8(FP), DI
-	MOVQ ka+16(FP), CX
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+	MOVQ kd+16(FP), CX
+	MOVQ ldb+24(FP), R9
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
 	SHLQ $2, R8
+	SHLQ $2, R9              // one B row, in bytes
+	LEAQ (R9)(R9*2), R10     // three B rows
+	MOVQ R9, R11
+	SHLQ $2, R11             // four B rows
+	MOVQ CX, BX
+	ANDQ $3, BX              // single steps after the unrolled loop
 	SHRQ $2, CX
 
 	VXORPS Y0, Y0, Y0
@@ -27,9 +36,9 @@ TEXT ·kernel4x16AVX2(SB), NOSPLIT, $0-40
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 
-#define STEP(aoff, boff) \
-	VMOVUPS      boff(DI), Y8         \
-	VMOVUPS      boff+32(DI), Y9      \
+#define STEP(aoff, brow, brow32) \
+	VMOVUPS      brow, Y8             \
+	VMOVUPS      brow32, Y9           \
 	VBROADCASTSS aoff(SI), Y10        \
 	VMULPS       Y8, Y10, Y11         \
 	VMULPS       Y9, Y10, Y12         \
@@ -51,16 +60,31 @@ TEXT ·kernel4x16AVX2(SB), NOSPLIT, $0-40
 	VADDPS       Y14, Y6, Y6          \
 	VADDPS       Y15, Y7, Y7
 
+	TESTQ CX, CX
+	JZ    tail
+
 loop:
-	STEP(0, 0)
-	STEP(16, 64)
-	STEP(32, 128)
-	STEP(48, 192)
+	STEP(0, (DI), 32(DI))
+	STEP(16, (DI)(R9*1), 32(DI)(R9*1))
+	STEP(32, (DI)(R9*2), 32(DI)(R9*2))
+	STEP(48, (DI)(R10*1), 32(DI)(R10*1))
 	ADDQ $64, SI
-	ADDQ $256, DI
+	ADDQ R11, DI
 	DECQ CX
 	JNZ  loop
 
+tail:
+	TESTQ BX, BX
+	JZ    store
+
+single:
+	STEP(0, (DI), 32(DI))
+	ADDQ $16, SI
+	ADDQ R9, DI
+	DECQ BX
+	JNZ  single
+
+store:
 	// C += tile, one row of 16 at a time.
 	VADDPS  (DX), Y0, Y0
 	VMOVUPS Y0, (DX)

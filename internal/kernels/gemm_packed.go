@@ -13,8 +13,17 @@ package kernels
 // nothing extra: packA/packB just swap their index arithmetic, which is why
 // GemmTransA / GemmTransB route here and stop paying for strided access.
 // Edge panels are zero-padded in both the row/column and depth directions,
-// so the micro-kernel never branches on bounds and its unrolled k loop
-// needs no remainder handling.
+// so the micro-kernel never branches on bounds.
+//
+// Packing B pays when many A blocks share the copy. When A fits one macro
+// block (m ≤ packMC) and B is stored k×n, nothing shares it: the assembly
+// tile then reads the full panels where B is stored, 16 adjacent floats
+// per depth step at B's row stride, over the block's exact depth
+// (readsBInPlace). Only a ragged last panel is still packed, so no tile
+// reads past B's end. The bits are the packed route's: a padded depth step
+// adds the product +0·+0 = +0 to an accumulator that started at +0, and a
+// round-to-nearest sum that starts at +0 is never −0, so the step changes
+// nothing.
 //
 // The micro-tile is 4×16 with the k loop unrolled ×4. On amd64 hosts with
 // AVX2 it is the assembly kernel in gemm_amd64.s: eight YMM accumulators,
@@ -195,28 +204,30 @@ func packBPanels(b []float32, ldb, p0, j0, kc, nc int, trans bool, dst []float32
 	}
 }
 
-// microKernel adds the packMR×packNR tile Aᵖ·Bᵖ, summed over ka padded
-// depth steps (ka is a multiple of packKU), into C. pa and pb are the packed
-// panels; dst points at C[i, j] with row stride ldc; mr×nr is the live
-// (unpadded) extent of the tile. With AVX2 the assembly kernel does the
-// arithmetic: a full tile adds straight into C, an edge tile into a zeroed
-// stack tile whose live extent is then added to C. Either way every C
-// element gets 0 + Σ rounded products in depth order, then C + sum, the same
-// bits as the pure-Go tile.
-func microKernel(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int) {
+// microKernel adds the packMR×packNR tile Aᵖ·B, summed over kd depth
+// steps, into C. pa is a packed A panel. pb holds the tile's 16 B columns
+// for each depth step, ldb floats apart: a packed panel (ldb = packNR, kd
+// the padded depth) or, on the AVX2 path only, B where it is stored (its
+// row stride, kd the exact depth). dst points at C[i, j] with row stride
+// ldc; mr×nr is the live (unpadded) extent of the tile. With AVX2 the
+// assembly kernel does the arithmetic: a full tile adds straight into C, an
+// edge tile into a zeroed stack tile whose live extent is then added to C.
+// Either way every C element gets 0 + Σ rounded products in depth order,
+// then C + sum, the same bits as the pure-Go tile.
+func microKernel(pa, pb []float32, kd, ldb int, dst []float32, ldc, mr, nr int) {
 	if !useAVX2 {
-		microKernelGo(pa, pb, ka, dst, ldc, mr, nr)
+		microKernelGo(pa, pb, kd, dst, ldc, mr, nr)
 		return
 	}
-	pa = pa[:packMR*ka]
-	pb = pb[:packNR*ka]
+	pa = pa[:packMR*kd]
+	pb = pb[:(kd-1)*ldb+packNR]
 	if mr == packMR && nr == packNR {
 		_ = dst[(packMR-1)*ldc+packNR-1]
-		kernel4x16AVX2(&pa[0], &pb[0], ka, &dst[0], ldc)
+		kernel4x16AVX2(&pa[0], &pb[0], kd, ldb, &dst[0], ldc)
 		return
 	}
 	var tile [packMR * packNR]float32
-	kernel4x16AVX2(&pa[0], &pb[0], ka, &tile[0], packNR)
+	kernel4x16AVX2(&pa[0], &pb[0], kd, ldb, &tile[0], packNR)
 	for r := 0; r < mr; r++ {
 		row := dst[r*ldc : r*ldc+nr]
 		for j, v := range tile[r*packNR : r*packNR+nr] {
@@ -346,15 +357,51 @@ func gemmPacked(a, b, c []float32, m, k, n int, transA, transB bool) {
 	gemmPanels(a, b, nil, nil, c, m, k, n, transA, transB)
 }
 
+// readsBInPlace is the packed kernel's rule for B: a B stored k×n that the
+// caller has not pre-packed is read where it is stored when one macro block
+// of A covers every row (m ≤ packMC), because each packed panel would then
+// be read by at most packMC/packMR A panels, once each. A transposed B, a
+// pre-packed one, and any B that several A blocks share are packed. So is
+// every B on the pure-Go path: its 2×4 tile sweeps a panel eight times per
+// A panel, and at B's own row stride it ran 1.2–1.8× slower than with the
+// pack (docs/kernels.md).
+func readsBInPlace(m int, transB, prePacked bool) bool {
+	return useAVX2 && !transB && !prePacked && m <= packMC
+}
+
+// bBlock is one KC×NC block of B as the micro-kernel reads it. The first
+// full panels (none unless B is read in place) are B itself from the
+// block's first element, ldb floats a row, over the block's exact depth;
+// the rest are NR-column panels of padded depth in packed, as packBPanels
+// lays them out.
+type bBlock struct {
+	b      []float32
+	ldb    int
+	full   int
+	packed []float32
+}
+
+// panel returns panel jp of a block of depth kcb: its first row, its
+// depth in steps and its row stride.
+func (bb bBlock) panel(jp, kcb int) (pb []float32, kd, ldb int) {
+	if jp < bb.full {
+		return bb.b[jp*packNR:], kcb, bb.ldb
+	}
+	ka := kcAligned(kcb)
+	jp -= bb.full
+	return bb.packed[jp*packNR*ka : (jp+1)*packNR*ka], ka, packNR
+}
+
 // gemmPanels is the five-loop nest behind gemmPacked. Either operand may
 // come pre-packed: ap is a whole-operand pack of A (packAWhole's layout) and
 // bp one of B (depth blocks of packKC in order, block pc starting at n₁₆·pc
 // and holding the NR-column panels of every column, as packBPanels lays them
-// out); a nil pack means the nest packs that operand itself from a or b.
-// The panels are the same bytes either way, so the result does not depend
-// on who packed. Macro row blocks of A are distributed over the shared
-// worker pool; each worker packs its own A block while the packed B block is
-// shared read-only.
+// out); a nil pack means the nest packs that operand itself from a or b,
+// unless readsBInPlace has it read B where it is stored. Every route gives
+// the micro-kernel the same products in the same order, so the result does
+// not depend on who packed. Macro row blocks of A are distributed over the
+// shared worker pool; each worker packs its own A block while the B block
+// is shared read-only.
 func gemmPanels(a, b, ap, bp, c []float32, m, k, n int, transA, transB bool) {
 	clear(c[:m*n])
 	if m == 0 || n == 0 || k == 0 {
@@ -376,19 +423,32 @@ func gemmPanels(a, b, ap, bp, c []float32, m, k, n int, transA, transB bool) {
 	m4 := (m + packMR - 1) / packMR * packMR
 	n16 := (n + packNR - 1) / packNR * packNR
 	aBufLen := (min(packMC, m) + packMR - 1) / packMR * packMR * kcAligned(kc)
+	inPlace := readsBInPlace(m, transB, bp != nil)
 	var pb []float32
 	if bp == nil {
-		pb = scratch.GetBuf((nc + packNR - 1) / packNR * packNR * kcAligned(kc))
+		bBufLen := nc * kcAligned(kc)
+		if inPlace { // only a ragged last panel
+			bBufLen = packNR * kcAligned(kc)
+		}
+		pb = scratch.GetBuf(bBufLen)
 	}
 	for jc := 0; jc < n; jc += nc {
 		ncb := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kcb := min(kc, k-pc)
-			blockB := pb
-			if bp != nil {
-				blockB = bp[n16*pc+jc*kcAligned(kcb):]
-			} else {
+			var blockB bBlock
+			switch {
+			case bp != nil:
+				blockB.packed = bp[n16*pc+jc*kcAligned(kcb):]
+			case inPlace:
+				full := ncb / packNR
+				blockB = bBlock{b: b[pc*ldb+jc:], ldb: ldb, full: full, packed: pb}
+				if full*packNR < ncb {
+					packBPanels(b, ldb, pc, jc+full*packNR, kcb, ncb-full*packNR, false, pb)
+				}
+			default:
 				packBPanels(b, ldb, pc, jc, kcb, ncb, transB, pb)
+				blockB.packed = pb
 			}
 			var blockA []float32
 			if ap != nil {
@@ -418,14 +478,14 @@ func gemmPanels(a, b, ap, bp, c []float32, m, k, n int, transA, transB bool) {
 // buffer unless A came pre-packed. It lives apart from gemmPanels so the
 // dispatch closure's captures don't force the serial path's loop variables
 // onto the heap — single-worker pools run the whole GEMM allocation-free.
-func packedParallelBlocks(a, ap, c, pb []float32, lda, pc, jc, m, kcb, ncb, nPanels, ldc int, transA bool, aBufLen, mBlocks int) {
+func packedParallelBlocks(a, ap, c []float32, bb bBlock, lda, pc, jc, m, kcb, ncb, nPanels, ldc int, transA bool, aBufLen, mBlocks int) {
 	pas := make([][]float32, Default.Span(mBlocks))
 	Default.ParallelWorker(mBlocks, func(w, bi int) {
 		if pas[w] == nil && ap == nil {
 			pas[w] = scratch.GetBuf(aBufLen)
 		}
 		ic := bi * packMC
-		packedMacroBlock(a, ap, c, pb, lda, ic, pc, jc, min(packMC, m-ic), kcb, ncb, nPanels, ldc, transA, pas[w])
+		packedMacroBlock(a, ap, c, bb, lda, ic, pc, jc, min(packMC, m-ic), kcb, ncb, nPanels, ldc, transA, pas[w])
 	})
 	for _, buf := range pas {
 		if buf != nil {
@@ -434,11 +494,11 @@ func packedParallelBlocks(a, ap, c, pb []float32, lda, pc, jc, m, kcb, ncb, nPan
 	}
 }
 
-// packedMacroBlock sweeps one MC×KC block of A against every packed B
-// panel, issuing one micro-kernel call per MR×NR tile. The A block is read
+// packedMacroBlock sweeps one MC×KC block of A against every panel of the
+// B block, issuing one micro-kernel call per MR×NR tile. The A block is read
 // from ap, the depth block's part of a whole-operand pack, or, when ap is
 // nil, packed from a into pa first.
-func packedMacroBlock(a, ap, c, pb []float32, lda, ic, pc, jc, mcb, kcb, ncb, nPanels, ldc int, transA bool, pa []float32) {
+func packedMacroBlock(a, ap, c []float32, bb bBlock, lda, ic, pc, jc, mcb, kcb, ncb, nPanels, ldc int, transA bool, pa []float32) {
 	ka := kcAligned(kcb)
 	if ap != nil {
 		pa = ap[ic*ka:]
@@ -448,13 +508,12 @@ func packedMacroBlock(a, ap, c, pb []float32, lda, ic, pc, jc, mcb, kcb, ncb, nP
 	mPanels := (mcb + packMR - 1) / packMR
 	for jp := 0; jp < nPanels; jp++ {
 		nr := min(packNR, ncb-jp*packNR)
-		bPanel := pb[jp*packNR*ka : (jp+1)*packNR*ka]
+		bPanel, kd, ldb := bb.panel(jp, kcb)
 		for ip := 0; ip < mPanels; ip++ {
 			mr := min(packMR, mcb-ip*packMR)
 			microKernel(
 				pa[ip*packMR*ka:(ip+1)*packMR*ka],
-				bPanel,
-				ka,
+				bPanel, kd, ldb,
 				c[(ic+ip*packMR)*ldc+jc+jp*packNR:],
 				ldc, mr, nr,
 			)

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"deep500/internal/tensor"
@@ -11,8 +12,10 @@ import (
 // workloads' GEMMs (the MLP's three dense layers forward, their transB input
 // gradients and transA weight gradients, and LeNet conv2's per-image
 // product), ragged shapes that cross packMC, packKC and packNC in every
-// operand layout, and an A that is one-third exact zeros.
-func gemmPackedSweepHash() uint64 {
+// operand layout, and an A that is one-third exact zeros. With rows > 0 an
+// untransposed A is multiplied rows rows at a time, which moves the shapes
+// between the routes of the shape rules and must not move a bit.
+func gemmPackedSweepHash(rows int) uint64 {
 	shapes := []struct {
 		m, k, n        int
 		transA, transB bool
@@ -38,7 +41,11 @@ func gemmPackedSweepHash() uint64 {
 		a := randSlice(rng, s.m*s.k)
 		b := randSlice(rng, s.k*s.n)
 		c := make([]float32, s.m*s.n)
-		gemmPacked(a, b, c, s.m, s.k, s.n, s.transA, s.transB)
+		if s.transA {
+			gemmPacked(a, b, c, s.m, s.k, s.n, true, s.transB)
+		} else {
+			gemmRowsAtATime(a, b, c, s.m, s.k, s.n, s.transB, rows)
+		}
 		h.Floats(c)
 	}
 	// One third of A exactly zero, as behind a ReLU or in padded im2col rows.
@@ -49,9 +56,20 @@ func gemmPackedSweepHash() uint64 {
 	}
 	b := randSlice(rng, k*n)
 	c := make([]float32, m*n)
-	gemmPacked(a, b, c, m, k, n, false, false)
+	gemmRowsAtATime(a, b, c, m, k, n, false, rows)
 	h.Floats(c)
 	return h.Sum64()
+}
+
+// gemmRowsAtATime is gemmPacked for an untransposed A, called on at most
+// rows rows of A at a time (on all of them when rows is 0).
+func gemmRowsAtATime(a, b, c []float32, m, k, n int, transB bool, rows int) {
+	if rows == 0 {
+		rows = m
+	}
+	for i := 0; i < m; i += rows {
+		gemmPacked(a[i*k:], b, c[i*n:], min(rows, m-i), k, n, false, transB)
+	}
 }
 
 // raggedDims are deliberately awkward sizes around the micro-tile and
@@ -218,10 +236,13 @@ func TestGemmPackedScratchReuse(t *testing.T) {
 
 // TestMicroKernelFallbackBitwise holds the assembly micro-kernel and the
 // pure-Go tile to the same bits on every live extent (mr 1–4, nr 1–16) and
-// every depth from 1 to just past packKC, adding into a C that already holds
-// values and checking that nothing outside the tile is written. It clears
-// useAVX2 to reach the pure-Go path, so it skips where there is no assembly
-// kernel to compare.
+// every depth from 1 to just past packKC, on a packed B panel over the
+// padded depth, and holds the assembly kernel reading the same values in
+// place from a wider row, over the exact depth, to those bits too (the
+// other columns of the row are NaN and must not be read). It adds into a C
+// that already holds values and checks that nothing outside the tile is
+// written. It clears useAVX2 to reach the pure-Go path, so it skips where
+// there is no assembly kernel to compare.
 func TestMicroKernelFallbackBitwise(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 micro-kernel on this host: the pure-Go tile is the only path")
@@ -229,10 +250,12 @@ func TestMicroKernelFallbackBitwise(t *testing.T) {
 	defer func() { useAVX2 = true }()
 	rng := tensor.NewRNG(28)
 	const ldc = packNR + 3
+	const ldb = packNR + 5
 	for depth := 1; depth <= packKC+5; depth++ {
 		ka := kcAligned(depth)
 		pa := make([]float32, packMR*ka)
 		pb := make([]float32, packNR*ka)
+		inPlace := make([]float32, depth*ldb)
 		for p := 0; p < depth; p++ {
 			for r := 0; r < packMR; r++ {
 				if v := float32(rng.Norm()); (p+r)%3 != 0 {
@@ -241,18 +264,29 @@ func TestMicroKernelFallbackBitwise(t *testing.T) {
 			}
 			for j := 0; j < packNR; j++ {
 				pb[p*packNR+j] = float32(rng.Norm())
+				inPlace[p*ldb+j] = pb[p*packNR+j]
+			}
+			for j := packNR; j < ldb; j++ {
+				inPlace[p*ldb+j] = float32(math.NaN())
 			}
 		}
 		c0 := randSlice(rng, packMR*ldc)
 		for mr := 1; mr <= packMR; mr++ {
 			for nr := 1; nr <= packNR; nr++ {
-				asm := append([]float32(nil), c0...)
-				useAVX2 = true
-				microKernel(pa, pb, ka, asm, ldc, mr, nr)
-				fallback := append([]float32(nil), c0...)
-				useAVX2 = false
-				microKernel(pa, pb, ka, fallback, ldc, mr, nr)
-				requireSameBits(t, fmt.Sprintf("depth %d, %d×%d tile", depth, mr, nr), asm, fallback)
+				var want []float32
+				for _, tc := range []struct {
+					b       []float32
+					kd, ldb int
+					asm     bool
+				}{{pb, ka, packNR, true}, {pb, ka, packNR, false}, {inPlace, depth, ldb, true}} {
+					got := append([]float32(nil), c0...)
+					useAVX2 = tc.asm
+					microKernel(pa, tc.b, tc.kd, tc.ldb, got, ldc, mr, nr)
+					if want == nil {
+						want = got
+					}
+					requireSameBits(t, fmt.Sprintf("depth %d, %d×%d tile, ldb %d, avx2=%v", depth, mr, nr, tc.ldb, tc.asm), got, want)
+				}
 			}
 		}
 	}
@@ -260,7 +294,8 @@ func TestMicroKernelFallbackBitwise(t *testing.T) {
 
 // TestGemmPackedSerialAllocsNothing: once the scratch pool is warm a serial
 // packed GEMM allocates nothing, on full tiles and on edge tiles whose
-// stack tile is handed to the assembly kernel (it must not escape).
+// stack tile is handed to the assembly kernel (it must not escape), with B
+// packed or read in place.
 func TestGemmPackedSerialAllocsNothing(t *testing.T) {
 	old := Default
 	Default = NewPool(1)
@@ -273,6 +308,7 @@ func TestGemmPackedSerialAllocsNothing(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			gemmPacked(a, b, c, s.m, s.k, s.n, false, true)
 			gemmPacked(a, b, c, s.m, s.k, s.n, true, false)
+			gemmPacked(a, b, c, s.m, s.k, s.n, false, false)
 		})
 		if allocs != 0 {
 			t.Fatalf("%dx%dx%d: %v allocations per serial packed GEMM, want 0", s.m, s.k, s.n, allocs)

@@ -63,8 +63,12 @@ func TestGemmSmallMBitwiseEqualsPacked(t *testing.T) {
 	}
 }
 
-// TestGemmRule pins the rule itself: small m with A as stored reads B in
-// place, one row more packs, and a transposed A always packs.
+// TestGemmRule pins the rules themselves. gemmInPlace: small m with A as
+// stored goes to the small-M kernel, one row more packs, and a transposed A
+// always packs. readsBInPlace: behind it, the packed kernel's assembly tile
+// reads a B stored k×n in place up to one macro block of rows, and packs one
+// row more, a transposed B and a pre-packed one; the pure-Go tile packs
+// every B.
 func TestGemmRule(t *testing.T) {
 	for _, tc := range []struct {
 		m              int
@@ -85,18 +89,39 @@ func TestGemmRule(t *testing.T) {
 			t.Errorf("gemmInPlace(m=%d, transA=%v, transB=%v) = %v, want %v", tc.m, tc.transA, tc.transB, got, tc.inPlace)
 		}
 	}
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	for _, tc := range []struct {
+		m                       int
+		transB, prePacked, avx2 bool
+		inPlace                 bool
+	}{
+		{smallMRows + 1, false, false, true, true},
+		{32, false, false, true, true},
+		{packMC, false, false, true, true},
+		{packMC + 1, false, false, true, false},
+		{packMC, true, false, true, false},
+		{packMC, false, true, true, false},
+		{32, false, false, false, false},
+	} {
+		useAVX2 = tc.avx2
+		if got := readsBInPlace(tc.m, tc.transB, tc.prePacked); got != tc.inPlace {
+			t.Errorf("readsBInPlace(m=%d, transB=%v, prePacked=%v) with avx2=%v = %v, want %v",
+				tc.m, tc.transB, tc.prePacked, tc.avx2, got, tc.inPlace)
+		}
+	}
 }
 
 // TestGemmRowIndependentOfBatch: a row multiplied alone (small-M), with 7
-// others (small-M) and with 15 others (packed) gives the same bits through
-// the public entry points, for both B layouts.
+// others (small-M), and with 15 and 31 others (packed A, B read in place or
+// packed by layout) gives the same bits through the public entry points,
+// for both B layouts.
 func TestGemmRowIndependentOfBatch(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	const k, n = 400, 120
-	a := halfZeros(rng, 16*k)
+	a := halfZeros(rng, 32*k)
 	b := randSlice(rng, k*n)
 	bt := transpose(b, k, n)
-	for _, m := range []int{1, 8, 16} {
+	for _, m := range []int{1, 8, 16, 32} {
 		c := make([]float32, m*n)
 		Gemm(a, b, c, m, k, n)
 		ct := make([]float32, m*n)
