@@ -590,19 +590,3 @@ func BenchmarkRNNCell(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationQuantize measures the compression tradeoff: quantize +
-// dequantize cost per gradient vector (the compute the wire savings buy).
-func BenchmarkAblationQuantize(b *testing.B) {
-	rng := tensor.NewRNG(13)
-	g := tensor.RandNormal(rng, 0, 1, 100_000)
-	for _, bits := range []uint{2, 4, 8} {
-		b.Run(fmt.Sprintf("bits%d", bits), func(b *testing.B) {
-			dst := make([]float32, g.Size())
-			for i := 0; i < b.N; i++ {
-				codes, scale := dist.Quantize(g.Data(), bits)
-				dist.Dequantize(codes, scale, bits, dst)
-			}
-		})
-	}
-}

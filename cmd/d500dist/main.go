@@ -51,7 +51,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "seed")
 	hidden := flag.Int("hidden", 32, "MLP hidden width")
 	optimizer := flag.String("optimizer", "sgd", "sgd, momentum, adam, rmsprop")
-	quant := flag.Uint("quant", 0, "launch: gradient quantization bits (0 = full precision; the simulator has no quantizer)")
 	ckptDir := flag.String("checkpoint-dir", "", "exact-resume checkpoint directory (enables restart recovery)")
 	ckptEvery := flag.Int("checkpoint-every", 5, "checkpoint cadence in steps")
 	maxRestarts := flag.Int("max-restarts", 2, "launch: per-worker restart budget")
@@ -76,7 +75,6 @@ func main() {
 		Seed:            *seed,
 		Hidden:          *hidden,
 		Optimizer:       *optimizer,
-		QuantBits:       *quant,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
 		MaxRestarts:     *maxRestarts,

@@ -63,7 +63,6 @@ func printDist() {
 	fmt.Printf("  %-22s %d attempts, backoff %v doubling to 1s\n", "dial retries", o.DialRetries, o.DialBackoff)
 	fmt.Printf("  %-22s %v (per-frame write / handshake read)\n", "io timeout", o.IOTimeout)
 	fmt.Printf("  %-22s %v (blocking receive bound)\n", "recv timeout", o.RecvTimeout)
-	fmt.Printf("  %-22s full precision (flag -quant 1..8 enables quantized frames)\n", "quantize bits")
 
 	s := jobs.Spec{}.WithDefaults()
 	fmt.Println("\nJob-spec defaults (d500dist -role sim|launch / POST /v1/jobs):")

@@ -147,13 +147,13 @@ func RenderTableI() *Table {
 // RenderTableII renders the benchmark capability matrix.
 func RenderTableII() *Table {
 	t := &Table{Title: "Table II: DL benchmarks and functionalities (reproduced survey)",
-		Headers: append([]string{"Benchmark"}, TableIIColumns...)}
+		Headers: append(append([]string{"Benchmark"}, TableIIColumns...), "Remarks")}
 	for _, b := range TableII {
 		row := []string{b.Name}
 		for _, c := range TableIIColumns {
 			row = append(row, b.Caps[c].String())
 		}
-		t.AddRow(row...)
+		t.AddRow(append(row, b.Remarks)...)
 	}
 	return t
 }

@@ -52,6 +52,11 @@ func TestCapabilityTables(t *testing.T) {
 	if len(t2.Rows) != len(TableII) {
 		t.Fatal("table II rows")
 	}
+	for i, b := range TableII {
+		if row := t2.Rows[i]; row[len(row)-1] != b.Remarks || len(row) != len(t2.Headers) {
+			t.Fatalf("table II row %d ends %q, want its remarks %q", i, row[len(row)-1], b.Remarks)
+		}
+	}
 	f2 := RenderFig2()
 	if len(f2.Rows) != len(Fig2Survey) {
 		t.Fatal("fig 2 rows")

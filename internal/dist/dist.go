@@ -7,8 +7,7 @@
 // sparsified decentralized scheme with error feedback, or a centralized
 // parameter server in synchronous, asynchronous and stale-synchronous
 // modes — the paper's Listing 8/9 schemes, runnable on the simulated
-// cluster. Gradient quantization utilities support the compression
-// tradeoff ablation.
+// cluster.
 package dist
 
 import (

@@ -39,36 +39,6 @@ func TestPackScatterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuantizeRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	g := tensor.RandNormal(rng, 0, 1, 4096).Data()
-	var prevErr float64 = math.Inf(1)
-	for _, bits := range []uint{2, 4, 8} {
-		codes, scale := Quantize(g, bits)
-		if wantLen := (len(g) + int(8/bits) - 1) / int(8/bits); len(codes) != wantLen {
-			t.Fatalf("bits=%d: %d codes, want %d", bits, len(codes), wantLen)
-		}
-		dst := make([]float32, len(g))
-		Dequantize(codes, scale, bits, dst)
-		var worst float64
-		for i := range g {
-			d := math.Abs(float64(g[i] - dst[i]))
-			if d > worst {
-				worst = d
-			}
-		}
-		// error bounded by half a quantization step
-		step := float64(scale) * 2 / float64(uint(1)<<bits-1)
-		if worst > step/2+1e-6 {
-			t.Fatalf("bits=%d: max error %g exceeds half step %g", bits, worst, step/2)
-		}
-		if worst >= prevErr {
-			t.Fatalf("bits=%d: error %g did not shrink from %g", bits, worst, prevErr)
-		}
-		prevErr = worst
-	}
-}
-
 func TestDistributedSamplerPartitions(t *testing.T) {
 	ds := training.SyntheticClassification(96, 4, []int{1, 4, 4}, 0.2, 5)
 	world := 3

@@ -12,9 +12,12 @@
 //   - split/concat semantics (tfgo materializes copies, torchgo uses
 //     views — the Fig. 7 asymmetry),
 //   - a device memory model (capacity + allocator overhead — the
-//     AlexNet OOM of §V-C),
-//   - a message-passing cost profile ("Python" reference bindings with
-//     NumPy conversions vs "C++" operators — Fig. 12's ≈10× gap).
+//     AlexNet OOM of §V-C).
+//
+// Fig. 12's ≈10× gap between "Python" reference bindings and "C++"
+// operators comes from the message-passing cost models of the level-3
+// experiments (cppProfile and pythonProfile in internal/core), not from a
+// backend profile.
 //
 // Backends are built from D5NX models through the graph Visitor, exactly
 // as the paper converts ONNX models into framework networks (Fig. 4).
@@ -26,7 +29,6 @@ import (
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
-	"deep500/internal/mpi"
 	"deep500/internal/ops"
 )
 
@@ -52,8 +54,6 @@ type Profile struct {
 	FusedOptimizers bool
 	// DefaultConvAlgo is used when a Conv node has no explicit algorithm.
 	DefaultConvAlgo kernels.ConvAlgo
-	// Comm is the distributed-binding cost profile for this backend.
-	Comm mpi.CostModel
 	// Eager reports define-by-run execution (vs deferred graphs); recorded
 	// for the capability table.
 	Eager bool
@@ -79,8 +79,6 @@ var (
 		AllocOverhead:     1.10,
 		SplitConcatCopies: true,
 		DefaultConvAlgo:   kernels.ConvIm2Col,
-		Comm: mpi.CostModel{Latency: 1500, Bandwidth: 10e9,
-			PerMessageCPU: 250 * time.Microsecond, HostDeviceBandwidth: 4e9},
 	}
 	// TorchGo emulates PyTorch: eager execution, lowest framework
 	// dispatch overhead, view-based splits, hungrier allocator (caching
@@ -93,8 +91,6 @@ var (
 		ViewSplit:       true,
 		DefaultConvAlgo: kernels.ConvIm2Col,
 		Eager:           true,
-		Comm: mpi.CostModel{Latency: 1500, Bandwidth: 10e9,
-			PerMessageCPU: 200 * time.Microsecond, HostDeviceBandwidth: 4e9},
 	}
 	// CF2Go emulates Caffe2: deferred graphs, moderate overhead, fused
 	// optimizer kernels.
@@ -105,8 +101,6 @@ var (
 		AllocOverhead:   1.05,
 		FusedOptimizers: true,
 		DefaultConvAlgo: kernels.ConvIm2Col,
-		Comm: mpi.CostModel{Latency: 1500, Bandwidth: 10e9,
-			PerMessageCPU: 220 * time.Microsecond, HostDeviceBandwidth: 4e9},
 	}
 )
 

@@ -74,6 +74,16 @@ func TestValidateArity(t *testing.T) {
 	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "inputs") {
 		t.Fatalf("err = %v", err)
 	}
+
+	// A second output of a one-output op would never be written, and a
+	// model declaring it would silently return without it.
+	m = NewModel("bad-outputs")
+	m.AddInput("x", 2, 2)
+	m.AddNode(NewNode("Relu", "r", []string{"x"}, []string{"y", "y2"}))
+	m.AddOutput("y2")
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), `node "r" (Relu) has 2 outputs`) {
+		t.Fatalf("err = %v", err)
+	}
 }
 
 func TestTopoSortOrder(t *testing.T) {

@@ -245,6 +245,10 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("graph %q: node %q (%s) has %d inputs, schema allows [%d,%d]",
 				m.Name, n.Name, n.OpType, len(n.Inputs), schema.MinInputs, schema.MaxInputs)
 		}
+		if schema.NumOutputs >= 0 && len(n.Outputs) != schema.NumOutputs {
+			return fmt.Errorf("graph %q: node %q (%s) has %d outputs, schema requires %d",
+				m.Name, n.Name, n.OpType, len(n.Outputs), schema.NumOutputs)
+		}
 		for _, in := range n.Inputs {
 			if in == "" {
 				continue // optional input placeholder

@@ -16,7 +16,7 @@ type OpSchema struct {
 	Name       string
 	MinInputs  int
 	MaxInputs  int // -1 means unbounded (variadic)
-	NumOutputs int
+	NumOutputs int // -1 means any count (Split)
 	// Domain is "" for standard ops and "deep500" for paper extensions.
 	Domain string
 	// InferShapes computes output shapes from input shapes. May be nil for

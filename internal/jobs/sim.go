@@ -31,15 +31,11 @@ type SimResult struct {
 // over the virtual α-β network of cost, each running the role RunRank
 // ends with, so a scheme trains here exactly as its TCP job does. The
 // first rank to fail cancels the others, and its error is returned.
-// Quantized specs are refused: the simulator ships full-precision floats.
 // Every call is a new job: its checkpoints go under a fresh "sim-…" id.
 func Simulate(ctx context.Context, spec Spec, cost mpi.CostModel) (*SimResult, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.QuantBits != 0 {
-		return nil, fmt.Errorf("jobs: the simulator has no quantizer (quant_bits %d)", spec.QuantBits)
 	}
 	job, err := spec.claimJobID(func() string { return fmt.Sprintf("sim-%016x", rand.Uint64()) })
 	if err != nil {

@@ -156,8 +156,6 @@ type Spec struct {
 	CheckpointDir string `json:"checkpoint_dir,omitempty"`
 	// CheckpointEvery is the checkpoint cadence in steps (default 5).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// QuantBits, when 1..8, ships gradients quantized at that width.
-	QuantBits uint `json:"quant_bits,omitempty"`
 	// MaxRestarts bounds per-worker restarts (default 2).
 	MaxRestarts int `json:"max_restarts,omitempty"`
 	// Trace is the job's trace context in d500-trace header form
@@ -224,9 +222,6 @@ func (s Spec) Validate() error {
 	}
 	if _, err := buildRule(s); err != nil {
 		return err
-	}
-	if s.QuantBits > 8 {
-		return fmt.Errorf("jobs: quant_bits %d out of range [0, 8]", s.QuantBits)
 	}
 	if s.StepsPerEpoch() < 1 {
 		return fmt.Errorf("jobs: %d samples across %d workers at batch %d yields zero steps per epoch",

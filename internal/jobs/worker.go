@@ -112,7 +112,6 @@ func RunRank(ctx context.Context, rc RankConfig) (err error) {
 		Listener:       ln,
 		Peers:          peers,
 		DialRanks:      dialRanks,
-		QuantizeBits:   spec.QuantBits,
 		BestEffortSend: spec.Role(rc.Rank) == "ps",
 	})
 	if err != nil {

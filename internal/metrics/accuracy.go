@@ -1,16 +1,11 @@
 package metrics
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // SeriesPoint is one observation of a training-curve metric.
 type SeriesPoint struct {
-	Step    int
-	Epoch   int
-	Elapsed time.Duration
-	Value   float64
+	Step  int
+	Value float64
 }
 
 // Series collects a training curve — the TrainingAccuracy ("every k-th
@@ -19,7 +14,6 @@ type Series struct {
 	Every  int // record every k-th observation (1 = all)
 	points []SeriesPoint
 	calls  int
-	start  time.Time
 }
 
 // NewSeries returns a series metric recording every k-th observation.
@@ -27,18 +21,16 @@ func NewSeries(every int) *Series {
 	if every < 1 {
 		every = 1
 	}
-	return &Series{Every: every, start: time.Now()}
+	return &Series{Every: every}
 }
 
-// Observe records value at (step, epoch) if it falls on the k-th cadence.
-func (s *Series) Observe(step, epoch int, value float64) {
+// Observe records value at step if it falls on the k-th cadence.
+func (s *Series) Observe(step int, value float64) {
 	s.calls++
 	if (s.calls-1)%s.Every != 0 {
 		return
 	}
-	s.points = append(s.points, SeriesPoint{
-		Step: step, Epoch: epoch, Elapsed: time.Since(s.start), Value: value,
-	})
+	s.points = append(s.points, SeriesPoint{Step: step, Value: value})
 }
 
 // Points returns the recorded curve.

@@ -34,7 +34,6 @@ type Summary struct {
 	P25, P75          float64
 	P95               float64
 	MAD               float64 // median absolute deviation from the median
-	StdDev            float64
 }
 
 func (s Summary) String() string {
@@ -81,10 +80,6 @@ func Summarize(samples []float64) Summary {
 		mean += v
 	}
 	mean /= float64(n)
-	var sq float64
-	for _, v := range sorted {
-		sq += (v - mean) * (v - mean)
-	}
 	lo, hi := medianCIIndices(n)
 	median := sorted[n/2]
 	if n%2 == 0 {
@@ -93,7 +88,6 @@ func Summarize(samples []float64) Summary {
 	return Summary{
 		N:        n,
 		Mean:     mean,
-		StdDev:   math.Sqrt(sq / float64(n)),
 		Median:   median,
 		Min:      sorted[0],
 		Max:      sorted[n-1],

@@ -163,7 +163,7 @@ func TestWallclockTime(t *testing.T) {
 func TestSeriesCadence(t *testing.T) {
 	s := NewSeries(3)
 	for i := 0; i < 9; i++ {
-		s.Observe(i, 0, float64(i))
+		s.Observe(i, float64(i))
 	}
 	pts := s.Points()
 	if len(pts) != 3 || pts[0].Step != 0 || pts[1].Step != 3 || pts[2].Step != 6 {

@@ -92,69 +92,11 @@ type message struct {
 	arrival float64 // virtual arrival time at the receiver (seconds)
 }
 
-// fifo is one source's queue of undelivered messages. head indexes the next
-// message; the backing array is rewound whenever the queue drains.
-type fifo struct {
-	q    []message
-	head int
-}
-
-func (f *fifo) pop() (message, bool) {
-	if f.head == len(f.q) {
-		return message{}, false
-	}
-	m := f.q[f.head]
-	f.q[f.head] = message{}
-	if f.head++; f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return m, true
-}
-
-// inbox holds one rank's undelivered messages, one FIFO per source. wake
-// (capacity 1) is signalled on every delivery; only the owning rank
-// receives, so one pending token is enough for it never to miss a message.
-type inbox struct {
-	mu   sync.Mutex
-	from []fifo
-	rr   int // round-robin cursor for AnySource fairness
-	wake chan struct{}
-}
-
-func (in *inbox) push(src int, m message) {
-	in.mu.Lock()
-	in.from[src].q = append(in.from[src].q, m)
-	in.mu.Unlock()
-	select {
-	case in.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pop dequeues the next message from src, or from any source when src is
-// AnySource.
-func (in *inbox) pop(src int) (message, int, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if src != AnySource {
-		m, ok := in.from[src].pop()
-		return m, src, ok
-	}
-	for off := range in.from {
-		s := (in.rr + off) % len(in.from)
-		if m, ok := in.from[s].pop(); ok {
-			in.rr = (s + 1) % len(in.from)
-			return m, s, true
-		}
-	}
-	return message{}, AnySource, false
-}
-
 // World is a communicator: size ranks and their inboxes.
 type World struct {
 	size    int
 	cost    CostModel
-	inboxes []*inbox
+	inboxes []*Mailbox[message]
 	// Volume aggregates traffic over all ranks.
 	Volume *metrics.CommunicationVolume
 }
@@ -165,9 +107,9 @@ func NewWorld(size int, cost CostModel) *World {
 		panic("mpi: world size must be ≥ 1")
 	}
 	w := &World{size: size, cost: cost, Volume: new(metrics.CommunicationVolume)}
-	w.inboxes = make([]*inbox, size)
+	w.inboxes = make([]*Mailbox[message], size)
 	for i := range w.inboxes {
-		w.inboxes[i] = &inbox{from: make([]fifo, size), wake: make(chan struct{}, 1)}
+		w.inboxes[i] = NewMailbox[message](size)
 	}
 	return w
 }
@@ -216,7 +158,7 @@ func (r *Rank) Send(dst, tag int, data []float32, simBytes int64) error {
 	arrival := r.clock + cost.transferSeconds(simBytes)
 	cp := make([]float32, len(data))
 	copy(cp, data)
-	r.world.inboxes[dst].push(r.id, message{data: cp, tag: tag, arrival: arrival})
+	r.world.inboxes[dst].Push(r.id, message{data: cp, tag: tag, arrival: arrival})
 	r.world.Volume.AddSent(simBytes)
 	r.SentBytes += simBytes
 	return nil
@@ -232,7 +174,7 @@ func (r *Rank) Recv(ctx context.Context, src int) (Message, error) {
 	}
 	in := r.world.inboxes[r.id]
 	for {
-		if msg, s, ok := in.pop(src); ok {
+		if msg, s, ok := in.Pop(src); ok {
 			if msg.arrival > r.clock {
 				r.clock = msg.arrival
 			}
@@ -242,7 +184,7 @@ func (r *Rank) Recv(ctx context.Context, src int) (Message, error) {
 			return Message{Data: msg.data, Src: s, Tag: msg.tag}, nil
 		}
 		select {
-		case <-in.wake:
+		case <-in.Wake():
 		case <-ctx.Done():
 			return Message{}, ctx.Err()
 		}

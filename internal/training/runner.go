@@ -157,10 +157,10 @@ func (r *Runner) Step(ctx context.Context, b *Batch) (float64, error) {
 		acc = float64(t.Data()[0])
 	}
 	if r.TrainingAcc != nil {
-		r.TrainingAcc.Observe(r.step, 0, acc)
+		r.TrainingAcc.Observe(r.step, acc)
 	}
 	if r.LossCurve != nil {
-		r.LossCurve.Observe(r.step, 0, loss)
+		r.LossCurve.Observe(r.step, loss)
 	}
 	r.unsaved = true
 	diverged := r.StopOnNaN && (loss != loss || loss > 1e30)
@@ -274,7 +274,7 @@ func (r *Runner) runEpochs(ctx context.Context, n int) error {
 				return err
 			}
 			if r.TestAcc != nil {
-				r.TestAcc.Observe(r.step, epoch, testAcc)
+				r.TestAcc.Observe(r.step, testAcc)
 			}
 			if r.TTA != nil {
 				r.TTA.Observe(testAcc)

@@ -8,21 +8,15 @@
 // sockets instead of goroutine mailboxes. Failures are returned as
 // *NetError values, never raised as panics.
 //
-// Frames carry either full-precision float32 vectors or the gradient
-// quantization wire format of dist.Quantize (packed b-bit codes + shared
-// absmax scale); a rank built with QuantizeBits compresses every payload
-// transparently, trading 32/b wire bytes for rounding error.
+// Frames carry full-precision float32 vectors, so a rank receives exactly
+// the floats its peer sent, as it does on the simulator.
 package transport
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 	"unsafe"
-
-	"deep500/internal/dist"
 )
 
 // Wire format: every message is one frame — a fixed 40-byte header
@@ -31,9 +25,8 @@ import (
 //	offset  size  field
 //	0       4     magic "D5TP"
 //	4       1     version (2)
-//	5       1     type (FrameF32 | FrameQuant | FrameHello)
-//	6       1     quantization bits (FrameQuant only, 1..8; else 0)
-//	7       1     reserved (0)
+//	5       1     type (FrameF32 = 0 | FrameHello = 2)
+//	6       2     reserved (0)
 //	8       4     source rank, int32 little-endian
 //	12      4     message tag, int32 little-endian
 //	16      4     decoded float32 count, uint32 little-endian
@@ -46,11 +39,9 @@ import (
 // same identifiers as the d500-trace HTTP header, so a distributed step's
 // collectives join the launcher's trace.
 //
-// FrameF32 payloads are count little-endian float32s. FrameQuant payloads
-// are a 4-byte little-endian scale followed by the packed codes
-// (dist.QuantizedLen(count, bits) bytes). FrameHello has no payload; it is
-// the first frame on every dialed connection and identifies the dialer's
-// rank (Src). Decoding validates every field and returns errors — a
+// FrameF32 payloads are count little-endian float32s. FrameHello has no
+// payload; it is the first frame on every dialed connection and identifies
+// the dialer's rank (Src). Decoding validates every field and returns errors — a
 // truncated, oversized or corrupted frame can never panic a server.
 
 // FrameType discriminates the payload encoding of a frame.
@@ -58,11 +49,10 @@ type FrameType uint8
 
 const (
 	// FrameF32 carries a full-precision float32 vector.
-	FrameF32 FrameType = iota
-	// FrameQuant carries a dist.Quantize-packed vector plus its scale.
-	FrameQuant
+	FrameF32 FrameType = 0
 	// FrameHello opens a connection: no payload, Src is the dialer's rank.
-	FrameHello
+	// It is 2, not 1, so hello frames keep their version-2 bytes.
+	FrameHello FrameType = 2
 )
 
 const (
@@ -82,8 +72,6 @@ var magic = [4]byte{'D', '5', 'T', 'P'}
 // Frame is one decoded wire message.
 type Frame struct {
 	Type FrameType
-	// Bits is the quantization width of a FrameQuant payload.
-	Bits uint8
 	// Src is the sender's rank.
 	Src int32
 	// Tag is the message tag (dist.TagGrad, dist.TagDone, ...).
@@ -105,7 +93,6 @@ func appendHeader(dst []byte, f *Frame, plen int) []byte {
 	copy(h[0:4], magic[:])
 	h[4] = frameVersion
 	h[5] = byte(f.Type)
-	h[6] = f.Bits
 	binary.LittleEndian.PutUint32(h[8:12], uint32(f.Src))
 	binary.LittleEndian.PutUint32(h[12:16], uint32(f.Tag))
 	binary.LittleEndian.PutUint32(h[16:20], f.Count)
@@ -152,48 +139,28 @@ func appendF32(dst []byte, data []float32) []byte {
 	return dst
 }
 
-// readVector reads the plen payload bytes of the vector frame f (FrameF32 or
-// FrameQuant, header already validated against plen) from r and decodes them
-// into dst, which holds f.Count elements. It is the one decoder of the vector
-// wire format, and the connection readers call it with a recycled dst. A
-// float payload is read straight into dst's own storage; a quantized one goes
-// through scratch, which is grown as needed and returned for the caller to
-// pass in again.
-func readVector(r io.Reader, f *Frame, plen int, dst []float32, scratch []byte) ([]byte, error) {
-	switch f.Type {
-	case FrameF32:
-		b := f32Bytes(dst)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return scratch, err
-		}
-		toWireOrder(b)
-		return scratch, nil
-	case FrameQuant:
-		scratch = slices.Grow(scratch[:0], plen)[:plen]
-		if _, err := io.ReadFull(r, scratch); err != nil {
-			return scratch, err
-		}
-		scale := math.Float32frombits(binary.LittleEndian.Uint32(scratch))
-		dist.Dequantize(scratch[4:], scale, uint(f.Bits), dst)
-		return scratch, nil
+// readVector reads the payload of the float frame f (header already
+// validated) from r straight into dst's own storage, which holds f.Count
+// elements. It is the one decoder of the vector wire format, and the
+// connection readers call it with a recycled dst.
+func readVector(r io.Reader, f *Frame, dst []float32) error {
+	if f.Type != FrameF32 {
+		return fmt.Errorf("transport: frame type %d carries no vector", f.Type)
 	}
-	return scratch, fmt.Errorf("transport: frame type %d carries no vector", f.Type)
+	b := f32Bytes(dst)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	toWireOrder(b)
+	return nil
 }
 
 // appendVectorFrame appends the complete frame — header and payload — for a
-// float32 vector from src with tag: full precision when bits is 0,
-// dist.Quantize compression otherwise. trace and span are the frame's trace
+// float32 vector from src with tag; trace and span are the frame's trace
 // context. It is the send path's encoder, writing into a buffer the caller
 // reuses.
-func appendVectorFrame(dst []byte, src, tag int, data []float32, bits uint, trace, span uint64) []byte {
+func appendVectorFrame(dst []byte, src, tag int, data []float32, trace, span uint64) []byte {
 	f := Frame{Type: FrameF32, Src: int32(src), Tag: int32(tag), Count: uint32(len(data)), Trace: trace, Span: span}
-	if bits > 0 && len(data) > 0 {
-		codes, scale := dist.Quantize(data, bits)
-		f.Type, f.Bits = FrameQuant, uint8(bits)
-		dst = appendHeader(dst, &f, 4+len(codes))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(scale))
-		return append(dst, codes...)
-	}
 	return appendF32(appendHeader(dst, &f, 4*len(data)), data)
 }
 
@@ -203,21 +170,9 @@ func appendVectorFrame(dst []byte, src, tag int, data []float32, bits uint, trac
 func (f *Frame) validate(plen int) error {
 	switch f.Type {
 	case FrameF32:
-		if f.Bits != 0 {
-			return fmt.Errorf("transport: float frame with bits=%d", f.Bits)
-		}
 		if plen != int(f.Count)*4 {
 			return fmt.Errorf("transport: float frame count %d needs %d payload bytes, got %d",
 				f.Count, f.Count*4, plen)
-		}
-	case FrameQuant:
-		if f.Bits == 0 || f.Bits > 8 {
-			return fmt.Errorf("transport: quantized frame with bits=%d", f.Bits)
-		}
-		want := 4 + dist.QuantizedLen(int(f.Count), uint(f.Bits))
-		if plen != want {
-			return fmt.Errorf("transport: quantized frame count %d bits %d needs %d payload bytes, got %d",
-				f.Count, f.Bits, want, plen)
 		}
 	case FrameHello:
 		if plen != 0 || f.Count != 0 {
@@ -244,9 +199,11 @@ func decodeHeader(h []byte) (Frame, int, error) {
 	if h[4] != frameVersion {
 		return Frame{}, 0, fmt.Errorf("transport: unsupported frame version %d", h[4])
 	}
+	if h[6] != 0 || h[7] != 0 {
+		return Frame{}, 0, fmt.Errorf("transport: reserved header bytes %#x %#x set", h[6], h[7])
+	}
 	f := Frame{
 		Type:  FrameType(h[5]),
-		Bits:  h[6],
 		Src:   int32(binary.LittleEndian.Uint32(h[8:12])),
 		Tag:   int32(binary.LittleEndian.Uint32(h[12:16])),
 		Count: binary.LittleEndian.Uint32(h[16:20]),

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"deep500/internal/dist"
+	"deep500/internal/mpi"
 	"deep500/internal/tensor"
 )
 
@@ -67,9 +68,6 @@ type Options struct {
 	// RecvTimeout bounds every blocking receive; an expired wait is a fabric
 	// failure (peer hung or dead), returned as *NetError. Default 2m.
 	RecvTimeout time.Duration
-	// QuantizeBits, when 1..8, ships every non-empty payload in the
-	// dist.Quantize wire format at that width; 0 sends full precision.
-	QuantizeBits uint
 	// BestEffortSend makes sends to unreachable peers drop (counted in
 	// Stats) instead of failing. The parameter server runs with this on, so
 	// a reply to a worker that just died cannot take the server down.
@@ -98,34 +96,14 @@ func (o *Options) withDefaults() Options {
 
 // Stats is a snapshot of a rank's wire counters.
 type Stats struct {
-	SentBytes, RecvBytes   int64
-	SentFrames, RecvFrames int64
+	SentBytes, RecvBytes int64
+	SentFrames           int64
 	// Dropped counts best-effort sends abandoned because the peer was
 	// unreachable.
 	Dropped int64
 	// Redials counts dial attempts beyond the first per established
 	// connection (retries and reconnects).
 	Redials int64
-}
-
-// mailbox is the FIFO of delivered messages from one source. head indexes
-// the next message to pop; the backing array is rewound whenever the queue
-// drains, so steady-state traffic reuses it.
-type mailbox struct {
-	q    []dist.Message
-	head int
-}
-
-func (b *mailbox) pop() (dist.Message, bool) {
-	if b.head == len(b.q) {
-		return dist.Message{}, false
-	}
-	m := b.q[b.head]
-	b.q[b.head] = dist.Message{} // the queue must not pin a payload the consumer owns now
-	if b.head++; b.head == len(b.q) {
-		b.q, b.head = b.q[:0], 0
-	}
-	return m, true
 }
 
 // peer is the connection slot for one remote rank.
@@ -171,12 +149,9 @@ type TCPRank struct {
 	mu    sync.Mutex // guards peers' conn/gen/lostAt
 	peers []*peer
 
-	inbox struct {
-		sync.Mutex
-		queues []mailbox
-		rr     int // round-robin cursor for any-source fairness
-	}
-	notify chan struct{} // cap 1, signaled on every delivery
+	// inbox holds delivered messages, one FIFO per source; a lost
+	// connection signals it too, so a waiting receiver re-checks its peer.
+	inbox *mpi.Mailbox[dist.Message]
 	// slabs recycles receive payloads: readers decode into a slab taken from
 	// it, Release puts one back (see Release for the ownership rules).
 	slabs *tensor.Arena
@@ -191,9 +166,9 @@ type TCPRank struct {
 	closedCh chan struct{}
 	wg       sync.WaitGroup
 
-	sentBytes, recvBytes   atomic.Int64
-	sentFrames, recvFrames atomic.Int64
-	dropped, redials       atomic.Int64
+	sentBytes, recvBytes atomic.Int64
+	sentFrames           atomic.Int64
+	dropped, redials     atomic.Int64
 
 	// traceCtx is the outbound trace context stamped on every frame this
 	// rank sends ([trace, span]; nil = untraced).
@@ -224,14 +199,13 @@ func New(opt Options) (*TCPRank, error) {
 	t := &TCPRank{
 		opt:      opt,
 		peers:    make([]*peer, opt.Size),
-		notify:   make(chan struct{}, 1),
+		inbox:    mpi.NewMailbox[dist.Message](opt.Size),
 		closedCh: make(chan struct{}),
 		slabs:    tensor.NewArena(),
 	}
 	for i := range t.peers {
 		t.peers[i] = &peer{}
 	}
-	t.inbox.queues = make([]mailbox, opt.Size)
 	if opt.Listener != nil {
 		t.wg.Add(1)
 		go t.acceptLoop()
@@ -267,7 +241,6 @@ func (t *TCPRank) Stats() Stats {
 		SentBytes:  t.sentBytes.Load(),
 		RecvBytes:  t.recvBytes.Load(),
 		SentFrames: t.sentFrames.Load(),
-		RecvFrames: t.recvFrames.Load(),
 		Dropped:    t.dropped.Load(),
 		Redials:    t.redials.Load(),
 	}
@@ -377,7 +350,7 @@ func (t *TCPRank) dropConn(src, gen int) {
 	}
 	t.mu.Unlock()
 	if lost {
-		t.signal()
+		t.inbox.Signal()
 	}
 }
 
@@ -388,15 +361,13 @@ func (t *TCPRank) lostAt(src int) time.Time {
 	return t.peers[src].lostAt
 }
 
-// reader drains frames from one connection into the mailbox of src until
-// the connection dies. Each payload is decoded (readVector) into a recycled
-// slab; the quantized format's packed bytes go through the reader's own
-// reusable scratch.
+// reader drains frames from one connection into src's queue of the inbox
+// until the connection dies. Each payload is decoded (readVector) into a
+// recycled slab.
 func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(c, 64<<10)
 	header := make([]byte, headerLen)
-	var packed []byte
 	for {
 		f, plen, err := readHeader(br, header)
 		if err != nil {
@@ -410,13 +381,12 @@ func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 		if f.Count > 0 {
 			data = t.slabs.GetBuf(int(f.Count))
 		}
-		if packed, err = readVector(br, &f, plen, data, packed); err != nil {
+		if err := readVector(br, &f, data); err != nil {
 			t.dropConn(src, gen)
 			return
 		}
 		t.recvBytes.Add(int64(headerLen + plen))
-		t.recvFrames.Add(1)
-		t.push(src, dist.Message{Data: data, Src: src, Tag: int(f.Tag)})
+		t.inbox.Push(src, dist.Message{Data: data, Src: src, Tag: int(f.Tag)})
 	}
 }
 
@@ -430,23 +400,6 @@ func (t *TCPRank) reader(src int, c net.Conn, gen int) {
 func (t *TCPRank) Release(data []float32) {
 	if t.slabs.FreeBytes() < maxIdleSlabBytes {
 		t.slabs.PutBuf(data)
-	}
-}
-
-// push appends a message to src's mailbox and signals the owner.
-func (t *TCPRank) push(src int, m dist.Message) {
-	t.inbox.Lock()
-	b := &t.inbox.queues[src]
-	b.q = append(b.q, m)
-	t.inbox.Unlock()
-	t.signal()
-}
-
-// signal wakes the receiving goroutine, if it is waiting.
-func (t *TCPRank) signal() {
-	select {
-	case t.notify <- struct{}{}:
-	default:
 	}
 }
 
@@ -563,7 +516,7 @@ func (t *TCPRank) Send(dst, tag int, data []float32, _ int64) error {
 		p := t.peers[dst]
 		p.wmu.Lock()
 		c.SetWriteDeadline(time.Now().Add(t.opt.IOTimeout))
-		n, werr := p.writeVector(c, t.opt.ID, tag, data, t.opt.QuantizeBits, trace, span)
+		n, werr := p.writeVector(c, t.opt.ID, tag, data, trace, span)
 		p.wmu.Unlock()
 		if werr == nil {
 			t.sentBytes.Add(int64(n))
@@ -584,12 +537,11 @@ func (t *TCPRank) Send(dst, tag int, data []float32, _ int64) error {
 // its length; the caller holds p.wmu. On a little-endian host a float
 // payload already is the wire layout, so the header and data's own bytes
 // go out in one vectored write (writev on a TCP connection) and the floats
-// are never copied. A quantized payload, or any payload on a big-endian
-// host, is encoded into wbuf first, and so is an empty frame: it is only
-// a header.
-func (p *peer) writeVector(c net.Conn, src, tag int, data []float32, bits uint, trace, span uint64) (int, error) {
-	if !hostLittleEndian || bits > 0 || len(data) == 0 {
-		p.wbuf = appendVectorFrame(p.wbuf[:0], src, tag, data, bits, trace, span)
+// are never copied. On a big-endian host the payload is encoded into wbuf
+// first, and so is an empty frame: it is only a header.
+func (p *peer) writeVector(c net.Conn, src, tag int, data []float32, trace, span uint64) (int, error) {
+	if !hostLittleEndian || len(data) == 0 {
+		p.wbuf = appendVectorFrame(p.wbuf[:0], src, tag, data, trace, span)
 		_, err := c.Write(p.wbuf)
 		return len(p.wbuf), err
 	}
@@ -602,24 +554,6 @@ func (p *peer) writeVector(c net.Conn, src, tag int, data []float32, bits uint, 
 	n, err := p.wvec.WriteTo(c)
 	p.vec = [2][]byte{}
 	return int(n), err
-}
-
-// pop dequeues the next message from src, or — when src is AnySource —
-// from any source, round-robin fair.
-func (t *TCPRank) pop(src int) (dist.Message, bool) {
-	t.inbox.Lock()
-	defer t.inbox.Unlock()
-	if src != dist.AnySource {
-		return t.inbox.queues[src].pop()
-	}
-	for off := 0; off < t.opt.Size; off++ {
-		s := (t.inbox.rr + off) % t.opt.Size
-		if m, ok := t.inbox.queues[s].pop(); ok {
-			t.inbox.rr = (s + 1) % t.opt.Size
-			return m, true
-		}
-	}
-	return dist.Message{}, false
 }
 
 // Recv blocks for the next message from src (or any source when src is
@@ -639,7 +573,7 @@ func (t *TCPRank) Recv(ctx context.Context, src int) (dist.Message, error) {
 	if src != dist.AnySource && (src < 0 || src >= t.opt.Size || src == t.opt.ID) {
 		return dist.Message{}, &NetError{Op: "recv", Rank: t.opt.ID, Peer: src, Err: fmt.Errorf("invalid source")}
 	}
-	if m, ok := t.pop(src); ok {
+	if m, _, ok := t.inbox.Pop(src); ok {
 		return m, nil
 	}
 	timeout := t.recvTimer.Swap(nil)
@@ -657,7 +591,7 @@ func (t *TCPRank) Recv(ctx context.Context, src int) (dist.Message, error) {
 			}
 		}
 		select {
-		case <-t.notify:
+		case <-t.inbox.Wake():
 		case <-ctx.Done():
 			return dist.Message{}, ctx.Err()
 		case <-timeout.C:
@@ -668,7 +602,7 @@ func (t *TCPRank) Recv(ctx context.Context, src int) (dist.Message, error) {
 				Err: fmt.Errorf("rank closed")}
 		case <-grace:
 			grace = nil
-			if m, ok := t.pop(src); ok {
+			if m, _, ok := t.inbox.Pop(src); ok {
 				return m, nil
 			}
 			if at := t.lostAt(src); !at.IsZero() && time.Since(at) >= reconnectGrace {
@@ -676,7 +610,7 @@ func (t *TCPRank) Recv(ctx context.Context, src int) (dist.Message, error) {
 					Err: fmt.Errorf("connection lost")}
 			}
 		}
-		if m, ok := t.pop(src); ok {
+		if m, _, ok := t.inbox.Pop(src); ok {
 			return m, nil
 		}
 	}

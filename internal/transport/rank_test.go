@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -11,7 +10,6 @@ import (
 
 	"deep500/internal/dist"
 	"deep500/internal/mpi"
-	"deep500/internal/tensor"
 )
 
 // world builds an n-rank loopback fabric and registers cleanup.
@@ -94,35 +92,32 @@ func TestTCPRankP2P(t *testing.T) {
 }
 
 // TestTCPRankEmptyMessage pins what a zero-length message is on the receive
-// side: an empty, non-nil slice with its tag, full precision or quantized,
-// and releasing it is harmless.
+// side: an empty, non-nil slice with its tag, and releasing it is
+// harmless.
 func TestTCPRankEmptyMessage(t *testing.T) {
-	for _, bits := range []uint{0, 4} {
-		ranks := world(t, 2, func(o *Options) { o.QuantizeBits = bits })
-		run(t, ranks, func(r *TCPRank) error {
-			if r.ID() == 1 {
-				for i, data := range [][]float32{nil, {}, {3}} {
-					if err := r.Send(0, 7+i, data, mpi.SimActual); err != nil {
-						return err
-					}
+	ranks := world(t, 2, nil)
+	run(t, ranks, func(r *TCPRank) error {
+		if r.ID() == 1 {
+			for i, data := range [][]float32{nil, {}, {3}} {
+				if err := r.Send(0, 7+i, data, mpi.SimActual); err != nil {
+					return err
 				}
-				return nil
-			}
-			for _, wantTag := range []int{7, 8} {
-				m := recv(t, r, 1)
-				data, tag := m.Data, m.Tag
-				if data == nil || len(data) != 0 || tag != wantTag {
-					t.Errorf("bits=%d: empty message arrived as %#v tag %d, want an empty non-nil slice tag %d",
-						bits, data, tag, wantTag)
-				}
-				r.Release(data)
-			}
-			if m := recv(t, r, 1); len(m.Data) != 1 || m.Tag != 9 {
-				t.Errorf("bits=%d: message after the empty ones arrived as %v tag %d", bits, m.Data, m.Tag)
 			}
 			return nil
-		})
-	}
+		}
+		for _, wantTag := range []int{7, 8} {
+			m := recv(t, r, 1)
+			data, tag := m.Data, m.Tag
+			if data == nil || len(data) != 0 || tag != wantTag {
+				t.Errorf("empty message arrived as %#v tag %d, want an empty non-nil slice tag %d", data, tag, wantTag)
+			}
+			r.Release(data)
+		}
+		if m := recv(t, r, 1); len(m.Data) != 1 || m.Tag != 9 {
+			t.Errorf("message after the empty ones arrived as %v tag %d", m.Data, m.Tag)
+		}
+		return nil
+	})
 }
 
 // TestTCPRankFIFO pins per-pair ordering: messages from one source arrive
@@ -144,43 +139,6 @@ func TestTCPRankFIFO(t *testing.T) {
 			if got[0] != float32(i) {
 				t.Errorf("message %d arrived as %g", i, got[0])
 			}
-		}
-		return nil
-	})
-}
-
-// TestTCPRankQuantized runs a quantizing fabric end to end: payloads ship
-// as packed 4-bit codes and reconstruct within the codec's error bound.
-func TestTCPRankQuantized(t *testing.T) {
-	const bits = 4
-	ranks := world(t, 2, func(o *Options) { o.QuantizeBits = bits })
-	rng := tensor.NewRNG(7)
-	data := tensor.RandNormal(rng, 0, 1, 333).Data()
-	run(t, ranks, func(r *TCPRank) error {
-		if r.ID() == 1 {
-			return r.Send(0, 0, data, mpi.SimActual)
-		}
-		got := recv(t, r, 1).Data
-		if len(got) != len(data) {
-			t.Errorf("decoded %d of %d values", len(got), len(data))
-			return nil
-		}
-		var scale float32
-		for _, v := range data {
-			if a := float32(math.Abs(float64(v))); a > scale {
-				scale = a
-			}
-		}
-		halfStep := float64(scale) / float64(uint(1)<<bits-1)
-		for i := range got {
-			if d := math.Abs(float64(got[i] - data[i])); d > halfStep+1e-6 {
-				t.Errorf("value %d error %g exceeds %g", i, d, halfStep)
-			}
-		}
-		// The wire must actually have shrunk: 4-bit codes + scale + header
-		// against 4 bytes per float.
-		if s := r.Stats(); s.RecvBytes >= int64(4*len(data)) {
-			t.Errorf("quantized transfer used %d bytes for %d floats", s.RecvBytes, len(data))
 		}
 		return nil
 	})

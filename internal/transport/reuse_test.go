@@ -17,55 +17,53 @@ import (
 // TestSendPathGoldenBytes reads what Send actually puts on a socket:
 // frame for frame it must be the field-by-field encoding (wantFrame) with
 // the rank's trace context stamped in — across payloads that grow, shrink
-// and empty (the write buffer is reused), full precision and quantized.
+// and empty (the write buffer is reused).
 func TestSendPathGoldenBytes(t *testing.T) {
-	for _, bits := range []uint{0, 4} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	r, err := New(Options{ID: 1, Size: 2, Peers: []string{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if hello, err := ReadFrame(c); err != nil || hello.Type != FrameHello || hello.Src != 1 {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
+
+	r.SetTraceContext(0xabc, 0xdef)
+	for i, n := range []int{3, 1000, 0, 17, 1000} {
+		data := make([]float32, n)
+		for j := range data {
+			data[j] = float32(j%13) - 6.5*float32(i)
 		}
-		defer ln.Close()
-		r, err := New(Options{ID: 1, Size: 2, Peers: []string{ln.Addr().String()}, QuantizeBits: bits})
-		if err != nil {
+		tag := 40 + i
+		if err := r.Send(0, tag, data, mpi.SimActual); err != nil {
 			t.Fatal(err)
-		}
-		defer r.Close()
-		c, err := ln.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		c.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if hello, err := ReadFrame(c); err != nil || hello.Type != FrameHello || hello.Src != 1 {
-			t.Fatalf("hello: %+v, %v", hello, err)
 		}
 
-		r.SetTraceContext(0xabc, 0xdef)
-		for i, n := range []int{3, 1000, 0, 17, 1000} {
-			data := make([]float32, n)
-			for j := range data {
-				data[j] = float32(j%13) - 6.5*float32(i)
-			}
-			tag := 40 + i
-			if err := r.Send(0, tag, data, mpi.SimActual); err != nil {
-				t.Fatal(err)
-			}
-
-			wire := wantFrame(1, tag, data, bits, 0xabc, 0xdef)
-			got := make([]byte, len(wire))
-			if _, err := io.ReadFull(c, got); err != nil {
-				t.Fatalf("bits=%d send %d: %v", bits, i, err)
-			}
-			if !bytes.Equal(got, wire) {
-				t.Fatalf("bits=%d send %d (%d floats): wire bytes differ from the field-by-field encoding", bits, i, n)
-			}
+		wire := wantFrame(1, tag, data, 0xabc, 0xdef)
+		got := make([]byte, len(wire))
+		if _, err := io.ReadFull(c, got); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if !bytes.Equal(got, wire) {
+			t.Fatalf("send %d (%d floats): wire bytes differ from the field-by-field encoding", i, n)
 		}
 	}
 }
 
 // TestWriteVectorMatchesAppendFrame: what a peer reads after writeVector is
 // exactly AppendFrame's encoding of the frame, and writeVector reports its
-// length, for float, empty and quantized frames, over a TCP connection
+// length, for float and empty frames, over a TCP connection
 // (one vectored write) and over a pipe (which takes each buffer in turn).
 // Nothing of the payload stays referenced after the write.
 func TestWriteVectorMatchesAppendFrame(t *testing.T) {
@@ -100,9 +98,8 @@ func TestWriteVectorMatchesAppendFrame(t *testing.T) {
 		for _, fr := range []struct {
 			name string
 			data []float32
-			bits uint
-		}{{"float", data, 0}, {"empty", nil, 0}, {"quantized", data, 4}, {"float-again", data[:17], 0}} {
-			want := wantFrame(3, 7, fr.data, fr.bits, 0x11, 0x22)
+		}{{"float", data}, {"empty", nil}, {"float-again", data[:17]}} {
+			want := wantFrame(3, 7, fr.data, 0x11, 0x22)
 			got := make([]byte, len(want))
 			read := make(chan error, 1)
 			go func() {
@@ -110,7 +107,7 @@ func TestWriteVectorMatchesAppendFrame(t *testing.T) {
 				_, err := io.ReadFull(conn.r, got)
 				read <- err
 			}()
-			n, err := p.writeVector(conn.w, 3, 7, fr.data, fr.bits, 0x11, 0x22)
+			n, err := p.writeVector(conn.w, 3, 7, fr.data, 0x11, 0x22)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", conn.name, fr.name, err)
 			}

@@ -215,9 +215,9 @@ func TestExecutorBackprop(got, ref executor.GraphExecutor, feeds map[string]*ten
 }
 
 // TrajectoryPoint records the per-step parameter divergence of two
-// optimizers (the data behind the paper's Fig. 11).
+// optimizers (the data behind the paper's Fig. 11); TestOptimizer's i-th
+// point is step i+1.
 type TrajectoryPoint struct {
-	Step     int
 	L2, LInf float64
 	PerParam map[string]tensor.DiffNorms
 }
@@ -229,14 +229,14 @@ type TrajectoryPoint struct {
 func TestOptimizer(got, ref training.Optimizer, batches []*training.Batch, tol float64) (Result, []TrajectoryPoint) {
 	res := Result{Name: "test_optimizer", Passed: true}
 	var traj []TrajectoryPoint
-	for step, b := range batches {
+	for _, b := range batches {
 		if _, err := got.Train(context.Background(), b.Feeds()); err != nil {
 			return Result{Name: res.Name, Details: err.Error()}, traj
 		}
 		if _, err := ref.Train(context.Background(), b.Feeds()); err != nil {
 			return Result{Name: res.Name, Details: err.Error()}, traj
 		}
-		pt := TrajectoryPoint{Step: step + 1, PerParam: make(map[string]tensor.DiffNorms)}
+		pt := TrajectoryPoint{PerParam: make(map[string]tensor.DiffNorms)}
 		for _, name := range ref.Executor().Network().Params() {
 			pr, err1 := ref.Executor().Network().FetchTensor(name)
 			pg, err2 := got.Executor().Network().FetchTensor(name)
@@ -301,8 +301,7 @@ func TestSampler(s training.Sampler, tolFraction float64) (Result, *metrics.Data
 // TrainingReport is the outcome of TestTraining.
 type TrainingReport struct {
 	FinalTestAccuracy float64
-	FinalLoss         float64
-	EpochLosses       []float64
+	EpochLosses       []float64 // the last is the final loss
 	Converged         bool
 }
 
@@ -322,7 +321,6 @@ func TestTraining(opt training.Optimizer, train, test training.Sampler, epochs i
 			return report, err
 		}
 		report.EpochLosses = append(report.EpochLosses, loss)
-		report.FinalLoss = loss
 		if test != nil {
 			acc, err := r.Evaluate(context.Background(), test)
 			if err != nil {

@@ -49,36 +49,49 @@ type apiDecl struct {
 	decl ast.Node // uses inside it do not count
 	pos  token.Position
 	live bool
+	// readOnly marks an untagged struct field: only a read, in any file,
+	// makes it live.
+	readOnly bool
 }
 
-// modulePkg is one directory of the module, parsed and type-checked.
+// modulePkg is one directory of the module, parsed and type-checked
+// without its tests and, in tests, once more with each test package.
 type modulePkg struct {
 	dir   string // slash-separated, relative to the module root
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
+	// tests and xtests are the in-package and external (package x_test)
+	// test files; testInfos the uses of the test builds.
+	tests, xtests []*ast.File
+	testInfos     []*types.Info
 }
 
-// checkDeadAPI type-checks every non-test Go file of the module at root
-// and reports each exported package-level func, type, var and const,
-// each exported method of a named type and each exported struct field
-// declared under internal/ or d500/ that no non-test identifier outside
-// its own declaration resolves to. A method also counts as live when a
-// type it belongs to, directly or by promotion through embedding,
-// implements an interface with a method of that name; the interfaces
-// that count are the module's own (named or literal), those declared in
-// the standard packages the module imports, and error. Members of one
-// iota const group count as one, a field set positionally in an unkeyed
-// composite literal is live, and the exported error sentinels of d500 are
-// exempt. Entries of allow are exempt too; an entry that is no longer
-// declared, or is live after all, is reported as stale.
+// checkDeadAPI type-checks the module at root, its tests included, and
+// reports each exported package-level func, type, var and const, each
+// exported method of a named type and each exported struct field
+// declared in a non-test file under internal/ or d500/ that is unused. A
+// field without a struct tag is used when some code, tests included,
+// reads it; the key of a keyed composite literal and the operand an
+// assignment or ++/-- stores to are writes, not reads. Any other member,
+// and a tagged field (reflection reads it), is used when a non-test
+// identifier outside its declaration resolves to it. A method also
+// counts as used when a type it belongs to, directly or by promotion
+// through embedding, implements an interface with a method of that name;
+// the interfaces that count are the module's own (named or literal),
+// those declared in the standard packages the module imports, and error.
+// Members of one iota const group count as one, and the exported error
+// sentinels of d500 are exempt. Entries of allow are exempt too; an entry
+// that is no longer declared, or is used after all, is reported as stale.
 func checkDeadAPI(root string, allow map[string]string) []string {
 	fset, pkgs, err := loadModule(root)
 	if err != nil {
 		return []string{fmt.Sprintf("docscheck: loading %s: %v", root, err)}
 	}
 
-	decls := make(map[types.Object]*apiDecl)
+	// Members by the position of their name: a test build type-checks a
+	// package's files again, into objects of its own.
+	decls := make(map[token.Pos]*apiDecl)
 	groups := make(map[*ast.GenDecl][]types.Object)
 	errorType := types.Universe.Lookup("error").Type()
 	ifaces := map[*types.Interface]bool{errorType.Underlying().(*types.Interface): true}
@@ -89,12 +102,13 @@ func checkDeadAPI(root string, allow map[string]string) []string {
 		for _, s := range deadAPIScope {
 			inScope = inScope || strings.HasPrefix(mp.dir+"/", s)
 		}
-		add := func(id *ast.Ident, key string, decl ast.Node) types.Object {
-			obj := mp.info.Defs[id]
-			if inScope && id.IsExported() && obj != nil {
-				decls[obj] = &apiDecl{key: mp.pkg.Name() + "." + key, decl: decl, pos: fset.Position(id.Pos())}
+		add := func(id *ast.Ident, key string, decl ast.Node) *apiDecl {
+			if !inScope || !id.IsExported() || mp.info.Defs[id] == nil {
+				return nil
 			}
-			return obj
+			d := &apiDecl{key: mp.pkg.Name() + "." + key, decl: decl, pos: fset.Position(id.Pos())}
+			decls[id.Pos()] = d
+			return d
 		}
 		for _, file := range mp.files {
 			for _, decl := range file.Decls {
@@ -114,18 +128,21 @@ func checkDeadAPI(root string, allow map[string]string) []string {
 							if st, ok := s.Type.(*ast.StructType); ok {
 								for _, f := range st.Fields.List {
 									for _, n := range f.Names {
-										add(n, s.Name.Name+"."+n.Name, f)
+										if d := add(n, s.Name.Name+"."+n.Name, f); d != nil {
+											d.readOnly = f.Tag == nil
+										}
 									}
 								}
 							}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
-								obj := add(n, n.Name, s)
+								add(n, n.Name, s)
+								obj := mp.info.Defs[n]
 								if enum {
 									groups[d] = append(groups[d], obj)
 								}
 								if v, ok := obj.(*types.Var); ok && mp.dir == "d500" && types.Identical(v.Type(), errorType) {
-									delete(decls, obj)
+									delete(decls, n.Pos())
 								}
 							}
 						}
@@ -162,23 +179,45 @@ func checkDeadAPI(root string, allow map[string]string) []string {
 		}
 	}
 
-	// Uses outside the declaration, and fields set positionally.
-	for _, mp := range pkgs {
-		for expr, tv := range mp.info.Types {
-			if lit, ok := expr.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
-				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
-					if st, ok := tv.Type.Underlying().(*types.Struct); ok {
-						for i := range lit.Elts {
-							markLive(decls, st.Field(i))
-						}
-					}
-				}
-			}
+	// Reads of untagged fields anywhere; other uses outside tests and the
+	// declaration.
+	inTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
+	writes := make(map[*ast.Ident]bool)
+	store := func(x ast.Expr) {
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
 		}
-		for id, obj := range mp.info.Uses {
-			obj = origin(obj)
-			if d := decls[obj]; d != nil && (id.Pos() < d.decl.Pos() || id.Pos() >= d.decl.End()) {
-				d.live = true
+	}
+	for _, mp := range pkgs {
+		for _, file := range slices.Concat(mp.files, mp.tests, mp.xtests) {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						store(x)
+					}
+				case *ast.IncDecStmt:
+					store(n.X)
+				}
+				return true
+			})
+		}
+	}
+	for _, mp := range pkgs {
+		for _, info := range append([]*types.Info{mp.info}, mp.testInfos...) {
+			for id, obj := range info.Uses {
+				d := decls[origin(obj).Pos()]
+				switch {
+				case d == nil:
+				case d.readOnly:
+					d.live = d.live || !writes[id]
+				case !inTest(id.Pos()) && (id.Pos() < d.decl.Pos() || id.Pos() >= d.decl.End()):
+					d.live = true
+				}
 			}
 		}
 	}
@@ -208,7 +247,7 @@ func checkDeadAPI(root string, allow map[string]string) []string {
 	}
 
 	for _, members := range groups {
-		if slices.ContainsFunc(members, func(obj types.Object) bool { return decls[obj] != nil && decls[obj].live }) {
+		if slices.ContainsFunc(members, func(obj types.Object) bool { return decls[obj.Pos()] != nil && decls[obj.Pos()].live }) {
 			for _, obj := range members {
 				markLive(decls, obj)
 			}
@@ -223,6 +262,8 @@ func checkDeadAPI(root string, allow map[string]string) []string {
 		switch {
 		case allowed && d.live:
 			problems = append(problems, fmt.Sprintf("%s: allowlisted %s is referenced; drop it from the allowlist", d.pos, d.key))
+		case !allowed && !d.live && d.readOnly:
+			problems = append(problems, fmt.Sprintf("%s: exported %s is never read", d.pos, d.key))
 		case !allowed && !d.live:
 			problems = append(problems, fmt.Sprintf("%s: exported %s has no non-test reference outside its declaration", d.pos, d.key))
 		}
@@ -237,8 +278,8 @@ func checkDeadAPI(root string, allow map[string]string) []string {
 }
 
 // markLive marks obj live if it is a member in scope.
-func markLive(decls map[types.Object]*apiDecl, obj types.Object) {
-	if d := decls[origin(obj)]; d != nil {
+func markLive(decls map[token.Pos]*apiDecl, obj types.Object) {
+	if d := decls[origin(obj).Pos()]; d != nil {
 		d.live = true
 	}
 }
@@ -255,10 +296,14 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// loadModule parses the non-test Go files of the module at root that
-// match the default build context, skipping testdata and dot
-// directories, and type-checks its packages in import order: module
-// packages from this pass, the standard library from source.
+// loadModule parses the Go files of the module at root that match the
+// default build context, skipping testdata and dot directories, and
+// type-checks its packages in import order: module packages from this
+// pass, the standard library from source. Then it type-checks each
+// package's tests as go test builds them: the package with its
+// in-package test files, and its external test package against that.
+// Type errors of a test build are not reported; a test build only adds
+// reads.
 func loadModule(root string) (*token.FileSet, map[string]*modulePkg, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -287,7 +332,7 @@ func loadModule(root string) (*token.FileSet, map[string]*modulePkg, error) {
 			return nil
 		}
 		dir, name := filepath.Split(p)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
@@ -303,7 +348,15 @@ func loadModule(root string) (*token.FileSet, map[string]*modulePkg, error) {
 		if pkgs[importPath] == nil {
 			pkgs[importPath] = &modulePkg{dir: rel}
 		}
-		pkgs[importPath].files = append(pkgs[importPath].files, file)
+		mp := pkgs[importPath]
+		switch {
+		case !strings.HasSuffix(name, "_test.go"):
+			mp.files = append(mp.files, file)
+		case strings.HasSuffix(file.Name.Name, "_test"):
+			mp.xtests = append(mp.xtests, file)
+		default:
+			mp.tests = append(mp.tests, file)
+		}
 		return nil
 	})
 	if err != nil {
@@ -311,13 +364,46 @@ func loadModule(root string) (*token.FileSet, map[string]*modulePkg, error) {
 	}
 
 	imp := &moduleImporter{fset: fset, pkgs: pkgs, std: importer.ForCompiler(fset, "source", nil)}
-	for p := range pkgs {
+	for p, mp := range pkgs {
+		if len(mp.files) == 0 {
+			continue
+		}
 		if _, err := imp.Import(p); err != nil {
 			return nil, nil, err
 		}
 	}
+	for p, mp := range pkgs {
+		self := mp.pkg
+		if len(mp.tests) > 0 {
+			self = checkTest(imp, fset, p, slices.Concat(mp.files, mp.tests), mp)
+		}
+		if len(mp.xtests) > 0 {
+			withSelf := importerFunc(func(q string) (*types.Package, error) {
+				if q == p && self != nil {
+					return self, nil
+				}
+				return imp.Import(q)
+			})
+			checkTest(withSelf, fset, p+"_test", mp.xtests, mp)
+		}
+	}
 	return fset, pkgs, nil
 }
+
+// checkTest type-checks one test build of mp and keeps its uses.
+func checkTest(imp types.Importer, fset *token.FileSet, p string, files []*ast.File, mp *modulePkg) *types.Package {
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	conf := types.Config{Importer: imp, Error: func(error) {}}
+	pkg, _ := conf.Check(p, fset, files, info)
+	mp.testInfos = append(mp.testInfos, info)
+	return pkg
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+// Import returns the package at path.
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // moduleImporter type-checks module packages on first import and hands
 // everything else to the standard library's source importer.

@@ -9,11 +9,13 @@ import (
 // TestCheckDeadAPI runs the dead-API check over a planted module. Reported:
 // an unreferenced function, one only a _test.go file calls (in internal/
 // and in the facade), a dead method that shares its name with a called
-// one, and a field nothing references. Live: a method only json.Marshaler,
-// fmt.Stringer or an anonymous interface in a type assertion needs, one
-// promoted through embedding into an interface implementer, a field set
-// only positionally, and the unnamed member of a used iota group. The
-// facade's error sentinel is exempt.
+// one, and untagged fields that are set by key, positionally, by
+// assignment or by ++ but never read, or not referenced at all. Live: a
+// method only json.Marshaler, fmt.Stringer or an anonymous interface in a
+// type assertion needs, one promoted through embedding into an interface
+// implementer, fields read by code, by an in-package test or by an
+// external test package, a tagged field only set, and the unnamed member
+// of a used iota group. The facade's error sentinel is exempt.
 func TestCheckDeadAPI(t *testing.T) {
 	root := "testdata/deadapi"
 
@@ -26,7 +28,8 @@ func TestCheckDeadAPI(t *testing.T) {
 		reported = append(reported, strings.Fields(key)[0])
 	}
 	slices.Sort(reported)
-	want := []string{"d500.Describe", "p.B.Reset", "p.Dead", "p.F.Unused", "p.TestOnly"}
+	want := []string{"d500.Describe", "p.B.Reset", "p.Dead", "p.F.Assigned", "p.F.Counted",
+		"p.F.Keyed", "p.F.Unused", "p.G.Y", "p.TestOnly"}
 	if !slices.Equal(reported, want) {
 		t.Fatalf("reported %v, want %v", reported, want)
 	}

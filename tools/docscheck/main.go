@@ -11,17 +11,18 @@
 //     series must be documented there, and every d500_* series the doc
 //     mentions must exist in code; and
 //  4. dead API under internal/ and in the public d500/ package
-//     (deadapi.go). The module is type-checked with go/types, and an
-//     exported func, type, var, const, method or struct field is dead when
-//     no non-test identifier outside its declaration resolves to it. A
-//     method an interface needs stays live: one of the module's own
-//     interfaces (named, or a literal such as a type assertion's), one
-//     declared in a standard package the module imports, or error; the
-//     method may be promoted through an embedded type. A used iota group
-//     keeps all its members, a field set positionally in an unkeyed
-//     literal is live, and d500's exported error sentinels are exempt.
-//     Dead API is deleted, unexported, or allowlisted for one of a closed
-//     set of reasons.
+//     (deadapi.go). The module is type-checked with go/types, tests
+//     included, and an exported func, type, var, const, method or tagged
+//     struct field is dead when no non-test identifier outside its
+//     declaration resolves to it. A struct field without a tag is dead
+//     when nothing, tests included, reads it: setting it in a composite
+//     literal or assigning to it is not a read. A method an interface
+//     needs stays live: one of the module's own interfaces (named, or a
+//     literal such as a type assertion's), one declared in a standard
+//     package the module imports, or error; the method may be promoted
+//     through an embedded type. A used iota group keeps all its members,
+//     and d500's exported error sentinels are exempt. Dead API is deleted,
+//     unexported, or allowlisted for one of a closed set of reasons.
 //
 // Usage: go run ./tools/docscheck [repo-root]   (default ".")
 package main

@@ -23,7 +23,10 @@ func main() {
 	}
 	var n p.Namer = p.Outer{}
 	fmt.Println(n.Name(), n.Kind())
-	_ = p.F{Used: 1}
-	_ = p.G{1, 2}
+	f := p.F{Keyed: 1, Tagged: 2}
+	f.Assigned = 3
+	f.Counted++
+	fmt.Println(f.Read)
+	fmt.Println(p.G{1, 2}.X, p.H{})
 	d500.Run()
 }

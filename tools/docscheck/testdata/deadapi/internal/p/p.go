@@ -60,11 +60,21 @@ type Outer struct{ inner }
 // Kind completes Namer.
 func (Outer) Kind() string { return "outer" }
 
-// F has one field cmd/app sets by key and one nothing references.
+// F's fields: cmd/app reads Read, sets Keyed by key, assigns Assigned
+// and increments Counted; only a test reads TestRead; nothing references
+// Unused; Tagged is set by key but carries a tag (reflection reads it).
 type F struct {
-	Used   int
-	Unused int
+	Read     int
+	Keyed    int
+	Assigned int
+	Counted  int
+	TestRead int
+	Unused   int
+	Tagged   int `json:"tagged"`
 }
 
-// G is only built positionally.
+// G is built positionally, and cmd/app reads only X.
 type G struct{ X, Y int }
+
+// H's field is read only by the external test package.
+type H struct{ XRead int }
