@@ -2,8 +2,10 @@ package deep500
 
 // Repository-level benchmark harness: one benchmark per table/figure of the
 // paper's evaluation (run the full experiment drivers with
-// `go run ./cmd/d500bench`), plus ablation benchmarks for the design
-// choices listed in DESIGN.md §5. Benchmarks use scaled problem sizes so
+// `go run ./cmd/d500bench`), plus ablation benchmarks for this
+// reproduction's own design choices: the GEMM and convolution algorithms,
+// the all-reduce algorithm, a fused versus a composed Adam update, and the
+// sampler's shuffle buffer. Benchmarks use scaled problem sizes so
 // `go test -bench=. -benchmem` completes in minutes on a laptop.
 
 import (
@@ -400,7 +402,7 @@ func BenchmarkFig12StrongRound(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) --------------------------------------------
+// --- Ablations: GEMM, convolution, all-reduce, Adam fusion, shuffle -----
 
 func BenchmarkAblationGemm(b *testing.B) {
 	m, k, n := 256, 256, 256

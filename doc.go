@@ -20,7 +20,9 @@
 //
 // The root package carries only the repository-level benchmark harness
 // (bench_test.go): one benchmark per paper table/figure plus ablations of
-// the design choices called out in DESIGN.md §5.
+// this reproduction's own design choices: the GEMM and convolution
+// algorithms, the all-reduce algorithm, a fused versus a composed Adam
+// update, and the sampler's shuffle buffer.
 //
 // Machine-readable benchmark results live in internal/bench: d500bench
 // emits bench.Report JSON (environment capture, raw samples, derived

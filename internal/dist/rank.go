@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"deep500/internal/kernels"
 	"deep500/internal/mpi"
 )
 
@@ -95,21 +96,6 @@ func allreduce(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float
 	return ringAllreduce(ctx, r, data, simBytes, scale)
 }
 
-// addScaled sets dst[i] to dst[i]+src[i], times scale unless scale is 1: the
-// sum is rounded to float32 before the product, as when they are two passes.
-func addScaled(dst, src []float32, scale float32) {
-	src = src[:len(dst)]
-	if scale == 1 {
-		for i := range dst {
-			dst[i] += src[i]
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = float32(dst[i]+src[i]) * scale
-	}
-}
-
 // ringAllreduce is reduce-scatter then allgather over a logical ring on the
 // p chunks data[c·n/p : (c+1)·n/p]. The last reduce-scatter step completes
 // the chunk this rank owns, and scales it before the allgather sends it.
@@ -139,7 +125,7 @@ func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, 
 			return fmt.Errorf("dist: rank %d all-reduce got %d values from rank %d, want %d", id, len(m.Data), prev, len(dst))
 		}
 		if add {
-			addScaled(dst, m.Data, s)
+			kernels.AddScaled(dst, m.Data, s)
 		} else {
 			copy(dst, m.Data)
 		}
@@ -185,7 +171,7 @@ func doublingAllreduce(ctx context.Context, r Rank, data []float32, simBytes int
 		if mask<<1 >= r.Size() {
 			s = scale
 		}
-		addScaled(data, m.Data, s)
+		kernels.AddScaled(data, m.Data, s)
 		r.Release(m.Data)
 	}
 	return nil

@@ -167,20 +167,7 @@ func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
 			b := randSlice(rng, s.k*s.n)
 			want := make([]float32, s.m*s.n)
 			gemmPacked(a, b, want, s.m, s.k, s.n, s.transA, s.transB)
-			lda, ldb := s.k, s.n
-			if s.transA {
-				lda = s.m
-			}
-			if s.transB {
-				ldb = s.k
-			}
-			ap := make([]float32, packedLen(s.m, packMR, s.k))
-			packAWhole(a, lda, s.m, s.k, s.transA, ap)
-			n16 := (s.n + packNR - 1) / packNR * packNR
-			bp := make([]float32, packedLen(s.n, packNR, s.k))
-			for pc := 0; pc < s.k; pc += packKC {
-				packBPanels(b, ldb, pc, 0, min(packKC, s.k-pc), s.n, s.transB, bp[n16*pc:])
-			}
+			ap, bp := wholePacks(a, b, s.m, s.k, s.n, s.transA, s.transB)
 			for _, with := range []struct {
 				name   string
 				ap, bp []float32
@@ -191,6 +178,26 @@ func TestGemmPanelsPrepackedMatchesPacked(t *testing.T) {
 			}
 		}
 	})
+}
+
+// wholePacks returns gemmPanels' whole-operand packs of op(A) (m×k) and
+// op(B) (k×n).
+func wholePacks(a, b []float32, m, k, n int, transA, transB bool) (ap, bp []float32) {
+	lda, ldb := k, n
+	if transA {
+		lda = m
+	}
+	if transB {
+		ldb = k
+	}
+	ap = make([]float32, packedLen(m, packMR, k))
+	packAWhole(a, lda, m, k, transA, ap)
+	n16 := (n + packNR - 1) / packNR * packNR
+	bp = make([]float32, packedLen(n, packNR, k))
+	for pc := 0; pc < k; pc += packKC {
+		packBPanels(b, ldb, pc, 0, min(packKC, k-pc), n, transB, bp[n16*pc:])
+	}
+	return ap, bp
 }
 
 // TestConvLoweringPanelsMatchPackedIm2Col: both panel writers leave exactly

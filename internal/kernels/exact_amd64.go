@@ -43,3 +43,9 @@ func momentumAVX2(param, grad, vel []float32, lr, mu float32)
 //
 //go:noescape
 func sgdAVX2(param, grad []float32, lr float32)
+
+// addScaledAVX2 is AddScaled's loop over len(dst) elements; src is at
+// least as long.
+//
+//go:noescape
+func addScaledAVX2(dst, src []float32, scale float32)

@@ -33,6 +33,10 @@ func sgdAVX2(param, grad []float32, lr float32) {
 	panic("kernels: no assembly update on this architecture")
 }
 
+func addScaledAVX2(dst, src []float32, scale float32) {
+	panic("kernels: no assembly reduction on this architecture")
+}
+
 func copyRunsAVX2(dst, p *float32, base *int, n, runs int, src *[maxRuns]int, mask *[maxRuns][packNR]int32) {
 	panic("kernels: no assembly panel writer on this architecture")
 }

@@ -231,6 +231,45 @@ func updateSweepHashes(t *testing.T) (momentum, sgd uint64) {
 	return hm.Sum64(), hs.Sum64()
 }
 
+// ringReduceLengths are the halves of train_tcp_mlp's six tensors (the
+// chunks two ranks' ring reduces) and ragged lengths around the vector
+// width and the unrolled step, down to the empty slice.
+var ringReduceLengths = []int{200704, 256, 131072, 256, 2560, 5,
+	0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 65}
+
+// ringReduceSweepHash runs AddScaled, the all-reduce's reduce step, at
+// scale 1 (a partial sum) and ½ (two ranks' mean) over awkward mixes at
+// each length, then over every pair of awkward classes, in vector lanes and
+// in the scalar tail. It hashes every dst.
+func ringReduceSweepHash() uint64 {
+	rng := tensor.NewRNG(35)
+	h := NewBitsHasher()
+	for _, n := range ringReduceLengths {
+		for _, scale := range []float32{1, 0.5} {
+			dst, src := awkwardMix(rng, n), awkwardMix(rng, n)
+			AddScaled(dst, src, scale)
+			h.Floats(dst)
+		}
+	}
+	k := len(awkward)
+	for _, scale := range []float32{1, 0.5} {
+		// One call over blocks of 32, then 8-long calls, one vector each,
+		// then 7-long calls, all scalar tail.
+		for _, piece := range []int{k * k, 8, 7} {
+			dst, src := make([]float32, k*k), make([]float32, k*k)
+			for i := range dst {
+				dst[i], src[i] = awkward[i%k], awkward[i/k]
+			}
+			for lo := 0; lo < len(dst); lo += piece {
+				hi := min(lo+piece, len(dst))
+				AddScaled(dst[lo:hi], src[lo:hi], scale)
+			}
+			h.Floats(dst)
+		}
+	}
+	return h.Sum64()
+}
+
 // poolWindow is one 2×2 window, its values in (ky, kx) order, and which of
 // them the pool must pick: −1 for none, when the output is −Inf and the
 // argmax −1.

@@ -45,4 +45,5 @@ var KernelSweeps = []struct {
 		momentum, sgd := updateSweepHashes(t)
 		cell("", momentum, sgd)
 	}},
+	{[]string{"kernel/ringReduce"}, func(_ *testing.T, cell func(string, ...uint64)) { cell("", ringReduceSweepHash()) }},
 }

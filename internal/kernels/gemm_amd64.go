@@ -26,12 +26,26 @@ func cpuHasAVX2() bool {
 }
 
 // kernel4x16AVX2 adds the packMR×packNR tile Aᵖ·B over kd depth steps into
-// C at c with row stride ldc, reading the 16 B columns of each step ldb
-// floats after the last. The caller guarantees kd ≥ 1 and that pa, the kd
-// B rows and the four C rows are in bounds.
+// C at c with row stride ldc, or stores it there when add is false, reading
+// the 16 B columns of each step ldb floats after the last. The caller
+// guarantees kd ≥ 1 and that pa, the kd B rows and the four C rows are in
+// bounds.
 //
 //go:noescape
-func kernel4x16AVX2(pa, pb *float32, kd, ldb int, c *float32, ldc int)
+func kernel4x16AVX2(pa, pb *float32, kd, ldb int, c *float32, ldc int, add bool)
+
+// packBTransAVX2 is packBPanels' loop for a full panel of a transposed B
+// over steps depth steps, a positive multiple of 4; the 16 rows from b,
+// ldb floats apart, and dst are in bounds.
+//
+//go:noescape
+func packBTransAVX2(dst, b *float32, ldb, steps int)
+
+// packRows4AVX2 is packRowsSideBySide's loop over steps depth steps, a
+// positive multiple of 8; the four rows and dst are in bounds.
+//
+//go:noescape
+func packRows4AVX2(dst, s0, s1, s2, s3 *float32, steps int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -96,17 +96,24 @@ func packAPanels(a []float32, lda, i0, p0, mc, kc int, trans bool, dst []float32
 var zeroDepth [packKC]float32
 
 // packRowsSideBySide writes one MR-vector per depth step from four rows of
-// equal length: d[4p+r] = s_r[p]. Its loop is a function of its own
-// (inlined into packAPanels the depth counter spilled, and each step
-// waited on its reload).
+// equal length: d[4p+r] = s_r[p]. On AVX2 eight steps at a time are an
+// in-register 4×8 transpose (gemm_amd64.s), and the last len mod 8 steps
+// take the scalar loop. Its loop is a function of its own (inlined into
+// packAPanels the depth counter spilled, and each step waited on its
+// reload).
 //
 //go:noinline
 func packRowsSideBySide(d, s0, s1, s2, s3 []float32) {
 	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
 	d = d[:packMR*len(s0)]
-	for p, v := range s0 {
+	done := 0
+	if useAVX2 && len(s0) >= 8 {
+		done = len(s0) &^ 7
+		packRows4AVX2(&d[0], &s0[0], &s1[0], &s2[0], &s3[0], done)
+	}
+	for p := done; p < len(s0); p++ {
 		q := (*[packMR]float32)(d[packMR*p:])
-		q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
+		q[0], q[1], q[2], q[3] = s0[p], s1[p], s2[p], s3[p]
 	}
 }
 
@@ -130,7 +137,10 @@ func packColsRagged(d, a []float32, lda, rows int) {
 // its n×k transpose when trans is set; ldb is the stored row stride.
 // Columns past nc and depth past kc are zero-filled. A full panel moves one
 // whole NR-vector per depth step in either layout (about a third of the
-// element-at-a-time cost); the ragged last panel keeps the general loop.
+// element-at-a-time cost); the ragged last panel keeps the general loop. On
+// AVX2 a full transposed panel is written four depth steps at a time by
+// in-register transposes of its 16 rows (gemm_amd64.s), and the last kc
+// mod 4 steps take the scalar loop.
 func packBPanels(b []float32, ldb, p0, j0, kc, nc int, trans bool, dst []float32) {
 	ka := kcAligned(kc)
 	panels := (nc + packNR - 1) / packNR
@@ -159,9 +169,14 @@ func packBPanels(b []float32, ldb, p0, j0, kc, nc int, trans bool, dst []float32
 			s14 := b[(j+14)*ldb+p0:][:kc]
 			s15 := b[(j+15)*ldb+p0:][:kc]
 			d := panel[:packNR*kc]
-			for p, v := range s0 {
+			done := 0
+			if useAVX2 && kc >= 4 {
+				done = kc &^ 3
+				packBTransAVX2(&d[0], &s0[0], ldb, done)
+			}
+			for p := done; p < kc; p++ {
 				q := (*[packNR]float32)(d[packNR*p:])
-				q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
+				q[0], q[1], q[2], q[3] = s0[p], s1[p], s2[p], s3[p]
 				q[4], q[5], q[6], q[7] = s4[p], s5[p], s6[p], s7[p]
 				q[8], q[9], q[10], q[11] = s8[p], s9[p], s10[p], s11[p]
 				q[12], q[13], q[14], q[15] = s12[p], s13[p], s14[p], s15[p]
@@ -205,33 +220,39 @@ func packBPanels(b []float32, ldb, p0, j0, kc, nc int, trans bool, dst []float32
 }
 
 // microKernel adds the packMR×packNR tile Aᵖ·B, summed over kd depth
-// steps, into C. pa is a packed A panel. pb holds the tile's 16 B columns
-// for each depth step, ldb floats apart: a packed panel (ldb = packNR, kd
-// the padded depth) or, on the AVX2 path only, B where it is stored (its
-// row stride, kd the exact depth). dst points at C[i, j] with row stride
-// ldc; mr×nr is the live (unpadded) extent of the tile. With AVX2 the
-// assembly kernel does the arithmetic: a full tile adds straight into C, an
-// edge tile into a zeroed stack tile whose live extent is then added to C.
-// Either way every C element gets 0 + Σ rounded products in depth order,
-// then C + sum, the same bits as the pure-Go tile.
-func microKernel(pa, pb []float32, kd, ldb int, dst []float32, ldc, mr, nr int) {
+// steps, into C, or stores it there when add is false (the first depth
+// block): C is then written, never read. pa is a packed A panel. pb holds
+// the tile's 16 B columns for each depth step, ldb floats apart: a packed
+// panel (ldb = packNR, kd the padded depth) or, on the AVX2 path only, B
+// where it is stored (its row stride, kd the exact depth). dst points at
+// C[i, j] with row stride ldc; mr×nr is the live (unpadded) extent of the
+// tile. With AVX2 the assembly kernel does the arithmetic: a full tile
+// goes straight to C, an edge tile to a stack tile whose live extent is
+// then added to or stored in C. Either way every C element gets
+// 0 + Σ rounded products in depth order, then C + sum or the sum, the same
+// bits as the pure-Go tile; and storing the sum gives the bits of adding
+// it to a cleared C, since a sum that starts at +0 is never −0.
+func microKernel(pa, pb []float32, kd, ldb int, dst []float32, ldc, mr, nr int, add bool) {
 	if !useAVX2 {
-		microKernelGo(pa, pb, kd, dst, ldc, mr, nr)
+		microKernelGo(pa, pb, kd, dst, ldc, mr, nr, add)
 		return
 	}
 	pa = pa[:packMR*kd]
 	pb = pb[:(kd-1)*ldb+packNR]
 	if mr == packMR && nr == packNR {
 		_ = dst[(packMR-1)*ldc+packNR-1]
-		kernel4x16AVX2(&pa[0], &pb[0], kd, ldb, &dst[0], ldc)
+		kernel4x16AVX2(&pa[0], &pb[0], kd, ldb, &dst[0], ldc, add)
 		return
 	}
 	var tile [packMR * packNR]float32
-	kernel4x16AVX2(&pa[0], &pb[0], kd, ldb, &tile[0], packNR)
+	kernel4x16AVX2(&pa[0], &pb[0], kd, ldb, &tile[0], packNR, false)
 	for r := 0; r < mr; r++ {
 		row := dst[r*ldc : r*ldc+nr]
 		for j, v := range tile[r*packNR : r*packNR+nr] {
-			row[j] += v
+			if add {
+				v = row[j] + v
+			}
+			row[j] = v
 		}
 	}
 }
@@ -241,10 +262,10 @@ func microKernel(pa, pb []float32, kd, ldb int, dst []float32, ldc, mr, nr int) 
 // pure Go 16 scalar FP registers and no vectorization, and eight
 // accumulators plus the a/b temporaries is the largest tile whose
 // accumulators stay in registers (4×4 and 4×8 spill them every step).
-func microKernelGo(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int) {
+func microKernelGo(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int, add bool) {
 	for r := 0; r < mr; r += 2 {
 		for j := 0; j < nr; j += 4 {
-			tile2x4(pa[r:], pb[j:], ka, dst[r*ldc+j:], ldc, min(2, mr-r), min(4, nr-j))
+			tile2x4(pa[r:], pb[j:], ka, dst[r*ldc+j:], ldc, min(2, mr-r), min(4, nr-j), add)
 		}
 	}
 }
@@ -254,8 +275,9 @@ func microKernelGo(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int) {
 // accumulators stay in registers across the whole k loop, unrolled ×4, and
 // the constant-length re-slicing makes every load bounds-check-free. The
 // float32 conversions pin each product's rounding, so no target may fuse
-// a multiply-add and move bits away from the assembly kernel.
-func tile2x4(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int) {
+// a multiply-add and move bits away from the assembly kernel. The sums are
+// added to C, or stored in it when add is false.
+func tile2x4(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int, add bool) {
 	const la = packMR*(packKU-1) + 2 // last a read in an unrolled step, +1
 	const lb = packNR*(packKU-1) + 4
 	var c00, c01, c02, c03 float32
@@ -306,23 +328,24 @@ func tile2x4(pa, pb []float32, ka int, dst []float32, ldc, mr, nr int) {
 	}
 	if mr == 2 && nr == 4 {
 		r0 := dst[0:4:4]
-		r0[0] += c00
-		r0[1] += c01
-		r0[2] += c02
-		r0[3] += c03
 		r1 := dst[ldc : ldc+4 : ldc+4]
-		r1[0] += c10
-		r1[1] += c11
-		r1[2] += c12
-		r1[3] += c13
+		if add {
+			c00, c01, c02, c03 = r0[0]+c00, r0[1]+c01, r0[2]+c02, r0[3]+c03
+			c10, c11, c12, c13 = r1[0]+c10, r1[1]+c11, r1[2]+c12, r1[3]+c13
+		}
+		r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
 		return
 	}
-	// Edge tile: stage the accumulators and add back the live extent only.
+	// Edge tile: stage the accumulators and write back the live extent only.
 	acc := [2][4]float32{{c00, c01, c02, c03}, {c10, c11, c12, c13}}
 	for r := 0; r < mr; r++ {
 		row := dst[r*ldc:]
-		for j := 0; j < nr; j++ {
-			row[j] += acc[r][j]
+		for j, v := range acc[r][:nr] {
+			if add {
+				v = row[j] + v
+			}
+			row[j] = v
 		}
 	}
 }
@@ -401,10 +424,11 @@ func (bb bBlock) panel(jp, kcb int) (pb []float32, kd, ldb int) {
 // the micro-kernel the same products in the same order, so the result does
 // not depend on who packed. Macro row blocks of A are distributed over the
 // shared worker pool; each worker packs its own A block while the B block
-// is shared read-only.
+// is shared read-only. C is only written: the first depth block's tiles
+// store their sums and the later ones add to them.
 func gemmPanels(a, b, ap, bp, c []float32, m, k, n int, transA, transB bool) {
-	clear(c[:m*n])
 	if m == 0 || n == 0 || k == 0 {
+		clear(c[:m*n])
 		return
 	}
 	lda := k
@@ -495,9 +519,10 @@ func packedParallelBlocks(a, ap, c []float32, bb bBlock, lda, pc, jc, m, kcb, nc
 }
 
 // packedMacroBlock sweeps one MC×KC block of A against every panel of the
-// B block, issuing one micro-kernel call per MR×NR tile. The A block is read
-// from ap, the depth block's part of a whole-operand pack, or, when ap is
-// nil, packed from a into pa first.
+// B block, issuing one micro-kernel call per MR×NR tile; the tiles of the
+// first depth block (pc = 0) store into C, the rest add. The A block is
+// read from ap, the depth block's part of a whole-operand pack, or, when
+// ap is nil, packed from a into pa first.
 func packedMacroBlock(a, ap, c []float32, bb bBlock, lda, ic, pc, jc, mcb, kcb, ncb, nPanels, ldc int, transA bool, pa []float32) {
 	ka := kcAligned(kcb)
 	if ap != nil {
@@ -515,7 +540,7 @@ func packedMacroBlock(a, ap, c []float32, bb bBlock, lda, ic, pc, jc, mcb, kcb, 
 				pa[ip*packMR*ka:(ip+1)*packMR*ka],
 				bPanel, kd, ldb,
 				c[(ic+ip*packMR)*ldc+jc+jp*packNR:],
-				ldc, mr, nr,
+				ldc, mr, nr, pc > 0,
 			)
 		}
 	}

@@ -240,9 +240,10 @@ func TestGemmPackedScratchReuse(t *testing.T) {
 // padded depth, and holds the assembly kernel reading the same values in
 // place from a wider row, over the exact depth, to those bits too (the
 // other columns of the row are NaN and must not be read). It adds into a C
-// that already holds values and checks that nothing outside the tile is
-// written. It clears useAVX2 to reach the pure-Go path, so it skips where
-// there is no assembly kernel to compare.
+// that already holds values, and stores into one whose tile is NaN, which
+// must give the bits of adding into a zeroed tile; nothing outside the
+// tile may be written. It clears useAVX2 to reach the pure-Go path, so it
+// skips where there is no assembly kernel to compare.
 func TestMicroKernelFallbackBitwise(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 micro-kernel on this host: the pure-Go tile is the only path")
@@ -273,21 +274,128 @@ func TestMicroKernelFallbackBitwise(t *testing.T) {
 		c0 := randSlice(rng, packMR*ldc)
 		for mr := 1; mr <= packMR; mr++ {
 			for nr := 1; nr <= packNR; nr++ {
-				var want []float32
-				for _, tc := range []struct {
-					b       []float32
-					kd, ldb int
-					asm     bool
-				}{{pb, ka, packNR, true}, {pb, ka, packNR, false}, {inPlace, depth, ldb, true}} {
-					got := append([]float32(nil), c0...)
-					useAVX2 = tc.asm
-					microKernel(pa, tc.b, tc.kd, tc.ldb, got, ldc, mr, nr)
-					if want == nil {
-						want = got
+				withTile := func(v float32) []float32 {
+					c := append([]float32(nil), c0...)
+					for r := 0; r < mr; r++ {
+						for j := 0; j < nr; j++ {
+							c[r*ldc+j] = v
+						}
 					}
-					requireSameBits(t, fmt.Sprintf("depth %d, %d×%d tile, ldb %d, avx2=%v", depth, mr, nr, tc.ldb, tc.asm), got, want)
+					return c
+				}
+				// Storing is adding into a zeroed tile.
+				stored := withTile(0)
+				useAVX2 = false
+				microKernel(pa, pb, ka, packNR, stored, ldc, mr, nr, true)
+				for _, add := range []bool{true, false} {
+					start, want := c0, []float32(nil)
+					if !add {
+						start, want = withTile(float32(math.NaN())), stored
+					}
+					for _, tc := range []struct {
+						b       []float32
+						kd, ldb int
+						asm     bool
+					}{{pb, ka, packNR, true}, {pb, ka, packNR, false}, {inPlace, depth, ldb, true}} {
+						got := append([]float32(nil), start...)
+						useAVX2 = tc.asm
+						microKernel(pa, tc.b, tc.kd, tc.ldb, got, ldc, mr, nr, add)
+						if want == nil {
+							want = got
+						}
+						requireSameBits(t, fmt.Sprintf("depth %d, %d×%d tile, ldb %d, avx2=%v, add=%v", depth, mr, nr, tc.ldb, tc.asm, add), got, want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// nanSlice returns n NaNs.
+func nanSlice(n int) []float32 {
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = float32(math.NaN())
+	}
+	return x
+}
+
+// TestGemmPanelsWritesC: gemmPanels writes C and never reads it. On both
+// paths every route of the loop nest gives from a NaN-filled C the bits it
+// gives from a zeroed one, and k = 0 gives zeros.
+func TestGemmPanelsWritesC(t *testing.T) {
+	rng := tensor.NewRNG(59)
+	onEachMicroKernel(t, func(t *testing.T) {
+		for _, s := range []struct {
+			route          string
+			m, k, n        int
+			transA, transB bool
+			prePacked      bool
+			workers        int
+		}{
+			{"B read in place", 32, 512, 784, false, false, false, 1},
+			{"B packed", packMC + 4, 40, 48, false, false, false, 1},
+			{"B packed, a macro block per worker", 2*packMC + 4, 40, 48, false, false, false, 2},
+			{"A and B pre-packed", 20, 300, 50, false, false, true, 1},
+			{"A transposed", 20, 64, 48, true, false, false, 1},
+			{"B transposed", 32, 512, 512, false, true, false, 1},
+			{"ragged edge tiles", 7, 13, 21, false, false, false, 1},
+			{"ragged, both transposed", 9, 30, 37, true, true, false, 1},
+			{"k past packKC", 9, packKC + 3, 33, false, false, false, 1},
+			{"k = 0", 5, 0, 17, false, false, false, 1},
+		} {
+			a, b := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n)
+			var ap, bp []float32
+			if s.prePacked {
+				ap, bp = wholePacks(a, b, s.m, s.k, s.n, s.transA, s.transB)
+			}
+			withPool(s.workers, func() {
+				zeroed, poisoned := make([]float32, s.m*s.n), nanSlice(s.m*s.n)
+				gemmPanels(a, b, ap, bp, zeroed, s.m, s.k, s.n, s.transA, s.transB)
+				gemmPanels(a, b, ap, bp, poisoned, s.m, s.k, s.n, s.transA, s.transB)
+				requireSameBits(t, s.route, poisoned, zeroed)
+				if s.k == 0 {
+					requireSameBits(t, s.route, poisoned, make([]float32, s.m*s.n))
+				}
+			})
+		}
+	})
+}
+
+// TestPackTransposesMatchScalar: the vector packs write the bytes of their
+// scalar loops. A full transposed B panel (four depth steps per transpose,
+// kc mod 4 one at a time) and an A panel read from four rows side by side
+// (eight per transpose, kc mod 8 one at a time) are packed at kc 1–17 and
+// 255–257 from awkward values, B with a row stride longer than kc and at a
+// depth offset, into NaN-filled panels, two full B panels and a ragged one.
+// It skips where there is no assembly pack to compare.
+func TestPackTransposesMatchScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 pack on this host: the scalar loops are the only path")
+	}
+	defer func() { useAVX2 = true }()
+	rng := tensor.NewRNG(60)
+	kcs := []int{255, 256, 257}
+	for kc := 1; kc <= 17; kc++ {
+		kcs = append(kcs, kc)
+	}
+	for _, kc := range kcs {
+		const nc, p0 = 2*packNR + 5, 3
+		ldb := kc + p0 + 2
+		b := awkwardMix(rng, nc*ldb)
+		size := (nc + packNR - 1) / packNR * packNR * kcAligned(kc)
+		rows := [packMR][]float32{b[1:][:kc], b[ldb+2:][:kc], b[5*ldb:][:kc], b[9*ldb+3:][:kc]}
+		var wantB, wantA []float32
+		for _, asm := range []bool{false, true} {
+			useAVX2 = asm
+			gotB, gotA := nanSlice(size), nanSlice(packMR*kc)
+			packBPanels(b, ldb, p0, 0, kc, nc, true, gotB)
+			packRowsSideBySide(gotA, rows[0], rows[1], rows[2], rows[3])
+			if wantB == nil {
+				wantB, wantA = gotB, gotA
+			}
+			requireSameBits(t, fmt.Sprintf("transposed B, kc %d, avx2=%v", kc, asm), gotB, wantB)
+			requireSameBits(t, fmt.Sprintf("A rows side by side, kc %d, avx2=%v", kc, asm), gotA, wantA)
 		}
 	}
 }

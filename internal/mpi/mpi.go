@@ -1,6 +1,6 @@
 // Package mpi is the message-passing substrate of Deep500-Go's Level 3.
-// It stands in for MPI-on-Aries in the paper's evaluation (see DESIGN.md):
-// ranks are goroutines that exchange *real data* through in-memory
+// It stands in for the MPI over a Cray Aries network that the paper's
+// evaluation ran on, which one host cannot provide: ranks are goroutines that exchange *real data* through in-memory
 // mailboxes — so distributed algorithms are executed for real and can be
 // validated bit-for-bit against serial execution — while every operation
 // also advances a per-rank *virtual clock* under an α–β (latency-bandwidth)

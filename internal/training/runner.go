@@ -368,7 +368,7 @@ func (r *Runner) EpochTime(ctx context.Context) (time.Duration, error) {
 // SyntheticClassification builds a deterministic, learnable classification
 // dataset: each class has a random prototype pattern, and samples are the
 // prototype plus Gaussian noise. It stands in for MNIST/CIFAR in
-// convergence experiments (see DESIGN.md substitutions).
+// convergence experiments, which then need no dataset download.
 func SyntheticClassification(n, classes int, shape []int, noise float32, seed uint64) *InMemoryDataset {
 	rng := tensor.NewRNG(seed)
 	vol := tensor.Volume(shape)

@@ -2,8 +2,11 @@
 // CI docs job. It fails (exit 1) on:
 //
 //  1. broken intra-repository markdown links (fragments are stripped;
-//     external http(s)/mailto links are ignored), and Test…, Benchmark…
-//     or Fuzz… names a markdown file cites that no func declares; and
+//     external http(s)/mailto links are ignored), Test…, Benchmark…
+//     or Fuzz… names a markdown file cites that no func declares, and
+//     markdown paths a Go comment names that are not in the repository
+//     (a path resolves from the repository root or from the Go file's
+//     directory); and
 //  2. exported identifiers in the public d500/ package missing doc
 //     comments — the public API surface must stay fully documented; and
 //  3. drift between the canonical metric list (internal/obs/names.go)
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"io/fs"
 	"os"
@@ -58,21 +62,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference, API callers and cited tests OK")
+	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference, API callers, cited tests and commented markdown paths OK")
 }
 
 // mdLink matches [text](target); images ![alt](target) share the suffix.
 // testName matches a test, benchmark or fuzz name; goFunc a declared one.
+// mdPath matches a markdown file's name or path in running text.
 var (
 	mdLink   = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	goFunc   = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?(\w+)`)
+	mdPath   = regexp.MustCompile(`(?:\.{1,2}/)*\w[\w./-]*\.md\b`)
 )
 
 // checkMarkdown checks every markdown file under root but .git and testdata:
 // each relative link must resolve, and each test name cited must be a func
 // the walked Go files declare, except in root files other than README.md and
-// ARCHITECTURE.md, which record history, plans and references.
+// ARCHITECTURE.md, which record history, plans and references. Each markdown
+// path a walked Go file's comments name must exist, from root or from the
+// Go file's directory.
 func checkMarkdown(root string) []string {
 	var problems []string
 	declared := make(map[string]bool)
@@ -99,6 +107,13 @@ func checkMarkdown(root string) []string {
 		case ext == ".go":
 			for _, m := range goFunc.FindAllStringSubmatch(string(data), -1) {
 				declared[m[1]] = true
+			}
+			for _, md := range commentedMarkdown(data) {
+				_, fromRoot := os.Stat(filepath.Join(root, md))
+				_, fromDir := os.Stat(filepath.Join(filepath.Dir(path), md))
+				if fromRoot != nil && fromDir != nil {
+					problems = append(problems, fmt.Sprintf("%s: a comment names %s, which is not in the repository", path, md))
+				}
 			}
 			return nil
 		case filepath.Dir(path) != filepath.Clean(root) || name == "README.md" || name == "ARCHITECTURE.md":
@@ -133,6 +148,31 @@ func checkMarkdown(root string) []string {
 		}
 	}
 	return problems
+}
+
+// commentedMarkdown returns the markdown paths the comments of a Go source
+// name, each once.
+func commentedMarkdown(src []byte) []string {
+	var s scanner.Scanner
+	fset := token.NewFileSet()
+	s.Init(fset.AddFile("", fset.Base(), len(src)), src, nil, scanner.ScanComments)
+	seen := map[string]bool{}
+	var paths []string
+	for {
+		_, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return paths
+		}
+		if tok != token.COMMENT {
+			continue
+		}
+		for _, md := range mdPath.FindAllString(lit, -1) {
+			if !seen[md] {
+				seen[md] = true
+				paths = append(paths, md)
+			}
+		}
+	}
 }
 
 // checkDocComments parses every non-test Go file in dir and reports
