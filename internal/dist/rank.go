@@ -81,7 +81,7 @@ func AllreduceMean(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []f
 }
 
 // allreduce sums data across the ranks of r and multiplies each complete
-// sum by scale, unless scale is 1.
+// sum by scale.
 func allreduce(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64, scale float32) error {
 	p := r.Size()
 	if p == 1 {

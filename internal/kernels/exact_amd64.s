@@ -433,11 +433,12 @@ sgdDone:
 
 // func addScaledAVX2(dst, src []float32, scale float32)
 //
-// dst[i] = dst[i] + src[i], then times scale unless scale is 1, for the
-// len(dst) elements: 32 per step, then 8, then one at a time with the VEX
-// scalar forms. dst is each add's first operand and the sum each product's,
-// as in the scalar loop, and the sum is rounded before it is multiplied.
-// scale is compared by its bits: 1 has one encoding.
+// dst[i] = (dst[i] + src[i]) * scale for the len(dst) elements: 32 per
+// step, then 8, then one at a time with the VEX scalar forms. dst is each
+// add's first operand and the sum each product's, as in the scalar loop,
+// and the sum is rounded before it is multiplied. At scale 1 the product
+// is the sum's bits: a NaN sum is already quiet, and without FTZ/DAZ x·1
+// is x for every other x.
 TEXT ·addScaledAVX2(SB), NOSPLIT, $0-52
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
@@ -445,63 +446,7 @@ TEXT ·addScaledAVX2(SB), NOSPLIT, $0-52
 	VBROADCASTSS scale+48(FP), Y0
 	MOVQ         CX, BX
 	SHRQ         $5, BX
-	CMPL         scale+48(FP), $0x3f800000
-	JNE          scaledBlocks
-
-addBlocks:
-	TESTQ BX, BX
-	JZ    addVectors
-
-addBlockLoop:
-	VMOVUPS (DI), Y1
-	VMOVUPS 32(DI), Y2
-	VMOVUPS 64(DI), Y3
-	VMOVUPS 96(DI), Y4
-	VADDPS  (SI), Y1, Y1
-	VADDPS  32(SI), Y2, Y2
-	VADDPS  64(SI), Y3, Y3
-	VADDPS  96(SI), Y4, Y4
-	VMOVUPS Y1, (DI)
-	VMOVUPS Y2, 32(DI)
-	VMOVUPS Y3, 64(DI)
-	VMOVUPS Y4, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, SI
-	DECQ    BX
-	JNZ     addBlockLoop
-
-addVectors:
-	MOVQ CX, BX
-	ANDQ $31, BX
-	SHRQ $3, BX
-	JZ   addTail
-
-addVectorLoop:
-	VMOVUPS (DI), Y1
-	VADDPS  (SI), Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	DECQ    BX
-	JNZ     addVectorLoop
-
-addTail:
-	ANDQ $7, CX
-	JZ   addScaledDone
-
-addTailLoop:
-	VMOVSS (DI), X1
-	VADDSS (SI), X1, X1
-	VMOVSS X1, (DI)
-	ADDQ   $4, DI
-	ADDQ   $4, SI
-	DECQ   CX
-	JNZ    addTailLoop
-	JMP    addScaledDone
-
-scaledBlocks:
-	TESTQ BX, BX
-	JZ    scaledVectors
+	JZ           scaledVectors
 
 scaledBlockLoop:
 	VMOVUPS (DI), Y1

@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// refAddScaled is AddScaled's Go loop.
+// refAddScaled is the loop the all-reduce ran before AddScaled: at scale 1
+// it adds alone, so it holds AddScaled's product by 1 to the bare sum.
 func refAddScaled(dst, src []float32, scale float32) {
 	for i := range dst {
 		if scale == 1 {

@@ -1,13 +1,13 @@
-// Package mpi is the message-passing substrate of Deep500-Go's Level 3.
-// It stands in for the MPI over a Cray Aries network that the paper's
-// evaluation ran on, which one host cannot provide: ranks are goroutines that exchange *real data* through in-memory
-// mailboxes — so distributed algorithms are executed for real and can be
-// validated bit-for-bit against serial execution — while every operation
-// also advances a per-rank *virtual clock* under an α–β (latency-bandwidth)
-// network cost model. Virtual time yields scaling curves for node counts
-// far beyond the host machine (the paper runs up to 256 nodes), with
-// contention effects such as parameter-server queueing emerging naturally
-// from message timestamps.
+// Package mpi is the message-passing substrate of Deep500-Go's Level 3. It
+// stands in for the MPI over a Cray Aries network that the paper's
+// evaluation ran on, which one host cannot provide: ranks are goroutines
+// that exchange *real data* through in-memory mailboxes — so distributed
+// algorithms are executed for real and can be validated bit-for-bit against
+// serial execution — while every operation also advances a per-rank
+// *virtual clock* under an α–β (latency-bandwidth) network cost model.
+// Virtual time yields scaling curves for node counts far beyond the host
+// machine (the paper runs up to 256 nodes), with contention effects such as
+// parameter-server queueing emerging naturally from message timestamps.
 //
 // A Rank offers only point-to-point Send and Recv (the dist.Rank contract)
 // plus the virtual clock. The collectives live above that contract in
