@@ -62,20 +62,48 @@ func BenchmarkGemmSmallM(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmTiles is gemmPacked's GFLOP/s on one core with a one-worker
+// pool, on each micro-kernel path: train_tcp_mlp's three GEMMs of its first
+// layer (forward, the transB input gradient and the transA weight
+// gradient) and a 256³ product. docs/kernels.md has the table.
+//
+//	go test ./internal/kernels -run '^$' -bench GemmTiles -benchmem -cpu 1
+func BenchmarkGemmTiles(b *testing.B) {
+	shapes := []struct {
+		name           string
+		m, k, n        int
+		transA, transB bool
+	}{
+		{"32x784x512", 32, 784, 512, false, false},
+		{"32x512x784-transB", 32, 512, 784, false, true},
+		{"784x32x512-transA", 784, 32, 512, true, false},
+		{"256x256x256", 256, 256, 256, false, false},
+	}
+	rng := tensor.NewRNG(2)
+	withPool(1, func() {
+		for _, s := range shapes {
+			a, bm, c := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), make([]float32, s.m*s.n)
+			onEachPath(func(p kernelPath) {
+				b.Run(s.name+"/"+p.short, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						gemmPacked(a, bm, c, s.m, s.k, s.n, s.transA, s.transB)
+					}
+					b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			})
+		}
+	})
+}
+
 // BenchmarkConvLeNet times LeNet's two convolutions at batch 32 on a
 // one-worker pool, per layer and direction — the forward pass, the weight
 // gradient (dW and dBias, as for conv1, whose input needs no gradient) and
-// the input gradient alone — on the pure-Go panel writers and Col2Im and on
-// the AVX2 ones (the GEMM tile follows the same switch). docs/kernels.md has
-// the table. CI runs it once as a smoke test.
+// the input gradient alone — on each kernel path: the pure-Go panel writers,
+// Col2Im and GEMM tile, the AVX2 ones, and those with the AVX-512 GEMM tile.
+// docs/kernels.md has the table. CI runs it once as a smoke test.
 //
 //	go test ./internal/kernels -run '^$' -bench ConvLeNet -benchmem -cpu 1
 func BenchmarkConvLeNet(b *testing.B) {
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	paths := []string{"go"}
-	if useAVX2 {
-		paths = append(paths, "avx2")
-	}
 	withPool(1, func() {
 		for i, s := range lenetConvShapes(32) {
 			x, w, gOut := convBackwardOperands(s, 81)
@@ -83,27 +111,23 @@ func BenchmarkConvLeNet(b *testing.B) {
 			out := make([]float32, s.OutputSize())
 			dX, dW, dB := make([]float32, len(x)), make([]float32, len(w)), make([]float32, s.M)
 			layer := fmt.Sprintf("conv%d", i+1)
-			for _, path := range paths {
-				asm := path == "avx2"
-				b.Run(layer+"/fwd/"+path, func(b *testing.B) {
-					useAVX2 = asm
+			onEachPath(func(p kernelPath) {
+				b.Run(layer+"/fwd/"+p.short, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						Conv2D(ConvIm2Col, s, x, w, bias, out)
 					}
 				})
-				b.Run(layer+"/dW/"+path, func(b *testing.B) {
-					useAVX2 = asm
+				b.Run(layer+"/dW/"+p.short, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						Conv2DBackward(s, x, w, gOut, nil, dW, dB)
 					}
 				})
-				b.Run(layer+"/dX/"+path, func(b *testing.B) {
-					useAVX2 = asm
+				b.Run(layer+"/dX/"+p.short, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						Conv2DBackward(s, x, w, gOut, dX, nil, nil)
 					}
 				})
-			}
+			})
 		}
 	})
 }

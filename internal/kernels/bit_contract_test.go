@@ -165,25 +165,16 @@ func kernelRows() []bitRow {
 	return rows
 }
 
-// paths are the kernel paths this host has: the pure-Go loops, and the
-// assembly kernels where the CPU runs them.
-func paths() []bool {
-	if kernels.HostHasAVX2 {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
 // onEachConfig runs f on every kernel path, each on a one- and a two-worker
 // pool.
 func onEachConfig(f func(config string)) {
-	defer func(v bool, p *kernels.Pool) { *kernels.UseAVX2, kernels.Default = v, p }(*kernels.UseAVX2, kernels.Default)
-	for _, avx2 := range paths() {
+	defer func(p *kernels.Pool) { kernels.Default = p }(kernels.Default)
+	kernels.OnEachKernelPath(func(path string) {
 		for _, workers := range []int{1, 2} {
-			*kernels.UseAVX2, kernels.Default = avx2, kernels.NewPool(workers)
-			f(fmt.Sprintf("avx2=%v pool=%d", avx2, workers))
+			kernels.Default = kernels.NewPool(workers)
+			f(fmt.Sprintf("%s pool=%d", path, workers))
 		}
-	}
+	})
 }
 
 // zooModel is an architecture of internal/models at a CPU-test scale.

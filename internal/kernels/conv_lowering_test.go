@@ -110,18 +110,48 @@ func convLoweringSweepHash() uint64 {
 	return h.Sum64()
 }
 
-// onEachMicroKernel runs f on the assembly tile, where this host has it,
-// and on the pure-Go tile.
-func onEachMicroKernel(t *testing.T, f func(t *testing.T)) {
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	paths := []bool{false}
+// A kernelPath is one way the kernels can run, named as its subtests are
+// and, shorter, as its benchmarks are: the pure-Go loops (avx2=false, go),
+// the AVX2 kernels (avx2=true, avx2), and the AVX2 kernels with the 4×32
+// AVX-512 GEMM tile beside them (path=avx512, avx512).
+type kernelPath struct {
+	name, short  string
+	avx2, avx512 bool
+}
+
+// hostPaths are the kernel paths this host has, read before any test
+// switches one.
+var hostPaths = func() []kernelPath {
+	paths := []kernelPath{{"avx2=false", "go", false, false}}
 	if useAVX2 {
-		paths = append(paths, true)
+		paths = append(paths, kernelPath{"avx2=true", "avx2", true, false})
 	}
-	for _, asm := range paths {
-		useAVX2 = asm
-		t.Run(fmt.Sprintf("avx2=%v", asm), f)
+	if useAVX2 && useAVX512 {
+		paths = append(paths, kernelPath{"path=avx512", "avx512", true, true})
 	}
+	return paths
+}()
+
+// TestHostKernelPaths logs which kernel paths this host runs, so a CI log
+// shows whether the AVX-512 tile was tested.
+func TestHostKernelPaths(t *testing.T) {
+	last := hostPaths[len(hostPaths)-1]
+	t.Logf("avx2=%v avx512=%v", last.avx2, last.avx512)
+}
+
+// onEachPath runs f with each of the host's kernel paths selected, then
+// restores the switches.
+func onEachPath(f func(p kernelPath)) {
+	defer func(avx2, avx512 bool) { useAVX2, useAVX512 = avx2, avx512 }(useAVX2, useAVX512)
+	for _, p := range hostPaths {
+		useAVX2, useAVX512 = p.avx2, p.avx512
+		f(p)
+	}
+}
+
+// onEachMicroKernel runs f as a subtest on each kernel path this host has.
+func onEachMicroKernel(t *testing.T, f func(t *testing.T)) {
+	onEachPath(func(p kernelPath) { t.Run(p.name, f) })
 }
 
 // packColumns packs a column matrix (taps×positions) the way the loop nest

@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// For the external test package: UseAVX2 points at the switch between the
-// assembly kernels and the pure-Go loops, HostHasAVX2 is its value at
-// start-up, and OnEachMicroKernel runs a subtest on each path.
-var (
-	UseAVX2, HostHasAVX2 = &useAVX2, useAVX2
-	OnEachMicroKernel    = onEachMicroKernel
-)
+// For the external test package: OnEachMicroKernel runs a subtest on each
+// kernel path this host has, and OnEachKernelPath runs f with each selected,
+// handing it the path's name.
+var OnEachMicroKernel = onEachMicroKernel
+
+func OnEachKernelPath(f func(name string)) { onEachPath(func(p kernelPath) { f(p.name) }) }
 
 // KernelSweeps are the sweeps behind the bit contract's kernel rows
 // (bit_contract_test.go). Each reports one or more cells to cell, naming

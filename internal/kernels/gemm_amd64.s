@@ -129,6 +129,137 @@ overwrite:
 	VZEROUPPER
 	RET
 
+// func kernel4x32AVX512(pa, pb *float32, kd, ldb, off int, c *float32, ldc int, add bool)
+//
+// kernel4x16AVX2 two panels wide: C[0:4, 0:32] += Aᵖ·B over kd depth steps
+// (kd ≥ 1), or C[0:4, 0:32] = Aᵖ·B when add is false. The B columns 0–15
+// of each step are at pb, ldb floats a row, and columns 16–31 off floats
+// after them: the next panel of B where it is stored (off 16) or the next
+// packed panel (off 16·depth). Z0–Z7 hold the 4×32 tile, two ZMM vectors
+// per row, for the whole depth loop, and each step multiplies and then adds
+// in the AVX2 tile's operand order — VMULPS, VADDPS, never a fused
+// multiply-add — so every C element gets the bits the 4×16 tiles give. It
+// uses AVX512F instructions only (VPXORD, not VXORPS, clears a ZMM).
+TEXT ·kernel4x32AVX512(SB), NOSPLIT, $0-57
+	MOVQ pa+0(FP), SI
+	MOVQ pb+8(FP), DI
+	MOVQ kd+16(FP), CX
+	MOVQ ldb+24(FP), R9
+	MOVQ off+32(FP), R13
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R8
+	SHLQ $2, R8
+	LEAQ (DI)(R13*4), R13    // the second panel's first row
+	SHLQ $2, R9              // one B row, in bytes
+	LEAQ (R9)(R9*2), R10     // three B rows
+	MOVQ R9, R11
+	SHLQ $2, R11             // four B rows
+	MOVQ CX, BX
+	ANDQ $3, BX              // single steps after the unrolled loop
+	SHRQ $2, CX
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+#define STEP512(aoff, brow, brow16) \
+	VMOVUPS      brow, Z8             \
+	VMOVUPS      brow16, Z9           \
+	VBROADCASTSS aoff(SI), Z10        \
+	VMULPS       Z8, Z10, Z11         \
+	VMULPS       Z9, Z10, Z12         \
+	VADDPS       Z11, Z0, Z0          \
+	VADDPS       Z12, Z1, Z1          \
+	VBROADCASTSS aoff+4(SI), Z13      \
+	VMULPS       Z8, Z13, Z14         \
+	VMULPS       Z9, Z13, Z15         \
+	VADDPS       Z14, Z2, Z2          \
+	VADDPS       Z15, Z3, Z3          \
+	VBROADCASTSS aoff+8(SI), Z10      \
+	VMULPS       Z8, Z10, Z11         \
+	VMULPS       Z9, Z10, Z12         \
+	VADDPS       Z11, Z4, Z4          \
+	VADDPS       Z12, Z5, Z5          \
+	VBROADCASTSS aoff+12(SI), Z13     \
+	VMULPS       Z8, Z13, Z14         \
+	VMULPS       Z9, Z13, Z15         \
+	VADDPS       Z14, Z6, Z6          \
+	VADDPS       Z15, Z7, Z7
+
+	TESTQ CX, CX
+	JZ    tail512
+
+loop512:
+	STEP512(0, (DI), (R13))
+	STEP512(16, (DI)(R9*1), (R13)(R9*1))
+	STEP512(32, (DI)(R9*2), (R13)(R9*2))
+	STEP512(48, (DI)(R10*1), (R13)(R10*1))
+	ADDQ $64, SI
+	ADDQ R11, DI
+	ADDQ R11, R13
+	DECQ CX
+	JNZ  loop512
+
+tail512:
+	TESTQ BX, BX
+	JZ    store512
+
+single512:
+	STEP512(0, (DI), (R13))
+	ADDQ $16, SI
+	ADDQ R9, DI
+	ADDQ R9, R13
+	DECQ BX
+	JNZ  single512
+
+store512:
+	CMPB add+56(FP), $0
+	JEQ  overwrite512
+
+	// C += tile, one row of 32 at a time.
+	VADDPS  (DX), Z0, Z0
+	VMOVUPS Z0, (DX)
+	VADDPS  64(DX), Z1, Z1
+	VMOVUPS Z1, 64(DX)
+	ADDQ    R8, DX
+	VADDPS  (DX), Z2, Z2
+	VMOVUPS Z2, (DX)
+	VADDPS  64(DX), Z3, Z3
+	VMOVUPS Z3, 64(DX)
+	ADDQ    R8, DX
+	VADDPS  (DX), Z4, Z4
+	VMOVUPS Z4, (DX)
+	VADDPS  64(DX), Z5, Z5
+	VMOVUPS Z5, 64(DX)
+	ADDQ    R8, DX
+	VADDPS  (DX), Z6, Z6
+	VMOVUPS Z6, (DX)
+	VADDPS  64(DX), Z7, Z7
+	VMOVUPS Z7, 64(DX)
+	VZEROUPPER
+	RET
+
+overwrite512:
+	// C = tile, as in kernel4x16AVX2.
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	ADDQ    R8, DX
+	VMOVUPS Z2, (DX)
+	VMOVUPS Z3, 64(DX)
+	ADDQ    R8, DX
+	VMOVUPS Z4, (DX)
+	VMOVUPS Z5, 64(DX)
+	ADDQ    R8, DX
+	VMOVUPS Z6, (DX)
+	VMOVUPS Z7, 64(DX)
+	VZEROUPPER
+	RET
+
 // TRANSPOSE8x4 writes four depth steps of eight panel lanes from eight B
 // rows R9 bytes apart (R10 = 3·R9): lanes 0–3 from the rows at r0, lanes
 // 4–7 from those at r4. Each row's four floats are loaded with those of

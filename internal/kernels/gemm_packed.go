@@ -31,6 +31,9 @@ package kernels
 // and then added — no fused multiply-add, so each C element sees the same
 // rounded products and sums in the same order as a scalar loop, and the
 // output is bit for bit what the scalar 2×4 tile it replaced produced.
+// Where the CPU also has AVX-512, two full adjacent B panels are swept as
+// one 4×32 tile (kernel4x32AVX512: eight ZMM accumulators, multiplied and
+// then added in the same order), which gives the same bits again.
 // Everywhere else the pure-Go fallback sweeps that scalar 2×4 tile over the
 // eight sub-tiles of the 4×16 panels. See docs/kernels.md for the
 // measurements and re-tuning guidance.
@@ -257,6 +260,22 @@ func microKernel(pa, pb []float32, kd, ldb int, dst []float32, ldc, mr, nr int, 
 	}
 }
 
+// microKernelPair is microKernel over two full panels side by side, the
+// second off floats after the first, on the AVX-512 path: four rows are
+// one 4×32 tile, which gives the bits of a 4×16 tile on each panel, and
+// fewer rows take the 4×16 tile on each panel.
+func microKernelPair(pa, pb []float32, kd, ldb, off int, dst []float32, ldc, mr int, add bool) {
+	if mr < packMR {
+		microKernel(pa, pb, kd, ldb, dst, ldc, mr, packNR, add)
+		microKernel(pa, pb[off:], kd, ldb, dst[packNR:], ldc, mr, packNR, add)
+		return
+	}
+	pa = pa[:packMR*kd]
+	pb = pb[:off+(kd-1)*ldb+packNR]
+	_ = dst[(packMR-1)*ldc+2*packNR-1]
+	kernel4x32AVX512(&pa[0], &pb[0], kd, ldb, off, &dst[0], ldc, add)
+}
+
 // microKernelGo is the portable micro-kernel: a 2×4 scalar register tile
 // swept over the live 2×4 sub-tiles of the packed 4×16 panels. gc gives
 // pure Go 16 scalar FP registers and no vectorization, and eight
@@ -405,14 +424,29 @@ type bBlock struct {
 }
 
 // panel returns panel jp of a block of depth kcb: its first row, its
-// depth in steps and its row stride.
+// depth in steps and its row stride. The slice runs on past the panel.
 func (bb bBlock) panel(jp, kcb int) (pb []float32, kd, ldb int) {
 	if jp < bb.full {
 		return bb.b[jp*packNR:], kcb, bb.ldb
 	}
 	ka := kcAligned(kcb)
-	jp -= bb.full
-	return bb.packed[jp*packNR*ka : (jp+1)*packNR*ka], ka, packNR
+	return bb.packed[(jp-bb.full)*packNR*ka:], ka, packNR
+}
+
+// pair is panel for the first of panels jp and jp+1 of a block of ncb
+// columns, with off, how many floats after a row of the first panel the
+// same row of the second starts: packNR in place, packNR times the padded
+// depth packed. ok is false unless both panels are full and read alike,
+// both in place or both packed.
+func (bb bBlock) pair(jp, kcb, ncb int) (pb []float32, kd, ldb, off int, ok bool) {
+	pb, kd, ldb = bb.panel(jp, kcb)
+	switch {
+	case (jp+2)*packNR > ncb || jp+1 == bb.full:
+		return pb, kd, ldb, 0, false
+	case jp < bb.full:
+		return pb, kd, ldb, packNR, true
+	}
+	return pb, kd, ldb, packNR * kd, true
 }
 
 // gemmPanels is the five-loop nest behind gemmPacked. Either operand may
@@ -520,9 +554,11 @@ func packedParallelBlocks(a, ap, c []float32, bb bBlock, lda, pc, jc, m, kcb, nc
 
 // packedMacroBlock sweeps one MC×KC block of A against every panel of the
 // B block, issuing one micro-kernel call per MR×NR tile; the tiles of the
-// first depth block (pc = 0) store into C, the rest add. The A block is
-// read from ap, the depth block's part of a whole-operand pack, or, when
-// ap is nil, packed from a into pa first.
+// first depth block (pc = 0) store into C, the rest add. With AVX-512 two
+// full panels that pair (bBlock.pair) are swept together, a full 4×32 tile
+// per call; ragged rows, a ragged panel and an odd last panel keep the 4×16
+// tile. The A block is read from ap, the depth block's part of a
+// whole-operand pack, or, when ap is nil, packed from a into pa first.
 func packedMacroBlock(a, ap, c []float32, bb bBlock, lda, ic, pc, jc, mcb, kcb, ncb, nPanels, ldc int, transA bool, pa []float32) {
 	ka := kcAligned(kcb)
 	if ap != nil {
@@ -533,15 +569,20 @@ func packedMacroBlock(a, ap, c []float32, bb bBlock, lda, ic, pc, jc, mcb, kcb, 
 	mPanels := (mcb + packMR - 1) / packMR
 	for jp := 0; jp < nPanels; jp++ {
 		nr := min(packNR, ncb-jp*packNR)
-		bPanel, kd, ldb := bb.panel(jp, kcb)
+		bPanel, kd, ldb, off, paired := bb.pair(jp, kcb, ncb)
+		paired = paired && useAVX2 && useAVX512
 		for ip := 0; ip < mPanels; ip++ {
 			mr := min(packMR, mcb-ip*packMR)
-			microKernel(
-				pa[ip*packMR*ka:(ip+1)*packMR*ka],
-				bPanel, kd, ldb,
-				c[(ic+ip*packMR)*ldc+jc+jp*packNR:],
-				ldc, mr, nr, pc > 0,
-			)
+			tileA := pa[ip*packMR*ka : (ip+1)*packMR*ka]
+			dst := c[(ic+ip*packMR)*ldc+jc+jp*packNR:]
+			if paired {
+				microKernelPair(tileA, bPanel, kd, ldb, off, dst, ldc, mr, pc > 0)
+			} else {
+				microKernel(tileA, bPanel, kd, ldb, dst, ldc, mr, nr, pc > 0)
+			}
+		}
+		if paired {
+			jp++
 		}
 	}
 }

@@ -311,6 +311,122 @@ func TestMicroKernelFallbackBitwise(t *testing.T) {
 	}
 }
 
+// TestKernel4x32MatchesTwo4x16: the AVX-512 tile gives the bits of the
+// pure-Go tile run on each of its two panels, at every depth from 1 to just
+// past packKC, on two packed panels over the padded depth and on the same
+// values read in place from a wider row over the exact depth (the columns
+// past the pair are NaN and must not be read). It adds into a C that holds
+// values and stores into one whose tile is NaN, and writes nothing outside
+// the 4×32 tile. It skips where the CPU has no AVX-512.
+func TestKernel4x32MatchesTwo4x16(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512 on this host: the 4×32 tile never runs")
+	}
+	rng := tensor.NewRNG(62)
+	const ldc = 2*packNR + 3
+	const ldb = 2*packNR + 5
+	for depth := 1; depth <= packKC+5; depth++ {
+		ka := kcAligned(depth)
+		pa := make([]float32, packMR*ka)
+		for p := 0; p < depth; p++ {
+			for r := 0; r < packMR; r++ {
+				if v := float32(rng.Norm()); (p+r)%3 != 0 {
+					pa[p*packMR+r] = v
+				}
+			}
+		}
+		packed := make([]float32, 2*packNR*ka)
+		inPlace := nanSlice(depth * ldb)
+		for p := 0; p < depth; p++ {
+			for j := 0; j < 2*packNR; j++ {
+				v := float32(rng.Norm())
+				packed[j/packNR*packNR*ka+p*packNR+j%packNR] = v
+				inPlace[p*ldb+j] = v
+			}
+		}
+		c0 := randSlice(rng, packMR*ldc)
+		for _, add := range []bool{true, false} {
+			start := c0
+			if !add {
+				start = append([]float32(nil), c0...)
+				for r := 0; r < packMR; r++ {
+					copy(start[r*ldc:r*ldc+2*packNR], nanSlice(2*packNR))
+				}
+			}
+			want := append([]float32(nil), start...)
+			microKernelGo(pa, packed, ka, want, ldc, packMR, packNR, add)
+			microKernelGo(pa, packed[packNR*ka:], ka, want[packNR:], ldc, packMR, packNR, add)
+			for _, tc := range []struct {
+				b            []float32
+				kd, ldb, off int
+			}{{packed, ka, packNR, packNR * ka}, {inPlace, depth, ldb, packNR}} {
+				got := append([]float32(nil), start...)
+				kernel4x32AVX512(&pa[0], &tc.b[0], tc.kd, tc.ldb, tc.off, &got[0], ldc, add)
+				requireSameBits(t, fmt.Sprintf("depth %d, ldb %d, add=%v", depth, tc.ldb, add), got, want)
+			}
+		}
+	}
+}
+
+// TestGemmPanelsPairRoutes: on every kernel path, each route of the loop
+// nest that can hand the AVX-512 tile a pair of panels gives from a
+// NaN-filled C the bits the pure-Go tile gives into a zeroed one. The
+// column counts give even and odd panel counts, with and without a ragged
+// last panel: at 785 the last full panel, read in place, sits next to a
+// ragged packed one and must stay unpaired. The depths end a depth block
+// at one step, just short of, at and past packKC, and at 600 a third
+// block adds to the first two. B is read in place (at 2100 columns also
+// with a row longer than its packNC column block), packed because A spans
+// two macro blocks, transposed, and pre-packed transposed (convolution's
+// weight gradient); A is pre-packed with B read in place or pre-packed too
+// (convolution's forward pass); and the rows are ragged.
+func TestGemmPanelsPairRoutes(t *testing.T) {
+	rng := tensor.NewRNG(63)
+	type route struct {
+		name       string
+		m          int
+		transB     bool
+		preA, preB bool
+		ns         []int
+	}
+	ns := []int{16, 32, 48, 100, 784, 785}
+	routes := []route{
+		{"B read in place", 8, false, false, false, append(ns, 2100)},
+		{"B packed", packMC + 4, false, false, false, ns},
+		{"B transposed", 8, true, false, false, ns},
+		{"B pre-packed transposed", 8, true, false, true, ns},
+		{"A pre-packed", 8, false, true, false, ns},
+		{"A and B pre-packed", 8, false, true, true, ns},
+	}
+	for _, m := range []int{1, 2, 3, 5, 6, 7} {
+		routes = append(routes, route{"ragged rows", m, false, false, false, ns})
+	}
+	for _, r := range routes {
+		for _, n := range r.ns {
+			for _, k := range []int{1, packKC - 1, packKC, packKC + 1, 600} {
+				a, b := randSlice(rng, r.m*k), randSlice(rng, k*n)
+				ap, bp := wholePacks(a, b, r.m, k, n, false, r.transB)
+				if !r.preA {
+					ap = nil
+				}
+				if !r.preB {
+					bp = nil
+				}
+				var want []float32
+				onEachPath(func(p kernelPath) {
+					if want == nil {
+						want = make([]float32, r.m*n)
+						gemmPanels(a, b, ap, bp, want, r.m, k, n, false, r.transB)
+					}
+					got := nanSlice(r.m * n)
+					gemmPanels(a, b, ap, bp, got, r.m, k, n, false, r.transB)
+					requireSameBits(t, fmt.Sprintf("%s, %d×%d×%d, %s", r.name, r.m, k, n, p.name), got, want)
+				})
+			}
+		}
+	}
+}
+
 // nanSlice returns n NaNs.
 func nanSlice(n int) []float32 {
 	x := make([]float32, n)

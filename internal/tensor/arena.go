@@ -11,17 +11,15 @@ import (
 // concurrent use.
 type Arena struct {
 	mu   sync.Mutex
-	free map[int][][]float32 // power-of-two capacity class → buffers
-	idle int64               // bytes held in free (what FreeBytes reports)
+	free [64][][]float32 // buffers of capacity class c at free[bits.Len(c)]
+	idle int64           // bytes held in free (what FreeBytes reports)
 }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{free: make(map[int][][]float32)}
-}
+func NewArena() *Arena { return &Arena{} }
 
 // sizeClass rounds n up to the next power of two (minimum 64 elements, so
-// tiny scalars don't fragment the class map).
+// tiny scalars don't fragment the classes).
 func sizeClass(n int) int {
 	if n <= 64 {
 		return 64
@@ -38,11 +36,11 @@ func (a *Arena) GetBuf(n int) []float32 {
 		return nil
 	}
 	class := sizeClass(n)
+	list := &a.free[bits.Len(uint(class))]
 	a.mu.Lock()
 	var buf []float32
-	if list := a.free[class]; len(list) > 0 {
-		buf = list[len(list)-1]
-		a.free[class] = list[:len(list)-1]
+	if last := len(*list) - 1; last >= 0 {
+		buf, *list = (*list)[last], (*list)[:last]
 		a.idle -= int64(class) * 4
 	}
 	a.mu.Unlock()
@@ -54,15 +52,16 @@ func (a *Arena) GetBuf(n int) []float32 {
 
 // PutBuf returns a buffer obtained from GetBuf to the arena. Passing a
 // buffer whose capacity is not a size class (i.e. one that did not come
-// from this package) would poison the class map, so such buffers are
-// dropped for the GC instead.
+// from this package) would poison its class, so such buffers are dropped
+// for the GC instead.
 func (a *Arena) PutBuf(buf []float32) {
 	class := cap(buf)
 	if class == 0 || class != sizeClass(class) {
 		return
 	}
+	list := &a.free[bits.Len(uint(class))]
 	a.mu.Lock()
-	a.free[class] = append(a.free[class], buf[:0])
+	*list = append(*list, buf[:0])
 	a.idle += int64(class) * 4
 	a.mu.Unlock()
 }

@@ -264,8 +264,10 @@ func TestArenaFreeBytesCounter(t *testing.T) {
 	a := NewArena()
 	walk := func() int64 {
 		var b int64
-		for class, list := range a.free {
-			b += int64(class) * int64(len(list)) * 4
+		for _, list := range a.free {
+			for _, buf := range list {
+				b += int64(cap(buf)) * 4
+			}
 		}
 		return b
 	}
