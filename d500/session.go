@@ -148,7 +148,8 @@ func (s *Session) Open(m *graph.Model) error {
 }
 
 // Network exposes the live network of the open model — parameters,
-// gradients and feeds — which the distributed schemes pack and scatter.
+// gradients and feeds, each set one slab (ParamSlab, GradSlab) that the
+// distributed schemes send, average and update in place.
 func (s *Session) Network() (*executor.Network, error) {
 	if s.exec == nil {
 		return nil, errNotOpen

@@ -2,7 +2,10 @@ package dist
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"deep500/internal/executor"
@@ -20,22 +23,41 @@ func testModel(seed uint64) *executor.Executor {
 	return e
 }
 
+// TestPackScatterRoundTrip: the parameter slab the schemes send and average
+// and the tensors FetchTensor hands out share storage, so a write through
+// either is seen through the other, and a same-shape FeedTensor lands in
+// the slab.
 func TestPackScatterRoundTrip(t *testing.T) {
-	e := testModel(3)
-	p := PackParams(e.Network())
-	if p.Len() == 0 {
-		t.Fatal("empty packed params")
+	net := testModel(3).Network()
+	slab := net.ParamSlab().Data()
+	if len(slab) == 0 {
+		t.Fatal("empty parameter slab")
 	}
-	orig := append([]float32(nil), p.Vec...)
-	for i := range p.Vec {
-		p.Vec[i] += 1.5
+	orig := slices.Clone(slab)
+	for i := range slab {
+		slab[i] += 1.5
 	}
-	p.ScatterTo(e.Network())
-	p.GatherFrom(e.Network())
-	for i := range p.Vec {
-		if p.Vec[i] != orig[i]+1.5 {
-			t.Fatalf("round trip mismatch at %d: %g vs %g", i, p.Vec[i], orig[i]+1.5)
+	off := 0
+	for _, name := range net.Params() {
+		p, _ := net.FetchTensor(name)
+		for j, v := range p.Data() {
+			if v != orig[off+j]+1.5 {
+				t.Fatalf("%s[%d] reads %g after a slab write, want %g", name, j, v, orig[off+j]+1.5)
+			}
+			p.Data()[j] = -v
 		}
+		off += p.Size()
+	}
+	for i, v := range slab {
+		if v != -(orig[i] + 1.5) {
+			t.Fatalf("slab[%d] reads %g after a write through FetchTensor, want %g", i, v, -(orig[i] + 1.5))
+		}
+	}
+	name := net.Params()[0]
+	p, _ := net.FetchTensor(name)
+	net.FeedTensor(name, tensor.Full(7, p.Shape()...))
+	if again, _ := net.FetchTensor(name); again != p || slab[0] != 7 || slab[p.Size()-1] != 7 {
+		t.Fatalf("a same-shape FeedTensor of %s did not write into the slab", name)
 	}
 }
 
@@ -118,13 +140,13 @@ func TestDSGDMatchesSerial(t *testing.T) {
 				return err
 			}
 		}
-		finalCh <- PackParams(e.Network()).Vec
+		finalCh <- e.Network().ParamSlab().Data()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := PackParams(serial.Network()).Vec
+	ref := serial.Network().ParamSlab().Data()
 	for r := 0; r < p; r++ {
 		got := <-finalCh
 		for i := range ref {
@@ -193,7 +215,7 @@ func TestPSServerModes(t *testing.T) {
 				e := testModel(9)
 				if r.ID() == 0 {
 					return RunPSServer(context.Background(), r, training.NewFusedSGD(0.05),
-						PackParams(e.Network()),
+						e.Network().ParamSlab().Data(),
 						ServerConfig{Mode: mode, Staleness: 1, StepsPerWorker: steps})
 				}
 				opt := NewCentralizedWorker(e, r)
@@ -264,7 +286,7 @@ func TestPSServerReleasesEveryReceive(t *testing.T) {
 				if r.ID() == 0 {
 					server.Rank = r
 					return RunPSServer(context.Background(), server, training.NewFusedSGD(0.05),
-						PackParams(e.Network()), cfg)
+						e.Network().ParamSlab().Data(), cfg)
 				}
 				w := NewCentralizedWorker(e, r)
 				s := NewDistributedSampler(ds, 8, r.ID()-1, workers, 29)
@@ -321,6 +343,142 @@ func TestDecentralizedSchemesRun(t *testing.T) {
 			}
 			if world.Volume.Messages() == 0 {
 				t.Fatal("scheme moved no data")
+			}
+		})
+	}
+}
+
+// TestReceiversCheckLengths sends a payload one value short and one value
+// long to every receive path that takes a vector of the model's length:
+// the parameter server in each mode, the parameter-server worker and
+// DPSGD. Each receiver returns an error rather than panicking or
+// truncating.
+func TestReceiversCheckLengths(t *testing.T) {
+	ctx := context.Background()
+	ds := training.SyntheticClassification(16, 4, []int{1, 6, 6}, 0.2, 3)
+	feeds := NewDistributedSampler(ds, 8, 0, 1, 1).Next().Feeds()
+	n := testModel(5).Network().ParamSlab().Size()
+	server := func(mode PSMode) func(r Rank, bad []float32) error {
+		return func(r Rank, bad []float32) error {
+			if r.ID() == 1 {
+				return r.Send(0, TagGrad, bad, mpi.SimActual)
+			}
+			return RunPSServer(ctx, r, training.NewFusedSGD(0.05), testModel(5).Network().ParamSlab().Data(),
+				ServerConfig{Mode: mode, Staleness: 1, StepsPerWorker: 1})
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		receiver int
+		run      func(r Rank, bad []float32) error
+	}{
+		{"ps/sync", 0, server(PSSync)},
+		{"ps/async", 0, server(PSAsync)},
+		{"ps/stale", 0, server(PSStale)},
+		{"ps/worker", 1, func(r Rank, bad []float32) error {
+			if r.ID() == 0 {
+				if _, err := r.Recv(ctx, 1); err != nil {
+					return err
+				}
+				return r.Send(1, TagGrad, bad, mpi.SimActual)
+			}
+			_, err := NewCentralizedWorker(testModel(5), r).Train(ctx, feeds)
+			return err
+		}},
+		{"dpsgd", 0, func(r Rank, bad []float32) error {
+			if r.ID() == 1 {
+				if _, err := r.Recv(ctx, 0); err != nil {
+					return err
+				}
+				return r.Send(0, 0, bad, mpi.SimActual)
+			}
+			d := training.NewDriver(testModel(5), training.NewFusedSGD(0.05))
+			_, err := NewNeighborAveraging(d, r).Train(ctx, feeds)
+			return err
+		}},
+	} {
+		for _, delta := range []int{-1, 1} {
+			t.Run(fmt.Sprintf("%s/%+d", c.name, delta), func(t *testing.T) {
+				var got error
+				returned := false
+				mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
+					err := c.run(r, make([]float32, n+delta))
+					if r.ID() == c.receiver {
+						got, returned = err, true
+					}
+					return err
+				})
+				if !returned {
+					t.Fatalf("the receiver panicked on a %d-value payload", n+delta)
+				}
+				if got == nil {
+					t.Fatalf("the receiver accepted a %d-value payload for %d values", n+delta, n)
+				}
+			})
+		}
+	}
+}
+
+// failingRank fails its failAt-th receive, and keeps a copy of net's
+// parameter slab as it stood at its first send.
+type failingRank struct {
+	Rank
+	net           *executor.Network
+	failAt, recvs int
+	atFirstSend   []float32
+}
+
+var errInjected = errors.New("injected receive failure")
+
+func (f *failingRank) Send(dst, tag int, data []float32, simBytes int64) error {
+	if f.atFirstSend == nil {
+		f.atFirstSend = slices.Clone(f.net.ParamSlab().Data())
+	}
+	return f.Rank.Send(dst, tag, data, simBytes)
+}
+
+func (f *failingRank) Recv(ctx context.Context, src int) (Message, error) {
+	if f.recvs++; f.recvs == f.failAt {
+		return Message{}, errInjected
+	}
+	return f.Rank.Recv(ctx, src)
+}
+
+// TestModelAveragingFailureKeepsParameters fails rank 0's first and second
+// receive of a two-rank model-averaging step (the second comes after the
+// reduce-scatter has added into the average) and checks that Train returns
+// the error with the rank's parameters bit for bit as its local step left
+// them.
+func TestModelAveragingFailureKeepsParameters(t *testing.T) {
+	ds := training.SyntheticClassification(16, 4, []int{1, 6, 6}, 0.2, 3)
+	for _, failAt := range []int{1, 2} {
+		t.Run(fmt.Sprintf("recv%d", failAt), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var got error
+			var f *failingRank
+			mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
+				e := testModel(5)
+				var rank Rank = r
+				if r.ID() == 0 {
+					f = &failingRank{Rank: r, net: e.Network(), failAt: failAt}
+					rank = f
+					defer cancel() // the peer may be left waiting on rank 0
+				}
+				opt := NewModelAveraging(training.NewDriver(e, training.NewFusedSGD(0.05)), rank, 1)
+				_, err := opt.Train(ctx, NewDistributedSampler(ds, 8, r.ID(), 2, 1).Next().Feeds())
+				if r.ID() == 0 {
+					got = err
+				}
+				return err
+			})
+			if !errors.Is(got, errInjected) {
+				t.Fatalf("Train returned %v, want the injected failure", got)
+			}
+			for i, v := range f.net.ParamSlab().Data() {
+				if math.Float32bits(v) != math.Float32bits(f.atFirstSend[i]) {
+					t.Fatalf("parameter %d: %g after the failed average, %g after the local step", i, v, f.atFirstSend[i])
+				}
 			}
 		})
 	}

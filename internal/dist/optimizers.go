@@ -15,15 +15,16 @@ import (
 // world size) before the base optimizer's update rule runs — bitwise the
 // same trajectory on every rank, matching serial large-batch SGD.
 //
-// The all-reduces run inside the driver's gradient hook, one per
-// parameter. If one fails (a fabric error, or the step's context ending),
-// the rest of the step skips communication and Train returns that error.
-// The parameters are then undefined — some were updated from reduced
-// gradients, some from local ones — and the ranks no longer agree;
-// recovery means restarting every rank from a checkpoint.
+// The driver's gradient hook all-reduces the whole gradient slab once per
+// step. If that fails (a fabric error, or the step's context ending), Train
+// returns the error before any parameter changes or the driver's Step
+// advances: the ranks still hold the parameters they held before the step.
 type ConsistentDecentralized struct {
-	d    *training.Driver
-	comm stepComm
+	d *training.Driver
+	// ctx and err carry a step's context into the gradient hook and its
+	// communication error back out: Driver.GradHook cannot return an error.
+	ctx context.Context
+	err error
 }
 
 // NewConsistentDecentralized wraps a driver with an allreduce gradient hook
@@ -31,51 +32,36 @@ type ConsistentDecentralized struct {
 func NewConsistentDecentralized(d *training.Driver, r Rank, algo mpi.AllreduceAlgo) *ConsistentDecentralized {
 	o := &ConsistentDecentralized{d: d}
 	d.GradHook = func(_ string, grad *tensor.Tensor) *tensor.Tensor {
-		o.comm.allreduceMean(r, algo, grad.Data(), mpi.SimActual)
-		return grad
+		return o.allreduceMean(r, algo, grad, mpi.SimActual)
 	}
 	return o
 }
 
 // Train runs one allreduce-synchronized step.
 func (o *ConsistentDecentralized) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return o.comm.train(ctx, o.d, feeds)
+	o.ctx, o.err = ctx, nil
+	out, err := o.d.Train(ctx, feeds)
+	o.ctx = nil
+	if o.err != nil {
+		return nil, o.err
+	}
+	return out, err
 }
 
 // Executor returns the wrapped executor.
 func (o *ConsistentDecentralized) Executor() executor.GraphExecutor { return o.d.Executor() }
 
-// stepComm carries a training step's context into the gradient hook and
-// its first communication error back out: Driver.GradHook cannot return an
-// error. After the first failure the step's remaining all-reduces are
-// skipped rather than each waiting out the fabric's receive timeout.
-type stepComm struct {
-	ctx context.Context
-	err error
-}
-
-// train runs one driver step with c armed for the hooks it triggers.
-func (c *stepComm) train(ctx context.Context, d *training.Driver, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	c.ctx, c.err = ctx, nil
-	out, err := d.Train(ctx, feeds)
-	c.ctx = nil
-	if c.err != nil {
-		return nil, c.err
-	}
-	return out, err
-}
-
-// allreduceMean averages data across the ranks of r unless the step has
-// already failed.
-func (c *stepComm) allreduceMean(r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) {
-	if c.err != nil {
-		return
-	}
-	ctx := c.ctx
+// allreduceMean averages grad across the ranks of r and returns it, or
+// returns nil, failing the step, when the all-reduce fails.
+func (o *ConsistentDecentralized) allreduceMean(r Rank, algo mpi.AllreduceAlgo, grad *tensor.Tensor, simBytes int64) *tensor.Tensor {
+	ctx := o.ctx
 	if ctx == nil { // the driver was stepped directly, not through Train
 		ctx = context.Background()
 	}
-	c.err = AllreduceMean(ctx, r, algo, data, simBytes)
+	if o.err = AllreduceMean(ctx, r, algo, grad.Data(), simBytes); o.err != nil {
+		return nil
+	}
+	return grad
 }
 
 // NeighborAveraging is gossip-based DPSGD: each rank takes a local
@@ -83,17 +69,17 @@ func (c *stepComm) allreduceMean(r Rank, algo mpi.AllreduceAlgo, data []float32,
 // so information diffuses over the topology instead of being globally
 // synchronized every step.
 type NeighborAveraging struct {
-	d      *training.Driver
-	r      Rank
-	layout *Params
+	d *training.Driver
+	r Rank
 }
 
 // NewNeighborAveraging wraps a driver with post-step neighbor averaging.
 func NewNeighborAveraging(d *training.Driver, r Rank) *NeighborAveraging {
-	return &NeighborAveraging{d: d, r: r, layout: PackParams(d.Executor().Network())}
+	return &NeighborAveraging{d: d, r: r}
 }
 
-// Train runs a local step then averages parameters with the ring neighbors.
+// Train runs a local step then averages the parameter slab with the ring
+// neighbors', in place once both have arrived.
 func (o *NeighborAveraging) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	out, err := o.d.Train(ctx, feeds)
 	if err != nil {
@@ -103,24 +89,23 @@ func (o *NeighborAveraging) Train(ctx context.Context, feeds map[string]*tensor.
 	if p == 1 {
 		return out, nil
 	}
-	net := o.d.Executor().Network()
-	o.layout.GatherFrom(net)
+	params := o.d.Executor().Network().ParamSlab().Data()
 	left, right := (o.r.ID()-1+p)%p, (o.r.ID()+1)%p
-	if err := o.r.Send(right, o.d.Step, o.layout.Vec, mpi.SimActual); err != nil {
+	if err := o.r.Send(right, o.d.Step, params, mpi.SimActual); err != nil {
 		return nil, err
 	}
 	if left != right {
-		if err := o.r.Send(left, o.d.Step, o.layout.Vec, mpi.SimActual); err != nil {
+		if err := o.r.Send(left, o.d.Step, params, mpi.SimActual); err != nil {
 			return nil, err
 		}
 	}
-	lv, err := o.r.Recv(ctx, left)
+	lv, err := recvLen(ctx, o.r, left, len(params))
 	if err != nil {
 		return nil, err
 	}
 	rv := lv
 	if left != right {
-		if rv, err = o.r.Recv(ctx, right); err != nil {
+		if rv, err = recvLen(ctx, o.r, right, len(params)); err != nil {
 			return nil, err
 		}
 	}
@@ -128,18 +113,17 @@ func (o *NeighborAveraging) Train(ctx context.Context, feeds map[string]*tensor.
 	if left == right { // 2-rank world: single neighbor
 		inv = 0.5
 	}
-	for i := range o.layout.Vec {
-		sum := o.layout.Vec[i] + lv.Data[i]
+	for i := range params {
+		sum := params[i] + lv.Data[i]
 		if left != right {
 			sum += rv.Data[i]
 		}
-		o.layout.Vec[i] = sum * inv
+		params[i] = sum * inv
 	}
 	o.r.Release(lv.Data)
 	if left != right {
 		o.r.Release(rv.Data)
 	}
-	o.layout.ScatterTo(net)
 	return out, nil
 }
 
@@ -150,10 +134,10 @@ func (o *NeighborAveraging) Executor() executor.GraphExecutor { return o.d.Execu
 // parameter vectors — the classic communication-reduction scheme that
 // trades consistency for fewer synchronizations.
 type ModelAveraging struct {
-	d      *training.Driver
-	r      Rank
-	every  int
-	layout *Params
+	d     *training.Driver
+	r     Rank
+	every int
+	avg   []float32 // the rank's own copy of the parameters to average
 }
 
 // NewModelAveraging wraps a driver with parameter averaging every k steps.
@@ -161,22 +145,23 @@ func NewModelAveraging(d *training.Driver, r Rank, k int) *ModelAveraging {
 	if k < 1 {
 		k = 1
 	}
-	return &ModelAveraging{d: d, r: r, every: k, layout: PackParams(d.Executor().Network())}
+	return &ModelAveraging{d: d, r: r, every: k}
 }
 
-// Train runs one local step, averaging models every k-th step.
+// Train runs one local step, averaging models every k-th step; a failed
+// average leaves the local step's parameters.
 func (o *ModelAveraging) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	out, err := o.d.Train(ctx, feeds)
 	if err != nil {
 		return nil, err
 	}
 	if o.d.Step%o.every == 0 && o.r.Size() > 1 {
-		net := o.d.Executor().Network()
-		o.layout.GatherFrom(net)
-		if err := AllreduceMean(ctx, o.r, mpi.AllreduceRing, o.layout.Vec, mpi.SimActual); err != nil {
+		params := o.d.Executor().Network().ParamSlab().Data()
+		o.avg = append(o.avg[:0], params...)
+		if err := AllreduceMean(ctx, o.r, mpi.AllreduceRing, o.avg, mpi.SimActual); err != nil {
 			return nil, err
 		}
-		o.layout.ScatterTo(net)
+		copy(params, o.avg)
 	}
 	return out, nil
 }
@@ -187,12 +172,9 @@ func (o *ModelAveraging) Executor() executor.GraphExecutor { return o.d.Executor
 // SparseDecentralized is top-k sparsified DSGD with error feedback
 // (SparCML-style): each rank keeps only the largest-magnitude fraction of
 // each gradient, accumulates the remainder locally as a residual for the
-// next step, and allreduces the sparsified vectors. A failed all-reduce
-// fails the step as in ConsistentDecentralized.
-type SparseDecentralized struct {
-	d    *training.Driver
-	comm stepComm
-}
+// next step, and allreduces the sparsified gradient slab. It steps and
+// fails as ConsistentDecentralized does, with another gradient hook.
+type SparseDecentralized struct{ ConsistentDecentralized }
 
 // NewSparseDecentralized wraps a driver with top-density sparsification
 // (density in (0,1]) and an allreduce of the surviving entries.
@@ -200,46 +182,39 @@ func NewSparseDecentralized(d *training.Driver, r Rank, density float64) *Sparse
 	if density <= 0 || density > 1 {
 		density = 1
 	}
-	o := &SparseDecentralized{d: d}
+	o := &SparseDecentralized{ConsistentDecentralized{d: d}}
 	residuals := make(map[string][]float32)
 	var scratch []float32
-	d.GradHook = func(name string, grad *tensor.Tensor) *tensor.Tensor {
-		g := grad.Data()
-		res := residuals[name]
-		if len(res) != len(g) {
-			res = make([]float32, len(g))
-			residuals[name] = res
-		}
-		for i := range g {
-			g[i] += res[i]
-		}
-		var thr float32
-		thr, scratch = topKThreshold(g, density, scratch)
+	d.GradHook = func(_ string, grad *tensor.Tensor) *tensor.Tensor {
 		var nnz int64
-		for i, v := range g {
-			if abs32(v) >= thr && v != 0 {
-				res[i] = 0
-				nnz++
-			} else {
-				res[i] = v
-				g[i] = 0
+		for _, pg := range d.Executor().Network().Gradients() {
+			g := pg.Grad.Data()
+			res := residuals[pg.Name]
+			if len(res) != len(g) {
+				res = make([]float32, len(g))
+				residuals[pg.Name] = res
+			}
+			for i := range g {
+				g[i] += res[i]
+			}
+			var thr float32
+			thr, scratch = topKThreshold(g, density, scratch)
+			for i, v := range g {
+				if abs32(v) >= thr && v != 0 {
+					res[i] = 0
+					nnz++
+				} else {
+					res[i] = v
+					g[i] = 0
+				}
 			}
 		}
 		// Charge the wire for index+value pairs of surviving entries rather
 		// than the dense vector.
-		o.comm.allreduceMean(r, mpi.AllreduceRing, g, nnz*8)
-		return grad
+		return o.allreduceMean(r, mpi.AllreduceRing, grad, nnz*8)
 	}
 	return o
 }
-
-// Train runs one sparsified allreduce step.
-func (o *SparseDecentralized) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return o.comm.train(ctx, o.d, feeds)
-}
-
-// Executor returns the wrapped executor.
-func (o *SparseDecentralized) Executor() executor.GraphExecutor { return o.d.Executor() }
 
 // topKThreshold returns the magnitude of the k-th largest |v| where
 // k = ceil(density·len). Values ≥ the threshold survive sparsification.

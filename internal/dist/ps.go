@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"deep500/internal/executor"
+	"deep500/internal/kernels"
 	"deep500/internal/mpi"
 	"deep500/internal/tensor"
 	"deep500/internal/training"
@@ -56,14 +57,15 @@ type ServerConfig struct {
 }
 
 // RunPSServer runs the parameter-server loop on rank r (conventionally
-// rank 0): it owns the packed parameter vector, applies the base
+// rank 0): it owns params (a model's parameter slab), applies the base
 // optimizer's update rule to every (averaged) incoming gradient, and
 // returns fresh parameters to workers according to the consistency mode.
-// Every received payload is released once it has been consumed.
+// Every received payload is released once it has been consumed; a gradient
+// of another length than params ends the server with an error.
 // Cancelling ctx makes the server return ctx.Err() promptly, even from a
 // receive blocked on a gradient that will never arrive; a fabric error
 // ends it with that error.
-func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *Params, cfg ServerConfig) error {
+func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params []float32, cfg ServerConfig) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -85,67 +87,54 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 		}
 		rule.NewInput()
 		g := tensor.From(grad, len(grad))
-		w := tensor.From(params.Vec, len(params.Vec))
-		// The product rules update w — a view of params.Vec — in place.
+		w := tensor.From(params, len(params))
+		// The product rules update w — a view of params — in place.
 		if updated := rule.UpdateRule(g, w, "ps/params"); updated != w {
-			copy(params.Vec, updated.Data())
+			copy(params, updated.Data())
 		}
 	}
 
 	switch cfg.Mode {
 	case PSSync:
-		sum := make([]float32, params.Len())
+		sum := make([]float32, len(params))
 		for step := 0; step < cfg.StepsPerWorker; step++ {
 			clear(sum)
 			for w := 1; w <= workers; w++ {
-				m, err := r.Recv(ctx, w)
+				m, err := recvLen(ctx, r, w, len(params))
 				if err != nil {
 					return err
 				}
-				for i, v := range m.Data {
-					sum[i] += v
-				}
+				kernels.AddScaled(sum, m.Data, 1)
 				r.Release(m.Data)
 			}
 			apply(sum, 1/float32(workers))
 			for w := 1; w <= workers; w++ {
-				if err := r.Send(w, TagGrad, params.Vec, mpi.SimActual); err != nil {
+				if err := r.Send(w, TagGrad, params, mpi.SimActual); err != nil {
 					return err
 				}
 			}
 		}
 	case PSAsync:
-		if cfg.UntilDone {
-			// Track distinct finished workers, not a count: a worker restarted
-			// right after sending TagDone replays it, and a duplicate must not
-			// shut the server down while slower workers still train.
-			finished := make(map[int]bool)
-			for len(finished) < workers {
-				m, err := r.Recv(ctx, AnySource)
-				if err != nil {
-					return err
-				}
-				if m.Tag == TagDone {
-					r.Release(m.Data)
-					finished[m.Src] = true
-					continue
-				}
-				apply(m.Data, 1)
-				r.Release(m.Data)
-				if err := r.Send(m.Src, TagGrad, params.Vec, mpi.SimActual); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for done := 0; done < workers*cfg.StepsPerWorker; done++ {
+		// A done-counting server tracks distinct finished workers: a worker
+		// restarted right after sending TagDone replays it, and a duplicate
+		// must not shut the server down while slower workers still train.
+		finished := make(map[int]bool)
+		for done := 0; cfg.UntilDone && len(finished) < workers || !cfg.UntilDone && done < workers*cfg.StepsPerWorker; done++ {
 			m, err := r.Recv(ctx, AnySource)
 			if err != nil {
 				return err
 			}
+			if cfg.UntilDone && m.Tag == TagDone {
+				r.Release(m.Data)
+				finished[m.Src] = true
+				continue
+			}
+			if err := checkLen(r, m, len(params)); err != nil {
+				return err
+			}
 			apply(m.Data, 1)
 			r.Release(m.Data)
-			if err := r.Send(m.Src, TagGrad, params.Vec, mpi.SimActual); err != nil {
+			if err := r.Send(m.Src, TagGrad, params, mpi.SimActual); err != nil {
 				return err
 			}
 		}
@@ -165,7 +154,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			}
 			for src := range owed {
 				if minSteps < 0 || steps[src] <= minSteps+cfg.Staleness {
-					if err := r.Send(src, TagGrad, params.Vec, mpi.SimActual); err != nil {
+					if err := r.Send(src, TagGrad, params, mpi.SimActual); err != nil {
 						return err
 					}
 					delete(owed, src)
@@ -174,7 +163,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			return nil
 		}
 		for done := 0; done < workers*cfg.StepsPerWorker; done++ {
-			m, err := r.Recv(ctx, AnySource)
+			m, err := recvLen(ctx, r, AnySource, len(params))
 			if err != nil {
 				return err
 			}
@@ -202,16 +191,15 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 // computes local gradients, ships them to rank 0, and installs whatever
 // parameters the server returns. It satisfies training.Optimizer.
 type CentralizedWorker struct {
-	e      executor.GraphExecutor
-	r      Rank
-	layout *Params
+	e executor.GraphExecutor
+	r Rank
 	// Loss is the loss tensor name (default "loss").
 	Loss string
 }
 
 // NewCentralizedWorker binds an executor and a rank to the server on rank 0.
 func NewCentralizedWorker(e executor.GraphExecutor, r Rank) *CentralizedWorker {
-	return &CentralizedWorker{e: e, r: r, layout: PackParams(e.Network()), Loss: "loss"}
+	return &CentralizedWorker{e: e, r: r, Loss: "loss"}
 }
 
 // Finish tells a done-counting server (ServerConfig.UntilDone) that this
@@ -221,25 +209,24 @@ func (o *CentralizedWorker) Finish() error {
 	return o.r.Send(0, TagDone, nil, mpi.SimActual)
 }
 
-// Train computes a local gradient, round-trips it through the server, and
-// adopts the returned parameters.
+// Train computes a local gradient, sends the gradient slab to the server,
+// and copies the parameters it returns into the parameter slab.
 func (o *CentralizedWorker) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	out, err := o.e.InferenceAndBackprop(ctx, feeds, o.Loss)
 	if err != nil {
 		return nil, err
 	}
 	net := o.e.Network()
-	grads := o.layout.PackGrads(net)
-	if err := o.r.Send(0, TagGrad, grads, mpi.SimActual); err != nil {
+	if err := o.r.Send(0, TagGrad, net.GradSlab().Data(), mpi.SimActual); err != nil {
 		return nil, err
 	}
-	m, err := o.r.Recv(ctx, 0)
+	params := net.ParamSlab().Data()
+	m, err := recvLen(ctx, o.r, 0, len(params))
 	if err != nil {
 		return nil, err
 	}
-	copy(o.layout.Vec, m.Data)
+	copy(params, m.Data)
 	o.r.Release(m.Data)
-	o.layout.ScatterTo(net)
 	return out, nil
 }
 

@@ -25,13 +25,13 @@ func TestPSServerCancelMidRound(t *testing.T) {
 		case 0:
 			e := testModel(7)
 			err := RunPSServer(ctx, r, training.NewFusedSGD(0.05),
-				PackParams(e.Network()),
+				e.Network().ParamSlab().Data(),
 				ServerConfig{Mode: PSSync, StepsPerWorker: 8})
 			serverErr <- err
 		case 1:
 			e := testModel(7)
-			p := PackParams(e.Network())
-			if err := r.Send(0, TagGrad, make([]float32, p.Len()), mpi.SimActual); err != nil {
+			p := e.Network().ParamSlab().Data()
+			if err := r.Send(0, TagGrad, make([]float32, len(p)), mpi.SimActual); err != nil {
 				return err
 			}
 			// Never complete the round: worker 2 stays silent, so the server
@@ -64,7 +64,7 @@ func TestPSServerCancelUntilDone(t *testing.T) {
 		if r.ID() == 0 {
 			e := testModel(11)
 			serverErr <- RunPSServer(ctx, r, training.NewFusedSGD(0.05),
-				PackParams(e.Network()),
+				e.Network().ParamSlab().Data(),
 				ServerConfig{Mode: PSAsync, UntilDone: true})
 			return nil
 		}
@@ -89,7 +89,7 @@ func TestPSServerUntilDoneServes(t *testing.T) {
 		e := testModel(13)
 		if r.ID() == 0 {
 			return RunPSServer(context.Background(), r, training.NewFusedSGD(0.05),
-				PackParams(e.Network()),
+				e.Network().ParamSlab().Data(),
 				ServerConfig{Mode: PSAsync, UntilDone: true})
 		}
 		w := NewCentralizedWorker(e, r)
@@ -121,7 +121,7 @@ func TestPSServerUntilDoneRequiresAsync(t *testing.T) {
 		}
 		e := testModel(3)
 		return RunPSServer(context.Background(), r, training.NewFusedSGD(0.1),
-			PackParams(e.Network()), ServerConfig{Mode: PSSync, UntilDone: true})
+			e.Network().ParamSlab().Data(), ServerConfig{Mode: PSSync, UntilDone: true})
 	})
 	if err == nil {
 		t.Fatal("UntilDone with PSSync must be rejected")

@@ -1,3 +1,13 @@
+// Package dist implements Deep500 Level 3 (paper §IV-F): distributed
+// optimizers as thin wrappers over a point-to-point fabric (Rank) and the
+// one all-reduce built on it (AllreduceSum), which the internal/mpi
+// simulator and the internal/transport TCP fabric both run. The same
+// base optimizer can be wrapped in a consistent decentralized scheme
+// (allreduce DSGD), neighbor-gossip DPSGD, periodic model averaging, a
+// sparsified decentralized scheme with error feedback, or a centralized
+// parameter server in synchronous, asynchronous and stale-synchronous
+// modes — the paper's Listing 8/9 schemes, runnable on the simulated
+// cluster.
 package dist
 
 import (
@@ -58,6 +68,23 @@ const (
 	TagDone = 1
 )
 
+// checkLen fails a received m that does not hold exactly want values.
+func checkLen(r Rank, m Message, want int) error {
+	if len(m.Data) == want {
+		return nil
+	}
+	return fmt.Errorf("dist: rank %d got %d values from rank %d, want %d", r.ID(), len(m.Data), m.Src, want)
+}
+
+// recvLen is r.Recv followed by checkLen.
+func recvLen(ctx context.Context, r Rank, src, want int) (Message, error) {
+	m, err := r.Recv(ctx, src)
+	if err == nil {
+		err = checkLen(r, m, want)
+	}
+	return m, err
+}
+
 // AllreduceSum sums data elementwise across all ranks of r, in place: the
 // bandwidth-optimal ring, or recursive doubling when algo asks for it and
 // the world size is a power of two. Both fabrics run exactly this code, so
@@ -116,13 +143,10 @@ func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, 
 		if err := r.Send(next, 0, chunk(out), chunkBytes(out)); err != nil {
 			return err
 		}
-		m, err := r.Recv(ctx, prev)
+		dst := chunk(in)
+		m, err := recvLen(ctx, r, prev, len(dst))
 		if err != nil {
 			return err
-		}
-		dst := chunk(in)
-		if len(m.Data) != len(dst) {
-			return fmt.Errorf("dist: rank %d all-reduce got %d values from rank %d, want %d", id, len(m.Data), prev, len(dst))
 		}
 		if add {
 			kernels.AddScaled(dst, m.Data, s)
@@ -160,12 +184,9 @@ func doublingAllreduce(ctx context.Context, r Rank, data []float32, simBytes int
 		if err := r.Send(partner, 0, data, simBytes); err != nil {
 			return err
 		}
-		m, err := r.Recv(ctx, partner)
+		m, err := recvLen(ctx, r, partner, len(data))
 		if err != nil {
 			return err
-		}
-		if len(m.Data) != len(data) {
-			return fmt.Errorf("dist: rank %d all-reduce got %d values from rank %d, want %d", r.ID(), len(m.Data), partner, len(data))
 		}
 		s := float32(1)
 		if mask<<1 >= r.Size() {

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"deep500/internal/graph"
@@ -51,8 +52,10 @@ type Executor struct {
 	order   []*graph.Node
 	nodeOps map[*graph.Node]ops.Operator
 	// gradMask holds, per node, which inputs require a gradient (see
-	// requiresGrad); it is installed on every GradMaskAware operator.
+	// requiresGrad), and gradInto where a parameter's gradient goes (see
+	// setGradInto); both are installed on every GradMaskAware operator.
 	gradMask map[*graph.Node][]bool
+	gradInto map[*graph.Node][]*tensor.Tensor
 
 	// Events receives hook callbacks; nil disables instrumentation.
 	Events *Events
@@ -105,8 +108,8 @@ type Executor struct {
 
 // New builds a reference executor for the model. It validates the graph,
 // instantiates one operator per node and fails on unknown op types. The
-// executor runs m itself: parameter tensors are shared with the caller's
-// model, so training through the executor updates it.
+// executor runs m itself: its network points m's initializers at its
+// parameter slab (NewNetwork), so training through the executor updates m.
 func New(m *graph.Model) (*Executor, error) {
 	e := &Executor{nodeOps: make(map[*graph.Node]ops.Operator)}
 	if err := m.Validate(); err != nil {
@@ -175,12 +178,39 @@ func (e *Executor) Op(n *graph.Node) ops.Operator { return e.nodeOps[n] }
 // allocator are installed on the new operator when it can use them.
 func (e *Executor) SetOp(n *graph.Node, op ops.Operator) {
 	if ga, ok := op.(ops.GradMaskAware); ok {
-		ga.SetGradMask(e.gradMask[n])
+		ga.SetGradMask(e.gradMask[n], e.gradInto[n])
 	}
 	if aa, ok := op.(ops.AllocatorAware); ok && e.allocs[n] != nil {
 		aa.SetAllocator(e.allocs[n])
 	}
 	e.nodeOps[n] = op
+}
+
+// setGradInto lays the network's gradient slab out and points the
+// gradient of each parameter read by one node input only at its view, for
+// the operator to write in place. Any other parameter gradient is copied
+// there after the pass.
+func (e *Executor) setGradInto() {
+	e.net.gradSlab = tensor.New(e.net.paramSlab.Size())
+	e.net.grads = views(e.net.gradSlab.Data(), e.net.params)
+	reads := make(map[string]int)
+	for _, n := range e.order {
+		for _, name := range n.Inputs {
+			reads[name]++
+		}
+	}
+	e.gradInto = make(map[*graph.Node][]*tensor.Tensor, len(e.order))
+	for _, n := range e.order {
+		e.gradInto[n] = make([]*tensor.Tensor, len(n.Inputs))
+		for j, name := range n.Inputs {
+			if i, ok := slices.BinarySearch(e.net.names, name); ok && reads[name] == 1 {
+				e.gradInto[n][j] = e.net.grads[i]
+			}
+		}
+		if op, ok := e.nodeOps[n].(ops.GradMaskAware); ok {
+			op.SetGradMask(e.gradMask[n], e.gradInto[n])
+		}
+	}
 }
 
 // requiresGrad is the build-time analysis that lets backpropagation skip
@@ -261,8 +291,8 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	for name, t := range feeds {
 		e.values[name] = t
 	}
-	for name, t := range e.net.values {
-		e.values[name] = t
+	for i, name := range e.net.names {
+		e.values[name] = e.net.params[i]
 	}
 
 	var err error
@@ -447,9 +477,9 @@ type bwdScratch struct {
 }
 
 // InferenceAndBackprop runs forward then backpropagates from the named loss
-// tensor. Parameter gradients become available via Network().Gradients();
-// they are this executor's buffers and are recycled by its next
-// InferenceAndBackprop (see Network.Gradients). The forward pass runs out
+// tensor. Parameter gradients become available via Network().Gradients(),
+// in the network's gradient slab, until the next InferenceAndBackprop
+// (see Network.Gradients). The forward pass runs out
 // of the training plan for the feeds' shapes once it has one, a plan that
 // keeps every activation to the end of the pass, since the backward pass
 // reads them after their last forward consumer. Cancelling ctx aborts
@@ -489,7 +519,10 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 	e.lossSeed.Fill(1)
 	gradOf[loss] = e.lossSeed
 
-	e.net.ClearGradients()
+	if e.net.gradSlab == nil { // the first pass, or the slabs were laid out again
+		e.setGradInto()
+	}
+	e.net.pairs = e.net.pairs[:0]
 	for i := len(e.order) - 1; i >= 0; i-- {
 		n := e.order[i]
 		if err := ctx.Err(); err != nil {
@@ -559,10 +592,19 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 		}
 		clear(gradOuts)
 	}
-	for _, name := range e.net.Params() {
-		if g, ok := gradOf[name]; ok {
-			e.net.setGrad(name, g)
+	for i, name := range e.net.names {
+		g, ok := gradOf[name]
+		view := e.net.grads[i]
+		switch {
+		case !ok:
+			view.Zero()
+			continue
+		case g.Size() != view.Size():
+			return nil, fmt.Errorf("executor: gradient of %q has %d values, the parameter %d", name, g.Size(), view.Size())
+		case g != view:
+			copy(view.Data(), g.Data())
 		}
+		e.net.pairs = append(e.net.pairs, ParamGrad{Name: name, Param: e.net.params[i], Grad: view})
 	}
 	bwdSpan.End()
 	if ev != nil && ev.AfterBackprop != nil {

@@ -15,7 +15,7 @@ import (
 func requireAllGrads(e *Executor) {
 	for _, op := range e.nodeOps {
 		if ga, ok := op.(ops.GradMaskAware); ok {
-			ga.SetGradMask(nil)
+			ga.SetGradMask(nil, nil)
 		}
 	}
 }

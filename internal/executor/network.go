@@ -14,87 +14,153 @@ package executor
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"deep500/internal/graph"
 	"deep500/internal/tensor"
 )
 
 // Network binds a graph.Model to live tensor state: current parameter
-// values and, after a backward pass, parameter gradients. It exposes the
-// fetch/feed tensor API the paper's Network class provides.
+// values and, after a backward pass, parameter gradients, each set in one
+// slab laid out in Params() order, of which every tensor handed out is a
+// view. It exposes the fetch/feed tensor API the paper's Network class
+// provides.
 type Network struct {
-	Model  *graph.Model
-	values map[string]*tensor.Tensor // parameters (initializers), mutable
-	grads  map[string]*tensor.Tensor // parameter gradients from last backprop
-	// names is the sorted key set of values, kept up to date by FeedTensor;
-	// pairs is Gradients' reused result slice.
-	names []string
-	pairs []ParamGrad
+	Model *graph.Model
+	// names is the sorted parameter set, params and grads its views, and
+	// pairs the gradients the last backward pass produced.
+	names               []string
+	params, grads       []*tensor.Tensor
+	paramSlab, gradSlab *tensor.Tensor
+	pairs               []ParamGrad
 }
 
-// NewNetwork wraps a model. Parameter tensors are referenced, not copied,
-// so external optimizers and the network observe the same state.
+// NewNetwork wraps a model, laying its initializers out in one slab and
+// pointing m.Initializers at the views, unless another network over m did
+// so already: every network over a model then shares its parameters.
 func NewNetwork(m *graph.Model) *Network {
-	n := &Network{
-		Model:  m,
-		values: make(map[string]*tensor.Tensor, len(m.Initializers)),
-		grads:  make(map[string]*tensor.Tensor),
+	n := &Network{Model: m, names: m.ParamNames()}
+	ts := make([]*tensor.Tensor, len(n.names))
+	for i, name := range n.names {
+		ts[i] = m.Initializers[name]
 	}
-	for name, t := range m.Initializers {
-		n.values[name] = t
-		n.names = append(n.names, name)
-	}
-	sort.Strings(n.names)
+	n.layout(ts)
 	return n
 }
 
-// FetchTensor returns the named parameter tensor.
+// layout makes ts, one per name, the parameters, in place where they lie in
+// one slab already. The gradient slab is laid out by the next backward
+// pass, so an executor that only runs inference never allocates one.
+func (n *Network) layout(ts []*tensor.Tensor) {
+	total := 0
+	for _, t := range ts {
+		total += t.Size()
+	}
+	slab := contiguous(ts, total)
+	if slab == nil {
+		slab = make([]float32, total)
+		vs := views(slab, ts)
+		for i, v := range vs {
+			copy(v.Data(), ts[i].Data())
+			n.Model.Initializers[n.names[i]] = v
+		}
+		ts = vs
+	}
+	n.params, n.paramSlab = ts, tensor.From(slab, total)
+	n.grads, n.gradSlab, n.pairs = nil, nil, nil
+}
+
+// views returns tensors of ts' shapes lying back to back in slab.
+func views(slab []float32, ts []*tensor.Tensor) []*tensor.Tensor {
+	vs := make([]*tensor.Tensor, len(ts))
+	off := 0
+	for i, t := range ts {
+		vs[i] = tensor.From(slab[off:off+t.Size()], t.Shape()...)
+		off += t.Size()
+	}
+	return vs
+}
+
+// contiguous returns the slab ts lie in back to back, or nil. The views a
+// layout makes keep the slab's capacity, so the first reaches all of it.
+func contiguous(ts []*tensor.Tensor, total int) []float32 {
+	var slab []float32
+	off := 0
+	for _, t := range ts {
+		if d := t.Data(); len(d) > 0 {
+			if slab == nil && cap(d) >= total {
+				slab = d[:total]
+			}
+			if slab == nil || &slab[off] != &d[0] {
+				return nil
+			}
+			off += len(d)
+		}
+	}
+	return slab
+}
+
+// FetchTensor returns the named parameter tensor, a view into ParamSlab.
 func (n *Network) FetchTensor(name string) (*tensor.Tensor, error) {
-	t, ok := n.values[name]
+	i, ok := slices.BinarySearch(n.names, name)
 	if !ok {
 		return nil, fmt.Errorf("executor: network has no tensor %q", name)
 	}
-	return t, nil
+	return n.params[i], nil
 }
 
-// FeedTensor replaces the named parameter tensor.
+// FeedTensor copies t's values into the named parameter. A new name or a
+// new shape lays both slabs out again, replacing every view and dropping
+// the last backward pass's gradients.
 func (n *Network) FeedTensor(name string, t *tensor.Tensor) {
-	if _, known := n.values[name]; !known {
-		// A fresh slice: holders of an earlier Params result keep theirs.
-		n.names = append(slices.Clone(n.names), name)
-		sort.Strings(n.names)
+	i, known := slices.BinarySearch(n.names, name)
+	if known && tensor.ShapeEq(n.params[i].Shape(), t.Shape()) {
+		copy(n.params[i].Data(), t.Data())
+		return
 	}
-	n.values[name] = t
-	n.Model.Initializers[name] = t
+	ts := slices.Clone(n.params)
+	if known {
+		ts[i] = t
+	} else {
+		// A fresh slice: holders of an earlier Params result keep theirs.
+		n.names = slices.Insert(slices.Clone(n.names), i, name)
+		ts = slices.Insert(ts, i, t)
+	}
+	n.layout(ts)
 }
 
-// Params returns parameter names in deterministic (sorted) order. The slice
-// is shared between calls and must not be modified.
+// Params returns parameter names in deterministic (sorted) order. The
+// slice is shared between calls and must not be modified.
 func (n *Network) Params() []string { return n.names }
+
+// ParamSlab returns every parameter as one 1-D tensor sharing storage with
+// the parameter views.
+func (n *Network) ParamSlab() *tensor.Tensor { return n.paramSlab }
+
+// GradSlab returns every gradient as one 1-D tensor in ParamSlab's layout,
+// zero where the last backward pass gave none, or nil before the first.
+// Ownership is as for Gradients.
+func (n *Network) GradSlab() *tensor.Tensor { return n.gradSlab }
 
 // Gradient returns the gradient of the named parameter from the last
 // backward pass (nil if none). Ownership is as for Gradients.
-func (n *Network) Gradient(name string) *tensor.Tensor { return n.grads[name] }
+func (n *Network) Gradient(name string) *tensor.Tensor {
+	for _, pg := range n.pairs {
+		if pg.Name == name {
+			return pg.Grad
+		}
+	}
+	return nil
+}
 
 // Gradients returns (param, grad) pairs for every parameter that received a
 // gradient, in deterministic order — the analogue of network.gradient() in
 // the paper's Listing 9.
 //
-// The gradient tensors belong to the executor, which recycles them: they
-// (and the returned slice) are valid until the next InferenceAndBackprop on
-// the executor that owns this network, and may be overwritten in place until
-// then, as the distributed gradient hooks do. Copy whatever must outlive the
-// step.
-func (n *Network) Gradients() []ParamGrad {
-	n.pairs = n.pairs[:0]
-	for _, name := range n.Params() {
-		if g := n.grads[name]; g != nil {
-			n.pairs = append(n.pairs, ParamGrad{Name: name, Param: n.values[name], Grad: g})
-		}
-	}
-	return n.pairs
-}
+// The gradients are views into GradSlab: they (and the returned slice) are
+// valid until the next InferenceAndBackprop on the executor that owns this
+// network, and may be overwritten in place until then, as the distributed
+// gradient hooks do. Copy whatever must outlive the step.
+func (n *Network) Gradients() []ParamGrad { return n.pairs }
 
 // ParamGrad pairs a parameter tensor with its gradient.
 type ParamGrad struct {
@@ -102,9 +168,3 @@ type ParamGrad struct {
 	Param *tensor.Tensor
 	Grad  *tensor.Tensor
 }
-
-// setGrad stores a parameter gradient (executor internal).
-func (n *Network) setGrad(name string, g *tensor.Tensor) { n.grads[name] = g }
-
-// ClearGradients drops all stored gradients.
-func (n *Network) ClearGradients() { clear(n.grads) }

@@ -64,10 +64,11 @@ type CopyAmplified struct {
 func (o *CopyAmplified) Name() string { return o.Inner.Name() }
 
 // SetGradMask forwards the executor's requires-grad mask to the wrapped
-// operator when it can use one.
-func (o *CopyAmplified) SetGradMask(need []bool) {
+// operator when it can use one. The gradient destinations are not: Backward
+// returns copies, which the executor copies into place.
+func (o *CopyAmplified) SetGradMask(need []bool, _ []*tensor.Tensor) {
 	if ga, ok := o.Inner.(ops.GradMaskAware); ok {
-		ga.SetGradMask(need)
+		ga.SetGradMask(need, nil)
 	}
 }
 

@@ -244,7 +244,7 @@ func runPS(ctx context.Context, rank dist.Rank, spec Spec) error {
 	e := executor.MustNew(buildModel(spec))
 	cfg := *spec.Scheme.def().server
 	cfg.StepsPerWorker = spec.TotalSteps()
-	return dist.RunPSServer(ctx, rank, rule, dist.PackParams(e.Network()), cfg)
+	return dist.RunPSServer(ctx, rank, rule, e.Network().ParamSlab().Data(), cfg)
 }
 
 // runTrainLoop is a worker rank: shard the data, train for the spec's

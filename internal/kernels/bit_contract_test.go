@@ -380,6 +380,6 @@ func trainMLP(ctx context.Context, r dist.Rank, resume bool) ([]float32, error) 
 		}
 		opt = newOpt()
 	}
-	trace = append(trace, dist.PackParams(opt.Executor().Network()).Vec...)
+	trace = append(trace, opt.Executor().Network().ParamSlab().Data()...)
 	return trace, nil
 }

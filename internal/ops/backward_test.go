@@ -104,7 +104,7 @@ func TestGemmBackwardHonoursMask(t *testing.T) {
 				g := []*tensor.Tensor{tensor.RandNormal(rng, 0, 1, outs[0].Shape()...)}
 				full := keep(op.Backward(g, ins, outs))
 				for _, mask := range [][]bool{{false, true, true}, {true, false, true}, {false, false, true}} {
-					op.SetGradMask(mask)
+					op.SetGradMask(mask, nil)
 					got := op.Backward(g, ins, outs)
 					for i := range full {
 						if !mask[i] && i < 2 {
@@ -116,7 +116,7 @@ func TestGemmBackwardHonoursMask(t *testing.T) {
 						}
 					}
 				}
-				op.SetGradMask(nil)
+				op.SetGradMask(nil, nil)
 			}
 		}
 	}

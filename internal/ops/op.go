@@ -118,9 +118,12 @@ type AllocatorAware interface {
 // a trainable parameter or depends on one — so a model's data feed never
 // costs a backward-data pass. A nil mask, the state of every operator used
 // outside an executor, means every gradient is computed. Conv, Gemm and
-// MatMul honour the mask; other operators ignore it.
+// MatMul honour the mask; other operators ignore it. into[i], when not nil
+// and of input i's shape, is the tensor Backward writes that gradient into
+// in place of a buffer of its own: the executor passes a parameter's view
+// into the network's gradient slab.
 type GradMaskAware interface {
-	SetGradMask(need []bool)
+	SetGradMask(need []bool, into []*tensor.Tensor)
 }
 
 // base provides Name, default FLOPs and the output-allocation hook for
@@ -132,8 +135,9 @@ type base struct {
 	// is the reused output-shape slice (see shape).
 	outBuf   []*tensor.Tensor
 	shapeBuf []int
-	// needGrad is the installed GradMaskAware mask (nil: all gradients).
+	// needGrad and gradInto are the installed GradMaskAware arguments.
 	needGrad []bool
+	gradInto []*tensor.Tensor
 	// gradBufs are the tensors Backward hands out, one per slot, kept and
 	// reused from call to call (see gradBuf); gradOut is the reused slice
 	// that returns them (see grads).
@@ -146,8 +150,8 @@ func (b base) Name() string { return b.name }
 // SetAllocator points the operator's output allocation at a.
 func (b *base) SetAllocator(a Allocator) { b.alloc = a }
 
-// SetGradMask installs the per-input requires-grad mask.
-func (b *base) SetGradMask(need []bool) { b.needGrad = need }
+// SetGradMask installs the per-input requires-grad mask and destinations.
+func (b *base) SetGradMask(need []bool, into []*tensor.Tensor) { b.needGrad, b.gradInto = need, into }
 
 // newGrad returns the gradient tensor of input i, uncleared (see
 // fullGrad), or nil when the installed mask says that gradient is not
@@ -187,8 +191,13 @@ func (b *base) fullGrad(i int, shape ...int) *tensor.Tensor {
 }
 
 // keptGrad returns slot i's tensor at shape, and whether it is the one a
-// previous Backward handed out (a new one is zero-filled).
+// previous Backward handed out (a new one is zero-filled), or slot i's
+// installed destination (slot i is input i's gradient wherever input i can
+// be a parameter).
 func (b *base) keptGrad(i int, shape []int) (*tensor.Tensor, bool) {
+	if i < len(b.gradInto) && b.gradInto[i] != nil && tensor.ShapeEq(b.gradInto[i].Shape(), shape) {
+		return b.gradInto[i], true
+	}
 	for len(b.gradBufs) <= i {
 		b.gradBufs = append(b.gradBufs, nil)
 	}

@@ -2,6 +2,7 @@ package training
 
 import (
 	"context"
+	"errors"
 
 	"deep500/internal/executor"
 	"deep500/internal/tensor"
@@ -31,18 +32,19 @@ type ThreeStep interface {
 	PrepareParam(name string, param *tensor.Tensor) *tensor.Tensor
 	// UpdateRule returns the new parameter given its gradient and old
 	// value. It may update oldParam in place and return oldParam itself —
-	// the built-in fused rules do — or return a fresh tensor, which the
-	// driver then installs in the network. grad is only valid during the
+	// the built-in fused rules do — or return a fresh tensor, whose values
+	// the driver then feeds to the network. grad is only valid during the
 	// call (see GradHook); a rule that keeps it must copy it.
 	UpdateRule(grad, oldParam *tensor.Tensor, name string) *tensor.Tensor
 }
 
-// GradHook transforms a parameter gradient before the update rule runs —
-// the interposition point Level 3 uses for allreduce, sparsification and
-// compression. grad is the executor's own buffer (Network.Gradients): the
-// hook may overwrite it and return it, as the allreduce hooks do, but it is
-// recycled by the executor's next InferenceAndBackprop, so a hook that
-// keeps gradients across steps must copy them.
+// GradHook transforms the gradients before the update rule runs — the
+// interposition point Level 3 uses for allreduce and sparsification.
+// Driver.Train calls it once per step with no name and the whole gradient
+// slab (executor.Network.GradSlab), valid until the next backward pass. It
+// may overwrite grad and return it, as the allreduce hooks do, or return a
+// tensor of its length to copy over it; nil fails the step before any
+// parameter changes.
 type GradHook func(name string, grad *tensor.Tensor) *tensor.Tensor
 
 // Driver executes the canonical three-step training iteration against a
@@ -54,7 +56,7 @@ type Driver struct {
 	ts   ThreeStep
 	// Loss is the loss tensor name (default "loss").
 	Loss string
-	// GradHook, when non-nil, transforms every gradient before the update.
+	// GradHook, when non-nil, transforms the gradients before the update.
 	GradHook GradHook
 	// Step counts completed training iterations.
 	Step int
@@ -68,19 +70,18 @@ func NewDriver(exec executor.GraphExecutor, ts ThreeStep) *Driver {
 // Executor returns the bound executor.
 func (d *Driver) Executor() executor.GraphExecutor { return d.exec }
 
-// Train runs one iteration: prepare parameters, inference+backprop, apply
-// update rule (optionally transformed by GradHook) — Listing 9's sequence.
-// A rule that returns the parameter tensor it was handed has updated it in
-// place and nothing is re-installed; this is judged on the returned pointer
-// alone, so it holds through any wrapper around the rule.
+// Train runs one iteration: prepare parameters, inference+backprop, the
+// gradient hook, then the update rule on every parameter with a gradient —
+// Listing 9's sequence. A rule that returns the parameter tensor it was
+// handed has updated it in place and nothing is fed back; this is judged on
+// the returned pointer alone, so it holds through any wrapper around the
+// rule. A failed pass or a nil hook result returns an error before any
+// update rule runs, with Step unchanged.
 func (d *Driver) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	net := d.exec.Network()
 	d.ts.NewInput()
 	for _, name := range net.Params() {
-		p, err := net.FetchTensor(name)
-		if err != nil {
-			return nil, err
-		}
+		p, _ := net.FetchTensor(name) // a listed name is always found
 		if adjusted := d.ts.PrepareParam(name, p); adjusted != nil {
 			net.FeedTensor(name, adjusted)
 		}
@@ -89,12 +90,17 @@ func (d *Driver) Train(ctx context.Context, feeds map[string]*tensor.Tensor) (ma
 	if err != nil {
 		return nil, err
 	}
-	for _, pg := range net.Gradients() {
-		grad := pg.Grad
-		if d.GradHook != nil {
-			grad = d.GradHook(pg.Name, grad)
+	if d.GradHook != nil {
+		slab := net.GradSlab()
+		switch g := d.GradHook("", slab); {
+		case g == nil || g.Size() != slab.Size():
+			return nil, errors.New("training: the gradient hook failed the step")
+		case g != slab:
+			copy(slab.Data(), g.Data())
 		}
-		if p := d.ts.UpdateRule(grad, pg.Param, pg.Name); p != pg.Param {
+	}
+	for _, pg := range net.Gradients() {
+		if p := d.ts.UpdateRule(pg.Grad, pg.Param, pg.Name); p != pg.Param {
 			net.FeedTensor(pg.Name, p)
 		}
 	}

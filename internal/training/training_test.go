@@ -215,20 +215,38 @@ func TestRunnerMetricspopulated(t *testing.T) {
 	}
 }
 
+// TestGradHookRuns: Train calls the gradient hook once per step, over the
+// whole gradient slab, and a hook that returns nil fails the step before
+// any parameter changes or Step advances.
 func TestGradHookRuns(t *testing.T) {
 	e := mlpExec(t, 31)
 	train, _ := synthSamplers(16)
 	d := NewDriver(e, NewGradientDescent(0.1))
+	net := e.Network()
 	var hooked int
 	d.GradHook = func(name string, g *tensor.Tensor) *tensor.Tensor {
 		hooked++
+		if g != net.GradSlab() || g.Size() != net.ParamSlab().Size() {
+			t.Errorf("hook got %d values, not the %d-value gradient slab", g.Size(), net.ParamSlab().Size())
+		}
 		return g
 	}
-	if _, err := d.Train(context.Background(), train.Next().Feeds()); err != nil {
-		t.Fatal(err)
+	for step := 1; step <= 2; step++ {
+		if _, err := d.Train(context.Background(), train.Next().Feeds()); err != nil {
+			t.Fatal(err)
+		}
+		if hooked != step {
+			t.Fatalf("hook ran %d times in %d steps", hooked, step)
+		}
 	}
-	if hooked != len(e.Network().Params()) {
-		t.Fatalf("hook ran %d times for %d params", hooked, len(e.Network().Params()))
+
+	before := net.ParamSlab().Clone()
+	d.GradHook = func(string, *tensor.Tensor) *tensor.Tensor { return nil }
+	if _, err := d.Train(context.Background(), train.Next().Feeds()); err == nil {
+		t.Fatal("Train succeeded with a hook that returned nil")
+	}
+	if !tensor.AllClose(net.ParamSlab(), before, 0, 0) || d.Step != 2 {
+		t.Fatalf("a failed step changed the parameters or advanced Step to %d", d.Step)
 	}
 }
 

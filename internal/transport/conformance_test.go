@@ -67,7 +67,7 @@ func dsgdWorker(r dist.Rank, ds training.Dataset, steps, batch int) (dsgdTrace, 
 			sentBefore = sent
 		}
 	}
-	tr.params = append([]float32(nil), dist.PackParams(e.Network()).Vec...)
+	tr.params = append([]float32(nil), e.Network().ParamSlab().Data()...)
 	return tr, nil
 }
 
@@ -77,8 +77,9 @@ func dsgdWorker(r dist.Rank, ds training.Dataset, steps, batch int) (dsgdTrace, 
 // identical worker code and the TCP ring reproduces the simulator ring's
 // chunking (TestBitContract's trajectory/dsgd row holds the same at two
 // ranks). Rank 0's wire volume per step is pinned exactly: it is a pure
-// function of the parameter count, the world size and the framing, so any
-// change to the ring schedule or the frame layout shows up here.
+// function of the parameter count, the world size and the framing (one
+// all-reduce of the gradient slab, 2(p−1) frames), so any change to the
+// ring schedule or the frame layout shows up here.
 func TestTCPDSGDMatchesSimulator(t *testing.T) {
 	const (
 		batch = 8
@@ -88,8 +89,8 @@ func TestTCPDSGDMatchesSimulator(t *testing.T) {
 		workers     int
 		sentPerStep int64 // rank 0's Stats().SentBytes per step
 	}{
-		{2, 2960},
-		{4, 4920},
+		{2, 2720},
+		{4, 4200},
 	} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			testTCPDSGDMatchesSimulator(t, tc.workers, batch, steps, tc.sentPerStep)
@@ -195,7 +196,7 @@ func TestTCPParameterServer(t *testing.T) {
 				e := testModel(9)
 				if r.ID() == 0 {
 					return dist.RunPSServer(context.Background(), r,
-						training.NewFusedSGD(0.05), dist.PackParams(e.Network()),
+						training.NewFusedSGD(0.05), e.Network().ParamSlab().Data(),
 						dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true})
 				}
 				opt := dist.NewCentralizedWorker(e, r)
@@ -228,8 +229,8 @@ func TestTCPParameterServer(t *testing.T) {
 
 // TestDSGDStepAllocatesNothingParameterSized is the Level-3 allocation
 // ceiling: two ranks over loopback, product SGD under ring-allreduce DSGD.
-// Once warm, one step of the whole world — two forward/backward passes, two
-// all-reduces per parameter with their frames, two updates — allocates less
+// Once warm, one step of the whole world — two forward/backward passes, each
+// rank's all-reduce of its gradient slab with the frames, two updates — allocates less
 // than a single copy of the largest parameter, and the ranks end bitwise
 // equal.
 func TestDSGDStepAllocatesNothingParameterSized(t *testing.T) {
@@ -274,7 +275,7 @@ func TestDSGDStepAllocatesNothingParameterSized(t *testing.T) {
 	}
 	t.Logf("warm 2-rank step: %d B allocated, largest parameter %d B", perStep, largest)
 
-	p0, p1 := dist.PackParams(execs[0].Network()).Vec, dist.PackParams(execs[1].Network()).Vec
+	p0, p1 := execs[0].Network().ParamSlab().Data(), execs[1].Network().ParamSlab().Data()
 	for i := range p0 {
 		if math.Float32bits(p0[i]) != math.Float32bits(p1[i]) {
 			t.Fatalf("parameter %d: rank 0 holds %g, rank 1 %g", i, p0[i], p1[i])

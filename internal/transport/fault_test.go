@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -96,19 +97,20 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// dsgdPair builds two-rank DSGD over ranks (a small MLP, product SGD) and
-// one fixed batch per rank.
-func dsgdPair(t *testing.T, ranks []dist.Rank) ([]training.Optimizer, []map[string]*tensor.Tensor) {
+// dsgdPair builds two-rank DSGD over ranks (a small MLP, product SGD), with
+// the drivers it wraps, and one fixed batch per rank.
+func dsgdPair(t *testing.T, ranks []dist.Rank) ([]training.Optimizer, []*training.Driver, []map[string]*tensor.Tensor) {
 	t.Helper()
 	ds := training.SyntheticClassification(16, 4, []int{1, 6, 6}, 0.2, 13)
 	opts := make([]training.Optimizer, len(ranks))
+	drivers := make([]*training.Driver, len(ranks))
 	feeds := make([]map[string]*tensor.Tensor, len(ranks))
 	for i, r := range ranks {
-		d := training.NewDriver(testModel(21), training.NewFusedSGD(0.1))
-		opts[i] = dist.NewConsistentDecentralized(d, r, mpi.AllreduceRing)
+		drivers[i] = training.NewDriver(testModel(21), training.NewFusedSGD(0.1))
+		opts[i] = dist.NewConsistentDecentralized(drivers[i], r, mpi.AllreduceRing)
 		feeds[i] = dist.NewDistributedSampler(ds, 8, i, len(ranks), 1).Next().Feeds()
 	}
-	return opts, feeds
+	return opts, drivers, feeds
 }
 
 // stepAll runs one Train per rank concurrently and returns each rank's
@@ -138,10 +140,12 @@ func stepAll(t *testing.T, opts []training.Optimizer, feeds []map[string]*tensor
 }
 
 // TestDSGDFabricFailureReturnsError injects a connection reset into a
-// two-rank DSGD step, part way through its all-reduces (the cut point is
+// two-rank DSGD step, part way through its all-reduce (the cut point is
 // drawn from a seeded RNG as a fraction of one step's wire traffic), and
 // checks what both ranks see: Train returns a *NetError, well before the
-// fabric's two-minute receive timeout, and nothing panics.
+// fabric's two-minute receive timeout, nothing panics, and the failed step
+// changed nothing: each rank holds its pre-step parameter slab bit for bit
+// and its driver's Step did not advance.
 func TestDSGDFabricFailureReturnsError(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -152,7 +156,7 @@ func TestDSGDFabricFailureReturnsError(t *testing.T) {
 					o.Listener = fault
 				}
 			})
-			opts, feeds := dsgdPair(t, []dist.Rank{tcp[0], tcp[1]})
+			opts, drivers, feeds := dsgdPair(t, []dist.Rank{tcp[0], tcp[1]})
 			if errs, _ := stepAll(t, opts, feeds); errs[0] != nil || errs[1] != nil {
 				t.Fatalf("healthy step failed: %v, %v", errs[0], errs[1])
 			}
@@ -161,6 +165,10 @@ func TestDSGDFabricFailureReturnsError(t *testing.T) {
 			frac := 0.2 + 0.6*tensor.NewRNG(seed).Float64()
 			fault.arm(int64(frac * float64(stepBytes)))
 
+			before := make([][]float32, len(opts))
+			for rank, o := range opts {
+				before[rank] = slices.Clone(o.Executor().Network().ParamSlab().Data())
+			}
 			errs, took := stepAll(t, opts, feeds)
 			const bound = 15 * time.Second // RecvTimeout is 2 minutes
 			for rank, err := range errs {
@@ -170,6 +178,18 @@ func TestDSGDFabricFailureReturnsError(t *testing.T) {
 				}
 				if took[rank] > bound {
 					t.Errorf("rank %d: the failed step took %v", rank, took[rank])
+				}
+				if err == nil {
+					continue
+				}
+				if drivers[rank].Step != 1 {
+					t.Errorf("rank %d: the failed step advanced Step to %d", rank, drivers[rank].Step)
+				}
+				for i, v := range opts[rank].Executor().Network().ParamSlab().Data() {
+					if math.Float32bits(v) != math.Float32bits(before[rank][i]) {
+						t.Errorf("rank %d: the failed step changed parameter %d from %g to %g", rank, i, before[rank][i], v)
+						break
+					}
 				}
 			}
 		})
@@ -198,14 +218,14 @@ func (r *countingRank) Recv(ctx context.Context, src int) (dist.Message, error) 
 
 // TestDSGDCancelInRecv cancels a DSGD step while its first all-reduce waits
 // on a peer that never sends: Train returns the context's error promptly
-// (no receive timeout), and the step's remaining all-reduces are skipped —
-// no further send or receive reaches the fabric.
+// (no receive timeout), and the all-reduce stops there: no further send or
+// receive reaches the fabric.
 func TestDSGDCancelInRecv(t *testing.T) {
 	tcp := world(t, 2, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r0 := &countingRank{Rank: tcp[0], cancel: cancel}
-	opts, feeds := dsgdPair(t, []dist.Rank{r0, tcp[1]})
+	opts, _, feeds := dsgdPair(t, []dist.Rank{r0, tcp[1]})
 	start := time.Now()
 	_, err := opts[0].Train(ctx, feeds[0])
 	if !errors.Is(err, context.Canceled) {
