@@ -330,7 +330,7 @@ func BenchmarkTrainStepDSGD(b *testing.B) {
 		e.SetTraining(true)
 		opts[i] = dist.NewConsistentDecentralized(
 			training.NewDriver(e, training.NewFusedSGD(0.05)), r, mpi.AllreduceRing)
-		feeds[i] = dist.NewDistributedSampler(ds, batch, i, workers, 1).Next().Feeds()
+		feeds[i] = training.NewShardSampler(ds, batch, i, workers, 1).Next().Feeds()
 	}
 	// Rank 1 follows rank 0 step for step; a nil error per step keeps them
 	// in lockstep and surfaces a fabric failure.

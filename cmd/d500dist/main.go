@@ -50,7 +50,7 @@ func main() {
 	samples := flag.Int("samples", 1920, "synthetic training samples")
 	seed := flag.Uint64("seed", 42, "seed")
 	hidden := flag.Int("hidden", 32, "MLP hidden width")
-	optimizer := flag.String("optimizer", "sgd", "sgd, momentum, adam, rmsprop")
+	optimizer := flag.String("optimizer", "sgd", "sgd, momentum, nesterov, adagrad, rmsprop, adam; accelegrad with a decentralized scheme")
 	ckptDir := flag.String("checkpoint-dir", "", "exact-resume checkpoint directory (enables restart recovery)")
 	ckptEvery := flag.Int("checkpoint-every", 5, "checkpoint cadence in steps")
 	maxRestarts := flag.Int("max-restarts", 2, "launch: per-worker restart budget")

@@ -50,18 +50,8 @@ func Momentum(lr, momentum float64) ThreeStep {
 	return training.NewFusedMomentum(float32(lr), float32(momentum))
 }
 
-// Nesterov is SGD with Nesterov momentum.
-func Nesterov(lr, momentum float64) ThreeStep {
-	return training.NewFusedNesterov(float32(lr), float32(momentum))
-}
-
 // AdaGrad adapts per-parameter rates by accumulated squared gradients.
 func AdaGrad(lr float64) ThreeStep { return training.NewFusedAdaGrad(float32(lr)) }
-
-// RMSProp keeps an exponential moving average of squared gradients.
-func RMSProp(lr, decay float64) ThreeStep {
-	return training.NewFusedRMSProp(float32(lr), float32(decay))
-}
 
 // Adam is Adam in the Kingma & Ba formulation.
 func Adam(lr float64) ThreeStep { return training.NewFusedAdam(float32(lr)) }
@@ -71,26 +61,12 @@ func AcceleGrad(lr, d, g float64) ThreeStep {
 	return training.NewAcceleGrad(float32(lr), float32(d), float32(g))
 }
 
-// OptimizerByName resolves a CLI optimizer selector. Unknown names return
-// an error listing the valid set.
+// OptimizerByName resolves a CLI optimizer selector: sgd, momentum,
+// nesterov, adagrad, rmsprop, adam or accelegrad, with momentum and RMSProp
+// decay 0.9 and AcceleGrad's D = G = 1. Unknown names return an error
+// listing the valid set.
 func OptimizerByName(name string, lr float64) (ThreeStep, error) {
-	switch name {
-	case "sgd":
-		return SGD(lr), nil
-	case "momentum":
-		return Momentum(lr, 0.9), nil
-	case "nesterov":
-		return Nesterov(lr, 0.9), nil
-	case "adagrad":
-		return AdaGrad(lr), nil
-	case "rmsprop":
-		return RMSProp(lr, 0.9), nil
-	case "adam":
-		return Adam(lr), nil
-	case "accelegrad":
-		return AcceleGrad(lr, 1, 1), nil
-	}
-	return nil, fmt.Errorf("d500: unknown optimizer %q (sgd, momentum, nesterov, adagrad, rmsprop, adam, accelegrad)", name)
+	return training.RuleByName(name, float32(lr))
 }
 
 // Data helpers: public constructors for the built-in samplers and the

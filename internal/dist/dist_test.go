@@ -77,8 +77,7 @@ func TestDistributedSamplerPartitions(t *testing.T) {
 		if steps != 96/world/8 {
 			t.Fatalf("worker %d took %d steps", w, steps)
 		}
-		// Count shard sizes via the internal index list.
-		for _, id := range s.idx {
+		for _, id := range s.CaptureState().Order {
 			seen[id]++
 		}
 	}
@@ -219,7 +218,7 @@ func TestPSServerModes(t *testing.T) {
 						ServerConfig{Mode: mode, Staleness: 1, StepsPerWorker: steps})
 				}
 				opt := NewCentralizedWorker(e, r)
-				s := NewDistributedSampler(ds, batch, r.ID()-1, nodes-1, 41)
+				s := training.NewShardSampler(ds, batch, r.ID()-1, nodes-1, 41)
 				for i := 0; i < steps; i++ {
 					b := s.Next()
 					if b == nil {
@@ -289,7 +288,7 @@ func TestPSServerReleasesEveryReceive(t *testing.T) {
 						e.Network().ParamSlab().Data(), cfg)
 				}
 				w := NewCentralizedWorker(e, r)
-				s := NewDistributedSampler(ds, 8, r.ID()-1, workers, 29)
+				s := training.NewShardSampler(ds, 8, r.ID()-1, workers, 29)
 				for i := 0; i < 3; i++ {
 					if _, err := w.Train(context.Background(), s.Next().Feeds()); err != nil {
 						return err
@@ -326,7 +325,7 @@ func TestDecentralizedSchemesRun(t *testing.T) {
 				e := testModel(5)
 				d := training.NewDriver(e, training.NewFusedSGD(0.05))
 				opt := build(d, r)
-				s := NewDistributedSampler(ds, 8, r.ID(), nodes, 19)
+				s := training.NewShardSampler(ds, 8, r.ID(), nodes, 19)
 				for i := 0; i < 4; i++ {
 					b := s.Next()
 					if b == nil {
@@ -356,7 +355,7 @@ func TestDecentralizedSchemesRun(t *testing.T) {
 func TestReceiversCheckLengths(t *testing.T) {
 	ctx := context.Background()
 	ds := training.SyntheticClassification(16, 4, []int{1, 6, 6}, 0.2, 3)
-	feeds := NewDistributedSampler(ds, 8, 0, 1, 1).Next().Feeds()
+	feeds := training.NewShardSampler(ds, 8, 0, 1, 1).Next().Feeds()
 	n := testModel(5).Network().ParamSlab().Size()
 	server := func(mode PSMode) func(r Rank, bad []float32) error {
 		return func(r Rank, bad []float32) error {
@@ -466,7 +465,7 @@ func TestModelAveragingFailureKeepsParameters(t *testing.T) {
 					defer cancel() // the peer may be left waiting on rank 0
 				}
 				opt := NewModelAveraging(training.NewDriver(e, training.NewFusedSGD(0.05)), rank, 1)
-				_, err := opt.Train(ctx, NewDistributedSampler(ds, 8, r.ID(), 2, 1).Next().Feeds())
+				_, err := opt.Train(ctx, training.NewShardSampler(ds, 8, r.ID(), 2, 1).Next().Feeds())
 				if r.ID() == 0 {
 					got = err
 				}

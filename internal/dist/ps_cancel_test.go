@@ -94,7 +94,7 @@ func TestPSServerUntilDoneServes(t *testing.T) {
 		}
 		w := NewCentralizedWorker(e, r)
 		ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
-		s := NewDistributedSampler(ds, 8, r.ID()-1, workers, 29)
+		s := training.NewShardSampler(ds, 8, r.ID()-1, workers, 29)
 		for i := 0; i < 3; i++ {
 			b := s.Next()
 			if b == nil {

@@ -1,104 +1,9 @@
 package dist
 
-import (
-	"fmt"
+import "deep500/internal/training"
 
-	"deep500/internal/tensor"
-	"deep500/internal/training"
-)
-
-// DistributedSampler shards a dataset across workers: every worker draws
-// the same seeded permutation each epoch and takes a strided slice of it,
-// so the shards are disjoint, cover the dataset, and stay aligned without
-// communication — the paper's distributed sampling scheme.
-type DistributedSampler struct {
-	ds     training.Dataset
-	batch  int
-	worker int
-	world  int
-	rng    *tensor.RNG
-	idx    []int
-	pos    int
+// NewDistributedSampler returns worker `worker` of `world`'s shard sampler;
+// it is training.NewShardSampler.
+func NewDistributedSampler(ds training.Dataset, batch, worker, world int, seed uint64) *training.IndexSampler {
+	return training.NewShardSampler(ds, batch, worker, world, seed)
 }
-
-// NewDistributedSampler returns worker `worker` of `world`'s shard sampler.
-// All workers must pass the same seed for the shards to partition each
-// epoch's permutation.
-func NewDistributedSampler(ds training.Dataset, batch, worker, world int, seed uint64) *DistributedSampler {
-	if world < 1 {
-		world = 1
-	}
-	if worker < 0 || worker >= world {
-		worker = 0
-	}
-	s := &DistributedSampler{ds: ds, batch: batch, worker: worker, world: world,
-		rng: tensor.NewRNG(seed)}
-	s.Reset()
-	return s
-}
-
-// BatchSize returns the per-worker minibatch size.
-func (s *DistributedSampler) BatchSize() int { return s.batch }
-
-// Reset reshuffles (identically on every worker) and rewinds the shard.
-// Every shard is truncated to the same length — floor(Len/world) — so
-// every worker takes exactly the same number of steps per epoch; without
-// this, a rank with a longer shard would block forever in a collective
-// its peers already left.
-func (s *DistributedSampler) Reset() {
-	perm := s.rng.Perm(s.ds.Len())
-	per := s.ds.Len() / s.world
-	s.idx = s.idx[:0]
-	for i := s.worker; i < len(perm) && len(s.idx) < per; i += s.world {
-		s.idx = append(s.idx, perm[i])
-	}
-	s.pos = 0
-}
-
-// Next returns the next batch of this worker's shard, or nil at epoch end.
-// Trailing partial batches are dropped so every worker takes the same
-// number of equally-sized steps per epoch.
-func (s *DistributedSampler) Next() *Batch {
-	if s.pos+s.batch > len(s.idx) {
-		return nil
-	}
-	stride := tensor.Volume(s.ds.SampleShape())
-	xData := make([]float32, s.batch*stride)
-	labels := make([]float32, s.batch)
-	for j := 0; j < s.batch; j++ {
-		id := s.idx[s.pos+j]
-		labels[j] = float32(s.ds.Read(id, xData[j*stride:(j+1)*stride]))
-	}
-	s.pos += s.batch
-	shape := append([]int{s.batch}, s.ds.SampleShape()...)
-	return &Batch{X: tensor.From(xData, shape...), Labels: tensor.From(labels, s.batch)}
-}
-
-// CaptureState snapshots the shard cursor and shuffle RNG, making the
-// sampler checkpointable: a worker restarted by the job control plane
-// resumes exactly where its shard left off, and every future epoch
-// reshuffles as the uninterrupted run would have (the shared permutation
-// stays aligned with the surviving workers).
-func (s *DistributedSampler) CaptureState() training.SamplerState {
-	rng := s.rng.CaptureState()
-	return training.SamplerState{Order: append([]int(nil), s.idx...), Pos: s.pos, RNG: &rng}
-}
-
-// RestoreState rewinds the shard cursor and shuffle RNG.
-func (s *DistributedSampler) RestoreState(st training.SamplerState) error {
-	for _, idx := range st.Order {
-		if idx < 0 || idx >= s.ds.Len() {
-			return fmt.Errorf("dist: checkpointed shard index %d out of range for dataset of %d", idx, s.ds.Len())
-		}
-	}
-	if st.RNG == nil {
-		return fmt.Errorf("dist: checkpoint has no RNG state for a distributed sampler")
-	}
-	s.idx = append(s.idx[:0], st.Order...)
-	s.pos = st.Pos
-	s.rng.RestoreState(*st.RNG)
-	return nil
-}
-
-// Batch aliases training.Batch so dist samplers satisfy training.Sampler.
-type Batch = training.Batch

@@ -171,15 +171,19 @@ func TestSpecDefaults(t *testing.T) {
 
 func TestSpecValidateRejects(t *testing.T) {
 	cases := []Spec{
-		{Scheme: "ring"},                   // unknown scheme
-		{Model: "transformer"},             // unknown model
-		{Samples: 8, Workers: 4, Batch: 8}, // zero steps per epoch
-		{Optimizer: "lion"},                // unknown optimizer
+		{Scheme: "ring"},                               // unknown scheme
+		{Model: "transformer"},                         // unknown model
+		{Samples: 8, Workers: 4, Batch: 8},             // zero steps per epoch
+		{Optimizer: "lion"},                            // unknown optimizer
+		{Scheme: SchemePSSGD, Optimizer: "accelegrad"}, // on a parameter server
 	}
 	for i, c := range cases {
 		if err := c.WithDefaults().Validate(); err == nil {
 			t.Errorf("case %d (%+v): expected validation error", i, c)
 		}
+	}
+	if err := (Spec{Optimizer: "nesterov"}).WithDefaults().Validate(); err != nil {
+		t.Errorf("nesterov: %v", err)
 	}
 }
 

@@ -133,8 +133,10 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 	// Hidden is the MLP hidden width (default 32).
 	Hidden int `json:"hidden,omitempty"`
-	// Optimizer is the update rule ("sgd", "momentum", "adam", ...; the
-	// server applies it in centralized schemes, each worker in the others).
+	// Optimizer is the update rule ("sgd", "momentum", "nesterov",
+	// "adagrad", "rmsprop", "adam", or "accelegrad" in decentralized
+	// schemes; the server applies it in centralized schemes, each worker
+	// in the others).
 	Optimizer string `json:"optimizer,omitempty"`
 	// LR is the learning rate (default 0.05).
 	LR float64 `json:"lr,omitempty"`
@@ -220,8 +222,13 @@ func (s Spec) Validate() error {
 	if strings.ToLower(s.Model) != "mlp" {
 		return fmt.Errorf("jobs: unknown model %q (mlp)", s.Model)
 	}
-	if _, err := buildRule(s); err != nil {
-		return err
+	if _, err := training.RuleByName(s.Optimizer, float32(s.LR)); err != nil {
+		return fmt.Errorf("jobs: %w", err)
+	}
+	if s.Optimizer == "accelegrad" && s.Scheme.def().server != nil {
+		// A server applies UpdateRule alone; AcceleGrad also needs its
+		// PrepareParam iterate fed to the workers' forward pass.
+		return fmt.Errorf("jobs: accelegrad needs a decentralized scheme, not %s", s.Scheme)
 	}
 	if s.StepsPerEpoch() < 1 {
 		return fmt.Errorf("jobs: %d samples across %d workers at batch %d yields zero steps per epoch",

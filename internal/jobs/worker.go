@@ -200,26 +200,10 @@ func buildModel(spec Spec) *graph.Model {
 }
 
 // buildData generates the job's synthetic training set (identical on every
-// rank; the distributed sampler shards it) and Samples/4 held-out samples
+// rank; the shard sampler splits it) and Samples/4 held-out samples
 // of the same task, which only Simulate evaluates.
 func buildData(spec Spec) (train, test *training.InMemoryDataset) {
 	return training.SyntheticSplit(spec.Samples, spec.Samples/4, 4, []int{1, 8, 8}, 0.25, spec.Seed)
-}
-
-// buildRule resolves the spec's optimizer name.
-func buildRule(spec Spec) (training.ThreeStep, error) {
-	lr := float32(spec.LR)
-	switch spec.Optimizer {
-	case "sgd":
-		return training.NewFusedSGD(lr), nil
-	case "momentum":
-		return training.NewFusedMomentum(lr, 0.9), nil
-	case "adam":
-		return training.NewFusedAdam(lr), nil
-	case "rmsprop":
-		return training.NewFusedRMSProp(lr, 0.9), nil
-	}
-	return nil, fmt.Errorf("jobs: unknown optimizer %q (sgd, momentum, adam, rmsprop)", spec.Optimizer)
 }
 
 // runRole runs rank's part of job on either fabric: the parameter server
@@ -237,7 +221,7 @@ func runRole(ctx context.Context, rank dist.Rank, spec Spec, job string, progres
 // server serves until every worker reports done (restart-tolerant); the
 // others serve a fixed per-worker step count.
 func runPS(ctx context.Context, rank dist.Rank, spec Spec) error {
-	rule, err := buildRule(spec)
+	rule, err := training.RuleByName(spec.Optimizer, float32(spec.LR))
 	if err != nil {
 		return err
 	}
@@ -278,13 +262,13 @@ func runTrainLoop(ctx context.Context, rank dist.Rank, spec Spec, job string, pr
 		return nil, fmt.Errorf("jobs: rank %d building model: %w", rankID, err)
 	}
 	e.SetTraining(true)
-	rule, err := buildRule(spec)
+	rule, err := training.RuleByName(spec.Optimizer, float32(spec.LR))
 	if err != nil {
 		return nil, err
 	}
 	opt := spec.Scheme.def().worker(training.NewDriver(e, rule), rank)
 	train, _ := buildData(spec)
-	sampler := dist.NewDistributedSampler(train, spec.Batch, spec.WorkerIndex(rankID), spec.Workers, spec.Seed)
+	sampler := training.NewShardSampler(train, spec.Batch, spec.WorkerIndex(rankID), spec.Workers, spec.Seed)
 
 	// The runner owns the step loop, the epoch resets of the shard sampler
 	// (which yields StepsPerEpoch batches an epoch) and the checkpoint

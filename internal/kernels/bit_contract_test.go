@@ -343,7 +343,7 @@ func trainMLP(ctx context.Context, r dist.Rank, resume bool) ([]float32, error) 
 	ds := training.SyntheticClassification(batch*steps, 4, []int{1, 6, 6}, 0.2, 13)
 	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 6, Width: 6, WithHead: true, Seed: 21}, 16)
 	rule := training.NewFusedMomentum(0.05, 0.9)
-	sampler := dist.NewDistributedSampler(ds, batch/world, id, world, 5)
+	sampler := training.NewShardSampler(ds, batch/world, id, world, 5)
 	newOpt := func() training.Optimizer {
 		e := executor.MustNew(m)
 		e.SetTraining(true)
@@ -374,7 +374,7 @@ func trainMLP(ctx context.Context, r dist.Rank, resume bool) ([]float32, error) 
 			return nil, err
 		}
 		m, rule = ck.Model, training.NewFusedMomentum(0.05, 0.9)
-		sampler = dist.NewDistributedSampler(ds, batch/world, id, world, 0)
+		sampler = training.NewShardSampler(ds, batch/world, id, world, 0)
 		if err := training.RestoreTrainState(ck.Train, rule, sampler); err != nil {
 			return nil, err
 		}

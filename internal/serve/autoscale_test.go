@@ -122,11 +122,14 @@ func TestAutoscaleUpAndDown(t *testing.T) {
 	if st := srv.Stats(); st.ScaleUps < 1 {
 		t.Fatalf("no scale-up recorded: %+v", st)
 	}
+	// Read under the lock, fail outside it: the deferred Close waits for a
+	// scaler that may be inside OnScale.
 	scaleMu.Lock()
-	if ups < 1 || maxPool < 2 {
-		t.Fatalf("OnScale saw ups=%d maxPool=%d, want ups>=1 and maxPool>=2", ups, maxPool)
-	}
+	sawUps, sawPool := ups, maxPool
 	scaleMu.Unlock()
+	if sawUps < 1 || sawPool < 2 {
+		t.Fatalf("OnScale saw ups=%d maxPool=%d, want ups>=1 and maxPool>=2", sawUps, sawPool)
+	}
 
 	// Idle now: the pool must shrink back to the floor, one replica per
 	// ScaleDownIdle window, without dropping below it.

@@ -654,11 +654,14 @@ func (s *Server) scaler() {
 				continue
 			}
 			e.SetTraining(false)
+			// The decision is counted and reported before the new replica
+			// can serve, so whoever sees its work sees the scale-up.
 			s.statsMu.Lock()
 			s.stats.scaleUps++
+			target := len(s.stops) + 1
 			s.statsMu.Unlock()
+			s.notifyScale(target, true)
 			s.startWorker(e)
-			s.notifyScale(true)
 		case depth == 0 && pool > s.opts.Replicas && idle >= s.opts.ScaleDownIdle:
 			s.statsMu.Lock()
 			var victim chan struct{}
@@ -670,25 +673,24 @@ func (s *Server) scaler() {
 			if victim != nil {
 				s.stats.scaleDowns++
 			}
+			target := len(s.stops)
 			s.statsMu.Unlock()
 			if victim != nil {
 				close(victim)
-				s.notifyScale(false)
+				s.notifyScale(target, false)
 			}
 		}
 	}
 }
 
 // notifyScale reports an autoscaler decision through OnScale, serialized
-// with Observe. The reported pool size is the decision's target (the
-// retiring replica of a scale-down may still be draining its last batch).
-func (s *Server) notifyScale(up bool) {
+// with Observe. The reported pool size is the decision's target: a
+// scale-up's replica has not started yet, and the retiring replica of a
+// scale-down may still be draining its last batch.
+func (s *Server) notifyScale(pool int, up bool) {
 	if s.opts.OnScale == nil {
 		return
 	}
-	s.statsMu.Lock()
-	pool := len(s.stops)
-	s.statsMu.Unlock()
 	s.observeMu.Lock()
 	s.opts.OnScale(pool, up)
 	s.observeMu.Unlock()

@@ -184,42 +184,6 @@ type CheckpointableSampler interface {
 	RestoreState(SamplerState) error
 }
 
-// CaptureState snapshots the epoch cursor.
-func (s *SequentialSampler) CaptureState() SamplerState {
-	return SamplerState{Order: append([]int(nil), s.order...), Pos: s.pos}
-}
-
-// RestoreState rewinds the epoch cursor.
-func (s *SequentialSampler) RestoreState(st SamplerState) error {
-	if err := checkOrder(st.Order, s.ds.Len()); err != nil {
-		return err
-	}
-	s.order = append([]int(nil), st.Order...)
-	s.pos = st.Pos
-	return nil
-}
-
-// CaptureState snapshots the epoch cursor and shuffle RNG.
-func (s *ShuffleSampler) CaptureState() SamplerState {
-	rng := s.rng.CaptureState()
-	return SamplerState{Order: append([]int(nil), s.order...), Pos: s.pos, RNG: &rng}
-}
-
-// RestoreState rewinds the epoch cursor and shuffle RNG, so every future
-// epoch reshuffles exactly as the uninterrupted run would have.
-func (s *ShuffleSampler) RestoreState(st SamplerState) error {
-	if err := checkOrder(st.Order, s.ds.Len()); err != nil {
-		return err
-	}
-	if st.RNG == nil {
-		return fmt.Errorf("training: checkpoint has no RNG state for a shuffle sampler")
-	}
-	s.order = append([]int(nil), st.Order...)
-	s.pos = st.Pos
-	s.rng.RestoreState(*st.RNG)
-	return nil
-}
-
 // CaptureTrainState flattens a run's position into a checkpoint's training
 // section: the step and epoch counters, the optimizer's slots and the
 // sampler's cursor. co may be nil for a run that checkpoints no optimizer
@@ -260,15 +224,6 @@ func RestoreTrainState(ts *graph.TrainState, co CheckpointableOptimizer, cs Chec
 	}
 	if err := cs.RestoreState(st); err != nil {
 		return fmt.Errorf("training: restoring sampler state: %w", err)
-	}
-	return nil
-}
-
-func checkOrder(order []int, n int) error {
-	for _, idx := range order {
-		if idx < 0 || idx >= n {
-			return fmt.Errorf("training: checkpoint sampler order index %d out of range for dataset of %d samples (resumed with a different dataset?)", idx, n)
-		}
 	}
 	return nil
 }

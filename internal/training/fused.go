@@ -1,6 +1,9 @@
 package training
 
 import (
+	"fmt"
+	"strings"
+
 	"deep500/internal/kernels"
 	"deep500/internal/tensor"
 )
@@ -164,4 +167,33 @@ func (o *FusedAdaGrad) UpdateRule(grad, oldParam *tensor.Tensor, name string) *t
 	s := slotFor(o.squares, name, oldParam)
 	kernels.AdaGradFused(oldParam.Data(), grad.Data(), s.Data(), o.LR, o.Eps)
 	return oldParam
+}
+
+// ruleNames maps the optimizer names the CLIs and job specs accept to the
+// product rules, with the constants every caller uses: momentum and
+// RMSProp decay 0.9, and AcceleGrad (which has no fused form) D = G = 1.
+var ruleNames = []struct {
+	name string
+	rule func(lr float32) ThreeStep
+}{
+	{"sgd", func(lr float32) ThreeStep { return NewFusedSGD(lr) }},
+	{"momentum", func(lr float32) ThreeStep { return NewFusedMomentum(lr, 0.9) }},
+	{"nesterov", func(lr float32) ThreeStep { return NewFusedNesterov(lr, 0.9) }},
+	{"adagrad", func(lr float32) ThreeStep { return NewFusedAdaGrad(lr) }},
+	{"rmsprop", func(lr float32) ThreeStep { return NewFusedRMSProp(lr, 0.9) }},
+	{"adam", func(lr float32) ThreeStep { return NewFusedAdam(lr) }},
+	{"accelegrad", func(lr float32) ThreeStep { return NewAcceleGrad(lr, 1, 1) }},
+}
+
+// RuleByName resolves an optimizer name. An unknown name returns an error
+// listing the valid set.
+func RuleByName(name string, lr float32) (ThreeStep, error) {
+	names := make([]string, len(ruleNames))
+	for i, r := range ruleNames {
+		if r.name == name {
+			return r.rule(lr), nil
+		}
+		names[i] = r.name
+	}
+	return nil, fmt.Errorf("unknown optimizer %q (%s)", name, strings.Join(names, ", "))
 }

@@ -8,7 +8,6 @@ package training
 import (
 	"fmt"
 
-	"deep500/internal/metrics"
 	"deep500/internal/tensor"
 )
 
@@ -76,89 +75,122 @@ func (d *InMemoryDataset) Read(i int, dst []float32) int {
 	return d.labels[i]
 }
 
-// baseSampler assembles batches given an index order.
-type baseSampler struct {
-	ds       Dataset
-	batch    int
-	pos      int
-	order    []int
-	dropLast bool
-	bias     *metrics.DatasetBias
+// IndexSampler is the one concrete Sampler. Each epoch it fixes an index
+// order and assembles consecutive batches of it. A sequential sampler's
+// order is the dataset's and keeps the last, partial batch. A shuffling
+// sampler draws a seeded permutation of the dataset every epoch (uniform
+// sampling without replacement — minibatch SGD's standard scheme,
+// Algorithm 1); worker w of world takes every world-th index of it from w
+// on, truncated to Len/world, and drops trailing partial batches. Workers
+// passing the same seed therefore hold disjoint shards and take the same
+// number of equally sized steps without communicating — the paper's
+// distributed sampling — and world 1 is plain shuffling.
+type IndexSampler struct {
+	ds            Dataset
+	batch         int
+	worker, world int
+	rng           *tensor.RNG // nil for a sequential sampler
+	order         []int
+	pos           int
 }
-
-func (s *baseSampler) BatchSize() int { return s.batch }
-
-// AttachBias wires a DatasetBias metric that observes every sampled label.
-func (s *baseSampler) AttachBias(b *metrics.DatasetBias) { s.bias = b }
-
-func (s *baseSampler) next() *Batch {
-	remaining := len(s.order) - s.pos
-	if remaining <= 0 || (s.dropLast && remaining < s.batch) {
-		return nil
-	}
-	n := s.batch
-	if n > remaining {
-		n = remaining
-	}
-	stride := tensor.Volume(s.ds.SampleShape())
-	xData := make([]float32, n*stride)
-	labels := make([]float32, n)
-	for j := 0; j < n; j++ {
-		idx := s.order[s.pos+j]
-		label := s.ds.Read(idx, xData[j*stride:(j+1)*stride])
-		labels[j] = float32(label)
-		if s.bias != nil {
-			s.bias.ObserveLabel(label)
-		}
-	}
-	s.pos += n
-	shape := append([]int{n}, s.ds.SampleShape()...)
-	return &Batch{X: tensor.From(xData, shape...), Labels: tensor.From(labels, n)}
-}
-
-// SequentialSampler iterates the dataset in order.
-type SequentialSampler struct{ baseSampler }
 
 // NewSequentialSampler returns an in-order sampler.
-func NewSequentialSampler(ds Dataset, batch int) *SequentialSampler {
-	s := &SequentialSampler{baseSampler{ds: ds, batch: batch}}
-	s.Reset()
-	return s
-}
-
-// Next returns the next batch or nil at epoch end.
-func (s *SequentialSampler) Next() *Batch { return s.next() }
-
-// Reset rewinds to the dataset start.
-func (s *SequentialSampler) Reset() {
-	if s.order == nil {
-		s.order = make([]int, s.ds.Len())
-		for i := range s.order {
-			s.order[i] = i
-		}
+func NewSequentialSampler(ds Dataset, batch int) *IndexSampler {
+	order := make([]int, ds.Len())
+	for i := range order {
+		order[i] = i
 	}
-	s.pos = 0
-}
-
-// ShuffleSampler reshuffles the index order each epoch (uniform sampling
-// without replacement — minibatch SGD's standard scheme, Algorithm 1).
-type ShuffleSampler struct {
-	baseSampler
-	rng *tensor.RNG
+	return &IndexSampler{ds: ds, batch: batch, world: 1, order: order}
 }
 
 // NewShuffleSampler returns a shuffling sampler seeded deterministically.
-func NewShuffleSampler(ds Dataset, batch int, seed uint64) *ShuffleSampler {
-	s := &ShuffleSampler{baseSampler: baseSampler{ds: ds, batch: batch, dropLast: true}, rng: tensor.NewRNG(seed)}
+func NewShuffleSampler(ds Dataset, batch int, seed uint64) *IndexSampler {
+	return NewShardSampler(ds, batch, 0, 1, seed)
+}
+
+// NewShardSampler returns worker `worker` of `world`'s shuffling shard
+// sampler. All workers must pass the same seed for the shards to partition
+// each epoch's permutation.
+func NewShardSampler(ds Dataset, batch, worker, world int, seed uint64) *IndexSampler {
+	if world < 1 {
+		world = 1
+	}
+	if worker < 0 || worker >= world {
+		worker = 0
+	}
+	s := &IndexSampler{ds: ds, batch: batch, worker: worker, world: world, rng: tensor.NewRNG(seed)}
 	s.Reset()
 	return s
 }
 
-// Next returns the next batch or nil at epoch end.
-func (s *ShuffleSampler) Next() *Batch { return s.next() }
+// BatchSize returns the (per-worker) minibatch size.
+func (s *IndexSampler) BatchSize() int { return s.batch }
 
-// Reset reshuffles for a new epoch.
-func (s *ShuffleSampler) Reset() {
-	s.order = s.rng.Perm(s.ds.Len())
+// Reset starts the next epoch: a sequential sampler rewinds, a shuffling
+// one draws the next permutation (the same on every worker) and keeps its
+// shard of it. Every shard has the same length, floor(Len/world), so every
+// worker takes the same number of steps; a rank with a longer shard would
+// block forever in a collective its peers already left.
+func (s *IndexSampler) Reset() {
 	s.pos = 0
+	if s.rng == nil {
+		return
+	}
+	perm := s.rng.Perm(s.ds.Len())
+	per := len(perm) / s.world
+	for i := 0; i < per; i++ {
+		perm[i] = perm[s.worker+i*s.world]
+	}
+	s.order = perm[:per]
+}
+
+// Next returns the next batch, or nil at the end of the epoch.
+func (s *IndexSampler) Next() *Batch {
+	n := min(s.batch, len(s.order)-s.pos)
+	if n <= 0 || (s.rng != nil && n < s.batch) {
+		return nil
+	}
+	shape := append([]int{n}, s.ds.SampleShape()...)
+	stride := tensor.Volume(shape[1:])
+	x := make([]float32, n*stride)
+	labels := make([]float32, n)
+	for j, idx := range s.order[s.pos : s.pos+n] {
+		labels[j] = float32(s.ds.Read(idx, x[j*stride:(j+1)*stride]))
+	}
+	s.pos += n
+	return &Batch{X: tensor.From(x, shape...), Labels: tensor.From(labels, n)}
+}
+
+// CaptureState snapshots the epoch cursor and, for a shuffling sampler,
+// the shuffle RNG.
+func (s *IndexSampler) CaptureState() SamplerState {
+	st := SamplerState{Order: append([]int(nil), s.order...), Pos: s.pos}
+	if s.rng != nil {
+		rng := s.rng.CaptureState()
+		st.RNG = &rng
+	}
+	return st
+}
+
+// RestoreState rewinds the epoch cursor and the shuffle RNG, so every
+// future epoch reshuffles exactly as the uninterrupted run would have and a
+// restarted worker's permutation stays aligned with its peers'.
+func (s *IndexSampler) RestoreState(st SamplerState) error {
+	for _, idx := range st.Order {
+		if idx < 0 || idx >= s.ds.Len() {
+			return fmt.Errorf("training: checkpoint sampler order index %d out of range for dataset of %d samples (resumed with a different dataset?)", idx, s.ds.Len())
+		}
+	}
+	if st.Pos < 0 || st.Pos > len(st.Order) {
+		return fmt.Errorf("training: checkpoint sampler position %d outside its order of %d", st.Pos, len(st.Order))
+	}
+	if s.rng != nil {
+		if st.RNG == nil {
+			return fmt.Errorf("training: checkpoint has no RNG state for a shuffling sampler")
+		}
+		s.rng.RestoreState(*st.RNG)
+	}
+	s.order = append([]int(nil), st.Order...)
+	s.pos = st.Pos
+	return nil
 }

@@ -24,7 +24,7 @@ func mlpExec(t *testing.T, seed uint64) *executor.Executor {
 	return e
 }
 
-func synthSamplers(batch int) (*ShuffleSampler, *SequentialSampler) {
+func synthSamplers(batch int) (*IndexSampler, *IndexSampler) {
 	train, test := SyntheticSplit(256, 64, 4, []int{1, 4, 4}, 0.3, 11)
 	return NewShuffleSampler(train, batch, 1), NewSequentialSampler(test, batch)
 }
@@ -86,21 +86,6 @@ func TestShuffleSamplerDropsLastPartial(t *testing.T) {
 	}
 	if batches != 2 {
 		t.Fatalf("batches = %d", batches)
-	}
-}
-
-func TestDatasetBiasAttachment(t *testing.T) {
-	ds := SyntheticClassification(100, 5, []int{1}, 0, 4)
-	s := NewSequentialSampler(ds, 10)
-	bias := metrics.NewDatasetBias()
-	s.AttachBias(bias)
-	for b := s.Next(); b != nil; b = s.Next() {
-	}
-	if got := bias.Histogram()[0]; got != 20 {
-		t.Fatalf("label 0 count %d, want 20", got)
-	}
-	if bias.ChiSquare() != 0 {
-		t.Fatalf("balanced dataset chi² = %v", bias.ChiSquare())
 	}
 }
 

@@ -200,7 +200,7 @@ func TestTCPParameterServer(t *testing.T) {
 						dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true})
 				}
 				opt := dist.NewCentralizedWorker(e, r)
-				s := dist.NewDistributedSampler(ds, batch, r.ID()-1, nodes-1, 41)
+				s := training.NewShardSampler(ds, batch, r.ID()-1, nodes-1, 41)
 				for i := 0; i < steps; i++ {
 					b := s.Next()
 					if b == nil {
@@ -247,7 +247,7 @@ func TestDSGDStepAllocatesNothingParameterSized(t *testing.T) {
 		execs[i].SetTraining(true)
 		opts[i] = dist.NewConsistentDecentralized(
 			training.NewDriver(execs[i], training.NewFusedSGD(0.05)), r, mpi.AllreduceRing)
-		feeds[i] = dist.NewDistributedSampler(ds, batch, i, workers, 1).Next().Feeds()
+		feeds[i] = training.NewShardSampler(ds, batch, i, workers, 1).Next().Feeds()
 		for _, name := range execs[i].Network().Params() {
 			p, _ := execs[i].Network().FetchTensor(name)
 			largest = max(largest, p.Bytes())

@@ -108,7 +108,7 @@ func dsgdPair(t *testing.T, ranks []dist.Rank) ([]training.Optimizer, []*trainin
 	for i, r := range ranks {
 		drivers[i] = training.NewDriver(testModel(21), training.NewFusedSGD(0.1))
 		opts[i] = dist.NewConsistentDecentralized(drivers[i], r, mpi.AllreduceRing)
-		feeds[i] = dist.NewDistributedSampler(ds, 8, i, len(ranks), 1).Next().Feeds()
+		feeds[i] = training.NewShardSampler(ds, 8, i, len(ranks), 1).Next().Feeds()
 	}
 	return opts, drivers, feeds
 }

@@ -268,18 +268,17 @@ func TestOptimizer(got, ref training.Optimizer, batches []*training.Batch, tol f
 // of uniform.
 func TestSampler(s training.Sampler, tolFraction float64) (Result, *metrics.DatasetBias) {
 	bias := metrics.NewDatasetBias()
-	type biasAttacher interface{ AttachBias(*metrics.DatasetBias) }
-	if ba, ok := s.(biasAttacher); ok {
-		ba.AttachBias(bias)
-	}
 	s.Reset()
 	for b := s.Next(); b != nil; b = s.Next() {
-		_ = b
+		for _, l := range b.Labels.Data() {
+			bias.ObserveLabel(int(l))
+		}
 	}
 	res := Result{Name: "test_sampler", Passed: true}
 	hist := bias.Histogram()
 	if len(hist) == 0 {
-		res.Details = "sampler does not support bias attachment"
+		res.Passed = false
+		res.Details = "sampler drew no batch"
 		return res, bias
 	}
 	total := 0

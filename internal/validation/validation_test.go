@@ -173,3 +173,14 @@ func TestResultString(t *testing.T) {
 		t.Fatalf("%q", s)
 	}
 }
+
+func TestSamplerValidationSharded(t *testing.T) {
+	ds := training.SyntheticClassification(120, 4, []int{2}, 0.1, 8)
+	res, bias := TestSampler(training.NewShardSampler(ds, 10, 1, 3, 5), 0.5)
+	if !res.Passed {
+		t.Fatalf("%v", res)
+	}
+	if len(bias.Histogram()) != 4 {
+		t.Fatalf("histogram %v: a sharded sampler's labels were not counted", bias.Histogram())
+	}
+}
