@@ -472,23 +472,18 @@ func BenchmarkConvBackward(b *testing.B) {
 }
 
 func BenchmarkAblationAllreduce(b *testing.B) {
-	for _, algo := range []struct {
-		name string
-		a    mpi.AllreduceAlgo
-	}{{"ring", mpi.AllreduceRing}, {"doubling", mpi.AllreduceDoubling}} {
-		for _, size := range []int{1 << 10, 1 << 16} {
-			b.Run(fmt.Sprintf("%s/%d", algo.name, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_, _, err := mpi.Run(8, mpi.Aries(), func(r *mpi.Rank) error {
-						data := make([]float32, size)
-						return dist.AllreduceSum(context.Background(), r, algo.a, data, mpi.SimActual)
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
+	for _, size := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("ring/%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, _, err := mpi.Run(8, mpi.Aries(), func(r *mpi.Rank) error {
+					data := make([]float32, size)
+					return dist.AllreduceSum(context.Background(), r, data, mpi.SimActual)
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

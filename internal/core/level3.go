@@ -84,7 +84,7 @@ func fig12Schemes(staleness int) []fig12Scheme {
 		buf := liveBuf()
 		for i := 0; i < iters; i++ {
 			computeStep(r, batch)
-			if err := dist.AllreduceSum(ctx, r, mpi.AllreduceRing, buf, resnet50GradB); err != nil {
+			if err := dist.AllreduceSum(ctx, r, buf, resnet50GradB); err != nil {
 				return err
 			}
 		}

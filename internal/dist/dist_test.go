@@ -158,9 +158,9 @@ func TestDSGDMatchesSerial(t *testing.T) {
 
 // TestAllreduceMeanFoldsTheScale holds AllreduceMean, which scales each sum
 // once where it is complete, bitwise to AllreduceSum followed by every rank
-// multiplying by 1/p, at 2, 3 and 4 ranks with either algorithm (3 ranks run
-// the ring for both). The vector's length leaves the ring's chunks uneven,
-// and it holds a −0 on every rank, an infinity and subnormals.
+// multiplying by 1/p, at 2, 3 and 4 ranks. The vector's length leaves the
+// ring's chunks uneven, and it holds a −0 on every rank, an infinity and
+// subnormals.
 func TestAllreduceMeanFoldsTheScale(t *testing.T) {
 	input := func(id int) []float32 {
 		v := tensor.RandNormal(tensor.NewRNG(uint64(40+id)), 0, 1, 1001).Data()
@@ -169,29 +169,27 @@ func TestAllreduceMeanFoldsTheScale(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, p := range []int{2, 3, 4} {
-		for _, algo := range []mpi.AllreduceAlgo{mpi.AllreduceRing, mpi.AllreduceDoubling} {
-			want, got := make([][]float32, p), make([][]float32, p)
-			if _, _, err := mpi.Run(p, mpi.Aries(), func(r *mpi.Rank) error {
-				id := r.ID()
-				want[id] = input(id)
-				if err := AllreduceSum(ctx, r, algo, want[id], mpi.SimActual); err != nil {
-					return err
-				}
-				inv := 1 / float32(p)
-				for i, v := range want[id] {
-					want[id][i] = v * inv
-				}
-				got[id] = input(id)
-				return AllreduceMean(ctx, r, algo, got[id], mpi.SimActual)
-			}); err != nil {
-				t.Fatal(err)
+		want, got := make([][]float32, p), make([][]float32, p)
+		if _, _, err := mpi.Run(p, mpi.Aries(), func(r *mpi.Rank) error {
+			id := r.ID()
+			want[id] = input(id)
+			if err := AllreduceSum(ctx, r, want[id], mpi.SimActual); err != nil {
+				return err
 			}
-			for id := range got {
-				for i := range got[id] {
-					if math.Float32bits(got[id][i]) != math.Float32bits(want[0][i]) {
-						t.Fatalf("p=%d algo=%v rank %d [%d]: mean %g (%#x), sum then scale %g (%#x)", p, algo, id, i,
-							got[id][i], math.Float32bits(got[id][i]), want[0][i], math.Float32bits(want[0][i]))
-					}
+			inv := 1 / float32(p)
+			for i, v := range want[id] {
+				want[id][i] = v * inv
+			}
+			got[id] = input(id)
+			return AllreduceMean(ctx, r, got[id], mpi.SimActual)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for id := range got {
+			for i := range got[id] {
+				if math.Float32bits(got[id][i]) != math.Float32bits(want[0][i]) {
+					t.Fatalf("p=%d rank %d [%d]: mean %g (%#x), sum then scale %g (%#x)", p, id, i,
+						got[id][i], math.Float32bits(got[id][i]), want[0][i], math.Float32bits(want[0][i]))
 				}
 			}
 		}
@@ -233,6 +231,9 @@ func TestPSServerModes(t *testing.T) {
 						t.Errorf("rank %d: NaN loss at step %d", r.ID(), i)
 					}
 				}
+				if mode == PSAsync {
+					return opt.Finish()
+				}
 				return nil
 			})
 			if err != nil {
@@ -262,21 +263,65 @@ func (c *countingRank) Release(data []float32) {
 	c.Rank.Release(data)
 }
 
+// scriptedRank is rank 0 of a world of size ranks: each receive returns
+// the next message of script, whatever source it asks for, and each send
+// records its destination.
+type scriptedRank struct {
+	size   int
+	script []Message
+	sentTo []int
+}
+
+func (s *scriptedRank) ID() int   { return 0 }
+func (s *scriptedRank) Size() int { return s.size }
+
+func (s *scriptedRank) Send(dst, _ int, _ []float32, _ int64) error {
+	s.sentTo = append(s.sentTo, dst)
+	return nil
+}
+
+func (s *scriptedRank) Recv(context.Context, int) (Message, error) {
+	if len(s.script) == 0 {
+		return Message{}, errors.New("script exhausted")
+	}
+	m := s.script[0]
+	s.script = s.script[1:]
+	return m, nil
+}
+
+func (s *scriptedRank) Release([]float32) {}
+
+// TestPSStaleReleasesInRankOrder: a stale-synchronous server with
+// staleness 0 withholds the replies to workers 1 and 2, which finish ahead
+// of worker 3, until worker 3's gradient arrives, and then sends all three
+// in ascending rank order, every time.
+func TestPSStaleReleasesInRankOrder(t *testing.T) {
+	params := make([]float32, 4)
+	for round := 0; round < 200; round++ {
+		r := &scriptedRank{size: 4}
+		for src := 1; src <= 3; src++ {
+			r.script = append(r.script, Message{Data: make([]float32, len(params)), Src: src, Tag: TagGrad})
+		}
+		if err := RunPSServer(context.Background(), r, training.NewFusedSGD(0.05), params,
+			ServerConfig{Mode: PSStale, Staleness: 0, StepsPerWorker: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.sentTo, []int{1, 2, 3}) {
+			t.Fatalf("round %d: replies went to %v, want [1 2 3]", round, r.sentTo)
+		}
+	}
+}
+
 // TestPSServerReleasesEveryReceive holds the parameter server to the Rank
 // contract in every mode: each payload it receives — gradients and the
-// done-counting TagDone markers alike — is released exactly once.
+// asynchronous server's TagDone markers alike — is released exactly once.
 func TestPSServerReleasesEveryReceive(t *testing.T) {
 	for _, cfg := range []ServerConfig{
 		{Mode: PSSync, StepsPerWorker: 3},
-		{Mode: PSAsync, StepsPerWorker: 3},
-		{Mode: PSAsync, UntilDone: true},
+		{Mode: PSAsync},
 		{Mode: PSStale, Staleness: 1, StepsPerWorker: 3},
 	} {
-		name := cfg.Mode.String()
-		if cfg.UntilDone {
-			name += "/until-done"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
 			const workers = 2
 			ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
 			server := &countingRank{}
@@ -294,7 +339,7 @@ func TestPSServerReleasesEveryReceive(t *testing.T) {
 						return err
 					}
 				}
-				if cfg.UntilDone {
+				if cfg.Mode == PSAsync {
 					return w.Finish()
 				}
 				return nil
@@ -452,8 +497,6 @@ func TestModelAveragingFailureKeepsParameters(t *testing.T) {
 	ds := training.SyntheticClassification(16, 4, []int{1, 6, 6}, 0.2, 3)
 	for _, failAt := range []int{1, 2} {
 		t.Run(fmt.Sprintf("recv%d", failAt), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
 			var got error
 			var f *failingRank
 			mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
@@ -462,10 +505,9 @@ func TestModelAveragingFailureKeepsParameters(t *testing.T) {
 				if r.ID() == 0 {
 					f = &failingRank{Rank: r, net: e.Network(), failAt: failAt}
 					rank = f
-					defer cancel() // the peer may be left waiting on rank 0
 				}
 				opt := NewModelAveraging(training.NewDriver(e, training.NewFusedSGD(0.05)), rank, 1)
-				_, err := opt.Train(ctx, training.NewShardSampler(ds, 8, r.ID(), 2, 1).Next().Feeds())
+				_, err := opt.Train(context.Background(), training.NewShardSampler(ds, 8, r.ID(), 2, 1).Next().Feeds())
 				if r.ID() == 0 {
 					got = err
 				}

@@ -27,12 +27,13 @@ type ConsistentDecentralized struct {
 	err error
 }
 
-// NewConsistentDecentralized wraps a driver with an allreduce gradient hook
-// using the chosen allreduce algorithm.
-func NewConsistentDecentralized(d *training.Driver, r Rank, algo mpi.AllreduceAlgo) *ConsistentDecentralized {
+// NewConsistentDecentralized wraps a driver with a ring all-reduce gradient
+// hook. The mpi.AllreduceAlgo argument is unused: the ring is the only
+// all-reduce.
+func NewConsistentDecentralized(d *training.Driver, r Rank, _ mpi.AllreduceAlgo) *ConsistentDecentralized {
 	o := &ConsistentDecentralized{d: d}
 	d.GradHook = func(_ string, grad *tensor.Tensor) *tensor.Tensor {
-		return o.allreduceMean(r, algo, grad, mpi.SimActual)
+		return o.allreduceMean(r, grad, mpi.SimActual)
 	}
 	return o
 }
@@ -53,12 +54,12 @@ func (o *ConsistentDecentralized) Executor() executor.GraphExecutor { return o.d
 
 // allreduceMean averages grad across the ranks of r and returns it, or
 // returns nil, failing the step, when the all-reduce fails.
-func (o *ConsistentDecentralized) allreduceMean(r Rank, algo mpi.AllreduceAlgo, grad *tensor.Tensor, simBytes int64) *tensor.Tensor {
+func (o *ConsistentDecentralized) allreduceMean(r Rank, grad *tensor.Tensor, simBytes int64) *tensor.Tensor {
 	ctx := o.ctx
 	if ctx == nil { // the driver was stepped directly, not through Train
 		ctx = context.Background()
 	}
-	if o.err = AllreduceMean(ctx, r, algo, grad.Data(), simBytes); o.err != nil {
+	if o.err = AllreduceMean(ctx, r, grad.Data(), simBytes); o.err != nil {
 		return nil
 	}
 	return grad
@@ -158,7 +159,7 @@ func (o *ModelAveraging) Train(ctx context.Context, feeds map[string]*tensor.Ten
 	if o.d.Step%o.every == 0 && o.r.Size() > 1 {
 		params := o.d.Executor().Network().ParamSlab().Data()
 		o.avg = append(o.avg[:0], params...)
-		if err := AllreduceMean(ctx, o.r, mpi.AllreduceRing, o.avg, mpi.SimActual); err != nil {
+		if err := AllreduceMean(ctx, o.r, o.avg, mpi.SimActual); err != nil {
 			return nil, err
 		}
 		copy(params, o.avg)
@@ -211,7 +212,7 @@ func NewSparseDecentralized(d *training.Driver, r Rank, density float64) *Sparse
 		}
 		// Charge the wire for index+value pairs of surviving entries rather
 		// than the dense vector.
-		return o.allreduceMean(r, mpi.AllreduceRing, grad, nnz*8)
+		return o.allreduceMean(r, grad, nnz*8)
 	}
 	return o
 }

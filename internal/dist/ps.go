@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"deep500/internal/executor"
 	"deep500/internal/kernels"
@@ -19,7 +20,9 @@ const (
 	// update, and broadcasts the new parameters — fully consistent.
 	PSSync PSMode = iota
 	// PSAsync applies each gradient the moment it arrives and replies
-	// immediately — HOGWILD-style inconsistency.
+	// immediately — HOGWILD-style inconsistency. It serves until every
+	// worker has sent TagDone, so a worker restarted from a checkpoint may
+	// replay gradients.
 	PSAsync
 	// PSStale is stale-synchronous parallel: asynchronous, but a worker may
 	// run at most Staleness steps ahead of the slowest active worker; the
@@ -44,16 +47,10 @@ type ServerConfig struct {
 	Mode PSMode
 	// Staleness is the SSP bound for PSStale (ignored otherwise).
 	Staleness int
-	// StepsPerWorker is how many gradient messages the server expects from
-	// each worker before shutting down. Ignored when UntilDone is set.
+	// StepsPerWorker is how many gradient messages a PSSync or PSStale
+	// server expects from each worker before shutting down. A PSAsync
+	// server ignores it: it counts TagDone messages instead.
 	StepsPerWorker int
-	// UntilDone switches the server to done-counting shutdown: instead of
-	// expecting a fixed gradient count, it serves until every worker has
-	// sent a TagDone message. This is the mode the job control plane uses —
-	// a worker restarted from a checkpoint may replay gradient messages, so
-	// fixed counts would desynchronize — and it is only supported for
-	// PSAsync (sync/stale rounds assume exact per-worker step counts).
-	UntilDone bool
 }
 
 // RunPSServer runs the parameter-server loop on rank r (conventionally
@@ -73,11 +70,8 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params []
 	if workers < 1 {
 		return fmt.Errorf("dist: parameter server needs at least one worker rank")
 	}
-	if cfg.UntilDone && cfg.Mode != PSAsync {
-		return fmt.Errorf("dist: ServerConfig.UntilDone requires PSAsync (got %s)", cfg.Mode)
-	}
-	if !cfg.UntilDone && cfg.StepsPerWorker < 1 {
-		return fmt.Errorf("dist: ServerConfig.StepsPerWorker must be ≥ 1")
+	if cfg.Mode != PSAsync && cfg.StepsPerWorker < 1 {
+		return fmt.Errorf("dist: ServerConfig.StepsPerWorker must be ≥ 1 (mode %s)", cfg.Mode)
 	}
 	apply := func(grad []float32, scale float32) {
 		if scale != 1 {
@@ -115,16 +109,16 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params []
 			}
 		}
 	case PSAsync:
-		// A done-counting server tracks distinct finished workers: a worker
-		// restarted right after sending TagDone replays it, and a duplicate
-		// must not shut the server down while slower workers still train.
+		// The server tracks distinct finished workers: a worker restarted
+		// right after sending TagDone replays it, and a duplicate must not
+		// shut the server down while slower workers still train.
 		finished := make(map[int]bool)
-		for done := 0; cfg.UntilDone && len(finished) < workers || !cfg.UntilDone && done < workers*cfg.StepsPerWorker; done++ {
+		for len(finished) < workers {
 			m, err := r.Recv(ctx, AnySource)
 			if err != nil {
 				return err
 			}
-			if cfg.UntilDone && m.Tag == TagDone {
+			if m.Tag == TagDone {
 				r.Release(m.Data)
 				finished[m.Src] = true
 				continue
@@ -140,7 +134,9 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params []
 		}
 	case PSStale:
 		steps := make([]int, r.Size())
-		owed := make(map[int]bool) // workers whose reply is withheld
+		// owed marks the workers whose reply is withheld; they are released
+		// in ascending rank order, so one arrival order gives one send order.
+		owed := make([]bool, r.Size())
 		release := func() error {
 			// Slowest active worker defines the staleness horizon.
 			minSteps := -1
@@ -152,12 +148,12 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params []
 					minSteps = steps[w]
 				}
 			}
-			for src := range owed {
-				if minSteps < 0 || steps[src] <= minSteps+cfg.Staleness {
+			for src, o := range owed {
+				if o && (minSteps < 0 || steps[src] <= minSteps+cfg.Staleness) {
 					if err := r.Send(src, TagGrad, params, mpi.SimActual); err != nil {
 						return err
 					}
-					delete(owed, src)
+					owed[src] = false
 				}
 			}
 			return nil
@@ -178,8 +174,8 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params []
 		if err := release(); err != nil {
 			return err
 		}
-		if len(owed) > 0 {
-			return fmt.Errorf("dist: PS server shut down with %d unreleased workers", len(owed))
+		if src := slices.Index(owed, true); src >= 0 {
+			return fmt.Errorf("dist: PS server shut down with worker %d unreleased", src)
 		}
 	default:
 		return fmt.Errorf("dist: unknown PS mode %d", cfg.Mode)
@@ -202,9 +198,10 @@ func NewCentralizedWorker(e executor.GraphExecutor, r Rank) *CentralizedWorker {
 	return &CentralizedWorker{e: e, r: r, Loss: "loss"}
 }
 
-// Finish tells a done-counting server (ServerConfig.UntilDone) that this
-// worker has sent its last gradient; the server exits once every worker
-// has finished. No-op semantics on fixed-count servers: don't call it there.
+// Finish tells a PSAsync server that this worker has sent its last
+// gradient; the server exits once every worker has finished. PSSync and
+// PSStale servers count gradients instead and refuse the empty message:
+// don't call it there.
 func (o *CentralizedWorker) Finish() error {
 	return o.r.Send(0, TagDone, nil, mpi.SimActual)
 }

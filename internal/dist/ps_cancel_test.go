@@ -54,18 +54,17 @@ func TestPSServerCancelMidRound(t *testing.T) {
 	}
 }
 
-// TestPSServerCancelUntilDone covers the done-counting async server the job
-// control plane runs: blocked in an any-source receive with no traffic at all, a cancel
-// must return promptly with the context error.
-func TestPSServerCancelUntilDone(t *testing.T) {
+// TestPSServerCancelAsync covers the asynchronous server the job control
+// plane runs: blocked in an any-source receive with no traffic at all, a
+// cancel must return promptly with the context error.
+func TestPSServerCancelAsync(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	serverErr := make(chan error, 1)
 	_, _, err := mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
 		if r.ID() == 0 {
 			e := testModel(11)
 			serverErr <- RunPSServer(ctx, r, training.NewFusedSGD(0.05),
-				e.Network().ParamSlab().Data(),
-				ServerConfig{Mode: PSAsync, UntilDone: true})
+				e.Network().ParamSlab().Data(), ServerConfig{Mode: PSAsync})
 			return nil
 		}
 		time.Sleep(30 * time.Millisecond)
@@ -80,50 +79,20 @@ func TestPSServerCancelUntilDone(t *testing.T) {
 	}
 }
 
-// TestPSServerUntilDoneServes checks the done-counting protocol end to end
-// on the simulator: workers push a handful of tagged gradients, send
-// TagDone, and the server exits cleanly after all finish markers.
-func TestPSServerUntilDoneServes(t *testing.T) {
-	const workers = 2
-	_, _, err := mpi.Run(workers+1, mpi.Aries(), func(r *mpi.Rank) error {
-		e := testModel(13)
-		if r.ID() == 0 {
-			return RunPSServer(context.Background(), r, training.NewFusedSGD(0.05),
-				e.Network().ParamSlab().Data(),
-				ServerConfig{Mode: PSAsync, UntilDone: true})
-		}
-		w := NewCentralizedWorker(e, r)
-		ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
-		s := training.NewShardSampler(ds, 8, r.ID()-1, workers, 29)
-		for i := 0; i < 3; i++ {
-			b := s.Next()
-			if b == nil {
-				s.Reset()
-				b = s.Next()
+// TestPSServerStepsPerWorkerRequired pins the config validation: the sync
+// and stale servers count gradients, so they refuse a count below one.
+func TestPSServerStepsPerWorkerRequired(t *testing.T) {
+	for _, mode := range []PSMode{PSSync, PSStale} {
+		_, _, err := mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
+			if r.ID() != 0 {
+				return nil
 			}
-			if _, err := w.Train(context.Background(), b.Feeds()); err != nil {
-				return err
-			}
+			e := testModel(3)
+			return RunPSServer(context.Background(), r, training.NewFusedSGD(0.1),
+				e.Network().ParamSlab().Data(), ServerConfig{Mode: mode})
+		})
+		if err == nil {
+			t.Fatalf("%s server with StepsPerWorker 0 must be rejected", mode)
 		}
-		w.Finish()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPSServerUntilDoneRequiresAsync pins the config validation.
-func TestPSServerUntilDoneRequiresAsync(t *testing.T) {
-	_, _, err := mpi.Run(2, mpi.Aries(), func(r *mpi.Rank) error {
-		if r.ID() != 0 {
-			return nil
-		}
-		e := testModel(3)
-		return RunPSServer(context.Background(), r, training.NewFusedSGD(0.1),
-			e.Network().ParamSlab().Data(), ServerConfig{Mode: PSSync, UntilDone: true})
-	})
-	if err == nil {
-		t.Fatal("UntilDone with PSSync must be rejected")
 	}
 }

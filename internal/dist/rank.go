@@ -63,8 +63,9 @@ const AnySource = mpi.AnySource
 const (
 	// TagGrad marks a gradient push; the server replies with parameters.
 	TagGrad = 0
-	// TagDone marks a worker's final message in done-counting mode
-	// (ServerConfig.UntilDone): no gradient, no reply expected.
+	// TagDone marks a worker's final message to a PSAsync server, which
+	// serves until every worker has sent one: no gradient, no reply
+	// expected.
 	TagDone = 1
 )
 
@@ -85,49 +86,38 @@ func recvLen(ctx context.Context, r Rank, src, want int) (Message, error) {
 	return m, err
 }
 
-// AllreduceSum sums data elementwise across all ranks of r, in place: the
-// bandwidth-optimal ring, or recursive doubling when algo asks for it and
-// the world size is a power of two. Both fabrics run exactly this code, so
-// their results agree bit for bit. simBytes charges the whole vector's
-// simulated wire size (mpi.SimActual: the real size); each message is
-// charged its share of it. Every received payload is released as soon as
-// it has been consumed, so a warm all-reduce on TCP allocates nothing. On
-// error data is left partially reduced.
-func AllreduceSum(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) error {
-	return allreduce(ctx, r, algo, data, simBytes, 1)
+// AllreduceSum sums data elementwise across all ranks of r, in place, with
+// the bandwidth-optimal ring. Both fabrics run exactly this code, so their
+// results agree bit for bit. simBytes charges the whole vector's simulated
+// wire size (mpi.SimActual: the real size); each message is charged its
+// share of it. Every received payload is released as soon as it has been
+// consumed, so a warm all-reduce on TCP allocates nothing. On error data is
+// left partially reduced.
+func AllreduceSum(ctx context.Context, r Rank, data []float32, simBytes int64) error {
+	return ringAllreduce(ctx, r, data, simBytes, 1)
 }
 
 // AllreduceMean is AllreduceSum followed by a division by the world size,
 // with the scaling folded into the reduction: each element is multiplied by
-// 1/p once, where its sum is complete (the ring's owner of a chunk before the
-// allgather, every rank after recursive doubling's last exchange), and every
-// rank then holds that one product. The bits are those of summing and then
-// multiplying each element by 1/p on every rank.
-func AllreduceMean(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) error {
-	return allreduce(ctx, r, algo, data, simBytes, 1/float32(r.Size()))
-}
-
-// allreduce sums data across the ranks of r and multiplies each complete
-// sum by scale.
-func allreduce(ctx context.Context, r Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64, scale float32) error {
-	p := r.Size()
-	if p == 1 {
-		return nil
-	}
-	if simBytes == mpi.SimActual {
-		simBytes = int64(len(data)) * 4
-	}
-	if algo == mpi.AllreduceDoubling && p&(p-1) == 0 {
-		return doublingAllreduce(ctx, r, data, simBytes, scale)
-	}
-	return ringAllreduce(ctx, r, data, simBytes, scale)
+// 1/p once, where its sum is complete (the ring's owner of a chunk, before
+// the allgather), and every rank then holds that one product. The bits are
+// those of summing and then multiplying each element by 1/p on every rank.
+func AllreduceMean(ctx context.Context, r Rank, data []float32, simBytes int64) error {
+	return ringAllreduce(ctx, r, data, simBytes, 1/float32(r.Size()))
 }
 
 // ringAllreduce is reduce-scatter then allgather over a logical ring on the
 // p chunks data[c·n/p : (c+1)·n/p]. The last reduce-scatter step completes
-// the chunk this rank owns, and scales it before the allgather sends it.
+// the chunk this rank owns, and multiplies it by scale before the allgather
+// sends it.
 func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, scale float32) error {
 	p, id, n := r.Size(), r.ID(), len(data)
+	if p == 1 {
+		return nil
+	}
+	if simBytes == mpi.SimActual {
+		simBytes = int64(n) * 4
+	}
 	chunk := func(c int) []float32 { return data[c*n/p : (c+1)*n/p] }
 	chunkBytes := func(c int) int64 {
 		if n == 0 {
@@ -172,28 +162,6 @@ func ringAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, 
 		if err := exchange((id-step+1+p)%p, (id-step+p)%p, false, 1); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// doublingAllreduce is log2(p) exchange-and-add steps on the full vector;
-// the last one scales the complete sums.
-func doublingAllreduce(ctx context.Context, r Rank, data []float32, simBytes int64, scale float32) error {
-	for mask := 1; mask < r.Size(); mask <<= 1 {
-		partner := r.ID() ^ mask
-		if err := r.Send(partner, 0, data, simBytes); err != nil {
-			return err
-		}
-		m, err := recvLen(ctx, r, partner, len(data))
-		if err != nil {
-			return err
-		}
-		s := float32(1)
-		if mask<<1 >= r.Size() {
-			s = scale
-		}
-		kernels.AddScaled(data, m.Data, s)
-		r.Release(m.Data)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"deep500/internal/executor"
@@ -30,7 +29,8 @@ type SimResult struct {
 // Simulate runs spec on the in-process simulator: one goroutine per rank
 // over the virtual α-β network of cost, each running the role RunRank
 // ends with, so a scheme trains here exactly as its TCP job does. The
-// first rank to fail cancels the others, and its error is returned.
+// first rank to fail stops the simulated world (mpi.Run), and its error is
+// returned.
 // Every call is a new job: its checkpoints go under a fresh "sim-…" id.
 func Simulate(ctx context.Context, spec Spec, cost mpi.CostModel) (*SimResult, error) {
 	spec = spec.WithDefaults()
@@ -41,29 +41,17 @@ func Simulate(ctx context.Context, spec Spec, cost mpi.CostModel) (*SimResult, e
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		failed   sync.Once
-		firstErr error
-		trained  executor.GraphExecutor
-	)
+	var trained executor.GraphExecutor
 	first := spec.WorldSize() - spec.Workers // worker 0's rank
 	progress := make([]rankProgress, spec.WorldSize())
 	makespan, world, err := mpi.Run(spec.WorldSize(), cost, func(r *mpi.Rank) error {
 		e, err := runRole(ctx, r, spec, job, &progress[r.ID()], nil)
-		if err != nil {
-			failed.Do(func() { firstErr = fmt.Errorf("jobs: rank %d: %w", r.ID(), err); cancel() })
-		}
 		if r.ID() == first {
 			trained = e
 		}
 		return err
 	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err != nil { // a panic, which mpi.Run recovered
+	if err != nil {
 		return nil, err
 	}
 	res := &SimResult{Makespan: makespan, Volume: world.Volume}

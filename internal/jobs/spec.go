@@ -76,9 +76,7 @@ var schemes = []schemeDef{
 		return dist.NewSparseDecentralized(d, r, 0.2)
 	}},
 	{name: SchemePSSGD, server: &dist.ServerConfig{Mode: dist.PSSync}, worker: centralizedWorker},
-	// The asynchronous server counts finished workers instead of steps, so
-	// a worker restarted from its checkpoint may replay gradients.
-	{name: SchemeASGD, server: &dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true}, worker: centralizedWorker},
+	{name: SchemeASGD, server: &dist.ServerConfig{Mode: dist.PSAsync}, worker: centralizedWorker},
 	{name: SchemeStale, server: &dist.ServerConfig{Mode: dist.PSStale, Staleness: 2}, worker: centralizedWorker},
 }
 
@@ -113,13 +111,14 @@ func (s Scheme) def() schemeDef {
 func (s Scheme) Centralized() bool { return s.def().server != nil }
 
 // Restartable reports whether a dead worker can rejoin from its checkpoint
-// without corrupting the scheme's consistency model: only a done-counting
-// asynchronous server qualifies. Sync and stale rounds and the
-// decentralized rings all assume a fixed member set in lockstep, so a
+// without corrupting the scheme's consistency model: only the asynchronous
+// server qualifies, since it counts finished workers instead of steps and
+// so lets a restarted worker replay gradients. Sync and stale rounds and
+// the decentralized rings all assume a fixed member set in lockstep, so a
 // worker loss fails their job.
 func (s Scheme) Restartable() bool {
 	srv := s.def().server
-	return srv != nil && srv.UntilDone
+	return srv != nil && srv.Mode == dist.PSAsync
 }
 
 // Spec is a training job specification, submitted as JSON to

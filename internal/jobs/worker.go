@@ -217,9 +217,9 @@ func runRole(ctx context.Context, rank dist.Rank, spec Spec, job string, progres
 }
 
 // runPS is rank 0 of a centralized scheme: the parameter server owning the
-// authoritative weights, configured by the scheme's row. A done-counting
-// server serves until every worker reports done (restart-tolerant); the
-// others serve a fixed per-worker step count.
+// authoritative weights, configured by the scheme's row. The asynchronous
+// server serves until every worker reports done (restart-tolerant); sync
+// and stale servers serve a fixed per-worker step count.
 func runPS(ctx context.Context, rank dist.Rank, spec Spec) error {
 	rule, err := training.RuleByName(spec.Optimizer, float32(spec.LR))
 	if err != nil {

@@ -14,40 +14,37 @@ import (
 // The all-reduce lives in internal/dist, above the point-to-point contract;
 // these tests run it on the simulator.
 
-func allreduce(t *testing.T, r *mpi.Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) {
+func allreduce(t *testing.T, r *mpi.Rank, data []float32, simBytes int64) {
 	t.Helper()
-	if err := dist.AllreduceSum(context.Background(), r, algo, data, simBytes); err != nil {
+	if err := dist.AllreduceSum(context.Background(), r, data, simBytes); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestAllreduceBothAlgorithms(t *testing.T) {
-	for _, algo := range []mpi.AllreduceAlgo{mpi.AllreduceRing, mpi.AllreduceDoubling} {
-		for _, p := range []int{1, 2, 3, 4, 8, 7} {
-			results := make([][]float32, p)
-			_, _, err := mpi.Run(p, mpi.Aries(), func(r *mpi.Rank) error {
-				data := make([]float32, 13)
-				for i := range data {
-					data[i] = float32(r.ID()*100 + i)
-				}
-				allreduce(t, r, algo, data, mpi.SimActual)
-				results[r.ID()] = data
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+func TestAllreduceRingSums(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 8, 7} {
+		results := make([][]float32, p)
+		_, _, err := mpi.Run(p, mpi.Aries(), func(r *mpi.Rank) error {
+			data := make([]float32, 13)
+			for i := range data {
+				data[i] = float32(r.ID()*100 + i)
 			}
-			// expected sum over ranks
-			for i := 0; i < 13; i++ {
-				var want float32
-				for rank := 0; rank < p; rank++ {
-					want += float32(rank*100 + i)
-				}
-				for rank := 0; rank < p; rank++ {
-					if math.Abs(float64(results[rank][i]-want)) > 1e-3 {
-						t.Fatalf("algo %v p=%d rank %d elem %d: %v want %v",
-							algo, p, rank, i, results[rank][i], want)
-					}
+			allreduce(t, r, data, mpi.SimActual)
+			results[r.ID()] = data
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// expected sum over ranks
+		for i := 0; i < 13; i++ {
+			var want float32
+			for rank := 0; rank < p; rank++ {
+				want += float32(rank*100 + i)
+			}
+			for rank := 0; rank < p; rank++ {
+				if math.Abs(float64(results[rank][i]-want)) > 1e-3 {
+					t.Fatalf("p=%d rank %d elem %d: %v want %v", p, rank, i, results[rank][i], want)
 				}
 			}
 		}
@@ -63,7 +60,7 @@ func TestAllreduceWaitsForSlowestRank(t *testing.T) {
 			r.Compute(time.Millisecond) // slowest rank
 		}
 		before := r.Time()
-		allreduce(t, r, mpi.AllreduceDoubling, []float32{1}, 4)
+		allreduce(t, r, []float32{1}, 4)
 		if r.ID() != 0 && r.Time() < time.Millisecond {
 			t.Errorf("rank %d virtual clock %v did not wait for slow rank (before %v)", r.ID(), r.Time(), before)
 		}
@@ -88,7 +85,7 @@ func TestPropAllreduceEqualsSerialSum(t *testing.T) {
 				data[i] = float32((r.ID()+1)*(i+1)) / 7
 			}
 			results[r.ID()] = data
-			return dist.AllreduceSum(context.Background(), r, mpi.AllreduceRing, data, mpi.SimActual)
+			return dist.AllreduceSum(context.Background(), r, data, mpi.SimActual)
 		})
 		if err != nil {
 			return false

@@ -10,8 +10,12 @@
 // parameter-server queueing emerging naturally from message timestamps.
 //
 // A Rank offers only point-to-point Send and Recv (the dist.Rank contract)
-// plus the virtual clock. The collectives live above that contract in
-// internal/dist, so the simulator and the TCP fabric run one all-reduce.
+// plus the virtual clock. The one all-reduce, the ring, lives above that
+// contract in internal/dist, so the simulator and the TCP fabric run the
+// same code.
+//
+// The first rank to fail stops the world: Run records it, every rank
+// waiting in Recv gets an error naming it, and Run returns it.
 package mpi
 
 import (
@@ -64,17 +68,14 @@ func (c CostModel) transferSeconds(bytes int64) float64 {
 // SimActual charges the actual buffer size on the wire.
 const SimActual int64 = -1
 
-// AllreduceAlgo selects the all-reduce algorithm of dist.AllreduceSum.
+// AllreduceAlgo names an all-reduce algorithm. dist.AllreduceSum runs only
+// the ring, so nothing reads it: it stays because the benchmark harness
+// passes AllreduceRing to dist.NewConsistentDecentralized.
 type AllreduceAlgo int
 
-const (
-	// AllreduceRing is the bandwidth-optimal ring: reduce-scatter then
-	// allgather, 2(p-1) steps on n/p chunks.
-	AllreduceRing AllreduceAlgo = iota
-	// AllreduceDoubling is recursive doubling: log2(p) exchanges of the full
-	// vector (power-of-two worlds only; others fall back to the ring).
-	AllreduceDoubling
-)
+// AllreduceRing is the bandwidth-optimal ring: reduce-scatter then
+// allgather, 2(p-1) steps on n/p chunks.
+const AllreduceRing AllreduceAlgo = 0
 
 // AnySource, passed as Recv's src, receives from whichever rank has a
 // message ready, round-robin fair across sources.
@@ -99,19 +100,26 @@ type World struct {
 	inboxes []*Mailbox[message]
 	// Volume aggregates traffic over all ranks.
 	Volume *metrics.CommunicationVolume
+	// failed is closed once err holds the first rank failure.
+	failOnce sync.Once
+	failed   chan struct{}
+	err      error
 }
 
-// NewWorld creates a communicator of the given size.
-func NewWorld(size int, cost CostModel) *World {
-	if size < 1 {
-		panic("mpi: world size must be ≥ 1")
-	}
-	w := &World{size: size, cost: cost, Volume: new(metrics.CommunicationVolume)}
+// newWorld creates a communicator of size ≥ 1 ranks.
+func newWorld(size int, cost CostModel) *World {
+	w := &World{size: size, cost: cost, Volume: new(metrics.CommunicationVolume), failed: make(chan struct{})}
 	w.inboxes = make([]*Mailbox[message], size)
 	for i := range w.inboxes {
 		w.inboxes[i] = NewMailbox[message](size)
 	}
 	return w
+}
+
+// fail records err as the world's failure unless one is recorded already,
+// and wakes every rank waiting in Recv.
+func (w *World) fail(err error) {
+	w.failOnce.Do(func() { w.err = err; close(w.failed) })
 }
 
 // Rank is one process of the world. It implements dist.Rank. All methods
@@ -166,8 +174,9 @@ func (r *Rank) Send(dst, tag int, data []float32, simBytes int64) error {
 
 // Recv blocks for the next message from src (or from any rank when src is
 // AnySource) and returns it; the virtual clock advances to at least the
-// message's arrival time. It returns ctx.Err() if ctx ends first. The
-// payload belongs to the caller.
+// message's arrival time. It returns ctx.Err() if ctx ends first, and an
+// error wrapping the world's failure if a rank fails first. The payload
+// belongs to the caller.
 func (r *Rank) Recv(ctx context.Context, src int) (Message, error) {
 	if src != AnySource && (src < 0 || src >= r.world.size) {
 		return Message{}, fmt.Errorf("mpi: rank %d receive from invalid rank %d", r.id, src)
@@ -187,6 +196,8 @@ func (r *Rank) Recv(ctx context.Context, src int) (Message, error) {
 		case <-in.Wake():
 		case <-ctx.Done():
 			return Message{}, ctx.Err()
+		case <-r.world.failed:
+			return Message{}, fmt.Errorf("mpi: rank %d stopped waiting: %w", r.id, r.world.err)
 		}
 	}
 }
@@ -195,25 +206,33 @@ func (r *Rank) Recv(ctx context.Context, src int) (Message, error) {
 // receiver keeps.
 func (r *Rank) Release([]float32) {}
 
-// Run spawns size rank goroutines executing fn and waits for completion.
-// It returns the maximum virtual time across ranks (the simulated makespan).
+// Run spawns size rank goroutines executing fn and waits for every one to
+// return. The first rank failure, fn returning an error or panicking,
+// stops the world: every rank waiting in Recv, now or later, gets an error
+// naming it, and Run returns it. Run also returns the maximum virtual time
+// across ranks (the simulated makespan). A size below 1 is an error.
 func Run(size int, cost CostModel, fn func(r *Rank) error) (time.Duration, *World, error) {
-	w := NewWorld(size, cost)
+	if size < 1 {
+		return 0, nil, fmt.Errorf("mpi: world size %d, want ≥ 1", size)
+	}
+	w := newWorld(size, cost)
 	ranks := make([]*Rank, size)
-	errs := make([]error, size)
 	var wg sync.WaitGroup
-	for i := 0; i < size; i++ {
-		ranks[i] = &Rank{world: w, id: i}
+	for i := range ranks {
+		r := &Rank{world: w, id: i}
+		ranks[i] = r
 		wg.Add(1)
-		go func(r *Rank) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[r.id] = fmt.Errorf("mpi: rank %d panicked: %v", r.id, p)
+					w.fail(fmt.Errorf("mpi: rank %d panicked: %v", r.id, p))
 				}
 			}()
-			errs[r.id] = fn(r)
-		}(ranks[i])
+			if err := fn(r); err != nil {
+				w.fail(fmt.Errorf("mpi: rank %d: %w", r.id, err))
+			}
+		}()
 	}
 	wg.Wait()
 	var makespan time.Duration
@@ -222,10 +241,5 @@ func Run(size int, cost CostModel, fn func(r *Rank) error) (time.Duration, *Worl
 			makespan = t
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return makespan, w, err
-		}
-	}
-	return makespan, w, nil
+	return makespan, w, w.err
 }

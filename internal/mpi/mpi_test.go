@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -202,6 +204,74 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestRunStopsTheWorld: when one rank fails, by returning an error or by
+// panicking, while its peers wait in Recv for messages it will never send,
+// Run returns that failure promptly, and each peer's receive returns an
+// error wrapping it. Run runs under a guard, so a world that keeps waiting
+// fails the test instead of hanging it.
+func TestRunStopsTheWorld(t *testing.T) {
+	errFailed := errors.New("rank failed")
+	for _, c := range []struct {
+		name string
+		fail func() error
+		want string
+	}{
+		{"error", func() error { return errFailed }, "mpi: rank 1: rank failed"},
+		{"panic", func() error { panic(errFailed) }, "mpi: rank 1 panicked: rank failed"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peerErrs := make([]error, 3)
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := Run(3, noCost(), func(r *Rank) error {
+					src := 1
+					switch r.ID() {
+					case 1:
+						time.Sleep(20 * time.Millisecond) // let the peers block first
+						return c.fail()
+					case 2:
+						src = AnySource
+					}
+					_, err := r.Recv(context.Background(), src)
+					peerErrs[r.ID()] = err
+					return err
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || err.Error() != c.want {
+					t.Fatalf("Run returned %v, want %q", err, c.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run still waiting 5 s after a rank failed")
+			}
+			for _, id := range []int{0, 2} {
+				if err := peerErrs[id]; err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("rank %d's receive returned %v, want an error naming %q", id, err, c.want)
+				}
+			}
+			if c.name == "error" && !errors.Is(peerErrs[0], errFailed) {
+				t.Errorf("rank 0's receive error %v does not wrap the failure", peerErrs[0])
+			}
+		})
+	}
+}
+
+// TestRunRejectsEmptyWorld: a world of fewer than one rank is an error, and
+// no rank runs.
+func TestRunRejectsEmptyWorld(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		_, _, err := Run(size, noCost(), func(*Rank) error {
+			t.Errorf("a rank ran in a world of size %d", size)
+			return nil
+		})
+		if err == nil {
+			t.Errorf("Run(%d, …) returned no error", size)
+		}
+	}
+}
+
 // TestInvalidPeerIsAnError: a send to or a receive from a rank outside the
 // world returns an error instead of panicking.
 func TestInvalidPeerIsAnError(t *testing.T) {
@@ -248,7 +318,7 @@ func TestRecvHonorsContext(t *testing.T) {
 // any-source receives rotate over the sources instead of draining the
 // lowest-numbered one first.
 func TestRecvAnyIsRoundRobin(t *testing.T) {
-	w := NewWorld(4, noCost())
+	w := newWorld(4, noCost())
 	ranks := make([]*Rank, 4)
 	for i := range ranks {
 		ranks[i] = &Rank{world: w, id: i}

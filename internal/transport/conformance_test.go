@@ -197,7 +197,7 @@ func TestTCPParameterServer(t *testing.T) {
 				if r.ID() == 0 {
 					return dist.RunPSServer(context.Background(), r,
 						training.NewFusedSGD(0.05), e.Network().ParamSlab().Data(),
-						dist.ServerConfig{Mode: dist.PSAsync, UntilDone: true})
+						dist.ServerConfig{Mode: dist.PSAsync})
 				}
 				opt := dist.NewCentralizedWorker(e, r)
 				s := training.NewShardSampler(ds, batch, r.ID()-1, nodes-1, 41)
@@ -284,10 +284,9 @@ func TestDSGDStepAllocatesNothingParameterSized(t *testing.T) {
 }
 
 // refAllreduce is the reference the shared all-reduce is held to: the ring
-// and recursive doubling transcribed directly onto *mpi.Rank, with an
-// explicit chunk-bounds table and each message charged its chunk's share
-// of simBytes.
-func refAllreduce(r *mpi.Rank, algo mpi.AllreduceAlgo, data []float32, simBytes int64) error {
+// transcribed directly onto *mpi.Rank, with an explicit chunk-bounds table
+// and each message charged its chunk's share of simBytes.
+func refAllreduce(r *mpi.Rank, data []float32, simBytes int64) error {
 	p, id, n := r.Size(), r.ID(), len(data)
 	if p == 1 {
 		return nil
@@ -296,19 +295,6 @@ func refAllreduce(r *mpi.Rank, algo mpi.AllreduceAlgo, data []float32, simBytes 
 		simBytes = int64(n) * 4
 	}
 	ctx := context.Background()
-	if algo == mpi.AllreduceDoubling && p&(p-1) == 0 {
-		for mask := 1; mask < p; mask <<= 1 {
-			r.Send(id^mask, 0, data, simBytes)
-			m, err := r.Recv(ctx, id^mask)
-			if err != nil {
-				return err
-			}
-			for i := range data {
-				data[i] += m.Data[i]
-			}
-		}
-		return nil
-	}
 	bounds := make([]int, p+1)
 	for i := range bounds {
 		bounds[i] = i * n / p
@@ -370,49 +356,47 @@ func simRun(t *testing.T, p int, inputs [][]float32, reduce func(*mpi.Rank, []fl
 
 // TestTCPRankAllreduceMatchesSimulator is the collective conformance check:
 // dist.AllreduceSum, run over the simulator and over TCP, produces bitwise
-// the floats of the reference on the same per-rank inputs — ring and
-// doubling, across world sizes, lengths that do not divide the world size
-// and lengths shorter than it — and on the simulator it sends the same
-// messages at the same virtual times.
+// the floats of the reference on the same per-rank inputs — across world
+// sizes, lengths that do not divide the world size and lengths shorter
+// than it — and on the simulator it sends the same messages at the same
+// virtual times.
 func TestTCPRankAllreduceMatchesSimulator(t *testing.T) {
 	for _, p := range []int{2, 3, 4} {
 		ranks := world(t, p, nil)
-		for _, algo := range []mpi.AllreduceAlgo{mpi.AllreduceRing, mpi.AllreduceDoubling} {
-			for _, n := range []int{1, 2, 7, 64, 1023} {
-				inputs := make([][]float32, p)
-				for i := range inputs {
-					inputs[i] = tensor.RandNormal(tensor.NewRNG(uint64(100*p+n+i)), 0, 1, n).Data()
-				}
-				const charge = 102_400_000
-				want, wantT, wantW := simRun(t, p, inputs, func(r *mpi.Rank, v []float32) error {
-					return refAllreduce(r, algo, v, charge)
-				})
-				sim, simT, simW := simRun(t, p, inputs, func(r *mpi.Rank, v []float32) error {
-					return dist.AllreduceSum(context.Background(), r, algo, v, charge)
-				})
-				tcp := make([][]float32, p)
-				run(t, ranks, func(r *TCPRank) error {
-					tcp[r.ID()] = append([]float32(nil), inputs[r.ID()]...)
-					return dist.AllreduceSum(context.Background(), r, algo, tcp[r.ID()], mpi.SimActual)
-				})
-				for rank := 0; rank < p; rank++ {
-					for i := range want[rank] {
-						w := math.Float32bits(want[rank][i])
-						if math.Float32bits(sim[rank][i]) != w || math.Float32bits(tcp[rank][i]) != w {
-							t.Fatalf("algo %d p=%d n=%d rank %d elem %d: simulator %g, TCP %g, reference %g",
-								algo, p, n, rank, i, sim[rank][i], tcp[rank][i], want[rank][i])
-						}
-					}
-					if simT[rank] != wantT[rank] {
-						t.Fatalf("algo %d p=%d n=%d rank %d: virtual time %v, reference %v", algo, p, n, rank, simT[rank], wantT[rank])
+		for _, n := range []int{1, 2, 7, 64, 1023} {
+			inputs := make([][]float32, p)
+			for i := range inputs {
+				inputs[i] = tensor.RandNormal(tensor.NewRNG(uint64(100*p+n+i)), 0, 1, n).Data()
+			}
+			const charge = 102_400_000
+			want, wantT, wantW := simRun(t, p, inputs, func(r *mpi.Rank, v []float32) error {
+				return refAllreduce(r, v, charge)
+			})
+			sim, simT, simW := simRun(t, p, inputs, func(r *mpi.Rank, v []float32) error {
+				return dist.AllreduceSum(context.Background(), r, v, charge)
+			})
+			tcp := make([][]float32, p)
+			run(t, ranks, func(r *TCPRank) error {
+				tcp[r.ID()] = append([]float32(nil), inputs[r.ID()]...)
+				return dist.AllreduceSum(context.Background(), r, tcp[r.ID()], mpi.SimActual)
+			})
+			for rank := 0; rank < p; rank++ {
+				for i := range want[rank] {
+					w := math.Float32bits(want[rank][i])
+					if math.Float32bits(sim[rank][i]) != w || math.Float32bits(tcp[rank][i]) != w {
+						t.Fatalf("p=%d n=%d rank %d elem %d: simulator %g, TCP %g, reference %g",
+							p, n, rank, i, sim[rank][i], tcp[rank][i], want[rank][i])
 					}
 				}
-				if simW.Volume.Sent() != wantW.Volume.Sent() || simW.Volume.Received() != wantW.Volume.Received() ||
-					simW.Volume.Messages() != wantW.Volume.Messages() {
-					t.Fatalf("algo %d p=%d n=%d: volume %d/%d/%d, reference %d/%d/%d", algo, p, n,
-						simW.Volume.Sent(), simW.Volume.Received(), simW.Volume.Messages(),
-						wantW.Volume.Sent(), wantW.Volume.Received(), wantW.Volume.Messages())
+				if simT[rank] != wantT[rank] {
+					t.Fatalf("p=%d n=%d rank %d: virtual time %v, reference %v", p, n, rank, simT[rank], wantT[rank])
 				}
+			}
+			if simW.Volume.Sent() != wantW.Volume.Sent() || simW.Volume.Received() != wantW.Volume.Received() ||
+				simW.Volume.Messages() != wantW.Volume.Messages() {
+				t.Fatalf("p=%d n=%d: volume %d/%d/%d, reference %d/%d/%d", p, n,
+					simW.Volume.Sent(), simW.Volume.Received(), simW.Volume.Messages(),
+					wantW.Volume.Sent(), wantW.Volume.Received(), wantW.Volume.Messages())
 			}
 		}
 	}
@@ -424,60 +408,35 @@ func TestTCPRankAllreduceMatchesSimulator(t *testing.T) {
 // zero inputs under simCost.
 func TestAllreduceVirtualTimeGolden(t *testing.T) {
 	golden := []struct {
-		algo             mpi.AllreduceAlgo
 		p, n             int
 		simBytes         int64
 		times            []time.Duration
 		sent, recv, msgs int64
 	}{
-		{0, 2, 1, -1, []time.Duration{24000, 25008}, 8, 8, 4},
-		{0, 2, 1, 102400000, []time.Duration{112663502, 122905004}, 204800000, 8, 4},
-		{0, 2, 2, -1, []time.Duration{24008, 25008}, 16, 16, 4},
-		{0, 2, 2, 102400000, []time.Duration{61464003, 61465004}, 204800000, 16, 4},
-		{0, 2, 7, -1, []time.Duration{24026, 25035}, 56, 56, 4},
-		{0, 2, 7, 102400000, []time.Duration{64389227, 70242158}, 204799998, 56, 4},
-		{0, 2, 1023, -1, []time.Duration{28496, 29505}, 8184, 8184, 4},
-		{0, 2, 1023, 102400000, []time.Duration{61405985, 61527105}, 204799998, 8184, 4},
-		{0, 3, 1, -1, []time.Duration{50017, 48000, 49000}, 16, 16, 12},
-		{0, 3, 1, 102400000, []time.Duration{245810008, 174127004, 235568505}, 409600000, 16, 12},
-		{0, 3, 2, -1, []time.Duration{50017, 48000, 49017}, 32, 32, 12},
-		{0, 3, 2, 102400000, []time.Duration{122930008, 117807506, 122929008}, 409600000, 32, 12},
-		{0, 3, 7, -1, []time.Duration{50052, 48035, 49035}, 112, 112, 12},
-		{0, 3, 7, 102400000, []time.Duration{105375737, 89281304, 100985664}, 409599992, 112, 12},
-		{0, 3, 1023, -1, []time.Duration{56001, 54001, 55001}, 16368, 16368, 12},
-		{0, 3, 1023, 102400000, []time.Duration{81972727, 81970727, 81971727}, 409599996, 16368, 12},
-		{0, 4, 1, -1, []time.Duration{74000, 75026, 72000, 73000}, 24, 24, 24},
-		{0, 4, 1, 102400000, []time.Duration{358473510, 368715012, 235590506, 297032007}, 614400000, 24, 24},
-		{0, 4, 2, -1, []time.Duration{74000, 75026, 72000, 73026}, 48, 48, 24},
-		{0, 4, 2, 102400000, []time.Duration{179273510, 184395012, 179271510, 184393012}, 614400000, 48, 24},
-		{0, 4, 7, -1, []time.Duration{74052, 75052, 72026, 73052}, 168, 168, 24},
-		{0, 4, 7, 102400000, []time.Duration{105399735, 105400735, 102471519, 105398735}, 614399982, 168, 24},
-		{0, 4, 1023, -1, []time.Duration{80758, 81758, 78731, 79758}, 24552, 24552, 24},
-		{0, 4, 1023, 102400000, []time.Duration{92327158, 92328158, 91964793, 92326158}, 614399988, 24552, 24},
-		{1, 2, 1, -1, []time.Duration{13004, 12004}, 8, 8, 2},
-		{1, 2, 1, 102400000, []time.Duration{61453002, 61452002}, 204800000, 8, 2},
-		{1, 2, 2, -1, []time.Duration{13008, 12008}, 16, 16, 2},
-		{1, 2, 2, 102400000, []time.Duration{61453004, 61452004}, 204800000, 16, 2},
-		{1, 2, 7, -1, []time.Duration{13030, 12030}, 56, 56, 2},
-		{1, 2, 7, 102400000, []time.Duration{61453014, 61452014}, 204800000, 56, 2},
-		{1, 2, 1023, -1, []time.Duration{17501, 16501}, 8184, 8184, 2},
-		{1, 2, 1023, 102400000, []time.Duration{61455046, 61454046}, 204800000, 8184, 2},
-		{1, 3, 1, -1, []time.Duration{50017, 48000, 49000}, 16, 16, 12},
-		{1, 3, 1, 102400000, []time.Duration{245810008, 174127004, 235568505}, 409600000, 16, 12},
-		{1, 3, 2, -1, []time.Duration{50017, 48000, 49017}, 32, 32, 12},
-		{1, 3, 2, 102400000, []time.Duration{122930008, 117807506, 122929008}, 409600000, 32, 12},
-		{1, 3, 7, -1, []time.Duration{50052, 48035, 49035}, 112, 112, 12},
-		{1, 3, 7, 102400000, []time.Duration{105375737, 89281304, 100985664}, 409599992, 112, 12},
-		{1, 3, 1023, -1, []time.Duration{56001, 54001, 55001}, 16368, 16368, 12},
-		{1, 3, 1023, 102400000, []time.Duration{81972727, 81970727, 81971727}, 409599996, 16368, 12},
-		{1, 4, 1, -1, []time.Duration{27008, 26008, 25508, 24508}, 32, 32, 8},
-		{1, 4, 1, 102400000, []time.Duration{122907004, 122906004, 122905004, 122904004}, 819200000, 32, 8},
-		{1, 4, 2, -1, []time.Duration{27017, 26017, 25516, 24516}, 64, 64, 8},
-		{1, 4, 2, 102400000, []time.Duration{122907008, 122906008, 122905008, 122904008}, 819200000, 64, 8},
-		{1, 4, 7, -1, []time.Duration{27061, 26061, 25558, 24558}, 224, 224, 8},
-		{1, 4, 7, 102400000, []time.Duration{122907028, 122906028, 122905028, 122904028}, 819200000, 224, 8},
-		{1, 4, 1023, -1, []time.Duration{36002, 35002, 34093, 33093}, 32736, 32736, 8},
-		{1, 4, 1023, 102400000, []time.Duration{122911092, 122910092, 122909092, 122908092}, 819200000, 32736, 8},
+		{2, 1, -1, []time.Duration{24000, 25008}, 8, 8, 4},
+		{2, 1, 102400000, []time.Duration{112663502, 122905004}, 204800000, 8, 4},
+		{2, 2, -1, []time.Duration{24008, 25008}, 16, 16, 4},
+		{2, 2, 102400000, []time.Duration{61464003, 61465004}, 204800000, 16, 4},
+		{2, 7, -1, []time.Duration{24026, 25035}, 56, 56, 4},
+		{2, 7, 102400000, []time.Duration{64389227, 70242158}, 204799998, 56, 4},
+		{2, 1023, -1, []time.Duration{28496, 29505}, 8184, 8184, 4},
+		{2, 1023, 102400000, []time.Duration{61405985, 61527105}, 204799998, 8184, 4},
+		{3, 1, -1, []time.Duration{50017, 48000, 49000}, 16, 16, 12},
+		{3, 1, 102400000, []time.Duration{245810008, 174127004, 235568505}, 409600000, 16, 12},
+		{3, 2, -1, []time.Duration{50017, 48000, 49017}, 32, 32, 12},
+		{3, 2, 102400000, []time.Duration{122930008, 117807506, 122929008}, 409600000, 32, 12},
+		{3, 7, -1, []time.Duration{50052, 48035, 49035}, 112, 112, 12},
+		{3, 7, 102400000, []time.Duration{105375737, 89281304, 100985664}, 409599992, 112, 12},
+		{3, 1023, -1, []time.Duration{56001, 54001, 55001}, 16368, 16368, 12},
+		{3, 1023, 102400000, []time.Duration{81972727, 81970727, 81971727}, 409599996, 16368, 12},
+		{4, 1, -1, []time.Duration{74000, 75026, 72000, 73000}, 24, 24, 24},
+		{4, 1, 102400000, []time.Duration{358473510, 368715012, 235590506, 297032007}, 614400000, 24, 24},
+		{4, 2, -1, []time.Duration{74000, 75026, 72000, 73026}, 48, 48, 24},
+		{4, 2, 102400000, []time.Duration{179273510, 184395012, 179271510, 184393012}, 614400000, 48, 24},
+		{4, 7, -1, []time.Duration{74052, 75052, 72026, 73052}, 168, 168, 24},
+		{4, 7, 102400000, []time.Duration{105399735, 105400735, 102471519, 105398735}, 614399982, 168, 24},
+		{4, 1023, -1, []time.Duration{80758, 81758, 78731, 79758}, 24552, 24552, 24},
+		{4, 1023, 102400000, []time.Duration{92327158, 92328158, 91964793, 92326158}, 614399988, 24552, 24},
 	}
 	for _, g := range golden {
 		inputs := make([][]float32, g.p)
@@ -485,16 +444,16 @@ func TestAllreduceVirtualTimeGolden(t *testing.T) {
 			inputs[i] = make([]float32, g.n)
 		}
 		_, times, w := simRun(t, g.p, inputs, func(r *mpi.Rank, v []float32) error {
-			return dist.AllreduceSum(context.Background(), r, g.algo, v, g.simBytes)
+			return dist.AllreduceSum(context.Background(), r, v, g.simBytes)
 		})
 		for rank, want := range g.times {
 			if times[rank] != want {
-				t.Errorf("algo %d p=%d n=%d simBytes=%d rank %d: virtual time %d ns, recorded %d ns",
-					g.algo, g.p, g.n, g.simBytes, rank, times[rank], want)
+				t.Errorf("p=%d n=%d simBytes=%d rank %d: virtual time %d ns, recorded %d ns",
+					g.p, g.n, g.simBytes, rank, times[rank], want)
 			}
 		}
 		if w.Volume.Sent() != g.sent || w.Volume.Received() != g.recv || w.Volume.Messages() != g.msgs {
-			t.Errorf("algo %d p=%d n=%d simBytes=%d: volume %d/%d/%d, recorded %d/%d/%d", g.algo, g.p, g.n, g.simBytes,
+			t.Errorf("p=%d n=%d simBytes=%d: volume %d/%d/%d, recorded %d/%d/%d", g.p, g.n, g.simBytes,
 				w.Volume.Sent(), w.Volume.Received(), w.Volume.Messages(), g.sent, g.recv, g.msgs)
 		}
 	}
