@@ -315,41 +315,50 @@ func TestPSStaleReleasesInRankOrder(t *testing.T) {
 // TestPSServerReleasesEveryReceive holds the parameter server to the Rank
 // contract in every mode: each payload it receives — gradients and the
 // asynchronous server's TagDone markers alike — is released exactly once.
+// Each mode's case nests one subtest named for how that server stops:
+// after StepsPerWorker gradients ("steps") or after every worker's TagDone
+// ("until-done").
 func TestPSServerReleasesEveryReceive(t *testing.T) {
 	for _, cfg := range []ServerConfig{
 		{Mode: PSSync, StepsPerWorker: 3},
 		{Mode: PSAsync},
 		{Mode: PSStale, Staleness: 1, StepsPerWorker: 3},
 	} {
+		stop := "steps"
+		if cfg.Mode == PSAsync {
+			stop = "until-done"
+		}
 		t.Run(cfg.Mode.String(), func(t *testing.T) {
-			const workers = 2
-			ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
-			server := &countingRank{}
-			_, _, err := mpi.Run(workers+1, mpi.Aries(), func(r *mpi.Rank) error {
-				e := testModel(5)
-				if r.ID() == 0 {
-					server.Rank = r
-					return RunPSServer(context.Background(), server, training.NewFusedSGD(0.05),
-						e.Network().ParamSlab().Data(), cfg)
-				}
-				w := NewCentralizedWorker(e, r)
-				s := training.NewShardSampler(ds, 8, r.ID()-1, workers, 29)
-				for i := 0; i < 3; i++ {
-					if _, err := w.Train(context.Background(), s.Next().Feeds()); err != nil {
-						return err
+			t.Run(stop, func(t *testing.T) {
+				const workers = 2
+				ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
+				server := &countingRank{}
+				_, _, err := mpi.Run(workers+1, mpi.Aries(), func(r *mpi.Rank) error {
+					e := testModel(5)
+					if r.ID() == 0 {
+						server.Rank = r
+						return RunPSServer(context.Background(), server, training.NewFusedSGD(0.05),
+							e.Network().ParamSlab().Data(), cfg)
 					}
+					w := NewCentralizedWorker(e, r)
+					s := training.NewShardSampler(ds, 8, r.ID()-1, workers, 29)
+					for i := 0; i < 3; i++ {
+						if _, err := w.Train(context.Background(), s.Next().Feeds()); err != nil {
+							return err
+						}
+					}
+					if cfg.Mode == PSAsync {
+						return w.Finish()
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if cfg.Mode == PSAsync {
-					return w.Finish()
+				if server.recvs == 0 || server.recvs != server.releases {
+					t.Fatalf("server received %d payloads and released %d", server.recvs, server.releases)
 				}
-				return nil
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if server.recvs == 0 || server.recvs != server.releases {
-				t.Fatalf("server received %d payloads and released %d", server.recvs, server.releases)
-			}
 		})
 	}
 }

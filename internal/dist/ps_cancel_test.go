@@ -96,3 +96,35 @@ func TestPSServerStepsPerWorkerRequired(t *testing.T) {
 		}
 	}
 }
+
+// TestPSServerUntilDoneServes checks the done-counting protocol end to end
+// on the simulator: workers push a handful of tagged gradients, send
+// TagDone, and the asynchronous server exits cleanly after all finish
+// markers.
+func TestPSServerUntilDoneServes(t *testing.T) {
+	const workers = 2
+	_, _, err := mpi.Run(workers+1, mpi.Aries(), func(r *mpi.Rank) error {
+		e := testModel(13)
+		if r.ID() == 0 {
+			return RunPSServer(context.Background(), r, training.NewFusedSGD(0.05),
+				e.Network().ParamSlab().Data(), ServerConfig{Mode: PSAsync})
+		}
+		w := NewCentralizedWorker(e, r)
+		ds := training.SyntheticClassification(64, 4, []int{1, 6, 6}, 0.2, 23)
+		s := training.NewShardSampler(ds, 8, r.ID()-1, workers, 29)
+		for i := 0; i < 3; i++ {
+			b := s.Next()
+			if b == nil {
+				s.Reset()
+				b = s.Next()
+			}
+			if _, err := w.Train(context.Background(), b.Feeds()); err != nil {
+				return err
+			}
+		}
+		return w.Finish()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
